@@ -206,21 +206,17 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         print(error.args[0], file=sys.stderr)
         return 2
     print(result.render())
-    if args.timeline_out:
-        Path(args.timeline_out).write_text(
-            result.timeline_text + "\n", encoding="utf-8"
-        )
-        print(f"timeline written to {args.timeline_out}")
-    if args.telemetry_out:
-        Path(args.telemetry_out).write_text(
-            result.telemetry_jsonl, encoding="utf-8"
-        )
-        print(f"deterministic telemetry written to {args.telemetry_out}")
-    if args.slo_out:
-        Path(args.slo_out).write_text(
-            result.slo_report_json, encoding="utf-8"
-        )
-        print(f"SLO report written to {args.slo_out}")
+    for label, path, text in (
+        ("timeline", args.timeline_out, result.timeline_text + "\n"),
+        ("deterministic telemetry", args.telemetry_out,
+         result.telemetry_jsonl),
+        ("SLO report", args.slo_out, result.slo_report_json),
+        ("fingerprint", args.fingerprint_out, result.fingerprint_json),
+        ("trace", args.trace_out, result.trace_jsonl),
+    ):
+        if path:
+            Path(path).write_text(text, encoding="utf-8")
+            print(f"{label} written to {path}")
     if not result.converged:
         print("FAIL: scenario did not converge", file=sys.stderr)
         return 1
@@ -286,8 +282,6 @@ def benchmark_index() -> list:
 
 
 def cmd_parallel(args: argparse.Namespace) -> int:
-    if args.scenario is not None:
-        return _cmd_parallel_scenario(args)
     from repro.sim.parallel import run_fleet, standard_fleet
 
     spec = standard_fleet(
@@ -338,48 +332,6 @@ def cmd_parallel(args: argparse.Namespace) -> int:
         }[name]
         Path(payload).write_text(text, encoding="utf-8")
         print(f"{name} written to {payload}")
-    return 0
-
-
-def _cmd_parallel_scenario(args: argparse.Namespace) -> int:
-    """``repro parallel --scenario``: a chaos drill on the platform's
-    parallel data plane (exports byte-identical at every partition
-    count)."""
-    import time
-
-    from repro.chaos.scenarios import scenario_names
-    from repro.chaos.runner import run_scenario
-
-    if args.scenario == "list":
-        for name in scenario_names():
-            print(name)
-        return 0
-    started = time.perf_counter()
-    result = run_scenario(
-        args.scenario,
-        seed=args.seed,
-        data_plane_partitions=args.partitions,
-        data_plane_processes=args.processes,
-    )
-    wall = time.perf_counter() - started
-    print(result.render())
-    print(
-        f"parallel data plane: {result.data_plane_partitions} partition(s)"
-        f"{' (processes)' if args.processes else ''}, "
-        f"{result.dataplane_ticks} ticks, plan skew "
-        f"{result.plan_skew:.3f}, {wall:.2f}s wall"
-    )
-    for name, path, text in (
-        ("fingerprint", args.fingerprint_out, result.fingerprint_json),
-        ("timeline", args.timeline_out, result.timeline_text),
-        ("slo", args.slo_out, result.slo_report_json),
-        ("telemetry", args.telemetry_out, result.telemetry_jsonl),
-        ("trace", args.trace_out, result.trace_jsonl),
-    ):
-        if path is None:
-            continue
-        Path(path).write_text(text, encoding="utf-8")
-        print(f"{name} written to {path}")
     return 0
 
 
@@ -481,6 +433,11 @@ def main(argv=None) -> int:
     chaos.add_argument("--slo-out", metavar="FILE", default=None,
                        help="write the deterministic SLO breach/budget "
                             "report JSON here")
+    chaos.add_argument("--fingerprint-out", metavar="FILE", default=None,
+                       help="write the canonical end-state fingerprint "
+                            "JSON here")
+    chaos.add_argument("--trace-out", metavar="FILE", default=None,
+                       help="write the causal trace JSONL here")
     chaos.set_defaults(func=cmd_chaos)
 
     growth = sub.add_parser("growth", help="Fig. 1-style growth table")
@@ -514,11 +471,7 @@ def main(argv=None) -> int:
                           help="run partitions in worker processes")
     parallel.add_argument("--load-aware", action="store_true",
                           help="replace the modulo shard fold with a "
-                               "measured-cost LPT plan (fleet mode)")
-    parallel.add_argument("--scenario", metavar="NAME", default=None,
-                          help="run a registered chaos drill on the full "
-                               "platform's parallel data plane instead of "
-                               "the fleet substrate ('list' to enumerate)")
+                               "measured-cost LPT plan")
     parallel.add_argument("--fingerprint-out", metavar="FILE", default=None,
                           help="write the deterministic run fingerprint here")
     parallel.add_argument("--timeline-out", metavar="FILE", default=None,
@@ -527,9 +480,6 @@ def main(argv=None) -> int:
                           help="write the SLO report JSON here")
     parallel.add_argument("--telemetry-out", metavar="FILE", default=None,
                           help="write deterministic telemetry JSONL here")
-    parallel.add_argument("--trace-out", metavar="FILE", default=None,
-                          help="write the causal trace JSONL here "
-                               "(scenario mode)")
     parallel.set_defaults(func=cmd_parallel)
 
     experiments = sub.add_parser("experiments", help="list benchmarks")

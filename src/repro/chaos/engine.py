@@ -171,9 +171,6 @@ class ChaosEngine:
             detail = f"dropped={dropped}"
         elif fault.kind == "checkpoint-wipe":
             platform.scribe.checkpoints.drop_job(fault.target)
-            if platform.data_plane is not None:
-                # Worker mirrors still hold the wiped job's offsets.
-                platform.data_plane.mark_job_dirty(fault.target)
             kind = "action"
         elif fault.kind == "slow-node":
             host = self._resolve_host(fault)

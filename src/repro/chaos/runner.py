@@ -44,20 +44,10 @@ class ScenarioResult:
     budget_burned: Dict[str, float] = field(default_factory=dict)
     #: Closed + open SLO breach windows observed during the run.
     slo_breaches: int = 0
-    #: Canonical end-state fingerprint (checkpoints, task states, heads)
-    #: — the fifth export the 1-vs-N byte-identity goldens compare.
+    #: Canonical end-state fingerprint (checkpoints, task states, heads).
     fingerprint_json: str = ""
     #: Causal trace export (JSONL), deterministic per seed.
     trace_jsonl: str = ""
-    #: Data-plane partition count (0 = legacy per-manager step timers).
-    data_plane_partitions: int = 0
-    #: max/mean partition cost of the plane's load-aware plan (1.0 until
-    #: the warmup replan, or when the plane is off). Run-summary only:
-    #: this value depends on the partition count, so it never feeds an
-    #: export.
-    plan_skew: float = 1.0
-    #: Plane ticks executed (0 when the plane is off).
-    dataplane_ticks: int = 0
 
     @property
     def converged(self) -> bool:
@@ -103,12 +93,6 @@ class ScenarioResult:
                 f"worst budget burn {self.budget_burned[worst_key]:.1%} "
                 f"({worst_key})"
             )
-        if self.data_plane_partitions:
-            lines.append(
-                f"data plane: {self.data_plane_partitions} partition(s), "
-                f"{self.dataplane_ticks} tick(s), "
-                f"plan skew {self.plan_skew:.3f}"
-            )
         lines.append(f"converged: {'yes' if self.converged else 'NO'}")
         return "\n".join(lines)
 
@@ -120,7 +104,7 @@ def platform_fingerprint(platform) -> str:
     fleet counters — everything the data plane writes. Two runs of the
     same seed are byte-identical here if and only if every step
     processed the same bytes in the same order, which makes this the
-    sharpest of the five exports the parallel-plane goldens compare.
+    sharpest of the five exports the determinism goldens compare.
     """
     import json
 
@@ -168,8 +152,6 @@ def build_platform(
     durable_checkpoints: bool = False,
     hot_standby: bool = False,
     slow_node_detection: bool = False,
-    data_plane_partitions: Optional[int] = None,
-    data_plane_processes: bool = False,
 ):
     """The standard chaos deployment (shared with the hypothesis suites).
 
@@ -187,11 +169,7 @@ def build_platform(
 
     platform = Turbine.create(
         num_hosts=4, seed=seed,
-        config=PlatformConfig(
-            num_shards=32, containers_per_host=2,
-            data_plane_partitions=data_plane_partitions,
-            data_plane_processes=data_plane_processes,
-        ),
+        config=PlatformConfig(num_shards=32, containers_per_host=2),
     )
     platform.attach_scaler()
     platform.attach_health_reporter()
@@ -229,8 +207,6 @@ def run_scenario(
     durable_checkpoints: Optional[bool] = None,
     hot_standby: Optional[bool] = None,
     slow_node_detection: Optional[bool] = None,
-    data_plane_partitions: Optional[int] = None,
-    data_plane_processes: bool = False,
 ) -> ScenarioResult:
     """Run one named (or inline) scenario on a fresh platform.
 
@@ -261,49 +237,35 @@ def run_scenario(
         slow_node_detection=_flag(
             slow_node_detection, scenario.slow_node_detection
         ),
-        data_plane_partitions=data_plane_partitions,
-        data_plane_processes=data_plane_processes,
     )
-    try:
-        platform.run_for(seconds=warmup)
-        started_at = platform.now
-        platform.chaos.schedule(scenario)
-        platform.run_for(seconds=scenario.horizon)
+    platform.run_for(seconds=warmup)
+    started_at = platform.now
+    platform.chaos.schedule(scenario)
+    platform.run_for(seconds=scenario.horizon)
 
-        result = ScenarioResult(
-            scenario=scenario.name,
-            seed=seed,
-            started_at=started_at,
-            finished_at=platform.now,
-            mttr=dict(platform.chaos.mttr),
-            final_report=platform.chaos.check(),
-        )
-        from repro.ops.timeline import IncidentTimeline
+    result = ScenarioResult(
+        scenario=scenario.name,
+        seed=seed,
+        started_at=started_at,
+        finished_at=platform.now,
+        mttr=dict(platform.chaos.mttr),
+        final_report=platform.chaos.check(),
+    )
+    from repro.ops.timeline import IncidentTimeline
 
-        result.timeline_text = IncidentTimeline(platform).render(
-            since=started_at
-        )
-        result.telemetry_jsonl = platform.telemetry.to_jsonl(
-            deterministic=True
-        )
-        result.fingerprint_json = platform_fingerprint(platform)
-        result.trace_jsonl = platform.tracer.to_jsonl()
-        if platform.data_plane is not None:
-            result.data_plane_partitions = platform.data_plane.partitions
-            result.plan_skew = platform.data_plane.plan_skew
-            result.dataplane_ticks = platform.data_plane.ticks
-        if platform.slo is not None:
-            slo_report = platform.slo.report(platform.now)
-            result.slo_report_json = platform.slo.to_json(platform.now)
-            result.budget_burned = {
-                f"{row['job']}/{row['slo']}": row["budget_burned"]
-                for row in slo_report["slos"]
-            }
-            result.slo_breaches = len(slo_report["breach_windows"])
-        return result
-    finally:
-        if platform.data_plane is not None:
-            platform.data_plane.close()
+    result.timeline_text = IncidentTimeline(platform).render(since=started_at)
+    result.telemetry_jsonl = platform.telemetry.to_jsonl(deterministic=True)
+    result.fingerprint_json = platform_fingerprint(platform)
+    result.trace_jsonl = platform.tracer.to_jsonl()
+    if platform.slo is not None:
+        slo_report = platform.slo.report(platform.now)
+        result.slo_report_json = platform.slo.to_json(platform.now)
+        result.budget_burned = {
+            f"{row['job']}/{row['slo']}": row["budget_burned"]
+            for row in slo_report["slos"]
+        }
+        result.slo_breaches = len(slo_report["breach_windows"])
+    return result
 
 
 def mttr_table(names: List[str], seeds: List[int]) -> str:

@@ -43,7 +43,6 @@ from repro.tasks.manager import (
     HEARTBEAT_INTERVAL,
     LOAD_REPORT_INTERVAL,
     REFRESH_INTERVAL,
-    STEP_INTERVAL,
     TaskManager,
 )
 from repro.tasks.service import CACHE_TTL, TaskService
@@ -55,6 +54,10 @@ from repro.tasks.shard_manager import (
 )
 from repro.tasks.stats import COLLECT_INTERVAL, JobStatsCollector
 from repro.types import JobId, Seconds, TaskState
+
+#: Data-plane step period (the ``data-plane-step`` timer). Coarser steps
+#: trade fidelity for speed in long-horizon benchmarks.
+STEP_INTERVAL: Seconds = 10.0
 
 
 @dataclass
@@ -88,18 +91,6 @@ class PlatformConfig:
     #: N > 1 slices the fleet by the MD5 shard mapping into N engines
     #: whose merged exports stay byte-identical to the single loop.
     parallel_partitions: int = 1
-    #: Parallel data plane for the *full platform* (not just the
-    #: substrate): ``None`` keeps the legacy per-manager step timers;
-    #: N >= 1 moves stepping onto one plane tick that fans per-task
-    #: planning out over N partition slices (see
-    #: :mod:`repro.sim.parallel.plane`). Exports are byte-identical at
-    #: every N (the goldens compare 1 vs 4).
-    data_plane_partitions: Optional[int] = None
-    #: Fork worker processes for the plane's remote slices (otherwise
-    #: the slices run in-process — same mirror code, no fork).
-    data_plane_processes: bool = False
-    #: Plane ticks measured before the load-aware LPT replan.
-    data_plane_warmup_ticks: int = 30
     #: Data-plane resiliency toggles (all off by default — with every
     #: toggle off the platform is byte-identical to one built before
     #: these features existed; the transparency suite asserts it).
@@ -174,8 +165,6 @@ class Turbine:
         self.checkpoint_plane = None
         self.standby = None
         self.slow_nodes = None
-        #: Parallel data plane (see :meth:`attach_data_plane`).
-        self.data_plane = None
         self._started = False
         cluster.on_host_failure.append(self._on_host_failure)
 
@@ -313,24 +302,12 @@ class Turbine:
         regress (a cursor wipe, or a task restarting from scratch).
         Fault-free behavior is byte-identical to a platform without it.
         """
-        from repro.tasks.checkpoint import (
-            CHECKPOINT_INTERVAL,
-            CHECKPOINT_RETENTION,
-            CheckpointPlane,
-        )
+        from repro.tasks.checkpoint import CheckpointPlane
 
         if interval is None:
-            interval = (
-                self.config.checkpoint_interval
-                if self.config.checkpoint_interval is not None
-                else CHECKPOINT_INTERVAL
-            )
+            interval = self.config.checkpoint_interval
         if retention is None:
-            retention = (
-                self.config.checkpoint_retention
-                if self.config.checkpoint_retention is not None
-                else CHECKPOINT_RETENTION
-            )
+            retention = self.config.checkpoint_retention
         self.checkpoint_plane = CheckpointPlane(
             self.engine, self.scribe, self.task_service,
             interval=interval, retention=retention,
@@ -377,42 +354,6 @@ class Turbine:
         if self._started:
             self.slow_nodes.start()
         return self.slow_nodes
-
-    def attach_data_plane(
-        self, partitions=None, use_processes=None, warmup_ticks=None,
-    ):
-        """Attach the parallel data plane (platform-wide step fan-out).
-
-        Every Task Manager's per-container step timer is replaced by the
-        plane's single tick, which routes per-task step *planning* to
-        partition slices (optionally fork workers) and applies every
-        plan centrally in canonical order — exports stay byte-identical
-        at any partition count. Must be attached before :meth:`start`
-        spawns the managers (config-driven attachment does this).
-        """
-        from repro.sim.parallel.plane import PlatformDataPlane
-
-        if self._started:
-            raise RuntimeError(
-                "attach_data_plane must be called before start() — "
-                "managers arm their own step timers otherwise"
-            )
-        self.data_plane = PlatformDataPlane(
-            self,
-            partitions=(
-                partitions if partitions is not None
-                else self.config.data_plane_partitions or 1
-            ),
-            use_processes=(
-                use_processes if use_processes is not None
-                else self.config.data_plane_processes
-            ),
-            warmup_ticks=(
-                warmup_ticks if warmup_ticks is not None
-                else self.config.data_plane_warmup_ticks
-            ),
-        )
-        return self.data_plane
 
     def attach_capacity_manager(self, capacity_config=None):
         """Attach the Capacity Manager (requires an attached scaler)."""
@@ -494,11 +435,6 @@ class Turbine:
             self.attach_standby()
         if self.config.slow_node_detection and self.slow_nodes is None:
             self.attach_slow_node_detector()
-        if (
-            self.config.data_plane_partitions is not None
-            and self.data_plane is None
-        ):
-            self.attach_data_plane()
         self._started = True
         containers = self.cluster.allocate_fleet(
             self.config.containers_per_host, self.config.container_capacity
@@ -525,8 +461,18 @@ class Turbine:
             self.standby.start()
         if self.slow_nodes is not None:
             self.slow_nodes.start()
-        if self.data_plane is not None:
-            self.data_plane.start()
+        # Armed last so that at equal timestamps every control-plane
+        # timer fires before the data plane steps.
+        self.engine.every(
+            self.config.step_interval,
+            self._step_data_plane,
+            name="data-plane-step",
+        )
+
+    def _step_data_plane(self) -> None:
+        """The one stepping path: every manager, in spawn order."""
+        for manager in self.task_managers.values():
+            manager.step_tasks()
 
     def _spawn_manager(self, container) -> TaskManager:
         manager = TaskManager(
@@ -539,7 +485,6 @@ class Turbine:
             refresh_interval=self.config.refresh_interval,
             heartbeat_interval=self.config.heartbeat_interval,
             connection_timeout=self.config.connection_timeout,
-            step_interval=self.config.step_interval,
             load_report_interval=self.config.load_report_interval,
             record_task_metrics=self.config.record_task_metrics,
             tracer=self.tracer,
@@ -547,7 +492,6 @@ class Turbine:
         )
         manager.standby_plane = self.standby
         manager.checkpoint_plane = self.checkpoint_plane
-        manager.data_plane = self.data_plane
         self.task_managers[container.container_id] = manager
         manager.start()
         return manager
@@ -611,9 +555,6 @@ class Turbine:
         self.actuator.stop_tasks(job_id)
         self.job_service.deprovision(job_id)
         self.scribe.checkpoints.drop_job(job_id)
-        if self.data_plane is not None:
-            # Worker mirrors still hold the dropped job's offsets.
-            self.data_plane.mark_job_dirty(job_id)
         self.metrics.drop_entity(job_id)
 
     # ------------------------------------------------------------------

@@ -28,13 +28,6 @@ class Category:
         self.partitions: List[Partition] = [
             Partition(f"{name}/{index}") for index in range(num_partitions)
         ]
-        #: Bumped on every head advance or online toggle of any member
-        #: partition — an O(1) "did anything change?" probe that lets the
-        #: parallel data plane skip re-snapshotting an idle category's
-        #: heads each tick instead of comparing every partition.
-        self.head_version = 0
-        for partition in self.partitions:
-            partition.category = self
         self._weights: Optional[List[float]] = None
 
     @property

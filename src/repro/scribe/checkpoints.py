@@ -22,21 +22,10 @@ class CheckpointStore:
 
     def __init__(self) -> None:
         self._offsets: Dict[JobId, Dict[str, float]] = {}
-        #: Per-job mutation counter: bumped on every commit and drop.
-        #: Mirrors (the parallel data plane's worker slices) compare it
-        #: to decide whether their cached offsets are stale — a value
-        #: check that catches *every* writer, present or future, without
-        #: instrumenting any of them.
-        self._versions: Dict[JobId, int] = {}
 
     def get(self, job_id: JobId, partition_id: str) -> float:
         """The committed offset, or 0.0 for a never-checkpointed partition."""
         return self._offsets.get(job_id, {}).get(partition_id, 0.0)
-
-    def version(self, job_id: JobId) -> int:
-        """Monotone mutation counter for one job's checkpoints (0 when
-        never written)."""
-        return self._versions.get(job_id, 0)
 
     def commit(self, job_id: JobId, partition_id: str, offset: float) -> None:
         """Advance the committed offset. Moving backwards is rejected —
@@ -50,7 +39,6 @@ class CheckpointStore:
                 f"{offset} < {current}"
             )
         self._offsets.setdefault(job_id, {})[partition_id] = offset
-        self._versions[job_id] = self._versions.get(job_id, 0) + 1
 
     def partitions_of(self, job_id: JobId) -> List[str]:
         """All partition ids this job has ever checkpointed."""
@@ -59,7 +47,6 @@ class CheckpointStore:
     def drop_job(self, job_id: JobId) -> None:
         """Forget a deleted job's checkpoints."""
         self._offsets.pop(job_id, None)
-        self._versions[job_id] = self._versions.get(job_id, 0) + 1
 
     def snapshot(self, job_id: JobId) -> Dict[str, float]:
         """A copy of the job's checkpoints (used by redistribution tests)."""

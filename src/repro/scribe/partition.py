@@ -14,36 +14,21 @@ from repro.errors import ScribeError
 class Partition:
     """An append-only stream measured in bytes."""
 
-    __slots__ = ("partition_id", "_head", "_online", "category")
+    __slots__ = ("partition_id", "_head", "online")
 
     def __init__(self, partition_id: str) -> None:
         self.partition_id = partition_id
         self._head: float = 0.0
-        self._online = True
-        #: Backref to the owning :class:`~repro.scribe.category.Category`
-        #: so head/online mutations can bump its change counter; ``None``
-        #: for free-standing partitions (tests).
-        self.category = None
+        #: When False the partition's brokers are unreachable: reads
+        #: return nothing (consumers stall and lag builds) while appends
+        #: still land — Scribe buffers producer-side, so no data is lost
+        #: and the backlog is fully readable after recovery.
+        self.online = True
 
     @property
     def head(self) -> float:
         """Total bytes ever appended (the write frontier)."""
         return self._head
-
-    @property
-    def online(self) -> bool:
-        """When False the partition's brokers are unreachable: reads
-        return nothing (consumers stall and lag builds) while appends
-        still land — Scribe buffers producer-side, so no data is lost
-        and the backlog is fully readable after recovery."""
-        return self._online
-
-    @online.setter
-    def online(self, value: bool) -> None:
-        if value != self._online:
-            self._online = value
-            if self.category is not None:
-                self.category.head_version += 1
 
     def append(self, num_bytes: float) -> float:
         """Append ``num_bytes`` and return the new head offset."""
@@ -52,8 +37,6 @@ class Partition:
                 f"cannot append negative bytes to {self.partition_id}: {num_bytes}"
             )
         self._head += num_bytes
-        if self.category is not None:
-            self.category.head_version += 1
         return self._head
 
     def available(self, offset: float) -> float:

@@ -39,11 +39,6 @@ from repro.sim.parallel.partition import (
     partition_for_shard,
     partition_for_task,
 )
-from repro.sim.parallel.plane import (
-    DataPlaneSlice,
-    PlatformDataPlane,
-    TaskStepProfile,
-)
 from repro.sim.parallel.runner import (
     ParallelResult,
     ParallelSimulation,
@@ -52,7 +47,6 @@ from repro.sim.parallel.runner import (
 
 __all__ = [
     "ControlPlane",
-    "DataPlaneSlice",
     "FleetJob",
     "FleetSpec",
     "MergedRound",
@@ -60,10 +54,8 @@ __all__ = [
     "ParallelSimulation",
     "PartitionPlan",
     "PartitionRunner",
-    "PlatformDataPlane",
     "RoundDelta",
     "ScaleAction",
-    "TaskStepProfile",
     "measure_shard_costs",
     "merge_deltas",
     "partition_for_shard",

@@ -12,8 +12,9 @@ manager:
   longer than the 40-second connection timeout — reboots itself *before*
   the Shard Manager's 60-second fail-over can create a duplicate elsewhere
   (section IV-C);
-* steps its tasks' data-plane processing and aggregates per-shard loads,
-  reporting them to the Shard Manager every ten minutes.
+* steps its tasks' data-plane processing (driven by the platform's single
+  ``data-plane-step`` timer, see :meth:`step_tasks`) and aggregates
+  per-shard loads, reporting them to the Shard Manager every ten minutes.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from repro.obs.trace import NULL_TRACER, SLOT_SYNC, Tracer
 from repro.resilience import Dependency, LastKnownGood, RetryPolicy
 from repro.scribe.bus import ScribeBus
 from repro.sim.engine import Engine, Timer
-from repro.tasks.runtime import RunningTask, apply_step_plan
+from repro.tasks.runtime import RunningTask
 from repro.tasks.service import TaskService
 from repro.tasks.shard_manager import ShardManager
 from repro.tasks.spec import TaskSpec
@@ -49,10 +50,6 @@ HEARTBEAT_INTERVAL: Seconds = 10.0
 #: minutes."
 LOAD_REPORT_INTERVAL: Seconds = 600.0
 
-#: Data-plane step period. Coarser steps trade fidelity for speed in
-#: long-horizon benchmarks.
-STEP_INTERVAL: Seconds = 10.0
-
 
 class TaskManager:
     """Runs the tasks of the shards assigned to one Turbine container."""
@@ -68,7 +65,6 @@ class TaskManager:
         refresh_interval: Seconds = REFRESH_INTERVAL,
         heartbeat_interval: Seconds = HEARTBEAT_INTERVAL,
         connection_timeout: Seconds = CONNECTION_TIMEOUT,
-        step_interval: Seconds = STEP_INTERVAL,
         load_report_interval: Seconds = LOAD_REPORT_INTERVAL,
         record_task_metrics: bool = False,
         tracer: Optional[Tracer] = None,
@@ -84,7 +80,6 @@ class TaskManager:
         self._refresh_interval = refresh_interval
         self._heartbeat_interval = heartbeat_interval
         self._connection_timeout = connection_timeout
-        self._step_interval = step_interval
         self._load_report_interval = load_report_interval
         self._record_task_metrics = record_task_metrics
 
@@ -105,12 +100,6 @@ class TaskManager:
         #: corresponding features are enabled.
         self.standby_plane = None
         self.checkpoint_plane = None
-        #: Parallel data plane (:class:`repro.sim.parallel.plane.
-        #: PlatformDataPlane`). When wired, the plane owns the step
-        #: cadence: this manager arms no step timer and instead exposes
-        #: :meth:`data_plane_dt` / :meth:`throttle_for` /
-        #: :meth:`apply_data_plane_step` to the plane's tick barrier.
-        self.data_plane = None
         #: When each task last failed, for the task.recovery_lag SLI
         #: (failure -> first post-recovery progress sample).
         self._failed_at: Dict[TaskId, Seconds] = {}
@@ -197,24 +186,12 @@ class TaskManager:
                 self._heartbeat_interval, self._heartbeat_tick,
                 name=f"{self.container_id}-heartbeat",
             ),
-        ]
-        if self.data_plane is None:
-            # The parallel data plane (when wired) steps every manager
-            # from its own single timer; arming a per-container step
-            # timer too would double-step the tasks.
-            self._timers.append(
-                self._engine.every(
-                    self._step_interval, self._step_tasks,
-                    name=f"{self.container_id}-step",
-                )
-            )
-        self._timers.append(
             self._engine.every(
                 self._load_report_interval, self._report_loads,
                 name=f"{self.container_id}-load-report",
                 initial_delay=jitter.uniform(0, self._load_report_interval),
-            )
-        )
+            ),
+        ]
 
     def shutdown(self) -> None:
         """Stop all timers and tasks (container decommission)."""
@@ -305,10 +282,6 @@ class TaskManager:
         # instead of the backlog horizon.
         if self.checkpoint_plane is not None:
             self.checkpoint_plane.on_task_start(spec.job_id)
-        if self.data_plane is not None:
-            # The roll-forward above (and the start itself) may have moved
-            # committed cursors; worker mirrors must resync this job.
-            self.data_plane.mark_job_dirty(spec.job_id)
         task = RunningTask(spec, self._scribe)
         self.tasks[spec.task_id] = task
         self._task_shard[spec.task_id] = shard_id
@@ -460,9 +433,15 @@ class TaskManager:
         self._engine.call_in(delay, self._try_reconnect)
 
     # ------------------------------------------------------------------
-    # Periodic: data-plane stepping
+    # Data-plane stepping (one call per platform ``data-plane-step`` tick)
     # ------------------------------------------------------------------
-    def _step_tasks(self) -> None:
+    def step_tasks(self) -> None:
+        """Step every hosted task once: the only per-task step body.
+
+        The platform calls this for each manager in spawn order, so a
+        task's commits and downstream publishes are visible to every
+        task stepped after it in the same tick.
+        """
         now = self._engine.now
         dt = now - self._last_step_time
         self._last_step_time = now
@@ -512,71 +491,6 @@ class TaskManager:
             ):
                 # First post-recovery progress sample: close the
                 # recovery-lag window for the task.recovery_lag SLI.
-                lag = now - self._failed_at.pop(task_id)
-                if self._metrics is not None:
-                    self._metrics.record(
-                        task.spec.job_id, "recovery_lag", now, lag
-                    )
-            if samples is not None and task.state != TaskState.STANDBY:
-                samples.append((task_id, "cpu_used", task.last_cpu_used))
-                samples.append((task_id, "memory_gb", task.memory_needed_gb()))
-                samples.append((task_id, "rate_mb", task.last_rate_mb))
-        if samples:
-            self._metrics.record_many(now, samples)
-
-    # ------------------------------------------------------------------
-    # Parallel data plane hooks (the plane's tick replaces _step_tasks;
-    # each hook mirrors one stage of the serial loop above, so the two
-    # paths stay byte-identical per task).
-    # ------------------------------------------------------------------
-    def data_plane_dt(self, now: Seconds) -> Seconds:
-        """Advance the step clock exactly like the serial loop's prologue
-        (the clock advances even for a dead container)."""
-        dt = now - self._last_step_time
-        self._last_step_time = now
-        return dt
-
-    def throttle_for(self, desired: float) -> float:
-        """The contention throttle the serial loop would apply for a
-        given total desired-cores demand (includes the gray-node slow
-        factor)."""
-        throttle = 1.0
-        capacity_cpu = self.container.capacity.cpu
-        if capacity_cpu > 0 and desired > capacity_cpu:
-            throttle = capacity_cpu / desired
-        return throttle * self.slow_factor
-
-    def apply_data_plane_step(
-        self, now: Seconds, dt: Seconds, throttle: float, plans: List
-    ) -> None:
-        """Apply pre-computed step plans — the serial loop's per-task
-        body (OOM handling, recovery-lag SLI, metric sampling), with
-        ``task.step`` replaced by applying the plan the plane computed
-        from the same pre-tick state.
-
-        ``plans`` is ``[(task, StepPlan | None)]`` in the same order the
-        serial loop visits tasks (``tasks`` then ``standbys``). A
-        ``None`` plan marks a contended-job slot: its plan is computed
-        here, sequentially, so same-tick readers of shared partitions
-        see each other's commits exactly like the serial loop.
-        """
-        samples = (
-            [] if self._record_task_metrics and self._metrics is not None
-            else None
-        )
-        for task, plan in plans:
-            task_id = task.spec.task_id
-            was_running = task.state == TaskState.RUNNING
-            if plan is None:
-                plan = task.plan_step(dt, throttle)
-            apply_step_plan(task, plan, self._scribe)
-            if was_running and task.state == TaskState.CRASHED:
-                self._handle_oom(task)
-            if (
-                task_id in self._failed_at
-                and task.state == TaskState.RUNNING
-                and task.last_rate_mb > 0
-            ):
                 lag = now - self._failed_at.pop(task_id)
                 if self._metrics is not None:
                     self._metrics.record(

@@ -58,10 +58,9 @@ class StepPlan(NamedTuple):
     """The pure outcome of one task step — data, not side effects.
 
     Computed by :func:`plan_task_step` from a read-only view of the
-    task's partitions and applied by :func:`apply_step_plan` (or, on a
-    parallel data plane, computed on a worker's mirror and applied by the
-    coordinator). A plan is a plain tuple of floats/ints so it pickles
-    compactly and carries no references into simulation state.
+    task's partitions and applied by :func:`apply_step_plan`. A plan is
+    a plain tuple of floats/ints and carries no references into
+    simulation state.
     """
 
     #: False for the not-running / non-positive-dt path (rates zeroed).
@@ -101,31 +100,6 @@ def plan_memory_needed_gb(
     return needed
 
 
-def plan_desired_cores(
-    running: bool,
-    dt: Seconds,
-    restoring: bool,
-    available_sum_mb: float,
-    max_rate_mb: float,
-    rate_per_thread_mb: float,
-) -> float:
-    """Pure form of :meth:`RunningTask.desired_cores`.
-
-    ``available_sum_mb`` must be the left-to-right sum of
-    ``partition.available(offset)`` over the task's partition slice in
-    canonical order — the same accumulation order the method uses — so
-    the float result is bit-identical wherever it is computed.
-    """
-    if not running or dt <= 0:
-        return 0.0
-    if restoring:
-        return 1.0
-    desired_mb = min(max_rate_mb * dt, available_sum_mb)
-    if rate_per_thread_mb <= 0:
-        return 0.0
-    return (desired_mb / dt) / rate_per_thread_mb
-
-
 def plan_task_step(
     entries: Sequence[Tuple[float, float]],
     dt: Seconds,
@@ -138,17 +112,13 @@ def plan_task_step(
     state_key_cardinality: int,
     task_count: int,
     reserved_memory_gb: float,
-    running: bool = True,
 ) -> StepPlan:
     """Plan one task step from a read-only partition view.
 
     ``entries`` is ``(readable_mb, committed_offset)`` per partition of
     the task's slice, in canonical (ascending partition index) order.
-    Every arithmetic operation happens in exactly the order the original
-    ``RunningTask.step`` used, so a plan computed from a mirror of the
-    partition state is bit-identical to one computed in place.
     """
-    if not running or dt <= 0:
+    if dt <= 0:
         return IDLE_PLAN
     throttle = min(1.0, max(0.0, throttle))
 
@@ -227,9 +197,7 @@ def apply_step_plan(
     """Apply a :class:`StepPlan` to authoritative state.
 
     The single write path for task-step effects: checkpoint commits,
-    downstream publish, usage metrics, OOM state. Both the serial
-    in-place ``step`` and the parallel data plane's coordinator run
-    through here, so there is exactly one implementation to trust.
+    downstream publish, usage metrics, OOM state.
     """
     if not plan.ran:
         task.last_rate_mb = 0.0
@@ -332,19 +300,15 @@ class RunningTask:
         the container's CPU capacity, every task is throttled
         proportionally.
         """
-        return plan_desired_cores(
-            running=self.state == TaskState.RUNNING,
-            dt=dt,
-            restoring=self.restoring,
-            available_sum_mb=(
-                self.bytes_lagged_mb()
-                if self.state == TaskState.RUNNING and dt > 0
-                and not self.restoring
-                else 0.0
-            ),
-            max_rate_mb=self.max_rate_mb(),
-            rate_per_thread_mb=self.spec.rate_per_thread_mb,
-        )
+        if self.state != TaskState.RUNNING or dt <= 0:
+            return 0.0
+        if self.restoring:
+            return 1.0
+        desired_mb = min(self.max_rate_mb() * dt, self.bytes_lagged_mb())
+        rate_per_thread_mb = self.spec.rate_per_thread_mb
+        if rate_per_thread_mb <= 0:
+            return 0.0
+        return (desired_mb / dt) / rate_per_thread_mb
 
     def partition_entries(self) -> List[Tuple[float, float]]:
         """``(readable_mb, committed_offset)`` per owned partition, in
@@ -352,15 +316,11 @@ class RunningTask:
         consumes."""
         checkpoints = self._scribe.checkpoints
         job_id = self.spec.job_id
-        return [
-            (
-                partition.readable(
-                    checkpoints.get(job_id, partition.partition_id)
-                ),
-                checkpoints.get(job_id, partition.partition_id),
-            )
-            for partition in self.partitions
-        ]
+        entries = []
+        for partition in self.partitions:
+            offset = checkpoints.get(job_id, partition.partition_id)
+            entries.append((partition.readable(offset), offset))
+        return entries
 
     def plan_step(self, dt: Seconds, throttle: float = 1.0) -> StepPlan:
         """Plan one step against the live partition state (no effects)."""
@@ -390,9 +350,8 @@ class RunningTask:
         processes nothing.
 
         Implemented as plan-then-apply: :func:`plan_task_step` is a pure
-        function of a partition view, so a parallel data plane can run
-        the planning on workers and this method stays the serial
-        composition of the exact same two halves.
+        function of a partition view, :func:`apply_step_plan` the single
+        write path.
         """
         return apply_step_plan(self, self.plan_step(dt, throttle), self._scribe)
 
@@ -418,14 +377,6 @@ class RunningTask:
             self.spec.state_key_cardinality,
             self.spec.task_count,
         )
-
-    def _check_memory(self) -> None:
-        reserved = self.spec.resources.memory_gb
-        if reserved > 0 and self.memory_needed_gb() > reserved:
-            # cgroup kill: stats are preserved and read back on restart
-            # (paper section V-A).
-            self.state = TaskState.CRASHED
-            self.oom_count += 1
 
     # ------------------------------------------------------------------
     # Lag accounting

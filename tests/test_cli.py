@@ -275,17 +275,28 @@ def test_chaos_unknown_scenario_errors(capsys):
     assert "unknown chaos scenario" in capsys.readouterr().err
 
 
-def test_chaos_exports_timeline_and_telemetry(capsys, tmp_path):
+def test_chaos_exports_timeline_telemetry_fingerprint_and_trace(
+    capsys, tmp_path
+):
     timeline_path = tmp_path / "timeline.txt"
     telemetry_path = tmp_path / "telemetry.jsonl"
+    fingerprint_path = tmp_path / "fingerprint.json"
+    trace_path = tmp_path / "trace.jsonl"
     assert main(["chaos", "metric-gap", "--seed", "3",
                  "--timeline-out", str(timeline_path),
-                 "--telemetry-out", str(telemetry_path)]) == 0
+                 "--telemetry-out", str(telemetry_path),
+                 "--fingerprint-out", str(fingerprint_path),
+                 "--trace-out", str(trace_path)]) == 0
     assert "chaos" in timeline_path.read_text()
     lines = telemetry_path.read_text().splitlines()
     assert lines
     assert any("chaos.faults_injected" in json.loads(line).get("name", "")
                for line in lines)
+    fingerprint = json.loads(fingerprint_path.read_text())
+    assert set(fingerprint) == {"now", "checkpoints", "managers", "heads"}
+    assert "chaos/job-0" in fingerprint["checkpoints"]
+    # The trace export is what ``repro trace --input`` replays.
+    assert main(["trace", "chaos/job-0", "--input", str(trace_path)]) == 0
 
 
 def test_chaos_exports_slo_report(capsys, tmp_path):
