@@ -294,8 +294,7 @@ def cmd_parallel(args: argparse.Namespace) -> int:
         round_interval=args.round,
     )
     result = run_fleet(
-        spec, partitions=args.partitions, use_processes=args.processes,
-        load_aware=args.load_aware,
+        spec, partitions=args.partitions, use_processes=args.processes
     )
     mode = "processes" if result.used_processes else "in-process"
     print(
@@ -306,8 +305,6 @@ def cmd_parallel(args: argparse.Namespace) -> int:
         f"ran {result.rounds} rounds x {args.partitions} partitions "
         f"({mode}) in {result.wall_s:.2f}s wall"
     )
-    if result.load_aware:
-        print(f"load-aware plan: skew {result.plan_skew:.3f} (max/mean)")
     final = result.fingerprint["final"]
     total_tasks = sum(job["task_count"] for job in final.values())
     total_lag = sum(job["lag_u"] for job in final.values()) / 1e6
@@ -469,9 +466,6 @@ def main(argv=None) -> int:
     parallel.add_argument("--seed", type=int, default=0)
     parallel.add_argument("--processes", action="store_true",
                           help="run partitions in worker processes")
-    parallel.add_argument("--load-aware", action="store_true",
-                          help="replace the modulo shard fold with a "
-                               "measured-cost LPT plan")
     parallel.add_argument("--fingerprint-out", metavar="FILE", default=None,
                           help="write the deterministic run fingerprint here")
     parallel.add_argument("--timeline-out", metavar="FILE", default=None,

@@ -12,9 +12,9 @@ The store is a streaming metrics engine: ring-buffer series storage with
 lazy compaction, O(1)-amortized incremental trailing-window aggregates,
 coarse rollup tiers for long-horizon reads, a histogram-sketch percentile
 path behind a declared tolerance, and a batched ingestion fast path —
-all byte-identical to the naive rescan paths they replace (and provably
-so: the golden determinism suite runs the platform with streaming on and
-off and compares every decision bit for bit).
+all byte-identical to the naive rescan reference
+(``TimeSeries(streaming=False)``), which
+``tests/metrics/test_streaming_equivalence.py`` checks under hypothesis.
 """
 
 from repro.metrics.aggregate import cdf_points, mean, percentile, stdev

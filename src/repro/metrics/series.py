@@ -34,9 +34,6 @@ from repro.metrics.sketch import HistogramSketch
 from repro.metrics.window import WindowAggregate
 from repro.types import Seconds
 
-#: Module default for the streaming read paths; stores pass their own.
-STREAMING_DEFAULT = True
-
 #: Compact the ring only when the dead prefix reaches this length *and*
 #: is at least as long as the live suffix (amortized O(1) per append).
 COMPACT_MIN = 64
@@ -52,14 +49,16 @@ class TimeSeries:
     def __init__(
         self,
         retention: Optional[Seconds] = None,
-        streaming: Optional[bool] = None,
+        streaming: bool = True,
         rollup_period: Optional[Seconds] = None,
         telemetry=None,
     ) -> None:
         if retention is not None and retention <= 0:
             raise ValueError(f"retention must be positive: {retention}")
         self.retention = retention
-        self.streaming = STREAMING_DEFAULT if streaming is None else streaming
+        #: False is the naive-rescan reference the equivalence suites and
+        #: hot-path benches compare against; production always streams.
+        self.streaming = streaming
         self._times: List[Seconds] = []
         self._values: List[float] = []
         #: Physical index of the first live (retained) sample.
@@ -71,7 +70,7 @@ class TimeSeries:
         self._aggs: Dict[float, WindowAggregate] = {}
         #: Rollups are maintained on the append path whenever configured
         #: (cheap: one exact-add into the newest bucket) and *served* only
-        #: while streaming is on, so toggling never leaves them stale.
+        #: by a streaming series.
         if rollup_period is not None:
             self._rollup: Optional[RollupTier] = RollupTier(rollup_period)
         elif retention is not None and retention > ROLLUP_AUTO_RETENTION:
@@ -327,21 +326,6 @@ class TimeSeries:
     def count_between(self, start: Seconds, end: Seconds) -> int:
         """Number of samples with ``start <= time <= end``."""
         return self.aggregate_between(start, end)[1]
-
-    # ------------------------------------------------------------------
-    # Engine control
-    # ------------------------------------------------------------------
-    def set_streaming(self, enabled: bool) -> None:
-        """Switch the streaming read paths on or off.
-
-        Rolling window states are discarded on any toggle — they are
-        rebuilt lazily on the next read, so a series toggled off and back
-        on never serves stale state.
-        """
-        if enabled == self.streaming:
-            return
-        self.streaming = enabled
-        self._aggs.clear()
 
     def __repr__(self) -> str:
         return (

@@ -19,7 +19,7 @@ sorting path.
 Counts are plain integers added and removed symmetrically, so a sketch
 maintained incrementally over a sliding window is bucket-for-bucket
 identical to one built in a single pass over the same values — the
-property the streaming-on/off golden tests rely on.
+property the streaming-equivalence suite relies on.
 """
 
 from __future__ import annotations

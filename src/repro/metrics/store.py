@@ -35,8 +35,8 @@ class MetricStore:
         telemetry=None,
     ) -> None:
         self.default_retention = default_retention
-        #: Whether new (and toggled) series use the streaming read paths;
-        #: flip with :meth:`set_streaming` for golden on/off comparisons.
+        #: Whether series use the streaming read paths (False builds the
+        #: naive-rescan reference store of the equivalence suites).
         self.streaming = streaming
         self._series: Dict[Tuple[str, str], TimeSeries] = {}
         #: Inverted indexes: entity -> metric names, metric -> entities.
@@ -174,19 +174,6 @@ class MetricStore:
         """Most recent value, or ``None`` if the series is empty/missing."""
         existing = self._series.get((entity, metric))
         return None if existing is None else existing.latest()
-
-    # ------------------------------------------------------------------
-    # Engine control
-    # ------------------------------------------------------------------
-    def set_streaming(self, enabled: bool) -> None:
-        """Toggle the streaming read paths store-wide (existing series too).
-
-        Reads are byte-identical either way; the toggle exists so the
-        golden determinism suite can prove exactly that.
-        """
-        self.streaming = enabled
-        for series in self._series.values():
-            series.set_streaming(enabled)
 
     def set_telemetry(self, telemetry) -> None:
         """Attach a telemetry sink to the store and its existing series."""

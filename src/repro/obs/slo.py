@@ -184,8 +184,8 @@ def bad_fraction(series, window: Seconds, now: Seconds) -> float:
     """Mean of the 0/1 bad samples over the trailing window (0 if empty).
 
     ``series`` is a bookkeeping :class:`~repro.metrics.series.TimeSeries`
-    of 0/1 samples; with streaming on this is the O(1) rolling-window
-    path, the read the SLO plane leans on fleet-wide every minute.
+    of 0/1 samples; this is the O(1) rolling-window path, the read the
+    SLO plane leans on fleet-wide every minute.
     """
     mean = series.average_over(window, now)
     return 0.0 if mean is None else mean
@@ -207,7 +207,6 @@ class SloTracker:
         rules: Tuple[BurnRateRule, ...] = DEFAULT_BURN_RULES,
         interval: Seconds = EVAL_INTERVAL,
         telemetry=None,
-        streaming: bool = True,
         retention: int = DEFAULT_RETENTION,
     ) -> None:
         from repro.ops.health import Alert  # shared alert shape
@@ -229,9 +228,7 @@ class SloTracker:
         #: fault must not silently erase the very breach it causes, and
         #: budget accounting must survive any platform-store outage.
         horizon = max(spec.compliance_window for spec in self.specs)
-        self._store = MetricStore(
-            default_retention=horizon * 1.25, streaming=streaming
-        )
+        self._store = MetricStore(default_retention=horizon * 1.25)
         self.alerts: List = BoundedList(maxlen=retention)
         self.breaches: List[BreachWindow] = BoundedList(maxlen=retention)
         #: (job, slo) -> open breach (also present in ``breaches``).

@@ -39,9 +39,9 @@ def is_deterministic_instrument(name: str) -> bool:
       ends in ``_ms`` — which are real ``perf_counter`` readings and vary
       run to run;
     * ``cache.*`` instruments, which describe *how* the control plane
-      computed a decision (dirty-set sizes, decision-cache hits), not
-      what it decided. They legitimately differ between a cached and an
-      uncached run of the same seed, while everything else must not;
+      computed a decision (dirty-set sizes, full scans), not what it
+      decided. They legitimately differ between an incremental and a
+      full-scan run of the same seed, while everything else must not;
     * ``metrics.*`` instruments — the streaming metrics engine's
       self-observation (fast-window hits, rollup reads, batch sizes),
       which likewise differs between a streaming and a naive run whose

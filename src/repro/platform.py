@@ -59,6 +59,21 @@ from repro.types import JobId, Seconds, TaskState
 #: trade fidelity for speed in long-horizon benchmarks.
 STEP_INTERVAL: Seconds = 10.0
 
+#: Attribute names of the startable subsystems, in start order. Timers
+#: due at the same timestamp fire in the order they were armed, so the
+#: exports see this order — never the order ``attach_*`` was called in.
+_START_ORDER = (
+    "shard_manager", "syncer", "stats", "scaler", "capacity_manager",
+    "health", "slo", "replication", "checkpoint_plane", "standby",
+    "slow_nodes",
+)
+
+
+def _given(**kwargs):
+    """The keyword arguments a caller actually passed (the non-None
+    ones), so constructor defaults are stated once, by the constructor."""
+    return {key: value for key, value in kwargs.items() if value is not None}
+
 
 @dataclass
 class PlatformConfig:
@@ -82,15 +97,6 @@ class PlatformConfig:
     load_report_interval: Seconds = LOAD_REPORT_INTERVAL
     stats_interval: Seconds = COLLECT_INTERVAL
     record_task_metrics: bool = False
-    #: Streaming metrics engine (incremental window aggregates, rollup
-    #: tiers). Reads are byte-identical either way; the toggle exists for
-    #: the golden on/off determinism suite and A/B benchmarks.
-    metrics_streaming: bool = True
-    #: Partition count for the sharded parallel substrate
-    #: (:meth:`Turbine.parallel_substrate`). 1 is the single event loop;
-    #: N > 1 slices the fleet by the MD5 shard mapping into N engines
-    #: whose merged exports stay byte-identical to the single loop.
-    parallel_partitions: int = 1
     #: Data-plane resiliency toggles (all off by default — with every
     #: toggle off the platform is byte-identical to one built before
     #: these features existed; the transparency suite asserts it).
@@ -114,7 +120,7 @@ class Turbine:
         self.cluster = cluster
         self.config = config or PlatformConfig()
         self.scribe = ScribeBus()
-        self.metrics = MetricStore(streaming=self.config.metrics_streaming)
+        self.metrics = MetricStore()
         self.failures = FailureInjector(engine, cluster)
 
         # --- Observability (off by default; see enable_tracing) -------
@@ -171,6 +177,21 @@ class Turbine:
     # ------------------------------------------------------------------
     # Resource Management attachment
     # ------------------------------------------------------------------
+    def _attach(self, name: str, subsystem):
+        """Install ``subsystem`` as ``self.<name>``, the one wiring path.
+
+        A previously attached instance is stopped first — otherwise its
+        timer would stay armed and an orphan would keep acting — and the
+        new one starts right away when the platform already runs.
+        """
+        previous = getattr(self, name)
+        if previous is not None:
+            previous.stop()
+        setattr(self, name, subsystem)
+        if self._started:
+            subsystem.start()
+        return subsystem
+
     def attach_scaler(self, scaler_config=None):
         """Attach the proactive Auto Scaler (optional third layer).
 
@@ -181,31 +202,23 @@ class Turbine:
 
         if scaler_config is None:
             scaler_config = AutoScalerConfig(
-                container_capacity=self.config.container_capacity
-                if self.config.container_capacity is not None
-                else AutoScalerConfig().container_capacity
+                **_given(container_capacity=self.config.container_capacity)
             )
-        self.scaler = AutoScaler(
+        return self._attach("scaler", AutoScaler(
             self.engine, self.job_service, self.metrics, self.scribe,
             config=scaler_config, tracer=self.tracer,
-        )
-        if self._started:
-            self.scaler.start()
-        return self.scaler
+        ))
 
     def attach_health_reporter(self, thresholds=None, interval=300.0):
         """Attach the operations health reporter (paper section VII)."""
         from repro.ops.health import HealthReporter
 
-        self.health = HealthReporter(
+        return self._attach("health", HealthReporter(
             self.engine, self.job_service, self.task_service,
             self.shard_manager, self.metrics,
             thresholds=thresholds, interval=interval,
             sli=self._sli_evaluator(),
-        )
-        if self._started:
-            self.health.start()
-        return self.health
+        ))
 
     def _sli_evaluator(self):
         """The one shared SLI evaluator (health + SLO plane agree)."""
@@ -223,19 +236,13 @@ class Turbine:
         simulation; like the other optional subsystems it is imported
         lazily and started with the platform.
         """
-        from repro.obs.slo import DEFAULT_BURN_RULES, SloTracker
+        from repro.obs.slo import SloTracker
 
-        self.slo = SloTracker(
+        return self._attach("slo", SloTracker(
             self.engine, self._sli_evaluator(),
-            specs=specs,
-            rules=rules if rules is not None else DEFAULT_BURN_RULES,
-            interval=interval,
-            telemetry=self.telemetry,
-            streaming=self.config.metrics_streaming,
-        )
-        if self._started:
-            self.slo.start()
-        return self.slo
+            specs=specs, interval=interval, telemetry=self.telemetry,
+            **_given(rules=rules),
+        ))
 
     def attach_chaos(self):
         """Attach the deterministic control-plane chaos engine.
@@ -265,34 +272,19 @@ class Turbine:
         byte-identical to an unreplicated platform (the golden
         transparency suite in tests/integration proves it).
         """
-        from repro.replication import (
-            CATCHUP_INTERVAL,
-            DEFAULT_REPLICAS,
-            HEARTBEAT_INTERVAL as REPL_HEARTBEAT_INTERVAL,
-            LEASE_TIMEOUT,
-            ReplicationGroup,
-        )
+        from repro.replication import ReplicationGroup
 
-        self.replication = ReplicationGroup(
-            self.engine,
-            self.job_store,
-            self.scribe,
-            replicas=replicas if replicas is not None else DEFAULT_REPLICAS,
-            heartbeat_interval=heartbeat_interval
-            if heartbeat_interval is not None
-            else REPL_HEARTBEAT_INTERVAL,
-            lease_timeout=lease_timeout
-            if lease_timeout is not None
-            else LEASE_TIMEOUT,
-            catchup_interval=catchup_interval
-            if catchup_interval is not None
-            else CATCHUP_INTERVAL,
-            log_retention=log_retention,
+        return self._attach("replication", ReplicationGroup(
+            self.engine, self.job_store, self.scribe,
             telemetry=self.telemetry,
-        )
-        if self._started:
-            self.replication.start()
-        return self.replication
+            **_given(
+                replicas=replicas,
+                heartbeat_interval=heartbeat_interval,
+                lease_timeout=lease_timeout,
+                catchup_interval=catchup_interval,
+                log_retention=log_retention,
+            ),
+        ))
 
     def attach_checkpoints(self, interval=None, retention=None):
         """Attach the durable checkpoint plane (Scribe-backed snapshots).
@@ -308,16 +300,14 @@ class Turbine:
             interval = self.config.checkpoint_interval
         if retention is None:
             retention = self.config.checkpoint_retention
-        self.checkpoint_plane = CheckpointPlane(
+        plane = CheckpointPlane(
             self.engine, self.scribe, self.task_service,
             interval=interval, retention=retention,
             telemetry=self.telemetry,
         )
         for manager in self.task_managers.values():
-            manager.checkpoint_plane = self.checkpoint_plane
-        if self._started:
-            self.checkpoint_plane.start()
-        return self.checkpoint_plane
+            manager.checkpoint_plane = plane
+        return self._attach("checkpoint_plane", plane)
 
     def attach_standby(self, interval=None):
         """Attach the hot-standby plane (passive replicas, fast takeover).
@@ -326,18 +316,15 @@ class Turbine:
         platform with the plane attached but no opted-in jobs behaves
         byte-identically to one without the plane.
         """
-        from repro.tasks.standby import STANDBY_INTERVAL, StandbyPlane
+        from repro.tasks.standby import StandbyPlane
 
-        self.standby = StandbyPlane(
-            self.engine, self,
-            interval=interval if interval is not None else STANDBY_INTERVAL,
-            telemetry=self.telemetry,
+        plane = StandbyPlane(
+            self.engine, self, telemetry=self.telemetry,
+            **_given(interval=interval),
         )
         for manager in self.task_managers.values():
-            manager.standby_plane = self.standby
-        if self._started:
-            self.standby.start()
-        return self.standby
+            manager.standby_plane = plane
+        return self._attach("standby", plane)
 
     def attach_slow_node_detector(self, **kwargs):
         """Attach the gray-failure (slow-node) detector.
@@ -348,12 +335,9 @@ class Turbine:
         """
         from repro.tasks.slow_node import SlowNodeDetector
 
-        self.slow_nodes = SlowNodeDetector(
+        return self._attach("slow_nodes", SlowNodeDetector(
             self.engine, self, telemetry=self.telemetry, **kwargs
-        )
-        if self._started:
-            self.slow_nodes.start()
-        return self.slow_nodes
+        ))
 
     def attach_capacity_manager(self, capacity_config=None):
         """Attach the Capacity Manager (requires an attached scaler)."""
@@ -361,49 +345,10 @@ class Turbine:
 
         if self.scaler is None:
             raise RuntimeError("attach_scaler must be called first")
-        self.capacity_manager = CapacityManager(
+        return self._attach("capacity_manager", CapacityManager(
             self.engine, self.cluster, self.job_service, self.scaler,
             self.actuator, config=capacity_config,
-        )
-        if self._started:
-            self.capacity_manager.start()
-        return self.capacity_manager
-
-    def parallel_substrate(self, spec=None, use_processes: bool = False):
-        """Run a fleet on the sharded parallel substrate.
-
-        ``spec`` is a :class:`~repro.sim.parallel.FleetSpec`; when omitted
-        one is derived from the deployment's running jobs (task counts and
-        per-job resources become the fleet's jobs) with the deployment's
-        shard count and seed-keyed workload parameters. The partition
-        count comes from :attr:`PlatformConfig.parallel_partitions`, and
-        the merged exports are byte-identical for every value of it (see
-        ``repro.sim.parallel``). Returns a
-        :class:`~repro.sim.parallel.ParallelResult`.
-        """
-        from repro.sim.parallel import run_fleet, standard_fleet
-
-        if spec is None:
-            from repro.jobs.model import KEY_TASK_COUNT
-
-            job_ids = self.job_store.job_ids()
-            total_tasks = sum(
-                int(self.job_store.merged_expected(job_id).get(
-                    KEY_TASK_COUNT, 1
-                ))
-                for job_id in job_ids
-            )
-            spec = standard_fleet(
-                seed=self.engine.rng.seed,
-                total_tasks=max(total_tasks, len(job_ids) or 1),
-                num_jobs=max(len(job_ids), 1),
-                num_shards=self.config.num_shards,
-            )
-        return run_fleet(
-            spec,
-            partitions=self.config.parallel_partitions,
-            use_processes=use_processes,
-        )
+        ))
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -442,25 +387,10 @@ class Turbine:
         for container in containers:
             self._spawn_manager(container)
         self.shard_manager.initial_placement()
-        self.shard_manager.start()
-        self.syncer.start()
-        self.stats.start()
-        if self.scaler is not None:
-            self.scaler.start()
-        if self.capacity_manager is not None:
-            self.capacity_manager.start()
-        if self.health is not None:
-            self.health.start()
-        if self.slo is not None:
-            self.slo.start()
-        if self.replication is not None:
-            self.replication.start()
-        if self.checkpoint_plane is not None:
-            self.checkpoint_plane.start()
-        if self.standby is not None:
-            self.standby.start()
-        if self.slow_nodes is not None:
-            self.slow_nodes.start()
+        for name in _START_ORDER:
+            subsystem = getattr(self, name)
+            if subsystem is not None:
+                subsystem.start()
         # Armed last so that at equal timestamps every control-plane
         # timer fires before the data plane steps.
         self.engine.every(
@@ -521,15 +451,15 @@ class Turbine:
         (paper section V-F).
         """
         self.cluster.add_host(host_id)
-        for __ in range(self.config.containers_per_host):
-            container = self.cluster.allocate_container(
-                self.config.container_capacity, host_id=host_id
-            )
-            self._spawn_manager(container)
+        self._populate_host(host_id)
 
     def recover_host(self, host_id: str) -> None:
         """Bring a failed host back and repopulate its containers."""
         self.cluster.recover_host(host_id)
+        self._populate_host(host_id)
+
+    def _populate_host(self, host_id: str) -> None:
+        """Allocate the host's containers, one Task Manager each."""
         for __ in range(self.config.containers_per_host):
             container = self.cluster.allocate_container(
                 self.config.container_capacity, host_id=host_id

@@ -30,7 +30,6 @@ from repro.sim.parallel.fleet import (
     FleetSpec,
     PartitionRunner,
     RoundDelta,
-    measure_shard_costs,
     standard_fleet,
 )
 from repro.sim.parallel.merge import MergedRound, merge_deltas
@@ -56,7 +55,6 @@ __all__ = [
     "PartitionRunner",
     "RoundDelta",
     "ScaleAction",
-    "measure_shard_costs",
     "merge_deltas",
     "partition_for_shard",
     "partition_for_task",

@@ -26,14 +26,13 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.metrics import MetricSlice, MetricStore
 from repro.obs.telemetry import Telemetry
 from repro.ops.timeline import TimelineEvent
 from repro.sim.parallel.fleet import FleetSpec
 from repro.sim.parallel.merge import MergedRound
-from repro.sim.parallel.partition import PartitionPlan
 
 #: SLO availability target for the lag objective (fraction of barrier
 #: evaluations allowed to be in breach = 1 - target).
@@ -51,13 +50,6 @@ MAX_THREADS_MULT = 4.0
 
 #: Wire-command application order (partitions apply sequentially).
 _COMMAND_RANK = {"threads": 0, "scale": 1, "credit": 2}
-
-#: Width the plan-skew gauges are computed at. The *actual* plan depends
-#: on the run's partition count, so its skew cannot appear in exports
-#: that must be byte-identical across widths; folding the (partition-
-#: independent) shard costs at one fixed reference width keeps the
-#: balance observable without breaking that invariant.
-PLAN_SKEW_REFERENCE_WIDTH = 4
 
 
 @dataclass(frozen=True)
@@ -96,14 +88,10 @@ class _JobControl:
 class ControlPlane:
     """Merged-view control running once per barrier on the coordinator."""
 
-    def __init__(
-        self, spec: FleetSpec, shard_costs: Optional[List[int]] = None
-    ) -> None:
+    def __init__(self, spec: FleetSpec) -> None:
         self.spec = spec
         self.store = MetricStore()
         self.telemetry = Telemetry(enabled=True)
-        if shard_costs:
-            self._record_plan_skew(shard_costs)
         self.timeline: List[TimelineEvent] = []
         self.actions: List[ScaleAction] = []
         self._jobs = {job.job_id: job for job in spec.jobs}
@@ -116,24 +104,6 @@ class ControlPlane:
         self._stats_digest = hashlib.md5()
         self._final_totals: Dict[str, Tuple[int, int]] = {}
         self.crash_total = 0
-
-    def _record_plan_skew(self, shard_costs: List[int]) -> None:
-        """Gauge the load-aware pack against the modulo fold.
-
-        Both gauges fold the same measured shard costs at
-        :data:`PLAN_SKEW_REFERENCE_WIDTH`, so they are deterministic and
-        identical at every actual partition count — safe for the
-        deterministic telemetry export.
-        """
-        width = min(PLAN_SKEW_REFERENCE_WIDTH, self.spec.num_shards)
-        lpt = PartitionPlan.load_aware(
-            self.spec.num_shards, width, shard_costs
-        )
-        modulo = PartitionPlan(self.spec.num_shards, width)
-        self.telemetry.set_gauge("parallel.plan.skew", lpt.skew(shard_costs))
-        self.telemetry.set_gauge(
-            "parallel.plan.skew_modulo", modulo.skew(shard_costs)
-        )
 
     # ------------------------------------------------------------------
     def on_round(self, barrier: float, merged: MergedRound) -> List[Tuple]:

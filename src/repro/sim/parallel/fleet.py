@@ -163,21 +163,10 @@ class PartitionRunner:
         spec: FleetSpec,
         num_partitions: int,
         partition_index: int,
-        plan: Optional[PartitionPlan] = None,
     ) -> None:
         self.spec = spec
         self.partition_index = partition_index
-        if plan is None:
-            plan = PartitionPlan(spec.num_shards, num_partitions)
-        elif (
-            plan.num_shards != spec.num_shards
-            or plan.num_partitions != num_partitions
-        ):
-            raise SimulationError(
-                f"plan shape {plan.num_shards}x{plan.num_partitions} does "
-                f"not match fleet {spec.num_shards}x{num_partitions}"
-            )
-        self.plan = plan
+        self.plan = PartitionPlan(spec.num_shards, num_partitions)
         root = SeededRng(spec.seed)
         self.engine = Engine(
             start=0.0, rng=root.fork(f"partition-{partition_index}")
@@ -312,22 +301,3 @@ def standard_fleet(
         duration=duration,
         stats_interval=stats_interval,
     )
-
-
-def measure_shard_costs(spec: FleetSpec, rounds: int = 1) -> List[int]:
-    """Per-shard step cost (processed micro-MB) over a warmup window.
-
-    Runs a scratch single-slice copy of the fleet over the first
-    ``rounds`` round barriers with no control-plane commands, then folds
-    each task's processed volume onto its MD5 shard. The scratch runner
-    is discarded: the measurement is a pure function of ``(spec,
-    rounds)``, so every process — coordinator, worker, test — derives
-    the same costs and therefore the same load-aware plan without any
-    coordination.
-    """
-    if rounds <= 0:
-        raise SimulationError(f"rounds must be positive: {rounds}")
-    probe = PartitionRunner(spec, num_partitions=1, partition_index=0)
-    for barrier in spec.barriers()[:rounds]:
-        probe.run_round(barrier)
-    return probe.tasks.shard_processed_u()

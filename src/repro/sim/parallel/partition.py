@@ -8,20 +8,12 @@ process — a worker that just started, the coordinator, a test — computes
 the same slicing without coordination, which is the same property that
 lets Turbine's Task Managers agree on shard membership without talking
 to each other.
-
-When per-shard step costs are known (measured over a warmup window), the
-modulo fold can be replaced by a *load-aware* plan:
-:meth:`PartitionPlan.load_aware` packs shards onto partitions with
-deterministic LPT (greedy longest-processing-time, ties broken by shard
-index) and falls back to the modulo fold whenever greedy packing would
-not improve the max-partition cost — so a load-aware plan is provably
-never worse than the modulo one on the metric that bounds wall clock.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List
 
 from repro.errors import SimulationError
 from repro.tasks.shard import shard_index_for_task
@@ -53,16 +45,10 @@ class PartitionPlan:
     run (tasks move between *shards* only by being created or deleted,
     which the control plane does at barriers), so the plan can be built
     once and shipped to workers by value.
-
-    ``assignment`` is ``None`` for the default modulo fold, or a tuple of
-    ``num_shards`` partition indexes for an explicit (load-aware) fold.
-    Either way the plan is a pure value: pickling it to a worker yields a
-    plan that answers :meth:`owns_shard` identically.
     """
 
     num_shards: int
     num_partitions: int
-    assignment: Optional[Tuple[int, ...]] = field(default=None)
 
     def __post_init__(self) -> None:
         if self.num_shards <= 0:
@@ -79,84 +65,9 @@ class PartitionPlan:
                 f"{self.num_partitions} partitions (each partition needs "
                 "at least one shard)"
             )
-        if self.assignment is not None:
-            if len(self.assignment) != self.num_shards:
-                raise SimulationError(
-                    f"assignment length {len(self.assignment)} != "
-                    f"num_shards {self.num_shards}"
-                )
-            for shard, partition in enumerate(self.assignment):
-                if not 0 <= partition < self.num_partitions:
-                    raise SimulationError(
-                        f"assignment[{shard}] = {partition} out of range "
-                        f"for {self.num_partitions} partitions"
-                    )
-
-    @classmethod
-    def load_aware(
-        cls,
-        num_shards: int,
-        num_partitions: int,
-        shard_costs: Sequence[float],
-    ) -> "PartitionPlan":
-        """Pack shards onto partitions by measured cost (deterministic LPT).
-
-        Shards are taken in decreasing-cost order (ties by ascending shard
-        index) and each is assigned to the currently least-loaded partition
-        (ties by fewest shards, then lowest partition index). If the greedy
-        packing does not beat the modulo fold on max-partition cost, the
-        modulo plan is returned instead — ``load_aware`` is never worse
-        than modulo on the cost of the hottest partition.
-        """
-        modulo = cls(num_shards, num_partitions)
-        lpt = cls.lpt(num_shards, num_partitions, shard_costs)
-        if lpt.max_cost(shard_costs) > modulo.max_cost(shard_costs):
-            return modulo
-        return lpt
-
-    @classmethod
-    def lpt(
-        cls,
-        num_shards: int,
-        num_partitions: int,
-        shard_costs: Sequence[float],
-    ) -> "PartitionPlan":
-        """The pure greedy-LPT pack (no modulo fallback).
-
-        Deterministic by construction: shards visit in ``(-cost, index)``
-        order and each lands on the least-loaded partition (ties by
-        fewest shards, then lowest index). Because the visit order sorts
-        by cost and the target choice depends only on accumulated loads,
-        the resulting *partition-cost multiset* is a function of the
-        cost multiset alone — permuting which shard carries which cost
-        permutes the assignment but not the packing (the property suite
-        asserts this).
-        """
-        if len(shard_costs) != num_shards:
-            raise SimulationError(
-                f"need one cost per shard: got {len(shard_costs)} costs "
-                f"for {num_shards} shards"
-            )
-        order = sorted(
-            range(num_shards), key=lambda s: (-shard_costs[s], s)
-        )
-        loads = [0.0] * num_partitions
-        counts = [0] * num_partitions
-        assignment = [0] * num_shards
-        for shard in order:
-            target = min(
-                range(num_partitions),
-                key=lambda p: (loads[p], counts[p], p),
-            )
-            assignment[shard] = target
-            loads[target] += shard_costs[shard]
-            counts[target] += 1
-        return cls(num_shards, num_partitions, tuple(assignment))
 
     def owns_shard(self, shard_index: int, partition_index: int) -> bool:
         """Whether ``partition_index`` simulates ``shard_index``."""
-        if self.assignment is not None:
-            return self.assignment[shard_index] == partition_index
         return shard_index % self.num_partitions == partition_index
 
     def partition_of_shard(self, shard_index: int) -> int:
@@ -165,8 +76,6 @@ class PartitionPlan:
             raise SimulationError(
                 f"shard index out of range: {shard_index}"
             )
-        if self.assignment is not None:
-            return self.assignment[shard_index]
         return shard_index % self.num_partitions
 
     def owns_task(self, task_id: str, partition_index: int) -> bool:
@@ -184,36 +93,6 @@ class PartitionPlan:
             raise SimulationError(
                 f"partition index out of range: {partition_index}"
             )
-        if self.assignment is not None:
-            return [
-                shard
-                for shard, partition in enumerate(self.assignment)
-                if partition == partition_index
-            ]
         return list(
             range(partition_index, self.num_shards, self.num_partitions)
         )
-
-    def partition_costs(self, shard_costs: Sequence[float]) -> Tuple[float, ...]:
-        """Total cost landing on each partition under this plan."""
-        if len(shard_costs) != self.num_shards:
-            raise SimulationError(
-                f"need one cost per shard: got {len(shard_costs)} costs "
-                f"for {self.num_shards} shards"
-            )
-        totals = [0.0] * self.num_partitions
-        for shard, cost in enumerate(shard_costs):
-            totals[self.partition_of_shard(shard)] += cost
-        return tuple(totals)
-
-    def max_cost(self, shard_costs: Sequence[float]) -> float:
-        """Cost of the hottest partition — the wall-clock bound."""
-        return max(self.partition_costs(shard_costs))
-
-    def skew(self, shard_costs: Sequence[float]) -> float:
-        """``max/mean`` partition cost; 1.0 is a perfect pack."""
-        costs = self.partition_costs(shard_costs)
-        mean = sum(costs) / len(costs)
-        if mean <= 0:
-            return 1.0
-        return max(costs) / mean

@@ -30,21 +30,13 @@ from typing import List, Sequence, Tuple
 
 from repro.errors import SimulationError
 from repro.sim.parallel.barrier import ControlPlane
-from repro.sim.parallel.fleet import (
-    FleetSpec,
-    PartitionRunner,
-    RoundDelta,
-    measure_shard_costs,
-)
+from repro.sim.parallel.fleet import FleetSpec, PartitionRunner, RoundDelta
 from repro.sim.parallel.merge import merge_deltas
-from repro.sim.parallel.partition import PartitionPlan
 
 
-def _worker_main(
-    conn, spec: FleetSpec, num_partitions: int, index: int, plan=None
-):
+def _worker_main(conn, spec: FleetSpec, num_partitions: int, index: int):
     """Worker process: one partition, driven round by round over a pipe."""
-    runner = PartitionRunner(spec, num_partitions, index, plan=plan)
+    runner = PartitionRunner(spec, num_partitions, index)
     try:
         while True:
             message = conn.recv()
@@ -78,11 +70,6 @@ class ParallelResult:
     used_processes: bool
     wall_s: float
     events: int
-    #: Diagnostic: whether the load-aware plan was used, and its
-    #: max/mean partition cost at the *actual* width (the reference-width
-    #: gauges live in telemetry; these two are for run summaries only).
-    load_aware: bool = False
-    plan_skew: float = 1.0
 
 
 class ParallelSimulation:
@@ -93,7 +80,6 @@ class ParallelSimulation:
         spec: FleetSpec,
         partitions: int = 1,
         use_processes: bool = False,
-        load_aware: bool = False,
     ) -> None:
         if partitions <= 0:
             raise SimulationError(
@@ -107,21 +93,11 @@ class ParallelSimulation:
         self.spec = spec
         self.partitions = partitions
         self.use_processes = use_processes
-        self.load_aware = load_aware
-        self.shard_costs: List[int] = []
-        self.plan = None
-        if load_aware:
-            # A pure function of the spec, so the plan (and its skew
-            # gauges) are identical at every partition count and mode.
-            self.shard_costs = measure_shard_costs(spec)
-            self.plan = PartitionPlan.load_aware(
-                spec.num_shards, partitions, self.shard_costs
-            )
 
     # ------------------------------------------------------------------
     def run(self) -> ParallelResult:
         started = time.perf_counter()
-        control = ControlPlane(self.spec, shard_costs=self.shard_costs)
+        control = ControlPlane(self.spec)
         barriers = self.spec.barriers()
         if self.use_processes and self.partitions > 1:
             deltas_by_round, used_processes = self._run_rounds_processes(
@@ -152,11 +128,6 @@ class ParallelSimulation:
             used_processes=used_processes,
             wall_s=wall_s,
             events=events,
-            load_aware=self.load_aware,
-            plan_skew=(
-                self.plan.skew(self.shard_costs)
-                if self.plan is not None else 1.0
-            ),
         )
 
     # ------------------------------------------------------------------
@@ -164,7 +135,7 @@ class ParallelSimulation:
         self, control: ControlPlane, barriers: Sequence[float]
     ) -> List[List[RoundDelta]]:
         runners = [
-            PartitionRunner(self.spec, self.partitions, index, plan=self.plan)
+            PartitionRunner(self.spec, self.partitions, index)
             for index in range(self.partitions)
         ]
         commands: List[Tuple] = []
@@ -193,7 +164,7 @@ class ParallelSimulation:
         # Build partition 0 BEFORE forking: its construction warms the
         # module-level MD5 shard table, which forked workers then
         # inherit copy-on-write instead of recomputing the digests.
-        local = PartitionRunner(self.spec, self.partitions, 0, plan=self.plan)
+        local = PartitionRunner(self.spec, self.partitions, 0)
         workers = []
         pipes = []
         try:
@@ -201,10 +172,7 @@ class ParallelSimulation:
                 parent_conn, child_conn = ctx.Pipe()
                 process = ctx.Process(
                     target=_worker_main,
-                    args=(
-                        child_conn, self.spec, self.partitions, index,
-                        self.plan,
-                    ),
+                    args=(child_conn, self.spec, self.partitions, index),
                     daemon=True,
                 )
                 process.start()
@@ -243,12 +211,8 @@ def run_fleet(
     spec: FleetSpec,
     partitions: int = 1,
     use_processes: bool = False,
-    load_aware: bool = False,
 ) -> ParallelResult:
     """Convenience wrapper: build and run in one call."""
     return ParallelSimulation(
-        spec,
-        partitions=partitions,
-        use_processes=use_processes,
-        load_aware=load_aware,
+        spec, partitions=partitions, use_processes=use_processes
     ).run()

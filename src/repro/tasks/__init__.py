@@ -11,7 +11,6 @@ container within a utilization band of the tier average.
 from repro.tasks.actuator import TurbineActuator
 from repro.tasks.balancer import (
     AssignmentChange,
-    PlacementCache,
     compute_assignment,
 )
 from repro.tasks.manager import TaskManager
@@ -33,5 +32,4 @@ __all__ = [
     "shard_id_for_task",
     "compute_assignment",
     "AssignmentChange",
-    "PlacementCache",
 ]

@@ -15,30 +15,6 @@ container, and (3) drains overloaded containers into underloaded ones until
 every container is inside the band or no further improving move exists.
 It maps 100 K shards onto thousands of containers well under the paper's
 two-second figure (see ``benchmarks/test_placement_speed.py``).
-
-Decision cache
---------------
-
-Successive placement rounds differ in few inputs (a handful of load
-reports, occasionally a lost container), so the decision is highly
-cacheable. :class:`PlacementCache` wraps the algorithm with three tiers:
-
-* **hit** — every input identical to the previous round and the previous
-  result was band-stable: return the prior assignment with zero moves,
-  skipping the algorithm entirely (this is what makes a quiescent tier's
-  round ≥5× cheaper; see ``benchmarks/test_placement_speed.py``);
-* **repair** — a bounded delta (loads changed, shards added/removed, a
-  container lost but the reference capacity unchanged): re-run the
-  algorithm but reuse the memoized per-shard scalar loads and sort order,
-  skipping the dominant recomputation;
-* **miss** — anything else: full recompute, repopulating the cache.
-
-Every tier is *exactly* equivalent to a from-scratch
-:func:`compute_assignment` on the same inputs — the memoized values are
-pure functions of inputs that did not change, and float summation order
-is preserved — so enabling the cache can never alter a placement
-decision. ``tests/tasks/test_placement_cache.py`` proves this property
-under randomized deltas.
 """
 
 from __future__ import annotations
@@ -49,7 +25,6 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.cluster.resources import ResourceVector
 from repro.errors import PlacementError
-from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
 from repro.types import ContainerId, ShardId
 
 #: "within a band (e.g +/-10%) of the average" — the default band.
@@ -118,46 +93,6 @@ def compute_assignment(
         PlacementError: no containers, invalid band/headroom, or a
             regional constraint that no container can satisfy.
     """
-    change, __ = _compute_core(
-        shard_loads, container_capacities, current, band, headroom,
-        container_regions, shard_regions,
-    )
-    return change
-
-
-@dataclass
-class _PlacementInternals:
-    """Memoizable by-products of one placement computation."""
-
-    reference: ResourceVector
-    scalar_loads: Dict[ShardId, float]
-    sorted_shards: List[ShardId]
-    #: False when the band rebalance ran out of rounds before converging:
-    #: re-running the algorithm on identical inputs could still move
-    #: shards, so the result must not be served from the cache as-is.
-    stable: bool
-
-
-def _compute_core(
-    shard_loads: Mapping[ShardId, ResourceVector],
-    container_capacities: Mapping[ContainerId, ResourceVector],
-    current: Optional[Mapping[ShardId, ContainerId]],
-    band: float,
-    headroom: float,
-    container_regions: Optional[Mapping[ContainerId, str]],
-    shard_regions: Optional[Mapping[ShardId, str]],
-    scalar_loads: Optional[Dict[ShardId, float]] = None,
-    sorted_shards: Optional[List[ShardId]] = None,
-    reference: Optional[ResourceVector] = None,
-) -> Tuple[AssignmentChange, _PlacementInternals]:
-    """The placement algorithm, with optional memoized internals.
-
-    ``scalar_loads``, ``sorted_shards``, and ``reference`` may be supplied
-    by :class:`PlacementCache` when the caller can prove they equal what
-    this function would compute (they are pure functions of unchanged
-    inputs); the result is then bit-identical to an unmemoized run because
-    every float and every iteration order is preserved.
-    """
     if not container_capacities:
         raise PlacementError("cannot place shards on zero containers")
     if band <= 0:
@@ -169,8 +104,7 @@ def _compute_core(
     shard_regions = shard_regions or {}
 
     container_ids = sorted(container_capacities)
-    if reference is None:
-        reference = _reference_capacity(container_capacities)
+    reference = _reference_capacity(container_capacities)
 
     def eligible(shard_id: ShardId, container_id: ContainerId) -> bool:
         required = shard_regions.get(shard_id)
@@ -178,13 +112,11 @@ def _compute_core(
             return True
         return container_regions.get(container_id) == required
 
-    if scalar_loads is None:
-        scalar_loads = {
-            shard_id: _scalar_load(load, reference)
-            for shard_id, load in shard_loads.items()
-        }
-    if sorted_shards is None:
-        sorted_shards = sorted(shard_loads)
+    scalar_loads = {
+        shard_id: _scalar_load(load, reference)
+        for shard_id, load in shard_loads.items()
+    }
+    sorted_shards = sorted(shard_loads)
 
     # Phase 1 — keep valid existing placements (region-compatible only).
     placed: Dict[ShardId, ContainerId] = {}
@@ -250,15 +182,11 @@ def _compute_core(
         heapq.heappush(heap, (new_load, container_id))
 
     # Phase 3 — drain containers above the band into containers below it.
-    stable = _rebalance_within_band(
+    _rebalance_within_band(
         container_load, shards_on, scalar_loads, placed, moves, band,
         eligible=eligible,
     )
-
-    return (
-        AssignmentChange(assignment=placed, moves=moves),
-        _PlacementInternals(reference, scalar_loads, sorted_shards, stable),
-    )
+    return AssignmentChange(assignment=placed, moves=moves)
 
 
 def _reference_capacity(
@@ -279,26 +207,21 @@ def _rebalance_within_band(
     moves: List[Tuple[ShardId, Optional[ContainerId], ContainerId]],
     band: float,
     eligible=None,
-) -> bool:
+) -> None:
     """Move shards off overloaded containers until all are inside the band.
 
     Each round moves the best-fitting shard from the most loaded container
     to the least loaded one. The loop stops when the spread is inside the
     band or when no move improves it (a single shard can be too big to fit
     any band — the algorithm then leaves it where it is).
-
-    Returns True when the result is *stable* — re-running on the final
-    state would make no further move — and False when the round budget
-    ran out first. The decision cache may only serve a pure hit for a
-    stable result.
     """
     num_containers = len(container_load)
     if num_containers < 2:
-        return True
+        return
     total = sum(container_load.values())
     average = total / num_containers
     if average <= 0:
-        return True
+        return
     upper = average * (1.0 + band)
     lower = average * (1.0 - band)
 
@@ -308,11 +231,11 @@ def _rebalance_within_band(
         hottest = max(container_load, key=lambda c: (container_load[c], c))
         coldest = min(container_load, key=lambda c: (container_load[c], c))
         if container_load[hottest] <= upper and container_load[coldest] >= lower:
-            return True  # everyone inside the band
+            return  # everyone inside the band
         excess = container_load[hottest] - average
         candidates = shards_on[hottest]
         if not candidates:
-            return True
+            return
         # The shard closest to (but not exceeding) the excess reduces the
         # overload most without overshooting the cold container.
         best = None
@@ -328,206 +251,19 @@ def _rebalance_within_band(
             if best_key is None or key < best_key:
                 best, best_key = shard_id, key
         if best is None:
-            return True
+            return
         moved_load = scalar_loads[best]
         new_cold = container_load[coldest] + moved_load
         new_hot = container_load[hottest] - moved_load
         # Only move when it strictly reduces the max of the pair.
         if max(new_cold, new_hot) >= container_load[hottest]:
-            return True
+            return
         shards_on[hottest].remove(best)
         shards_on[coldest].append(best)
         container_load[hottest] = new_hot
         container_load[coldest] = new_cold
         placed[best] = coldest
         moves.append((best, hottest, coldest))
-    return False
-
-
-@dataclass
-class _CachedPlacement:
-    """Inputs and by-products of the last placement round."""
-
-    band: float
-    headroom: float
-    shard_loads: Dict[ShardId, ResourceVector]
-    capacities: Dict[ContainerId, ResourceVector]
-    container_regions: Dict[ContainerId, str]
-    shard_regions: Dict[ShardId, str]
-    assignment: Dict[ShardId, ContainerId]
-    internals: _PlacementInternals
-    #: True when the cached round produced zero moves. Only then is its
-    #: output a provable fixed point: the round's container loads were
-    #: accumulated purely in phase-1 order, so an identical re-run is
-    #: bit-identical. A round that *moved* shards left loads computed via
-    #: move arithmetic (+x then -x), and a from-scratch recomputation of
-    #: the same assignment can land on the other side of the band
-    #: boundary — serving a hit there would diverge from fresh compute.
-    settled: bool = False
-
-
-class PlacementCache:
-    """A decision cache around :func:`compute_assignment`.
-
-    Tiers (see the module docstring): **hit** when every input matches the
-    previous round and its result was band-stable — the prior assignment
-    is returned with zero moves in O(input comparison); **repair** when
-    only shard loads / the shard set / the container set changed but the
-    reference capacity is unchanged — the algorithm re-runs with memoized
-    scalar loads and sort order; **miss** otherwise — full recompute.
-
-    Every tier returns exactly what a from-scratch
-    :func:`compute_assignment` would, so same-seed simulations are
-    byte-identical with the cache on or off.
-    """
-
-    def __init__(self, telemetry: Optional[Telemetry] = None) -> None:
-        self._telemetry = telemetry or NULL_TELEMETRY
-        self._cached: Optional[_CachedPlacement] = None
-        self.hits = 0
-        self.repairs = 0
-        self.misses = 0
-
-    def invalidate(self) -> None:
-        """Drop the cached round (next compute is a full recompute)."""
-        self._cached = None
-
-    def compute(
-        self,
-        shard_loads: Mapping[ShardId, ResourceVector],
-        container_capacities: Mapping[ContainerId, ResourceVector],
-        current: Optional[Mapping[ShardId, ContainerId]] = None,
-        band: float = DEFAULT_BAND,
-        headroom: float = DEFAULT_HEADROOM,
-        container_regions: Optional[Mapping[ContainerId, str]] = None,
-        shard_regions: Optional[Mapping[ShardId, str]] = None,
-    ) -> AssignmentChange:
-        """Drop-in replacement for :func:`compute_assignment`."""
-        current = current or {}
-        container_regions = container_regions or {}
-        shard_regions = shard_regions or {}
-        cached = self._cached
-        if (
-            cached is None
-            or not container_capacities
-            or band != cached.band
-            or headroom != cached.headroom
-            or dict(container_regions) != cached.container_regions
-            or dict(shard_regions) != cached.shard_regions
-        ):
-            return self._full(
-                shard_loads, container_capacities, current, band, headroom,
-                container_regions, shard_regions,
-            )
-        capacities_same = (
-            dict(container_capacities) == cached.capacities
-        )
-        if capacities_same:
-            reference = cached.internals.reference
-        else:
-            # A changed container set (e.g. one lost to a fail-over) only
-            # invalidates the scalar-load memo if it moved the reference
-            # capacity; on homogeneous fleets it does not.
-            reference = _reference_capacity(container_capacities)
-            if reference != cached.internals.reference:
-                return self._full(
-                    shard_loads, container_capacities, current, band,
-                    headroom, container_regions, shard_regions,
-                )
-        loads_same = dict(shard_loads) == cached.shard_loads
-        if (
-            loads_same
-            and capacities_same
-            and cached.internals.stable
-            and cached.settled
-            and dict(current) == cached.assignment
-        ):
-            self.hits += 1
-            self._telemetry.inc("cache.balancer.hits")
-            return AssignmentChange(
-                assignment=dict(cached.assignment), moves=[]
-            )
-        return self._repair(
-            shard_loads, container_capacities, current, band, headroom,
-            container_regions, shard_regions, reference,
-        )
-
-    # ------------------------------------------------------------------
-    # Tiers
-    # ------------------------------------------------------------------
-    def _full(
-        self, shard_loads, container_capacities, current, band, headroom,
-        container_regions, shard_regions,
-    ) -> AssignmentChange:
-        change, internals = _compute_core(
-            shard_loads, container_capacities, current, band, headroom,
-            container_regions, shard_regions,
-        )
-        self.misses += 1
-        self._telemetry.inc("cache.balancer.misses")
-        self._remember(
-            change, internals, shard_loads, container_capacities, band,
-            headroom, container_regions, shard_regions,
-        )
-        return change
-
-    def _repair(
-        self, shard_loads, container_capacities, current, band, headroom,
-        container_regions, shard_regions, reference,
-    ) -> AssignmentChange:
-        cached = self._cached
-        memo_loads = cached.shard_loads
-        memo_scalars = cached.internals.scalar_loads
-        scalar_loads: Dict[ShardId, float] = {}
-        delta = 0
-        for shard_id, load in shard_loads.items():
-            previous = memo_loads.get(shard_id)
-            if previous is not None and previous == load:
-                # _scalar_load is a pure function of (load, reference) and
-                # neither changed: the memoized float is bit-identical to
-                # what a recomputation would produce.
-                scalar_loads[shard_id] = memo_scalars[shard_id]
-            else:
-                scalar_loads[shard_id] = _scalar_load(load, reference)
-                delta += 1
-        if shard_loads.keys() == memo_loads.keys():
-            sorted_shards = cached.internals.sorted_shards
-        else:
-            sorted_shards = sorted(shard_loads)
-            delta += 1
-        change, internals = _compute_core(
-            shard_loads, container_capacities, current, band, headroom,
-            container_regions, shard_regions,
-            scalar_loads=scalar_loads,
-            sorted_shards=sorted_shards,
-            reference=reference,
-        )
-        self.repairs += 1
-        self._telemetry.inc("cache.balancer.repairs")
-        self._telemetry.observe("cache.balancer.delta", float(delta))
-        self._remember(
-            change, internals, shard_loads, container_capacities, band,
-            headroom, container_regions, shard_regions,
-        )
-        return change
-
-    def _remember(
-        self, change, internals, shard_loads, container_capacities, band,
-        headroom, container_regions, shard_regions,
-    ) -> None:
-        # Shallow copies: values (ResourceVector, str) are immutable, and
-        # callers rebuild their input dicts each round.
-        self._cached = _CachedPlacement(
-            band=band,
-            headroom=headroom,
-            shard_loads=dict(shard_loads),
-            capacities=dict(container_capacities),
-            container_regions=dict(container_regions),
-            shard_regions=dict(shard_regions),
-            assignment=dict(change.assignment),
-            internals=internals,
-            settled=not change.moves,
-        )
 
 
 def load_spread(container_load: Mapping[ContainerId, float]) -> float:

@@ -34,11 +34,7 @@ from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
 from repro.obs.trace import NULL_TRACER, TraceEvent, Tracer
 from repro.resilience import Dependency, RetryPolicy
 from repro.sim.engine import Engine, Timer
-from repro.tasks.balancer import (
-    DEFAULT_BAND,
-    PlacementCache,
-    compute_assignment,
-)
+from repro.tasks.balancer import DEFAULT_BAND, compute_assignment
 from repro.tasks.shard import all_shard_ids
 from repro.types import ContainerId, Seconds, ShardId
 
@@ -124,13 +120,6 @@ class ShardManager:
         #: 40 s reboot clock — but they receive no shard placement until
         #: un-drained.
         self.drained: set = set()
-        #: Placement decision cache (exactly equivalent to from-scratch
-        #: computation; see repro.tasks.balancer). Disable to force every
-        #: round through the full algorithm — results are identical either
-        #: way, which tests/integration/test_determinism.py asserts
-        #: byte-for-byte.
-        self.placement_cache_enabled = True
-        self._placement_cache = PlacementCache(telemetry=telemetry)
         self._timers: List[Timer] = []
         #: Resilience edge toward the Task Managers it commands. No
         #: breaker and no auto-retry: a timed-out DROP_SHARD/ADD_SHARD has
@@ -314,13 +303,7 @@ class ShardManager:
             self._move_shard(shard_id, source, destination, parent=round_event)
 
     def _compute_placement(self, loads, capacities, current, container_regions):
-        """Run the balancer, through the decision cache when enabled."""
-        if self.placement_cache_enabled:
-            return self._placement_cache.compute(
-                loads, capacities, current=current, band=self.band,
-                container_regions=container_regions,
-                shard_regions=self.shard_regions,
-            )
+        """Run the balancer with this manager's band and shard regions."""
         return compute_assignment(
             loads, capacities, current=current, band=self.band,
             container_regions=container_regions,

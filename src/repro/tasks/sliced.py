@@ -625,33 +625,6 @@ class ShardSlicedTasks:
             for job_id in self._job_order
         }
 
-    def shard_processed_u(self) -> List[int]:
-        """Processed micro-MB folded onto MD5 shards — the cost signal
-        the load-aware :class:`~repro.sim.parallel.partition.PartitionPlan`
-        packs on.
-
-        Quantized per task before the per-shard integer sum, like
-        :meth:`stats_rows`, so the totals are independent of which
-        partition measured them. Lag retired by scale-downs is job-level
-        and has no shard, so it is deliberately excluded: the plan packs
-        *live* step cost, not history.
-        """
-        self._refresh()
-        totals = [0] * self._num_shards
-        for pos, job_id in enumerate(self._job_order):
-            start, end = self._offsets[pos]
-            sl = self._slices[job_id]
-            table = _shard_indexes(
-                job_id, self._num_shards, self._counts[job_id]
-            )
-            processed = self._c["processed"]
-            for row in range(end - start):
-                shard = table[sl.tindex[row]]
-                totals[shard] += int(
-                    round(float(processed[start + row]) * MICRO_MB)
-                )
-        return totals
-
     def __repr__(self) -> str:
         return (
             f"ShardSlicedTasks(jobs={len(self._job_order)}, "

@@ -15,7 +15,7 @@ from repro.workloads import DiurnalPattern, TrafficDriver
 
 
 def run_busy_hour(
-    seed, placement_cache=True, observe=False, metrics_streaming=True,
+    seed, observe=False,
     replication=False, durable_checkpoints=False, hot_standby=False,
     flag_hot_standby=None, slow_node_detection=False, failures=True,
 ):
@@ -27,12 +27,8 @@ def run_busy_hour(
         flag_hot_standby = hot_standby
     platform = Turbine.create(
         num_hosts=4, seed=seed,
-        config=PlatformConfig(
-            num_shards=32, containers_per_host=2,
-            metrics_streaming=metrics_streaming,
-        ),
+        config=PlatformConfig(num_shards=32, containers_per_host=2),
     )
-    platform.shard_manager.placement_cache_enabled = placement_cache
     if observe:
         platform.enable_tracing()
         platform.enable_instrumentation()
@@ -196,78 +192,17 @@ class TestChaosScenarioDeterminism:
         ), "different seeds must explore different trajectories"
 
 
-class TestPlacementCacheTransparency:
-    """The decision cache must be invisible to every observable output.
-
-    Golden same-seed runs with the cache on and off must agree not just
-    on the coarse fingerprint but on the byte-exact causal trace and the
-    deterministic telemetry export. Mechanism metrics (``cache.*``) and
-    wall-clock instruments (``*_ms``) legitimately differ between the two
-    runs, which is exactly why the deterministic export excludes them —
-    see :func:`repro.obs.telemetry.is_deterministic_instrument`.
-    """
-
-    def test_same_seed_byte_identical_with_cache_on_and_off(self):
-        fp_on, exports_on = run_busy_hour(
-            seed=101, placement_cache=True, observe=True
-        )
-        fp_off, exports_off = run_busy_hour(
-            seed=101, placement_cache=False, observe=True
-        )
-        assert fp_on == fp_off
-        assert exports_on["trace"] == exports_off["trace"]
-        assert exports_on["telemetry"] == exports_off["telemetry"]
-
-    def test_cache_actually_engaged_in_golden_run(self):
-        """Guard against the transparency test passing vacuously."""
-        platform = Turbine.create(
-            num_hosts=2, seed=7,
-            config=PlatformConfig(num_shards=8, containers_per_host=2),
-        )
-        platform.start()
-        platform.provision(
-            JobSpec(job_id="job", input_category="cat", task_count=2)
-        )
-        platform.run_for(hours=0.5)
-        cache = platform.shard_manager._placement_cache
-        assert cache.hits + cache.repairs > 0, (
-            "periodic rebalance rounds should be served by the cache"
-        )
-
-
 class TestStreamingMetricsTransparency:
-    """The streaming metrics engine must be invisible to every decision.
-
-    The incremental window aggregates, rollup buckets, and histogram
-    sketches are a pure read-path optimization: golden same-seed runs with
-    streaming on and off must agree on the coarse fingerprint, the
-    byte-exact causal trace, and the deterministic telemetry export.
-    Engine self-observation (``metrics.*``) and wall-clock instruments
-    (``*_ms``) legitimately differ between the two runs, which is exactly
-    why the deterministic export excludes them — see
-    :func:`repro.obs.telemetry.is_deterministic_instrument`.
-    """
-
-    @pytest.mark.parametrize("seed", [101, 202, 303])
-    def test_same_seed_byte_identical_streaming_on_and_off(self, seed):
-        fp_on, exports_on = run_busy_hour(
-            seed=seed, metrics_streaming=True, observe=True
-        )
-        fp_off, exports_off = run_busy_hour(
-            seed=seed, metrics_streaming=False, observe=True
-        )
-        assert fp_on == fp_off
-        assert exports_on["trace"] == exports_off["trace"]
-        assert exports_on["telemetry"] == exports_off["telemetry"]
+    """The streaming metrics engine is the only production read path;
+    its equivalence to the naive rescan reference is proven at the
+    ``TimeSeries``/``MetricStore`` constructor level in
+    ``tests/metrics/test_streaming_equivalence.py``."""
 
     def test_streaming_path_actually_engaged_in_golden_run(self):
-        """Guard against the transparency test passing vacuously."""
+        """The golden run's window reads are served incrementally."""
         platform = Turbine.create(
             num_hosts=4, seed=101,
-            config=PlatformConfig(
-                num_shards=32, containers_per_host=2,
-                metrics_streaming=True,
-            ),
+            config=PlatformConfig(num_shards=32, containers_per_host=2),
         )
         platform.attach_scaler(AutoScalerConfig(interval=120.0))
         platform.start()
@@ -554,28 +489,3 @@ class TestParallelSubstrateTransparency:
             "worker processes should start on this platform"
         )
         assert result.rounds == 4
-
-    def test_platform_toggle_routes_through_config(self):
-        """``PlatformConfig.parallel_partitions`` drives the substrate."""
-        single = Turbine.create(
-            num_hosts=2, seed=11,
-            config=PlatformConfig(num_shards=16, containers_per_host=2),
-        )
-        sharded = Turbine.create(
-            num_hosts=2, seed=11,
-            config=PlatformConfig(
-                num_shards=16, containers_per_host=2,
-                parallel_partitions=4,
-            ),
-        )
-        for platform in (single, sharded):
-            platform.start()
-            platform.provision(
-                JobSpec(job_id="job", input_category="cat", task_count=8)
-            )
-        res_single = single.parallel_substrate()
-        res_sharded = sharded.parallel_substrate()
-        assert res_single.partitions == 1
-        assert res_sharded.partitions == 4
-        assert res_sharded.fingerprint_json == res_single.fingerprint_json
-        assert res_sharded.timeline_text == res_single.timeline_text

@@ -1,0 +1,165 @@
+"""The platform's one wiring path: ``_attach`` + ``_START_ORDER``.
+
+Every optional subsystem reaches the platform through
+``Turbine._attach`` and is started by the single loop over
+``_START_ORDER``. Three properties follow and are pinned here:
+
+* re-attaching a subsystem stops the instance it replaces (an orphan
+  with an armed timer would keep acting on the fleet);
+* attaching after ``start()`` arms each timer exactly once;
+* the order in which the optional subsystems were *attached* is
+  invisible: same-timestamp timers fire in ``_START_ORDER`` order, so
+  every export is byte-identical for any attach order.
+"""
+
+import random
+from collections import Counter
+
+import pytest
+
+from repro import JobSpec, PlatformConfig, Turbine
+from repro.chaos.runner import platform_fingerprint
+from repro.cluster import FailurePlan
+from repro.ops.timeline import IncidentTimeline
+from repro.platform import _START_ORDER
+from repro.scaler import AutoScalerConfig
+from repro.sim.engine import Timer
+from repro.workloads import DiurnalPattern, TrafficDriver
+
+#: ``attach_*`` method -> (platform attribute, the timer names it arms).
+STARTABLE = {
+    "attach_scaler": ("scaler", ("auto-scaler",)),
+    "attach_capacity_manager": ("capacity_manager", ("capacity-manager",)),
+    "attach_health_reporter": ("health", ("health-reporter",)),
+    "attach_slo": ("slo", ("slo-tracker",)),
+    "attach_replication": (
+        "replication", ("replication-lease", "replication-catchup"),
+    ),
+    "attach_checkpoints": ("checkpoint_plane", ("checkpoint-plane",)),
+    "attach_standby": ("standby", ("standby-plane",)),
+    "attach_slow_node_detector": ("slow_nodes", ("slow-node-detector",)),
+}
+
+
+def small_platform(method):
+    """A two-host platform ready to have ``method`` called on it."""
+    platform = Turbine.create(
+        num_hosts=2, seed=3,
+        config=PlatformConfig(num_shards=8, containers_per_host=2),
+    )
+    if method == "attach_capacity_manager":
+        platform.attach_scaler()  # the one attach-order rule of the API
+    return platform
+
+
+def armed_timers(platform):
+    """Name -> number of live queue events owned by an active Timer."""
+    counts = Counter()
+    for event in platform.engine.queue._heap:
+        owner = getattr(event.callback, "__self__", None)
+        if not event.cancelled and isinstance(owner, Timer) and owner.active:
+            counts[owner.name] += 1
+    return counts
+
+
+def test_every_started_subsystem_is_covered_here():
+    """A subsystem added to ``_START_ORDER`` must join :data:`STARTABLE`."""
+    always_on = {"shard_manager", "syncer", "stats"}
+    optional = {attr for attr, _names in STARTABLE.values()}
+    assert set(_START_ORDER) == always_on | optional
+    assert len(_START_ORDER) == len(always_on) + len(optional)
+
+
+@pytest.mark.parametrize("method", sorted(STARTABLE))
+def test_reattach_after_start_stops_the_replaced_instance(method):
+    attr, timer_names = STARTABLE[method]
+    platform = small_platform(method)
+    first = getattr(platform, method)()
+    platform.start()
+    second = getattr(platform, method)()
+    assert getattr(platform, attr) is second and second is not first
+    armed = armed_timers(platform)
+    for timer_name in timer_names:
+        assert armed[timer_name] == 1, (
+            f"{timer_name}: the replaced {attr} kept its timer armed"
+        )
+    # The orphan must stay silent: only the live instance's timers fire.
+    platform.run_for(minutes=10)
+    assert armed_timers(platform) == armed
+
+
+@pytest.mark.parametrize("method", sorted(STARTABLE))
+def test_attach_after_start_arms_each_timer_exactly_once(method):
+    attr, timer_names = STARTABLE[method]
+    platform = small_platform(method)
+    platform.start()
+    before = armed_timers(platform)
+    subsystem = getattr(platform, method)()
+    assert getattr(platform, attr) is subsystem
+    after = armed_timers(platform)
+    assert after - before == Counter(timer_names)
+    # start() is idempotent: a second call arms nothing new.
+    subsystem.start()
+    platform.start()
+    assert armed_timers(platform) == after
+
+
+def run_attached_in(order, seed):
+    """A busy 40 minutes (traffic, scaling, a host loss) with every
+    optional subsystem attached in ``order`` before ``start()``."""
+    platform = Turbine.create(
+        num_hosts=4, seed=seed,
+        config=PlatformConfig(num_shards=32, containers_per_host=2),
+    )
+    platform.enable_tracing()
+    platform.enable_instrumentation()
+    for method in order:
+        if method == "attach_scaler":
+            platform.attach_scaler(AutoScalerConfig(interval=120.0))
+        else:
+            getattr(platform, method)()
+    platform.start()
+    driver = TrafficDriver(
+        platform.engine, platform.scribe, tick=60.0, metrics=platform.metrics,
+    )
+    for index in range(3):
+        platform.provision(JobSpec(
+            job_id=f"job-{index}", input_category=f"cat-{index}",
+            task_count=2, rate_per_thread_mb=2.0, hot_standby=index == 0,
+        ))
+        driver.add_source(f"cat-{index}", DiurnalPattern(
+            3.0 + index, amplitude=0.3,
+            rng=platform.engine.rng.fork(f"wl-{index}"),
+        ))
+    driver.start()
+    platform.failures.schedule(
+        FailurePlan("host-1", fail_at=900.0, recover_at=1500.0)
+    )
+    platform.run_for(minutes=40)
+    return {
+        "trace": platform.tracer.to_jsonl(),
+        "telemetry": platform.telemetry.to_jsonl(deterministic=True),
+        "timeline": IncidentTimeline(platform).render(),
+        "slo": platform.slo.to_json(platform.now),
+        "fingerprint": platform_fingerprint(platform),
+    }
+
+
+@pytest.mark.parametrize("seed", [11, 22, 33])
+def test_attach_order_is_invisible_to_every_export(seed):
+    canonical = list(STARTABLE)
+    shuffled = list(canonical)
+    random.Random(seed).shuffle(shuffled)
+    # The one real ordering constraint of the public API.
+    scaler = shuffled.index("attach_scaler")
+    capacity = shuffled.index("attach_capacity_manager")
+    if capacity < scaler:
+        shuffled[scaler], shuffled[capacity] = (
+            shuffled[capacity], shuffled[scaler],
+        )
+    assert shuffled != canonical
+    golden = run_attached_in(canonical, seed)
+    other = run_attached_in(shuffled, seed)
+    for name in golden:
+        assert other[name] == golden[name], f"{name} depends on attach order"
+    assert golden["trace"] and golden["timeline"]

@@ -111,28 +111,6 @@ class TestTrailingWindows:
             naive.percentile_over(120.0, now, 95.0)
         )
 
-    @settings(max_examples=25, deadline=None)
-    @given(stream=streams, toggle_at=st.integers(min_value=0, max_value=119))
-    def test_toggling_streaming_mid_stream_is_invisible(
-        self, stream, toggle_at
-    ):
-        """Off-and-back-on rebuilds state lazily; reads never go stale."""
-        fast = TimeSeries(retention=RETENTION, streaming=True)
-        naive = TimeSeries(retention=RETENTION, streaming=False)
-        now = 0.0
-        for index, (dt, value, scale) in enumerate(stream):
-            if index == toggle_at:
-                fast.set_streaming(False)
-                fast.set_streaming(True)
-            now += dt
-            sample = value * scale
-            fast.record(now, sample)
-            naive.record(now, sample)
-            assert fast.average_over(120.0, now) == naive.average_over(
-                120.0, now
-            )
-            assert fast.max_over(120.0, now) == naive.max_over(120.0, now)
-
     def test_long_stream_with_compactions_stays_identical(self):
         """Retention churn drives ring compaction under live window state."""
         rng = random.Random(42)
@@ -255,18 +233,6 @@ class TestStoreBatching:
         store.recover()
         assert store.record_many(60.0, [("e", "m", 1.0)]) == 1
         assert store.latest("e", "m") == 1.0
-
-    def test_store_wide_toggle_reaches_existing_series(self):
-        store = MetricStore(streaming=True)
-        for tick in range(10):
-            store.record("job", "rate", tick * 60.0, float(tick))
-        before = store.series("job", "rate").average_over(300.0, 540.0)
-        store.set_streaming(False)
-        assert not store.series("job", "rate").streaming
-        assert not store.series("job", "new_metric").streaming
-        assert store.series("job", "rate").average_over(300.0, 540.0) == before
-        store.set_streaming(True)
-        assert store.series("job", "rate").streaming
 
     def test_indexes_follow_drop_entity(self):
         store = MetricStore()
