@@ -235,6 +235,13 @@ class SloTracker:
         self._open: Dict[Tuple[JobId, str], BreachWindow] = {}
         #: (job, slo, rule index) currently above threshold (edge trigger).
         self._firing: Dict[Tuple[JobId, str, int], bool] = {}
+        #: (job, index into ``specs``) -> time of the newest bad sample,
+        #: kept while that sample is inside some rule's short window.
+        #: These are the only pairs a burn-rate rule can fire for.
+        self._last_bad: Dict[Tuple[JobId, int], Seconds] = {}
+        self._burn_horizon: Seconds = max(
+            (rule.short_window for rule in rules), default=0.0
+        )
         self.evaluations = 0
         self._timer = None
 
@@ -277,12 +284,15 @@ class SloTracker:
                     # Quarantined/stopped jobs stop accruing samples: the
                     # quarantine itself is already alerted by the syncer.
                     continue
-                for spec in self.specs:
+                for index, spec in enumerate(self.specs):
                     verdict = self._judge(job_id, spec, now)
                     if verdict is None:
                         continue
                     batch.append((job_id, f"slo_bad.{spec.name}", verdict))
-                    self._track_breach(job_id, spec, bad=verdict > 0.0, now=now)
+                    bad = verdict > 0.0
+                    if bad:
+                        self._last_bad[(job_id, index)] = now
+                    self._track_breach(job_id, spec, bad=bad, now=now)
             except DegradedModeError:
                 continue
         if batch:
@@ -348,28 +358,39 @@ class SloTracker:
         raise KeyError(f"unknown SLO {name!r}")
 
     def _check_burn_rates(self, now: Seconds) -> None:
-        for entity in self._known_entities():
-            for spec in self.specs:
-                series = self._store._series.get(
-                    (entity, f"slo_bad.{spec.name}")
-                )
-                if series is None:
-                    continue
-                for index, rule in enumerate(self.rules):
-                    key = (entity, spec.name, index)
-                    long_burn = burn_rate(
-                        series, rule.long_window, now, spec.target
-                    )
-                    short_burn = burn_rate(
-                        series, rule.short_window, now, spec.target
-                    )
-                    firing = (
-                        long_burn >= rule.burn_threshold
-                        and short_burn >= rule.burn_threshold
-                    )
-                    if firing and not self._firing.get(key):
-                        self._alert(entity, spec, rule, long_burn, now)
-                    self._firing[key] = firing
+        """Evaluate every rule for the pairs that burned budget lately.
+
+        A rule fires only while *both* its windows burn, and a 0/1 series
+        with no bad sample inside a window has burn rate exactly 0.0 over
+        it. So a pair whose newest bad sample is older than every rule's
+        short window cannot fire, whatever its long windows still hold,
+        and is not read at all. A pair is read one last time on the round
+        its bad sample leaves the longest short window — every rule then
+        stops firing — and is forgotten until it goes bad again.
+        """
+        quiet_before = now - self._burn_horizon
+        for pair in sorted(self._last_bad):
+            entity, spec_index = pair
+            spec = self.specs[spec_index]
+            self._evaluate_rules(entity, spec, self._series(entity, spec), now)
+            if self._last_bad[pair] < quiet_before:
+                del self._last_bad[pair]
+
+    def _evaluate_rules(
+        self, entity: JobId, spec: SloSpec, series, now: Seconds
+    ) -> None:
+        """Every burn-rate rule for one (job, SLO) series, edge-triggered."""
+        for index, rule in enumerate(self.rules):
+            key = (entity, spec.name, index)
+            long_burn = burn_rate(series, rule.long_window, now, spec.target)
+            short_burn = burn_rate(series, rule.short_window, now, spec.target)
+            firing = (
+                long_burn >= rule.burn_threshold
+                and short_burn >= rule.burn_threshold
+            )
+            if firing and not self._firing.get(key):
+                self._alert(entity, spec, rule, long_burn, now)
+            self._firing[key] = firing
 
     def _known_entities(self) -> List[str]:
         entities = set()

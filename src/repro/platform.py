@@ -23,7 +23,7 @@ Typical use::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Set
 
 from repro.cluster.failures import FailureInjector
 from repro.cluster.resources import ResourceVector
@@ -53,7 +53,7 @@ from repro.tasks.shard_manager import (
     ShardManager,
 )
 from repro.tasks.stats import COLLECT_INTERVAL, JobStatsCollector
-from repro.types import JobId, Seconds, TaskState
+from repro.types import ContainerId, JobId, Seconds, TaskId, TaskState
 
 #: Data-plane step period (the ``data-plane-step`` timer). Coarser steps
 #: trade fidelity for speed in long-horizon benchmarks.
@@ -142,9 +142,15 @@ class Turbine:
             tracer=self.tracer,
             telemetry=self.telemetry,
         )
+        #: The task-location index: ``job -> task id -> containers``
+        #: hosting the id as a task or a replica. Written only by the
+        #: Task Managers (where ``tasks`` / ``standbys`` are written);
+        #: read by the actuator and the standby plane, so neither walks
+        #: the fleet to find one task.
+        self.task_hosts: Dict[JobId, Dict[TaskId, Set[ContainerId]]] = {}
         self.actuator = TurbineActuator(
             self.task_service, self.shard_manager, self.scribe,
-            tracer=self.tracer,
+            self.task_hosts, tracer=self.tracer,
         )
         self.syncer = StateSyncer(
             self.job_store, self.actuator, engine=engine,
@@ -419,6 +425,7 @@ class Turbine:
             record_task_metrics=self.config.record_task_metrics,
             tracer=self.tracer,
             telemetry=self.telemetry,
+            task_hosts=self.task_hosts,
         )
         manager.standby_plane = self.standby
         manager.checkpoint_plane = self.checkpoint_plane

@@ -8,7 +8,7 @@ containers. Every method is idempotent, as the plan contract requires.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, List, Optional, Set
 
 from repro.errors import SyncError
 from repro.jobs.configs import Config
@@ -17,7 +17,7 @@ from repro.obs.trace import NULL_TRACER, SLOT_SYNC, Tracer
 from repro.scribe.bus import ScribeBus
 from repro.tasks.service import TaskService
 from repro.tasks.shard_manager import ShardManager
-from repro.types import JobId, TaskState
+from repro.types import ContainerId, JobId, TaskId, TaskState
 
 
 class TurbineActuator(TaskActuator):
@@ -28,11 +28,15 @@ class TurbineActuator(TaskActuator):
         task_service: TaskService,
         shard_manager: ShardManager,
         scribe: ScribeBus,
+        task_hosts: Dict[JobId, Dict[TaskId, Set[ContainerId]]],
         tracer: Optional[Tracer] = None,
     ) -> None:
         self._service = task_service
         self._shard_manager = shard_manager
         self._scribe = scribe
+        #: The Task Managers' task-location index (see
+        #: :attr:`TaskManager._task_hosts`), read-only here.
+        self._task_hosts = task_hosts
         self._tracer = tracer or NULL_TRACER
 
     def known_job_ids(self):
@@ -67,7 +71,7 @@ class TurbineActuator(TaskActuator):
         """
         self._service.remove_job(job_id)
         stopped = 0
-        for manager in self._shard_manager.live_managers():
+        for manager in self._hosting_managers(job_id):
             stopped += manager.stop_job_tasks(job_id)
         self._tracer.record(
             "task-service", "tasks-stopped", job_id=job_id,
@@ -89,7 +93,7 @@ class TurbineActuator(TaskActuator):
         """
         still_running = [
             task.spec.task_id
-            for manager in self._shard_manager.live_managers()
+            for manager in self._hosting_managers(job_id)
             for task in manager.tasks.values()
             if task.spec.job_id == job_id and task.state == TaskState.RUNNING
         ]
@@ -98,6 +102,16 @@ class TurbineActuator(TaskActuator):
                 f"cannot redistribute checkpoints of {job_id}: tasks still "
                 f"running: {still_running[:5]}"
             )
+
+    def _hosting_managers(self, job_id: JobId) -> List:
+        """The live managers that host a task or replica of the job.
+
+        Every other manager of the tier would answer "nothing of that job
+        here", so asking only these — under the Shard Manager's own
+        liveness filter and order — is the full walk minus its no-ops.
+        """
+        hosts = set().union(*self._task_hosts.get(job_id, {}).values())
+        return self._shard_manager.live_managers(among=hosts)
 
     def start_tasks(self, job_id: JobId, task_count: int, config: Config) -> None:
         """Phase 3: publish the new specs; tasks start on manager refresh.

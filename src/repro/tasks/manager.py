@@ -19,7 +19,7 @@ manager:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Set
 
 from repro.cluster.container import TurbineContainer
 from repro.cluster.resources import ResourceVector
@@ -34,7 +34,7 @@ from repro.tasks.runtime import RunningTask
 from repro.tasks.service import TaskService
 from repro.tasks.shard_manager import ShardManager
 from repro.tasks.spec import TaskSpec
-from repro.types import Seconds, ShardId, TaskId, TaskState
+from repro.types import ContainerId, JobId, Seconds, ShardId, TaskId, TaskState
 
 #: "Each task manager has a local refresh thread to periodically (every 60
 #: seconds) fetch from the Task Service."
@@ -69,6 +69,7 @@ class TaskManager:
         record_task_metrics: bool = False,
         tracer: Optional[Tracer] = None,
         telemetry: Optional[Telemetry] = None,
+        task_hosts: Optional[Dict[JobId, Dict[TaskId, Set[ContainerId]]]] = None,
     ) -> None:
         self._tracer = tracer or NULL_TRACER
         self._engine = engine
@@ -92,6 +93,15 @@ class TaskManager:
         #: see them (a passive replica is invisible to the control plane
         #: until the standby plane promotes it).
         self.standbys: Dict[TaskId, RunningTask] = {}
+        #: The fleet's task-location index, shared by every manager of a
+        #: platform: ``job -> task id -> containers`` hosting the id in
+        #: ``tasks`` or ``standbys``. Written only where those two dicts
+        #: are written (:meth:`_note_hosted` / :meth:`_note_unhosted`), so
+        #: a reader never has to scan the fleet to find one task. A killed
+        #: container keeps its entries until :meth:`shutdown` or
+        #: :meth:`reboot` (it keeps its ``tasks`` too): readers check
+        #: liveness at lookup.
+        self._task_hosts = task_hosts if task_hosts is not None else {}
         #: Gray-failure model: a slow node degrades every task's
         #: throughput by this factor without failing a single health
         #: check (heartbeats keep flowing). 1.0 = healthy.
@@ -285,6 +295,7 @@ class TaskManager:
         task = RunningTask(spec, self._scribe)
         self.tasks[spec.task_id] = task
         self._task_shard[spec.task_id] = shard_id
+        self._note_hosted(spec)
         self.container.reserve(spec.task_id, spec.resources)
         if self._tracer.enabled:
             # Cause: an in-flight shard movement if one brought this task
@@ -305,8 +316,34 @@ class TaskManager:
             return
         task.stop()
         self._task_shard.pop(task_id, None)
+        self._note_unhosted(task.spec)
         if task_id in self.container.reservations:
             self.container.release(task_id)
+
+    # ------------------------------------------------------------------
+    # Task-location index (the only writers)
+    # ------------------------------------------------------------------
+    def _note_hosted(self, spec: TaskSpec) -> None:
+        self._task_hosts.setdefault(spec.job_id, {}).setdefault(
+            spec.task_id, set()
+        ).add(self.container_id)
+
+    def _note_unhosted(self, spec: TaskSpec) -> None:
+        """Leave the index once neither a task nor a replica of the id
+        is hosted here; empty levels are pruned so the index holds live
+        placements only, not every job that ever ran."""
+        task_id = spec.task_id
+        if task_id in self.tasks or task_id in self.standbys:
+            return
+        job_tasks = self._task_hosts.get(spec.job_id, {})
+        hosts = job_tasks.get(task_id)
+        if hosts is None:
+            return
+        hosts.discard(self.container_id)
+        if not hosts:
+            del job_tasks[task_id]
+            if not job_tasks:
+                del self._task_hosts[spec.job_id]
 
     def stop_job_tasks(self, job_id: str) -> int:
         """Synchronously stop every task of one job (complex-sync phase 1).
@@ -346,6 +383,7 @@ class TaskManager:
         """Host a passive replica; reserves resources like a real task."""
         task_id = task.spec.task_id
         self.standbys[task_id] = task
+        self._note_hosted(task.spec)
         self.container.reserve(f"standby:{task_id}", task.spec.resources)
 
     def drop_standby(self, task_id: TaskId) -> Optional[RunningTask]:
@@ -354,6 +392,7 @@ class TaskManager:
         if task is None:
             return None
         task.stop()
+        self._note_unhosted(task.spec)
         key = f"standby:{task_id}"
         if key in self.container.reservations:
             self.container.release(key)

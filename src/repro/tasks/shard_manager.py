@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from time import perf_counter
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
 
 from repro.cluster.resources import ResourceVector
 from repro.errors import (
@@ -519,10 +519,24 @@ class ShardManager:
         """Return a drained container to the placement pool."""
         self.drained.discard(container_id)
 
-    def live_managers(self) -> List["TaskManager"]:
-        """All live registered Task Managers (sorted by container id)."""
-        live = self._live_containers()
-        return [live[container_id] for container_id in sorted(live)]
+    def live_managers(
+        self, among: Optional[Iterable[ContainerId]] = None
+    ) -> List["TaskManager"]:
+        """All live registered Task Managers (sorted by container id).
+
+        ``among`` restricts the answer to those container ids — same
+        filter, same order — for callers that already know which
+        containers can matter (the task-location index) and must not pay
+        for the rest of the tier.
+        """
+        managers, drained = self._managers, self.drained
+        return [
+            managers[container_id]
+            for container_id in sorted(managers if among is None else among)
+            if container_id in managers
+            and managers[container_id].alive
+            and container_id not in drained
+        ]
 
     def _live_containers(self) -> Dict[ContainerId, "TaskManager"]:
         return {

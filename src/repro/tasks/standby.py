@@ -32,13 +32,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
-from repro.errors import DegradedModeError
 from repro.obs.bounded import BoundedList
 from repro.tasks.runtime import RunningTask
 from repro.tasks.spec import TaskSpec
-from repro.types import ContainerId, Seconds, TaskId, TaskState
+from repro.types import ContainerId, JobId, Seconds, TaskId, TaskState
 
 #: Plane tick. One tick is the promotion latency bound — well under the
 #: 10 s heartbeat, let alone the 40 s reboot clock.
@@ -90,6 +89,11 @@ class StandbyPlane:
         #: so fault-free timelines are byte-identical with the plane off.
         self.events: BoundedList = BoundedList(maxlen=256)
         self._last_alive: Dict[TaskId, Seconds] = {}
+        #: The opted-in roster and its sorted ids, as of the Task Service
+        #: version they were built at (see :meth:`_refresh_roster`).
+        self._wanted: Dict[TaskId, TaskSpec] = {}
+        self._wanted_order: List[TaskId] = []
+        self._wanted_version: Optional[int] = None
         self._timer = None
 
     # ------------------------------------------------------------------
@@ -112,7 +116,8 @@ class StandbyPlane:
     # ------------------------------------------------------------------
     def _tick(self) -> None:
         now = self._engine.now
-        wanted = {spec.task_id: spec for spec in self._hot_specs()}
+        self._refresh_roster()
+        wanted = self._wanted
         for task_id in sorted(self.placements):
             container_id = self.placements[task_id]
             manager = self._platform.task_managers.get(container_id)
@@ -132,14 +137,14 @@ class StandbyPlane:
                 del self.placements[task_id]
                 continue
             replica = manager.standbys[task_id]
-            if self._primary_alive(task_id):
+            if self._primary_alive(wanted[task_id]):
                 self._last_alive[task_id] = now
                 if replica.promoted:
                     # Backstop only: the start-task handoff hook retires
                     # promoted replicas before a primary restarts, so
-                    # reaching here means a primary appeared without the
-                    # hook (e.g. a manually injected task). Never let two
-                    # incarnations run a full tick.
+                    # reaching here means a primary started without the
+                    # hook (e.g. on a manager the plane was never wired
+                    # to). Never let two incarnations run a full tick.
                     manager.drop_standby(task_id)
                     del self.placements[task_id]
                     self.events.append(
@@ -151,45 +156,69 @@ class StandbyPlane:
                     )
             elif not replica.promoted:
                 self._promote(manager, replica, now)
-        for task_id in sorted(wanted):
+        alive: Optional[List[Tuple[ContainerId, str]]] = None
+        for task_id in self._wanted_order:
             if task_id not in self.placements:
-                self._place(wanted[task_id])
+                if alive is None:
+                    # At most once per tick, and only on a tick that has
+                    # a replica to place: placing one changes no
+                    # container's liveness or host.
+                    alive = self._alive_containers()
+                self._place(wanted[task_id], alive)
 
-    def _hot_specs(self) -> List[TaskSpec]:
+    def _alive_containers(self) -> List[Tuple[ContainerId, str]]:
+        """Live ``(container id, host id)`` pairs in container-id order."""
+        managers = self._platform.task_managers
+        return [
+            (container_id, managers[container_id].container.host_id)
+            for container_id in sorted(managers)
+            if managers[container_id].alive
+        ]
+
+    def _refresh_roster(self) -> None:
+        """Rebuild the opted-in roster when the Task Service's spec table
+        changed (its version bumps on every ``set_job_specs`` /
+        ``remove_job`` — the roster's only input)."""
         service = self._platform.task_service
-        try:
-            job_ids = service.job_ids()
-        except DegradedModeError:
-            return []
-        specs: List[TaskSpec] = []
-        for job_id in job_ids:
-            try:
-                job_specs = service.specs_of(job_id)
-            except DegradedModeError:
-                continue
-            specs.extend(spec for spec in job_specs if spec.hot_standby)
-        return specs
+        if service.version != self._wanted_version:
+            self._wanted_version = service.version
+            self._wanted = {
+                spec.task_id: spec
+                for job_id in service.job_ids()
+                for spec in service.specs_of(job_id)
+                if spec.hot_standby
+            }
+            self._wanted_order = sorted(self._wanted)
+            # A task that left the roster takes its liveness stamp with
+            # it: a later task of the same id must not inherit it.
+            self._last_alive = {
+                task_id: seen
+                for task_id, seen in self._last_alive.items()
+                if task_id in self._wanted
+            }
 
     # ------------------------------------------------------------------
     # Placement (host anti-affinity with the primary)
     # ------------------------------------------------------------------
-    def _place(self, spec: TaskSpec) -> None:
-        primary = self._primary_manager(spec.task_id)
+    def _place(
+        self, spec: TaskSpec, alive: List[Tuple[ContainerId, str]]
+    ) -> None:
+        """Place one replica among ``alive`` — this tick's live
+        ``(container id, host id)`` pairs in container-id order."""
+        primary = self._primary_manager(spec.job_id, spec.task_id)
         if primary is None:
             return  # Wait until the primary is placed; re-try next tick.
         primary_host = primary.container.host_id
-        managers = self._platform.task_managers
         candidates = [
             container_id
-            for container_id in sorted(managers)
-            if managers[container_id].alive
-            and managers[container_id].container.host_id != primary_host
+            for container_id, host_id in alive
+            if host_id != primary_host
         ]
         if not candidates:
             return
         target = candidates[spec.task_index % len(candidates)]
         replica = RunningTask(spec, self._platform.scribe, passive=True)
-        managers[target].adopt_standby(replica)
+        self._platform.task_managers[target].adopt_standby(replica)
         self.placements[spec.task_id] = target
         self._last_alive.setdefault(spec.task_id, self._engine.now)
 
@@ -276,18 +305,31 @@ class StandbyPlane:
     # ------------------------------------------------------------------
     # Primary liveness
     # ------------------------------------------------------------------
-    def _primary_manager(self, task_id: TaskId):
+    def _primary_manager(self, job_id: JobId, task_id: TaskId):
+        """The lowest-id live manager running the task, or ``None``.
+
+        A lookup in the Task Managers' task-location index. The index
+        also lists replica hosts and containers that died with their
+        ``tasks`` intact (a killed container is emptied only by its
+        ``shutdown``), so registration, liveness and ``tasks`` membership
+        are checked here, at lookup.
+        """
         managers = self._platform.task_managers
-        for container_id in sorted(managers):
-            manager = managers[container_id]
-            if manager.alive and task_id in manager.tasks:
+        hosts = self._platform.task_hosts.get(job_id, {}).get(task_id, ())
+        for container_id in sorted(hosts):
+            manager = managers.get(container_id)
+            if (
+                manager is not None
+                and task_id in manager.tasks
+                and manager.alive
+            ):
                 return manager
         return None
 
-    def _primary_alive(self, task_id: TaskId) -> bool:
-        manager = self._primary_manager(task_id)
+    def _primary_alive(self, spec: TaskSpec) -> bool:
+        manager = self._primary_manager(spec.job_id, spec.task_id)
         if manager is None:
             return False
-        return manager.tasks[task_id].state in (
+        return manager.tasks[spec.task_id].state in (
             TaskState.RUNNING, TaskState.STARTING
         )

@@ -1,0 +1,70 @@
+"""Full-walk reference forms of the indexed / change-driven planes.
+
+Production code answers "where does this task run", "which managers host
+this job" and "which (job, SLO) pairs can be burning" from state kept
+where the fact changes. The forms here answer the same questions the
+slow, obviously-right way — scan every manager, re-merge every config,
+read every series — and exist only so the equivalence suites in
+``tests/`` have something to compare against. Nothing under ``repro``
+outside this package may import them.
+"""
+
+from __future__ import annotations
+
+from typing import List, Tuple
+
+from repro.obs.sli import SliEvaluator, objectives_of
+from repro.obs.slo import SloTracker
+from repro.types import JobId, Seconds, TaskId
+
+__all__ = [
+    "scan_primary_manager",
+    "scan_hosting_managers",
+    "FullReadSliEvaluator",
+    "FullWalkSloTracker",
+]
+
+
+def scan_primary_manager(platform, task_id: TaskId):
+    """The lowest-id live manager running ``task_id``, by fleet scan."""
+    managers = platform.task_managers
+    for container_id in sorted(managers):
+        manager = managers[container_id]
+        if manager.alive and task_id in manager.tasks:
+            return manager
+    return None
+
+
+def scan_hosting_managers(shard_manager, job_id: JobId) -> List:
+    """Every live manager holding a task or replica of ``job_id``, found
+    by asking all of ``live_managers()`` — the managers on which
+    ``stop_job_tasks(job_id)`` is not a no-op."""
+    return [
+        manager
+        for manager in shard_manager.live_managers()
+        if any(
+            task.spec.job_id == job_id
+            for task in list(manager.tasks.values())
+            + list(manager.standbys.values())
+        )
+    ]
+
+
+class FullReadSliEvaluator(SliEvaluator):
+    """Runs the four-level config merge on every objective read."""
+
+    def _job_objectives(self, job_id: JobId) -> Tuple[float, object]:
+        return objectives_of(self._service.expected_config(job_id))
+
+
+class FullWalkSloTracker(SloTracker):
+    """Reads every rule window of every (job, SLO) series every round."""
+
+    def _check_burn_rates(self, now: Seconds) -> None:
+        for entity in self._known_entities():
+            for spec in self.specs:
+                series = self._store._series.get(
+                    (entity, f"slo_bad.{spec.name}")
+                )
+                if series is not None:
+                    self._evaluate_rules(entity, spec, series, now)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import DegradedModeError
+from repro.jobs import ConfigLevel, JobService, JobStore
 from repro.metrics.store import MetricStore
 from repro.obs.sli import (
     DEFAULT_LAG_SLO,
@@ -13,42 +14,31 @@ from repro.obs.sli import (
 from repro.types import JobState
 
 
-class FakeJobStore:
-    def __init__(self):
-        self.states = {}
+class Jobs:
+    """The real Job Store + Job Service, with one-line job set-up.
 
-    def state_of(self, job_id):
-        return self.states.get(job_id, JobState.RUNNING)
-
-
-class FakeJobService:
-    """Just enough of JobService for the evaluator: configs + states."""
+    The evaluator subscribes to the store's change feed, so a hand-rolled
+    fake of "just configs + states" no longer describes what it reads.
+    """
 
     def __init__(self):
-        self.configs = {}
-        self.store = FakeJobStore()
-        self.available = True
+        self.store = JobStore()
+        self.service = JobService(self.store)
 
     def add(self, job_id, config=None, state=JobState.RUNNING):
-        self.configs[job_id] = config or {"task_count": 4}
-        self.store.states[job_id] = state
-
-    def job_ids(self):
-        if not self.available:
-            raise DegradedModeError("Job Store unavailable")
-        return sorted(self.configs)
-
-    def expected_config(self, job_id):
-        if not self.available:
-            raise DegradedModeError("Job Store unavailable")
-        return self.configs[job_id]
+        self.store.create_job(job_id)
+        self.service.patch(
+            job_id, ConfigLevel.PROVISIONER, config or {"task_count": 4}
+        )
+        if state != JobState.RUNNING:
+            self.store.set_state(job_id, state)
 
 
 @pytest.fixture
 def setup():
-    service = FakeJobService()
+    jobs = Jobs()
     metrics = MetricStore()
-    return service, metrics, SliEvaluator(service, metrics)
+    return jobs, metrics, SliEvaluator(jobs.service, metrics)
 
 
 class TestPerJobSlis:
@@ -153,6 +143,6 @@ class TestFleetCounts:
     def test_job_store_outage_propagates(self, setup):
         service, metrics, sli = setup
         service.add("job")
-        service.available = False
+        service.store.fail()
         with pytest.raises(DegradedModeError):
             sli.fleet_counts(now=60.0)

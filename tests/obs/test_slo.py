@@ -16,7 +16,7 @@ from repro.obs.slo import (
 from repro.sim.engine import Engine
 from repro.types import JobState
 
-from tests.obs.test_sli import FakeJobService
+from tests.obs.test_sli import Jobs
 
 
 class TestSpecValidation:
@@ -75,12 +75,12 @@ class TestBurnMath:
 
 
 def build_tracker(lag_slo=90.0, rules=DEFAULT_BURN_RULES, interval=60.0):
-    """A tracker over one fake job whose lag we set per simulated minute."""
+    """A tracker over one job whose lag we set per simulated minute."""
     engine = Engine(seed=1)
-    service = FakeJobService()
+    service = Jobs()
     service.add("job", {"task_count": 2, "slo": {"max_lag_seconds": lag_slo}})
     metrics = MetricStore()
-    sli = SliEvaluator(service, metrics)
+    sli = SliEvaluator(service.service, metrics)
     tracker = SloTracker(engine, sli, rules=rules, interval=interval)
 
     lag = {"value": 0.0}
@@ -155,7 +155,7 @@ class TestTracker:
         engine.run_for(300.0)
         series = tracker._series("job", tracker.spec("lag"))
         before = series.count_between(0.0, engine.now)
-        service.store.states["job"] = JobState.QUARANTINED
+        service.store.set_state("job", JobState.QUARANTINED)
         engine.run_for(300.0)
         after = series.count_between(0.0, engine.now)
         assert after == before
@@ -165,10 +165,10 @@ class TestTracker:
         lag["value"] = 10.0
         engine.run_for(300.0)
         evals = tracker.evaluations
-        service.available = False
+        service.store.fail()
         engine.run_for(300.0)
         assert tracker.evaluations == evals  # rounds skipped, no crash
-        service.available = True
+        service.store.recover()
         engine.run_for(120.0)
         assert tracker.evaluations > evals
 
@@ -218,8 +218,7 @@ class TestTracker:
 
     def test_duplicate_spec_names_rejected(self):
         engine = Engine(seed=1)
-        service = FakeJobService()
-        sli = SliEvaluator(service, MetricStore())
+        sli = SliEvaluator(Jobs().service, MetricStore())
         spec = SloSpec("lag", "lag_seconds", target=0.99,
                        compliance_window=3600.0)
         with pytest.raises(ValueError, match="duplicate"):
