@@ -15,6 +15,7 @@ import time
 
 from repro.jobs import ConfigLevel, JobService, JobSpec, JobStore, StateSyncer
 from repro.testing import NullActuator
+from repro.testing.reference import FullScanSyncer
 
 NUM_JOBS = 50_000
 #: The acceptance threshold from the issue ("at least 5x faster"). The
@@ -22,14 +23,14 @@ NUM_JOBS = 50_000
 MIN_SPEEDUP = 5.0
 
 
-def build_fleet(num_jobs=NUM_JOBS, **syncer_kwargs):
+def build_fleet(num_jobs=NUM_JOBS, syncer_type=StateSyncer):
     store = JobStore()
     service = JobService(store)
     for index in range(num_jobs):
         service.provision(
             JobSpec(job_id=f"job-{index:06d}", input_category="cat")
         )
-    syncer = StateSyncer(store, NullActuator(), **syncer_kwargs)
+    syncer = syncer_type(store, NullActuator())
     syncer.sync_once()  # initial complex syncs; converges the fleet
     return store, service, syncer
 
@@ -44,7 +45,7 @@ def test_quiescent_incremental_round_5x_faster_than_full_scan(benchmark):
     store, service, syncer = build_fleet()
 
     # Reference cost: a forced full scan over the converged fleet.
-    syncer_full = StateSyncer(store, NullActuator(), incremental=False)
+    syncer_full = FullScanSyncer(store, NullActuator())
     full_elapsed, full_report = timed(syncer_full.sync_once)
     assert full_report.full_scan
     assert full_report.examined == NUM_JOBS
@@ -90,7 +91,7 @@ def test_incremental_matches_full_scan_outcome():
     the property suite in tests/jobs/test_incremental_equivalence.py)."""
     store_a, service_a, syncer_a = build_fleet(num_jobs=2_000)
     store_b, service_b, syncer_b = build_fleet(
-        num_jobs=2_000, incremental=False
+        num_jobs=2_000, syncer_type=FullScanSyncer
     )
     for service in (service_a, service_b):
         for index in range(0, 2_000, 7):

@@ -21,6 +21,7 @@ import time
 
 from repro.metrics.series import TimeSeries
 from repro.metrics.store import MetricStore
+from repro.testing.reference import NaiveTimeSeries
 
 NUM_TASKS = 10_000
 #: One simulated day of ten-minute collection ticks.
@@ -77,8 +78,8 @@ AVG_WINDOW = 14_400.0
 MAX_WINDOW = 7_200.0
 
 
-def build_loaded_series(streaming):
-    series = TimeSeries(retention=2 * 86400.0, streaming=streaming)
+def build_loaded_series(series_type):
+    series = series_type(retention=2 * 86400.0)
     now = 0.0
     for index in range(READ_PRELOAD):
         now += 5.0
@@ -104,10 +105,10 @@ def read_rounds(series, now):
 
 
 def test_windowed_reads_5x_faster_streaming_than_naive(benchmark):
-    naive_series, naive_now = build_loaded_series(streaming=False)
+    naive_series, naive_now = build_loaded_series(NaiveTimeSeries)
     naive_elapsed, naive_acc = timed(lambda: read_rounds(naive_series, naive_now))
 
-    fast_series, fast_now = build_loaded_series(streaming=True)
+    fast_series, fast_now = build_loaded_series(TimeSeries)
     fast_acc = benchmark.pedantic(
         read_rounds, args=(fast_series, fast_now), rounds=1, iterations=1
     )
@@ -130,8 +131,8 @@ def test_windowed_reads_5x_faster_streaming_than_naive(benchmark):
 
 def test_historical_range_reads_hit_rollup_buckets(benchmark):
     """The pattern analyzer's 14-day reads served from 5-minute buckets."""
-    def build(streaming):
-        series = TimeSeries(retention=15 * 86400.0, streaming=streaming)
+    def build(series_type):
+        series = series_type(retention=15 * 86400.0)
         now = 0.0
         for index in range(14 * 1440):  # 14 days of per-minute samples
             now += 60.0
@@ -148,10 +149,10 @@ def test_historical_range_reads_hit_rollup_buckets(benchmark):
             acc += total + count + peak
         return acc
 
-    naive_series, naive_now = build(streaming=False)
+    naive_series, naive_now = build(NaiveTimeSeries)
     naive_elapsed, naive_acc = timed(lambda: scan_days(naive_series, naive_now))
 
-    fast_series, fast_now = build(streaming=True)
+    fast_series, fast_now = build(TimeSeries)
     fast_acc = benchmark.pedantic(
         scan_days, args=(fast_series, fast_now), rounds=1, iterations=1
     )

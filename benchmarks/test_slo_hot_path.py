@@ -10,9 +10,10 @@ the budget read spans ~43 000 samples. All reads go through
 the exact production code path — over the tracker's 0/1 bookkeeping
 series.
 
-With streaming on, each read is served by the rolling
+In the production store each read is served by the rolling
 :class:`~repro.metrics.window.WindowAggregate` state in O(1) amortized;
-with streaming off, each read rescans every sample inside the window.
+in ``repro.testing.reference.NaiveMetricStore`` each read rescans every
+sample inside the window.
 The acceptance bar from the issue: the incremental path must evaluate a
 fleet at least 5× faster than the naive rescan — while returning
 bit-identical burn rates and budgets (asserted below).
@@ -22,6 +23,7 @@ import time
 
 from repro.metrics.store import MetricStore
 from repro.obs.slo import bad_fraction, burn_rate
+from repro.testing.reference import NaiveMetricStore
 
 NUM_JOBS = 10
 #: Thirty days of per-minute judgements preloaded per job (the monthly
@@ -52,9 +54,9 @@ def judgement(job, minute):
     return 1.0 if (minute + job * 7) % 13 < 2 else 0.0
 
 
-def build_store(streaming):
+def build_store(store_type):
     """A tracker-shaped bookkeeping store after a month of evaluations."""
-    store = MetricStore(default_retention=RETENTION, streaming=streaming)
+    store = store_type(default_retention=RETENTION)
     now = 0.0
     for minute in range(PRELOAD_MINUTES):
         now += 60.0
@@ -91,12 +93,12 @@ def evaluate_rounds(store, now):
 
 
 def test_fleet_slo_evaluation_5x_faster_streaming_than_naive(benchmark):
-    naive_store, naive_now = build_store(streaming=False)
+    naive_store, naive_now = build_store(NaiveMetricStore)
     naive_elapsed, naive_acc = timed(
         lambda: evaluate_rounds(naive_store, naive_now)
     )
 
-    fast_store, fast_now = build_store(streaming=True)
+    fast_store, fast_now = build_store(MetricStore)
     fast_acc = benchmark.pedantic(
         evaluate_rounds, args=(fast_store, fast_now), rounds=1, iterations=1
     )

@@ -176,6 +176,15 @@ def cmd_slo(args: argparse.Namespace) -> int:
     return 0
 
 
+def _write_exports(out_dir: str, exports) -> None:
+    """Write each ``(file name, text)`` export under ``out_dir``."""
+    directory = Path(out_dir)
+    directory.mkdir(parents=True, exist_ok=True)
+    for name, text in exports:
+        (directory / name).write_text(text, encoding="utf-8")
+        print(f"{name} written to {directory / name}")
+
+
 def cmd_chaos(args: argparse.Namespace) -> int:
     from repro.chaos import all_scenarios, run_scenario
 
@@ -206,17 +215,14 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         print(error.args[0], file=sys.stderr)
         return 2
     print(result.render())
-    for label, path, text in (
-        ("timeline", args.timeline_out, result.timeline_text + "\n"),
-        ("deterministic telemetry", args.telemetry_out,
-         result.telemetry_jsonl),
-        ("SLO report", args.slo_out, result.slo_report_json),
-        ("fingerprint", args.fingerprint_out, result.fingerprint_json),
-        ("trace", args.trace_out, result.trace_jsonl),
-    ):
-        if path:
-            Path(path).write_text(text, encoding="utf-8")
-            print(f"{label} written to {path}")
+    if args.out_dir:
+        _write_exports(args.out_dir, (
+            ("fingerprint.json", result.fingerprint_json),
+            ("timeline.txt", result.timeline_text + "\n"),
+            ("slo.json", result.slo_report_json),
+            ("telemetry.jsonl", result.telemetry_jsonl),
+            ("trace.jsonl", result.trace_jsonl),
+        ))
     if not result.converged:
         print("FAIL: scenario did not converge", file=sys.stderr)
         return 1
@@ -313,22 +319,13 @@ def cmd_parallel(args: argparse.Namespace) -> int:
         f"{result.fingerprint['crash_total']} crashes, "
         f"{len(result.fingerprint['actions'])} control actions"
     )
-    for name, payload in (
-        ("fingerprint", args.fingerprint_out),
-        ("timeline", args.timeline_out),
-        ("slo", args.slo_out),
-        ("telemetry", args.telemetry_out),
-    ):
-        if payload is None:
-            continue
-        text = {
-            "fingerprint": result.fingerprint_json,
-            "timeline": result.timeline_text,
-            "slo": result.slo_json,
-            "telemetry": result.telemetry_jsonl,
-        }[name]
-        Path(payload).write_text(text, encoding="utf-8")
-        print(f"{name} written to {payload}")
+    if args.out_dir:
+        _write_exports(args.out_dir, (
+            ("fingerprint.json", result.fingerprint_json),
+            ("timeline.txt", result.timeline_text),
+            ("slo.json", result.slo_json),
+            ("telemetry.jsonl", result.telemetry_jsonl),
+        ))
     return 0
 
 
@@ -423,18 +420,11 @@ def main(argv=None) -> int:
                             "standbys, and slow-node detection all "
                             "forced off (what the fault costs without "
                             "the resiliency features)")
-    chaos.add_argument("--timeline-out", metavar="FILE", default=None,
-                       help="write the scenario's incident timeline here")
-    chaos.add_argument("--telemetry-out", metavar="FILE", default=None,
-                       help="write deterministic telemetry JSONL here")
-    chaos.add_argument("--slo-out", metavar="FILE", default=None,
-                       help="write the deterministic SLO breach/budget "
-                            "report JSON here")
-    chaos.add_argument("--fingerprint-out", metavar="FILE", default=None,
-                       help="write the canonical end-state fingerprint "
-                            "JSON here")
-    chaos.add_argument("--trace-out", metavar="FILE", default=None,
-                       help="write the causal trace JSONL here")
+    chaos.add_argument("--out-dir", metavar="DIR", default=None,
+                       help="write every deterministic export here: "
+                            "fingerprint.json (canonical end state), "
+                            "timeline.txt, slo.json (breach/budget "
+                            "report), telemetry.jsonl, trace.jsonl")
     chaos.set_defaults(func=cmd_chaos)
 
     growth = sub.add_parser("growth", help="Fig. 1-style growth table")
@@ -466,14 +456,10 @@ def main(argv=None) -> int:
     parallel.add_argument("--seed", type=int, default=0)
     parallel.add_argument("--processes", action="store_true",
                           help="run partitions in worker processes")
-    parallel.add_argument("--fingerprint-out", metavar="FILE", default=None,
-                          help="write the deterministic run fingerprint here")
-    parallel.add_argument("--timeline-out", metavar="FILE", default=None,
-                          help="write the control-plane timeline here")
-    parallel.add_argument("--slo-out", metavar="FILE", default=None,
-                          help="write the SLO report JSON here")
-    parallel.add_argument("--telemetry-out", metavar="FILE", default=None,
-                          help="write deterministic telemetry JSONL here")
+    parallel.add_argument("--out-dir", metavar="DIR", default=None,
+                          help="write every deterministic export here: "
+                               "fingerprint.json, timeline.txt "
+                               "(control-plane), slo.json, telemetry.jsonl")
     parallel.set_defaults(func=cmd_parallel)
 
     experiments = sub.add_parser("experiments", help="list benchmarks")

@@ -336,7 +336,8 @@ class ChaosEngine:
         ]
 
     def _job_lag_mb(self, job_id: str) -> float:
-        """The job's unprocessed backlog in MB (same math as stats)."""
+        """The job's unprocessed backlog in MB (infinite while the Job
+        Store cannot say what the job reads)."""
         platform = self._platform
         try:
             config = platform.job_service.expected_config(job_id)
@@ -345,14 +346,7 @@ class ChaosEngine:
         category_name = config.get("input", {}).get("category", "")
         if not category_name:
             return 0.0
-        category = platform.scribe.get_category(category_name)
-        checkpoints = platform.scribe.checkpoints
-        return sum(
-            partition.available(
-                checkpoints.get(job_id, partition.partition_id)
-            )
-            for partition in category.partitions
-        )
+        return platform.scribe.backlog_mb(job_id, category_name)
 
     def _takeover_complete(self, job_id: str) -> bool:
         """Every spec of ``job_id`` has a RUNNING task on a live manager

@@ -38,11 +38,12 @@ a safety net against any mutation path the feed might miss, mirroring the
 production pattern of pairing deltas with periodic anti-entropy sweeps.
 Correctness does not depend on the net: the change feed is complete by
 construction, and the equivalence property tests in
-``tests/jobs/test_incremental_equivalence.py`` drive both modes through
-random chaos and require identical outcomes. Determinism is preserved:
-an incremental round examines the sorted dirty set, so the jobs that
-produce plans are visited in exactly the order a full scan would visit
-them.
+``tests/jobs/test_incremental_equivalence.py`` drive this syncer and the
+every-round-rescans reference (``repro.testing.reference.FullScanSyncer``)
+through the same random chaos and require identical outcomes.
+Determinism is preserved: an incremental round examines the sorted dirty
+set, so the jobs that produce plans are visited in exactly the order a
+full scan would visit them.
 """
 
 from __future__ import annotations
@@ -123,7 +124,6 @@ class StateSyncer:
         tracer: Optional[Tracer] = None,
         telemetry: Optional[Telemetry] = None,
         round_retention: int = DEFAULT_ROUND_RETENTION,
-        incremental: bool = True,
         full_scan_interval: int = DEFAULT_FULL_SCAN_INTERVAL,
     ) -> None:
         self._store = store
@@ -139,16 +139,14 @@ class StateSyncer:
             raise SyncError(
                 f"full_scan_interval must be >= 1: {full_scan_interval}"
             )
-        self._incremental = incremental
         self._full_scan_interval = full_scan_interval
         # Start saturated so the very first round is a full scan: it
         # sweeps cluster orphans that predate this syncer (and its
         # cursor), which no change feed can know about.
         self._rounds_since_full = full_scan_interval
-        #: Dirty-set source; None when running in full-scan-only mode.
-        self._cursor: Optional[ChangeCursor] = (
-            store.change_cursor() if incremental else None
-        )
+        #: Dirty-set source; None between :meth:`crash` and
+        #: :meth:`restart` (every round is then a full scan).
+        self._cursor: Optional[ChangeCursor] = store.change_cursor()
         #: Deleted jobs whose cluster-side GC failed and must be retried.
         self._orphan_retry: set = set()
         self.rounds: List[SyncReport] = BoundedList(maxlen=round_retention)
@@ -215,7 +213,7 @@ class StateSyncer:
         rescans the whole fleet — exactly how a new syncer process makes
         up for the deltas its predecessor lost.
         """
-        if self._incremental and self._cursor is None:
+        if self._cursor is None:
             self._cursor = self._store.change_cursor()
         self._rounds_since_full = self._full_scan_interval
         self._telemetry.inc("syncer.restarts")
@@ -233,11 +231,11 @@ class StateSyncer:
         """Run one synchronization round over every non-quarantined job
         that might need work.
 
-        In incremental mode only the dirty set (jobs the change feed
-        reported since the previous round) is examined; every
-        ``full_scan_interval`` rounds — and always when incremental mode
-        is off — the whole fleet is rescanned as an anti-entropy safety
-        net. Either way, simple synchronizations are batched (collected
+        Only the dirty set (jobs the change feed reported since the
+        previous round) is examined; every ``full_scan_interval`` rounds
+        — and always while a crash has left the syncer without a cursor —
+        the whole fleet is rescanned as an anti-entropy safety net.
+        Either way, simple synchronizations are batched (collected
         first, committed together); complex ones run individually. This
         mirrors the paper's "batches the simple synchronizations and
         parallelize[s] the complex ones".

@@ -12,9 +12,10 @@ The store is a streaming metrics engine: ring-buffer series storage with
 lazy compaction, O(1)-amortized incremental trailing-window aggregates,
 coarse rollup tiers for long-horizon reads, a histogram-sketch percentile
 path behind a declared tolerance, and a batched ingestion fast path —
-all byte-identical to the naive rescan reference
-(``TimeSeries(streaming=False)``), which
-``tests/metrics/test_streaming_equivalence.py`` checks under hypothesis.
+all byte-identical to the naive rescan each read falls back to when it
+cannot be served incrementally. ``tests/metrics/test_streaming_equivalence.py``
+checks that under hypothesis against the always-rescanning reference,
+``repro.testing.reference.NaiveTimeSeries`` (production has no switch).
 """
 
 from repro.metrics.aggregate import cdf_points, mean, percentile, stdev

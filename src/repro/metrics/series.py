@@ -7,9 +7,10 @@ backing lists, and the dead prefix is compacted away only once it is both
 long and at least as large as the live data — O(1) amortized per append
 instead of O(n).
 
-On top of the ring sit three streaming read paths, all gated by the
-``streaming`` flag and all byte-identical to a naive rescan of the
-retained samples (the golden and hypothesis suites enforce this):
+On top of the ring sit three streaming read paths, all byte-identical to
+a naive rescan of the retained samples — which is also what each falls
+back to when it cannot serve a read (the golden suites and the hypothesis
+suite against ``repro.testing.reference.NaiveTimeSeries`` enforce this):
 
 * **trailing windows** (``average_over`` / ``max_over``) are served by
   per-duration :class:`~repro.metrics.window.WindowAggregate` rolling
@@ -49,16 +50,12 @@ class TimeSeries:
     def __init__(
         self,
         retention: Optional[Seconds] = None,
-        streaming: bool = True,
         rollup_period: Optional[Seconds] = None,
         telemetry=None,
     ) -> None:
         if retention is not None and retention <= 0:
             raise ValueError(f"retention must be positive: {retention}")
         self.retention = retention
-        #: False is the naive-rescan reference the equivalence suites and
-        #: hot-path benches compare against; production always streams.
-        self.streaming = streaming
         self._times: List[Seconds] = []
         self._values: List[float] = []
         #: Physical index of the first live (retained) sample.
@@ -69,8 +66,7 @@ class TimeSeries:
         #: Per-duration rolling window states, created lazily on read.
         self._aggs: Dict[float, WindowAggregate] = {}
         #: Rollups are maintained on the append path whenever configured
-        #: (cheap: one exact-add into the newest bucket) and *served* only
-        #: by a streaming series.
+        #: (cheap: one exact-add into the newest bucket).
         if rollup_period is not None:
             self._rollup: Optional[RollupTier] = RollupTier(rollup_period)
         elif retention is not None and retention > ROLLUP_AUTO_RETENTION:
@@ -200,13 +196,12 @@ class TimeSeries:
         30 minutes" (section V-C). Both paths divide the correctly
         rounded window sum by the count, so they agree bit for bit.
         """
-        if self.streaming:
-            agg = self._window_agg(duration, now)
-            if agg is not None:
-                self._note_window_read(fast=True)
-                if agg.count == 0:
-                    return None
-                return agg.sum() / agg.count
+        agg = self._window_agg(duration, now)
+        if agg is not None:
+            self._note_window_read(fast=True)
+            if agg.count == 0:
+                return None
+            return agg.sum() / agg.count
         self._note_window_read(fast=False)
         values = self.values_in(now - duration, now)
         if not values:
@@ -215,11 +210,10 @@ class TimeSeries:
 
     def max_over(self, duration: Seconds, now: Seconds) -> Optional[float]:
         """Max of samples in the trailing window, or ``None`` (peak usage)."""
-        if self.streaming:
-            agg = self._window_agg(duration, now)
-            if agg is not None:
-                self._note_window_read(fast=True)
-                return agg.max() if agg.count else None
+        agg = self._window_agg(duration, now)
+        if agg is not None:
+            self._note_window_read(fast=True)
+            return agg.max() if agg.count else None
         self._note_window_read(fast=False)
         values = self.values_in(now - duration, now)
         return max(values) if values else None
@@ -243,19 +237,18 @@ class TimeSeries:
         if tolerance is None:
             values = self.values_in(now - duration, now)
             return percentile(values, q) if values else None
-        if self.streaming:
-            agg = self._window_agg(duration, now)
-            if agg is not None:
-                self._note_window_read(fast=True)
-                if agg.sketch is None or agg.sketch.alpha != tolerance:
-                    sketch = HistogramSketch(tolerance)
-                    abs0 = self._abs0
-                    for v in self._values[agg.lo - abs0:agg.hi - abs0]:
-                        sketch.add(v)
-                    agg.sketch = sketch
-                if agg.count == 0:
-                    return None
-                return agg.sketch.percentile(q)
+        agg = self._window_agg(duration, now)
+        if agg is not None:
+            self._note_window_read(fast=True)
+            if agg.sketch is None or agg.sketch.alpha != tolerance:
+                sketch = HistogramSketch(tolerance)
+                abs0 = self._abs0
+                for v in self._values[agg.lo - abs0:agg.hi - abs0]:
+                    sketch.add(v)
+                agg.sketch = sketch
+            if agg.count == 0:
+                return None
+            return agg.sketch.percentile(q)
         self._note_window_read(fast=False)
         values = self.values_in(now - duration, now)
         if not values:
@@ -283,7 +276,7 @@ class TimeSeries:
         if hi <= lo:
             return 0.0, 0, None
         rollup = self._rollup
-        if self.streaming and rollup is not None and len(rollup):
+        if rollup is not None and len(rollup):
             cov = rollup.covering(start, end)
             if cov is not None:
                 b_lo, b_hi = cov
@@ -328,7 +321,4 @@ class TimeSeries:
         return self.aggregate_between(start, end)[1]
 
     def __repr__(self) -> str:
-        return (
-            f"TimeSeries(samples={len(self)}, retention={self.retention}, "
-            f"streaming={self.streaming})"
-        )
+        return f"TimeSeries(samples={len(self)}, retention={self.retention})"

@@ -28,16 +28,16 @@ DEFAULT_RETENTION: Seconds = 2 * 24 * 3600.0
 class MetricStore:
     """All time series in one cluster."""
 
+    #: The series type created on first write (the naive-rescan reference
+    #: store in ``repro.testing.reference`` swaps it).
+    series_type = TimeSeries
+
     def __init__(
         self,
         default_retention: Seconds = DEFAULT_RETENTION,
-        streaming: bool = True,
         telemetry=None,
     ) -> None:
         self.default_retention = default_retention
-        #: Whether series use the streaming read paths (False builds the
-        #: naive-rescan reference store of the equivalence suites).
-        self.streaming = streaming
         self._series: Dict[Tuple[str, str], TimeSeries] = {}
         #: Inverted indexes: entity -> metric names, metric -> entities.
         self._entity_index: Dict[str, Set[str]] = {}
@@ -79,9 +79,8 @@ class MetricStore:
         existing = self._series.get(key)
         if existing is not None:
             return existing
-        created = TimeSeries(
+        created = self.series_type(
             retention if retention is not None else self.default_retention,
-            streaming=self.streaming,
             telemetry=self._telemetry,
         )
         self._series[key] = created

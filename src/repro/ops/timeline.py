@@ -21,6 +21,19 @@ from repro.types import Seconds
 _TRACE_KINDS_COVERED = ("job-quarantined", "failover")
 _TRACE_SOURCES_COVERED = ("auto-scaler", "reactive-scaler")
 
+#: ``(platform attribute, timeline source)`` of every plane that keeps its
+#: incidents as :class:`~repro.types.IncidentRecord` in ``.events``. These
+#: planes record incidents only (failovers, restores, promotions, drains —
+#: never routine appends or placements), so a fault-free run contributes
+#: nothing here and timelines stay byte-identical with a plane on or off.
+_INCIDENT_PLANES = (
+    ("capacity_manager", "capacity-manager"),
+    ("replication", "replication"),
+    ("checkpoint_plane", "checkpoint"),
+    ("standby", "standby"),
+    ("slow_nodes", "slow-node"),
+)
+
 
 @dataclass(frozen=True)
 class TimelineEvent:
@@ -60,13 +73,9 @@ class IncidentTimeline:
         collected.extend(self._syncer_events())
         collected.extend(self._scaler_events())
         collected.extend(self._failover_events())
-        collected.extend(self._capacity_events())
+        collected.extend(self._plane_events())
         collected.extend(self._failure_events())
         collected.extend(self._chaos_events())
-        collected.extend(self._replication_events())
-        collected.extend(self._checkpoint_events())
-        collected.extend(self._standby_events())
-        collected.extend(self._slow_node_events())
         collected.extend(self._health_events())
         collected.extend(self._slo_events())
         collected.extend(self._trace_events())
@@ -140,15 +149,19 @@ class IncidentTimeline:
             for event in shard_manager.failover_events
         ]
 
-    def _capacity_events(self) -> List[TimelineEvent]:
-        capacity = getattr(self._platform, "capacity_manager", None)
-        if capacity is None:
-            return []
-        return [
-            TimelineEvent(event.time, "capacity-manager", event.kind,
-                          event.detail)
-            for event in capacity.events
-        ]
+    def _plane_events(self) -> List[TimelineEvent]:
+        """The incident records of every attached :data:`_INCIDENT_PLANES`
+        plane, labelled with the plane's source."""
+        events: List[TimelineEvent] = []
+        for attribute, source in _INCIDENT_PLANES:
+            plane = getattr(self._platform, attribute, None)
+            if plane is not None:
+                events.extend(
+                    TimelineEvent(record.time, source, record.kind,
+                                  record.detail)
+                    for record in plane.events
+                )
+        return events
 
     def _failure_events(self) -> List[TimelineEvent]:
         failures = getattr(self._platform, "failures", None)
@@ -172,57 +185,6 @@ class IncidentTimeline:
                           f"{record.target} [{record.scenario}]"
                           + (f": {record.detail}" if record.detail else ""))
             for record in chaos.records
-        ]
-
-    def _replication_events(self) -> List[TimelineEvent]:
-        """Leader losses, elections, rejoins, and snapshot installs.
-
-        Empty for a fault-free run by construction (the replication
-        group records incidents only), which keeps replication-on and
-        replication-off timelines byte-identical in the golden suite.
-        """
-        replication = getattr(self._platform, "replication", None)
-        if replication is None:
-            return []
-        return [
-            TimelineEvent(event.time, "replication", event.kind, event.detail)
-            for event in replication.events
-        ]
-
-    def _checkpoint_events(self) -> List[TimelineEvent]:
-        """Checkpoint restores and retention fallbacks.
-
-        Routine checkpoint appends are counters, not events, so a
-        fault-free run contributes nothing here (same contract as the
-        replication collector).
-        """
-        plane = getattr(self._platform, "checkpoint_plane", None)
-        if plane is None:
-            return []
-        return [
-            TimelineEvent(event.time, "checkpoint", event.kind, event.detail)
-            for event in plane.events
-        ]
-
-    def _standby_events(self) -> List[TimelineEvent]:
-        """Standby promotions, handoffs, and retirements (incident-only:
-        routine replica placement is never recorded)."""
-        standby = getattr(self._platform, "standby", None)
-        if standby is None:
-            return []
-        return [
-            TimelineEvent(event.time, "standby", event.kind, event.detail)
-            for event in standby.events
-        ]
-
-    def _slow_node_events(self) -> List[TimelineEvent]:
-        """Gray-node drains and undrains from the slow-node detector."""
-        detector = getattr(self._platform, "slow_nodes", None)
-        if detector is None:
-            return []
-        return [
-            TimelineEvent(event.time, "slow-node", event.kind, event.detail)
-            for event in detector.events
         ]
 
     def _health_events(self) -> List[TimelineEvent]:

@@ -569,12 +569,7 @@ class Turbine:
         category_name = config.get("input", {}).get("category", "")
         if not category_name or category_name not in self.scribe.categories:
             return 0.0
-        category = self.scribe.get_category(category_name)
-        checkpoints = self.scribe.checkpoints
-        return sum(
-            partition.available(checkpoints.get(job_id, partition.partition_id))
-            for partition in category.partitions
-        )
+        return self.scribe.backlog_mb(job_id, category_name)
 
     def host_utilization(self) -> Dict[str, Dict[str, float]]:
         """Per-host CPU and memory utilization from live task usage."""

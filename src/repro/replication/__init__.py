@@ -29,7 +29,6 @@ from repro.replication.group import (
     LEASE_TIMEOUT,
     Lease,
     Replica,
-    ReplicationEvent,
     ReplicationGroup,
 )
 
@@ -49,6 +48,5 @@ __all__ = [
     "LEASE_TIMEOUT",
     "Lease",
     "Replica",
-    "ReplicationEvent",
     "ReplicationGroup",
 ]

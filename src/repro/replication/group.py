@@ -59,7 +59,7 @@ from repro.replication.commands import (
 from repro.scribe.bus import ScribeBus
 from repro.scribe.log import RetentionError
 from repro.sim.engine import Engine
-from repro.types import Seconds
+from repro.types import IncidentRecord, Seconds
 
 #: Scribe log carrying the Job Store's serialized mutations.
 COMMAND_LOG_NAME = "turbine.jobstore-commands"
@@ -82,15 +82,6 @@ EVENT_RETENTION = 4096
 #: Replica roles.
 LEADER = "leader"
 FOLLOWER = "follower"
-
-
-@dataclass(frozen=True)
-class ReplicationEvent:
-    """One replication-plane incident (never emitted fault-free)."""
-
-    time: Seconds
-    kind: str    # "leader-lost" | "leader-elected" | "replica-down" | ...
-    detail: str
 
 
 @dataclass
@@ -185,7 +176,7 @@ class ReplicationGroup:
         )
         #: Failover/rejoin/snapshot incidents (timeline source
         #: ``replication``); empty for a fault-free run by design.
-        self.events: List[ReplicationEvent] = BoundedList(
+        self.events: List[IncidentRecord] = BoundedList(
             maxlen=EVENT_RETENTION
         )
         #: Completed failovers as ``(promoted_at, leaderless_seconds)``.
@@ -467,7 +458,7 @@ class ReplicationGroup:
     # ------------------------------------------------------------------
     def _record(self, kind: str, detail: str) -> None:
         self.events.append(
-            ReplicationEvent(self._engine.now, kind, detail)
+            IncidentRecord(self._engine.now, kind, detail)
         )
 
     def __repr__(self) -> str:

@@ -26,7 +26,7 @@ from repro.jobs.plan import TaskActuator
 from repro.jobs.service import JobService
 from repro.scaler.proactive import AutoScaler
 from repro.sim.engine import Engine, Timer
-from repro.types import JobState, Priority, Seconds
+from repro.types import IncidentRecord, JobState, Priority, Seconds
 
 
 @dataclass
@@ -43,18 +43,9 @@ class CapacityConfig:
     instability_threshold: float = 0.95
     #: Priority floor imposed under pressure.
     pressure_floor: Priority = Priority.HIGH
-    #: Retained :class:`CapacityEvent` audit records (bounded so endless
+    #: Retained ``CapacityManager.events`` audit records (bounded so endless
     #: pressure flapping in soak tests cannot grow memory without limit).
     event_retention: int = 10_000
-
-
-@dataclass
-class CapacityEvent:
-    """Audit record: what the capacity manager did and when."""
-
-    time: Seconds
-    kind: str  # "pressure_on" | "pressure_off" | "job_stopped" | "job_resumed"
-    detail: str = ""
 
 
 class CapacityManager:
@@ -75,7 +66,9 @@ class CapacityManager:
         self._scaler = scaler
         self._actuator = actuator
         self.config = config or CapacityConfig()
-        self.events: List[CapacityEvent] = BoundedList(
+        #: Audit records: what the capacity manager did and when
+        #: ("pressure_on" | "pressure_off" | "job_stopped" | "job_resumed").
+        self.events: List[IncidentRecord] = BoundedList(
             maxlen=self.config.event_retention
         )
         self.stopped_jobs: List[str] = []
@@ -128,7 +121,7 @@ class CapacityManager:
         self._pressure = True
         self._scaler.priority_floor = self.config.pressure_floor
         self.events.append(
-            CapacityEvent(
+            IncidentRecord(
                 self._engine.now, "pressure_on",
                 f"utilization {utilization:.2f}; privileged jobs only",
             )
@@ -140,7 +133,7 @@ class CapacityManager:
         self._pressure = False
         self._scaler.priority_floor = Priority.LOW
         self.events.append(
-            CapacityEvent(
+            IncidentRecord(
                 self._engine.now, "pressure_off",
                 f"utilization {utilization:.2f}",
             )
@@ -183,7 +176,7 @@ class CapacityManager:
             self._actuator.stop_tasks(job_id)
             self.stopped_jobs.append(job_id)
             self.events.append(
-                CapacityEvent(
+                IncidentRecord(
                     self._engine.now, "job_stopped",
                     f"{job_id} (priority {priority.name})",
                 )
@@ -202,7 +195,7 @@ class CapacityManager:
             # the job's tasks on its next round.
             self._bump_for_resync(job_id)
             self.events.append(
-                CapacityEvent(self._engine.now, "job_resumed", job_id)
+                IncidentRecord(self._engine.now, "job_resumed", job_id)
             )
 
     def _bump_for_resync(self, job_id: str) -> None:

@@ -46,6 +46,18 @@ class ScribeBus:
         """All category names, sorted for deterministic iteration."""
         return sorted(self.categories)
 
+    def backlog_mb(self, job_id: str, category_name: str) -> float:
+        """Unprocessed bytes (MB) of a category for one reading job: per
+        partition, what is available past the job's committed offset.
+        The category must exist."""
+        checkpoints = self.checkpoints
+        return sum(
+            partition.available(
+                checkpoints.get(job_id, partition.partition_id)
+            )
+            for partition in self.get_category(category_name).partitions
+        )
+
     # ------------------------------------------------------------------
     # Control-plane command logs
     # ------------------------------------------------------------------

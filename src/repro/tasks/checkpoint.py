@@ -34,7 +34,7 @@ from typing import Dict, Optional
 from repro.errors import ServiceUnavailableError
 from repro.obs.bounded import BoundedList
 from repro.scribe.log import CommandLog, RetentionError
-from repro.types import JobId, Seconds
+from repro.types import IncidentRecord, JobId, Seconds
 
 #: How often the plane snapshots every job's live cursors (paper-scale:
 #: a fraction of the 60 s sync round, so a restore loses at most half a
@@ -118,15 +118,6 @@ class TaskCheckpoint:
             raise CheckpointDecodeError(f"bad snapshot: {payload!r}") from exc
 
 
-@dataclass
-class CheckpointEvent:
-    """An incident-worthy checkpoint-plane event (restores only)."""
-
-    time: Seconds
-    kind: str  # "checkpoint-restore" | "checkpoint-fallback"
-    detail: str
-
-
 class CheckpointPlane:
     """Periodically snapshots live cursors to Scribe and restores them.
 
@@ -149,7 +140,8 @@ class CheckpointPlane:
         self._interval = interval
         self._retention = retention
         self._telemetry = telemetry
-        #: Incident events only — empty for a fault-free run, which keeps
+        #: Incident events only ("checkpoint-restore" |
+        #: "checkpoint-fallback") — empty for a fault-free run, which keeps
         #: the incident timeline byte-identical with the plane disabled.
         self.events: BoundedList = BoundedList(maxlen=256)
         #: Counters for reports and vacuity guards in tests.
@@ -203,7 +195,7 @@ class CheckpointPlane:
                 self.fallbacks += 1
                 self._high_water[job_id] = dict(live)
                 self.events.append(
-                    CheckpointEvent(
+                    IncidentRecord(
                         self._engine.now,
                         "checkpoint-fallback",
                         f"{job_id}: checkpoint log trimmed past retention "
@@ -263,7 +255,7 @@ class CheckpointPlane:
         if moved:
             self.restores += 1
             self.events.append(
-                CheckpointEvent(
+                IncidentRecord(
                     self._engine.now,
                     "checkpoint-restore",
                     f"{job_id}: rolled {moved} partitions forward to the "

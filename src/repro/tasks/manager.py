@@ -85,8 +85,10 @@ class TaskManager:
         self._record_task_metrics = record_task_metrics
 
         self.assigned_shards: set = set()
+        #: Primaries hosted here (each carries its ``shard_id``), in start
+        #: order — which is the step order and the float-sum order of the
+        #: contention throttle.
         self.tasks: Dict[TaskId, RunningTask] = {}
-        self._task_shard: Dict[TaskId, ShardId] = {}
         #: Hot-standby replicas hosted here, keyed by the primary's task
         #: id. Kept out of ``tasks`` on purpose: standbys have no shard
         #: assignment, so reconciliation and load reporting must never
@@ -96,8 +98,8 @@ class TaskManager:
         #: The fleet's task-location index, shared by every manager of a
         #: platform: ``job -> task id -> containers`` hosting the id in
         #: ``tasks`` or ``standbys``. Written only where those two dicts
-        #: are written (:meth:`_note_hosted` / :meth:`_note_unhosted`), so
-        #: a reader never has to scan the fleet to find one task. A killed
+        #: are written (:meth:`_host` / :meth:`_unhost`), so a reader
+        #: never has to scan the fleet to find one task. A killed
         #: container keeps its entries until :meth:`shutdown` or
         #: :meth:`reboot` (it keeps its ``tasks`` too): readers check
         #: liveness at lookup.
@@ -111,7 +113,8 @@ class TaskManager:
         self.standby_plane = None
         self.checkpoint_plane = None
         #: When each task last failed, for the task.recovery_lag SLI
-        #: (failure -> first post-recovery progress sample).
+        #: (failure -> first post-recovery progress sample). A window
+        #: belongs to a hosted id and leaves with it (:meth:`_unhost`).
         self._failed_at: Dict[TaskId, Seconds] = {}
         #: Last-known-good shard index for degraded-mode operation
         #: ("containers run tasks based on existing snapshots", IV-D).
@@ -208,7 +211,7 @@ class TaskManager:
         for timer in self._timers:
             timer.cancel()
         self._timers.clear()
-        self._stop_all_tasks()
+        self._unhost_all(self._hosted())
 
     # ------------------------------------------------------------------
     # Shard movement protocol (called by the Shard Manager)
@@ -224,12 +227,13 @@ class TaskManager:
         """DROP_SHARD: stop the shard's tasks and forget it."""
         if self.slow_drop:
             raise TimeoutError(f"{self.container_id} drop timed out")
-        self._stop_shard_tasks(shard_id)
-        self.assigned_shards.discard(shard_id)
+        self.force_kill_shard(shard_id)
 
     def force_kill_shard(self, shard_id: ShardId) -> None:
         """Forceful kill after a DROP_SHARD timeout (section IV-A2)."""
-        self._stop_shard_tasks(shard_id)
+        self._unhost_all(
+            [task for task in self.tasks.values() if task.shard_id == shard_id]
+        )
         self.assigned_shards.discard(shard_id)
 
     # ------------------------------------------------------------------
@@ -263,11 +267,10 @@ class TaskManager:
         """Drive this shard's tasks to match the (cached) spec snapshot."""
         desired = self._cached_index.get(shard_id, {})
         # Stop tasks that should no longer run here.
-        for task_id in [
-            tid for tid, sid in self._task_shard.items()
-            if sid == shard_id and tid not in desired
-        ]:
-            self._stop_task(task_id)
+        self._unhost_all([
+            task for task_id, task in self.tasks.items()
+            if task.shard_id == shard_id and task_id not in desired
+        ])
         # Start / restart what should run.
         for task_id, spec in sorted(desired.items()):
             existing = self.tasks.get(task_id)
@@ -275,9 +278,14 @@ class TaskManager:
                 self._start_task(spec, shard_id)
             elif existing.spec.settings_fingerprint() != spec.settings_fingerprint():
                 # "task update ... relatively lightweight": restart with the
-                # new settings, resuming from the committed checkpoints.
-                self._stop_task(task_id)
+                # new settings, resuming from the committed checkpoints. It
+                # is the same task still recovering, so a recovery window
+                # it has open survives the restart.
+                failed_at = self._failed_at.get(task_id)
+                self._unhost(existing)
                 self._start_task(spec, shard_id)
+                if failed_at is not None:
+                    self._failed_at[task_id] = failed_at
             elif existing.state == TaskState.CRASHED:
                 existing.restart()
 
@@ -292,11 +300,7 @@ class TaskManager:
         # instead of the backlog horizon.
         if self.checkpoint_plane is not None:
             self.checkpoint_plane.on_task_start(spec.job_id)
-        task = RunningTask(spec, self._scribe)
-        self.tasks[spec.task_id] = task
-        self._task_shard[spec.task_id] = shard_id
-        self._note_hosted(spec)
-        self.container.reserve(spec.task_id, spec.resources)
+        self._host(RunningTask(spec, self._scribe), shard_id)
         if self._tracer.enabled:
             # Cause: an in-flight shard movement if one brought this task
             # here, otherwise the sync plan that (re)published the spec.
@@ -310,92 +314,87 @@ class TaskManager:
                 container=self.container_id,
             )
 
-    def _stop_task(self, task_id: TaskId) -> None:
-        task = self.tasks.pop(task_id, None)
-        if task is None:
-            return
-        task.stop()
-        self._task_shard.pop(task_id, None)
-        self._note_unhosted(task.spec)
-        if task_id in self.container.reservations:
-            self.container.release(task_id)
-
     # ------------------------------------------------------------------
-    # Task-location index (the only writers)
+    # Hosting: the one way into and the one way out of this manager
     # ------------------------------------------------------------------
-    def _note_hosted(self, spec: TaskSpec) -> None:
+    def _host(self, task: RunningTask, shard_id: Optional[ShardId]) -> None:
+        """Take ``task`` in — as a primary of ``shard_id``, or with no
+        shard as a standby replica: its slot in ``tasks`` / ``standbys``,
+        the location index, and the container reservation."""
+        spec = task.spec
+        task.shard_id = shard_id
+        if shard_id is None:
+            self.standbys[spec.task_id] = task
+            reservation = f"standby:{spec.task_id}"
+        else:
+            self.tasks[spec.task_id] = task
+            reservation = spec.task_id
         self._task_hosts.setdefault(spec.job_id, {}).setdefault(
             spec.task_id, set()
         ).add(self.container_id)
+        self.container.reserve(reservation, spec.resources)
 
-    def _note_unhosted(self, spec: TaskSpec) -> None:
-        """Leave the index once neither a task nor a replica of the id
-        is hosted here; empty levels are pruned so the index holds live
-        placements only, not every job that ever ran."""
-        task_id = spec.task_id
-        if task_id in self.tasks or task_id in self.standbys:
-            return
-        job_tasks = self._task_hosts.get(spec.job_id, {})
-        hosts = job_tasks.get(task_id)
-        if hosts is None:
-            return
-        hosts.discard(self.container_id)
-        if not hosts:
-            del job_tasks[task_id]
-            if not job_tasks:
-                del self._task_hosts[spec.job_id]
+    def _unhost(self, task: RunningTask) -> None:
+        """Stop a hosted primary or replica and undo :meth:`_host`.
+
+        Once neither a task nor a replica of the id is left here, the id
+        leaves the index (empty levels are pruned so it holds live
+        placements only, not every job that ever ran) and takes its open
+        recovery window along: a later incarnation of the same id must
+        not close a window it never opened.
+        """
+        task_id = task.spec.task_id
+        if task.shard_id is None:
+            del self.standbys[task_id]
+            reservation = f"standby:{task_id}"
+        else:
+            del self.tasks[task_id]
+            reservation = task_id
+        task.stop()
+        # A killed container has already lost its reservations.
+        if reservation in self.container.reservations:
+            self.container.release(reservation)
+        if task_id not in self.tasks and task_id not in self.standbys:
+            self._failed_at.pop(task_id, None)
+            job_tasks = self._task_hosts[task.spec.job_id]
+            hosts = job_tasks[task_id]
+            hosts.discard(self.container_id)
+            if not hosts:
+                del job_tasks[task_id]
+                if not job_tasks:
+                    del self._task_hosts[task.spec.job_id]
+
+    def _unhost_all(self, doomed: List[RunningTask]) -> None:
+        for task in doomed:
+            self._unhost(task)
+
+    def _hosted(self) -> List[RunningTask]:
+        """Every primary, then every replica, hosted here."""
+        return [*self.tasks.values(), *self.standbys.values()]
 
     def stop_job_tasks(self, job_id: str) -> int:
         """Synchronously stop every task of one job (complex-sync phase 1).
 
         Returns how many tasks were stopped.
         """
-        doomed = [
-            task_id
-            for task_id, task in self.tasks.items()
-            if task.spec.job_id == job_id
-        ]
-        for task_id in doomed:
-            self._stop_task(task_id)
-        for task_id in [
-            tid for tid, task in self.standbys.items()
-            if task.spec.job_id == job_id
-        ]:
-            self.drop_standby(task_id)
-        return len(doomed)
-
-    def _stop_shard_tasks(self, shard_id: ShardId) -> None:
-        for task_id in [
-            tid for tid, sid in self._task_shard.items() if sid == shard_id
-        ]:
-            self._stop_task(task_id)
-
-    def _stop_all_tasks(self) -> None:
-        for task_id in list(self.tasks):
-            self._stop_task(task_id)
-        for task_id in list(self.standbys):
-            self.drop_standby(task_id)
+        primaries = len(self.tasks)
+        self._unhost_all(
+            [task for task in self._hosted() if task.spec.job_id == job_id]
+        )
+        return primaries - len(self.tasks)
 
     # ------------------------------------------------------------------
     # Hot-standby hosting (driven by the standby plane)
     # ------------------------------------------------------------------
     def adopt_standby(self, task: RunningTask) -> None:
         """Host a passive replica; reserves resources like a real task."""
-        task_id = task.spec.task_id
-        self.standbys[task_id] = task
-        self._note_hosted(task.spec)
-        self.container.reserve(f"standby:{task_id}", task.spec.resources)
+        self._host(task, None)
 
     def drop_standby(self, task_id: TaskId) -> Optional[RunningTask]:
         """Stop and release a hosted replica (promoted or passive)."""
-        task = self.standbys.pop(task_id, None)
-        if task is None:
-            return None
-        task.stop()
-        self._note_unhosted(task.spec)
-        key = f"standby:{task_id}"
-        if key in self.container.reservations:
-            self.container.release(key)
+        task = self.standbys.get(task_id)
+        if task is not None:
+            self._unhost(task)
         return task
 
     # ------------------------------------------------------------------
@@ -441,7 +440,7 @@ class TaskManager:
         its old shards back (fail-over did not happen yet) or rejoins as an
         empty container (section IV-C).
         """
-        self._stop_all_tasks()
+        self._unhost_all(self._hosted())
         self.assigned_shards.clear()
         self.reboot_count += 1
         self._outage_started = None
@@ -571,8 +570,8 @@ class TaskManager:
         if not self.alive or self.partitioned:
             return
         per_shard: Dict[ShardId, ResourceVector] = {}
-        for task_id, task in self.tasks.items():
-            shard_id = self._task_shard[task_id]
+        for task in self.tasks.values():
+            shard_id = task.shard_id
             usage = ResourceVector(
                 cpu=task.last_cpu_used,
                 memory_gb=task.memory_needed_gb(),
@@ -602,17 +601,10 @@ class TaskManager:
         Promoted standbys count — they *are* the running incarnation
         while the takeover window is open.
         """
-        running = {
-            task_id
-            for task_id, task in self.tasks.items()
+        return sorted({
+            task.spec.task_id for task in self._hosted()
             if task.state == TaskState.RUNNING
-        }
-        running.update(
-            task_id
-            for task_id, task in self.standbys.items()
-            if task.state == TaskState.RUNNING
-        )
-        return sorted(running)
+        })
 
     def __repr__(self) -> str:
         return (

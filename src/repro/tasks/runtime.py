@@ -26,7 +26,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 from repro.scribe.bus import ScribeBus
 from repro.scribe.partition import Partition
 from repro.tasks.spec import TaskSpec
-from repro.types import Seconds, TaskState
+from repro.types import Seconds, ShardId, TaskState
 
 #: Memory floor per task: "every task consumes at least ~400MB, regardless
 #: of the input traffic volume" (paper section VI, Fig. 5b).
@@ -241,6 +241,9 @@ class RunningTask:
         self.spec = spec
         self._scribe = scribe
         self.state = TaskState.STANDBY if passive else TaskState.RUNNING
+        #: The shard this task was started for, set by the hosting Task
+        #: Manager; ``None`` for a standby replica (no shard assignment).
+        self.shard_id: Optional[ShardId] = None
         #: True once a passive standby has been promoted to primary.
         self.promoted = False
         self.oom_count = 0

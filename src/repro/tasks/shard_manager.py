@@ -265,26 +265,8 @@ class ShardManager:
         live = self._live_containers()
         if not live:
             return
-        capacities = {
-            container_id: manager.capacity
-            for container_id, manager in live.items()
-        }
-        loads = {
-            shard_id: self.shard_loads.get(shard_id, DEFAULT_SHARD_LOAD)
-            for shard_id in all_shard_ids(self.num_shards)
-        }
-        current = {
-            shard_id: owner
-            for shard_id, owner in self.assignment.items()
-            if owner in live
-        }
         started_wall = perf_counter() if self._telemetry.enabled else 0.0
-        change = self._compute_placement(
-            loads, capacities, current,
-            container_regions={
-                cid: manager.region for cid, manager in live.items()
-            },
-        )
+        change = self._placement(live, all_shard_ids(self.num_shards))
         if self._telemetry.enabled:
             self._telemetry.inc("balancer.rounds")
             self._telemetry.observe(
@@ -301,6 +283,30 @@ class ShardManager:
             )
         for shard_id, source, destination in change.moves:
             self._move_shard(shard_id, source, destination, parent=round_event)
+
+    def _placement(
+        self, live: Dict[ContainerId, "TaskManager"],
+        shard_ids: Iterable[ShardId],
+    ):
+        """Place ``shard_ids`` on the ``live`` containers. What those
+        containers already hold is kept where it is valid and counts as
+        each one's starting load."""
+        current = {
+            shard_id: owner
+            for shard_id, owner in self.assignment.items()
+            if owner in live
+        }
+        return self._compute_placement(
+            {
+                shard_id: self.shard_loads.get(shard_id, DEFAULT_SHARD_LOAD)
+                for shard_id in (*current, *shard_ids)
+            },
+            {cid: manager.capacity for cid, manager in live.items()},
+            current,
+            container_regions={
+                cid: manager.region for cid, manager in live.items()
+            },
+        )
 
     def _compute_placement(self, loads, capacities, current, container_regions):
         """Run the balancer with this manager's band and shard regions."""
@@ -363,8 +369,8 @@ class ShardManager:
             return []
         return sorted({
             task.spec.job_id
-            for task_id, task in manager.tasks.items()
-            if manager._task_shard.get(task_id) == shard_id
+            for task in manager.tasks.values()
+            if task.shard_id == shard_id
         })
 
     # ------------------------------------------------------------------
@@ -421,39 +427,16 @@ class ShardManager:
                 FailoverEvent(self._engine.now, container_id, 0)
             )
             return
-        capacities = {
-            cid: manager.capacity for cid, manager in live.items()
-        }
-        loads = {
-            shard_id: self.shard_loads.get(shard_id, DEFAULT_SHARD_LOAD)
-            for shard_id in orphaned
-        }
-        current_live_loads: Dict[ShardId, ContainerId] = {
-            shard_id: owner
-            for shard_id, owner in self.assignment.items()
-            if owner in live
-        }
         # Place only the orphaned shards; existing placements are the
         # starting load of each container.
-        placement = self._compute_placement(
-            {**{s: self.shard_loads.get(s, DEFAULT_SHARD_LOAD)
-                for s in current_live_loads}, **loads},
-            capacities,
-            current_live_loads,
-            container_regions={
-                cid: manager.region for cid, manager in live.items()
-            },
-        )
-        moved = 0
+        placement = self._placement(live, orphaned)
         for shard_id in orphaned:
-            destination = placement.assignment[shard_id]
             self._move_shard(
-                shard_id, None, destination,
+                shard_id, None, placement.assignment[shard_id],
                 parent=failover_event, jobs=shard_jobs.get(shard_id),
             )
-            moved += 1
         self.failover_events.append(
-            FailoverEvent(self._engine.now, container_id, moved)
+            FailoverEvent(self._engine.now, container_id, len(orphaned))
         )
 
     # ------------------------------------------------------------------
@@ -480,40 +463,20 @@ class ShardManager:
             # (slow beats stopped) and retry when capacity returns.
             self.drained.discard(container_id)
             return 0
-        capacities = {
-            cid: manager.capacity for cid, manager in live.items()
-        }
-        current = {
-            shard_id: owner
-            for shard_id, owner in self.assignment.items()
-            if owner in live
-        }
-        placement = self._compute_placement(
-            {**{s: self.shard_loads.get(s, DEFAULT_SHARD_LOAD)
-                for s in current},
-             **{s: self.shard_loads.get(s, DEFAULT_SHARD_LOAD)
-                for s in orphaned}},
-            capacities,
-            current,
-            container_regions={
-                cid: manager.region for cid, manager in live.items()
-            },
-        )
+        placement = self._placement(live, orphaned)
         drain_event: Optional[TraceEvent] = None
         if self._tracer.enabled:
             drain_event = self._tracer.record(
                 "shard-manager", "drain",
                 container=container_id, shards=len(orphaned),
             )
-        moved = 0
         for shard_id in orphaned:
             self._move_shard(
                 shard_id, container_id, placement.assignment[shard_id],
                 parent=drain_event,
             )
-            moved += 1
         self._telemetry.inc("shard_manager.drains")
-        return moved
+        return len(orphaned)
 
     def undrain(self, container_id: ContainerId) -> None:
         """Return a drained container to the placement pool."""

@@ -28,11 +28,10 @@ attaching the detector leaves every deterministic export byte-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from repro.obs.bounded import BoundedList
-from repro.types import HostId, Seconds, TaskId, TaskState
+from repro.types import HostId, IncidentRecord, Seconds, TaskId, TaskState
 
 #: How often rates are compared. One full burst period of the bursty
 #: sources, so every task's window covers the same amount of arrivals.
@@ -47,15 +46,6 @@ CONFIRMATIONS = 2
 
 #: How long a drained host sits out before it may take shards again.
 DRAIN_COOLDOWN: Seconds = 600.0
-
-
-@dataclass
-class SlowNodeEvent:
-    """An incident-worthy detector event (drains and un-drains only)."""
-
-    time: Seconds
-    kind: str  # "gray-node-drain" | "gray-node-undrain"
-    detail: str
 
 
 class SlowNodeDetector:
@@ -85,7 +75,8 @@ class SlowNodeDetector:
         #: task id → (processed-bytes counter, container) at the last
         #: tick; the delta over one interval is the task's averaged rate.
         self._last_totals: Dict[TaskId, Tuple[float, str]] = {}
-        #: Incident events only — empty when no node is gray.
+        #: Incident events only ("gray-node-drain" | "gray-node-undrain")
+        #: — empty when no node is gray.
         self.events: BoundedList = BoundedList(maxlen=256)
         self.drains = 0
         self._timer = None
@@ -117,7 +108,7 @@ class SlowNodeDetector:
                 del self.drained[host_id]
                 self._suspicion.pop(host_id, None)
                 self.events.append(
-                    SlowNodeEvent(
+                    IncidentRecord(
                         now, "gray-node-undrain",
                         f"{host_id}: cooldown elapsed; host rejoins the "
                         "placement pool",
@@ -210,7 +201,7 @@ class SlowNodeDetector:
         self.drained[host_id] = now
         self.drains += 1
         self.events.append(
-            SlowNodeEvent(
+            IncidentRecord(
                 now, "gray-node-drain",
                 f"{host_id}: {evidence}; shards migrated off",
             )

@@ -37,7 +37,14 @@ from typing import Dict, List, Optional, Tuple
 from repro.obs.bounded import BoundedList
 from repro.tasks.runtime import RunningTask
 from repro.tasks.spec import TaskSpec
-from repro.types import ContainerId, JobId, Seconds, TaskId, TaskState
+from repro.types import (
+    ContainerId,
+    IncidentRecord,
+    JobId,
+    Seconds,
+    TaskId,
+    TaskState,
+)
 
 #: Plane tick. One tick is the promotion latency bound — well under the
 #: 10 s heartbeat, let alone the 40 s reboot clock.
@@ -45,15 +52,6 @@ STANDBY_INTERVAL: Seconds = 1.0
 
 #: Scribe category recording every promotion (the exactly-once audit log).
 PROMOTION_LOG = "turbine.standby.promotions"
-
-
-@dataclass
-class StandbyEvent:
-    """An incident-worthy standby-plane event."""
-
-    time: Seconds
-    kind: str  # "standby-promote" | "standby-handoff" | "standby-retire"
-    detail: str
 
 
 @dataclass(frozen=True)
@@ -85,8 +83,9 @@ class StandbyPlane:
         self.placements: Dict[TaskId, ContainerId] = {}
         #: Every takeover this plane performed.
         self.promotions: List[PromotionRecord] = []
-        #: Incident events only (promotions/handoffs — never placement),
-        #: so fault-free timelines are byte-identical with the plane off.
+        #: Incident events only ("standby-promote" | "standby-handoff" |
+        #: "standby-retire" — never placement), so fault-free timelines
+        #: are byte-identical with the plane off.
         self.events: BoundedList = BoundedList(maxlen=256)
         self._last_alive: Dict[TaskId, Seconds] = {}
         #: The opted-in roster and its sorted ids, as of the Task Service
@@ -148,7 +147,7 @@ class StandbyPlane:
                     manager.drop_standby(task_id)
                     del self.placements[task_id]
                     self.events.append(
-                        StandbyEvent(
+                        IncidentRecord(
                             now, "standby-retire",
                             f"{task_id}: primary reappeared; promoted "
                             f"replica on {container_id} retired",
@@ -250,7 +249,7 @@ class StandbyPlane:
         # sample, measured from when the primary was last seen alive.
         manager.note_task_failure(task_id, failed_at)
         self.events.append(
-            StandbyEvent(
+            IncidentRecord(
                 now, "standby-promote",
                 f"{task_id}: promoted on {manager.container_id} "
                 f"{lag:g}s after primary loss",
@@ -276,7 +275,7 @@ class StandbyPlane:
         replica = manager.drop_standby(task_id)
         if replica is not None and replica.promoted:
             self.events.append(
-                StandbyEvent(
+                IncidentRecord(
                     self._engine.now, "standby-handoff",
                     f"{task_id}: primary restarting; promoted replica on "
                     f"{container_id} retired",

@@ -107,15 +107,8 @@ class JobStatsCollector:
         head = 0.0
         lagged = 0.0
         if category_name:
-            category = self._scribe.get_category(category_name)
-            head = category.total_head()
-            checkpoints = self._scribe.checkpoints
-            lagged = sum(
-                partition.available(
-                    checkpoints.get(job_id, partition.partition_id)
-                )
-                for partition in category.partitions
-            )
+            head = self._scribe.get_category(category_name).total_head()
+            lagged = self._scribe.backlog_mb(job_id, category_name)
         processed_total = sum(task.total_processed_mb for task in tasks)
 
         if dt is not None and dt > 0:

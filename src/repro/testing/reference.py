@@ -1,18 +1,23 @@
 """Full-walk reference forms of the indexed / change-driven planes.
 
 Production code answers "where does this task run", "which managers host
-this job" and "which (job, SLO) pairs can be burning" from state kept
-where the fact changes. The forms here answer the same questions the
-slow, obviously-right way — scan every manager, re-merge every config,
-read every series — and exist only so the equivalence suites in
-``tests/`` have something to compare against. Nothing under ``repro``
-outside this package may import them.
+this job", "which (job, SLO) pairs can be burning", "which jobs need a
+sync plan" and "what is this window's mean" from state kept where the
+fact changes. The forms here answer the same questions the slow,
+obviously-right way — scan every manager, re-merge every config, rescan
+every job, reread every sample — and exist only so the equivalence suites
+in ``tests/`` and the hot-path benches have something to compare against.
+Production classes take no argument that selects one of these; nothing
+under ``repro`` outside this package may import them.
 """
 
 from __future__ import annotations
 
 from typing import List, Tuple
 
+from repro.jobs.syncer import StateSyncer, SyncReport
+from repro.metrics.series import TimeSeries
+from repro.metrics.store import MetricStore
 from repro.obs.sli import SliEvaluator, objectives_of
 from repro.obs.slo import SloTracker
 from repro.types import JobId, Seconds, TaskId
@@ -22,6 +27,9 @@ __all__ = [
     "scan_hosting_managers",
     "FullReadSliEvaluator",
     "FullWalkSloTracker",
+    "FullScanSyncer",
+    "NaiveTimeSeries",
+    "NaiveMetricStore",
 ]
 
 
@@ -68,3 +76,29 @@ class FullWalkSloTracker(SloTracker):
                 )
                 if series is not None:
                     self._evaluate_rules(entity, spec, series, now)
+
+
+class FullScanSyncer(StateSyncer):
+    """Rescans the whole fleet every round, whatever the change feed says."""
+
+    def sync_once(self) -> SyncReport:
+        self._rounds_since_full = self._full_scan_interval
+        return super().sync_once()
+
+
+class NaiveTimeSeries(TimeSeries):
+    """Serves every read by rescanning the retained samples: no rolling
+    window state, no rollup tier."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._rollup = None
+
+    def _window_agg(self, duration: Seconds, now: Seconds) -> None:
+        return None
+
+
+class NaiveMetricStore(MetricStore):
+    """A store whose series are all :class:`NaiveTimeSeries`."""
+
+    series_type = NaiveTimeSeries

@@ -69,6 +69,17 @@ class Priority(enum.IntEnum):
 
 
 @dataclass(frozen=True)
+class IncidentRecord:
+    """One incident-worthy event, as a plane keeps it in its ``events``
+    list for the operator timeline (:mod:`repro.ops.timeline`, which
+    labels it with the plane it came from)."""
+
+    time: Seconds
+    kind: str  # short machine-readable tag, e.g. "standby-promote"
+    detail: str
+
+
+@dataclass(frozen=True)
 class SLO:
     """Service level objective for a streaming job.
 

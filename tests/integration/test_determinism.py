@@ -236,7 +236,7 @@ class TestReplicationTransparency:
     simulation: fault-free golden same-seed runs with replication on and
     off must agree on the coarse fingerprint, the byte-exact causal
     trace, the rendered incident timeline, and the SLO report — the
-    ``--timeline-out``/``--slo-out`` exports of ``repro chaos``. The
+    ``timeline.txt``/``slo.json`` exports of ``repro chaos --out-dir``. The
     telemetry export is deliberately NOT compared across the pair:
     ``repl.*`` counters exist only on the replicated arm (and are
     themselves deterministic, which the chaos determinism sweep checks).

@@ -12,14 +12,20 @@ Every optional subsystem reaches the platform through
   every export is byte-identical for any attach order.
 """
 
+import inspect
 import random
+import re
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro import JobSpec, PlatformConfig, Turbine
 from repro.chaos.runner import platform_fingerprint
 from repro.cluster import FailurePlan
+from repro.jobs.syncer import StateSyncer
+from repro.metrics import MetricStore, TimeSeries
 from repro.ops.timeline import IncidentTimeline
 from repro.platform import _START_ORDER
 from repro.scaler import AutoScalerConfig
@@ -60,6 +66,25 @@ def armed_timers(platform):
         if not event.cancelled and isinstance(owner, Timer) and owner.active:
             counts[owner.name] += 1
     return counts
+
+
+def test_no_production_constructor_selects_a_reference_implementation():
+    """The full-scan syncer and the naive-rescan series / store are
+    subclasses in ``repro.testing.reference``: production classes take no
+    switch for them, and production code never imports them."""
+    for production in (StateSyncer, TimeSeries, MetricStore):
+        parameters = set(inspect.signature(production).parameters)
+        assert not parameters & {"incremental", "streaming"}, production
+    package = Path(repro.__file__).parent
+    imports_reference = re.compile(
+        r"^\s*(from|import)\s+repro\.testing\b.*\breference\b", re.MULTILINE
+    )
+    assert [
+        str(path.relative_to(package))
+        for path in sorted(package.rglob("*.py"))
+        if "testing" not in path.relative_to(package).parts
+        and imports_reference.search(path.read_text(encoding="utf-8"))
+    ] == []
 
 
 def test_every_started_subsystem_is_covered_here():

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from repro.jobs import ConfigLevel, JobService, JobSpec, JobStore, StateSyncer
 from repro.testing import ChaoticActuator, NullActuator
+from repro.testing.reference import FullScanSyncer
 from repro.types import JobState
 
 NUM_JOBS = 3
@@ -31,9 +32,9 @@ def build_world(incremental, failure_plan, full_scan_interval=NO_FULL_SCANS):
     store = JobStore()
     service = JobService(store)
     actuator = ChaoticActuator(list(failure_plan))
-    syncer = StateSyncer(
+    syncer = (StateSyncer if incremental else FullScanSyncer)(
         store, actuator, quarantine_after=3,
-        incremental=incremental, full_scan_interval=full_scan_interval,
+        full_scan_interval=full_scan_interval,
     )
     for index in range(NUM_JOBS):
         service.provision(JobSpec(job_id=f"job-{index}", input_category="cat"))

@@ -1,8 +1,9 @@
 """Property tests: the streaming metrics engine ≡ a naive rescan.
 
-Two series ingest the *same* sample stream: one with the streaming read
-paths on (incremental window aggregates, rollup buckets, histogram
-sketches), one with them off (slice-and-rescan over the ring). Every
+Two series ingest the *same* sample stream: the production series with
+its streaming read paths (incremental window aggregates, rollup buckets,
+histogram sketches) and ``repro.testing.reference.NaiveTimeSeries``, which
+has none of them (slice-and-rescan over the ring). Every
 read the scaler, balancer, and pattern analyzer perform must agree
 **bit for bit** between the two — not approximately, byte-identically —
 because the engine is sold as a pure read-path optimization and the
@@ -26,6 +27,7 @@ from repro.metrics.aggregate import SKETCH_MIN_VALUES, percentile
 from repro.metrics.series import TimeSeries
 from repro.metrics.sketch import DEFAULT_ALPHA, HistogramSketch
 from repro.metrics.store import MetricStore
+from repro.testing.reference import NaiveTimeSeries
 
 #: Trailing windows exercised on every step: shorter than retention,
 #: comparable to it, and longer than it (the whole-ring case).
@@ -47,8 +49,8 @@ streams = st.lists(samples, min_size=1, max_size=120)
 
 
 def ingest_pair(stream, **kwargs):
-    fast = TimeSeries(streaming=True, **kwargs)
-    naive = TimeSeries(streaming=False, **kwargs)
+    fast = TimeSeries(**kwargs)
+    naive = NaiveTimeSeries(**kwargs)
     now = 0.0
     for dt, value, scale in stream:
         now += dt
@@ -61,8 +63,8 @@ class TestTrailingWindows:
     @settings(max_examples=50, deadline=None)
     @given(stream=streams)
     def test_average_and_max_match_bit_for_bit(self, stream):
-        fast = TimeSeries(retention=RETENTION, streaming=True)
-        naive = TimeSeries(retention=RETENTION, streaming=False)
+        fast = TimeSeries(retention=RETENTION)
+        naive = NaiveTimeSeries(retention=RETENTION)
         now = 0.0
         for dt, value, scale in stream:
             now += dt
@@ -94,8 +96,8 @@ class TestTrailingWindows:
     @given(stream=streams)
     def test_sketched_percentiles_match_bit_for_bit(self, stream):
         """Streaming and one-shot sketches agree exactly (integer counts)."""
-        fast = TimeSeries(retention=RETENTION, streaming=True)
-        naive = TimeSeries(retention=RETENTION, streaming=False)
+        fast = TimeSeries(retention=RETENTION)
+        naive = NaiveTimeSeries(retention=RETENTION)
         now = 0.0
         for dt, value, scale in stream:
             now += dt
@@ -114,8 +116,8 @@ class TestTrailingWindows:
     def test_long_stream_with_compactions_stays_identical(self):
         """Retention churn drives ring compaction under live window state."""
         rng = random.Random(42)
-        fast = TimeSeries(retention=500.0, streaming=True)
-        naive = TimeSeries(retention=500.0, streaming=False)
+        fast = TimeSeries(retention=500.0)
+        naive = NaiveTimeSeries(retention=500.0)
         now = 0.0
         for _ in range(5000):
             now += rng.uniform(0.1, 5.0)
@@ -168,8 +170,8 @@ class TestRollupRanges:
         """A 15-day series at 60 s cadence: random historical ranges are
         served from 5-minute buckets, bit-identical to the raw scan."""
         rng = random.Random(7)
-        fast = TimeSeries(retention=15 * 86400.0, streaming=True)
-        naive = TimeSeries(retention=15 * 86400.0, streaming=False)
+        fast = TimeSeries(retention=15 * 86400.0)
+        naive = NaiveTimeSeries(retention=15 * 86400.0)
         assert fast._rollup is not None, (
             "long-retention series must auto-attach a rollup tier"
         )

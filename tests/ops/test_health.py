@@ -99,7 +99,7 @@ class TestAlerts:
             m for m in platform.task_managers.values() if m.tasks
         )
         task_id = next(iter(manager.tasks))
-        manager._stop_task(task_id)
+        manager._unhost(manager.tasks[task_id])
         reporter.check_once()
         severities = {a.severity for a in reporter.alerts}
         assert severities == {"warn"}

@@ -274,6 +274,125 @@ class TestDegradedModes:
         assert len(platform.tasks_of_job("job")) == 4
 
 
+class TestRecoveryWindow:
+    """``_failed_at`` stamps belong to a hosted id and leave with it.
+
+    Regression: no exit dropped the stamp, so a task that failed and was
+    moved away before its first progress sample left it behind, and a
+    later incarnation of the same id on that manager closed a recovery
+    window it never opened — a ``recovery_lag`` sample of ``now − stale
+    stamp`` for a task that never failed.
+    """
+
+    TASK_ID = "job:0"
+
+    def hosted(self, **spec_overrides):
+        platform = small_platform()
+        provision_and_settle(platform, JobSpec(
+            job_id="job", input_category="cat", task_count=1,
+            **spec_overrides,
+        ))
+        owner = next(
+            manager for manager in platform.task_managers.values()
+            if self.TASK_ID in manager.tasks
+        )
+        return platform, owner, owner.tasks[self.TASK_ID].shard_id
+
+    def make_progress(self, platform):
+        platform.scribe.get_category("cat").append(20.0)
+        platform.run_for(minutes=1)
+
+    def test_noted_failure_leaves_with_the_dropped_shard(self):
+        platform, owner, shard = self.hosted()
+        owner.note_task_failure(self.TASK_ID, platform.now)
+        self.check_reincarnation_inherits_nothing(platform, owner, shard)
+
+    def test_oom_window_leaves_with_the_dropped_shard(self):
+        from repro.jobs import ConfigLevel
+
+        # 0.4 GB floor + 0.2 GB overhead > the 0.5 GB reservation: the
+        # task OOMs on every step, and with no input it never makes the
+        # progress that would close the window.
+        platform, owner, shard = self.hosted(memory_overhead_gb=0.2)
+        assert owner.oom_events > 0
+        assert self.TASK_ID in owner._failed_at
+        self.check_reincarnation_inherits_nothing(
+            platform, owner, shard,
+            # The oncall fixes the job while it is away, so the next
+            # incarnation is healthy.
+            meanwhile=lambda: platform.job_service.patch(
+                "job", ConfigLevel.ONCALL, {"memory_overhead_gb": 0.0}
+            ),
+        )
+
+    def check_reincarnation_inherits_nothing(
+        self, platform, owner, shard, meanwhile=lambda: None
+    ):
+        owner.drop_shard(shard)  # before any progress sample
+        assert owner._failed_at == {}
+        meanwhile()
+        platform.run_for(minutes=30)
+        assert self.TASK_ID not in owner.tasks
+        ooms = owner.oom_events
+        owner.add_shard(shard)
+        self.make_progress(platform)
+        assert owner.tasks[self.TASK_ID].total_processed_mb > 0
+        assert owner.oom_events == ooms
+        # The new incarnation never failed: no window to close.
+        assert platform.metrics.latest("job", "recovery_lag") is None
+        assert owner._failed_at == {}
+
+    @pytest.mark.parametrize("exit_name", [
+        "stop_job_tasks", "shutdown", "reboot", "force_kill_shard",
+    ])
+    def test_every_way_out_drops_the_stamp(self, exit_name):
+        platform, owner, shard = self.hosted()
+        owner.note_task_failure(self.TASK_ID, platform.now)
+        argument = {"stop_job_tasks": ["job"], "force_kill_shard": [shard]}
+        getattr(owner, exit_name)(*argument.get(exit_name, []))
+        assert self.TASK_ID not in owner.tasks
+        assert owner._failed_at == {}
+
+    def test_dropped_standby_takes_its_stamp_along(self):
+        from repro.tasks.runtime import RunningTask
+
+        platform, owner, __ = self.hosted()
+        other = next(
+            manager for manager in platform.task_managers.values()
+            if manager is not owner
+        )
+        other.adopt_standby(RunningTask(
+            owner.tasks[self.TASK_ID].spec, platform.scribe, passive=True
+        ))
+        other.note_task_failure(self.TASK_ID, platform.now)
+        assert other.drop_standby(self.TASK_ID) is not None
+        assert other._failed_at == {}
+
+    def test_restart_in_place_still_closes_the_window_it_inherited(self):
+        from repro.jobs import ConfigLevel
+
+        platform, owner, __ = self.hosted()
+        before = owner.tasks[self.TASK_ID]
+        failed_at = platform.now
+        owner.note_task_failure(self.TASK_ID, failed_at)
+        platform.job_service.patch(
+            "job", ConfigLevel.PROVISIONER,
+            {"package": {"name": "stream_engine", "version": "2.0"}},
+        )
+        platform.run_for(minutes=4)
+        restarted = owner.tasks[self.TASK_ID]
+        assert restarted is not before
+        assert restarted.spec.package_version == "2.0"
+        # Same id, same manager, still recovering: the window stays open …
+        assert owner._failed_at == {self.TASK_ID: failed_at}
+        self.make_progress(platform)
+        # … and the restarted task's first progress sample closes it.
+        lag = platform.metrics.latest("job", "recovery_lag")
+        assert lag is not None and failed_at + lag <= platform.now
+        assert lag >= 240.0
+        assert owner._failed_at == {}
+
+
 class TestShardMovement:
     def test_drop_timeout_triggers_force_kill(self):
         platform = small_platform(num_hosts=2, num_shards=8)

@@ -7,8 +7,10 @@ dicts). The hypothesis suite is the safety argument for answering "where
 does this task run" from the task-location index instead of a fleet
 scan: after every step of a random fault / mutation sequence the lookup
 must equal :func:`repro.testing.reference.scan_primary_manager`, the
-index must equal a rebuild from the managers the platform still has, and
-the actuator's per-job manager list must equal the full walk.
+index must equal a rebuild from the managers the platform still has, the
+actuator's per-job manager list must equal the full walk, and each
+manager's own per-task structures (``tasks`` / ``standbys``, container
+reservations, shard assignment, open recovery windows) must agree.
 """
 
 import pytest
@@ -365,8 +367,24 @@ def known_tasks(platform):
     return known
 
 
+def assert_hosting_is_consistent(manager):
+    """Everything a Task Manager keeps per hosted id agrees: one way in
+    and one way out write all of it, so no structure can fall behind."""
+    hosted_ids = set(manager.tasks) | set(manager.standbys)
+    if manager.alive:  # a killed container has lost its reservations
+        assert set(manager.container.reservations) == set(manager.tasks) | {
+            f"standby:{task_id}" for task_id in manager.standbys
+        }
+    for task in manager.tasks.values():
+        assert task.shard_id in manager.assigned_shards, task
+    assert all(task.shard_id is None for task in manager.standbys.values())
+    assert set(manager._failed_at) <= hosted_ids
+
+
 def assert_index_matches_scan(platform):
     assert platform.task_hosts == rebuilt_index(platform)
+    for manager in platform.task_managers.values():
+        assert_hosting_is_consistent(manager)
     plane = platform.standby
     for job_id, task_id in sorted(known_tasks(platform)):
         assert plane._primary_manager(job_id, task_id) is scan_primary_manager(
@@ -492,7 +510,7 @@ def test_one_task_id_on_two_live_managers_resolves_to_the_lowest_id():
     platform = build_platform()
     task_id = "alpha:0"
     owner = primary_of(platform, task_id)
-    shard_id = owner._task_shard[task_id]
+    shard_id = owner.tasks[task_id].shard_id
     other = next(
         manager for manager in platform.task_managers.values()
         if manager is not owner and task_id not in manager.standbys

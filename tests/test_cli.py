@@ -275,39 +275,71 @@ def test_chaos_unknown_scenario_errors(capsys):
     assert "unknown chaos scenario" in capsys.readouterr().err
 
 
+CHAOS_EXPORTS = (
+    "fingerprint.json", "timeline.txt", "slo.json", "telemetry.jsonl",
+    "trace.jsonl",
+)
+PARALLEL_EXPORTS = CHAOS_EXPORTS[:-1]
+
+
+def assert_per_file_flags_are_gone(command):
+    """``--out-dir`` replaced the per-file flags: argparse rejects each."""
+    for flag in ("--fingerprint-out", "--timeline-out", "--slo-out",
+                 "--telemetry-out", "--trace-out"):
+        with pytest.raises(SystemExit) as exit_info:
+            main([*command, flag, "x"])
+        assert exit_info.value.code == 2, flag
+
+
 def test_chaos_exports_timeline_telemetry_fingerprint_and_trace(
     capsys, tmp_path
 ):
-    timeline_path = tmp_path / "timeline.txt"
-    telemetry_path = tmp_path / "telemetry.jsonl"
-    fingerprint_path = tmp_path / "fingerprint.json"
-    trace_path = tmp_path / "trace.jsonl"
+    out_dir = tmp_path / "nested" / "drill"  # created on demand
     assert main(["chaos", "metric-gap", "--seed", "3",
-                 "--timeline-out", str(timeline_path),
-                 "--telemetry-out", str(telemetry_path),
-                 "--fingerprint-out", str(fingerprint_path),
-                 "--trace-out", str(trace_path)]) == 0
-    assert "chaos" in timeline_path.read_text()
-    lines = telemetry_path.read_text().splitlines()
+                 "--out-dir", str(out_dir)]) == 0
+    assert sorted(p.name for p in out_dir.iterdir()) == sorted(CHAOS_EXPORTS)
+    assert "chaos" in (out_dir / "timeline.txt").read_text()
+    lines = (out_dir / "telemetry.jsonl").read_text().splitlines()
     assert lines
     assert any("chaos.faults_injected" in json.loads(line).get("name", "")
                for line in lines)
-    fingerprint = json.loads(fingerprint_path.read_text())
+    fingerprint = json.loads((out_dir / "fingerprint.json").read_text())
     assert set(fingerprint) == {"now", "checkpoints", "managers", "heads"}
     assert "chaos/job-0" in fingerprint["checkpoints"]
     # The trace export is what ``repro trace --input`` replays.
-    assert main(["trace", "chaos/job-0", "--input", str(trace_path)]) == 0
+    assert main(["trace", "chaos/job-0",
+                 "--input", str(out_dir / "trace.jsonl")]) == 0
+    # Same seed, second run: every export byte-identical.
+    again = tmp_path / "again"
+    assert main(["chaos", "metric-gap", "--seed", "3",
+                 "--out-dir", str(again)]) == 0
+    for name in CHAOS_EXPORTS:
+        assert (again / name).read_bytes() == (out_dir / name).read_bytes()
+    assert_per_file_flags_are_gone(["chaos", "metric-gap"])
 
 
 def test_chaos_exports_slo_report(capsys, tmp_path):
-    slo_path = tmp_path / "slo.json"
     assert main(["chaos", "metric-gap", "--seed", "3",
-                 "--slo-out", str(slo_path)]) == 0
+                 "--out-dir", str(tmp_path)]) == 0
     out = capsys.readouterr().out
     assert "slo impact:" in out
-    report = json.loads(slo_path.read_text())
+    report = json.loads((tmp_path / "slo.json").read_text())
     assert "slos" in report and "breach_windows" in report
     assert report["slos"], "chaos platform must track default SLOs"
+
+
+def test_parallel_out_dir_is_partition_count_transparent(capsys, tmp_path):
+    fleet = ["parallel", "--seed", "3", "--tasks", "200", "--jobs", "4",
+             "--shards", "16", "--minutes", "120", "--step", "300",
+             "--round", "1800"]
+    one, four = tmp_path / "p1", tmp_path / "p4"
+    assert main([*fleet, "--partitions", "1", "--out-dir", str(one)]) == 0
+    assert main([*fleet, "--partitions", "4", "--out-dir", str(four)]) == 0
+    assert sorted(p.name for p in one.iterdir()) == sorted(PARALLEL_EXPORTS)
+    for name in PARALLEL_EXPORTS:
+        assert (one / name).read_bytes() == (four / name).read_bytes()
+    assert json.loads((one / "fingerprint.json").read_text())["final"]
+    assert_per_file_flags_are_gone(["parallel"])
 
 
 def test_chaos_mttr_table_renders():
