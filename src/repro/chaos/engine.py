@@ -338,15 +338,10 @@ class ChaosEngine:
     def _job_lag_mb(self, job_id: str) -> float:
         """The job's unprocessed backlog in MB (infinite while the Job
         Store cannot say what the job reads)."""
-        platform = self._platform
         try:
-            config = platform.job_service.expected_config(job_id)
+            return self._platform.job_lag_mb(job_id)
         except DegradedModeError:
             return float("inf")
-        category_name = config.get("input", {}).get("category", "")
-        if not category_name:
-            return 0.0
-        return platform.scribe.backlog_mb(job_id, category_name)
 
     def _takeover_complete(self, job_id: str) -> bool:
         """Every spec of ``job_id`` has a RUNNING task on a live manager

@@ -13,7 +13,7 @@ from repro.jobs.configs import (
     merge_levels,
     validate_config,
 )
-from repro.jobs.model import JobSpec
+from repro.jobs.model import JobSpec, JobView
 from repro.jobs.plan import Action, ExecutionPlan, TaskActuator
 from repro.jobs.service import JobService
 from repro.jobs.store import ChangeCursor, JobStore, VersionedConfig
@@ -26,6 +26,7 @@ __all__ = [
     "merge_levels",
     "validate_config",
     "JobSpec",
+    "JobView",
     "JobStore",
     "VersionedConfig",
     "JobService",

@@ -1,15 +1,16 @@
-"""Job specifications.
+"""Job specifications, and the one reader of the config format.
 
-A :class:`JobSpec` is the typed view of what a user provisions: it compiles
+A :class:`JobSpec` is the typed form of what a user provisions: it compiles
 down to the Provisioner-level configuration dict stored in the Job Store.
-Canonical config keys are defined here so every layer (syncer, task service,
-scaler) reads the same names.
+:meth:`JobView.from_config` is the way back — the only code that reads the
+canonical config keys defined here and the only place a reader-side default
+is written; every layer takes its fields from a view (``JobStore.view``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict
+from typing import Any, Dict, Mapping, Tuple
 
 from repro.cluster.resources import ResourceVector
 from repro.errors import JobStoreError
@@ -157,6 +158,75 @@ class JobSpec:
             # stay byte-identical to their pre-standby form.
             config[KEY_HOT_STANDBY] = True
         return config
+
+
+def _frozen(value: Any) -> Any:
+    """``value`` with every nested dict / list turned into a tuple."""
+    if isinstance(value, dict):
+        return tuple((key, _frozen(inner)) for key, inner in value.items())
+    if isinstance(value, list):
+        return tuple(_frozen(inner) for inner in value)
+    return value
+
+
+@dataclass(frozen=True)
+class JobView:
+    """The fields of one merged job configuration, typed and immutable all
+    the way down, so the Job Store can hand one object to every reader."""
+
+    task_count: int
+    task_count_limit: int
+    threads: int
+    cpu_per_task: float
+    memory_per_task_gb: float
+    #: The per-task reservation as ``(dimension, value)`` pairs in the
+    #: merged dict's key order: ``dict(resources)`` is what a writer patches.
+    resources: Tuple[Tuple[str, Any], ...]
+    stateful: bool
+    state_key_cardinality: int
+    #: The stored int: rejecting an out-of-range value is for the reader
+    #: that acts on it, so no type-valid config fails to build a view.
+    priority: int
+    slo_lag_seconds: float
+    slo_recovery_seconds: float
+    input_category: str
+    output_category: str
+    output_ratio: float
+    #: The staging-period ("P can be bootstrapped") hint for ``P``, MB/s.
+    rate_per_thread_mb: float
+    package_name: str
+    package_version: str
+    memory_overhead_gb: float
+    hot_standby: bool
+
+    @classmethod
+    def from_config(cls, config: Mapping[str, Any]) -> "JobView":
+        """Read a merged (or plan-target) configuration dict."""
+        resources = config.get(KEY_RESOURCES, {})
+        slo = config.get(KEY_SLO, {})
+        output = config.get(KEY_OUTPUT, {})
+        package = config.get(KEY_PACKAGE, {})
+        return cls(
+            task_count=int(config.get(KEY_TASK_COUNT, 1)),
+            task_count_limit=int(config.get(KEY_TASK_COUNT_LIMIT, DEFAULT_TASK_COUNT_LIMIT)),
+            threads=int(config.get(KEY_THREADS, 1)),
+            cpu_per_task=float(resources.get("cpu", 0.0)),
+            memory_per_task_gb=float(resources.get("memory_gb", 0.0)),
+            resources=_frozen(resources),
+            stateful=bool(config.get(KEY_STATEFUL, False)),
+            state_key_cardinality=int(config.get(KEY_STATE_KEY_CARDINALITY, 0)),
+            priority=int(config.get(KEY_PRIORITY, Priority.NORMAL)),
+            slo_lag_seconds=float(slo.get("max_lag_seconds", 90.0)),
+            slo_recovery_seconds=float(slo.get("recovery_seconds", 3600.0)),
+            input_category=config.get(KEY_INPUT, {}).get("category", ""),
+            output_category=output.get("category", ""),
+            output_ratio=float(output.get("ratio", 1.0)),
+            rate_per_thread_mb=float(config.get(KEY_PERF, {}).get("rate_per_thread_mb", 2.0)),
+            package_name=package.get("name", "stream_engine"),
+            package_version=package.get("version", "1.0"),
+            memory_overhead_gb=float(config.get(KEY_MEMORY_OVERHEAD, 0.0)),
+            hot_standby=bool(config.get(KEY_HOT_STANDBY, False)),
+        )
 
 
 def base_config() -> Dict[str, Any]:

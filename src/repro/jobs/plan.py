@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List
 
 from repro.jobs.configs import Config
+from repro.jobs.model import JobView
 from repro.types import JobId
 
 
@@ -112,7 +113,7 @@ def build_plan(
 
     if requires_complex_sync(diff):
         old_count = int(running.get("task_count", 0) or 0)
-        new_count = int(expected.get("task_count", 1))
+        new_count = JobView.from_config(expected).task_count
         plan.complex = True
         plan.actions = [
             Action(

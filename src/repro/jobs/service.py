@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 from repro.errors import DegradedModeError, JobStoreError, VersionConflictError
 from repro.jobs.configs import Config, ConfigLevel
-from repro.jobs.model import JobSpec, base_config
+from repro.jobs.model import JobSpec, JobView, base_config
 from repro.jobs.schema import validate_typed
 from repro.jobs.store import JobStore
 from repro.obs.trace import (
@@ -163,6 +163,10 @@ class JobService:
     def expected_config(self, job_id: JobId) -> Config:
         """The merged expected configuration (consistent view)."""
         return self._store.merged_expected(job_id)
+
+    def view(self, job_id: JobId) -> JobView:
+        """The merged expected configuration as a typed, immutable view."""
+        return self._store.view(job_id)
 
     def running_config(self, job_id: JobId) -> Config:
         """The configuration the cluster is currently executing."""

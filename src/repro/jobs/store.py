@@ -20,7 +20,9 @@ last polled. The State Syncer uses it to sync only the jobs that could
 possibly need work instead of rescanning the whole fleet every round.
 Every mutation path notifies the feed except :meth:`commit_running` with
 ``quiet=True`` — the syncer's own commit, which by construction leaves
-the job converged and must not re-dirty it.
+the job converged and must not re-dirty it. The same notification drops
+the job's typed merged view (:meth:`JobStore.view`): a merged config
+changes only when one of its levels is written, which notifies.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from repro.errors import (
     VersionConflictError,
 )
 from repro.jobs.configs import Config, ConfigLevel, merge_levels, validate_config
+from repro.jobs.model import JobView
 from repro.types import JobId, JobState
 
 
@@ -69,9 +72,6 @@ class ChangeCursor:
         self._pending.clear()
         return pending
 
-    def __len__(self) -> int:
-        return len(self._pending)
-
     def close(self) -> None:
         """Detach from the store (no further notifications)."""
         self._store._cursors = [
@@ -92,6 +92,8 @@ class JobStore:
         self._dirty: set = set()
         #: Live change-feed cursors (see :meth:`change_cursor`).
         self._cursors: List[ChangeCursor] = []
+        #: Typed merged views (see :meth:`view`), built on first read.
+        self._views: Dict[JobId, JobView] = {}
         #: When False the store is in an availability window: every data
         #: operation raises :class:`ServiceUnavailableError` and clients
         #: run on last-known-good state (the production store is MySQL;
@@ -156,6 +158,7 @@ class JobStore:
         return cursor
 
     def _notify_change(self, job_id: JobId) -> None:
+        self._views.pop(job_id, None)
         for cursor in self._cursors:
             cursor.push(job_id)
 
@@ -259,6 +262,18 @@ class JobStore:
         return merge_levels(
             {level: vc.config for level, vc in self._expected[job_id].items()}
         )
+
+    def view(self, job_id: JobId) -> JobView:
+        """The merged expected configuration, typed and immutable: merged
+        once per config change (kept until the job's next notification),
+        raising exactly when :meth:`merged_expected` would."""
+        self._check_available()
+        self._require_job(job_id)
+        view = self._views.get(job_id)
+        if view is None:
+            merged = self.merged_expected(job_id)
+            view = self._views[job_id] = JobView.from_config(merged)
+        return view
 
     # ------------------------------------------------------------------
     # Running configuration
@@ -403,6 +418,9 @@ class JobStore:
         self._running = source._running
         self._states = source._states
         self._dirty = source._dirty
+        # Cleared whole: a job the new tables lack is named by no
+        # notification, so its view would otherwise be held for good.
+        self._views.clear()
         for job_id in sorted(self._expected):
             self._notify_change(job_id)
 

@@ -53,7 +53,7 @@ from time import perf_counter
 from typing import Callable, Dict, List, Optional
 
 from repro.errors import DegradedModeError, SyncError
-from repro.jobs.configs import config_diff
+from repro.jobs.configs import COMPLEX_KEYS, config_diff
 from repro.jobs.plan import ExecutionPlan, TaskActuator, build_plan
 from repro.jobs.store import ChangeCursor, JobStore
 from repro.obs.bounded import BoundedList
@@ -401,7 +401,7 @@ class StateSyncer:
             # A previous plan aborted mid-flight: the running config may
             # not match cluster reality even though it equals the expected
             # config. Force a full (complex) resynchronization.
-            diff = {"task_count": expected.get("task_count", 1)}
+            diff = dict.fromkeys(COMPLEX_KEYS)
         return build_plan(job_id, running, expected, diff)
 
     def _run_plan(

@@ -31,17 +31,15 @@ values are byte-identical across same-seed runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
+from repro.jobs.model import JobView
 from repro.metrics.store import MetricStore
 from repro.types import JobId, JobState, Seconds
 
 #: The trailing window in which an OOM event counts against a job —
 #: the same 10 minutes the health reporter has always used.
 OOM_WINDOW: Seconds = 600.0
-
-#: Per-job lag objective when the job's config does not declare one.
-DEFAULT_LAG_SLO: Seconds = 90.0
 
 #: Trailing window in which a recovery-lag sample judges a job; outside
 #: it the SLI reads "no data" again, so one bad recovery last week does
@@ -78,14 +76,6 @@ class FleetCounts:
         return (self.jobs_quarantined + self.jobs_with_oom) / self.jobs_total
 
 
-def objectives_of(config) -> Tuple[float, object]:
-    """``(lag objective, expected task count)`` of a merged config."""
-    return (
-        config.get("slo", {}).get("max_lag_seconds", DEFAULT_LAG_SLO),
-        config.get("task_count", 0),
-    )
-
-
 class SliEvaluator:
     """Derives per-job and fleet SLIs from the live services.
 
@@ -102,13 +92,6 @@ class SliEvaluator:
         self._metrics = metrics
         #: Evaluation counter (introspection; deterministic).
         self.evaluations = 0
-        #: ``job -> (lag objective, expected task count)``: the two
-        #: scalars the judgements need out of the merged expected config.
-        #: An entry is dropped when the Job Store's change feed names the
-        #: job, so the four-level merge runs once per config change, not
-        #: twice per job per round.
-        self._objectives: Dict[JobId, Tuple[float, object]] = {}
-        self._changes = job_service.store.change_cursor()
 
     # ------------------------------------------------------------------
     # Job enumeration and objectives
@@ -118,25 +101,12 @@ class SliEvaluator:
         return self._service.job_ids()
 
     def lag_slo_seconds(self, job_id: JobId) -> float:
-        """The job's declared lag objective (or :data:`DEFAULT_LAG_SLO`)."""
-        return self._job_objectives(job_id)[0]
+        """The job's declared lag objective (or the format's default)."""
+        return self._view(job_id).slo_lag_seconds
 
-    def _job_objectives(self, job_id: JobId) -> Tuple[float, object]:
-        """``(lag objective, expected task count)`` of the merged config.
-
-        Raises exactly when the merged read would: ``exists`` fails
-        during a store outage, and an unknown job falls through to the
-        read itself.
-        """
-        if len(self._changes):
-            for changed in self._changes.poll():
-                self._objectives.pop(changed, None)
-        objectives = self._objectives.get(job_id)
-        if objectives is None or not self._service.store.exists(job_id):
-            objectives = self._objectives[job_id] = objectives_of(
-                self._service.expected_config(job_id)
-            )
-        return objectives
+    def _view(self, job_id: JobId) -> JobView:
+        """The job's expected view (the seam the full-read reference overrides)."""
+        return self._service.view(job_id)
 
     def quarantined(self, job_id: JobId) -> bool:
         return self._service.store.state_of(job_id) == JobState.QUARANTINED
@@ -166,8 +136,8 @@ class SliEvaluator:
         running = self._metrics.latest(job_id, "running_tasks")
         if running is None:
             return None
-        expected = self._job_objectives(job_id)[1]
-        if not expected or expected <= 0:
+        expected = self._view(job_id).task_count
+        if expected <= 0:
             return None
         return min(1.0, running / float(expected))
 

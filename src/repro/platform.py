@@ -39,19 +39,13 @@ from repro.scribe.bus import ScribeBus
 from repro.sim.engine import Engine
 from repro.tasks.actuator import TurbineActuator
 from repro.tasks.manager import (
-    CONNECTION_TIMEOUT,
     HEARTBEAT_INTERVAL,
-    LOAD_REPORT_INTERVAL,
     REFRESH_INTERVAL,
     TaskManager,
 )
 from repro.tasks.service import CACHE_TTL, TaskService
 from repro.tasks.shard import DEFAULT_NUM_SHARDS
-from repro.tasks.shard_manager import (
-    FAILOVER_INTERVAL,
-    REBALANCE_INTERVAL,
-    ShardManager,
-)
+from repro.tasks.shard_manager import REBALANCE_INTERVAL, ShardManager
 from repro.tasks.stats import COLLECT_INTERVAL, JobStatsCollector
 from repro.types import ContainerId, JobId, Seconds, TaskId, TaskState
 
@@ -90,19 +84,14 @@ class PlatformConfig:
     cache_ttl: Seconds = CACHE_TTL
     refresh_interval: Seconds = REFRESH_INTERVAL
     heartbeat_interval: Seconds = HEARTBEAT_INTERVAL
-    connection_timeout: Seconds = CONNECTION_TIMEOUT
-    failover_interval: Seconds = FAILOVER_INTERVAL
     rebalance_interval: Seconds = REBALANCE_INTERVAL
     step_interval: Seconds = STEP_INTERVAL
-    load_report_interval: Seconds = LOAD_REPORT_INTERVAL
     stats_interval: Seconds = COLLECT_INTERVAL
     record_task_metrics: bool = False
     #: Data-plane resiliency toggles (all off by default — with every
     #: toggle off the platform is byte-identical to one built before
     #: these features existed; the transparency suite asserts it).
     durable_checkpoints: bool = False
-    checkpoint_interval: Seconds = 30.0
-    checkpoint_retention: int = 16
     hot_standby: bool = False
     slow_node_detection: bool = False
 
@@ -137,7 +126,6 @@ class Turbine:
         self.shard_manager = ShardManager(
             engine,
             num_shards=self.config.num_shards,
-            failover_interval=self.config.failover_interval,
             rebalance_interval=self.config.rebalance_interval,
             tracer=self.tracer,
             telemetry=self.telemetry,
@@ -302,14 +290,10 @@ class Turbine:
         """
         from repro.tasks.checkpoint import CheckpointPlane
 
-        if interval is None:
-            interval = self.config.checkpoint_interval
-        if retention is None:
-            retention = self.config.checkpoint_retention
         plane = CheckpointPlane(
             self.engine, self.scribe, self.task_service,
-            interval=interval, retention=retention,
             telemetry=self.telemetry,
+            **_given(interval=interval, retention=retention),
         )
         for manager in self.task_managers.values():
             manager.checkpoint_plane = plane
@@ -420,8 +404,6 @@ class Turbine:
             metrics=self.metrics,
             refresh_interval=self.config.refresh_interval,
             heartbeat_interval=self.config.heartbeat_interval,
-            connection_timeout=self.config.connection_timeout,
-            load_report_interval=self.config.load_report_interval,
             record_task_metrics=self.config.record_task_metrics,
             tracer=self.tracer,
             telemetry=self.telemetry,
@@ -493,6 +475,9 @@ class Turbine:
         self.job_service.deprovision(job_id)
         self.scribe.checkpoints.drop_job(job_id)
         self.metrics.drop_entity(job_id)
+        self.stats.forget_job(job_id)
+        if self.checkpoint_plane is not None:
+            self.checkpoint_plane.forget_job(job_id)
 
     # ------------------------------------------------------------------
     # Execution
@@ -565,8 +550,7 @@ class Turbine:
         Reads the category from the job's expected configuration (not its
         task specs) so a stopped job still reports its growing backlog.
         """
-        config = self.job_service.expected_config(job_id)
-        category_name = config.get("input", {}).get("category", "")
+        category_name = self.job_service.view(job_id).input_category
         if not category_name or category_name not in self.scribe.categories:
             return 0.0
         return self.scribe.backlog_mb(job_id, category_name)

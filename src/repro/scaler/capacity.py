@@ -21,7 +21,6 @@ from repro.obs.bounded import BoundedList
 
 from repro.cluster.tupperware import TupperwareCluster
 from repro.errors import DegradedModeError
-from repro.jobs.model import KEY_PRIORITY
 from repro.jobs.plan import TaskActuator
 from repro.jobs.service import JobService
 from repro.scaler.proactive import AutoScaler
@@ -150,26 +149,12 @@ class CapacityManager:
         belonging to high business value applications." (section VIII).
         """
         candidates = sorted(
-            self._service.active_job_ids(),
-            key=lambda job_id: (
-                int(
-                    self._service.expected_config(job_id).get(
-                        KEY_PRIORITY, Priority.NORMAL
-                    )
-                ),
-                job_id,
-            ),
+            (self._service.view(job_id).priority, job_id)
+            for job_id in self._service.active_job_ids()
         )
-        for job_id in candidates:
+        for priority, job_id in candidates:
             if self.cluster_utilization() < self.config.instability_threshold:
                 return
-            priority = Priority(
-                int(
-                    self._service.expected_config(job_id).get(
-                        KEY_PRIORITY, Priority.NORMAL
-                    )
-                )
-            )
             if priority >= Priority.HIGH:
                 break  # never stop privileged jobs
             self._service.store.set_state(job_id, JobState.STOPPED)
@@ -178,7 +163,7 @@ class CapacityManager:
             self.events.append(
                 IncidentRecord(
                     self._engine.now, "job_stopped",
-                    f"{job_id} (priority {priority.name})",
+                    f"{job_id} (priority {Priority(priority).name})",
                 )
             )
 

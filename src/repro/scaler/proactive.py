@@ -29,7 +29,7 @@ from repro.scaler.detectors import SymptomDetector
 from repro.scaler.estimators import ResourceEstimator
 from repro.scaler.patterns import PatternAnalyzer
 from repro.scaler.plan_generator import Action, PlanGenerator, ScalingDecision
-from repro.scaler.snapshot import JobSnapshot, bootstrap_rate_hint, snapshot_job
+from repro.scaler.snapshot import JobSnapshot, snapshot_job
 from repro.resilience import CircuitBreaker, Dependency
 from repro.scribe.bus import ScribeBus
 from repro.sim.engine import Engine, Timer
@@ -163,13 +163,13 @@ class AutoScaler:
     def _evaluate_job(
         self, job_id: JobId, now: Seconds
     ) -> Optional[ScalingDecision]:
-        config = self._service.expected_config(job_id)
-        category_name = config.get("input", {}).get("category", "")
+        view = self._service.view(job_id)
+        category_name = view.input_category
         partitions = 0
         if category_name and category_name in self._scribe.categories:
             partitions = self._scribe.get_category(category_name).num_partitions
         snapshot = snapshot_job(
-            job_id, config, self._metrics, now, input_partitions=partitions
+            job_id, view, self._metrics, now, input_partitions=partitions
         )
         if snapshot.running_tasks == 0 and snapshot.input_rate_mb == 0:
             return None  # nothing scheduled yet; no data to act on
@@ -177,7 +177,7 @@ class AutoScaler:
         symptoms = self.detector.detect(snapshot)
         if not symptoms.healthy:
             self._last_unhealthy[job_id] = now
-        bootstrap = bootstrap_rate_hint(config) * self.config.bootstrap_error
+        bootstrap = view.rate_per_thread_mb * self.config.bootstrap_error
         self.analyzer.rate_per_thread(job_id, bootstrap)  # ensure state
         if symptoms.lagging:
             # A lagging job runs saturated: its throughput refines P.
@@ -252,9 +252,7 @@ class AutoScaler:
             patch["task_count"] = decision.task_count
         if decision.threads is not None:
             patch["threads_per_task"] = decision.threads
-        resources = dict(
-            self._service.expected_config(snapshot.job_id).get("resources", {})
-        )
+        resources = dict(self._service.view(snapshot.job_id).resources)
         if decision.memory_per_task_gb is not None:
             resources["memory_gb"] = round(decision.memory_per_task_gb, 3)
         if decision.cpu_per_task is not None:
@@ -274,8 +272,7 @@ class AutoScaler:
         messages is arbitrary, so the bus can redistribute producers across
         partitions, which "rebalance[s] input traffic amongst tasks".
         """
-        config = self._service.expected_config(job_id)
-        category_name = config.get("input", {}).get("category")
+        category_name = self._service.view(job_id).input_category
         if category_name:
             self._scribe.get_category(category_name).set_weights(None)
 

@@ -109,8 +109,8 @@ class ReactiveAutoScaler:
         if job_ids is None:
             return  # Job Store outage: skip the round (degraded mode).
         for job_id in job_ids:
-            config = self._service.expected_config(job_id)
-            snapshot = snapshot_job(job_id, config, self._metrics, now)
+            view = self._service.view(job_id)
+            snapshot = snapshot_job(job_id, view, self._metrics, now)
             self._evaluate(snapshot)
 
     def _evaluate(self, snapshot: JobSnapshot) -> None:
@@ -132,8 +132,7 @@ class ReactiveAutoScaler:
     # Resolvers
     # ------------------------------------------------------------------
     def _rebalance(self, snapshot: JobSnapshot, trace=None) -> None:
-        config = self._service.expected_config(snapshot.job_id)
-        category_name = config.get("input", {}).get("category")
+        category_name = self._service.view(snapshot.job_id).input_category
         if category_name:
             self._scribe.get_category(category_name).set_weights(None)
         self._tracer.record(
@@ -165,8 +164,7 @@ class ReactiveAutoScaler:
     def _increase_memory(self, snapshot: JobSnapshot, trace=None) -> None:
         current = snapshot.memory_per_task_gb or 0.5
         target = round(current * self.config.oom_memory_factor, 3)
-        config = self._service.expected_config(snapshot.job_id)
-        resources = dict(config.get("resources", {}))
+        resources = dict(self._service.view(snapshot.job_id).resources)
         resources["memory_gb"] = target
         self._patch_traced(
             snapshot, "action-memory", trace,

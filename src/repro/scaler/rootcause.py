@@ -91,8 +91,7 @@ class RootCauseAnalyzer:
         """Record package versions so later lag can be correlated with
         recent updates."""
         for job_id in self._service.active_job_ids():
-            config = self._service.expected_config(job_id)
-            version = config.get("package", {}).get("version", "")
+            version = self._service.view(job_id).package_version
             previous = self._package_seen.get(job_id)
             if previous is None:
                 # First sight is provisioning, not a user update.
@@ -174,10 +173,7 @@ class RootCauseAnalyzer:
         lagging = 0
         for job_id in job_ids:
             lag = self._metrics.latest(job_id, "time_lagged") or 0.0
-            slo = self._service.expected_config(job_id).get("slo", {}).get(
-                "max_lag_seconds", 90.0
-            )
-            if lag > slo:
+            if lag > self._service.view(job_id).slo_lag_seconds:
                 lagging += 1
         return lagging / len(job_ids) >= DEPENDENCY_FRACTION
 

@@ -9,19 +9,8 @@ and unit-testable without a live cluster.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
 
-from repro.jobs.model import (
-    KEY_PERF,
-    KEY_PRIORITY,
-    KEY_RESOURCES,
-    KEY_SLO,
-    KEY_STATE_KEY_CARDINALITY,
-    KEY_STATEFUL,
-    KEY_TASK_COUNT,
-    KEY_TASK_COUNT_LIMIT,
-    KEY_THREADS,
-)
+from repro.jobs.model import JobView
 from repro.metrics.store import MetricStore
 from repro.types import JobId, Priority, Seconds
 
@@ -75,15 +64,13 @@ class JobSnapshot:
 
 def snapshot_job(
     job_id: JobId,
-    config: Dict[str, Any],
+    view: JobView,
     metrics: MetricStore,
     now: Seconds,
     oom_window: Seconds = 600.0,
     input_partitions: int = 0,
 ) -> JobSnapshot:
-    """Build a snapshot from a merged job config and the metric store."""
-    slo = config.get(KEY_SLO, {})
-    resources = config.get(KEY_RESOURCES, {})
+    """Build a snapshot from the job's expected view and the metric store."""
 
     def latest(metric: str, default: float = 0.0) -> float:
         value = metrics.latest(job_id, metric)
@@ -100,16 +87,16 @@ def snapshot_job(
     return JobSnapshot(
         job_id=job_id,
         time=now,
-        task_count=int(config.get(KEY_TASK_COUNT, 1)),
-        threads=int(config.get(KEY_THREADS, 1)),
-        task_count_limit=int(config.get(KEY_TASK_COUNT_LIMIT, 32)),
-        memory_per_task_gb=float(resources.get("memory_gb", 0.0)),
-        cpu_per_task=float(resources.get("cpu", 0.0)),
-        stateful=bool(config.get(KEY_STATEFUL, False)),
-        state_key_cardinality=int(config.get(KEY_STATE_KEY_CARDINALITY, 0)),
-        priority=Priority(int(config.get(KEY_PRIORITY, Priority.NORMAL))),
-        slo_lag_seconds=float(slo.get("max_lag_seconds", 90.0)),
-        slo_recovery_seconds=float(slo.get("recovery_seconds", 3600.0)),
+        task_count=view.task_count,
+        threads=view.threads,
+        task_count_limit=view.task_count_limit,
+        memory_per_task_gb=view.memory_per_task_gb,
+        cpu_per_task=view.cpu_per_task,
+        stateful=view.stateful,
+        state_key_cardinality=view.state_key_cardinality,
+        priority=Priority(view.priority),
+        slo_lag_seconds=view.slo_lag_seconds,
+        slo_recovery_seconds=view.slo_recovery_seconds,
         input_rate_mb=float(input_rate),
         processing_rate_mb=latest("processing_rate_mb"),
         backlog_mb=latest("bytes_lagged_mb"),
@@ -119,14 +106,3 @@ def snapshot_job(
         running_tasks=int(latest("running_tasks")),
         input_partitions=input_partitions,
     )
-
-
-def bootstrap_rate_hint(config: Dict[str, Any]) -> float:
-    """The staging-period performance hint for ``P`` (MB/s per thread).
-
-    "Initially, P can be bootstrapped during the staging period (a
-    pre-production phase for application correctness verification and
-    performance profiling)" — the provisioner config carries the profiled
-    value.
-    """
-    return float(config.get(KEY_PERF, {}).get("rate_per_thread_mb", 2.0))

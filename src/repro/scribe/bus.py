@@ -86,6 +86,10 @@ class ScribeBus:
             return self.logs[name]
         return self.create_log(name, retention=retention)
 
+    def drop_log(self, name: str) -> None:
+        """Delete a command log and its records (a no-op when unknown)."""
+        self.logs.pop(name, None)
+
     def __repr__(self) -> str:
         return (
             f"ScribeBus(categories={len(self.categories)}, "

@@ -12,6 +12,7 @@ from typing import Dict, List, Optional, Set
 
 from repro.errors import SyncError
 from repro.jobs.configs import Config
+from repro.jobs.model import JobView
 from repro.jobs.plan import TaskActuator
 from repro.obs.trace import NULL_TRACER, SLOT_SYNC, Tracer
 from repro.scribe.bus import ScribeBus
@@ -53,11 +54,11 @@ class TurbineActuator(TaskActuator):
         up the new specs on their next refresh (the paper's "the package
         setting will eventually propagate to the impacted tasks").
         """
-        self._service.set_job_specs(job_id, config)
+        specs = self._service.set_job_specs(job_id, config)
         self._tracer.record(
             "task-service", "specs-updated", job_id=job_id,
             parent=self._tracer.peek_context(job_id, SLOT_SYNC),
-            task_count=int(config.get("task_count", 1)),
+            task_count=len(specs),
         )
 
     # ------------------------------------------------------------------
@@ -120,10 +121,11 @@ class TurbineActuator(TaskActuator):
         exactly this propagation chain (State Syncer round + Task Service
         cache TTL + Task Manager refresh).
         """
-        if int(config.get("task_count", task_count)) != task_count:
+        configured = JobView.from_config(config).task_count
+        if configured != task_count:
             raise SyncError(
                 f"start_tasks for {job_id}: config task_count disagrees "
-                f"with plan ({config.get('task_count')} != {task_count})"
+                f"with plan ({configured} != {task_count})"
             )
         # Urgent: the job's tasks are currently stopped (phase 1); waiting
         # for the cache TTL would leave them down for another 90 seconds.

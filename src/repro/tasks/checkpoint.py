@@ -170,6 +170,12 @@ class CheckpointPlane:
             self._timer.cancel()
             self._timer = None
 
+    def forget_job(self, job_id: JobId) -> None:
+        """Drop a deprovisioned job's durable state, its log included."""
+        self._high_water.pop(job_id, None)
+        self._last_seq.pop(job_id, None)
+        self._scribe.drop_log(checkpoint_log_name(job_id))
+
     # ------------------------------------------------------------------
     # Snapshot tick
     # ------------------------------------------------------------------

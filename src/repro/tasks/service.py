@@ -18,8 +18,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.errors import ServiceUnavailableError
+from repro.errors import ServiceUnavailableError, SyncError
 from repro.jobs.configs import Config
+from repro.jobs.model import JobView
 from repro.sim.engine import Engine
 from repro.tasks.spec import TaskSpec
 from repro.types import JobId, Seconds, TaskId
@@ -80,16 +81,14 @@ class TaskService:
         Syncer's plan fail loudly (and eventually quarantine the job)
         instead of silently unscheduling every task.
         """
-        task_count = int(config.get("task_count", 1))
-        if task_count < 1:
-            from repro.errors import SyncError
-
+        view = JobView.from_config(config)
+        if view.task_count < 1:
             raise SyncError(
-                f"job {job_id} has invalid task_count {task_count}"
+                f"job {job_id} has invalid task_count {view.task_count}"
             )
         specs = [
-            TaskSpec.from_job_config(job_id, index, config)
-            for index in range(task_count)
+            TaskSpec.from_view(job_id, index, view)
+            for index in range(view.task_count)
         ]
         self._specs[job_id] = specs
         self._invalidate(urgent)

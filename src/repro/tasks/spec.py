@@ -14,19 +14,7 @@ from typing import Any, Dict
 
 from repro.cluster.resources import ResourceVector
 from repro.errors import TurbineError
-from repro.jobs.model import (
-    KEY_HOT_STANDBY,
-    KEY_INPUT,
-    KEY_MEMORY_OVERHEAD,
-    KEY_PACKAGE,
-    KEY_PERF,
-    KEY_PRIORITY,
-    KEY_RESOURCES,
-    KEY_STATE_KEY_CARDINALITY,
-    KEY_STATEFUL,
-    KEY_TASK_COUNT,
-    KEY_THREADS,
-)
+from repro.jobs.model import JobView
 from repro.types import JobId, Priority, TaskId
 
 
@@ -81,29 +69,31 @@ class TaskSpec:
 
         This is the "dynamic generation ... considering the job's
         parallelism level and applying other template substitutions"
-        of section IV.
+        of section IV (read through the control plane's :class:`JobView`).
         """
-        package = config.get(KEY_PACKAGE, {})
-        perf = config.get(KEY_PERF, {})
-        output = config.get("output", {})
+        return cls.from_view(job_id, task_index, JobView.from_config(config))
+
+    @classmethod
+    def from_view(cls, job_id: JobId, task_index: int, view: JobView) -> "TaskSpec":
+        """:meth:`from_job_config` of a config already read (one parse per job)."""
         return cls(
-            output_category=output.get("category", ""),
-            output_ratio=float(output.get("ratio", 1.0)),
+            output_category=view.output_category,
+            output_ratio=view.output_ratio,
             task_id=task_id_for(job_id, task_index),
             job_id=job_id,
             task_index=task_index,
-            task_count=int(config.get(KEY_TASK_COUNT, 1)),
-            package_name=package.get("name", "stream_engine"),
-            package_version=package.get("version", "1.0"),
-            threads=int(config.get(KEY_THREADS, 1)),
-            resources=ResourceVector.from_dict(config.get(KEY_RESOURCES, {})),
-            input_category=config.get(KEY_INPUT, {}).get("category", ""),
-            stateful=bool(config.get(KEY_STATEFUL, False)),
-            priority=Priority(int(config.get(KEY_PRIORITY, Priority.NORMAL))),
-            rate_per_thread_mb=float(perf.get("rate_per_thread_mb", 2.0)),
-            state_key_cardinality=int(config.get(KEY_STATE_KEY_CARDINALITY, 0)),
-            memory_overhead_gb=float(config.get(KEY_MEMORY_OVERHEAD, 0.0)),
-            hot_standby=bool(config.get(KEY_HOT_STANDBY, False)),
+            task_count=view.task_count,
+            package_name=view.package_name,
+            package_version=view.package_version,
+            threads=view.threads,
+            resources=ResourceVector.from_dict(dict(view.resources)),
+            input_category=view.input_category,
+            stateful=view.stateful,
+            priority=Priority(view.priority),
+            rate_per_thread_mb=view.rate_per_thread_mb,
+            state_key_cardinality=view.state_key_cardinality,
+            memory_overhead_gb=view.memory_overhead_gb,
+            hot_standby=view.hot_standby,
         )
 
     #: Specs are hashable on task_id + package version so managers can

@@ -14,7 +14,7 @@ Computes, per job, the metrics the Auto Scaler's symptom detectors consume
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.metrics.aggregate import stdev
 from repro.metrics.store import MetricStore
@@ -51,8 +51,8 @@ class JobStatsCollector:
         self._scribe = scribe
         self._metrics = metrics
         self._interval = interval
-        self._last_heads: Dict[JobId, float] = {}
-        self._last_processed: Dict[JobId, float] = {}
+        #: ``job -> (category head, MB processed)`` at the last round.
+        self._last: Dict[JobId, Tuple[float, float]] = {}
         self._last_time: Optional[Seconds] = None
         self._timer: Optional[Timer] = None
 
@@ -67,6 +67,11 @@ class JobStatsCollector:
         if self._timer is not None:
             self._timer.cancel()
             self._timer = None
+
+    def forget_job(self, job_id: JobId) -> None:
+        """Drop a deprovisioned job's delta stamp. Not for a job merely
+        spec-less for a round: its delta across that gap is real traffic."""
+        self._last.pop(job_id, None)
 
     # ------------------------------------------------------------------
     # One collection round
@@ -112,10 +117,9 @@ class JobStatsCollector:
         processed_total = sum(task.total_processed_mb for task in tasks)
 
         if dt is not None and dt > 0:
-            input_rate = (head - self._last_heads.get(job_id, head)) / dt
-            processing_rate = (
-                processed_total - self._last_processed.get(job_id, processed_total)
-            ) / dt
+            last_head, last_processed = self._last.get(job_id, (head, processed_total))
+            input_rate = (head - last_head) / dt
+            processing_rate = (processed_total - last_processed) / dt
             # The pattern analyzer needs 14 days of per-minute input rates
             # (paper section V-C); give this series a longer retention.
             self._metrics.series(
@@ -143,8 +147,7 @@ class JobStatsCollector:
             else:
                 time_lagged = INFINITE_LAG
             batch.append((job_id, "time_lagged", time_lagged))
-        self._last_heads[job_id] = head
-        self._last_processed[job_id] = processed_total
+        self._last[job_id] = (head, processed_total)
 
         batch.append((job_id, "bytes_lagged_mb", lagged))
         running = [t for t in tasks if t.state == TaskState.RUNNING]

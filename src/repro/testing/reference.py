@@ -13,12 +13,13 @@ under ``repro`` outside this package may import them.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List
 
+from repro.jobs.model import JobView
 from repro.jobs.syncer import StateSyncer, SyncReport
 from repro.metrics.series import TimeSeries
 from repro.metrics.store import MetricStore
-from repro.obs.sli import SliEvaluator, objectives_of
+from repro.obs.sli import SliEvaluator
 from repro.obs.slo import SloTracker
 from repro.types import JobId, Seconds, TaskId
 
@@ -61,8 +62,8 @@ def scan_hosting_managers(shard_manager, job_id: JobId) -> List:
 class FullReadSliEvaluator(SliEvaluator):
     """Runs the four-level config merge on every objective read."""
 
-    def _job_objectives(self, job_id: JobId) -> Tuple[float, object]:
-        return objectives_of(self._service.expected_config(job_id))
+    def _view(self, job_id: JobId) -> JobView:
+        return JobView.from_config(self._service.expected_config(job_id))
 
 
 class FullWalkSloTracker(SloTracker):

@@ -87,6 +87,41 @@ def test_no_production_constructor_selects_a_reference_implementation():
     ] == []
 
 
+def test_the_job_config_format_has_one_reader():
+    """``JobView.from_config`` (``repro.jobs.model``) is the one parser
+    of a job configuration and ``JobStore.view`` the one place a merged
+    one is kept: outside ``repro/jobs/`` and the test references,
+    production code (the task-spec generator included) imports no config
+    key, indexes no config dict and asks for no merged dict — the
+    ``ConvergenceChecker``'s whole-dict diff excepted (an oracle compares
+    everything, fields it has never heard of included)."""
+    from repro.jobs import model
+
+    keys = "|".join(
+        value for name, value in vars(model).items() if name.startswith("KEY_")
+    )
+    parses = re.compile(
+        rf"\bKEY_[A-Z_]+\b|\.get\(\s*[\"']({keys})[\"']"
+        r"|\b(expected_config|merged_expected)\("
+    )
+    package = Path(repro.__file__).parent
+    exempt = {
+        Path("jobs"), Path("testing"),
+        Path("sim/parallel"),  # the separate substrate: no Job Store at all
+    }
+    offenders = {}
+    for path in sorted(package.rglob("*.py")):
+        relative = path.relative_to(package)
+        if exempt & {relative, *relative.parents}:
+            continue
+        found = {match.group(0) for match in parses.finditer(
+            path.read_text(encoding="utf-8")
+        )}
+        if found:
+            offenders[str(relative)] = found
+    assert offenders == {"chaos/convergence.py": {"merged_expected("}}
+
+
 def test_every_started_subsystem_is_covered_here():
     """A subsystem added to ``_START_ORDER`` must join :data:`STARTABLE`."""
     always_on = {"shard_manager", "syncer", "stats"}

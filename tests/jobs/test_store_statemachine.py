@@ -6,64 +6,93 @@ snapshot round-trips must preserve:
 * a stale-version write NEVER lands (isolation);
 * the stored config is always the last successfully-written one;
 * versions are strictly monotone per level;
-* a snapshot round-trip is an identity.
+* a snapshot round-trip is an identity;
+* the typed view the store serves (``view``) is always the view of the
+  current merged config, and fails exactly as the merged read fails —
+  across writes, deletes and re-creates, state changes, outages and a
+  takeover by a follower that lacks a job or holds an older config.
 """
 
-import json
+import re
 
+import pytest
 from hypothesis import settings
 from hypothesis.stateful import (
-    Bundle,
     RuleBasedStateMachine,
     initialize,
     invariant,
+    precondition,
     rule,
 )
 from hypothesis import strategies as st
 
-from repro.errors import VersionConflictError
-from repro.jobs import ConfigLevel, JobStore
+from repro.errors import TurbineError, VersionConflictError
+from repro.jobs import ConfigLevel, JobStore, JobView
+from repro.types import JobState
 
 LEVELS = list(ConfigLevel)
 JOBS = ["job-a", "job-b"]
+
+#: Every rule that talks to the store needs it up (the outage itself is
+#: judged by the ``view_is_the_merged_config`` invariant).
+store_up = precondition(lambda self: self.store.available)
+any_job = st.sampled_from(JOBS)
 
 
 class JobStoreMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
         self.store = JobStore()
-        #: Our model: (job, level) -> (config, version).
+        #: Our model: (job, level) -> (config, version), live jobs only.
         self.model = {}
+        #: A follower's tables: (snapshot, the model it corresponds to).
+        self.follower = None
+
+    def live(self, job):
+        return (job, ConfigLevel.BASE) in self.model
+
+    def _create(self, job_id):
+        self.store.create_job(job_id)
+        for level in LEVELS:
+            self.model[(job_id, level)] = ({}, 0)
+
+    def _forget(self, job_id):
+        for level in LEVELS:
+            self.model.pop((job_id, level), None)
 
     @initialize()
     def create_jobs(self):
         for job_id in JOBS:
-            self.store.create_job(job_id)
-            for level in LEVELS:
-                self.model[(job_id, level)] = ({}, 0)
+            self._create(job_id)
 
     # ------------------------------------------------------------------
     # Rules
     # ------------------------------------------------------------------
+    @store_up
     @rule(
-        job=st.sampled_from(JOBS),
+        job=any_job,
         level=st.sampled_from(LEVELS),
         value=st.integers(0, 100),
     )
     def fresh_write_lands(self, job, level, value):
+        if not self.live(job):
+            return
         config, version = self.model[(job, level)]
         new_config = {"task_count": value}
         new_version = self.store.write_expected(job, level, new_config, version)
         assert new_version == version + 1
         self.model[(job, level)] = (new_config, new_version)
 
+    @store_up
     @rule(
-        job=st.sampled_from(JOBS),
+        job=any_job,
         level=st.sampled_from(LEVELS),
         stale_delta=st.integers(1, 3),
         value=st.integers(0, 100),
     )
     def stale_write_rejected(self, job, level, stale_delta, value):
+        if not self.live(job):
+            return
         __, version = self.model[(job, level)]
         stale = version - stale_delta
         try:
@@ -72,22 +101,78 @@ class JobStoreMachine(RuleBasedStateMachine):
         except VersionConflictError:
             pass
 
-    @rule(job=st.sampled_from(JOBS), value=st.integers(0, 100))
-    def commit_running(self, job, value):
-        self.store.commit_running(job, {"task_count": value})
+    @store_up
+    @rule(job=any_job, value=st.integers(0, 100), quiet=st.booleans())
+    def commit_running(self, job, value, quiet):
+        if self.live(job):
+            self.store.commit_running(job, {"task_count": value}, quiet=quiet)
 
+    @store_up
     @rule()
     def snapshot_round_trip(self):
         restored = JobStore.load_snapshot(self.store.dump_snapshot())
         assert restored.dump_snapshot() == self.store.dump_snapshot()
         self.store = restored  # keep operating on the restored store
 
+    @store_up
+    @rule(job=any_job)
+    def delete_then_maybe_recreate(self, job):
+        """Delete a live job; re-create a deleted one (empty levels — it
+        must not answer with the view of the job it replaced)."""
+        if self.live(job):
+            self.store.delete_job(job)
+            self._forget(job)
+        else:
+            self._create(job)
+
+    @store_up
+    @rule(job=any_job, state=st.sampled_from(
+        [JobState.RUNNING, JobState.STOPPED, JobState.QUARANTINED]))
+    def set_state(self, job, state):
+        if self.live(job):
+            self.store.set_state(job, state)
+
+    @store_up
+    @rule(job=any_job)
+    def mark_dirty(self, job):
+        if self.live(job):
+            self.store.mark_dirty(job)
+
+    @rule(down=st.booleans())
+    def outage(self, down):
+        if down:
+            self.store.fail()
+        else:
+            self.store.recover()
+
+    @store_up
+    @rule(lost=st.one_of(st.none(), any_job))
+    def follower_falls_behind(self, lost):
+        """Capture a follower's tables as of now — optionally one that
+        never saw ``lost`` at all."""
+        follower = JobStore.load_snapshot(self.store.dump_snapshot())
+        model = dict(self.model)
+        if lost is not None and self.live(lost):
+            follower.delete_job(lost)
+            for level in LEVELS:
+                del model[(lost, level)]
+        self.follower = (follower.dump_snapshot(), model)
+
+    @precondition(lambda self: self.follower is not None)
+    @rule()
+    def takeover(self):
+        """Leader promotion: the endpoint adopts the follower's tables
+        (an older config, or no entry at all, with no write naming it)."""
+        snapshot, model = self.follower
+        self.store.install_state(JobStore.load_snapshot(snapshot))
+        self.model = dict(model)
+
     # ------------------------------------------------------------------
     # Invariants
     # ------------------------------------------------------------------
     @invariant()
     def stored_matches_model(self):
-        if not self.model:
+        if not self.model or not self.store.available:
             return
         for (job, level), (config, version) in self.model.items():
             stored = self.store.read_expected(job, level)
@@ -96,9 +181,11 @@ class JobStoreMachine(RuleBasedStateMachine):
 
     @invariant()
     def merged_respects_precedence(self):
-        if not self.model:
+        if not self.model or not self.store.available:
             return
         for job in JOBS:
+            if not self.live(job):
+                continue
             merged = self.store.merged_expected(job)
             expected_value = None
             for level in ConfigLevel.in_precedence_order():
@@ -107,6 +194,25 @@ class JobStoreMachine(RuleBasedStateMachine):
                     expected_value = config["task_count"]
             if expected_value is not None:
                 assert merged["task_count"] == expected_value
+
+    @invariant()
+    def view_is_the_merged_config(self):
+        """``view`` is ``merged_expected`` read through ``JobView`` — the
+        same value for a live job, the same error otherwise. Checked
+        after every step, so each step runs against held views."""
+        for job in JOBS:
+            try:
+                merged = self.store.merged_expected(job)
+            except TurbineError as error:
+                assert not (self.live(job) and self.store.available)
+                with pytest.raises(type(error), match=re.escape(str(error))):
+                    self.store.view(job)
+            else:
+                assert self.store.view(job) == JobView.from_config(merged)
+                assert self.store.view(job) is self.store.view(job)
+        # Nothing is held for a job the store does not have (a takeover
+        # drops jobs without a notification naming them).
+        assert set(self.store._views) <= {j for j in JOBS if self.live(j)}
 
 
 TestJobStoreMachine = JobStoreMachine.TestCase

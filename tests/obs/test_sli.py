@@ -3,10 +3,9 @@
 import pytest
 
 from repro.errors import DegradedModeError
-from repro.jobs import ConfigLevel, JobService, JobStore
+from repro.jobs import ConfigLevel, JobService, JobStore, JobView
 from repro.metrics.store import MetricStore
 from repro.obs.sli import (
-    DEFAULT_LAG_SLO,
     OOM_WINDOW,
     SLI_NAMES,
     SliEvaluator,
@@ -17,7 +16,7 @@ from repro.types import JobState
 class Jobs:
     """The real Job Store + Job Service, with one-line job set-up.
 
-    The evaluator subscribes to the store's change feed, so a hand-rolled
+    The evaluator reads the store's typed job views, so a hand-rolled
     fake of "just configs + states" no longer describes what it reads.
     """
 
@@ -98,7 +97,10 @@ class TestPerJobSlis:
                                "slo": {"max_lag_seconds": 30.0}})
         service.add("default", {"task_count": 2})
         assert sli.lag_slo_seconds("strict") == 30.0
-        assert sli.lag_slo_seconds("default") == DEFAULT_LAG_SLO
+        # The default's one home: the reader of the config format.
+        assert sli.lag_slo_seconds("default") == (
+            JobView.from_config({}).slo_lag_seconds
+        ) == 90.0
 
 
 class TestFleetCounts:

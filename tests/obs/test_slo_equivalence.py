@@ -4,10 +4,12 @@ Two worlds receive the same metric streams, the same Job Store
 mutations, the same outage windows and the same replication takeover.
 World A is production: :class:`~repro.obs.slo.SloTracker` reads burn
 rates only for (job, SLO) pairs with a bad sample inside the longest rule
-window, over a :class:`~repro.obs.sli.SliEvaluator` that serves the two
-per-job objectives from scalars dropped by the store's change feed.
+window, over a :class:`~repro.obs.sli.SliEvaluator` that reads the two
+per-job objectives from the Job Store's held view of the job
+(``JobStore.view``, dropped when the job's change is notified).
 World B is :mod:`repro.testing.reference`: every rule window of every
-series read every round, the four-level config merge run on every read.
+series read every round, the four-level config merge run on every read
+(``FullReadSliEvaluator`` overrides only the ``_view`` seam).
 
 After every segment the two must agree byte for byte on ``to_json()``
 and on every alert and breach window — the skip is only allowed because
@@ -218,8 +220,9 @@ def test_bad_then_quiet_past_the_six_hour_window_then_bad_again():
 
 
 def test_objectives_follow_oncall_patches_without_a_new_sample():
-    """The cached scalars are dropped by the change feed: an ONCALL patch
-    of the lag objective or the task count flips the very next verdict."""
+    """The store's held view is dropped by the write itself: an ONCALL
+    patch of the lag objective or the task count flips the very next
+    verdict."""
     store = JobStore()
     service = JobService(store)
     metrics = MetricStore()
@@ -238,15 +241,15 @@ def test_objectives_follow_oncall_patches_without_a_new_sample():
 
 
 def test_objective_reads_fail_like_the_merged_read():
-    """Outage and unknown-job behaviour is the merged read's: a cached
-    scalar must never answer for a store that would have raised."""
+    """Outage and unknown-job behaviour is the merged read's: a held
+    view must never answer for a store that would have raised."""
     import pytest
 
     store = JobStore()
     service = JobService(store)
     sli = SliEvaluator(service, MetricStore())
     service.provision(JobSpec(job_id="job", input_category="c", task_count=4))
-    assert sli.lag_slo_seconds("job") == 90.0  # now cached
+    assert sli.lag_slo_seconds("job") == 90.0  # now held by the store
     store.fail()
     with pytest.raises(DegradedModeError):
         sli.lag_slo_seconds("job")
