@@ -8,7 +8,7 @@ reduce to a small set of checkable invariants:
 * **no orphans** — no container runs a task of a job the Job Store no
   longer knows;
 * **no missing tasks** — every spec the Task Service serves has a running
-  task somewhere;
+  task somewhere, and every RUNNING, converged job has specs;
 * **placement converged** — every assigned shard's owner is a live,
   registered container;
 * **configs converged** — every RUNNING job's running config equals its
@@ -39,7 +39,8 @@ class InvariantReport:
     duplicates: List[str] = field(default_factory=list)
     #: Running task ids whose job is gone from the Job Store.
     orphans: List[str] = field(default_factory=list)
-    #: Spec'd task ids with no running task.
+    #: Spec'd task ids with no running task, and RUNNING converged jobs
+    #: with no specs at all.
     missing: List[str] = field(default_factory=list)
     #: Shards assigned to a container that is not live and registered.
     unplaced_shards: List[str] = field(default_factory=list)
@@ -178,6 +179,7 @@ class ConvergenceChecker:
             for task_id, where in owners.items()
             if _job_of(platform, where[0], task_id) not in live_jobs
         )
+        spec_jobs = set(platform.task_service.job_ids())
         for job_id in job_ids:
             state = store.state_of(job_id)
             if state == JobState.QUARANTINED:
@@ -188,6 +190,10 @@ class ConvergenceChecker:
             running_config = store.read_running(job_id).config
             if config_diff(running_config, expected) or store.is_dirty(job_id):
                 report.diverged.append(job_id)
+            elif job_id not in spec_jobs:
+                # Converged on paper with nothing to run (a half-killed
+                # job): no diff will ever make the syncer restart it.
+                report.missing.append(job_id)
 
         # Missing: the Task Service's spec table is the cluster's marching
         # orders; every spec must have a RUNNING task somewhere.

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Any, Dict, List
+from typing import Any, Dict, Iterable, List
 
 from repro.jobs.configs import Config
 from repro.jobs.model import JobView
@@ -50,6 +50,15 @@ class TaskActuator(abc.ABC):
     @abc.abstractmethod
     def start_tasks(self, job_id: JobId, task_count: int, config: Config) -> None:
         """Start ``task_count`` tasks with the given configuration."""
+
+    def known_job_ids(self) -> Iterable[JobId]:
+        """Every job anything is still kept for on this side; the syncer
+        forgets those the Job Store lacks. By default nothing is kept."""
+        return []
+
+    def forget_job(self, job_id: JobId) -> None:
+        """Reclaim everything kept for a job deleted from the Job Store."""
+        self.stop_tasks(job_id)
 
 
 @dataclass

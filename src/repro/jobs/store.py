@@ -184,6 +184,7 @@ class JobStore:
         self._require_job(job_id)
         del self._expected[job_id]
         del self._running[job_id]
+        self._dirty.discard(job_id)
         self._states[job_id] = JobState.DELETED
         self._notify_change(job_id)
         self._emit("delete_job", job_id=job_id)

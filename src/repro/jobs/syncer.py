@@ -50,7 +50,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional
 
 from repro.errors import DegradedModeError, SyncError
 from repro.jobs.configs import COMPLEX_KEYS, config_diff
@@ -338,15 +338,13 @@ class StateSyncer:
         A defensive sweep: even if a deprovision call died between
         deleting the store entry and stopping the tasks, the next round
         converges the cluster to "job gone" — the same eventual-delivery
-        guarantee configuration changes get.
+        guarantee configuration changes get. The actuator names every
+        job anything is kept for; those the store lacks are forgotten.
         """
         live = set(self._store.job_ids())
-        orphaned = [
-            job_id
-            for job_id in self._known_running_jobs()
-            if job_id not in live
-        ]
-        for job_id in orphaned:
+        for job_id in self._failure_counts.keys() - live:
+            del self._failure_counts[job_id]
+        for job_id in sorted(set(self._actuator.known_job_ids()) - live):
             self._stop_orphan(job_id, report)
 
     def _collect_feed_deletions(
@@ -367,8 +365,9 @@ class StateSyncer:
                 candidates.append(job_id)
             else:
                 deleted.add(job_id)
+                self._failure_counts.pop(job_id, None)
         if deleted:
-            known = set(self._known_running_jobs())
+            known = set(self._actuator.known_job_ids())
             for job_id in sorted(deleted):
                 if job_id not in known or self._store.exists(job_id):
                     self._orphan_retry.discard(job_id)
@@ -379,19 +378,19 @@ class StateSyncer:
     def _stop_orphan(self, job_id: JobId, report: SyncReport) -> None:
         """GC the cluster state of one store-deleted job (best effort)."""
         try:
-            self._actuator_dep.call(self._actuator.stop_tasks, job_id)
+            self._actuator_dep.call(self._actuator.forget_job, job_id)
             report.simple_synced.append(job_id)
             self._orphan_retry.discard(job_id)
         except Exception:  # noqa: BLE001 — retried next round
             report.failed.append(job_id)
             self._orphan_retry.add(job_id)
 
-    def _known_running_jobs(self) -> List[JobId]:
-        """Jobs the actuator side still knows about (best effort)."""
-        job_ids = getattr(self._actuator, "known_job_ids", None)
-        if callable(job_ids):
-            return job_ids()
-        return []
+    def forget_job(self, job_id: JobId) -> None:
+        """A failure streak ends with its job, not with the job's id."""
+        self._failure_counts.pop(job_id, None)
+
+    def held_jobs(self) -> Iterable[JobId]:
+        return self._failure_counts.keys()
 
     def _plan_for(self, job_id: JobId) -> ExecutionPlan:
         expected = self._store.merged_expected(job_id)

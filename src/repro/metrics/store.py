@@ -123,8 +123,8 @@ class MetricStore:
 
         The batched fast path: one availability check and one telemetry
         update for the whole batch, series resolved straight off the key
-        dict. Callers coalesce per-entity sampling — a task manager lands
-        all of its tasks' samples for one step in a single call. Returns
+        dict. Callers coalesce per-entity sampling — the stats collector
+        lands one round's derived job metrics in a single call. Returns
         the number of samples ingested (0 while unavailable).
         """
         if not self.available:

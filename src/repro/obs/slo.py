@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.metrics.store import MetricStore
 from repro.obs.bounded import BoundedList
@@ -258,6 +258,21 @@ class SloTracker:
         if self._timer is not None:
             self._timer.cancel()
             self._timer = None
+
+    def forget_job(self, job_id: JobId) -> None:
+        """End a deleted job's open breaches and drop its alert edges: a
+        series nobody writes any more must not fire as its good samples
+        age out. Samples, past breaches and alerts are the record; kept."""
+        for index, spec in enumerate(self.specs):
+            breach = self._open.pop((job_id, spec.name), None)
+            if breach is not None:
+                breach.end = self._engine.now
+            self._last_bad.pop((job_id, index), None)
+            for rule in range(len(self.rules)):
+                self._firing.pop((job_id, spec.name, rule), None)
+
+    def held_jobs(self) -> Set[JobId]:
+        return {key[0] for key in (*self._open, *self._firing, *self._last_bad)}
 
     # ------------------------------------------------------------------
     # One evaluation round

@@ -25,9 +25,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.obs.bounded import BoundedList
+from repro.types import JobId
 
 #: Default bound on retained events; old events are evicted first. Large
 #: enough for any benchmark horizon, small enough to bound a soak test.
@@ -104,7 +105,7 @@ class Tracer:
         #: Hand-off slots: ``(job_id, slot) -> event``. A producer layer
         #: stores the event that should parent the next consumer-layer
         #: event for the job; consumers ``claim`` (pop) or ``peek`` it.
-        self._job_context: Dict[Tuple[str, str], TraceEvent] = {}
+        self._job_context: Dict[Tuple[JobId, str], TraceEvent] = {}
         #: Shard-movement context: while a shard move is in flight the
         #: destination Task Manager's task starts parent onto it.
         self._shard_context: Dict[str, TraceEvent] = {}
@@ -189,6 +190,14 @@ class Tracer:
         if not self.enabled:
             return None
         return self._job_context.get((job_id, slot))
+
+    def forget_job(self, job_id: JobId) -> None:
+        """Drop a deleted job's unclaimed hand-offs (``events`` stay)."""
+        for slot in (SLOT_SYMPTOM, SLOT_WRITE_ORIGIN, SLOT_CONFIG, SLOT_SYNC):
+            self._job_context.pop((job_id, slot), None)
+
+    def held_jobs(self) -> Set[JobId]:
+        return {job_id for job_id, __ in self._job_context}
 
     def set_shard_context(
         self, shard_id: str, event: Optional[TraceEvent]

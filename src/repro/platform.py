@@ -62,6 +62,15 @@ _START_ORDER = (
     "slow_nodes",
 )
 
+#: Attribute names of the keepers of per-job *control* state, each with
+#: ``forget_job(job_id)`` and ``held_jobs()``, in the order
+#: ``TurbineActuator.forget_job`` calls them. Records (``actions``,
+#: ``rounds``, ``alerts``, ``events``, SLO samples) are not theirs to drop.
+_JOB_HOLDERS = (
+    "stats", "syncer", "scaler", "capacity_manager", "checkpoint_plane",
+    "slo", "tracer",
+)
+
 
 def _given(**kwargs):
     """The keyword arguments a caller actually passed (the non-None
@@ -87,7 +96,6 @@ class PlatformConfig:
     rebalance_interval: Seconds = REBALANCE_INTERVAL
     step_interval: Seconds = STEP_INTERVAL
     stats_interval: Seconds = COLLECT_INTERVAL
-    record_task_metrics: bool = False
     #: Data-plane resiliency toggles (all off by default — with every
     #: toggle off the platform is byte-identical to one built before
     #: these features existed; the transparency suite asserts it).
@@ -138,7 +146,7 @@ class Turbine:
         self.task_hosts: Dict[JobId, Dict[TaskId, Set[ContainerId]]] = {}
         self.actuator = TurbineActuator(
             self.task_service, self.shard_manager, self.scribe,
-            self.task_hosts, tracer=self.tracer,
+            self.task_hosts, self._job_holders, tracer=self.tracer,
         )
         self.syncer = StateSyncer(
             self.job_store, self.actuator, engine=engine,
@@ -185,6 +193,11 @@ class Turbine:
         if self._started:
             subsystem.start()
         return subsystem
+
+    def _job_holders(self) -> list:
+        """The attached subsystems named in :data:`_JOB_HOLDERS`."""
+        holders = (getattr(self, name) for name in _JOB_HOLDERS)
+        return [holder for holder in holders if holder is not None]
 
     def attach_scaler(self, scaler_config=None):
         """Attach the proactive Auto Scaler (optional third layer).
@@ -404,7 +417,6 @@ class Turbine:
             metrics=self.metrics,
             refresh_interval=self.config.refresh_interval,
             heartbeat_interval=self.config.heartbeat_interval,
-            record_task_metrics=self.config.record_task_metrics,
             tracer=self.tracer,
             telemetry=self.telemetry,
             task_hosts=self.task_hosts,
@@ -466,18 +478,15 @@ class Turbine:
         self.job_service.provision(spec)
 
     def deprovision(self, job_id: JobId) -> None:
-        """Tear a job down completely: tasks, specs, checkpoints, metrics.
+        """Tear a job down completely, now. The Job Store delete is the
+        commit: an outage or an unknown id raises with nothing touched,
+        and past it the syncer's sweep would finish what this call began.
 
         The input category is left in place — other jobs may read it, and
         Scribe data is persistent by design.
         """
-        self.actuator.stop_tasks(job_id)
         self.job_service.deprovision(job_id)
-        self.scribe.checkpoints.drop_job(job_id)
-        self.metrics.drop_entity(job_id)
-        self.stats.forget_job(job_id)
-        if self.checkpoint_plane is not None:
-            self.checkpoint_plane.forget_job(job_id)
+        self.actuator.forget_job(job_id)
 
     # ------------------------------------------------------------------
     # Execution

@@ -25,7 +25,7 @@ from repro.jobs.plan import TaskActuator
 from repro.jobs.service import JobService
 from repro.scaler.proactive import AutoScaler
 from repro.sim.engine import Engine, Timer
-from repro.types import IncidentRecord, JobState, Priority, Seconds
+from repro.types import IncidentRecord, JobId, JobState, Priority, Seconds
 
 
 @dataclass
@@ -70,7 +70,7 @@ class CapacityManager:
         self.events: List[IncidentRecord] = BoundedList(
             maxlen=self.config.event_retention
         )
-        self.stopped_jobs: List[str] = []
+        self.stopped_jobs: List[JobId] = []
         self._pressure = False
         self._timer: Optional[Timer] = None
 
@@ -84,6 +84,14 @@ class CapacityManager:
         if self._timer is not None:
             self._timer.cancel()
             self._timer = None
+
+    def forget_job(self, job_id: JobId) -> None:
+        """A deleted job is not resumed — nor is a later one of its id."""
+        if job_id in self.stopped_jobs:
+            self.stopped_jobs.remove(job_id)
+
+    def held_jobs(self) -> List[JobId]:
+        return self.stopped_jobs
 
     # ------------------------------------------------------------------
     # One evaluation round

@@ -22,7 +22,7 @@ maintained:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Iterable, Optional
 
 from repro.metrics.store import MetricStore
 from repro.scaler.snapshot import JobSnapshot
@@ -84,6 +84,13 @@ class PatternAnalyzer:
         #: against the estimate only (the pre-preactive behaviour).
         self.history_enabled = history_enabled
         self._jobs: Dict[JobId, _JobPatternState] = {}
+
+    def forget_job(self, job_id: JobId) -> None:
+        """A deleted job's learned P is not its successor's bootstrap."""
+        self._jobs.pop(job_id, None)
+
+    def held_jobs(self) -> Iterable[JobId]:
+        return self._jobs.keys()
 
     # ------------------------------------------------------------------
     # P estimation

@@ -11,7 +11,7 @@ management layers decoupled.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Set
 
 from repro.cluster.container import DEFAULT_CONTAINER_CAPACITY
 from repro.cluster.resources import ResourceVector
@@ -141,6 +141,14 @@ class AutoScaler:
         if self._timer is not None:
             self._timer.cancel()
             self._timer = None
+
+    def forget_job(self, job_id: JobId) -> None:
+        """Drop a deleted job's quiet-window stamp and pattern state."""
+        self._last_unhealthy.pop(job_id, None)
+        self.analyzer.forget_job(job_id)
+
+    def held_jobs(self) -> Set[JobId]:
+        return {*self._last_unhealthy, *self.analyzer.held_jobs()}
 
     # ------------------------------------------------------------------
     # One evaluation round

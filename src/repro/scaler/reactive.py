@@ -100,6 +100,12 @@ class ReactiveAutoScaler:
             self._timer.cancel()
             self._timer = None
 
+    def forget_job(self, job_id: str) -> None:
+        """Algorithm 2 carries nothing per job from round to round."""
+
+    def held_jobs(self) -> tuple:
+        return ()
+
     # ------------------------------------------------------------------
     # One evaluation round — Algorithm 2
     # ------------------------------------------------------------------

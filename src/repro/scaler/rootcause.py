@@ -89,7 +89,10 @@ class RootCauseAnalyzer:
     # ------------------------------------------------------------------
     def observe_configs(self, now: Seconds) -> None:
         """Record package versions so later lag can be correlated with
-        recent updates."""
+        recent updates. Stamps of deleted jobs go; live, not active: a
+        quarantined job keeps its stamp."""
+        for job_id in self._package_seen.keys() - set(self._service.job_ids()):
+            del self._package_seen[job_id]
         for job_id in self._service.active_job_ids():
             version = self._service.view(job_id).package_version
             previous = self._package_seen.get(job_id)

@@ -11,7 +11,7 @@ synchronization (paper section III-B).
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, Iterable, List
 
 from repro.errors import ScribeError
 from repro.types import JobId
@@ -43,6 +43,10 @@ class CheckpointStore:
     def partitions_of(self, job_id: JobId) -> List[str]:
         """All partition ids this job has ever checkpointed."""
         return sorted(self._offsets.get(job_id, {}))
+
+    def job_ids(self) -> Iterable[JobId]:
+        """Every job with a committed offset."""
+        return self._offsets.keys()
 
     def drop_job(self, job_id: JobId) -> None:
         """Forget a deleted job's checkpoints."""

@@ -8,7 +8,7 @@ containers. Every method is idempotent, as the plan contract requires.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Callable, Dict, Iterable, List, Optional, Set
 
 from repro.errors import SyncError
 from repro.jobs.configs import Config
@@ -30,6 +30,7 @@ class TurbineActuator(TaskActuator):
         shard_manager: ShardManager,
         scribe: ScribeBus,
         task_hosts: Dict[JobId, Dict[TaskId, Set[ContainerId]]],
+        job_holders: Callable[[], Iterable],
         tracer: Optional[Tracer] = None,
     ) -> None:
         self._service = task_service
@@ -38,11 +39,26 @@ class TurbineActuator(TaskActuator):
         #: The Task Managers' task-location index (see
         #: :attr:`TaskManager._task_hosts`), read-only here.
         self._task_hosts = task_hosts
+        #: The platform's attached keepers of per-job control state; a
+        #: callable because subsystems attach after this object is built.
+        self._job_holders = job_holders
         self._tracer = tracer or NULL_TRACER
 
-    def known_job_ids(self):
-        """Jobs with live task specs (used by the syncer's GC sweep)."""
-        return self._service.job_ids()
+    def known_job_ids(self) -> Set[JobId]:
+        """Every job with specs, checkpoints or a holder's state. Not the
+        location index: a killed container keeps its entries by design."""
+        known = {*self._service.job_ids(), *self._scribe.checkpoints.job_ids()}
+        for holder in self._job_holders():
+            known.update(holder.held_jobs())
+        return known
+
+    def forget_job(self, job_id: JobId) -> None:
+        """The one reclaim of a store-deleted job: ``Turbine.deprovision``
+        runs it right away, the syncer's sweep for whatever it finds kept."""
+        self.stop_tasks(job_id)
+        self._scribe.checkpoints.drop_job(job_id)
+        for holder in self._job_holders():
+            holder.forget_job(job_id)
 
     # ------------------------------------------------------------------
     # Simple synchronization

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from repro.errors import ServiceUnavailableError
 from repro.obs.bounded import BoundedList
@@ -175,6 +175,12 @@ class CheckpointPlane:
         self._high_water.pop(job_id, None)
         self._last_seq.pop(job_id, None)
         self._scribe.drop_log(checkpoint_log_name(job_id))
+
+    def held_jobs(self) -> List[JobId]:
+        """Every job with a checkpoint log (no mark outlives its log)."""
+        prefix = checkpoint_log_name("")
+        logs = self._scribe.logs
+        return [name[len(prefix):] for name in logs if name.startswith(prefix)]
 
     # ------------------------------------------------------------------
     # Snapshot tick

@@ -66,7 +66,6 @@ class TaskManager:
         heartbeat_interval: Seconds = HEARTBEAT_INTERVAL,
         connection_timeout: Seconds = CONNECTION_TIMEOUT,
         load_report_interval: Seconds = LOAD_REPORT_INTERVAL,
-        record_task_metrics: bool = False,
         tracer: Optional[Tracer] = None,
         telemetry: Optional[Telemetry] = None,
         task_hosts: Optional[Dict[JobId, Dict[TaskId, Set[ContainerId]]]] = None,
@@ -82,7 +81,6 @@ class TaskManager:
         self._heartbeat_interval = heartbeat_interval
         self._connection_timeout = connection_timeout
         self._load_report_interval = load_report_interval
-        self._record_task_metrics = record_task_metrics
 
         self.assigned_shards: set = set()
         #: Primaries hosted here (each carries its ``shard_id``), in start
@@ -505,13 +503,6 @@ class TaskManager:
         # degradation lands in the data-plane throttle, never in
         # heartbeats or liveness.
         throttle *= self.slow_factor
-        # Coalesced sampling: gather every task's usage samples and land
-        # them in one batched store call per step event, instead of three
-        # store round-trips per task.
-        samples = (
-            [] if self._record_task_metrics and self._metrics is not None
-            else None
-        )
         step_items = list(self.tasks.items())
         if self.standbys:
             # Passive replicas no-op inside step() (STANDBY is not
@@ -534,12 +525,6 @@ class TaskManager:
                     self._metrics.record(
                         task.spec.job_id, "recovery_lag", now, lag
                     )
-            if samples is not None and task.state != TaskState.STANDBY:
-                samples.append((task_id, "cpu_used", task.last_cpu_used))
-                samples.append((task_id, "memory_gb", task.memory_needed_gb()))
-                samples.append((task_id, "rate_mb", task.last_rate_mb))
-        if samples:
-            self._metrics.record_many(now, samples)
 
     def note_task_failure(self, task_id: TaskId, at: Seconds) -> None:
         """Open a recovery-lag window (used by the standby plane, whose

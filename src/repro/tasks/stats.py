@@ -14,7 +14,7 @@ Computes, per job, the metrics the Auto Scaler's symptom detectors consume
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.metrics.aggregate import stdev
 from repro.metrics.store import MetricStore
@@ -69,9 +69,13 @@ class JobStatsCollector:
             self._timer = None
 
     def forget_job(self, job_id: JobId) -> None:
-        """Drop a deprovisioned job's delta stamp. Not for a job merely
-        spec-less for a round: its delta across that gap is real traffic."""
+        """Drop a deleted job's delta stamp and metric entity. Not for a job
+        merely spec-less for a round: its delta across that gap is real."""
         self._last.pop(job_id, None)
+        self._metrics.drop_entity(job_id)
+
+    def held_jobs(self) -> Iterable[JobId]:
+        return self._last.keys()
 
     # ------------------------------------------------------------------
     # One collection round

@@ -67,7 +67,21 @@ class FullReadSliEvaluator(SliEvaluator):
 
 
 class FullWalkSloTracker(SloTracker):
-    """Reads every rule window of every (job, SLO) series every round."""
+    """Reads every rule window of every (job, SLO) series every round —
+    a forgotten job's not until it is next judged bad, as in production."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._forgotten: set = set()
+
+    def forget_job(self, job_id: JobId) -> None:
+        super().forget_job(job_id)
+        self._forgotten.update((job_id, spec.name) for spec in self.specs)
+
+    def _track_breach(self, job_id, spec, bad, now) -> None:
+        if bad:
+            self._forgotten.discard((job_id, spec.name))
+        super()._track_breach(job_id, spec, bad, now)
 
     def _check_burn_rates(self, now: Seconds) -> None:
         for entity in self._known_entities():
@@ -75,7 +89,7 @@ class FullWalkSloTracker(SloTracker):
                 series = self._store._series.get(
                     (entity, f"slo_bad.{spec.name}")
                 )
-                if series is not None:
+                if series is not None and (entity, spec.name) not in self._forgotten:
                     self._evaluate_rules(entity, spec, series, now)
 
 

@@ -24,10 +24,12 @@ import repro
 from repro import JobSpec, PlatformConfig, Turbine
 from repro.chaos.runner import platform_fingerprint
 from repro.cluster import FailurePlan
+from repro.jobs import syncer as syncer_module
+from repro.jobs.plan import TaskActuator
 from repro.jobs.syncer import StateSyncer
 from repro.metrics import MetricStore, TimeSeries
 from repro.ops.timeline import IncidentTimeline
-from repro.platform import _START_ORDER
+from repro.platform import _JOB_HOLDERS, _START_ORDER
 from repro.scaler import AutoScalerConfig
 from repro.sim.engine import Timer
 from repro.workloads import DiurnalPattern, TrafficDriver
@@ -223,3 +225,89 @@ def test_attach_order_is_invisible_to_every_export(seed):
     for name in golden:
         assert other[name] == golden[name], f"{name} depends on attach order"
     assert golden["trace"] and golden["timeline"]
+
+
+# ----------------------------------------------------------------------
+# One way out for a job: ``_JOB_HOLDERS`` + ``TurbineActuator.forget_job``
+# ----------------------------------------------------------------------
+def test_every_job_holder_is_a_platform_attribute_with_both_methods():
+    platform = small_platform("attach_capacity_manager")
+    for method in STARTABLE:
+        getattr(platform, method)()
+    assert len(set(_JOB_HOLDERS)) == len(_JOB_HOLDERS)
+    for name in _JOB_HOLDERS:
+        holder = getattr(platform, name)
+        assert holder is not None, name
+        for method in ("forget_job", "held_jobs"):
+            assert callable(vars(type(holder)).get(method)), (name, method)
+    assert platform.actuator._job_holders() == [
+        getattr(platform, name) for name in _JOB_HOLDERS
+    ]
+    # And the other way round: nothing attached enumerates jobs without
+    # being in the table.
+    assert {
+        name for name, value in vars(platform).items()
+        if callable(getattr(value, "held_jobs", None))
+    } == set(_JOB_HOLDERS)
+
+
+#: Classes that keep a container keyed by ``JobId`` and define no
+#: ``forget_job``, each with the reason it needs none.
+NO_FORGET_JOB_NEEDED = {
+    "JobStore": "the owner: ``delete_job`` is the forget",
+    "TaskService": "``TurbineActuator.forget_job`` drops the specs itself",
+    "CheckpointStore": "``TurbineActuator.forget_job`` drops the offsets itself",
+    "Turbine": "``task_hosts`` is written only by ``_host`` / ``_unhost``",
+    "RootCauseAnalyzer": "not platform-wired; ``observe_configs`` prunes to "
+                         "the live jobs every round",
+}
+
+
+def test_every_keeper_of_per_job_state_has_a_way_out():
+    """A class that grows a ``Dict`` / ``Set`` / ``List`` attribute over
+    ``JobId`` either forgets a deleted job or says here why it need not."""
+    annotated = re.compile(
+        r"^\s+self\.(\w+): (?:Dict|Set|List)\[[^=]*\bJobId\b", re.MULTILINE
+    )
+    class_header = re.compile(r"^class (\w+)", re.MULTILINE)
+    package = Path(repro.__file__).parent
+    exempt = {Path("sim/parallel"), Path("tasks/sliced.py"), Path("testing")}
+    keepers = {}
+    for path in sorted(package.rglob("*.py")):
+        relative = path.relative_to(package)
+        if exempt & {relative, *relative.parents}:
+            continue
+        source = path.read_text(encoding="utf-8")
+        headers = list(class_header.finditer(source))
+        for match in annotated.finditer(source):
+            owner = [h for h in headers if h.start() < match.start()][-1]
+            body_end = next(
+                (h.start() for h in headers if h.start() > owner.start()),
+                len(source),
+            )
+            keepers.setdefault(owner.group(1), set()).add(match.group(1))
+            if "def forget_job(" not in source[owner.start():body_end]:
+                assert owner.group(1) in NO_FORGET_JOB_NEEDED, (
+                    f"{relative}: {owner.group(1)}.{match.group(1)} is keyed "
+                    "by job and nothing forgets a deleted one"
+                )
+    # The guard sees the two attributes that were annotated for it.
+    assert "_job_context" in keepers["Tracer"]
+    assert "stopped_jobs" in keepers["CapacityManager"]
+    assert set(NO_FORGET_JOB_NEEDED) <= set(keepers)
+
+
+def test_the_actuator_seam_is_not_duck_typed():
+    assert TaskActuator.__abstractmethods__ == {
+        "apply_settings", "stop_tasks", "redistribute_checkpoints",
+        "start_tasks",
+    }
+    assert "getattr(" not in inspect.getsource(syncer_module)
+    # The one reclaim has exactly two callers under ``src/repro``.
+    package = Path(repro.__file__).parent
+    callers = {
+        str(path.relative_to(package))
+        for path in package.rglob("*.py")
+        if re.search(r"actuator\.forget_job\b", path.read_text(encoding="utf-8"))
+    }
+    assert callers == {"platform.py", "jobs/syncer.py"}

@@ -144,6 +144,41 @@ class TestFaultTolerance:
         syncer.sync_once()
         assert syncer.failure_count("job") == 0
 
+    @pytest.mark.parametrize("full_scan_interval", [1, 20])
+    def test_failure_streak_and_dirty_flag_die_with_the_job(
+        self, full_scan_interval
+    ):
+        """A job provisioned under a deleted id starts with a clean
+        record — whether the syncer learns of the delete from its feed
+        or from a full scan (which discards the feed's deltas)."""
+        store = JobStore()
+        service = JobService(store)
+        spec = JobSpec(job_id="job", input_category="cat", task_count=4)
+        service.provision(spec)
+        actuator = RecordingActuator()
+        syncer = StateSyncer(
+            store, actuator, full_scan_interval=full_scan_interval
+        )
+        actuator.fail_on.add("start_tasks")
+        syncer.sync_once()
+        syncer.sync_once()
+        assert syncer.failure_count("job") == 2 and store.is_dirty("job")
+        service.deprovision("job")
+        assert store._dirty == set()
+        syncer.sync_once()
+        assert syncer.failure_count("job") == 0
+        service.provision(spec)
+        report = syncer.sync_once()  # the new job's first failed plan
+        assert report.failed == ["job"] and report.quarantined == []
+        assert store.state_of("job") == JobState.RUNNING
+        # Deleted and re-created between two rounds, the id never looks
+        # gone to the feed: the eager reclaim has to tell the syncer.
+        assert syncer.failure_count("job") == 1
+        service.deprovision("job")
+        syncer.forget_job("job")
+        service.provision(spec)
+        assert syncer.failure_count("job") == 0 and not syncer.held_jobs()
+
 
 class TestTornPlanRecovery:
     def test_reverted_expected_still_resyncs_after_failure(self):

@@ -231,3 +231,51 @@ class TestTracker:
         tracker.stop()
         engine.run_for(600.0)
         assert tracker.evaluations == evals
+
+
+class TestForgetJob:
+    """A deleted job keeps its compliance record and loses its alert
+    edges and open breaches (``SloTracker.forget_job``)."""
+
+    @staticmethod
+    def delete(service, tracker):
+        service.service.deprovision("job")
+        tracker.forget_job("job")
+
+    def test_deleted_job_cannot_alert_as_its_good_samples_age_out(self):
+        """Nobody writes a deleted job's series any more, so its windows
+        only lose samples: with three old bad minutes keeping the 6 h
+        burn up, one bad minute right before the delete would cross the
+        30-minute threshold 14 minutes *after* it, as the good minutes
+        in front of it age out."""
+        engine, service, metrics, tracker, lag = build_tracker()
+        for value, minutes in ((500.0, 3), (10.0, 42), (500.0, 1)):
+            lag["value"] = value
+            engine.run_for(minutes * 60.0)
+        deleted_at = engine.now
+        assert tracker._last_bad and not tracker._firing[("job", "lag", 1)]
+        assert tracker.burn("job", "lag", 21600.0) >= 6.0  # vacuity guards
+        self.delete(service, tracker)
+        assert tracker.held_jobs() == set()
+        engine.run_for(1800.0)
+        assert tracker.burn("job", "lag", 1800.0) >= 6.0  # it did cross
+        assert [a for a in tracker.alerts if a.time > deleted_at] == []
+        assert [b for b in tracker.breaches if b.open] == []
+        assert tracker.breaches[-1].end == deleted_at
+        assert tracker.budget_burned("job", "lag") > 0.0  # the record stays
+
+    def test_reprovisioned_id_fires_its_own_first_alert(self):
+        """An edge left at "firing" by the dead job would swallow it."""
+        engine, service, metrics, tracker, lag = build_tracker()
+        lag["value"] = 10.0
+        engine.run_for(180.0)
+        lag["value"] = 500.0
+        engine.run_for(120.0)
+        assert [a.severity for a in tracker.alerts] == ["page", "warn"]
+        self.delete(service, tracker)
+        engine.run_for(1500.0)
+        assert len(tracker.alerts) == 2 and not tracker.breaches[-1].open
+        service.add("job", {"task_count": 2})
+        engine.run_for(60.0)
+        assert [a.severity for a in tracker.alerts[2:]] == ["page", "warn"]
+        assert [b.open for b in tracker.breaches] == [False, True]

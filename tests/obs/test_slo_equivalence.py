@@ -113,6 +113,8 @@ class World:
                 self.store.set_state(job_id, JobState.RUNNING)
             elif kind == "deprovision":
                 self.service.deprovision(job_id)
+                # What the platform's reclaim does once the delete is in.
+                self.tracker.forget_job(job_id)
             elif kind == "provision":
                 self.service.provision(
                     JobSpec(job_id=job_id, input_category="cat", task_count=2)

@@ -5,6 +5,7 @@ import pytest
 from repro import JobSpec, PlatformConfig, Turbine
 from repro.jobs import ConfigLevel
 from repro.scaler.rootcause import Cause, RootCauseAnalyzer
+from repro.types import JobState
 from repro.workloads import TrafficDriver
 
 
@@ -82,6 +83,22 @@ class TestDiagnosis:
         platform, analyzer = build()
         diagnosis = analyzer.diagnose("job-0", platform.now)
         assert diagnosis.cause != Cause.BAD_USER_UPDATE
+
+    def test_reprovisioning_a_deleted_id_is_not_an_update_either(self):
+        """The stamp of a deleted job goes at the next observation, so a
+        job provisioned under its id at another version is a first
+        sight — while a quarantined job (live, not active) keeps its."""
+        platform, analyzer = build()
+        platform.job_store.set_state("job-1", JobState.QUARANTINED)
+        platform.deprovision("job-0")
+        analyzer.observe_configs(platform.now)
+        assert set(analyzer._package_seen) == {"job-1", "job-2", "job-3"}
+        platform.provision(JobSpec(
+            job_id="job-0", input_category="cat-0", task_count=4,
+            rate_per_thread_mb=4.0, package_version="2.0",
+        ))
+        analyzer.observe_configs(platform.now)
+        assert not analyzer._recently_updated("job-0", platform.now)
 
 
 class TestMitigation:

@@ -468,27 +468,25 @@ def apply_step(platform, step, state):
 
 
 small = st.integers(0, 7)
-steps = st.lists(
-    st.one_of(
-        st.tuples(st.just("run"), st.sampled_from([1.0, 10.0, 45.0, 120.0])),
-        st.tuples(st.just("fail_host"), small),
-        st.tuples(st.just("recover_host"), small),
-        st.tuples(st.just("add_host")),
-        st.tuples(st.just("rescale"), small, st.integers(1, 4)),
-        st.tuples(st.just("deprovision"), small),
-        st.tuples(st.just("provision"), small),
-        st.tuples(st.just("stop_job"), small),
-        st.tuples(st.just("kill_container"), small),
-        st.tuples(st.just("reboot"), small),
-        st.tuples(st.just("stop_job_tasks"), small, small),
-        st.tuples(st.just("add_shard"), small, small),
-        st.tuples(st.just("drop_shard"), small, small),
-        st.tuples(st.just("drain"), small),
-        st.tuples(st.just("undrain"), small),
-    ),
-    min_size=1,
-    max_size=24,
+#: One step; ``tests/integration/test_deprovision.py`` extends the set.
+step = st.one_of(
+    st.tuples(st.just("run"), st.sampled_from([1.0, 10.0, 45.0, 120.0])),
+    st.tuples(st.just("fail_host"), small),
+    st.tuples(st.just("recover_host"), small),
+    st.tuples(st.just("add_host")),
+    st.tuples(st.just("rescale"), small, st.integers(1, 4)),
+    st.tuples(st.just("deprovision"), small),
+    st.tuples(st.just("provision"), small),
+    st.tuples(st.just("stop_job"), small),
+    st.tuples(st.just("kill_container"), small),
+    st.tuples(st.just("reboot"), small),
+    st.tuples(st.just("stop_job_tasks"), small, small),
+    st.tuples(st.just("add_shard"), small, small),
+    st.tuples(st.just("drop_shard"), small, small),
+    st.tuples(st.just("drain"), small),
+    st.tuples(st.just("undrain"), small),
 )
+steps = st.lists(step, min_size=1, max_size=24)
 
 
 @settings(max_examples=40, deadline=None)
