@@ -8,7 +8,6 @@ Commands:
     chaos       run a named chaos scenario and print the MTTR report
     growth      print the Fig. 1-style yearly growth table
     footprints  print the Fig. 5-style task footprint summary
-    parallel    run a fleet on the sharded parallel substrate
     experiments list the benchmark harnesses and what they reproduce
 """
 
@@ -287,48 +286,6 @@ def benchmark_index() -> list:
     return index
 
 
-def cmd_parallel(args: argparse.Namespace) -> int:
-    from repro.sim.parallel import run_fleet, standard_fleet
-
-    spec = standard_fleet(
-        seed=args.seed,
-        total_tasks=args.tasks,
-        num_jobs=args.jobs,
-        num_shards=args.shards,
-        duration=args.minutes * 60.0,
-        step_interval=args.step,
-        round_interval=args.round,
-    )
-    result = run_fleet(
-        spec, partitions=args.partitions, use_processes=args.processes
-    )
-    mode = "processes" if result.used_processes else "in-process"
-    print(
-        f"fleet: {spec.total_tasks} tasks / {len(spec.jobs)} jobs / "
-        f"{spec.num_shards} shards"
-    )
-    print(
-        f"ran {result.rounds} rounds x {args.partitions} partitions "
-        f"({mode}) in {result.wall_s:.2f}s wall"
-    )
-    final = result.fingerprint["final"]
-    total_tasks = sum(job["task_count"] for job in final.values())
-    total_lag = sum(job["lag_u"] for job in final.values()) / 1e6
-    print(
-        f"final: {total_tasks} tasks, {total_lag:.1f} MB lag, "
-        f"{result.fingerprint['crash_total']} crashes, "
-        f"{len(result.fingerprint['actions'])} control actions"
-    )
-    if args.out_dir:
-        _write_exports(args.out_dir, (
-            ("fingerprint.json", result.fingerprint_json),
-            ("timeline.txt", result.timeline_text),
-            ("slo.json", result.slo_json),
-            ("telemetry.jsonl", result.telemetry_jsonl),
-        ))
-    return 0
-
-
 def cmd_experiments(args: argparse.Namespace) -> int:
     experiments = benchmark_index()
     if not experiments:
@@ -436,31 +393,6 @@ def main(argv=None) -> int:
     footprints.add_argument("--jobs", type=int, default=5000)
     footprints.add_argument("--seed", type=int, default=0)
     footprints.set_defaults(func=cmd_footprints)
-
-    parallel = sub.add_parser(
-        "parallel",
-        help="run a fleet on the sharded parallel substrate",
-    )
-    parallel.add_argument("--partitions", type=int, default=1,
-                          help="event-engine partitions (exports are "
-                               "byte-identical for every value)")
-    parallel.add_argument("--tasks", type=int, default=1000)
-    parallel.add_argument("--jobs", type=int, default=10)
-    parallel.add_argument("--shards", type=int, default=64)
-    parallel.add_argument("--minutes", type=float, default=1440.0,
-                          help="simulated duration (default: one day)")
-    parallel.add_argument("--step", type=float, default=300.0,
-                          help="data-plane step interval, seconds")
-    parallel.add_argument("--round", type=float, default=3600.0,
-                          help="control-plane round barrier, seconds")
-    parallel.add_argument("--seed", type=int, default=0)
-    parallel.add_argument("--processes", action="store_true",
-                          help="run partitions in worker processes")
-    parallel.add_argument("--out-dir", metavar="DIR", default=None,
-                          help="write every deterministic export here: "
-                               "fingerprint.json, timeline.txt "
-                               "(control-plane), slo.json, telemetry.jsonl")
-    parallel.set_defaults(func=cmd_parallel)
 
     experiments = sub.add_parser("experiments", help="list benchmarks")
     experiments.set_defaults(func=cmd_experiments)

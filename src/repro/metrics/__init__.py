@@ -19,7 +19,6 @@ checks that under hypothesis against the always-rescanning reference,
 """
 
 from repro.metrics.aggregate import cdf_points, mean, percentile, stdev
-from repro.metrics.mergeable import MetricSlice, merge_slices
 from repro.metrics.series import TimeSeries
 from repro.metrics.sketch import HistogramSketch
 from repro.metrics.store import MetricStore
@@ -27,8 +26,6 @@ from repro.metrics.store import MetricStore
 __all__ = [
     "TimeSeries",
     "MetricStore",
-    "MetricSlice",
-    "merge_slices",
     "HistogramSketch",
     "mean",
     "stdev",

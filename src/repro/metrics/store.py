@@ -145,27 +145,6 @@ class MetricStore:
             self._telemetry.inc("metrics.ingest.samples", count)
         return count
 
-    def load_slice(self, piece) -> int:
-        """Ingest a :class:`~repro.metrics.mergeable.MetricSlice`.
-
-        Rows land in the slice's canonical ``(time, entity, metric)``
-        order, batched per distinct time through :meth:`record_many`, so
-        a store fed merged slices is byte-identical to one fed the same
-        rows sample by sample in time order. Returns samples ingested.
-        """
-        ingested = 0
-        batch: List[Tuple[str, str, float]] = []
-        batch_time: Optional[Seconds] = None
-        for time, entity, metric, value in piece.canonical():
-            if batch and time != batch_time:
-                ingested += self.record_many(batch_time, batch)
-                batch = []
-            batch_time = time
-            batch.append((entity, metric, value))
-        if batch:
-            ingested += self.record_many(batch_time, batch)
-        return ingested
-
     # ------------------------------------------------------------------
     # Reads
     # ------------------------------------------------------------------

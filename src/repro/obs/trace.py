@@ -311,7 +311,7 @@ class _NullTracer(Tracer):
     silently turn tracing on for every defaulted component at once).
     """
 
-    def enable(self) -> None:  # pragma: no cover - guard rail
+    def enable(self) -> None:
         raise RuntimeError(
             "NULL_TRACER is shared and cannot be enabled; "
             "construct a Tracer and pass it to the component instead"

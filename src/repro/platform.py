@@ -577,7 +577,8 @@ class Turbine:
             entry = usage.setdefault(
                 host_id, {"cpu": 0.0, "memory_gb": 0.0, "tasks": 0.0}
             )
-            for task in manager.tasks.values():
+            # Primaries, then replicas: a promoted standby is RUNNING.
+            for task in (*manager.tasks.values(), *manager.standbys.values()):
                 if task.state != TaskState.RUNNING:
                     continue
                 entry["cpu"] += task.last_cpu_used

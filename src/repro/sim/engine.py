@@ -114,14 +114,10 @@ class Engine:
         seed: int = 0,
         start: Seconds = 0.0,
         instrumentation: Optional[Any] = None,
-        rng: Optional[SeededRng] = None,
     ) -> None:
         self.clock = SimClock(start)
         self.queue = EventQueue()
-        #: Pass ``rng`` to share a forked stream (the parallel substrate
-        #: gives partition *i* its engine ``root.fork(f"partition-{i}")``);
-        #: otherwise a fresh root generator is built from ``seed``.
-        self.rng = rng if rng is not None else SeededRng(seed)
+        self.rng = SeededRng(seed)
         self._running = False
         #: Optional per-event hook (duck-typed ``record_event(engine, cb)``;
         #: see :class:`repro.obs.telemetry.EngineInstrumentation`). ``None``
@@ -213,40 +209,6 @@ class Engine:
         finally:
             self._running = False
         self.clock.advance_to(deadline)
-
-    def drain_until(self, barrier: Seconds) -> int:
-        """Deliver events strictly *below* ``barrier``; return the count.
-
-        This is the round-barrier primitive of the parallel substrate: a
-        partition processes everything that happens before the barrier
-        timestamp and then stops, leaving any event scheduled at exactly
-        ``barrier`` for the next round (after the control plane has run
-        at the barrier). The clock still finishes exactly at ``barrier``
-        so back-to-back rounds tile time precisely — which means an event
-        left at the barrier fires first in the next round, at a time
-        equal to the then-current clock.
-        """
-        if barrier < self.now:
-            raise SimulationError(
-                f"barrier is in the past: {barrier} < {self.now}"
-            )
-        if self._running:
-            raise SimulationError("engine is already running (re-entrant run)")
-        self._running = True
-        processed = 0
-        try:
-            while True:
-                next_time = self.queue.peek_time()
-                if next_time is None or next_time >= barrier:
-                    break
-                time, callback = self.queue.pop()
-                self.clock.advance_to(time)
-                self._dispatch(callback)
-                processed += 1
-        finally:
-            self._running = False
-        self.clock.advance_to(barrier)
-        return processed
 
     def run_for(self, duration: Seconds) -> None:
         """Deliver events for the next ``duration`` seconds."""

@@ -25,12 +25,8 @@ DEFAULT_NUM_SHARDS = 1024
 
 
 def shard_index_for_task(task_id: TaskId, num_shards: int) -> int:
-    """The numeric shard index of a task, by MD5 hash of its id.
-
-    The integer form is what the parallel substrate partitions on
-    (partition = index mod N); :func:`shard_id_for_task` formats the
-    same index as the control plane's shard id string.
-    """
+    """The numeric shard index of a task, by MD5 hash of its id
+    (:func:`shard_id_for_task` formats it as the shard id string)."""
     if num_shards <= 0:
         raise PlacementError(f"num_shards must be positive: {num_shards}")
     # int.from_bytes(digest) == int(hexdigest, 16): same 128-bit value,

@@ -443,49 +443,3 @@ class TestResiliencyTransparency:
         assert detector.drains == 0
         assert list(detector.events) == []
 
-
-class TestParallelSubstrateTransparency:
-    """The partition count must be invisible to every merged export.
-
-    Golden same-seed fleets run at 1 partition (the single event loop)
-    and at 4 partitions in worker processes must agree byte-for-byte on
-    the run fingerprint, the control-plane timeline, the SLO report, and
-    the deterministic telemetry export. Only wall-clock and the
-    ``used_processes`` diagnostic may differ — nothing partition-scoped
-    is allowed to reach an export.
-    """
-
-    @staticmethod
-    def _fleet(seed):
-        from repro.sim.parallel import standard_fleet
-
-        return standard_fleet(
-            seed=seed, total_tasks=400, num_jobs=4, num_shards=32,
-            duration=4 * 3600.0,
-        )
-
-    @pytest.mark.parametrize("seed", [101, 202, 303])
-    def test_same_seed_byte_identical_at_1_and_4_partitions(self, seed):
-        from repro.sim.parallel import run_fleet
-
-        single = run_fleet(self._fleet(seed), partitions=1)
-        sharded = run_fleet(
-            self._fleet(seed), partitions=4, use_processes=True
-        )
-        assert sharded.fingerprint_json == single.fingerprint_json
-        assert sharded.timeline_text == single.timeline_text
-        assert sharded.slo_json == single.slo_json
-        assert sharded.telemetry_jsonl == single.telemetry_jsonl
-
-    def test_worker_processes_actually_engaged_in_golden_run(self):
-        """Guard against the transparency test passing vacuously."""
-        from repro.sim.parallel import run_fleet
-
-        result = run_fleet(
-            self._fleet(101), partitions=4, use_processes=True
-        )
-        assert result.partitions == 4
-        assert result.used_processes, (
-            "worker processes should start on this platform"
-        )
-        assert result.rounds == 4

@@ -12,9 +12,11 @@ Every optional subsystem reaches the platform through
   every export is byte-identical for any attach order.
 """
 
+import ast
 import inspect
 import random
 import re
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -89,6 +91,36 @@ def test_no_production_constructor_selects_a_reference_implementation():
     ] == []
 
 
+@pytest.mark.skipif(
+    not hasattr(sys, "stdlib_module_names"),
+    reason="the interpreter lists its standard library from 3.10 on",
+)
+def test_the_package_is_one_process_of_standard_library_python():
+    """``dependencies = []`` is a promise: every import under
+    ``src/repro`` — inside a ``try`` or a function too — is the package
+    itself or the standard library, and none is ``multiprocessing``. A
+    second simulator came with exactly these two things (a
+    ``numpy``-or-fallback double path and a worker pool), so neither can
+    come back unnoticed."""
+    allowed = (sys.stdlib_module_names | {"repro"}) - {"multiprocessing"}
+    package = Path(repro.__file__).parent
+    offenders = {}
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            foreign = {m.split(".")[0] for m in modules} - allowed
+            if foreign:
+                offenders.setdefault(
+                    str(path.relative_to(package)), set()
+                ).update(foreign)
+    assert offenders == {}
+
+
 def test_the_job_config_format_has_one_reader():
     """``JobView.from_config`` (``repro.jobs.model``) is the one parser
     of a job configuration and ``JobStore.view`` the one place a merged
@@ -107,10 +139,7 @@ def test_the_job_config_format_has_one_reader():
         r"|\b(expected_config|merged_expected)\("
     )
     package = Path(repro.__file__).parent
-    exempt = {
-        Path("jobs"), Path("testing"),
-        Path("sim/parallel"),  # the separate substrate: no Job Store at all
-    }
+    exempt = {Path("jobs"), Path("testing")}
     offenders = {}
     for path in sorted(package.rglob("*.py")):
         relative = path.relative_to(package)
@@ -271,7 +300,7 @@ def test_every_keeper_of_per_job_state_has_a_way_out():
     )
     class_header = re.compile(r"^class (\w+)", re.MULTILINE)
     package = Path(repro.__file__).parent
-    exempt = {Path("sim/parallel"), Path("tasks/sliced.py"), Path("testing")}
+    exempt = {Path("testing")}
     keepers = {}
     for path in sorted(package.rglob("*.py")):
         relative = path.relative_to(package)

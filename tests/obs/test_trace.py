@@ -27,8 +27,11 @@ class TestDisabled:
         assert tracer.peek_shard_context("shard-1") is None
 
     def test_null_tracer_cannot_be_enabled(self):
-        with pytest.raises(RuntimeError):
+        with pytest.raises(RuntimeError, match="shared and cannot be enabled"):
             NULL_TRACER.enable()
+        # The refusal left every defaulted component's tracer off.
+        assert not NULL_TRACER.enabled
+        assert NULL_TRACER.record("detector", "symptom", job_id="job") is None
 
     def test_real_tracer_enable_disable(self):
         tracer = Tracer()

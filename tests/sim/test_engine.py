@@ -68,6 +68,13 @@ def test_run_until_past_deadline_rejected():
         engine.run_until(5.0)
 
 
+def test_reentrant_run_rejected():
+    engine = Engine()
+    engine.call_in(1.0, lambda: engine.run_until(20.0))
+    with pytest.raises(SimulationError):
+        engine.run_until(10.0)
+
+
 def test_events_scheduled_during_run_are_delivered():
     engine = Engine()
     seen = []
@@ -219,87 +226,3 @@ class TestDeterminism:
             b.rng.random() for _ in range(10)
         ]
 
-
-class TestDrainUntil:
-    """The round-barrier primitive: strictly-below semantics."""
-
-    def test_event_below_barrier_fires(self):
-        engine = Engine()
-        seen = []
-        engine.call_in(4.9, lambda: seen.append(engine.now))
-        assert engine.drain_until(5.0) == 1
-        assert seen == [4.9]
-        assert engine.now == 5.0
-
-    def test_event_exactly_at_barrier_does_not_fire(self):
-        engine = Engine()
-        seen = []
-        engine.call_in(5.0, lambda: seen.append(engine.now))
-        assert engine.drain_until(5.0) == 0
-        assert seen == []
-        # The clock still lands exactly on the barrier...
-        assert engine.now == 5.0
-        # ...and the held event fires first thing next round, at the
-        # barrier timestamp (not later).
-        assert engine.drain_until(10.0) == 1
-        assert seen == [5.0]
-
-    def test_tie_between_barrier_and_earlier_event(self):
-        engine = Engine()
-        seen = []
-        engine.call_in(3.0, lambda: seen.append(("below", engine.now)))
-        engine.call_in(5.0, lambda: seen.append(("at", engine.now)))
-        engine.call_in(7.0, lambda: seen.append(("above", engine.now)))
-        assert engine.drain_until(5.0) == 1
-        assert seen == [("below", 3.0)]
-        assert engine.drain_until(7.0) == 1
-        assert seen == [("below", 3.0), ("at", 5.0)]
-        # run_until is inclusive, so the two primitives differ exactly
-        # at the boundary timestamp.
-        engine.run_until(7.0)
-        assert seen == [("below", 3.0), ("at", 5.0), ("above", 7.0)]
-
-    def test_periodic_timer_held_at_barrier(self):
-        engine = Engine()
-        fires = []
-        engine.every(5.0, lambda: fires.append(engine.now))
-        assert engine.drain_until(10.0) == 1   # 5.0 fired, 10.0 held
-        assert fires == [5.0]
-        assert engine.drain_until(20.0) == 2   # 10.0 (held), 15.0
-        assert fires == [5.0, 10.0, 15.0]
-
-    def test_returns_count_of_delivered_events(self):
-        engine = Engine()
-        for delay in (1.0, 2.0, 3.0, 4.0):
-            engine.call_in(delay, lambda: None)
-        assert engine.drain_until(3.5) == 3
-        assert engine.drain_until(3.5) == 0
-        assert engine.drain_until(10.0) == 1
-
-    def test_past_barrier_rejected(self):
-        engine = Engine()
-        engine.run_until(10.0)
-        with pytest.raises(SimulationError):
-            engine.drain_until(5.0)
-
-    def test_reentrant_drain_rejected(self):
-        engine = Engine()
-
-        def reenter():
-            engine.drain_until(20.0)
-
-        engine.call_in(1.0, reenter)
-        with pytest.raises(SimulationError):
-            engine.drain_until(10.0)
-
-    def test_back_to_back_rounds_tile_time(self):
-        engine = Engine()
-        fires = []
-        engine.every(3.0, lambda: fires.append(engine.now))
-        total = 0
-        for barrier in (5.0, 10.0, 15.0):
-            total += engine.drain_until(barrier)
-            assert engine.now == barrier
-        # Firings at 3, 6, 9, 12 delivered; nothing lost at the seams.
-        assert fires == [3.0, 6.0, 9.0, 12.0]
-        assert total == 4

@@ -73,7 +73,7 @@ def test_seed_property():
 
 
 # ----------------------------------------------------------------------
-# Fork independence and process-boundary stability (parallel substrate)
+# Fork independence and pickle stability
 # ----------------------------------------------------------------------
 
 import pickle
@@ -127,12 +127,9 @@ def test_forking_does_not_perturb_parent(seed):
     consumed=st.integers(min_value=0, max_value=20),
 )
 def test_forked_rng_survives_pickle_mid_stream(seed, consumed):
-    """Shipping a forked rng to a worker continues the same stream.
-
-    The multiprocessing path pickles partition state to worker
-    processes; a rng that had already drawn ``consumed`` values must
-    resume at draw ``consumed + 1``, not restart.
-    """
+    """A pickled rng continues the same stream: one that had already
+    drawn ``consumed`` values resumes at draw ``consumed + 1``, not at
+    the start."""
     original = SeededRng(seed).fork("partition-3")
     for _ in range(consumed):
         original.random()

@@ -6,7 +6,11 @@ from hypothesis import strategies as st
 
 from repro.errors import PlacementError
 from repro.tasks import shard_id_for_task
-from repro.tasks.shard import all_shard_ids, group_tasks_by_shard
+from repro.tasks.shard import (
+    all_shard_ids,
+    group_tasks_by_shard,
+    shard_index_for_task,
+)
 
 
 def test_mapping_is_deterministic():
@@ -22,6 +26,16 @@ def test_mapping_within_range():
 def test_different_tasks_spread_across_shards():
     shards = {shard_id_for_task(f"job:{i}", 64) for i in range(1000)}
     assert len(shards) > 48, "1000 tasks should hit most of 64 shards"
+
+
+def test_no_shard_starves_on_realistic_task_ids():
+    """MD5 spreads ``<job>/<index>`` ids evenly: no bucket runs empty."""
+    counts = [0, 0, 0, 0]
+    for job in range(20):
+        for i in range(50):
+            counts[shard_index_for_task(f"job-{job:04d}/{i}", 4)] += 1
+    assert sum(counts) == 1000
+    assert min(counts) > 150
 
 
 def test_zero_shards_rejected():

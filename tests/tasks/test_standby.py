@@ -134,6 +134,29 @@ class TestPromotion:
             for event in platform.standby.events
         )
 
+    def test_host_utilization_counts_a_promoted_replica(self):
+        # A promoted replica stays in ``standbys``, RUNNING and consuming
+        # like a primary; a walk over ``tasks`` alone reported 0 tasks and
+        # 0 CPU for the whole takeover window.
+        platform = build_platform()
+
+        def tasks_in_utilization():
+            return sum(
+                entry["tasks"]
+                for entry in platform.host_utilization().values()
+            )
+
+        assert tasks_in_utilization() == platform.running_task_count() == 4
+        task_id = "alpha:0"
+        platform.cluster.fail_host(
+            primary_of(platform, task_id).container.host_id
+        )
+        platform.run_for(seconds=5.0)
+        assert platform.standby.promotions
+        assert tasks_in_utilization() == platform.running_task_count() > 0
+        platform.run_for(minutes=3)  # failover restarts the primaries
+        assert tasks_in_utilization() == platform.running_task_count() == 4
+
     def test_promotion_happens_once_per_outage(self):
         platform = build_platform()
         task_id = "alpha:0"

@@ -279,7 +279,6 @@ CHAOS_EXPORTS = (
     "fingerprint.json", "timeline.txt", "slo.json", "telemetry.jsonl",
     "trace.jsonl",
 )
-PARALLEL_EXPORTS = CHAOS_EXPORTS[:-1]
 
 
 def assert_per_file_flags_are_gone(command):
@@ -326,20 +325,6 @@ def test_chaos_exports_slo_report(capsys, tmp_path):
     report = json.loads((tmp_path / "slo.json").read_text())
     assert "slos" in report and "breach_windows" in report
     assert report["slos"], "chaos platform must track default SLOs"
-
-
-def test_parallel_out_dir_is_partition_count_transparent(capsys, tmp_path):
-    fleet = ["parallel", "--seed", "3", "--tasks", "200", "--jobs", "4",
-             "--shards", "16", "--minutes", "120", "--step", "300",
-             "--round", "1800"]
-    one, four = tmp_path / "p1", tmp_path / "p4"
-    assert main([*fleet, "--partitions", "1", "--out-dir", str(one)]) == 0
-    assert main([*fleet, "--partitions", "4", "--out-dir", str(four)]) == 0
-    assert sorted(p.name for p in one.iterdir()) == sorted(PARALLEL_EXPORTS)
-    for name in PARALLEL_EXPORTS:
-        assert (one / name).read_bytes() == (four / name).read_bytes()
-    assert json.loads((one / "fingerprint.json").read_text())["final"]
-    assert_per_file_flags_are_gone(["parallel"])
 
 
 def test_chaos_mttr_table_renders():
