@@ -50,12 +50,8 @@ class ScribeBus:
         """Unprocessed bytes (MB) of a category for one reading job: per
         partition, what is available past the job's committed offset.
         The category must exist."""
-        checkpoints = self.checkpoints
-        return sum(
-            partition.available(
-                checkpoints.get(job_id, partition.partition_id)
-            )
-            for partition in self.get_category(category_name).partitions
+        return self.checkpoints.lag_mb(
+            job_id, self.get_category(category_name).partitions
         )
 
     # ------------------------------------------------------------------

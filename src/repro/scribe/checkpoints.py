@@ -11,21 +11,45 @@ synchronization (paper section III-B).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List
+from types import MappingProxyType
+from typing import Dict, Iterable, List, Mapping
 
 from repro.errors import ScribeError
+from repro.scribe.partition import Partition
 from repro.types import JobId
+
+#: What a job that never committed reads from: every cursor at 0.0.
+NO_OFFSETS: Mapping[str, float] = MappingProxyType({})
 
 
 class CheckpointStore:
     """Durable map of ``(job_id, partition_id) -> offset``."""
 
     def __init__(self) -> None:
-        self._offsets: Dict[JobId, Dict[str, float]] = {}
+        #: ``job -> partition id -> offset``: the live map. The container
+        #: step (:func:`repro.tasks.runtime.step_container`) reads and
+        #: commits through a job's inner mapping directly; it looks the
+        #: job up again every tick, because :meth:`drop_job` removes the
+        #: inner mapping while the job's tasks may still run.
+        self.offsets: Dict[JobId, Dict[str, float]] = {}
 
     def get(self, job_id: JobId, partition_id: str) -> float:
         """The committed offset, or 0.0 for a never-checkpointed partition."""
-        return self._offsets.get(job_id, {}).get(partition_id, 0.0)
+        return self.offsets.get(job_id, NO_OFFSETS).get(partition_id, 0.0)
+
+    def lag_mb(self, job_id: JobId, partitions: Iterable[Partition]) -> float:
+        """Unprocessed bytes (MB) of ``partitions`` for one reading job:
+        per partition, head minus committed offset. The true backlog — it
+        keeps counting while a partition is offline."""
+        committed = self.offsets.get(job_id, NO_OFFSETS).get
+        lag = 0
+        for partition in partitions:
+            offset = committed(partition.partition_id, 0.0)
+            head = partition.head
+            if offset < 0 or offset > head + 1e-6:
+                raise partition.offset_error(offset)
+            lag += head - offset
+        return lag
 
     def commit(self, job_id: JobId, partition_id: str, offset: float) -> None:
         """Advance the committed offset. Moving backwards is rejected —
@@ -38,23 +62,23 @@ class CheckpointStore:
                 f"checkpoint for {job_id}/{partition_id} cannot move backwards: "
                 f"{offset} < {current}"
             )
-        self._offsets.setdefault(job_id, {})[partition_id] = offset
+        self.offsets.setdefault(job_id, {})[partition_id] = offset
 
     def partitions_of(self, job_id: JobId) -> List[str]:
         """All partition ids this job has ever checkpointed."""
-        return sorted(self._offsets.get(job_id, {}))
+        return sorted(self.offsets.get(job_id, NO_OFFSETS))
 
     def job_ids(self) -> Iterable[JobId]:
         """Every job with a committed offset."""
-        return self._offsets.keys()
+        return self.offsets.keys()
 
     def drop_job(self, job_id: JobId) -> None:
         """Forget a deleted job's checkpoints."""
-        self._offsets.pop(job_id, None)
+        self.offsets.pop(job_id, None)
 
     def snapshot(self, job_id: JobId) -> Dict[str, float]:
         """A copy of the job's checkpoints (used by redistribution tests)."""
-        return dict(self._offsets.get(job_id, {}))
+        return dict(self.offsets.get(job_id, NO_OFFSETS))
 
     def __repr__(self) -> str:
-        return f"CheckpointStore(jobs={len(self._offsets)})"
+        return f"CheckpointStore(jobs={len(self.offsets)})"

@@ -14,21 +14,18 @@ from repro.errors import ScribeError
 class Partition:
     """An append-only stream measured in bytes."""
 
-    __slots__ = ("partition_id", "_head", "online")
+    __slots__ = ("partition_id", "head", "online")
 
     def __init__(self, partition_id: str) -> None:
         self.partition_id = partition_id
-        self._head: float = 0.0
+        #: Total bytes ever appended (the write frontier). A plain slot:
+        #: the container step reads it once per partition per pass.
+        self.head: float = 0.0
         #: When False the partition's brokers are unreachable: reads
         #: return nothing (consumers stall and lag builds) while appends
         #: still land — Scribe buffers producer-side, so no data is lost
         #: and the backlog is fully readable after recovery.
         self.online = True
-
-    @property
-    def head(self) -> float:
-        """Total bytes ever appended (the write frontier)."""
-        return self._head
 
     def append(self, num_bytes: float) -> float:
         """Append ``num_bytes`` and return the new head offset."""
@@ -36,8 +33,8 @@ class Partition:
             raise ScribeError(
                 f"cannot append negative bytes to {self.partition_id}: {num_bytes}"
             )
-        self._head += num_bytes
-        return self._head
+        self.head += num_bytes
+        return self.head
 
     def available(self, offset: float) -> float:
         """Bytes backlogged past ``offset`` (0 when the reader is caught up).
@@ -48,7 +45,7 @@ class Partition:
         during an outage.
         """
         self._check_offset(offset)
-        return self._head - offset
+        return self.head - offset
 
     def readable(self, offset: float) -> float:
         """Bytes a consumer can actually fetch right now (0 offline)."""
@@ -72,14 +69,18 @@ class Partition:
         return min(max_bytes, self.available(offset))
 
     def _check_offset(self, offset: float) -> None:
+        if offset < 0 or offset > self.head + 1e-6:
+            raise self.offset_error(offset)
+
+    def offset_error(self, offset: float) -> ScribeError:
+        """What a cursor outside ``[0, head + 1e-6]`` raises — here, and
+        where the container step and the lag sum make the same check
+        inline."""
         if offset < 0:
-            raise ScribeError(
-                f"negative offset {offset} in {self.partition_id}"
-            )
-        if offset > self._head + 1e-6:
-            raise ScribeError(
-                f"offset {offset} beyond head {self._head} in {self.partition_id}"
-            )
+            return ScribeError(f"negative offset {offset} in {self.partition_id}")
+        return ScribeError(
+            f"offset {offset} beyond head {self.head} in {self.partition_id}"
+        )
 
     def __repr__(self) -> str:
-        return f"Partition({self.partition_id!r}, head={self._head:g})"
+        return f"Partition({self.partition_id!r}, head={self.head:g})"

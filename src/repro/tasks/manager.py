@@ -30,7 +30,7 @@ from repro.obs.trace import NULL_TRACER, SLOT_SYNC, Tracer
 from repro.resilience import Dependency, LastKnownGood, RetryPolicy
 from repro.scribe.bus import ScribeBus
 from repro.sim.engine import Engine, Timer
-from repro.tasks.runtime import RunningTask
+from repro.tasks.runtime import RunningTask, step_container
 from repro.tasks.service import TaskService
 from repro.tasks.shard_manager import ShardManager
 from repro.tasks.spec import TaskSpec
@@ -472,59 +472,42 @@ class TaskManager:
     # Data-plane stepping (one call per platform ``data-plane-step`` tick)
     # ------------------------------------------------------------------
     def step_tasks(self) -> None:
-        """Step every hosted task once: the only per-task step body.
+        """One cgroup step of this container: every hosted task, once.
 
         The platform calls this for each manager in spawn order, so a
         task's commits and downstream publishes are visible to every
-        task stepped after it in the same tick.
+        task stepped after it in the same tick. The stepping itself is
+        :func:`~repro.tasks.runtime.step_container`; what is left here is
+        the manager's: recovery-lag windows and OOM restarts.
         """
         now = self._engine.now
         dt = now - self._last_step_time
         self._last_step_time = now
         if not self.alive or dt <= 0:
             return
-        # Contention model: the container's cgroup CPU limit is shared.
-        # When the tasks collectively want more cores than the container
-        # has, everyone slows down proportionally — this is what produces
-        # lag on hot containers (the paper's Fig. 7 observation).
-        throttle = 1.0
-        capacity_cpu = self.container.capacity.cpu
-        if capacity_cpu > 0:
-            desired = sum(
-                task.desired_cores(dt) for task in self.tasks.values()
-            )
-            if self.standbys:
-                desired += sum(
-                    task.desired_cores(dt) for task in self.standbys.values()
-                )
-            if desired > capacity_cpu:
-                throttle = capacity_cpu / desired
-        # A gray node processes slower without looking unhealthy: the
-        # degradation lands in the data-plane throttle, never in
-        # heartbeats or liveness.
-        throttle *= self.slow_factor
-        step_items = list(self.tasks.items())
-        if self.standbys:
-            # Passive replicas no-op inside step() (STANDBY is not
-            # RUNNING); promoted ones process like any primary.
-            step_items.extend(self.standbys.items())
-        for task_id, task in step_items:
-            was_running = task.state == TaskState.RUNNING
-            task.step(dt, throttle=throttle)
-            if was_running and task.state == TaskState.CRASHED:
-                self._handle_oom(task)
-            if (
-                task_id in self._failed_at
-                and task.state == TaskState.RUNNING
-                and task.last_rate_mb > 0
-            ):
-                # First post-recovery progress sample: close the
-                # recovery-lag window for the task.recovery_lag SLI.
-                lag = now - self._failed_at.pop(task_id)
-                if self._metrics is not None:
-                    self._metrics.record(
-                        task.spec.job_id, "recovery_lag", now, lag
-                    )
+        oom_killed = step_container(
+            self._scribe, self.tasks.values(), self.standbys.values(), dt,
+            self.container.capacity.cpu, self.slow_factor,
+        )
+        if self._failed_at:
+            # First post-recovery progress sample: close the task's
+            # recovery-lag window for the task.recovery_lag SLI. Judged
+            # before this tick's OOM kills are restarted, so the step
+            # that crashed a task never counts as its recovery.
+            for task in self._hosted():
+                task_id = task.spec.task_id
+                if (
+                    task_id in self._failed_at
+                    and task.state == TaskState.RUNNING
+                    and task.last_rate_mb > 0
+                ):
+                    lag = now - self._failed_at.pop(task_id)
+                    if self._metrics is not None:
+                        self._metrics.record(
+                            task.spec.job_id, "recovery_lag", now, lag
+                        )
+        for task in oom_killed:
+            self._handle_oom(task)
 
     def note_task_failure(self, task_id: TaskId, at: Seconds) -> None:
         """Open a recovery-lag window (used by the standby plane, whose

@@ -21,9 +21,11 @@ to:
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional
 
+from repro.errors import ScribeError
 from repro.scribe.bus import ScribeBus
+from repro.scribe.checkpoints import NO_OFFSETS
 from repro.scribe.partition import Partition
 from repro.tasks.spec import TaskSpec
 from repro.types import Seconds, ShardId, TaskState
@@ -54,182 +56,205 @@ DISK_GB_PER_MILLION_KEYS = 1.0
 STATE_RESTORE_RATE_MB = 200.0
 
 
-class StepPlan(NamedTuple):
-    """The pure outcome of one task step — data, not side effects.
-
-    Computed by :func:`plan_task_step` from a read-only view of the
-    task's partitions and applied by :func:`apply_step_plan`. A plan is
-    a plain tuple of floats/ints and carries no references into
-    simulation state.
-    """
-
-    #: False for the not-running / non-positive-dt path (rates zeroed).
-    ran: bool
-    #: True when state restore consumed the whole step.
-    restore_only: bool
-    processed_mb: float
-    #: ``(seq, new_offset)`` per drained partition, where ``seq`` indexes
-    #: the task's partition slice in its canonical (ascending) order.
-    commits: Tuple[Tuple[int, float], ...]
-    new_restore_remaining_mb: float
-    last_rate_mb: float
-    last_cpu_used: float
-    crashed: bool
-
-
-#: A no-op plan for tasks that are not running (or got a dt <= 0 step).
-IDLE_PLAN = StepPlan(False, False, 0.0, (), 0.0, 0.0, 0.0, False)
-
-
-def plan_memory_needed_gb(
-    last_rate_mb: float,
-    memory_overhead_gb: float,
-    stateful: bool,
-    state_key_cardinality: int,
-    task_count: int,
-) -> float:
-    """Memory a task needs at ``last_rate_mb`` — the OOM-check input."""
-    needed = (
-        BASE_MEMORY_GB
-        + memory_overhead_gb
-        + last_rate_mb * BUFFER_SECONDS / 1000.0
-    )
-    if stateful and task_count > 0:
-        keys_here = state_key_cardinality / task_count
-        needed += (keys_here / 1e6) * STATE_GB_PER_MILLION_KEYS
-    return needed
-
-
-def plan_task_step(
-    entries: Sequence[Tuple[float, float]],
+def step_container(
+    scribe: ScribeBus,
+    primaries: Iterable["RunningTask"],
+    standbys: Iterable["RunningTask"],
     dt: Seconds,
-    throttle: float,
-    restore_remaining_mb: float,
-    max_rate_mb: float,
-    rate_per_thread_mb: float,
-    memory_overhead_gb: float,
-    stateful: bool,
-    state_key_cardinality: int,
-    task_count: int,
-    reserved_memory_gb: float,
-) -> StepPlan:
-    """Plan one task step from a read-only partition view.
+    cpu_capacity: float,
+    slow_factor: float = 1.0,
+) -> List["RunningTask"]:
+    """One Turbine container's cgroup step over ``dt > 0`` seconds: the
+    only data-plane step body.
 
-    ``entries`` is ``(readable_mb, committed_offset)`` per partition of
-    the task's slice, in canonical (ascending partition index) order.
+    Steps ``primaries`` then ``standbys`` in the order given — a task's
+    commits and downstream publishes are visible to every task stepped
+    after it — and returns the tasks the cgroup OOM-killed (now
+    ``CRASHED``; restarting them is the caller's business).
+
+    A contention pass and a step pass, both straight loops over local
+    variables with no Python call per task or per partition: partition
+    heads and the job's live offset mapping are read and written in
+    place, with the checks of ``Partition`` / ``CheckpointStore`` kept
+    inline. The mapping is looked up again per task and never kept, so a
+    ``drop_job`` between ticks cannot leave commits in a dead dict.
+
+    The order of every float operation is part of the contract (the
+    recorded exports pin the low bits); DESIGN.md, "Data-plane stepping",
+    lists it.
     """
-    if dt <= 0:
-        return IDLE_PLAN
-    throttle = min(1.0, max(0.0, throttle))
+    running = TaskState.RUNNING
+    offsets_by_job = scribe.checkpoints.offsets
+    groups = (primaries, standbys)
 
-    # Spend the step on state restore first; leftover time processes.
-    if restore_remaining_mb > 1e-9:
-        restored = min(restore_remaining_mb, STATE_RESTORE_RATE_MB * dt)
-        restore_remaining_mb -= restored
-        dt -= restored / STATE_RESTORE_RATE_MB
-        if dt <= 1e-12:
-            return StepPlan(
-                True, True, 0.0, (), restore_remaining_mb, 0.0, 1.0, False
-            )
+    # Contention: the container's cgroup CPU limit is shared. When the
+    # tasks collectively want more cores than the container has, everyone
+    # slows down proportionally — this is what produces lag on hot
+    # containers (the paper's Fig. 7 observation).
+    throttle = 1.0
+    # No task wants more cores than it has threads (a restoring one wants
+    # one), so a container whose running threads fit inside its limit is
+    # never throttled and its backlog is not read twice. The margin keeps
+    # the shortcut exact: rounding can lift a saturated task's demand a
+    # few ulps above its thread count.
+    threads = 0
+    for group in groups:
+        for task in group:
+            if task.state is running:
+                threads += task.spec.threads or 1
+    if cpu_capacity > 0 and threads > cpu_capacity * (1.0 - 1e-9):
+        desired = 0
+        for group in groups:
+            wanted = 0
+            for task in group:
+                if task.state is not running:
+                    continue
+                if task.restore_remaining_mb > 1e-9:
+                    wanted += 1.0  # restore is I/O+CPU heavy
+                    continue
+                spec = task.spec
+                partitions = task._partitions
+                if partitions is None:
+                    partitions = task.partitions
+                committed = (offsets_by_job.get(spec.job_id) or NO_OFFSETS).get
+                lag = 0
+                for partition in partitions:
+                    offset = committed(partition.partition_id, 0.0)
+                    head = partition.head
+                    if offset < 0 or offset > head + 1e-6:
+                        raise partition.offset_error(offset)
+                    lag += head - offset
+                rate = spec.rate_per_thread_mb
+                if rate > 0:
+                    # Cores to drain min(P·k·dt, backlog): a saturated
+                    # thread uses ~1 core.
+                    drain_mb = rate * spec.threads * dt
+                    if lag < drain_mb:
+                        drain_mb = lag
+                    wanted += (drain_mb / dt) / rate
+            desired += wanted
+        if desired > cpu_capacity:
+            throttle = cpu_capacity / desired
+    # A gray node processes slower without looking unhealthy: the
+    # degradation lands in the data-plane throttle, never in heartbeats
+    # or liveness.
+    throttle *= slow_factor
+    if not 0.0 <= throttle <= 1.0:
+        throttle = min(1.0, max(0.0, throttle))
 
-    budget = max_rate_mb * dt * throttle
-    processed = 0.0
-    # Max-min fair water-filling across the owned partitions: visiting
-    # them in ascending order of availability and giving each
-    # ``budget / remaining`` guarantees every backlogged partition gets
-    # its fair share AND all leftover capacity reaches the hot ones —
-    # a skewed partition is never starved to ``capacity / n``.
-    #
-    # One hard ceiling remains: a partition is a serial stream with a
-    # single reader thread, so no partition can be drained faster than
-    # one thread's rate (``P · dt``). This is why shuffling work across
-    # *partitions* — not just adding threads — matters for hot keys.
-    per_partition_cap = rate_per_thread_mb * dt * throttle
-    ordered = [
-        (readable, seq, offset)
-        for seq, (readable, offset) in enumerate(entries)
-    ]
-    ordered.sort(key=lambda entry: entry[0])
-    commits = []
-    remaining = len(ordered)
-    for available, seq, offset in ordered:
-        if budget <= 1e-12:
-            break
-        share = budget / remaining
-        consumed = min(available, share, per_partition_cap)
-        if consumed > 0:
-            commits.append((seq, offset + consumed))
-            processed += consumed
-            budget -= consumed
-        remaining -= 1
-
-    last_rate_mb = processed / dt
-    # CPU ∝ processed bytes; a saturated thread uses ~1 core.
-    if rate_per_thread_mb > 0:
-        last_cpu_used = last_rate_mb / rate_per_thread_mb
-    else:
-        last_cpu_used = 0.0
-    crashed = reserved_memory_gb > 0 and (
-        plan_memory_needed_gb(
-            last_rate_mb,
-            memory_overhead_gb,
-            stateful,
-            state_key_cardinality,
-            task_count,
-        )
-        > reserved_memory_gb
-    )
-    return StepPlan(
-        True,
-        False,
-        processed,
-        tuple(commits),
-        restore_remaining_mb,
-        last_rate_mb,
-        last_cpu_used,
-        crashed,
-    )
-
-
-def apply_step_plan(
-    task: "RunningTask", plan: StepPlan, scribe: ScribeBus
-) -> float:
-    """Apply a :class:`StepPlan` to authoritative state.
-
-    The single write path for task-step effects: checkpoint commits,
-    downstream publish, usage metrics, OOM state.
-    """
-    if not plan.ran:
-        task.last_rate_mb = 0.0
-        task.last_cpu_used = 0.0
-        return 0.0
-    task.restore_remaining_mb = plan.new_restore_remaining_mb
-    if plan.restore_only:
-        task.last_rate_mb = 0.0
-        task.last_cpu_used = 1.0  # restore is I/O+CPU heavy
-        return 0.0
-    checkpoints = scribe.checkpoints
-    partitions = task.partitions
-    for seq, new_offset in plan.commits:
-        checkpoints.commit(
-            task.spec.job_id, partitions[seq].partition_id, new_offset
-        )
-    task.total_processed_mb += plan.processed_mb
-    # Downstream publish: a job in the middle of a pipeline writes its
-    # (reduced) output to another set of Scribe partitions.
-    if plan.processed_mb > 0 and task.spec.output_category:
-        output = scribe.ensure_category(
-            task.spec.output_category, DEFAULT_OUTPUT_PARTITIONS
-        )
-        output.append(plan.processed_mb * task.spec.output_ratio)
-    task.last_rate_mb = plan.last_rate_mb
-    task.last_cpu_used = plan.last_cpu_used
-    if plan.crashed:
-        # cgroup kill: stats are preserved and read back on restart
-        # (paper section V-A).
-        task.state = TaskState.CRASHED
-        task.oom_count += 1
-    return plan.processed_mb
+    oom_killed: List[RunningTask] = []
+    for group in groups:
+        for task in group:
+            if task.state is not running:
+                # Passive replicas, crashed and stopped tasks read nothing.
+                task.last_rate_mb = 0.0
+                task.last_cpu_used = 0.0
+                continue
+            step_dt = dt
+            restore_mb = task.restore_remaining_mb
+            if restore_mb > 1e-9:
+                # Spend the step on state restore first; leftover time
+                # processes, and the rate is over that leftover.
+                restored = min(restore_mb, STATE_RESTORE_RATE_MB * dt)
+                task.restore_remaining_mb = restore_mb - restored
+                step_dt = dt - restored / STATE_RESTORE_RATE_MB
+                if step_dt <= 1e-12:
+                    task.last_rate_mb = 0.0
+                    task.last_cpu_used = 1.0  # restore is I/O+CPU heavy
+                    continue
+            spec = task.spec
+            partitions = task._partitions
+            if partitions is None:
+                partitions = task.partitions
+            job_id = spec.job_id
+            offsets = offsets_by_job.get(job_id)
+            committed = (offsets or NO_OFFSETS).get
+            # ``(readable, seq, offset, id)`` per owned partition; an
+            # offline partition is checked like any other and reads 0.
+            entries = []
+            for seq, partition in enumerate(partitions):
+                partition_id = partition.partition_id
+                offset = committed(partition_id, 0.0)
+                head = partition.head
+                if offset < 0 or offset > head + 1e-6:
+                    raise partition.offset_error(offset)
+                entries.append((
+                    head - offset if partition.online else 0.0,
+                    seq, offset, partition_id,
+                ))
+            # Max-min fair water-filling across the owned partitions:
+            # visiting them in ascending order of availability (ties in
+            # slice order) and giving each ``budget / remaining``
+            # guarantees every backlogged partition gets its fair share
+            # AND all leftover capacity reaches the hot ones — a skewed
+            # partition is never starved to ``capacity / n``.
+            #
+            # One hard ceiling remains: a partition is a serial stream
+            # with a single reader thread, so no partition can be drained
+            # faster than one thread's rate (``P · dt``). This is why
+            # shuffling work across *partitions* — not just adding
+            # threads — matters for hot keys.
+            entries.sort()
+            rate = spec.rate_per_thread_mb
+            budget = rate * spec.threads * step_dt * throttle
+            per_partition_cap = rate * step_dt * throttle
+            processed = 0.0
+            remaining = len(entries)
+            for available, _seq, offset, partition_id in entries:
+                if budget <= 1e-12:
+                    break
+                # consumed = min(available, share, cap), spelled out.
+                consumed = available
+                share = budget / remaining
+                if share < consumed:
+                    consumed = share
+                if per_partition_cap < consumed:
+                    consumed = per_partition_cap
+                if consumed > 0:
+                    new_offset = offset + consumed
+                    if offsets is None:
+                        offsets = offsets_by_job[job_id] = {}
+                    # A regressing checkpoint would cause duplicate
+                    # processing: commit against what is stored now.
+                    current = offsets.get(partition_id, 0.0)
+                    if new_offset < current - 1e-6:
+                        raise ScribeError(
+                            f"checkpoint for {job_id}/{partition_id} cannot "
+                            f"move backwards: {new_offset} < {current}"
+                        )
+                    offsets[partition_id] = new_offset
+                    processed += consumed
+                    budget -= consumed
+                remaining -= 1
+            task.total_processed_mb += processed
+            # Downstream publish: a job in the middle of a pipeline writes
+            # its (reduced) output to another set of Scribe partitions.
+            if processed > 0 and spec.output_category:
+                scribe.ensure_category(
+                    spec.output_category, DEFAULT_OUTPUT_PARTITIONS
+                ).append(processed * spec.output_ratio)
+            rate_mb = processed / step_dt
+            task.last_rate_mb = rate_mb
+            # CPU ∝ processed bytes; a saturated thread uses ~1 core.
+            task.last_cpu_used = rate_mb / rate if rate > 0 else 0.0
+            reserved_gb = spec.resources.memory_gb
+            if reserved_gb > 0:
+                # RunningTask.memory_needed_gb(), inlined.
+                needed = (
+                    BASE_MEMORY_GB
+                    + spec.memory_overhead_gb
+                    + rate_mb * BUFFER_SECONDS / 1000.0
+                )
+                if spec.stateful and spec.task_count > 0:
+                    keys_here = spec.state_key_cardinality / spec.task_count
+                    needed += (keys_here / 1e6) * STATE_GB_PER_MILLION_KEYS
+                if needed > reserved_gb:
+                    # cgroup kill: stats are preserved and read back on
+                    # restart (paper section V-A).
+                    task.state = TaskState.CRASHED
+                    task.oom_count += 1
+                    oom_killed.append(task)
+    return oom_killed
 
 
 class RunningTask:
@@ -289,75 +314,8 @@ class RunningTask:
         return self._partitions
 
     # ------------------------------------------------------------------
-    # Execution
+    # Footprint
     # ------------------------------------------------------------------
-    def max_rate_mb(self) -> float:
-        """Maximum stable processing rate: ``P · k`` (equation 2)."""
-        return self.spec.rate_per_thread_mb * self.spec.threads
-
-    def desired_cores(self, dt: Seconds) -> float:
-        """CPU cores this task would burn next step, given its backlog.
-
-        Used by the Task Manager's contention model: the container's
-        cgroup limit is shared, so when the sum of desired cores exceeds
-        the container's CPU capacity, every task is throttled
-        proportionally.
-        """
-        if self.state != TaskState.RUNNING or dt <= 0:
-            return 0.0
-        if self.restoring:
-            return 1.0
-        desired_mb = min(self.max_rate_mb() * dt, self.bytes_lagged_mb())
-        rate_per_thread_mb = self.spec.rate_per_thread_mb
-        if rate_per_thread_mb <= 0:
-            return 0.0
-        return (desired_mb / dt) / rate_per_thread_mb
-
-    def partition_entries(self) -> List[Tuple[float, float]]:
-        """``(readable_mb, committed_offset)`` per owned partition, in
-        canonical slice order — the read-only view :func:`plan_task_step`
-        consumes."""
-        checkpoints = self._scribe.checkpoints
-        job_id = self.spec.job_id
-        entries = []
-        for partition in self.partitions:
-            offset = checkpoints.get(job_id, partition.partition_id)
-            entries.append((partition.readable(offset), offset))
-        return entries
-
-    def plan_step(self, dt: Seconds, throttle: float = 1.0) -> StepPlan:
-        """Plan one step against the live partition state (no effects)."""
-        if self.state != TaskState.RUNNING or dt <= 0:
-            return IDLE_PLAN
-        return plan_task_step(
-            entries=self.partition_entries(),
-            dt=dt,
-            throttle=throttle,
-            restore_remaining_mb=self.restore_remaining_mb,
-            max_rate_mb=self.max_rate_mb(),
-            rate_per_thread_mb=self.spec.rate_per_thread_mb,
-            memory_overhead_gb=self.spec.memory_overhead_gb,
-            stateful=self.spec.stateful,
-            state_key_cardinality=self.spec.state_key_cardinality,
-            task_count=self.spec.task_count,
-            reserved_memory_gb=self.spec.resources.memory_gb,
-        )
-
-    def step(self, dt: Seconds, throttle: float = 1.0) -> float:
-        """Process up to ``max_rate · dt · throttle`` MB from the owned
-        partitions.
-
-        ``throttle`` in (0, 1] models cgroup CPU contention within the
-        Turbine container. Returns MB processed. Updates checkpoints,
-        usage metrics, and the task's OOM state. A crashed/stopped task
-        processes nothing.
-
-        Implemented as plan-then-apply: :func:`plan_task_step` is a pure
-        function of a partition view, :func:`apply_step_plan` the single
-        write path.
-        """
-        return apply_step_plan(self, self.plan_step(dt, throttle), self._scribe)
-
     def disk_needed_gb(self) -> float:
         """Local disk this task holds (stateful state spill + checkpoints).
 
@@ -372,27 +330,25 @@ class RunningTask:
         return (keys_here / 1e6) * DISK_GB_PER_MILLION_KEYS
 
     def memory_needed_gb(self) -> float:
-        """Memory this task needs at its current processing rate."""
-        return plan_memory_needed_gb(
-            self.last_rate_mb,
-            self.spec.memory_overhead_gb,
-            self.spec.stateful,
-            self.spec.state_key_cardinality,
-            self.spec.task_count,
+        """Memory this task needs at its current processing rate
+        (:func:`step_container` inlines the same sum for the OOM check)."""
+        spec = self.spec
+        needed = (
+            BASE_MEMORY_GB
+            + spec.memory_overhead_gb
+            + self.last_rate_mb * BUFFER_SECONDS / 1000.0
         )
+        if spec.stateful and spec.task_count > 0:
+            keys_here = spec.state_key_cardinality / spec.task_count
+            needed += (keys_here / 1e6) * STATE_GB_PER_MILLION_KEYS
+        return needed
 
     # ------------------------------------------------------------------
     # Lag accounting
     # ------------------------------------------------------------------
     def bytes_lagged_mb(self) -> float:
         """Unprocessed bytes across this task's partitions."""
-        checkpoints = self._scribe.checkpoints
-        return sum(
-            partition.available(
-                checkpoints.get(self.spec.job_id, partition.partition_id)
-            )
-            for partition in self.partitions
-        )
+        return self._scribe.checkpoints.lag_mb(self.spec.job_id, self.partitions)
 
     # ------------------------------------------------------------------
     # Lifecycle

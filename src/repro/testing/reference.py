@@ -2,18 +2,20 @@
 
 Production code answers "where does this task run", "which managers host
 this job", "which (job, SLO) pairs can be burning", "which jobs need a
-sync plan" and "what is this window's mean" from state kept where the
-fact changes. The forms here answer the same questions the slow,
-obviously-right way — scan every manager, re-merge every config, rescan
-every job, reread every sample — and exist only so the equivalence suites
-in ``tests/`` and the hot-path benches have something to compare against.
+sync plan", "what is this window's mean" and "what does this container
+process this tick" from state kept where the fact changes, or in one flat
+loop. The forms here answer the same questions the slow, obviously-right
+way — scan every manager, re-merge every config, rescan every job, reread
+every sample, one method call per task and per partition — and exist only
+so the equivalence suites in ``tests/`` and the hot-path benches have
+something to compare against.
 Production classes take no argument that selects one of these; nothing
 under ``repro`` outside this package may import them.
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import Iterable, List, NamedTuple, Sequence, Tuple
 
 from repro.jobs.model import JobView
 from repro.jobs.syncer import StateSyncer, SyncReport
@@ -21,7 +23,13 @@ from repro.metrics.series import TimeSeries
 from repro.metrics.store import MetricStore
 from repro.obs.sli import SliEvaluator
 from repro.obs.slo import SloTracker
-from repro.types import JobId, Seconds, TaskId
+from repro.scribe.bus import ScribeBus
+from repro.tasks.runtime import (
+    DEFAULT_OUTPUT_PARTITIONS,
+    STATE_RESTORE_RATE_MB,
+    RunningTask,
+)
+from repro.types import JobId, Seconds, TaskId, TaskState
 
 __all__ = [
     "scan_primary_manager",
@@ -31,6 +39,11 @@ __all__ = [
     "FullScanSyncer",
     "NaiveTimeSeries",
     "NaiveMetricStore",
+    "StepPlan",
+    "desired_cores",
+    "plan_step",
+    "apply_step_plan",
+    "step_container_per_call",
 ]
 
 
@@ -117,3 +130,169 @@ class NaiveMetricStore(MetricStore):
     """A store whose series are all :class:`NaiveTimeSeries`."""
 
     series_type = NaiveTimeSeries
+
+
+# ----------------------------------------------------------------------
+# The per-call data-plane step (production: ``runtime.step_container``)
+# ----------------------------------------------------------------------
+class StepPlan(NamedTuple):
+    """The outcome of one task step as data, applied by
+    :func:`apply_step_plan`."""
+
+    #: False for the not-running path (rates zeroed).
+    ran: bool
+    #: True when state restore consumed the whole step.
+    restore_only: bool
+    processed_mb: float
+    #: ``(seq, new_offset)`` per drained partition, ``seq`` indexing the
+    #: task's partition slice.
+    commits: Tuple[Tuple[int, float], ...]
+    new_restore_remaining_mb: float
+    last_rate_mb: float
+    last_cpu_used: float
+
+
+IDLE_PLAN = StepPlan(False, False, 0.0, (), 0.0, 0.0, 0.0)
+
+
+def desired_cores(task: RunningTask, dt: Seconds) -> float:
+    """CPU cores ``task`` would burn next step, given its backlog."""
+    if task.state != TaskState.RUNNING:
+        return 0.0
+    if task.restoring:
+        return 1.0
+    spec = task.spec
+    checkpoints = task._scribe.checkpoints
+    lagged = sum(
+        partition.available(checkpoints.get(spec.job_id, partition.partition_id))
+        for partition in task.partitions
+    )
+    desired_mb = min(spec.rate_per_thread_mb * spec.threads * dt, lagged)
+    if spec.rate_per_thread_mb <= 0:
+        return 0.0
+    return (desired_mb / dt) / spec.rate_per_thread_mb
+
+
+def partition_entries(task: RunningTask) -> List[Tuple[float, float]]:
+    """``(readable_mb, committed_offset)`` per owned partition, in slice
+    order."""
+    checkpoints = task._scribe.checkpoints
+    entries = []
+    for partition in task.partitions:
+        offset = checkpoints.get(task.spec.job_id, partition.partition_id)
+        entries.append((partition.readable(offset), offset))
+    return entries
+
+
+def plan_task_step(
+    entries: Sequence[Tuple[float, float]],
+    dt: Seconds,
+    throttle: float,
+    restore_remaining_mb: float,
+    max_rate_mb: float,
+    rate_per_thread_mb: float,
+) -> StepPlan:
+    """Plan one running task's step from its :func:`partition_entries`."""
+    throttle = min(1.0, max(0.0, throttle))
+    if restore_remaining_mb > 1e-9:
+        restored = min(restore_remaining_mb, STATE_RESTORE_RATE_MB * dt)
+        restore_remaining_mb -= restored
+        dt -= restored / STATE_RESTORE_RATE_MB
+        if dt <= 1e-12:
+            return StepPlan(True, True, 0.0, (), restore_remaining_mb, 0.0, 1.0)
+    budget = max_rate_mb * dt * throttle
+    per_partition_cap = rate_per_thread_mb * dt * throttle
+    ordered = [
+        (readable, seq, offset)
+        for seq, (readable, offset) in enumerate(entries)
+    ]
+    ordered.sort(key=lambda entry: entry[0])
+    processed = 0.0
+    commits = []
+    remaining = len(ordered)
+    for available, seq, offset in ordered:
+        if budget <= 1e-12:
+            break
+        consumed = min(available, budget / remaining, per_partition_cap)
+        if consumed > 0:
+            commits.append((seq, offset + consumed))
+            processed += consumed
+            budget -= consumed
+        remaining -= 1
+    last_rate_mb = processed / dt
+    last_cpu_used = (
+        last_rate_mb / rate_per_thread_mb if rate_per_thread_mb > 0 else 0.0
+    )
+    return StepPlan(
+        True, False, processed, tuple(commits), restore_remaining_mb,
+        last_rate_mb, last_cpu_used,
+    )
+
+
+def plan_step(task: RunningTask, dt: Seconds, throttle: float = 1.0) -> StepPlan:
+    """Plan one step of ``task`` against the live partition state."""
+    if task.state != TaskState.RUNNING:
+        return IDLE_PLAN
+    spec = task.spec
+    return plan_task_step(
+        partition_entries(task), dt, throttle, task.restore_remaining_mb,
+        spec.rate_per_thread_mb * spec.threads, spec.rate_per_thread_mb,
+    )
+
+
+def apply_step_plan(task: RunningTask, plan: StepPlan, scribe: ScribeBus) -> float:
+    """Apply ``plan``: checkpoint commits, downstream publish, usage, OOM
+    state. Returns MB processed."""
+    if not plan.ran:
+        task.last_rate_mb = 0.0
+        task.last_cpu_used = 0.0
+        return 0.0
+    task.restore_remaining_mb = plan.new_restore_remaining_mb
+    task.last_rate_mb = plan.last_rate_mb
+    task.last_cpu_used = plan.last_cpu_used
+    if plan.restore_only:
+        return 0.0
+    spec = task.spec
+    for seq, new_offset in plan.commits:
+        scribe.checkpoints.commit(
+            spec.job_id, task.partitions[seq].partition_id, new_offset
+        )
+    task.total_processed_mb += plan.processed_mb
+    if plan.processed_mb > 0 and spec.output_category:
+        scribe.ensure_category(
+            spec.output_category, DEFAULT_OUTPUT_PARTITIONS
+        ).append(plan.processed_mb * spec.output_ratio)
+    reserved_gb = spec.resources.memory_gb
+    if reserved_gb > 0 and task.memory_needed_gb() > reserved_gb:
+        task.state = TaskState.CRASHED
+        task.oom_count += 1
+    return plan.processed_mb
+
+
+def step_container_per_call(
+    scribe: ScribeBus,
+    primaries: Iterable[RunningTask],
+    standbys: Iterable[RunningTask],
+    dt: Seconds,
+    cpu_capacity: float,
+    slow_factor: float = 1.0,
+) -> List[RunningTask]:
+    """``runtime.step_container`` as one method call per task and per
+    partition: sum the desired cores, throttle, then plan and apply each
+    task in turn."""
+    primaries, standbys = list(primaries), list(standbys)
+    throttle = 1.0
+    if cpu_capacity > 0:
+        desired = sum(desired_cores(task, dt) for task in primaries)
+        if standbys:
+            desired += sum(desired_cores(task, dt) for task in standbys)
+        if desired > cpu_capacity:
+            throttle = cpu_capacity / desired
+    throttle *= slow_factor
+    oom_killed = []
+    for task in primaries + standbys:
+        was_running = task.state == TaskState.RUNNING
+        apply_step_plan(task, plan_step(task, dt, throttle), scribe)
+        if was_running and task.state == TaskState.CRASHED:
+            oom_killed.append(task)
+    return oom_killed

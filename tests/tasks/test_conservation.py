@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from repro.jobs import JobSpec
 from repro.scribe import ScribeBus
 from repro.tasks import RunningTask, TaskSpec
+from tests.tasks.helpers import step
 
 
 def build(task_count=2, partitions=4, rate=2.0):
@@ -50,7 +51,7 @@ def test_bytes_conserved_under_arbitrary_schedules(sequence):
             appended += amount
         elif kind == "step":
             for task in tasks:
-                task.step(amount)
+                step(task, amount)
         else:
             for task in tasks:
                 task.restart()
@@ -65,7 +66,7 @@ def test_bytes_conserved_under_arbitrary_schedules(sequence):
         if all(task.bytes_lagged_mb() < 1e-9 for task in tasks):
             break
         for task in tasks:
-            task.step(60.0)
+            step(task, 60.0)
     processed = sum(task.total_processed_mb for task in tasks)
     assert processed == pytest.approx(appended, rel=1e-6, abs=1e-6)
 
@@ -85,9 +86,9 @@ def test_handoff_between_incarnations_is_exactly_once(splits):
     total = 0.0
     current = tasks[0]
     for dt in splits:
-        total += current.step(dt)
+        total += step(current, dt)
         current.stop()
         current = RunningTask(current.spec, scribe)  # new incarnation
     while current.bytes_lagged_mb() > 1e-9:
-        total += current.step(60.0)
+        total += step(current, 60.0)
     assert total == pytest.approx(100.0)

@@ -5,6 +5,7 @@ import pytest
 from repro import JobSpec, PlatformConfig, ResourceVector, Turbine
 from repro.scribe import ScribeBus
 from repro.tasks import RunningTask, TaskSpec
+from tests.tasks.helpers import desired_cores, step
 
 
 def make_task(rate=2.0, scribe=None, job_id="job"):
@@ -29,36 +30,36 @@ def make_task_full(rate=2.0, scribe=None, job_id="job"):
 class TestDesiredCores:
     def test_idle_task_wants_nothing(self):
         task, __ = make_task_full()
-        assert task.desired_cores(10.0) == 0.0
+        assert desired_cores(task, 10.0) == 0.0
 
     def test_saturated_task_wants_a_thread(self):
         task, scribe = make_task_full(rate=2.0)
         scribe.get_category("cat").append(1000.0)
-        assert task.desired_cores(10.0) == pytest.approx(1.0)
+        assert desired_cores(task, 10.0) == pytest.approx(1.0)
 
     def test_light_backlog_wants_fraction(self):
         task, scribe = make_task_full(rate=2.0)
         scribe.get_category("cat").append(4.0)  # 0.4 MB/s over 10 s
-        assert task.desired_cores(10.0) == pytest.approx(0.2)
+        assert desired_cores(task, 10.0) == pytest.approx(0.2)
 
     def test_stopped_task_wants_nothing(self):
         task, scribe = make_task_full()
         scribe.get_category("cat").append(100.0)
         task.stop()
-        assert task.desired_cores(10.0) == 0.0
+        assert desired_cores(task, 10.0) == 0.0
 
 
 class TestThrottle:
     def test_throttle_caps_processing(self):
         task, scribe = make_task_full(rate=2.0)
         scribe.get_category("cat").append(1000.0)
-        processed = task.step(10.0, throttle=0.5)
+        processed = step(task, 10.0, throttle=0.5)
         assert processed == pytest.approx(10.0)  # half of 2 MB/s * 10 s
 
     def test_full_throttle_is_default(self):
         task, scribe = make_task_full(rate=2.0)
         scribe.get_category("cat").append(1000.0)
-        assert task.step(10.0) == pytest.approx(20.0)
+        assert step(task, 10.0) == pytest.approx(20.0)
 
 
 class TestContainerContention:

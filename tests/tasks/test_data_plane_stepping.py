@@ -156,3 +156,153 @@ class TestSameTickVisibility:
         for index in next_tick:
             _pos, down = walk[f"down-{index}"]
             assert down.total_processed_mb == pytest.approx(3.0), index
+
+
+def one_container_platform(task_count):
+    """Every task of ``job`` on the fleet's single container, settled."""
+    platform = Turbine.create(
+        num_hosts=1, seed=7,
+        config=PlatformConfig(
+            num_shards=8, containers_per_host=1, step_interval=STEP
+        ),
+    )
+    platform.start()
+    platform.provision(
+        JobSpec(job_id="job", input_category="cat", task_count=task_count,
+                rate_per_thread_mb=5.0),
+        partitions=4 * task_count,
+    )
+    platform.run_for(seconds=300.0)
+    (manager,) = platform.task_managers.values()
+    assert len(manager.running_task_ids()) == task_count
+    return platform, manager
+
+
+def step_once(platform, manager):
+    """One more ``step_tasks`` over a full interval, outside the timer."""
+    manager._last_step_time = platform.now - STEP
+    manager.step_tasks()
+
+
+class TestChecksSurviveTheFlattening:
+    """The step reads heads and cursors in place; what ``Partition`` and
+    ``CheckpointStore`` used to check on the way is still checked."""
+
+    @pytest.mark.parametrize("cursor, message", [
+        (-1.0, "negative offset"),
+        (1e9, "beyond head"),
+    ])
+    def test_corrupted_cursor_raises_from_the_managers_step(self, cursor, message):
+        from repro.errors import ScribeError
+
+        platform, manager = one_container_platform(task_count=2)
+        platform.scribe.get_category("cat").append(80.0)
+        platform.scribe.checkpoints.offsets.setdefault("job", {})["cat/3"] = cursor
+        with pytest.raises(ScribeError, match=message):
+            step_once(platform, manager)
+
+    def test_commit_below_the_stored_offset_raises_from_the_managers_step(self):
+        from repro.errors import ScribeError
+
+        class StaleReads(dict):
+            """Cursors as a reader holding an old copy would see them:
+            ``cat/3`` reads 30 MB behind what is stored until the step
+            looks again to commit."""
+
+            stale = True
+
+            def get(self, key, default=None):
+                value = super().get(key, default)
+                if key == "cat/3" and self.stale:
+                    self.stale = False
+                    return value - 30.0
+                return value
+
+        platform, manager = one_container_platform(task_count=2)
+        # Two threads in a roomier cgroup: the step reads each cursor once.
+        assert manager.capacity.cpu > 2
+        platform.scribe.get_category("cat").append(8 * 100.0)
+        platform.run_for(seconds=4 * STEP)  # 12.5 MB per partition per tick
+        offsets = platform.scribe.checkpoints.offsets
+        assert offsets["job"]["cat/3"] == 50.0
+        offsets["job"] = StaleReads(offsets["job"])
+        with pytest.raises(ScribeError, match="cannot move backwards"):
+            step_once(platform, manager)
+
+    def test_commits_after_a_mid_run_drop_land_in_the_live_mapping(self):
+        """The chaos ``checkpoint-wipe`` and ``forget_job`` both drop a
+        job's cursors while its tasks still run: the step may not hold
+        on to the mapping it read last tick."""
+        platform, manager = one_container_platform(task_count=2)
+        checkpoints = platform.scribe.checkpoints
+        category = platform.scribe.get_category("cat")
+        category.append(80.0)
+        platform.run_for(seconds=STEP)
+        assert checkpoints.get("job", "cat/0") == 10.0
+        checkpoints.drop_job("job")
+        assert "job" not in checkpoints.job_ids()
+        category.append(8.0)
+        platform.run_for(seconds=STEP)
+        # Re-read from 0: 11 MB per partition, visible every way in.
+        assert "job" in checkpoints.job_ids()
+        assert checkpoints.get("job", "cat/0") == 11.0
+        assert checkpoints.snapshot("job") == {
+            f"cat/{index}": 11.0 for index in range(8)
+        }
+        assert checkpoints.snapshot("job") == checkpoints.offsets["job"]
+        assert platform.job_lag_mb("job") == 0.0
+
+    def test_offline_partition_reads_nothing_and_lags_in_full(self):
+        platform, manager = one_container_platform(task_count=2)
+        category = platform.scribe.get_category("cat")
+        category.partitions[2].online = False
+        category.append(80.0)
+        platform.run_for(seconds=STEP)
+        checkpoints = platform.scribe.checkpoints
+        assert checkpoints.get("job", "cat/2") == 0.0
+        assert checkpoints.get("job", "cat/0") == 10.0
+        # Task 0 of 2 owns partitions 0, 2, 4, 6.
+        assert manager.tasks["job:0"].total_processed_mb == 30.0
+        assert manager.tasks["job:0"].bytes_lagged_mb() == 10.0
+        assert platform.job_lag_mb("job") == 10.0
+        category.partitions[2].online = True
+        platform.run_for(seconds=STEP)
+        assert platform.job_lag_mb("job") == 0.0
+
+
+class TestCallCount:
+    """What the flat step buys, independent of the hardware: the number of
+    Python-level calls in a container-tick does not grow with the tasks
+    or partitions the container hosts."""
+
+    @staticmethod
+    def python_calls(function):
+        import sys
+
+        calls = 0
+
+        def count(frame, event, arg):
+            nonlocal calls
+            calls += event == "call"
+
+        sys.setprofile(count)
+        try:
+            function()
+        finally:
+            sys.setprofile(None)
+        return calls
+
+    def calls_per_tick(self, task_count):
+        platform, manager = one_container_platform(task_count)
+        platform.scribe.get_category("cat").append(4.0 * task_count)
+        processed = sum(t.total_processed_mb for t in manager.tasks.values())
+        calls = self.python_calls(lambda: step_once(platform, manager))
+        assert sum(
+            task.total_processed_mb for task in manager.tasks.values()
+        ) == pytest.approx(processed + 4.0 * task_count)
+        return calls
+
+    def test_calls_per_container_tick_do_not_grow_with_tasks(self):
+        few, many = self.calls_per_tick(4), self.calls_per_tick(32)
+        assert few == many
+        assert few < 20

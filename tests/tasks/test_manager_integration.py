@@ -342,6 +342,37 @@ class TestRecoveryWindow:
         assert platform.metrics.latest("job", "recovery_lag") is None
         assert owner._failed_at == {}
 
+    def test_oom_does_not_close_its_own_window(self):
+        """Regression: the OOM handler stamped the failure and restarted
+        the task, and the same tick then took the *crashing* step's rate
+        as the first post-recovery progress sample — ``recovery_lag = 0``
+        for a task with 50 s of state restore still ahead of it."""
+        from repro import ResourceVector
+
+        # 40 M keys: 10 GB of state (50 s to restore) and 10.4 GB of
+        # memory at rest, so anything over 20 MB/s breaks the reservation.
+        platform, owner, __ = self.hosted(
+            stateful=True, state_key_cardinality=40_000_000,
+            rate_per_thread_mb=100.0,
+            resources_per_task=ResourceVector(cpu=1.0, memory_gb=10.5),
+        )
+        task = owner.tasks[self.TASK_ID]
+        assert not task.restoring and owner.oom_events == 0
+        # One tick at the full 100 MB/s (OOM), 150 MB left for afterwards.
+        platform.scribe.get_category("cat").append(1150.0)
+        crashed_at = platform.now
+        while owner.oom_events == 0 and platform.now < crashed_at + 30.0:
+            platform.run_for(seconds=1)
+        assert owner.oom_events == 1
+        assert task.restoring
+        assert platform.metrics.latest("job", "recovery_lag") is None
+        assert self.TASK_ID in owner._failed_at
+        platform.run_for(seconds=90)
+        assert not task.restoring and owner.oom_events == 1
+        lag = platform.metrics.latest("job", "recovery_lag")
+        assert lag is not None and lag >= 50.0
+        assert owner._failed_at == {}
+
     @pytest.mark.parametrize("exit_name", [
         "stop_job_tasks", "shutdown", "reboot", "force_kill_shard",
     ])

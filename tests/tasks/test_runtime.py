@@ -6,6 +6,7 @@ from repro.jobs import JobSpec
 from repro.scribe import ScribeBus
 from repro.tasks import RunningTask, TaskSpec
 from repro.types import TaskState
+from tests.tasks.helpers import step
 
 
 def make_task(
@@ -28,21 +29,21 @@ class TestProcessing:
     def test_processes_available_bytes(self):
         task, scribe = make_task()
         scribe.get_category("cat").append(10.0)
-        processed = task.step(10.0)  # budget 2 MB/s * 10 s = 20 MB
+        processed = step(task, 10.0)  # budget 2 MB/s * 10 s = 20 MB
         assert processed == pytest.approx(10.0)
         assert task.bytes_lagged_mb() == pytest.approx(0.0)
 
     def test_rate_capped_at_p_times_k(self):
         task, scribe = make_task(rate=2.0, threads=2)
         scribe.get_category("cat").append(1000.0)
-        processed = task.step(10.0)
+        processed = step(task, 10.0)
         assert processed == pytest.approx(2.0 * 2 * 10.0)
         assert task.last_rate_mb == pytest.approx(4.0)
 
     def test_checkpoints_advance(self):
         task, scribe = make_task(partitions=2)
         scribe.get_category("cat").append(10.0)
-        task.step(10.0)
+        step(task, 10.0)
         for partition in scribe.get_category("cat").partitions:
             assert scribe.checkpoints.get("job", partition.partition_id) == (
                 pytest.approx(5.0)
@@ -51,12 +52,12 @@ class TestProcessing:
     def test_restart_resumes_from_checkpoint(self):
         task, scribe = make_task()
         scribe.get_category("cat").append(10.0)
-        task.step(10.0)
+        step(task, 10.0)
         task.stop()
         # New incarnation, same scribe: picks up where the old one stopped.
         fresh = RunningTask(task.spec, scribe)
         scribe.get_category("cat").append(6.0)
-        processed = fresh.step(10.0)
+        processed = step(fresh, 10.0)
         assert processed == pytest.approx(6.0)
 
     def test_only_owned_partitions_processed(self):
@@ -64,7 +65,7 @@ class TestProcessing:
         task0, __ = make_task(task_index=0, task_count=2, scribe=scribe)
         task1, __ = make_task(task_index=1, task_count=2, scribe=scribe)
         scribe.get_category("cat").append(8.0)  # 2.0 MB in each of 4 partitions
-        task0.step(10.0)
+        step(task0, 10.0)
         assert task0.bytes_lagged_mb() == pytest.approx(0.0)
         assert task1.bytes_lagged_mb() == pytest.approx(4.0)
 
@@ -72,7 +73,7 @@ class TestProcessing:
         task, scribe = make_task()
         scribe.get_category("cat").append(10.0)
         task.stop()
-        assert task.step(10.0) == 0.0
+        assert step(task, 10.0) == 0.0
         assert task.state == TaskState.STOPPED
 
     def test_leftover_budget_flows_to_later_partitions(self):
@@ -80,19 +81,19 @@ class TestProcessing:
         category = scribe.get_category("cat")
         category.set_weights([0.1, 0.9])
         category.append(50.0)  # 5 MB and 45 MB
-        processed = task.step(10.0)  # budget 100 MB
+        processed = step(task, 10.0)  # budget 100 MB
         assert processed == pytest.approx(50.0)
 
     def test_cpu_usage_proportional_to_rate(self):
         task, scribe = make_task(rate=2.0, threads=2)
         scribe.get_category("cat").append(20.0)
-        task.step(10.0)  # processes 20 MB in 10 s = 2 MB/s = 1 busy thread
+        step(task, 10.0)  # processes 20 MB in 10 s = 2 MB/s = 1 busy thread
         assert task.last_cpu_used == pytest.approx(1.0)
 
     def test_backlog_reported(self):
         task, scribe = make_task(rate=0.5)
         scribe.get_category("cat").append(100.0)
-        task.step(10.0)  # can only do 5 MB
+        step(task, 10.0)  # can only do 5 MB
         assert task.bytes_lagged_mb() == pytest.approx(95.0)
 
 
@@ -104,7 +105,7 @@ class TestMemoryAndOom:
     def test_memory_grows_with_rate(self):
         task, scribe = make_task(rate=100.0)
         scribe.get_category("cat").append(10000.0)
-        task.step(10.0)
+        step(task, 10.0)
         assert task.memory_needed_gb() > 0.4
 
     def test_stateful_memory_includes_state(self):
@@ -121,7 +122,7 @@ class TestMemoryAndOom:
     def test_oom_crash_when_over_reservation(self):
         task, scribe = make_task(rate=1000.0, memory_gb=0.5)
         scribe.get_category("cat").append(100000.0)
-        task.step(10.0)  # buffers 1000 MB/s * 5 s = 5 GB >> 0.5 GB reserved
+        step(task, 10.0)  # buffers 1000 MB/s * 5 s = 5 GB >> 0.5 GB reserved
         assert task.state == TaskState.CRASHED
         assert task.oom_count == 1
 
@@ -129,12 +130,12 @@ class TestMemoryAndOom:
         """Zero reserved memory means no cgroup limit — soft monitoring only."""
         task, scribe = make_task(rate=1000.0, memory_gb=0.0)
         scribe.get_category("cat").append(100000.0)
-        task.step(10.0)
+        step(task, 10.0)
         assert task.state == TaskState.RUNNING
 
     def test_restart_after_oom(self):
         task, scribe = make_task(rate=1000.0, memory_gb=0.5)
         scribe.get_category("cat").append(100000.0)
-        task.step(10.0)
+        step(task, 10.0)
         task.restart()
         assert task.state == TaskState.RUNNING

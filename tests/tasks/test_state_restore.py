@@ -5,6 +5,7 @@ import pytest
 from repro.jobs import JobSpec
 from repro.scribe import ScribeBus
 from repro.tasks import RunningTask, TaskSpec
+from tests.tasks.helpers import step
 
 
 def make_task(stateful=True, keys=40_000_000, task_count=1, rate=10.0):
@@ -30,12 +31,12 @@ def test_stateful_task_restores_before_processing():
     task, scribe = make_task()
     assert task.restoring
     scribe.get_category("cat").append(100.0)
-    processed = task.step(10.0)
+    processed = step(task, 10.0)
     assert processed == 0.0, "still restoring after 10 s"
     assert task.last_cpu_used == 1.0, "restore burns a core"
-    task.step(30.0)
+    step(task, 30.0)
     assert task.restoring  # 40/50 s done
-    task.step(20.0)  # restore finishes at 50 s; 10 s of processing
+    step(task, 20.0)  # restore finishes at 50 s; 10 s of processing
     assert not task.restoring
     assert task.total_processed_mb == pytest.approx(100.0)
 
@@ -59,7 +60,7 @@ def test_parallelism_shrinks_per_task_restore():
 def test_partial_step_splits_restore_and_processing():
     task, scribe = make_task(keys=800_000)  # 0.2 GB → 1 s restore
     scribe.get_category("cat").append(1000.0)
-    processed = task.step(10.0)  # 1 s restore + 9 s processing at 10 MB/s
+    processed = step(task, 10.0)  # 1 s restore + 9 s processing at 10 MB/s
     assert processed == pytest.approx(90.0)
     assert not task.restoring
 
@@ -67,7 +68,7 @@ def test_partial_step_splits_restore_and_processing():
 def test_restart_restores_again():
     task, scribe = make_task(keys=800_000)
     scribe.get_category("cat").append(1000.0)
-    task.step(10.0)
+    step(task, 10.0)
     assert not task.restoring
     task.restart()
     assert task.restoring, "every restart pays the restore cost again"
@@ -76,6 +77,6 @@ def test_restart_restores_again():
 def test_stateless_restart_is_free():
     task, scribe = make_task(stateful=False)
     scribe.get_category("cat").append(100.0)
-    task.step(10.0)
+    step(task, 10.0)
     task.restart()
     assert not task.restoring
