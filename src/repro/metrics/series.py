@@ -12,9 +12,11 @@ a naive rescan of the retained samples — which is also what each falls
 back to when it cannot serve a read (the golden suites and the hypothesis
 suite against ``repro.testing.reference.NaiveTimeSeries`` enforce this):
 
-* **trailing windows** (``average_over`` / ``max_over``) are served by
-  per-duration :class:`~repro.metrics.window.WindowAggregate` rolling
-  states — O(1) amortized instead of O(window);
+* **trailing windows** (``average_over`` / ``max_over``) holding more
+  than :data:`RESCAN_MAX` samples are served by per-duration
+  :class:`~repro.metrics.window.WindowAggregate` rolling states — O(1)
+  amortized instead of O(window); smaller ones are rescanned in C
+  (``math.fsum`` / ``max`` over the slice), which is cheaper there;
 * **historical ranges** (``aggregate_between`` and friends, what the
   14-day pattern analyzer reads) are served from the coarse
   :class:`~repro.metrics.rollup.RollupTier` buckets plus raw edges;
@@ -38,6 +40,23 @@ from repro.types import Seconds
 #: Compact the ring only when the dead prefix reaches this length *and*
 #: is at least as long as the live suffix (amortized O(1) per append).
 COMPACT_MIN = 64
+
+#: A trailing window holding at most this many samples is rescanned (C,
+#: per *read*, no state); only above it is a rolling state built (Python
+#: per *sample* per window — one exact-add in, one out — plus memory).
+#: Microseconds for one record + one read per round, rolling / rescan,
+#: min of 40 runs (2 vCPUs, CPython 3.11.7; EXPERIMENTS.md "PR 24"):
+#:
+#:   samples   average, 0/1 data   average, floats   max, floats
+#:         5       2.7 /  1.2        3.0 /   1.2      2.9 /   1.3
+#:        30       2.7 /  1.5        3.3 /   2.0      2.9 /   1.8
+#:        60       2.9 /  1.8        3.3 /   2.7      3.0 /   2.3
+#:       360       2.9 /  4.8        3.4 /   8.9      3.2 /   7.5
+#:     1 440       3.6 / 14.9        4.0 /  33.3      4.6 /  24.6
+#:    10 000       3.3 / 95.6        6.5 / 208.9      3.5 / 161.8
+#:
+#: Break-even: ≈ 90–105 samples on floats, ≈ 160 on the SLO plane's 0/1.
+RESCAN_MAX = 100
 
 #: Series retaining more than this automatically grow a rollup tier
 #: (the pattern analyzer's 14-day series; the 2-day default stays raw).
@@ -63,7 +82,8 @@ class TimeSeries:
         #: Absolute index of physical position 0 — the count of samples
         #: compacted away — so window state survives compactions.
         self._abs0 = 0
-        #: Per-duration rolling window states, created lazily on read.
+        #: Per-duration rolling window states, created by the first read
+        #: that finds more than ``RESCAN_MAX`` samples in the window.
         self._aggs: Dict[float, WindowAggregate] = {}
         #: Rollups are maintained on the append path whenever configured
         #: (cheap: one exact-add into the newest bucket).
@@ -98,16 +118,14 @@ class TimeSeries:
         self._values.append(value)
         if self._rollup is not None:
             self._rollup.add(time, value)
-        self._trim(time)
+        retention = self.retention
+        if retention is not None and times[self._head] < time - retention:
+            self._trim(time - retention)
 
-    def _trim(self, now: Seconds) -> None:
-        if self.retention is None:
-            return
-        horizon = now - self.retention
+    def _trim(self, horizon: Seconds) -> None:
+        """Retire the samples older than ``horizon`` (there is at least one)."""
         head = self._head
         new_head = bisect_left(self._times, horizon, head)
-        if new_head == head:
-            return
         # Let the streaming state subtract what it is about to lose while
         # the values are still addressable; the just-appended sample is
         # always live, so a live tail exists.
@@ -156,13 +174,15 @@ class TimeSeries:
     # ------------------------------------------------------------------
     # Trailing-window queries (the scaler/balancer hot path)
     # ------------------------------------------------------------------
-    def _window_agg(self, duration: Seconds, now: Seconds) -> Optional[WindowAggregate]:
-        """The up-to-date rolling state for this trailing window, or
-        ``None`` when the query cannot be served incrementally (empty
-        series, ``now`` behind the newest sample, or a window start that
-        moved backwards)."""
+    def _window_agg(
+        self, duration: Seconds, now: Seconds, lo: int
+    ) -> Optional[WindowAggregate]:
+        """The up-to-date rolling state for the trailing window starting at
+        physical index ``lo``, or ``None`` when the query cannot be served
+        incrementally (``now`` behind the newest sample, or a window start
+        that moved backwards)."""
         n = len(self._times)
-        if n == self._head or now < self._times[-1]:
+        if now < self._times[-1]:
             return None
         start = now - duration
         agg = self._aggs.get(duration)
@@ -170,8 +190,7 @@ class TimeSeries:
             # Seed a cold aggregate at the window's left edge so the first
             # read costs O(window), not O(ring) (ingesting the whole ring
             # just to evict most of it again).
-            pos = bisect_left(self._times, start, self._head)
-            agg = WindowAggregate(duration, self._abs0 + pos)
+            agg = WindowAggregate(duration, self._abs0 + lo)
             self._aggs[duration] = agg
         elif start < agg.last_start:
             return None
@@ -179,14 +198,25 @@ class TimeSeries:
         agg.advance(self._times, self._values, self._abs0, start)
         return agg
 
-    def _note_window_read(self, fast: bool) -> None:
+    def _window(
+        self, duration: Seconds, now: Seconds
+    ) -> Tuple[int, int, Optional[WindowAggregate]]:
+        """``(lo, hi, agg)`` for one trailing-window read: the physical
+        bounds ``values_in`` would slice, and the window's rolling state
+        when it holds more than ``RESCAN_MAX`` samples and can be served
+        incrementally — ``None`` tells the caller to rescan ``[lo, hi)``."""
+        times = self._times
+        lo = bisect_left(times, now - duration, self._head)
+        hi = bisect_right(times, now, self._head)
+        agg = self._window_agg(duration, now, lo) if hi - lo > RESCAN_MAX else None
         self.window_queries += 1
-        if fast:
+        if agg is not None:
             self.window_fast += 1
         if self._telemetry is not None:
             self._telemetry.inc(
-                "metrics.window.fast" if fast else "metrics.window.fallback"
+                "metrics.window.fallback" if agg is None else "metrics.window.fast"
             )
+        return lo, hi, agg
 
     def average_over(self, duration: Seconds, now: Seconds) -> Optional[float]:
         """Mean of samples in the trailing ``duration`` window, or ``None``.
@@ -196,27 +226,19 @@ class TimeSeries:
         30 minutes" (section V-C). Both paths divide the correctly
         rounded window sum by the count, so they agree bit for bit.
         """
-        agg = self._window_agg(duration, now)
+        lo, hi, agg = self._window(duration, now)
         if agg is not None:
-            self._note_window_read(fast=True)
-            if agg.count == 0:
-                return None
             return agg.sum() / agg.count
-        self._note_window_read(fast=False)
-        values = self.values_in(now - duration, now)
-        if not values:
+        if hi <= lo:
             return None
-        return math.fsum(values) / len(values)
+        return math.fsum(self._values[lo:hi]) / (hi - lo)
 
     def max_over(self, duration: Seconds, now: Seconds) -> Optional[float]:
         """Max of samples in the trailing window, or ``None`` (peak usage)."""
-        agg = self._window_agg(duration, now)
+        lo, hi, agg = self._window(duration, now)
         if agg is not None:
-            self._note_window_read(fast=True)
-            return agg.max() if agg.count else None
-        self._note_window_read(fast=False)
-        values = self.values_in(now - duration, now)
-        return max(values) if values else None
+            return agg.max()
+        return max(self._values[lo:hi]) if hi > lo else None
 
     def percentile_over(
         self,
@@ -229,33 +251,29 @@ class TimeSeries:
 
         With ``tolerance=None`` the exact sorting path runs. Declaring a
         tolerance opts into the histogram sketch (relative error bound
-        ``tolerance``; see :mod:`repro.metrics.sketch`) — the sketch is
-        maintained incrementally alongside the window state, and because
-        its integer bucket counts add/remove symmetrically, the streaming
-        and rescan answers are identical.
+        ``tolerance``; see :mod:`repro.metrics.sketch`) — above
+        ``RESCAN_MAX`` the sketch is maintained incrementally alongside
+        the window state, and because its integer bucket counts
+        add/remove symmetrically, the streaming and rescan answers are
+        identical.
         """
         if tolerance is None:
             values = self.values_in(now - duration, now)
             return percentile(values, q) if values else None
-        agg = self._window_agg(duration, now)
-        if agg is not None:
-            self._note_window_read(fast=True)
-            if agg.sketch is None or agg.sketch.alpha != tolerance:
-                sketch = HistogramSketch(tolerance)
+        lo, hi, agg = self._window(duration, now)
+        if hi <= lo:
+            return None
+        if agg is None:
+            sketch = HistogramSketch(tolerance)
+            for v in self._values[lo:hi]:
+                sketch.add(v)
+        else:
+            sketch = agg.sketch
+            if sketch is None or sketch.alpha != tolerance:
+                sketch = agg.sketch = HistogramSketch(tolerance)
                 abs0 = self._abs0
                 for v in self._values[agg.lo - abs0:agg.hi - abs0]:
                     sketch.add(v)
-                agg.sketch = sketch
-            if agg.count == 0:
-                return None
-            return agg.sketch.percentile(q)
-        self._note_window_read(fast=False)
-        values = self.values_in(now - duration, now)
-        if not values:
-            return None
-        sketch = HistogramSketch(tolerance)
-        for v in values:
-            sketch.add(v)
         return sketch.percentile(q)
 
     # ------------------------------------------------------------------

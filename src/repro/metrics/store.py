@@ -6,16 +6,20 @@ the store's default retention; callers with special needs (the pattern
 analyzer's 14 days) pass an explicit retention at creation.
 
 At fleet scale the store is on the simulation's hottest path, so it keeps
-two inverted indexes — entity → metrics and metric → entities — updated on
-series creation/deletion, making ``entities_with`` and ``drop_entity``
-O(answer) instead of O(all series), and offers :meth:`record_many`, the
-batched ingestion path the task managers and collectors use to land one
-coalesced sample set per engine event instead of one store call per task.
+two inverted indexes — entity → its series by metric, and metric →
+entities — updated on series creation/deletion, making ``entities_with``
+and ``drop_entity`` O(answer) instead of O(all series), and offers
+:meth:`record_many`, the batched ingestion path the task managers and
+collectors use to land one coalesced sample set per engine event instead
+of one store call per task. The first index is also the per-entity read
+path: :meth:`row` hands a reader every series of one entity in one lookup.
+Only writes create series; no read does.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from types import MappingProxyType
+from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 from repro.metrics.series import TimeSeries
 from repro.types import Seconds
@@ -23,6 +27,9 @@ from repro.types import Seconds
 #: Series retention when none is specified: two days, enough for every
 #: trailing-window read in the paper except the pattern analyzer's.
 DEFAULT_RETENTION: Seconds = 2 * 24 * 3600.0
+
+#: The row of an entity nobody has written to.
+_NO_ROW: Mapping[str, TimeSeries] = MappingProxyType({})
 
 
 class MetricStore:
@@ -39,8 +46,8 @@ class MetricStore:
     ) -> None:
         self.default_retention = default_retention
         self._series: Dict[Tuple[str, str], TimeSeries] = {}
-        #: Inverted indexes: entity -> metric names, metric -> entities.
-        self._entity_index: Dict[str, Set[str]] = {}
+        #: Inverted indexes: entity -> {metric: series}, metric -> entities.
+        self._entity_index: Dict[str, Dict[str, TimeSeries]] = {}
         self._metric_index: Dict[str, Set[str]] = {}
         #: Optional telemetry sink (duck-typed ``.inc``); mechanism
         #: counters live under the ``metrics.*`` namespace, which the
@@ -84,7 +91,7 @@ class MetricStore:
             telemetry=self._telemetry,
         )
         self._series[key] = created
-        self._entity_index.setdefault(entity, set()).add(metric)
+        self._entity_index.setdefault(entity, {})[metric] = created
         self._metric_index.setdefault(metric, set()).add(entity)
         return created
 
@@ -148,6 +155,14 @@ class MetricStore:
     # ------------------------------------------------------------------
     # Reads
     # ------------------------------------------------------------------
+    def row(self, entity: str) -> Mapping[str, TimeSeries]:
+        """Every series of ``entity`` by metric name, in one lookup — empty
+        for an entity nobody has written to (nothing is created). A
+        per-job reader takes the row once a round and reads
+        ``row.get("time_lagged")`` and friends off it; do not keep it
+        across rounds (``drop_entity`` retires it)."""
+        return self._entity_index.get(entity, _NO_ROW)
+
     def latest(self, entity: str, metric: str) -> Optional[float]:
         """Most recent value, or ``None`` if the series is empty/missing."""
         existing = self._series.get((entity, metric))

@@ -7,10 +7,11 @@ reporter (:mod:`repro.ops.health`) consume, and it is the only place
 those judgements are computed — the health reporter's fleet percentages
 are sums of the per-job verdicts here, never a second inline aggregation.
 
-Every read goes through the PR 5 streaming paths (``latest``,
-``average_over`` / ``count_between`` — WindowAggregate and RollupTier
-under the hood); nothing here rescans raw samples, so evaluating the
-whole fleet once a minute stays O(jobs), not O(jobs × samples).
+Every read is a point read (``latest`` / ``latest_time``) or a bounded
+``count_between`` off the job's metric row
+(:meth:`~repro.metrics.store.MetricStore.row`: one lookup per job, and
+no read creates a series), so evaluating the whole fleet once a minute
+stays O(jobs), not O(jobs × samples).
 
 The defined per-job SLIs:
 
@@ -31,7 +32,7 @@ values are byte-identical across same-seed runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Mapping, Optional, Sequence
 
 from repro.jobs.model import JobView
 from repro.metrics.store import MetricStore
@@ -117,63 +118,76 @@ class SliEvaluator:
     # ------------------------------------------------------------------
     # Per-job SLIs
     # ------------------------------------------------------------------
-    def lag_seconds(self, job_id: JobId) -> Optional[float]:
-        """Newest ``time_lagged`` sample, or ``None`` before first stats."""
-        return self._metrics.latest(job_id, "time_lagged")
+    def _row_sli(
+        self, name: str, row: Mapping, view: Optional[JobView], now: Seconds
+    ) -> Optional[float]:
+        """One named SLI from a job's metric row (``None`` = no data yet).
+        ``view`` is only read by ``availability``."""
+        if name == "lag_seconds":
+            series = row.get("time_lagged")
+            return None if series is None else series.latest()
+        if name == "freshness_seconds":
+            series = row.get("processing_rate_mb")
+            newest = None if series is None else series.latest_time()
+            return None if newest is None else max(0.0, now - newest)
+        if name == "availability":
+            # ``None`` before the first stats round or when no task is
+            # expected.
+            series = row.get("running_tasks")
+            running = None if series is None else series.latest()
+            if running is None or view.task_count <= 0:
+                return None
+            return min(1.0, running / float(view.task_count))
+        if name == "oom_rate":
+            series = row.get("oom_events")
+            if series is None:
+                return 0.0
+            return float(series.count_between(now - OOM_WINDOW, now))
+        if name == "task.recovery_lag":
+            # Newest recovery lag in seconds, recorded by the Task Managers
+            # when a failed task posts its first post-recovery progress (an
+            # OOM restart finishing its state restore, a promoted standby's
+            # first processed byte); only a sample inside RECOVERY_WINDOW
+            # judges the job.
+            series = row.get("recovery_lag")
+            if series is None or not series.count_between(now - RECOVERY_WINDOW, now):
+                return None
+            return series.latest()
+        raise ValueError(f"unknown SLI {name!r} (known: {', '.join(SLI_NAMES)})")
 
-    def freshness_seconds(self, job_id: JobId, now: Seconds) -> Optional[float]:
-        """Age of the newest processing-rate sample (measurement staleness)."""
-        series = self._metrics.series(job_id, "processing_rate_mb")
-        newest = series.latest_time()
-        return None if newest is None else max(0.0, now - newest)
-
-    def availability(self, job_id: JobId) -> Optional[float]:
-        """Running tasks over expected tasks, in ``[0, 1]``.
-
-        ``None`` before the first stats round (no ``running_tasks``
-        sample yet) or when the expected task count is not positive.
-        """
-        running = self._metrics.latest(job_id, "running_tasks")
-        if running is None:
-            return None
-        expected = self._view(job_id).task_count
-        if expected <= 0:
-            return None
-        return min(1.0, running / float(expected))
-
-    def oom_rate(self, job_id: JobId, now: Seconds) -> float:
-        """OOM events in the trailing :data:`OOM_WINDOW` (count)."""
-        series = self._metrics.series(job_id, "oom_events")
-        return float(series.count_between(now - OOM_WINDOW, now))
-
-    def recovery_lag(self, job_id: JobId, now: Seconds) -> Optional[float]:
-        """Newest recovery lag, in seconds — or ``None`` without a recent one.
-
-        A ``recovery_lag`` sample is recorded by the Task Managers when a
-        failed task posts its first post-recovery progress (an OOM restart
-        finishing its state restore, or a promoted standby's first
-        processed byte). Only samples inside :data:`RECOVERY_WINDOW`
-        judge the job, all through streaming reads.
-        """
-        series = self._metrics.series(job_id, "recovery_lag")
-        if series.count_between(now - RECOVERY_WINDOW, now) == 0:
-            return None
-        return self._metrics.latest(job_id, "recovery_lag")
+    def job_slis(
+        self, job_id: JobId, names: Sequence[str], view: Optional[JobView],
+        now: Seconds,
+    ) -> List[Optional[float]]:
+        """Evaluate the named SLIs for one job from one row lookup."""
+        row = self._metrics.row(job_id)
+        self.evaluations += len(names)
+        return [self._row_sli(name, row, view, now) for name in names]
 
     def job_sli(self, job_id: JobId, name: str, now: Seconds) -> Optional[float]:
         """Evaluate one named SLI for one job (``None`` = no data yet)."""
-        self.evaluations += 1
-        if name == "lag_seconds":
-            return self.lag_seconds(job_id)
-        if name == "freshness_seconds":
-            return self.freshness_seconds(job_id, now)
-        if name == "availability":
-            return self.availability(job_id)
-        if name == "oom_rate":
-            return self.oom_rate(job_id, now)
-        if name == "task.recovery_lag":
-            return self.recovery_lag(job_id, now)
-        raise ValueError(f"unknown SLI {name!r} (known: {', '.join(SLI_NAMES)})")
+        view = self._view(job_id) if name == "availability" else None
+        return self.job_slis(job_id, (name,), view, now)[0]
+
+    def lag_seconds(self, job_id: JobId) -> Optional[float]:
+        """Newest ``time_lagged`` sample, or ``None`` before first stats."""
+        return self._row_sli("lag_seconds", self._metrics.row(job_id), None, 0.0)
+
+    def freshness_seconds(self, job_id: JobId, now: Seconds) -> Optional[float]:
+        """Age of the newest processing-rate sample (measurement staleness)."""
+        return self._row_sli(
+            "freshness_seconds", self._metrics.row(job_id), None, now
+        )
+
+    def availability(self, job_id: JobId) -> Optional[float]:
+        """Running tasks over expected tasks, in ``[0, 1]``."""
+        return self._row_sli(
+            "availability", self._metrics.row(job_id), self._view(job_id), 0.0
+        )
+
+    def oom_rate(self, job_id: JobId, now: Seconds) -> float:
+        """OOM events in the trailing :data:`OOM_WINDOW` (count)."""
+        return self._row_sli("oom_rate", self._metrics.row(job_id), None, now)
 
     # ------------------------------------------------------------------
     # Fleet aggregation (the health reporter's percentages)

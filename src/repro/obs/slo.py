@@ -8,10 +8,11 @@ playbook asks for:
 
 * **good/bad samples** — each evaluation lands a 0/1 ``slo_bad`` sample
   in a private :class:`~repro.metrics.store.MetricStore`, so every burn
-  rate and budget read below is a streaming ``average_over`` (rolling
-  :class:`~repro.metrics.window.WindowAggregate` state, RollupTier
-  buckets on long compliance windows) — never a rescan, and never
-  perturbed by a chaos ``metric-gap`` fault against the platform store;
+  rate and budget read below is one ``average_over`` (a C rescan of the
+  short rule windows, rolling
+  :class:`~repro.metrics.window.WindowAggregate` state on the long
+  compliance windows) — never perturbed by a chaos ``metric-gap`` fault
+  against the platform store;
 * **burn rate** — bad fraction over a window divided by the budget
   fraction ``1 - target``. Burn 1.0 spends the budget exactly at the
   compliance horizon; 14.4 spends a 30-day budget in 2 days;
@@ -184,8 +185,8 @@ def bad_fraction(series, window: Seconds, now: Seconds) -> float:
     """Mean of the 0/1 bad samples over the trailing window (0 if empty).
 
     ``series`` is a bookkeeping :class:`~repro.metrics.series.TimeSeries`
-    of 0/1 samples; this is the O(1) rolling-window path, the read the
-    SLO plane leans on fleet-wide every minute.
+    of 0/1 samples; this is the read the SLO plane leans on fleet-wide
+    every minute.
     """
     mean = series.average_over(window, now)
     return 0.0 if mean is None else mean
@@ -242,6 +243,8 @@ class SloTracker:
         self._burn_horizon: Seconds = max(
             (rule.short_window for rule in rules), default=0.0
         )
+        self._sli_names = tuple(spec.sli for spec in self.specs)
+        self._bad_metrics = tuple(f"slo_bad.{spec.name}" for spec in self.specs)
         self.evaluations = 0
         self._timer = None
 
@@ -280,51 +283,49 @@ class SloTracker:
     def evaluate_once(self) -> None:
         """Judge every (job, SLO) pair once and update all bookkeeping.
 
-        A Job Store outage makes the fleet unenumerable; the round is
-        skipped whole (no samples land), which reads as an accounting
-        gap — the honest representation of "nobody could tell".
+        One pass per job: its state, its expected view and its metric row
+        are read once and every spec is judged from them. A Job Store
+        outage makes the fleet unenumerable; the round is skipped whole
+        (no samples land), which reads as an accounting gap — the honest
+        representation of "nobody could tell".
         """
         from repro.errors import DegradedModeError
 
         now = self._engine.now
+        sli = self._sli
         try:
-            job_ids = self._sli.job_ids()
+            job_ids = sli.job_ids()
         except DegradedModeError:
             return
         self.evaluations += 1
         batch: List[Tuple[str, str, float]] = []
         for job_id in job_ids:
             try:
-                if not self._sli.running(job_id):
+                if not sli.running(job_id):
                     # Quarantined/stopped jobs stop accruing samples: the
                     # quarantine itself is already alerted by the syncer.
                     continue
-                for index, spec in enumerate(self.specs):
-                    verdict = self._judge(job_id, spec, now)
-                    if verdict is None:
-                        continue
-                    batch.append((job_id, f"slo_bad.{spec.name}", verdict))
-                    bad = verdict > 0.0
-                    if bad:
-                        self._last_bad[(job_id, index)] = now
-                    self._track_breach(job_id, spec, bad=bad, now=now)
+                view = sli._view(job_id)
+                values = sli.job_slis(job_id, self._sli_names, view, now)
             except DegradedModeError:
                 continue
+            for index, value in enumerate(values):
+                if value is None:
+                    continue  # the SLI has no data yet
+                spec = self.specs[index]
+                threshold = spec.threshold
+                if threshold is None:
+                    threshold = view.slo_lag_seconds
+                bad = not spec.is_good(value, threshold)
+                batch.append((job_id, self._bad_metrics[index], 1.0 if bad else 0.0))
+                if bad:
+                    self._last_bad[(job_id, index)] = now
+                if bad or (job_id, spec.name) in self._open:
+                    self._track_breach(job_id, spec, bad=bad, now=now)
         if batch:
             self._store.record_many(now, batch)
         self._check_burn_rates(now)
         self._publish_telemetry(now)
-
-    def _judge(self, job_id: JobId, spec: SloSpec, now: Seconds) -> Optional[float]:
-        """1.0 bad / 0.0 good, or ``None`` when the SLI has no data yet."""
-        value = self._sli.job_sli(job_id, spec.sli, now)
-        if value is None:
-            return None
-        threshold = (
-            spec.threshold if spec.threshold is not None
-            else self._sli.lag_slo_seconds(job_id)
-        )
-        return 0.0 if spec.is_good(value, threshold) else 1.0
 
     def _track_breach(
         self, job_id: JobId, spec: SloSpec, bad: bool, now: Seconds
@@ -377,35 +378,35 @@ class SloTracker:
 
         A rule fires only while *both* its windows burn, and a 0/1 series
         with no bad sample inside a window has burn rate exactly 0.0 over
-        it. So a pair whose newest bad sample is older than every rule's
-        short window cannot fire, whatever its long windows still hold,
-        and is not read at all. A pair is read one last time on the round
-        its bad sample leaves the longest short window — every rule then
-        stops firing — and is forgotten until it goes bad again.
+        it. So a rule whose short window holds no bad sample of the pair
+        is not firing, whatever its long window still holds, and is not
+        read; the long window is read only when the short one burns. A
+        pair is visited one last time on the round its bad sample leaves
+        the longest short window — every rule is then set not-firing —
+        and is forgotten until it goes bad again.
         """
         quiet_before = now - self._burn_horizon
         for pair in sorted(self._last_bad):
             entity, spec_index = pair
             spec = self.specs[spec_index]
-            self._evaluate_rules(entity, spec, self._series(entity, spec), now)
-            if self._last_bad[pair] < quiet_before:
+            last_bad = self._last_bad[pair]
+            series = self._series(entity, spec)
+            for index, rule in enumerate(self.rules):
+                key = (entity, spec.name, index)
+                threshold = rule.burn_threshold
+                firing = (
+                    last_bad >= now - rule.short_window
+                    and burn_rate(series, rule.short_window, now, spec.target)
+                    >= threshold
+                )
+                if firing:
+                    long_burn = burn_rate(series, rule.long_window, now, spec.target)
+                    firing = long_burn >= threshold
+                    if firing and not self._firing.get(key):
+                        self._alert(entity, spec, rule, long_burn, now)
+                self._firing[key] = firing
+            if last_bad < quiet_before:
                 del self._last_bad[pair]
-
-    def _evaluate_rules(
-        self, entity: JobId, spec: SloSpec, series, now: Seconds
-    ) -> None:
-        """Every burn-rate rule for one (job, SLO) series, edge-triggered."""
-        for index, rule in enumerate(self.rules):
-            key = (entity, spec.name, index)
-            long_burn = burn_rate(series, rule.long_window, now, spec.target)
-            short_burn = burn_rate(series, rule.short_window, now, spec.target)
-            firing = (
-                long_burn >= rule.burn_threshold
-                and short_burn >= rule.burn_threshold
-            )
-            if firing and not self._firing.get(key):
-                self._alert(entity, spec, rule, long_burn, now)
-            self._firing[key] = firing
 
     def _known_entities(self) -> List[str]:
         entities = set()

@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, Optional
 
+from repro.metrics.series import TimeSeries
 from repro.metrics.store import MetricStore
 from repro.scaler.snapshot import JobSnapshot
 from repro.types import JobId, Seconds
@@ -217,7 +218,9 @@ class PatternAnalyzer:
                     allowed=False, reason="insufficient capacity for current rate"
                 )
             return PatternVerdict(allowed=True)
-        series = self._metrics.series(snapshot.job_id, "input_rate_mb")
+        series = self._metrics.row(snapshot.job_id).get("input_rate_mb")
+        if series is None:
+            series = TimeSeries()  # never written: reads as "no history"
 
         if self._is_outlier(snapshot, series):
             return PatternVerdict(

@@ -213,8 +213,8 @@ class AutoScaler:
         last_bad = self._last_unhealthy.get(snapshot.job_id)
         if last_bad is not None and now - last_bad < window:
             return False
-        lag_series = self._metrics.series(snapshot.job_id, "time_lagged")
-        points = lag_series.window(now - window, now)
+        lag_series = self._metrics.row(snapshot.job_id).get("time_lagged")
+        points = lag_series.window(now - window, now) if lag_series else ()
         if not points:
             return False
         if now - points[0][0] < window * 0.9:

@@ -211,8 +211,9 @@ class ReactiveAutoScaler:
         """No lag above 10 % of SLO and no OOM for the whole quiet window."""
         now = snapshot.time
         window = self.config.downscale_after
-        lag_series = self._metrics.series(snapshot.job_id, "time_lagged")
-        lags = lag_series.values_in(now - window, now)
+        row = self._metrics.row(snapshot.job_id)
+        lag_series = row.get("time_lagged")
+        lags = lag_series.values_in(now - window, now) if lag_series else ()
         if not lags:
             return False
         earliest = lag_series.window(now - window, now)[0][0]
@@ -220,8 +221,8 @@ class ReactiveAutoScaler:
             return False  # not enough history to call it quiet
         if max(lags) > 0.1 * snapshot.slo_lag_seconds:
             return False
-        oom_series = self._metrics.series(snapshot.job_id, "oom_events")
-        return not oom_series.values_in(now - window, now)
+        oom_series = row.get("oom_events")
+        return not (oom_series and oom_series.values_in(now - window, now))
 
     def _record(self, snapshot: JobSnapshot, kind: str, detail: str) -> None:
         self.actions.append(

@@ -70,19 +70,22 @@ def snapshot_job(
     oom_window: Seconds = 600.0,
     input_partitions: int = 0,
 ) -> JobSnapshot:
-    """Build a snapshot from the job's expected view and the metric store."""
+    """Build a snapshot from the job's expected view and its metric row."""
+    row = metrics.row(job_id)
 
-    def latest(metric: str, default: float = 0.0) -> float:
-        value = metrics.latest(job_id, metric)
-        return default if value is None else value
+    def latest(metric: str) -> float:
+        series = row.get(metric)
+        value = None if series is None else series.latest()
+        return 0.0 if value is None else value
 
-    input_series = metrics.series(job_id, "input_rate_mb")
-    input_rate = input_series.average_over(RATE_WINDOW, now)
+    input_rate = None
+    if "input_rate_mb" in row:
+        input_rate = row["input_rate_mb"].average_over(RATE_WINDOW, now)
     if input_rate is None:
         input_rate = latest("input_rate_mb")
 
-    oom_series = metrics.series(job_id, "oom_events")
-    oom_recently = bool(oom_series.values_in(now - oom_window, now))
+    oom_series = row.get("oom_events")
+    oom_recently = bool(oom_series and oom_series.values_in(now - oom_window, now))
 
     return JobSnapshot(
         job_id=job_id,

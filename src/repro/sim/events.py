@@ -3,34 +3,32 @@
 Events are ordered by ``(time, sequence)``. The sequence number breaks ties
 deterministically: two events scheduled for the same instant fire in the
 order they were scheduled, which keeps runs reproducible regardless of heap
-internals.
+internals. The heap holds ``(time, seq, event)`` tuples, so every heap
+comparison is a C tuple comparison that the unique ``seq`` always decides
+— the event itself (and its callback) never takes part in ordering.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.types import Seconds
 
 
-@dataclass(order=True)
+@dataclass
 class Event:
-    """A scheduled callback.
-
-    Comparison is by ``(time, seq)`` only; the callback itself never takes
-    part in ordering.
-    """
+    """A scheduled callback."""
 
     time: Seconds
     seq: int
-    callback: Callable[[], Any] = field(compare=False)
+    callback: Callable[[], Any]
     #: Cancelled events stay in the heap but are skipped on pop. This is the
     #: standard "lazy deletion" idiom for heapq-based schedulers.
-    cancelled: bool = field(default=False, compare=False)
+    cancelled: bool = False
 
     def cancel(self) -> None:
         """Mark this event so the queue skips it."""
@@ -41,21 +39,21 @@ class EventQueue:
     """A priority queue of :class:`Event` objects with lazy cancellation."""
 
     def __init__(self) -> None:
-        self._heap: list[Event] = []
+        self._heap: List[Tuple[Seconds, int, Event]] = []
         self._counter = itertools.count()
 
     def __len__(self) -> int:
-        return sum(1 for event in self._heap if not event.cancelled)
+        return sum(1 for entry in self._heap if not entry[2].cancelled)
 
     def __bool__(self) -> bool:
-        return any(not event.cancelled for event in self._heap)
+        return any(not entry[2].cancelled for entry in self._heap)
 
     def push(self, time: Seconds, callback: Callable[[], Any]) -> Event:
         """Schedule ``callback`` at absolute time ``time``."""
         if time < 0:
             raise SimulationError(f"cannot schedule before time zero: {time}")
-        event = Event(time=float(time), seq=next(self._counter), callback=callback)
-        heapq.heappush(self._heap, event)
+        event = Event(float(time), next(self._counter), callback)
+        heapq.heappush(self._heap, (event.time, event.seq, event))
         return event
 
     def peek_time(self) -> Optional[Seconds]:
@@ -63,20 +61,20 @@ class EventQueue:
         self._drop_cancelled_head()
         if not self._heap:
             return None
-        return self._heap[0].time
+        return self._heap[0][0]
 
     def pop(self) -> Tuple[Seconds, Callable[[], Any]]:
         """Remove and return the next live event as ``(time, callback)``."""
         self._drop_cancelled_head()
         if not self._heap:
             raise SimulationError("pop from an empty event queue")
-        event = heapq.heappop(self._heap)
-        return event.time, event.callback
+        time, _, event = heapq.heappop(self._heap)
+        return time, event.callback
 
     def clear(self) -> None:
         """Drop every pending event."""
         self._heap.clear()
 
     def _drop_cancelled_head(self) -> None:
-        while self._heap and self._heap[0].cancelled:
+        while self._heap and self._heap[0][2].cancelled:
             heapq.heappop(self._heap)

@@ -85,8 +85,8 @@ class JobStatsCollector:
 
         Derived job metrics are coalesced across the whole round into one
         batched store call — one collection event lands one sample set.
-        The rate metrics each job's lag computation reads back are the
-        exception; they are recorded inline so the read sees them.
+        The exception is a zero processing rate, recorded inline because
+        the job's lag computation reads it back.
         """
         now = self._engine.now
         dt = now - self._last_time if self._last_time is not None else None
@@ -125,25 +125,24 @@ class JobStatsCollector:
             input_rate = (head - last_head) / dt
             processing_rate = (processed_total - last_processed) / dt
             # The pattern analyzer needs 14 days of per-minute input rates
-            # (paper section V-C); give this series a longer retention.
-            self._metrics.series(
-                job_id, "input_rate_mb", retention=15 * 86400.0
-            ).record(now, max(0.0, input_rate))
-            # Recorded inline (not batched): the rate-basis fallback just
-            # below reads this series back including the current sample.
-            self._metrics.record(
-                job_id, "processing_rate_mb", now, max(0.0, processing_rate)
-            )
+            # (paper section V-C): the writer creates this series, with a
+            # longer retention than the store's default.
+            self._metrics.series(job_id, "input_rate_mb", retention=15 * 86400.0)
+            batch.append((job_id, "input_rate_mb", max(0.0, input_rate)))
             # Equation (1)'s denominator is what the job *can* process per
             # second. The instantaneous rate dips to zero during routine
             # restarts (package pushes, parallelism changes); using the
             # recent processing capability avoids phantom infinite lag.
             rate_basis = max(0.0, processing_rate)
-            if rate_basis <= 1e-9:
-                recent = self._metrics.series(
-                    job_id, "processing_rate_mb"
-                ).average_over(900.0, now)
-                rate_basis = recent or 0.0
+            if rate_basis > 1e-9:
+                batch.append((job_id, "processing_rate_mb", rate_basis))
+            else:
+                # The fallback average includes the current sample, so it
+                # lands now rather than with the round's batch.
+                self._metrics.record(job_id, "processing_rate_mb", now, rate_basis)
+                recent = self._metrics.row(job_id).get("processing_rate_mb")
+                if recent is not None:  # None: never landed (store down)
+                    rate_basis = recent.average_over(900.0, now) or 0.0
             if lagged <= 1e-9:
                 time_lagged = 0.0
             elif rate_basis > 1e-9:

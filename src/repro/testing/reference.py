@@ -2,11 +2,13 @@
 
 Production code answers "where does this task run", "which managers host
 this job", "which (job, SLO) pairs can be burning", "which jobs need a
-sync plan", "what is this window's mean" and "what does this container
-process this tick" from state kept where the fact changes, or in one flat
-loop. The forms here answer the same questions the slow, obviously-right
-way — scan every manager, re-merge every config, rescan every job, reread
-every sample, one method call per task and per partition — and exist only
+sync plan", "what is this window's mean", "what does the scaler know
+about this job" and "what does this container process this tick" from
+state kept where the fact changes, or in one flat loop. The forms here
+answer the same questions the slow, obviously-right way — scan every
+manager, re-merge every config, rescan every job, reread every sample,
+one store call per number, one method call per task and per partition —
+and exist only
 so the equivalence suites in ``tests/`` and the hot-path benches have
 something to compare against.
 Production classes take no argument that selects one of these; nothing
@@ -17,19 +19,21 @@ from __future__ import annotations
 
 from typing import Iterable, List, NamedTuple, Sequence, Tuple
 
+from repro.errors import DegradedModeError
 from repro.jobs.model import JobView
 from repro.jobs.syncer import StateSyncer, SyncReport
 from repro.metrics.series import TimeSeries
 from repro.metrics.store import MetricStore
 from repro.obs.sli import SliEvaluator
-from repro.obs.slo import SloTracker
+from repro.obs.slo import SloTracker, burn_rate
+from repro.scaler.snapshot import RATE_WINDOW, JobSnapshot
 from repro.scribe.bus import ScribeBus
 from repro.tasks.runtime import (
     DEFAULT_OUTPUT_PARTITIONS,
     STATE_RESTORE_RATE_MB,
     RunningTask,
 )
-from repro.types import JobId, Seconds, TaskId, TaskState
+from repro.types import JobId, Priority, Seconds, TaskId, TaskState
 
 __all__ = [
     "scan_primary_manager",
@@ -39,6 +43,7 @@ __all__ = [
     "FullScanSyncer",
     "NaiveTimeSeries",
     "NaiveMetricStore",
+    "snapshot_job_store_read",
     "StepPlan",
     "desired_cores",
     "plan_step",
@@ -80,8 +85,10 @@ class FullReadSliEvaluator(SliEvaluator):
 
 
 class FullWalkSloTracker(SloTracker):
-    """Reads every rule window of every (job, SLO) series every round —
-    a forgotten job's not until it is next judged bad, as in production."""
+    """Judges one (job, SLO) pair at a time through ``job_sli`` — one store
+    read per SLI — and reads both windows of every rule of every (job, SLO)
+    series every round; a forgotten job's not until it is next judged bad,
+    as in production."""
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
@@ -91,10 +98,45 @@ class FullWalkSloTracker(SloTracker):
         super().forget_job(job_id)
         self._forgotten.update((job_id, spec.name) for spec in self.specs)
 
-    def _track_breach(self, job_id, spec, bad, now) -> None:
-        if bad:
-            self._forgotten.discard((job_id, spec.name))
-        super()._track_breach(job_id, spec, bad, now)
+    def evaluate_once(self) -> None:
+        now = self._engine.now
+        try:
+            job_ids = self._sli.job_ids()
+        except DegradedModeError:
+            return
+        self.evaluations += 1
+        batch = []
+        for job_id in job_ids:
+            try:
+                if not self._sli.running(job_id):
+                    continue
+                for index, spec in enumerate(self.specs):
+                    verdict = self._judge(job_id, spec, now)
+                    if verdict is None:
+                        continue
+                    batch.append((job_id, f"slo_bad.{spec.name}", verdict))
+                    bad = verdict > 0.0
+                    if bad:
+                        self._last_bad[(job_id, index)] = now
+                        self._forgotten.discard((job_id, spec.name))
+                    self._track_breach(job_id, spec, bad=bad, now=now)
+            except DegradedModeError:
+                continue
+        if batch:
+            self._store.record_many(now, batch)
+        self._check_burn_rates(now)
+        self._publish_telemetry(now)
+
+    def _judge(self, job_id: JobId, spec, now: Seconds):
+        """1.0 bad / 0.0 good, or ``None`` when the SLI has no data yet."""
+        value = self._sli.job_sli(job_id, spec.sli, now)
+        if value is None:
+            return None
+        threshold = (
+            spec.threshold if spec.threshold is not None
+            else self._sli.lag_slo_seconds(job_id)
+        )
+        return 0.0 if spec.is_good(value, threshold) else 1.0
 
     def _check_burn_rates(self, now: Seconds) -> None:
         for entity in self._known_entities():
@@ -102,8 +144,19 @@ class FullWalkSloTracker(SloTracker):
                 series = self._store._series.get(
                     (entity, f"slo_bad.{spec.name}")
                 )
-                if series is not None and (entity, spec.name) not in self._forgotten:
-                    self._evaluate_rules(entity, spec, series, now)
+                if series is None or (entity, spec.name) in self._forgotten:
+                    continue
+                for index, rule in enumerate(self.rules):
+                    key = (entity, spec.name, index)
+                    long_burn = burn_rate(series, rule.long_window, now, spec.target)
+                    short_burn = burn_rate(series, rule.short_window, now, spec.target)
+                    firing = (
+                        long_burn >= rule.burn_threshold
+                        and short_burn >= rule.burn_threshold
+                    )
+                    if firing and not self._firing.get(key):
+                        self._alert(entity, spec, rule, long_burn, now)
+                    self._firing[key] = firing
 
 
 class FullScanSyncer(StateSyncer):
@@ -122,7 +175,7 @@ class NaiveTimeSeries(TimeSeries):
         super().__init__(*args, **kwargs)
         self._rollup = None
 
-    def _window_agg(self, duration: Seconds, now: Seconds) -> None:
+    def _window_agg(self, duration: Seconds, now: Seconds, lo: int) -> None:
         return None
 
 
@@ -130,6 +183,52 @@ class NaiveMetricStore(MetricStore):
     """A store whose series are all :class:`NaiveTimeSeries`."""
 
     series_type = NaiveTimeSeries
+
+
+def snapshot_job_store_read(
+    job_id: JobId,
+    view: JobView,
+    metrics: MetricStore,
+    now: Seconds,
+    oom_window: Seconds = 600.0,
+    input_partitions: int = 0,
+) -> JobSnapshot:
+    """``scaler.snapshot.snapshot_job`` as one store call per number: six
+    ``metrics.latest`` lookups and two ``metrics.series`` reads (which
+    create the series they do not find)."""
+
+    def latest(metric: str, default: float = 0.0) -> float:
+        value = metrics.latest(job_id, metric)
+        return default if value is None else value
+
+    input_rate = metrics.series(job_id, "input_rate_mb").average_over(
+        RATE_WINDOW, now
+    )
+    if input_rate is None:
+        input_rate = latest("input_rate_mb")
+    oom_series = metrics.series(job_id, "oom_events")
+    return JobSnapshot(
+        job_id=job_id,
+        time=now,
+        task_count=view.task_count,
+        threads=view.threads,
+        task_count_limit=view.task_count_limit,
+        memory_per_task_gb=view.memory_per_task_gb,
+        cpu_per_task=view.cpu_per_task,
+        stateful=view.stateful,
+        state_key_cardinality=view.state_key_cardinality,
+        priority=Priority(view.priority),
+        slo_lag_seconds=view.slo_lag_seconds,
+        slo_recovery_seconds=view.slo_recovery_seconds,
+        input_rate_mb=float(input_rate),
+        processing_rate_mb=latest("processing_rate_mb"),
+        backlog_mb=latest("bytes_lagged_mb"),
+        time_lagged=latest("time_lagged"),
+        task_rate_stdev=latest("task_rate_stdev"),
+        oom_recently=bool(oom_series.values_in(now - oom_window, now)),
+        running_tasks=int(latest("running_tasks")),
+        input_partitions=input_partitions,
+    )
 
 
 # ----------------------------------------------------------------------

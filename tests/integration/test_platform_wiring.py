@@ -65,7 +65,7 @@ def small_platform(method):
 def armed_timers(platform):
     """Name -> number of live queue events owned by an active Timer."""
     counts = Counter()
-    for event in platform.engine.queue._heap:
+    for __, __, event in platform.engine.queue._heap:
         owner = getattr(event.callback, "__self__", None)
         if not event.cancelled and isinstance(owner, Timer) and owner.active:
             counts[owner.name] += 1

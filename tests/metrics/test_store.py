@@ -1,5 +1,7 @@
 """Unit tests for the MetricStore."""
 
+import pytest
+
 from repro.metrics import MetricStore
 
 
@@ -52,3 +54,46 @@ def test_custom_retention_honored():
     assert series.retention == 5.0
     long_series = store.series("job-a", "history", retention=100.0)
     assert long_series.retention == 100.0
+
+
+# ----------------------------------------------------------------------
+# The per-entity row (one lookup per job per reader per round)
+# ----------------------------------------------------------------------
+def test_row_is_every_series_of_the_entity_by_metric():
+    store = MetricStore()
+    store.record("job-a", "lag", 0.0, 1.0)
+    store.record_many(60.0, [("job-a", "rate", 2.0), ("job-b", "lag", 3.0)])
+    row = store.row("job-a")
+    assert sorted(row) == ["lag", "rate"]
+    assert row["lag"] is store.series("job-a", "lag")
+    assert row.get("rate").latest() == 2.0
+    assert row.get("nope") is None
+
+
+def test_row_of_an_unknown_entity_is_empty_and_creates_nothing():
+    store = MetricStore()
+    row = store.row("ghost")
+    assert len(row) == 0 and row.get("lag") is None
+    assert store._series == {} and store._entity_index == {}
+    assert store.entities_with("lag") == []
+    with pytest.raises(TypeError):
+        row["lag"] = None  # the shared empty row is read-only
+
+
+def test_row_sees_exactly_what_writes_landed():
+    """Exact under an outage (no ingest, no change), for a metric written
+    later, and across ``drop_entity``."""
+    store = MetricStore()
+    store.record("job", "lag", 0.0, 1.0)
+    row = store.row("job")
+    store.fail()
+    store.record("job", "lag", 60.0, 9.0)
+    store.record("job", "rate", 60.0, 9.0)
+    assert row["lag"].latest() == 1.0 and "rate" not in row
+    store.recover()
+    store.record("job", "rate", 120.0, 4.0)
+    assert row["rate"].latest() == 4.0  # the live mapping, not a copy
+    store.drop_entity("job")
+    assert len(store.row("job")) == 0
+    store.record("job", "lag", 180.0, 5.0)
+    assert [s.latest() for s in store.row("job").values()] == [5.0]

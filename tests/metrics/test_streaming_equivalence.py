@@ -14,17 +14,26 @@ rounded* window sum (``math.fsum`` on one side, a Shewchuk expansion
 maintained under adds and evictions on the other), max is exact under
 any regrouping, and the sketch's integer bucket counts add/remove
 symmetrically. See ``repro/metrics/window.py``.
+
+Since PR 24 a trailing window is only given rolling state once it holds
+more than ``RESCAN_MAX`` samples (smaller ones are rescanned in C, which
+is what the reference does). Generated streams are short, so the
+hypothesis cases run under :func:`cutover`, which moves the constant down
+far enough that every stream has windows on both sides of it; the dense
+deterministic cases run against the real constant.
 """
 
 import math
 import random
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.metrics import series as series_module
 from repro.metrics.aggregate import SKETCH_MIN_VALUES, percentile
-from repro.metrics.series import TimeSeries
+from repro.metrics.series import RESCAN_MAX, TimeSeries
 from repro.metrics.sketch import DEFAULT_ALPHA, HistogramSketch
 from repro.metrics.store import MetricStore
 from repro.testing.reference import NaiveTimeSeries
@@ -48,6 +57,25 @@ samples = st.tuples(
 streams = st.lists(samples, min_size=1, max_size=120)
 
 
+@contextmanager
+def cutover(samples):
+    """Run with the rescan → rolling cutover at ``samples`` per window."""
+    series_module.RESCAN_MAX = samples
+    try:
+        yield
+    finally:
+        series_module.RESCAN_MAX = RESCAN_MAX
+
+
+def assert_window_reads_equal(fast, naive, duration, now):
+    assert fast.average_over(duration, now) == naive.average_over(duration, now)
+    assert fast.max_over(duration, now) == naive.max_over(duration, now)
+    for q in (50.0, 95.0):
+        assert fast.percentile_over(
+            duration, now, q, tolerance=0.01
+        ) == naive.percentile_over(duration, now, q, tolerance=0.01)
+
+
 def ingest_pair(stream, **kwargs):
     fast = TimeSeries(**kwargs)
     naive = NaiveTimeSeries(**kwargs)
@@ -61,8 +89,13 @@ def ingest_pair(stream, **kwargs):
 
 class TestTrailingWindows:
     @settings(max_examples=50, deadline=None)
-    @given(stream=streams)
-    def test_average_and_max_match_bit_for_bit(self, stream):
+    @given(stream=streams, cut=st.sampled_from([0, 3, 12, RESCAN_MAX]))
+    def test_average_and_max_match_bit_for_bit(self, stream, cut):
+        with cutover(cut):
+            self.check_average_and_max(stream)
+
+    @staticmethod
+    def check_average_and_max(stream):
         fast = TimeSeries(retention=RETENTION)
         naive = NaiveTimeSeries(retention=RETENTION)
         now = 0.0
@@ -93,9 +126,14 @@ class TestTrailingWindows:
         assert len(fast) == len(naive)
 
     @settings(max_examples=25, deadline=None)
-    @given(stream=streams)
-    def test_sketched_percentiles_match_bit_for_bit(self, stream):
+    @given(stream=streams, cut=st.sampled_from([0, 3, 12]))
+    def test_sketched_percentiles_match_bit_for_bit(self, stream, cut):
         """Streaming and one-shot sketches agree exactly (integer counts)."""
+        with cutover(cut):
+            self.check_sketched_percentiles(stream)
+
+    @staticmethod
+    def check_sketched_percentiles(stream):
         fast = TimeSeries(retention=RETENTION)
         naive = NaiveTimeSeries(retention=RETENTION)
         now = 0.0
@@ -114,27 +152,101 @@ class TestTrailingWindows:
         )
 
     def test_long_stream_with_compactions_stays_identical(self):
-        """Retention churn drives ring compaction under live window state."""
+        """Retention churn drives ring compaction under live window state.
+        Dense enough that every window holds more than ``RESCAN_MAX``
+        samples: these reads must stay on the rolling state."""
         rng = random.Random(42)
-        fast = TimeSeries(retention=500.0)
-        naive = NaiveTimeSeries(retention=500.0)
+        fast = TimeSeries(retention=60.0)
+        naive = NaiveTimeSeries(retention=60.0)
         now = 0.0
         for _ in range(5000):
-            now += rng.uniform(0.1, 5.0)
+            now += rng.uniform(0.01, 0.2)
             sample = rng.uniform(-1000.0, 1000.0) * rng.choice(
                 [1.0, 1e-8, 1e8]
             )
             fast.record(now, sample)
             naive.record(now, sample)
-            for duration in WINDOWS:
+            for duration in (20.0, 45.0, 90.0):
                 assert fast.average_over(duration, now) == naive.average_over(
                     duration, now
                 )
                 assert fast.max_over(duration, now) == naive.max_over(
                     duration, now
                 )
+        assert len(fast.values_in(now - 20.0, now)) > RESCAN_MAX
         assert fast.compactions > 0, "retention churn must compact the ring"
         assert fast.window_fast > 0.9 * fast.window_queries
+        assert fast.all_points() == naive.all_points()
+
+
+class TestRescanCutover:
+    """Windows on both sides of ``RESCAN_MAX``, and crossing it mid-life."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        stream=streams,
+        cut=st.integers(0, 40),
+        behind=st.floats(min_value=0.0, max_value=60.0),
+    )
+    def test_every_read_matches_whatever_the_cutover(self, stream, cut, behind):
+        """Growing past the cutover (cold seed mid-life), shrinking back
+        under retention trim, ``now`` behind the newest sample and ahead
+        of it: average, max and toleranced percentile, bit for bit."""
+        with cutover(cut):
+            fast = TimeSeries(retention=RETENTION)
+            naive = NaiveTimeSeries(retention=RETENTION)
+            now = 0.0
+            for dt, value, scale in stream:
+                now += dt
+                fast.record(now, value * scale)
+                naive.record(now, value * scale)
+                for duration in WINDOWS:
+                    assert_window_reads_equal(fast, naive, duration, now)
+                    assert_window_reads_equal(
+                        fast, naive, duration, max(0.0, now - behind)
+                    )
+            for duration in WINDOWS:
+                assert_window_reads_equal(fast, naive, duration, now + 40.0)
+            assert fast.all_points() == naive.all_points()
+
+    def test_rolling_state_is_only_built_above_the_cutover(self):
+        fast = TimeSeries(retention=None)
+        for index in range(RESCAN_MAX):
+            fast.record(float(index), 1.0)
+            fast.average_over(1e6, float(index))
+            fast.max_over(1e6, float(index))
+        assert fast._aggs == {} and fast.window_fast == 0
+        assert fast.window_queries == 2 * RESCAN_MAX
+        fast.record(float(RESCAN_MAX), 1.0)
+        assert fast.average_over(1e6, float(RESCAN_MAX)) == 1.0
+        assert list(fast._aggs) == [1e6] and fast.window_fast == 1
+        # A shorter window of the same series is still a rescan.
+        assert fast.average_over(10.0, float(RESCAN_MAX)) == 1.0
+        assert list(fast._aggs) == [1e6] and fast.window_fast == 1
+
+    def test_grow_shrink_regrow_across_the_real_cutover(self):
+        """Dense → sparse → dense at the real constant: the 60 s window
+        grows past ``RESCAN_MAX`` (state seeded cold, mid-life), shrinks
+        to a dozen samples while retention trims and compacts the dense
+        phase away under it, then grows back — and the state it left
+        behind must not answer with anything it missed."""
+        rng = random.Random(7)
+        fast = TimeSeries(retention=100.0)
+        naive = NaiveTimeSeries(retention=100.0)
+        now = 0.0
+        sizes = []
+        for step, count in ((0.1, 1500), (5.0, 60), (0.1, 1500), (5.0, 30)):
+            for _ in range(count):
+                now += step
+                sample = rng.uniform(-50.0, 50.0) * rng.choice([1.0, 1e-8, 1e8])
+                fast.record(now, sample)
+                naive.record(now, sample)
+                assert_window_reads_equal(fast, naive, 60.0, now)
+                assert_window_reads_equal(fast, naive, 60.0, now - 2.5)
+            sizes.append(len(fast.values_in(now - 60.0, now)))
+        assert sizes[0] > RESCAN_MAX > sizes[1] and sizes[2] > RESCAN_MAX > sizes[3]
+        assert fast.compactions > 0
+        assert 0 < fast.window_fast < fast.window_queries
         assert fast.all_points() == naive.all_points()
 
 

@@ -1,14 +1,17 @@
 """Property test: the change-driven SLO plane ≡ the full walk.
 
 Two worlds receive the same metric streams, the same Job Store
-mutations, the same outage windows and the same replication takeover.
-World A is production: :class:`~repro.obs.slo.SloTracker` reads burn
-rates only for (job, SLO) pairs with a bad sample inside the longest rule
-window, over a :class:`~repro.obs.sli.SliEvaluator` that reads the two
-per-job objectives from the Job Store's held view of the job
-(``JobStore.view``, dropped when the job's change is notified).
-World B is :mod:`repro.testing.reference`: every rule window of every
-series read every round, the four-level config merge run on every read
+mutations, the same outage windows (Job Store and metric store) and the
+same replication takeover.
+World A is production: :class:`~repro.obs.slo.SloTracker` judges a job's
+specs in one pass over its state, view and metric row, and reads a
+burn-rate rule only while the pair's newest bad sample is inside that
+rule's short window, over a :class:`~repro.obs.sli.SliEvaluator` that
+reads the two per-job objectives from the Job Store's held view of the
+job (``JobStore.view``, dropped when the job's change is notified).
+World B is :mod:`repro.testing.reference`: one ``job_sli`` call per
+(job, SLO) pair, both windows of every rule of every series read every
+round, the four-level config merge run on every read
 (``FullReadSliEvaluator`` overrides only the ``_view`` seam).
 
 After every segment the two must agree byte for byte on ``to_json()``
@@ -23,12 +26,21 @@ from repro.errors import DegradedModeError, JobStoreError
 from repro.jobs import ConfigLevel, JobService, JobSpec, JobStore
 from repro.metrics.store import MetricStore
 from repro.obs.sli import SliEvaluator
-from repro.obs.slo import DEFAULT_BURN_RULES, BurnRateRule, SloTracker
+from repro.obs.slo import (
+    DEFAULT_BURN_RULES,
+    BurnRateRule,
+    SloSpec,
+    SloTracker,
+)
 from repro.sim.engine import Engine
 from repro.testing.reference import FullReadSliEvaluator, FullWalkSloTracker
 from repro.types import JobState
+from tests.tasks.helpers import python_calls
 
 JOBS = ("job-0", "job-1", "job-2")
+#: Provisioned with the others but fed no metric until a ``feed_late``
+#: step: a job before its first stats round (every verdict ``None``).
+LATE = "job-late"
 INTERVAL = 60.0
 #: Short rule windows, so generated runs cross "bad sample leaves the
 #: longest window" many times (the default 6 h needs 360 rounds each).
@@ -38,19 +50,36 @@ SHORT_RULES = (
 )
 
 
+#: Two specs on one SLI, a third on it with the other comparator, and a
+#: ``>=`` spec: the pass must judge each against its own threshold.
+TWICE_ON_ONE_SLI = (
+    SloSpec(name="lag", sli="lag_seconds", target=0.99,
+            compliance_window=6 * 3600.0, threshold=None),
+    SloSpec(name="lag-tight", sli="lag_seconds", target=0.9,
+            compliance_window=3600.0, threshold=50.0),
+    SloSpec(name="availability", sli="availability", target=0.999,
+            compliance_window=6 * 3600.0, threshold=0.9, comparator=">="),
+    SloSpec(name="busy", sli="lag_seconds", target=0.5,
+            compliance_window=3600.0, threshold=100.0, comparator=">="),
+    SloSpec(name="oom", sli="oom_rate", target=0.999,
+            compliance_window=6 * 3600.0, threshold=0.0),
+)
+
+
 class World:
     """One tracker over a real Job Store, fed by hand once a minute."""
 
-    def __init__(self, tracker_cls, sli_cls, rules):
+    def __init__(self, tracker_cls, sli_cls, rules, specs=None):
         self.engine = Engine(seed=1)
         self.store = JobStore()
         self.service = JobService(self.store)
         self.metrics = MetricStore()
         self.sli = sli_cls(self.service, self.metrics)
         self.tracker = tracker_cls(
-            self.engine, self.sli, rules=rules, interval=INTERVAL
+            self.engine, self.sli, specs=specs, rules=rules, interval=INTERVAL
         )
-        for job_id in JOBS:
+        self.late_fed = False
+        for job_id in (*JOBS, LATE):
             self.service.provision(
                 JobSpec(job_id=job_id, input_category="cat", task_count=2)
             )
@@ -62,7 +91,8 @@ class World:
         """One simulated minute: land the stats, then judge."""
         self.engine.run_for(INTERVAL)
         now = self.engine.now
-        for job_id, lag in zip(JOBS, lags):
+        fed = zip((*JOBS, LATE) if self.late_fed else JOBS, (*lags, lags[0]))
+        for job_id, lag in fed:
             self.metrics.record(job_id, "time_lagged", now, lag)
             self.metrics.record(job_id, "processing_rate_mb", now, 2.0)
             self.metrics.record(job_id, "running_tasks", now, running)
@@ -80,6 +110,12 @@ class World:
             self.store.fail()
         elif kind == "recover":
             self.store.recover()
+        elif kind == "metrics_fail":
+            self.metrics.fail()
+        elif kind == "metrics_recover":
+            self.metrics.recover()
+        elif kind == "feed_late":
+            self.late_fed = True
         elif kind == "snapshot":
             self.follower = self.store.dump_snapshot()
         elif kind == "takeover":
@@ -133,10 +169,10 @@ class World:
         )
 
 
-def worlds(rules):
+def worlds(rules, specs=None):
     return (
-        World(SloTracker, SliEvaluator, rules),
-        World(FullWalkSloTracker, FullReadSliEvaluator, rules),
+        World(SloTracker, SliEvaluator, rules, specs),
+        World(FullWalkSloTracker, FullReadSliEvaluator, rules, specs),
     )
 
 
@@ -161,6 +197,9 @@ mutation = st.one_of(
     st.tuples(st.just("recover")),
     st.tuples(st.just("snapshot")),
     st.tuples(st.just("takeover")),
+    st.tuples(st.just("metrics_fail")),
+    st.tuples(st.just("metrics_recover")),
+    st.tuples(st.just("feed_late")),
 )
 run = st.tuples(
     st.just("run"),
@@ -176,9 +215,9 @@ steps = st.lists(
 
 
 @settings(max_examples=60, deadline=None)
-@given(sequence=steps)
-def test_change_driven_tracker_equals_full_walk(sequence):
-    production, reference = worlds(SHORT_RULES)
+@given(sequence=steps, specs=st.sampled_from([None, TWICE_ON_ONE_SLI]))
+def test_change_driven_tracker_equals_full_walk(sequence, specs):
+    production, reference = worlds(SHORT_RULES, specs)
     for step in sequence:
         production.apply(step)
         reference.apply(step)
@@ -186,11 +225,16 @@ def test_change_driven_tracker_equals_full_walk(sequence):
     # Settle: store back, then quiet (good on every SLO whatever was
     # patched) for long enough that every pair leaves the longest window
     # and is read one last time, in both worlds.
+    # ``busy`` (lag >= 100 is good) never goes quiet on good lags, so the
+    # settle only drains the default spec set.
     for world in (production, reference):
         world.apply(("recover",))
+        world.apply(("metrics_recover",))
         world.apply(("run", 70, (5.0, 5.0, 5.0), 4.0, None))
     assert_same(production, reference)
-    assert production.tracker._last_bad == {}
+    if specs is None:
+        assert production.tracker._last_bad == {}
+        assert not any(production.tracker._firing.values())
 
 
 def test_bad_then_quiet_past_the_six_hour_window_then_bad_again():
@@ -262,3 +306,134 @@ def test_objective_reads_fail_like_the_merged_read():
     store.install_state(JobStore())
     with pytest.raises(JobStoreError, match="unknown job"):
         sli.lag_slo_seconds("job")
+
+
+def test_metric_store_outage_mid_sequence_and_a_job_with_no_stats_yet():
+    """The platform store drops every write for ten minutes: freshness
+    goes bad in both worlds at the same round, lag keeps judging the
+    stale sample, and the never-fed job has no verdict at all until its
+    first stats land."""
+    production, reference = worlds(SHORT_RULES)
+    script = [
+        ("run", 5, (5.0, 5.0, 200.0), 2.0, None),
+        ("metrics_fail",),
+        ("run", 10, (900.0, 5.0, 5.0), 2.0, 1),
+        ("metrics_recover",),
+        ("run", 3, (5.0, 5.0, 5.0), 2.0, None),
+        ("feed_late",),
+        ("run", 12, (5.0, 200.0, 5.0), 1.0, None),
+    ]
+    for index, step in enumerate(script):
+        production.apply(step)
+        reference.apply(step)
+        assert_same(production, reference)
+        if index == 4:
+            late = [row for row in production.tracker.report()["slos"]
+                    if row["job"] == LATE]
+            # Only ``oom`` judges a job with no series at all (0 events).
+            assert [row["slo"] for row in late] == ["oom"]
+    stale = [b for b in production.tracker.breaches if b.slo == "freshness"]
+    assert {b.job_id for b in stale} == set(JOBS)
+    assert all(b.start == 9 * INTERVAL and b.end == 16 * INTERVAL for b in stale)
+    assert LATE in {row["job"] for row in production.tracker.report()["slos"]
+                    if row["slo"] == "lag"}
+
+
+def test_each_rule_is_read_only_inside_its_own_short_window():
+    """Default rules: the page rule's short window is 5 min, the warn
+    rule's 30. After the burn stops the page rule is no longer read
+    once its short window holds no bad sample, the warn rule 25 minutes
+    later, and both end not firing — alerts as in the full walk."""
+    production, reference = worlds(DEFAULT_BURN_RULES)
+    tracker = production.tracker
+
+    def reads(step):
+        series = tracker._series("job-0", tracker.spec("lag"))
+        before = series.window_queries
+        production.apply(step)
+        count = series.window_queries - before
+        reference.apply(step)
+        assert_same(production, reference)  # (the report reads too)
+        return count
+
+    good, bad = (5.0, 5.0, 5.0), (900.0, 5.0, 5.0)
+    reads(("run", 5, good, 2.0, None))
+    assert reads(("run", 20, bad, 2.0, None)) == 20 * 4  # both rules burn
+    assert tracker._firing[("job-0", "lag", 0)] and tracker._firing[("job-0", "lag", 1)]
+    # Rounds 1–5 after the burn: the bad sample is still inside the page
+    # rule's 5-minute window, so both rules are read.
+    assert reads(("run", 5, good, 2.0, None)) >= 5 * 2
+    # Rounds 6–30: only the warn rule (short window, then long while it
+    # still burns) is read; the page rule is set not-firing unread.
+    assert 25 <= reads(("run", 25, good, 2.0, None)) <= 25 * 2
+    assert tracker._firing[("job-0", "lag", 0)] is False
+    assert ("job-0", 0) in tracker._last_bad
+    # Round 31: visited one last time with nothing to read, and forgotten.
+    assert reads(("run", 10, good, 2.0, None)) == 0
+    assert tracker._last_bad == {}
+    assert not any(tracker._firing.values())
+    severities = [alert.severity for alert in tracker.alerts]
+    assert sorted(severities) == ["page", "warn"]
+
+
+def test_forget_job_mid_breach_closes_it_and_drops_every_edge():
+    production, reference = worlds(SHORT_RULES)
+    for step in (
+        ("run", 5, (5.0, 5.0, 5.0), 2.0, None),
+        ("run", 10, (900.0, 5.0, 5.0), 0.0, 0),   # lag, availability, oom
+    ):
+        production.apply(step)
+        reference.apply(step)
+    tracker = production.tracker
+    assert {key[0] for key in tracker._open} == {"job-0", "job-1", "job-2"}
+    assert any(firing for key, firing in tracker._firing.items() if key[0] == "job-0")
+    forgotten_at = production.engine.now
+    for world in (production, reference):
+        world.apply(("deprovision", 0))
+    assert "job-0" not in tracker.held_jobs()
+    assert_same(production, reference)
+    closed = [b for b in tracker.breaches if b.job_id == "job-0"]
+    assert closed and all(b.end == forgotten_at for b in closed)
+    for step in (
+        ("run", 40, (5.0, 5.0, 5.0), 2.0, None),
+        ("provision", 0),
+        ("run", 12, (900.0, 5.0, 5.0), 2.0, None),
+        ("run", 30, (5.0, 5.0, 5.0), 2.0, None),
+    ):
+        production.apply(step)
+        reference.apply(step)
+        assert_same(production, reference)
+    assert tracker._last_bad == {}
+
+
+class TestCallCount:
+    """What the one pass buys, independent of the hardware: Python-level
+    calls per judged job in one evaluation round."""
+
+    def calls_per_round(self, jobs):
+        from repro import PlatformConfig, Turbine
+
+        platform = Turbine.create(
+            num_hosts=4, seed=5,
+            config=PlatformConfig(num_shards=32, containers_per_host=2),
+        )
+        slo = platform.attach_slo()
+        platform.start()
+        for index in range(jobs):
+            platform.provision(
+                JobSpec(job_id=f"job-{index:02d}", input_category="cat",
+                        task_count=1),
+                partitions=4,
+            )
+        platform.run_for(minutes=40)  # start-up blips leave every window
+        judged = platform.sli.evaluations
+        calls = python_calls(slo.evaluate_once)
+        assert platform.sli.evaluations - judged == jobs * len(slo.specs)
+        assert not slo._last_bad, "the fleet must be quiet"
+        return calls
+
+    def test_a_quiet_judged_job_costs_at_most_forty_python_calls(self):
+        few, many = self.calls_per_round(10), self.calls_per_round(60)
+        per_job = (many - few) / 50
+        print(f"python calls per quiet judged job: {per_job:.1f}")
+        assert per_job <= 40

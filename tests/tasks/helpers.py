@@ -35,3 +35,27 @@ def desired_cores(task, dt):
     probe = RunningTask(TaskSpec.from_job_config("probe", 0, config), scribe)
     step_container(scribe, [task, probe], (), dt, 0.5)
     return 0.5 * 2.0 * dt / probe.total_processed_mb - 1.0
+
+
+def python_calls(function):
+    """Python-level ``call`` events while ``function()`` runs — what the
+    call-count guards compare between fleet sizes. The collector is held
+    off meanwhile: a finalizer it happens to run is a call too."""
+    import gc
+    import sys
+
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    gc.collect()
+    gc.disable()
+    sys.setprofile(count)
+    try:
+        function()
+    finally:
+        sys.setprofile(None)
+        gc.enable()
+    return calls

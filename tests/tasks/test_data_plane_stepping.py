@@ -9,6 +9,7 @@ import pytest
 
 from repro import JobSpec, PlatformConfig, Turbine
 from repro.sim.engine import Timer
+from tests.tasks.helpers import python_calls
 
 STEP = 10.0
 
@@ -28,7 +29,7 @@ def armed_timer_names(platform):
     """Names of every timer with a live event queued, in arming order."""
     events = sorted(
         (
-            event for event in platform.engine.queue._heap
+            event for __, __, event in platform.engine.queue._heap
             if not event.cancelled
             and isinstance(getattr(event.callback, "__self__", None), Timer)
         ),
@@ -275,28 +276,11 @@ class TestCallCount:
     Python-level calls in a container-tick does not grow with the tasks
     or partitions the container hosts."""
 
-    @staticmethod
-    def python_calls(function):
-        import sys
-
-        calls = 0
-
-        def count(frame, event, arg):
-            nonlocal calls
-            calls += event == "call"
-
-        sys.setprofile(count)
-        try:
-            function()
-        finally:
-            sys.setprofile(None)
-        return calls
-
     def calls_per_tick(self, task_count):
         platform, manager = one_container_platform(task_count)
         platform.scribe.get_category("cat").append(4.0 * task_count)
         processed = sum(t.total_processed_mb for t in manager.tasks.values())
-        calls = self.python_calls(lambda: step_once(platform, manager))
+        calls = python_calls(lambda: step_once(platform, manager))
         assert sum(
             task.total_processed_mb for task in manager.tasks.values()
         ) == pytest.approx(processed + 4.0 * task_count)

@@ -98,3 +98,76 @@ def test_running_tasks_gauge_and_reconciliation():
         manager.stop_job_tasks("job")
     platform.run_for(minutes=3)
     assert platform.metrics.latest("job", "running_tasks") == 2.0
+
+
+# ----------------------------------------------------------------------
+# Metric-store outage and series retention (PR 24)
+# ----------------------------------------------------------------------
+def outage_platform():
+    from repro.workloads import TrafficDriver
+
+    platform = collector_platform()
+    driver = TrafficDriver(platform.engine, platform.scribe, tick=10.0)
+    driver.add_source("cat", lambda t: 3.0)
+    driver.start()
+    platform.run_for(minutes=5)
+    return platform
+
+
+def series_lengths(platform, job_id="job"):
+    return {
+        metric: len(series)
+        for (entity, metric), series in platform.metrics._series.items()
+        if entity == job_id
+    }
+
+
+def test_no_collector_series_grows_while_the_metric_store_is_down():
+    """Every collector sample goes through ``MetricStore.record`` /
+    ``record_many``: during an outage the scaler's input goes dark —
+    ``input_rate_mb`` included — and every dropped sample is counted."""
+    healthy, failed = outage_platform(), outage_platform()
+    ingested_before = healthy.metrics.samples_ingested
+    before = series_lengths(failed)
+    assert before["input_rate_mb"] > 0 and before["time_lagged"] > 0
+    failed.metrics.fail()
+    for platform in (healthy, failed):
+        platform.run_for(minutes=5)
+    assert series_lengths(failed) == before
+    # No feedback loop is attached, so the twin ran the same five minutes:
+    # what it ingested is exactly what the outage dropped.
+    assert failed.metrics.dropped_points == (
+        healthy.metrics.samples_ingested - ingested_before
+    )
+    failed.metrics.recover()
+    failed.run_for(minutes=2)
+    assert series_lengths(failed)["input_rate_mb"] == before["input_rate_mb"] + 2
+
+
+@pytest.mark.parametrize("scaler_first", [True, False])
+def test_input_rate_keeps_fifteen_days_whoever_touches_it_first(scaler_first):
+    """The pattern analyzer's 14 days of per-minute input rates (paper
+    section V-C) need the collector's retention and a rollup tier. A
+    reader must not get there first and create the series with the
+    2-day default: reads create nothing."""
+    platform = Turbine.create(
+        num_hosts=2, seed=47,
+        config=PlatformConfig(num_shards=8, containers_per_host=2),
+    )
+    platform.start()
+    platform.provision(
+        JobSpec(job_id="job", input_category="cat", task_count=2,
+                rate_per_thread_mb=4.0),
+        partitions=8,
+    )
+    if scaler_first:
+        platform.attach_scaler().run_once()
+        assert series_lengths(platform) == {}, "a read created a series"
+        platform.run_for(minutes=3)
+    else:
+        platform.run_for(minutes=3)
+        platform.attach_scaler().run_once()
+    series = platform.metrics._series[("job", "input_rate_mb")]
+    assert len(series) >= 2
+    assert series.retention == 15 * 86400.0
+    assert series._rollup is not None
