@@ -17,7 +17,7 @@ ACIDF properties and where they live here:
   job's structural changes.
 * **Durability** — committed running configs survive syncer crashes
   (the store outlives the syncer; see the crash tests).
-* **Fault-tolerance** — a failed plan is aborted and retried next round;
+* **Failure handling** — a failed plan is aborted and retried next round;
   after ``quarantine_after`` consecutive failures the job is quarantined
   and an alert is raised for the oncall.
 

@@ -8,25 +8,21 @@ during the last 14 days", section V-C). This package provides the
 time-series store those components read and the aggregation helpers
 (means, percentiles, CDFs) the experiments report.
 
-The store is a streaming metrics engine: ring-buffer series storage with
-lazy compaction, O(1)-amortized incremental trailing-window aggregates,
-coarse rollup tiers for long-horizon reads, a histogram-sketch percentile
-path behind a declared tolerance, and a batched ingestion fast path —
-all byte-identical to the naive rescan each read falls back to when it
-cannot be served incrementally. ``tests/metrics/test_streaming_equivalence.py``
-checks that under hypothesis against the always-rescanning reference,
-``repro.testing.reference.NaiveTimeSeries`` (production has no switch).
+The store keeps ring-buffer series with lazy compaction, a per-entity
+row index and a batched ingestion path. Every windowed read has one
+path — bisect the window's bounds, reduce the slice in C — because every
+window the platform reads is short enough that a rescan costs less than
+rolling state kept up to date on every append (DESIGN.md, "Metrics
+engine").
 """
 
 from repro.metrics.aggregate import cdf_points, mean, percentile, stdev
 from repro.metrics.series import TimeSeries
-from repro.metrics.sketch import HistogramSketch
 from repro.metrics.store import MetricStore
 
 __all__ = [
     "TimeSeries",
     "MetricStore",
-    "HistogramSketch",
     "mean",
     "stdev",
     "percentile",

@@ -14,13 +14,7 @@ report tables); nothing keys byte-exact behaviour off them.
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Optional, Sequence, Tuple
-
-from repro.metrics.sketch import HistogramSketch
-
-#: Below this many values the exact sort is cheaper than building a
-#: sketch, so a declared tolerance is ignored.
-SKETCH_MIN_VALUES = 64
+from typing import Iterable, List, Sequence, Tuple
 
 
 def mean(values: Iterable[float]) -> float:
@@ -57,30 +51,16 @@ def stdev(values: Iterable[float]) -> float:
     return math.sqrt(max(0.0, m2) / count)
 
 
-def percentile(
-    values: Sequence[float], q: float, tolerance: Optional[float] = None
-) -> float:
+def percentile(values: Sequence[float], q: float) -> float:
     """The ``q``-th percentile (0–100) with linear interpolation.
 
     Matches numpy's default ("linear") method so benchmark output is
     comparable with standard tooling.
-
-    ``tolerance`` is the exactness flag: ``None`` (the default) always
-    sorts and interpolates exactly. Callers that declare a relative error
-    tolerance (reports, balancer summaries) get the O(n) histogram-sketch
-    path instead of the O(n log n) sort once the input is large enough to
-    matter; see :class:`repro.metrics.sketch.HistogramSketch` for the
-    error contract.
     """
     if not 0 <= q <= 100:
         raise ValueError(f"percentile must be in [0, 100]: {q}")
     if not values:
         raise ValueError("percentile of empty sequence")
-    if tolerance is not None and len(values) >= SKETCH_MIN_VALUES:
-        sketch = HistogramSketch(tolerance)
-        for value in values:
-            sketch.add(value)
-        return sketch.percentile(q)
     ordered = sorted(values)
     if len(ordered) == 1:
         return ordered[0]

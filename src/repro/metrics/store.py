@@ -35,10 +35,6 @@ _NO_ROW: Mapping[str, TimeSeries] = MappingProxyType({})
 class MetricStore:
     """All time series in one cluster."""
 
-    #: The series type created on first write (the naive-rescan reference
-    #: store in ``repro.testing.reference`` swaps it).
-    series_type = TimeSeries
-
     def __init__(
         self,
         default_retention: Seconds = DEFAULT_RETENTION,
@@ -86,9 +82,8 @@ class MetricStore:
         existing = self._series.get(key)
         if existing is not None:
             return existing
-        created = self.series_type(
-            retention if retention is not None else self.default_retention,
-            telemetry=self._telemetry,
+        created = TimeSeries(
+            retention if retention is not None else self.default_retention
         )
         self._series[key] = created
         self._entity_index.setdefault(entity, {})[metric] = created
@@ -169,10 +164,8 @@ class MetricStore:
         return None if existing is None else existing.latest()
 
     def set_telemetry(self, telemetry) -> None:
-        """Attach a telemetry sink to the store and its existing series."""
+        """Attach a telemetry sink (the ``metrics.ingest.*`` counters)."""
         self._telemetry = telemetry
-        for series in self._series.values():
-            series._telemetry = telemetry
 
     # ------------------------------------------------------------------
     # Introspection
@@ -184,14 +177,10 @@ class MetricStore:
             "samples_ingested": self.samples_ingested,
             "batches_ingested": self.batches_ingested,
             "window_queries": 0,
-            "window_fast": 0,
-            "rollup_reads": 0,
             "compactions": 0,
         }
         for series in self._series.values():
             stats["window_queries"] += series.window_queries
-            stats["window_fast"] += series.window_fast
-            stats["rollup_reads"] += series.rollup_reads
             stats["compactions"] += series.compactions
         return stats
 

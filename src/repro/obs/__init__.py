@@ -15,7 +15,7 @@ side:
   sizes, balancer round cost, event-queue depth), kept separate from the
   simulated data-plane metric store.
 * :mod:`repro.obs.sli` / :mod:`repro.obs.slo` — the SLO plane: per-job
-  service-level indicators derived from the streaming metric store, and
+  service-level indicators derived from the platform metric store, and
   declarative objectives with error budgets, breach windows, and
   Google-SRE multi-window burn-rate alerts.
 * :mod:`repro.obs.critical_path` — longest-path analysis over causal

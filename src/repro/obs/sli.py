@@ -1,4 +1,4 @@
-"""Service-level indicators derived from the streaming metric store.
+"""Service-level indicators derived from the platform metric store.
 
 An SLI is a *judged* signal: not "what is the lag" but "is the lag the
 kind of number the fleet promised its users". This module derives the

@@ -9,10 +9,9 @@ playbook asks for:
 * **good/bad samples** — each evaluation lands a 0/1 ``slo_bad`` sample
   in a private :class:`~repro.metrics.store.MetricStore`, so every burn
   rate and budget read below is one ``average_over`` (a C rescan of the
-  short rule windows, rolling
-  :class:`~repro.metrics.window.WindowAggregate` state on the long
-  compliance windows) — never perturbed by a chaos ``metric-gap`` fault
-  against the platform store;
+  window's slice) — never perturbed by a chaos ``metric-gap`` fault
+  against the platform store. Reads create nothing: a (job, SLO) pair
+  with no sample yet burns 0.0;
 * **burn rate** — bad fraction over a window divided by the budget
   fraction ``1 - target``. Burn 1.0 spends the budget exactly at the
   compliance horizon; 14.4 spends a 30-day budget in 2 days;
@@ -179,16 +178,16 @@ class BreachWindow:
 
 
 # ----------------------------------------------------------------------
-# Burn-rate math (shared with the hot-path benchmark)
+# Burn-rate math (shared with the full-walk reference)
 # ----------------------------------------------------------------------
 def bad_fraction(series, window: Seconds, now: Seconds) -> float:
     """Mean of the 0/1 bad samples over the trailing window (0 if empty).
 
     ``series`` is a bookkeeping :class:`~repro.metrics.series.TimeSeries`
-    of 0/1 samples; this is the read the SLO plane leans on fleet-wide
-    every minute.
+    of 0/1 samples, or ``None`` for a pair never judged; this is the read
+    the SLO plane leans on fleet-wide every minute.
     """
-    mean = series.average_over(window, now)
+    mean = None if series is None else series.average_over(window, now)
     return 0.0 if mean is None else mean
 
 
@@ -346,7 +345,8 @@ class SloTracker:
     # Burn rates and alerting
     # ------------------------------------------------------------------
     def _series(self, job_id: JobId, spec: SloSpec):
-        return self._store.series(job_id, f"slo_bad.{spec.name}")
+        """The pair's 0/1 series, or ``None`` before its first sample."""
+        return self._store.row(job_id).get(f"slo_bad.{spec.name}")
 
     def burn(self, job_id: JobId, slo: str, window: Seconds) -> float:
         """The (job, SLO) burn rate over a trailing window, now."""

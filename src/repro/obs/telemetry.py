@@ -42,14 +42,13 @@ def is_deterministic_instrument(name: str) -> bool:
       computed a decision (dirty-set sizes, full scans), not what it
       decided. They legitimately differ between an incremental and a
       full-scan run of the same seed, while everything else must not;
-    * ``metrics.*`` instruments — the streaming metrics engine's
-      self-observation (fast-window hits, rollup reads, batch sizes),
-      which likewise differs between a streaming and a naive run whose
-      every *decision* agrees bit for bit.
+    * ``metrics.*`` instruments — the metric store's self-observation
+      (ingest batch counts and sizes), which describes how samples were
+      landed, not what any layer decided.
 
     The SLO plane's ``slo.*``/``sli.*`` instruments are the opposite
     case and are kept explicitly: they are derived purely from simulated
-    metrics through the (bit-identical) streaming read paths, so they
+    metrics through the metric store's window reads, so they
     belong in deterministic exports — except any wall-clock ``*_ms``
     member of those families, which stays excluded by the first rule.
     """

@@ -22,7 +22,7 @@ from repro.metrics.store import MetricStore
 from repro.sim.engine import Engine, Timer
 from repro.tasks.service import TaskService
 from repro.tasks.shard_manager import ShardManager
-from repro.types import Seconds, TaskState
+from repro.types import Seconds
 
 #: Retained reports/alerts. At the default 5-minute cadence this is a
 #: month of history — plenty for timelines, bounded for endless soaks.
@@ -158,11 +158,9 @@ class HealthReporter:
         report.tasks_expected = len(self._task_service_snapshot())
         managers = self._shard_manager.live_managers()
         report.containers_live = len(managers)
+        # A promoted standby is the running incarnation of its task.
         report.tasks_running = sum(
-            1
-            for manager in managers
-            for task in manager.tasks.values()
-            if task.state == TaskState.RUNNING
+            len(manager.running_task_ids()) for manager in managers
         )
         report.failovers_last_hour = sum(
             1

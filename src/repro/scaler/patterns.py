@@ -236,9 +236,7 @@ class PatternAnalyzer:
             start = now - day * 86400.0
             if start < 0:
                 break
-            # Rollup-backed historical read: max over the window comes
-            # from the series' coarse buckets plus raw edges (identical
-            # to a raw rescan — max is exact under regrouping).
+            # One historical read: bisect the window, max over the slice.
             peak = series.max_between(start, start + window)
             if peak is None:
                 continue
@@ -277,8 +275,8 @@ class PatternAnalyzer:
             start = now - day * 86400.0 - 1800.0
             if start < -1800.0:
                 break
-            # Per-window sums come pre-aggregated from the rollup tier
-            # rather than materializing 14 days of raw samples.
+            # A 30-minute slice of the 14-day series: 30 samples at the
+            # collector's one-minute cadence, summed in C.
             day_sum, day_count, _ = series.aggregate_between(start, start + 1800.0)
             history_sum += day_sum
             history_count += day_count

@@ -45,8 +45,8 @@ CHECKPOINT_INTERVAL: Seconds = 30.0
 #: first-class failure mode (the fallback path), not a corner case.
 CHECKPOINT_RETENTION = 16
 
-#: Offsets within this tolerance are "the same" — mirrors the commit
-#: monotonicity tolerance in :class:`repro.scribe.checkpoints.CheckpointStore`.
+#: Offsets within this epsilon are "the same" — mirrors the commit
+#: monotonicity slack in :class:`repro.scribe.checkpoints.CheckpointStore`.
 _OFFSET_EPSILON = 1e-6
 
 

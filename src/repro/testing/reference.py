@@ -2,12 +2,12 @@
 
 Production code answers "where does this task run", "which managers host
 this job", "which (job, SLO) pairs can be burning", "which jobs need a
-sync plan", "what is this window's mean", "what does the scaler know
-about this job" and "what does this container process this tick" from
-state kept where the fact changes, or in one flat loop. The forms here
-answer the same questions the slow, obviously-right way — scan every
-manager, re-merge every config, rescan every job, reread every sample,
-one store call per number, one method call per task and per partition —
+sync plan", "what does the scaler know about this job" and "what does
+this container process this tick" from state kept where the fact
+changes, or in one flat loop. The forms here answer the same questions
+the slow, obviously-right way — scan every manager, re-merge every
+config, rescan every job, one store call per number, one method call
+per task and per partition —
 and exist only
 so the equivalence suites in ``tests/`` and the hot-path benches have
 something to compare against.
@@ -22,7 +22,6 @@ from typing import Iterable, List, NamedTuple, Sequence, Tuple
 from repro.errors import DegradedModeError
 from repro.jobs.model import JobView
 from repro.jobs.syncer import StateSyncer, SyncReport
-from repro.metrics.series import TimeSeries
 from repro.metrics.store import MetricStore
 from repro.obs.sli import SliEvaluator
 from repro.obs.slo import SloTracker, burn_rate
@@ -41,8 +40,6 @@ __all__ = [
     "FullReadSliEvaluator",
     "FullWalkSloTracker",
     "FullScanSyncer",
-    "NaiveTimeSeries",
-    "NaiveMetricStore",
     "snapshot_job_store_read",
     "StepPlan",
     "desired_cores",
@@ -165,24 +162,6 @@ class FullScanSyncer(StateSyncer):
     def sync_once(self) -> SyncReport:
         self._rounds_since_full = self._full_scan_interval
         return super().sync_once()
-
-
-class NaiveTimeSeries(TimeSeries):
-    """Serves every read by rescanning the retained samples: no rolling
-    window state, no rollup tier."""
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self._rollup = None
-
-    def _window_agg(self, duration: Seconds, now: Seconds, lo: int) -> None:
-        return None
-
-
-class NaiveMetricStore(MetricStore):
-    """A store whose series are all :class:`NaiveTimeSeries`."""
-
-    series_type = NaiveTimeSeries
 
 
 def snapshot_job_store_read(

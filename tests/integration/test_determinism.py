@@ -192,22 +192,11 @@ class TestChaosScenarioDeterminism:
         ), "different seeds must explore different trajectories"
 
 
-class TestStreamingMetricsTransparency:
-    """The metrics engine has one read path per window size — a C rescan
-    up to ``RESCAN_MAX`` samples, rolling state above it — and its
-    equivalence to the naive rescan reference is proven at the
-    ``TimeSeries``/``MetricStore`` constructor level in
-    ``tests/metrics/test_streaming_equivalence.py``."""
+class TestMetricReadsTransparency:
+    """Metric reads are pure: the scaler and the SLO plane read windows
+    off the platform store every round, and no read creates a series."""
 
-    def test_streaming_path_actually_engaged_only_above_the_break_even(self):
-        """Every window the golden run reads (burn rules, the scaler's
-        rate window, the stats fallback) holds far fewer than
-        ``RESCAN_MAX`` samples: no series of the platform store or of the
-        SLO tracker's private store carries rolling state, and a full
-        SLO + scaler round reads without creating a series. (PR 24: the
-        guess that these reads were served incrementally was measured
-        and refuted; the rolling state is proven where it still runs by
-        ``test_streaming_equivalence``.)"""
+    def test_reads_create_nothing_and_batches_land(self):
         platform = Turbine.create(
             num_hosts=4, seed=101,
             config=PlatformConfig(num_shards=32, containers_per_host=2),
@@ -231,10 +220,7 @@ class TestStreamingMetricsTransparency:
         platform.run_for(hours=1)
         stats = platform.metrics.read_stats()
         assert stats["window_queries"] > 0, "the scaler reads rate windows"
-        assert stats["window_fast"] == 0
-        for store in (platform.metrics, slo._store):
-            assert store._series, "both stores must have been written"
-            assert not any(series._aggs for series in store._series.values())
+        assert slo._store._series, "the SLO plane must have been written"
         assert stats["batches_ingested"] > 0, (
             "driver/stats collection should land coalesced batches"
         )
@@ -247,6 +233,7 @@ class TestStreamingMetricsTransparency:
         platform.scaler.run_once()
         assert set(platform.metrics._series) == series_before
         assert ("job", "oom_events") not in series_before
+
 
 class TestReplicationTransparency:
     """Job Store replication must be invisible until a fault needs it.

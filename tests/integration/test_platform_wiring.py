@@ -73,9 +73,10 @@ def armed_timers(platform):
 
 
 def test_no_production_constructor_selects_a_reference_implementation():
-    """The full-scan syncer and the naive-rescan series / store are
-    subclasses in ``repro.testing.reference``: production classes take no
-    switch for them, and production code never imports them."""
+    """The full-scan syncer is a subclass in ``repro.testing.reference``:
+    production classes take no switch for it (nor does the metric store,
+    which has one read path), and production code never imports the
+    reference forms."""
     for production in (StateSyncer, TimeSeries, MetricStore):
         parameters = set(inspect.signature(production).parameters)
         assert not parameters & {"incremental", "streaming"}, production

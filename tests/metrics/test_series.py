@@ -1,8 +1,12 @@
 """Unit tests for TimeSeries."""
 
-import pytest
+import math
 
-from repro.metrics import TimeSeries
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from repro.metrics import TimeSeries, percentile
 
 
 def test_starts_empty():
@@ -91,3 +95,78 @@ def test_no_retention_keeps_everything():
 def test_invalid_retention_rejected():
     with pytest.raises(ValueError):
         TimeSeries(retention=0.0)
+
+
+# ----------------------------------------------------------------------
+# Oracle: every read equals the same read over a plain list
+# ----------------------------------------------------------------------
+#: Mixed magnitudes make float non-associativity visible: a left-to-right
+#: sum of these streams differs from ``math.fsum`` in the last bits.
+samples = st.tuples(
+    st.one_of(st.just(0.0), st.floats(min_value=0.5, max_value=3.0)),
+    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_subnormal=False),
+    st.sampled_from([1.0, 1e-8, 1e8]),
+)
+STREAM_LENGTH = 600
+
+
+def plain_reads(points, start, end):
+    """The retained samples with ``start <= time <= end``, from a list."""
+    return [(t, v) for t, v in points if start <= t <= end]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    motif=st.lists(samples, min_size=1, max_size=30),
+    retention=st.sampled_from([4.0, 15.0, 30.0]),
+    durations=st.lists(st.floats(min_value=0.0, max_value=60.0), min_size=1, max_size=3),
+    offsets=st.lists(st.floats(min_value=-20.0, max_value=20.0), min_size=1, max_size=3),
+)
+def test_every_read_equals_a_plain_list_of_the_retained_samples(
+    motif, retention, durations, offsets
+):
+    """The motif is repeated to ``STREAM_LENGTH`` samples, enough for
+    retention to retire most of them and the ring to compact at least
+    three times under the reads."""
+    assume(sum(dt for dt, __, __ in motif) >= 0.5 * len(motif))
+    series = TimeSeries(retention=retention)
+    plain = []
+    now = 0.0
+    for index in range(STREAM_LENGTH):
+        dt, value, scale = motif[index % len(motif)]
+        now += dt
+        series.record(now, value * scale)
+        plain.append((now, value * scale))
+        plain = [(t, v) for t, v in plain if t >= now - retention]
+
+        assert len(series) == len(plain)
+        assert series.latest() == plain[-1][1]
+        assert series.latest_time() == plain[-1][0]
+        assert series.all_points() == plain
+        for offset in offsets:
+            at = now + offset
+            for duration in durations:
+                window = plain_reads(plain, at - duration, at)
+                values = [v for __, v in window]
+                assert series.window(at - duration, at) == window
+                assert series.values_in(at - duration, at) == values
+                assert series.average_over(duration, at) == (
+                    math.fsum(values) / len(values) if values else None
+                )
+                assert series.max_over(duration, at) == (max(values) if values else None)
+                for q in (0.0, 50.0, 95.0):
+                    assert series.percentile_over(duration, at, q) == (
+                        percentile(values, q) if values else None
+                    )
+                assert series.aggregate_between(at - duration, at) == (
+                    (math.fsum(values), len(values), max(values)) if values
+                    else (0.0, 0, None)
+                )
+                assert series.mean_between(at - duration, at) == (
+                    math.fsum(values) / len(values) if values else None
+                )
+                assert series.max_between(at - duration, at) == (
+                    max(values) if values else None
+                )
+                assert series.count_between(at - duration, at) == len(values)
+    assert series.compactions >= 3

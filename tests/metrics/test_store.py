@@ -1,6 +1,8 @@
 """Unit tests for the MetricStore."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.metrics import MetricStore
 
@@ -97,3 +99,64 @@ def test_row_sees_exactly_what_writes_landed():
     assert len(store.row("job")) == 0
     store.record("job", "lag", 180.0, 5.0)
     assert [s.latest() for s in store.row("job").values()] == [5.0]
+
+
+# ----------------------------------------------------------------------
+# Batched ingestion
+# ----------------------------------------------------------------------
+batches = st.lists(
+    st.lists(
+        st.tuples(
+            st.sampled_from(["job-a", "job-b", "task-0", "task-1"]),
+            st.sampled_from(["cpu_used", "rate_mb", "lag"]),
+            st.floats(
+                min_value=-1e9, max_value=1e9,
+                allow_nan=False, allow_subnormal=False,
+            ),
+        ),
+        max_size=12,
+    ),
+    min_size=1, max_size=20,
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(batches=batches)
+def test_record_many_matches_record_loop(batches):
+    batched = MetricStore()
+    looped = MetricStore()
+    now = 0.0
+    for batch in batches:
+        now += 60.0
+        assert batched.record_many(now, batch) == len(batch)
+        for entity, metric, value in batch:
+            looped.record(entity, metric, now, value)
+    assert batched.samples_ingested == looped.samples_ingested
+    assert set(batched._series) == set(looped._series)
+    for key, series in looped._series.items():
+        assert batched._series[key].all_points() == series.all_points()
+    for metric in ("cpu_used", "rate_mb", "lag"):
+        assert batched.entities_with(metric) == looped.entities_with(metric)
+
+
+def test_record_many_drops_whole_batch_while_unavailable():
+    store = MetricStore()
+    store.fail()
+    assert store.record_many(0.0, [("e", "m", 1.0), ("e", "m2", 2.0)]) == 0
+    assert store.dropped_points == 2
+    assert store._series == {}
+    store.recover()
+    assert store.record_many(60.0, [("e", "m", 1.0)]) == 1
+    assert store.latest("e", "m") == 1.0
+
+
+def test_indexes_follow_drop_entity():
+    store = MetricStore()
+    store.record_many(
+        0.0, [("a", "cpu", 1.0), ("b", "cpu", 2.0), ("a", "mem", 3.0)]
+    )
+    assert store.entities_with("cpu") == ["a", "b"]
+    store.drop_entity("a")
+    assert store.entities_with("cpu") == ["b"]
+    assert store.entities_with("mem") == []
+    assert store.latest("a", "cpu") is None

@@ -211,6 +211,20 @@ class TestTracker:
 
         assert run() == run()
 
+    def test_reads_leave_the_report_byte_identical(self):
+        # A read of a pair with no samples is burn 0.0 and creates nothing:
+        # no permanent "ok" row appears in the export for a job never judged.
+        engine, service, metrics, tracker, lag = build_tracker()
+        lag["value"] = 500.0
+        engine.run_for(600.0)
+        before = tracker.to_json()
+        assert tracker.burn("ghost/job", "lag", 3600.0) == 0.0
+        assert tracker.budget_burned("ghost/job", "oom") == 0.0
+        assert tracker.burn("job", "lag", 3600.0) > 0.0
+        assert tracker.budget_burned("job", "lag") > 0.0
+        assert tracker.to_json() == before
+        assert tracker._store.row("ghost/job") == {}
+
     def test_unknown_slo_name_raises(self):
         engine, service, metrics, tracker, lag = build_tracker()
         with pytest.raises(KeyError):

@@ -71,7 +71,7 @@ class TestInstruments:
         assert not is_deterministic_instrument("sli.read_ms")
         # The existing exclusions stay excluded.
         assert not is_deterministic_instrument("cache.hits")
-        assert not is_deterministic_instrument("metrics.window_fast")
+        assert not is_deterministic_instrument("metrics.ingest.batches")
 
     def test_deterministic_jsonl_includes_slo_gauges(self):
         telemetry = Telemetry()

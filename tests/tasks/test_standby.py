@@ -157,6 +157,22 @@ class TestPromotion:
         platform.run_for(minutes=3)  # failover restarts the primaries
         assert tasks_in_utilization() == platform.running_task_count() == 4
 
+    def test_health_report_counts_a_promoted_replica(self):
+        # The same walk over ``tasks`` alone made the health report page
+        # on "tasks not running" for every task a standby had taken over.
+        platform = build_platform()
+        health = platform.attach_health_reporter()
+        assert health.report().tasks_running == platform.running_task_count() == 4
+        task_id = "alpha:0"
+        platform.cluster.fail_host(
+            primary_of(platform, task_id).container.host_id
+        )
+        platform.run_for(seconds=5.0)
+        assert platform.standby.promotions
+        report = health.report()
+        assert report.tasks_running == platform.running_task_count() == 4
+        assert report.pct_tasks_not_running == 0.0
+
     def test_promotion_happens_once_per_outage(self):
         platform = build_platform()
         task_id = "alpha:0"

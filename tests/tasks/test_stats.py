@@ -147,9 +147,9 @@ def test_no_collector_series_grows_while_the_metric_store_is_down():
 @pytest.mark.parametrize("scaler_first", [True, False])
 def test_input_rate_keeps_fifteen_days_whoever_touches_it_first(scaler_first):
     """The pattern analyzer's 14 days of per-minute input rates (paper
-    section V-C) need the collector's retention and a rollup tier. A
-    reader must not get there first and create the series with the
-    2-day default: reads create nothing."""
+    section V-C) need the collector's retention. A reader must not get
+    there first and create the series with the 2-day default: reads
+    create nothing."""
     platform = Turbine.create(
         num_hosts=2, seed=47,
         config=PlatformConfig(num_shards=8, containers_per_host=2),
@@ -170,4 +170,3 @@ def test_input_rate_keeps_fifteen_days_whoever_touches_it_first(scaler_first):
     series = platform.metrics._series[("job", "input_rate_mb")]
     assert len(series) >= 2
     assert series.retention == 15 * 86400.0
-    assert series._rollup is not None
