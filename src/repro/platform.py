@@ -41,6 +41,7 @@ from repro.tasks.actuator import TurbineActuator
 from repro.tasks.manager import (
     HEARTBEAT_INTERVAL,
     REFRESH_INTERVAL,
+    HeartbeatSweep,
     TaskManager,
 )
 from repro.tasks.service import CACHE_TTL, TaskService
@@ -154,6 +155,9 @@ class Turbine:
             tracer=self.tracer, telemetry=self.telemetry,
         )
         self.task_managers: Dict[str, TaskManager] = {}
+        #: The open heartbeat sweeps, shared by every Task Manager so the
+        #: managers spawned together heartbeat as one timer event.
+        self._heartbeat_sweeps: List[HeartbeatSweep] = []
         self.stats = JobStatsCollector(
             engine, self.task_service, self.shard_manager, self.scribe,
             self.metrics, interval=self.config.stats_interval,
@@ -420,6 +424,7 @@ class Turbine:
             tracer=self.tracer,
             telemetry=self.telemetry,
             task_hosts=self.task_hosts,
+            heartbeat_sweeps=self._heartbeat_sweeps,
         )
         manager.standby_plane = self.standby
         manager.checkpoint_plane = self.checkpoint_plane

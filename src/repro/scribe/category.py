@@ -60,16 +60,21 @@ class Category:
         self._weights = [weight / total for weight in weights]
 
     def append(self, num_bytes: float) -> None:
-        """Write ``num_bytes`` into the category, split by current weights."""
+        """Write ``num_bytes`` into the category, split by current weights.
+
+        Each head takes the same ``+=`` :meth:`Partition.append` would
+        make, in the same order; with ``num_bytes`` checked here and the
+        weights non-negative, no share can be negative.
+        """
         if num_bytes < 0:
             raise ScribeError(f"cannot append negative bytes: {num_bytes}")
         if self._weights is None:
             share = num_bytes / self.num_partitions
             for partition in self.partitions:
-                partition.append(share)
+                partition.head += share
         else:
             for partition, weight in zip(self.partitions, self._weights):
-                partition.append(num_bytes * weight)
+                partition.head += num_bytes * weight
 
     # ------------------------------------------------------------------
     # Queries

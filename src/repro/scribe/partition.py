@@ -19,7 +19,8 @@ class Partition:
     def __init__(self, partition_id: str) -> None:
         self.partition_id = partition_id
         #: Total bytes ever appended (the write frontier). A plain slot:
-        #: the container step reads it once per partition per pass.
+        #: the container step reads it once per partition per pass, and
+        #: :meth:`Category.append` adds each share to it in place.
         self.head: float = 0.0
         #: When False the partition's brokers are unreachable: reads
         #: return nothing (consumers stall and lag builds) while appends

@@ -57,6 +57,11 @@ class Timer:
         """True while the timer will keep firing."""
         return not self._cancelled and not self._paused
 
+    @property
+    def pending(self) -> Optional[Event]:
+        """The armed next firing (``None`` while cancelled or paused)."""
+        return self._event
+
     def cancel(self) -> None:
         """Stop the timer permanently."""
         self._cancelled = True

@@ -71,6 +71,34 @@ class EventQueue:
         time, _, event = heapq.heappop(self._heap)
         return time, event.callback
 
+    def last_at(self, time: Seconds) -> Optional[Event]:
+        """The live event that fires last at exactly ``time``, or ``None``.
+
+        An event pushed now for ``time`` would fire right after it. The
+        walk is pruned by the heap order — nothing below an entry later
+        than ``time`` can be at ``time`` — so it visits only the entries
+        due by ``time`` and their children.
+        """
+        heap = self._heap
+        size = len(heap)
+        last: Optional[Event] = None
+        stack = [0]
+        while stack:
+            index = stack.pop()
+            if index >= size:
+                continue
+            entry_time, seq, event = heap[index]
+            if entry_time > time:
+                continue
+            if (
+                entry_time == time and not event.cancelled
+                and (last is None or seq > last.seq)
+            ):
+                last = event
+            stack.append(2 * index + 1)
+            stack.append(2 * index + 2)
+        return last
+
     def clear(self) -> None:
         """Drop every pending event."""
         self._heap.clear()

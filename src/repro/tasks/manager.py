@@ -8,10 +8,11 @@ manager:
   the tasks of its assigned shards (start / stop / restart on settings
   change, restart on crash);
 * answers the Shard Manager's ADD_SHARD / DROP_SHARD requests;
-* heartbeats to the Shard Manager, and — if its connection is broken for
-  longer than the 40-second connection timeout — reboots itself *before*
-  the Shard Manager's 60-second fail-over can create a duplicate elsewhere
-  (section IV-C);
+* heartbeats to the Shard Manager (managers started together share one
+  ``container-heartbeat`` timer, :class:`HeartbeatSweep`), and — if its
+  connection is broken for longer than the 40-second connection timeout —
+  reboots itself *before* the Shard Manager's 60-second fail-over can
+  create a duplicate elsewhere (section IV-C);
 * steps its tasks' data-plane processing (driven by the platform's single
   ``data-plane-step`` timer, see :meth:`step_tasks`) and aggregates
   per-shard loads, reporting them to the Shard Manager every ten minutes.
@@ -30,6 +31,7 @@ from repro.obs.trace import NULL_TRACER, SLOT_SYNC, Tracer
 from repro.resilience import Dependency, LastKnownGood, RetryPolicy
 from repro.scribe.bus import ScribeBus
 from repro.sim.engine import Engine, Timer
+from repro.sim.events import Event
 from repro.tasks.runtime import RunningTask, step_container
 from repro.tasks.service import TaskService
 from repro.tasks.shard_manager import ShardManager
@@ -51,6 +53,68 @@ HEARTBEAT_INTERVAL: Seconds = 10.0
 LOAD_REPORT_INTERVAL: Seconds = 600.0
 
 
+class HeartbeatSweep:
+    """One ``container-heartbeat`` timer that heartbeats many managers.
+
+    Managers started together would each arm a heartbeat timer for the
+    same instant, and those events would stay next to each other in the
+    engine's ``(time, seq)`` order at every firing: nothing a heartbeat
+    does schedules an event one interval ahead. One timer calling each
+    member in join order therefore fires them in the order they would
+    have fired, with nothing in between. :meth:`join` admits a manager
+    only when its own timer would have been adjacent to the sweep's
+    event; otherwise it opens a new sweep, which is then its own phase.
+    """
+
+    def __init__(
+        self, engine: Engine, interval: Seconds, sweeps: List["HeartbeatSweep"]
+    ) -> None:
+        self.interval = float(interval)
+        #: Members in join order (a dict: O(1) leave, and a heartbeat
+        #: that made a member join or leave mid-sweep fails loudly).
+        self._members: Dict["TaskManager", None] = {}
+        self._sweeps = sweeps
+        self._timer = engine.every(interval, self._fire, name="container-heartbeat")
+        sweeps.append(self)
+
+    @classmethod
+    def join(
+        cls,
+        engine: Engine,
+        interval: Seconds,
+        manager: "TaskManager",
+        sweeps: List["HeartbeatSweep"],
+    ) -> "HeartbeatSweep":
+        """Add ``manager`` to the sweep its timer would fire right after,
+        or to a new sweep; ``sweeps`` holds the open ones."""
+        interval = float(interval)
+        due = engine.now + interval
+        last = None
+        for sweep in sweeps:
+            pending = sweep._timer.pending
+            if sweep.interval != interval or pending.time != due:
+                continue
+            if last is None:
+                last = engine.queue.last_at(due)
+            if pending is last:
+                break
+        else:
+            sweep = cls(engine, interval, sweeps)
+        sweep._members[manager] = None
+        return sweep
+
+    def leave(self, manager: "TaskManager") -> None:
+        """Drop ``manager``; the last one out cancels the timer."""
+        del self._members[manager]
+        if not self._members:
+            self._timer.cancel()
+            self._sweeps.remove(self)
+
+    def _fire(self) -> None:
+        for manager in self._members:
+            manager._heartbeat_tick()
+
+
 class TaskManager:
     """Runs the tasks of the shards assigned to one Turbine container."""
 
@@ -69,6 +133,7 @@ class TaskManager:
         tracer: Optional[Tracer] = None,
         telemetry: Optional[Telemetry] = None,
         task_hosts: Optional[Dict[JobId, Dict[TaskId, Set[ContainerId]]]] = None,
+        heartbeat_sweeps: Optional[List[HeartbeatSweep]] = None,
     ) -> None:
         self._tracer = tracer or NULL_TRACER
         self._engine = engine
@@ -102,6 +167,12 @@ class TaskManager:
         #: :meth:`reboot` (it keeps its ``tasks`` too): readers check
         #: liveness at lookup.
         self._task_hosts = task_hosts if task_hosts is not None else {}
+        #: The open heartbeat sweeps, shared like ``task_hosts`` by every
+        #: manager of a platform so managers started together share one.
+        self._heartbeat_sweeps = (
+            heartbeat_sweeps if heartbeat_sweeps is not None else []
+        )
+        self._heartbeats: Optional[HeartbeatSweep] = None
         #: Gray-failure model: a slow node degrades every task's
         #: throughput by this factor without failing a single health
         #: check (heartbeats keep flowing). 1.0 = healthy.
@@ -139,6 +210,8 @@ class TaskManager:
         )
         self._telemetry = telemetry
         self._reconnect_attempts = 0
+        #: The pending attempt of this manager's one reconnect loop.
+        self._reconnect: Optional[Event] = None
         #: Simulated network partition toward the Shard Manager.
         self.partitioned = False
         #: Test hooks: make DROP_SHARD / ADD_SHARD hang (raise TimeoutError).
@@ -174,7 +247,8 @@ class TaskManager:
     # Lifecycle
     # ------------------------------------------------------------------
     def start(self) -> None:
-        """Register with the Shard Manager and arm all periodic timers.
+        """Register with the Shard Manager, arm the jittered periodic
+        timers and join a heartbeat sweep (:class:`HeartbeatSweep`).
 
         When the Shard Manager is in an availability window the
         registration is deferred to the reconnect loop — the timers still
@@ -188,27 +262,28 @@ class TaskManager:
         if self._timers:
             return
         jitter = self._engine.rng.fork(self.container_id)
-        self._timers = [
-            self._engine.every(
-                self._refresh_interval, self._refresh, name=f"{self.container_id}-refresh",
-                initial_delay=jitter.uniform(0, self._refresh_interval),
-            ),
-            self._engine.every(
-                self._heartbeat_interval, self._heartbeat_tick,
-                name=f"{self.container_id}-heartbeat",
-            ),
-            self._engine.every(
-                self._load_report_interval, self._report_loads,
-                name=f"{self.container_id}-load-report",
-                initial_delay=jitter.uniform(0, self._load_report_interval),
-            ),
-        ]
+        refresh = self._engine.every(
+            self._refresh_interval, self._refresh, name=f"{self.container_id}-refresh",
+            initial_delay=jitter.uniform(0, self._refresh_interval),
+        )
+        self._heartbeats = HeartbeatSweep.join(
+            self._engine, self._heartbeat_interval, self, self._heartbeat_sweeps
+        )
+        load_report = self._engine.every(
+            self._load_report_interval, self._report_loads,
+            name=f"{self.container_id}-load-report",
+            initial_delay=jitter.uniform(0, self._load_report_interval),
+        )
+        self._timers = [refresh, load_report]
 
     def shutdown(self) -> None:
         """Stop all timers and tasks (container decommission)."""
         for timer in self._timers:
             timer.cancel()
         self._timers.clear()
+        if self._heartbeats is not None:
+            self._heartbeats.leave(self)
+            self._heartbeats = None
         self._unhost_all(self._hosted())
 
     # ------------------------------------------------------------------
@@ -437,15 +512,26 @@ class TaskManager:
         local shard state clears. On reconnect, the container either gets
         its old shards back (fail-over did not happen yet) or rejoins as an
         empty container (section IV-C).
+
+        A container still down from its last reboot — its reconnect loop
+        pending and nothing taken on since — has nothing to stop: the
+        call is a no-op, so neither the 40-second clock of a container
+        that stays partitioned nor the fail-over's reboot of it stacks a
+        second reconnect loop.
         """
+        if self._reconnect is not None and not self.assigned_shards and not (
+            self.tasks or self.standbys
+        ):
+            return
         self._unhost_all(self._hosted())
         self.assigned_shards.clear()
         self.reboot_count += 1
         self._outage_started = None
         self.container.reboot()
-        self._engine.call_in(0.0, self._try_reconnect)
+        self._reconnect_in(0.0)
 
     def _try_reconnect(self) -> None:
+        self._reconnect = None
         if not self.alive:
             return
         if self.partitioned:
@@ -466,7 +552,13 @@ class TaskManager:
     def _schedule_reconnect(self) -> None:
         delay = self._sm_dep.schedule_delay(self._reconnect_attempts)
         self._reconnect_attempts += 1
-        self._engine.call_in(delay, self._try_reconnect)
+        self._reconnect_in(delay)
+
+    def _reconnect_in(self, delay: Seconds) -> None:
+        """(Re)schedule the one reconnect loop's next attempt."""
+        if self._reconnect is not None:
+            self._reconnect.cancel()
+        self._reconnect = self._engine.call_in(delay, self._try_reconnect)
 
     # ------------------------------------------------------------------
     # Data-plane stepping (one call per platform ``data-plane-step`` tick)

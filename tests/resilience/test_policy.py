@@ -230,3 +230,89 @@ def test_counters_are_deterministic_instruments():
     for what in ("calls", "retries", "unavailable", "failures",
                  "short_circuits", "breaker_opened", "fallbacks"):
         assert is_deterministic_instrument(f"resilience.edge.{what}")
+
+
+class CountingClock(Clock):
+    def __init__(self):
+        super().__init__()
+        self.reads = 0
+
+    def __call__(self):
+        self.reads += 1
+        return self.now
+
+
+def test_call_pins_counters_last_error_and_breaker_states():
+    """One scripted edge through success, degraded failures (retried,
+    opening the breaker), a short circuit, a non-degraded failure of the
+    half-open probe, recovery and a probe fallback: every counter value,
+    the counters' insertion order, ``last_error`` and the breaker state
+    after each step."""
+    clock = Clock()
+    telemetry = Telemetry(enabled=True)
+    breaker = CircuitBreaker(failure_threshold=2, reset_timeout=30.0)
+    dep = Dependency(
+        "edge", clock=clock, telemetry=telemetry,
+        retry=RetryPolicy(max_attempts=2), breaker=breaker,
+    )
+    errors = []
+
+    def down():
+        errors.append(DegradedModeError("down"))
+        raise errors[-1]
+
+    def broken():
+        errors.append(ValueError("bug"))
+        raise errors[-1]
+
+    assert dep.call(lambda: "ok") == "ok"
+    assert (dep.last_error, breaker.state) == (None, CLOSED)
+
+    clock.now = 1.0
+    with pytest.raises(DegradedModeError):
+        dep.call(down)
+    assert dep.last_error is errors[1]
+    assert (breaker.state, breaker.opened_at) == (OPEN, 1.0)
+
+    clock.now = 2.0
+    with pytest.raises(CircuitOpenError):
+        dep.call(lambda: "never called")
+    assert dep.last_error is errors[1]
+
+    clock.now = 31.0
+    with pytest.raises(ValueError):
+        dep.call(broken)
+    assert dep.last_error is errors[2]
+    assert (breaker.state, breaker.opened_at) == (OPEN, 31.0)
+
+    clock.now = 61.0
+    assert dep.call(lambda: "back") == "back"
+    assert (dep.last_error, breaker.state) == (None, CLOSED)
+
+    clock.now = 62.0
+    assert dep.probe(down, default="cached") == "cached"
+    assert dep.last_error is errors[4]
+    assert (breaker.state, breaker.times_opened) == (OPEN, 3)
+
+    assert list(telemetry.counters.items()) == [
+        ("resilience.edge.calls", 7.0),
+        ("resilience.edge.unavailable", 4.0),
+        ("resilience.edge.retries", 2.0),
+        ("resilience.edge.breaker_opened", 3.0),
+        ("resilience.edge.short_circuits", 1.0),
+        ("resilience.edge.failures", 1.0),
+        ("resilience.edge.fallbacks", 1.0),
+    ]
+
+
+def test_breakerless_success_never_reads_the_clock():
+    clock = CountingClock()
+    dep = Dependency("edge", clock=clock, telemetry=Telemetry(enabled=True))
+    for __ in range(3):
+        assert dep.call(lambda: "ok") == "ok"
+    assert clock.reads == 0
+    guarded = Dependency(
+        "edge", clock=clock, breaker=CircuitBreaker(failure_threshold=1),
+    )
+    guarded.call(lambda: "ok")
+    assert clock.reads == 1

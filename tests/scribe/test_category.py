@@ -105,3 +105,50 @@ class TestPartitionSlices:
                 for p in category.partition_slice(task_index, task_count)
             )
         assert sorted(ids) == sorted(p.partition_id for p in category.partitions)
+
+
+class TestFlatAppend:
+    """``Category.append`` adds each share to ``partition.head`` in place;
+    every head must be bit-identical to appending the same share through
+    :meth:`Partition.append`, partition by partition."""
+
+    @given(st.data())
+    def test_heads_equal_per_partition_appends(self, data):
+        from repro.scribe.partition import Partition
+
+        num_partitions = data.draw(st.integers(min_value=1, max_value=12))
+        byte_counts = st.floats(min_value=0.0, max_value=1e12, allow_nan=False)
+        weight_lists = st.lists(
+            st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
+            min_size=num_partitions, max_size=num_partitions,
+        ).filter(lambda weights: sum(weights) > 0)
+        category = Category("c", num_partitions)
+        reference = [Partition(f"ref/{index}") for index in range(num_partitions)]
+        for __ in range(data.draw(st.integers(min_value=1, max_value=8))):
+            weights = data.draw(st.none() | weight_lists)
+            category.set_weights(weights)
+            for num_bytes in data.draw(st.lists(byte_counts, max_size=6)):
+                category.append(num_bytes)
+                if weights is None:
+                    shares = [num_bytes / num_partitions] * num_partitions
+                else:
+                    total = sum(weights)
+                    shares = [num_bytes * (weight / total) for weight in weights]
+                for partition, share in zip(reference, shares):
+                    partition.append(share)
+                assert [p.head.hex() for p in category.partitions] == [
+                    p.head.hex() for p in reference
+                ]
+
+    @given(
+        st.floats(min_value=1e-300, max_value=1e12),
+        st.none() | st.just([2.0, 1.0, 0.0]),
+    )
+    def test_negative_bytes_raise_and_leave_every_head(self, num_bytes, weights):
+        category = Category("c", 3)
+        category.set_weights(weights)
+        category.append(7.0)
+        before = [p.head for p in category.partitions]
+        with pytest.raises(ScribeError):
+            category.append(-num_bytes)
+        assert [p.head for p in category.partitions] == before

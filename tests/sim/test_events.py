@@ -1,6 +1,8 @@
 """Unit tests for the event queue."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import SimulationError
 from repro.sim import EventQueue
@@ -126,3 +128,24 @@ def test_len_and_truth_ignore_cancelled_entries():
     assert len(queue) == 0 and not queue
     assert queue.peek_time() is None
     assert queue._heap == []  # peeking dropped the cancelled heads
+
+
+@given(
+    st.lists(
+        st.tuples(st.sampled_from([1.0, 2.0, 3.0]), st.booleans()),
+        max_size=40,
+    ),
+    st.sampled_from([0.5, 1.0, 2.0, 3.0]),
+)
+def test_last_at_is_the_last_live_event_at_that_instant(pushes, time):
+    """``last_at(t)`` is what a full scan in firing order finds: the live
+    event with the highest sequence number at exactly ``t``."""
+    queue = EventQueue()
+    events = []
+    for at, cancelled in pushes:
+        event = queue.push(at, lambda: None)
+        if cancelled:
+            event.cancel()
+        events.append(event)
+    live = [e for e in events if e.time == time and not e.cancelled]
+    assert queue.last_at(time) is (max(live, key=lambda e: e.seq) if live else None)

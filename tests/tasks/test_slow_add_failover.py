@@ -74,12 +74,14 @@ def test_live_but_unresponsive_container_rebooted_on_failover():
     )
     # Freeze heartbeats without the proactive 40 s self-timeout (simulates
     # a wedged heartbeat thread rather than a network partition).
+    # The heartbeat sweep calls each member's ``_heartbeat_tick``, so an
+    # instance attribute silences this container and no other.
     victim._heartbeat_tick = lambda: None
-    for timer in victim._timers:
-        if "heartbeat" in timer.name:
-            timer.cancel()
     platform.run_for(minutes=3)  # 60 s stale → Shard Manager fail-over
     assert victim.reboot_count >= 1, "fail-over must reboot the live victim"
+    assert {
+        event.container_id for event in platform.shard_manager.failover_events
+    } == {victim.container_id}
     tasks = platform.running_tasks()
     assert len(tasks) == len(set(tasks))
     assert len(platform.tasks_of_job("job")) == 8
