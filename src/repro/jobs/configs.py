@@ -43,8 +43,9 @@ class ConfigLevel(enum.IntEnum):
 COMPLEX_KEYS = frozenset({"task_count"})
 
 
-def validate_config(config: Mapping[str, Any]) -> None:
-    """Reject configurations that are not JSON-representable.
+def validate_config(config: Mapping[str, Any]) -> str:
+    """Reject configurations that are not JSON-representable; return the
+    JSON text of one that is.
 
     The paper uses Thrift for compile-time type checking and then converts
     to JSON; in Python the equivalent guard is a round-trip check plus a
@@ -52,7 +53,7 @@ def validate_config(config: Mapping[str, Any]) -> None:
     """
     _require_string_keys(config, path="")
     try:
-        json.dumps(config)
+        return json.dumps(config)
     except (TypeError, ValueError) as exc:
         raise JobStoreError(f"config is not JSON-serializable: {exc}") from exc
 

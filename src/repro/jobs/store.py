@@ -20,9 +20,18 @@ last polled. The State Syncer uses it to sync only the jobs that could
 possibly need work instead of rescanning the whole fleet every round.
 Every mutation path notifies the feed except :meth:`commit_running` with
 ``quiet=True`` — the syncer's own commit, which by construction leaves
-the job converged and must not re-dirty it. The same notification drops
-the job's typed merged view (:meth:`JobStore.view`): a merged config
-changes only when one of its levels is written, which notifies.
+the job converged and must not re-dirty it.
+
+Algorithm 1 runs once per config change. A job's merge (:class:`_Merge`)
+is kept from the first read that needs it until the job's next
+notification: :meth:`JobStore.view` and the State Syncer's
+:meth:`JobStore.expected_for_sync` are served by the same one, whichever
+reads first. The merged dict itself is held only until the syncer's
+quiet commit of it (or its read that finds the job converged); after
+that only the typed view stays. That commit stamps the job as
+converged, so a later full-scan round skips it without merging: nothing
+changed since, or a notification would have dropped the stamp with the
+merge.
 """
 
 from __future__ import annotations
@@ -36,7 +45,13 @@ from repro.errors import (
     ServiceUnavailableError,
     VersionConflictError,
 )
-from repro.jobs.configs import Config, ConfigLevel, merge_levels, validate_config
+from repro.jobs.configs import (
+    Config,
+    ConfigLevel,
+    config_diff,
+    merge_levels,
+    validate_config,
+)
 from repro.jobs.model import JobView
 from repro.types import JobId, JobState
 
@@ -47,6 +62,32 @@ class VersionedConfig:
 
     config: Config = field(default_factory=dict)
     version: int = 0
+
+
+#: ``_Merge.synced`` of a merge the State Syncer has read and not yet
+#: committed (running versions start at 0, so no stamp equals it).
+_READ = -1
+
+
+class _Merge:
+    """One job's Algorithm 1 merge, kept until the job's next notification.
+
+    Life cycle: built with ``config`` (the merged dict) and ``synced is
+    None`` by the first read that needs it; read by the State Syncer
+    (``synced == _READ``, the dict still held for its commit); stamped
+    converged (``config`` dropped to ``None``, ``synced`` the running
+    version) by a quiet commit that matches it, or by a syncer read that
+    finds the job converged already.
+    """
+
+    __slots__ = ("view", "config", "synced")
+
+    def __init__(self, view: JobView, config: Config) -> None:
+        self.view = view
+        self.config: Optional[Config] = config
+        #: ``None``, ``_READ``, or the version stamp: the running-config
+        #: version at which the job was found converged on this merge.
+        self.synced: Optional[int] = None
 
 
 class ChangeCursor:
@@ -92,8 +133,9 @@ class JobStore:
         self._dirty: set = set()
         #: Live change-feed cursors (see :meth:`change_cursor`).
         self._cursors: List[ChangeCursor] = []
-        #: Typed merged views (see :meth:`view`), built on first read.
-        self._views: Dict[JobId, JobView] = {}
+        #: Per-job merges (see :class:`_Merge`), built on first read and
+        #: dropped by the job's next notification.
+        self._merges: Dict[JobId, _Merge] = {}
         #: When False the store is in an availability window: every data
         #: operation raises :class:`ServiceUnavailableError` and clients
         #: run on last-known-good state (the production store is MySQL;
@@ -158,7 +200,7 @@ class JobStore:
         return cursor
 
     def _notify_change(self, job_id: JobId) -> None:
-        self._views.pop(job_id, None)
+        self._merges.pop(job_id, None)
         for cursor in self._cursors:
             cursor.push(job_id)
 
@@ -240,14 +282,14 @@ class JobStore:
         """
         self._check_available()
         self._require_job(job_id)
-        validate_config(config)
+        text = validate_config(config)
         stored = self._expected[job_id][level]
         if stored.version != expected_version:
             raise VersionConflictError(
                 f"job {job_id} level {level.name}: expected version "
                 f"{expected_version}, found {stored.version}"
             )
-        stored.config = json.loads(json.dumps(config))
+        stored.config = json.loads(text)
         stored.version += 1
         self._notify_change(job_id)
         self._emit(
@@ -257,12 +299,21 @@ class JobStore:
         return stored.version
 
     def merged_expected(self, job_id: JobId) -> Config:
-        """All expected levels merged by precedence (Algorithm 1)."""
+        """All expected levels merged by precedence (Algorithm 1): a fresh
+        dict the caller may change."""
         self._check_available()
         self._require_job(job_id)
+        return self._merge_levels(job_id)
+
+    def _merge_levels(self, job_id: JobId) -> Config:
         return merge_levels(
             {level: vc.config for level, vc in self._expected[job_id].items()}
         )
+
+    def _merge(self, job_id: JobId) -> _Merge:
+        config = self._merge_levels(job_id)
+        merge = self._merges[job_id] = _Merge(JobView.from_config(config), config)
+        return merge
 
     def view(self, job_id: JobId) -> JobView:
         """The merged expected configuration, typed and immutable: merged
@@ -270,11 +321,40 @@ class JobStore:
         raising exactly when :meth:`merged_expected` would."""
         self._check_available()
         self._require_job(job_id)
-        view = self._views.get(job_id)
-        if view is None:
-            merged = self.merged_expected(job_id)
-            view = self._views[job_id] = JobView.from_config(merged)
-        return view
+        merge = self._merges.get(job_id)
+        if merge is None:
+            merge = self._merge(job_id)
+        return merge.view
+
+    def expected_for_sync(self, job_id: JobId) -> Optional[Config]:
+        """The State Syncer's read of the merged expected configuration.
+
+        ``None`` when there is nothing to plan: the job is not dirty and
+        running equals merged expected (no :func:`config_diff`), answered
+        with no merge and no diff while the job is unchanged since it was
+        last found so. Otherwise the merged dict, shared with :meth:`view`
+        and not to be changed; it is merged here only when no read since
+        the job's last notification merged it already.
+        """
+        self._check_available()
+        self._require_job(job_id)
+        running = self._running[job_id]
+        merge = self._merges.get(job_id)
+        if merge is None:
+            merge = self._merge(job_id)
+        elif merge.config is None:
+            if merge.synced == running.version:
+                return None
+            merge.config = self._merge_levels(job_id)
+        if job_id not in self._dirty and not config_diff(
+            running.config, merge.config
+        ):
+            # Converged already (the syncer would plan nothing): stamp it
+            # here, so the dict is not held for a commit that never comes.
+            merge.config, merge.synced = None, running.version
+            return None
+        merge.synced = _READ
+        return merge.config
 
     # ------------------------------------------------------------------
     # Running configuration
@@ -304,17 +384,38 @@ class JobStore:
         """
         self._check_available()
         self._require_job(job_id)
-        validate_config(config)
+        text = validate_config(config)
         stored = self._running[job_id]
-        stored.config = json.loads(json.dumps(config))
+        stored.config = json.loads(text)
         stored.version += 1
         self._dirty.discard(job_id)
         if not quiet:
             self._notify_change(job_id)
+        else:
+            self._stamp_synced(job_id, stored)
         self._emit(
             "commit_running", job_id=job_id, config=stored.config, quiet=quiet
         )
         return stored.version
+
+    def _stamp_synced(self, job_id: JobId, stored: VersionedConfig) -> None:
+        """After a quiet commit: stamp the job converged when the syncer
+        read the job's current merge and the committed config matches it.
+
+        A merge the syncer has not read was built after a notification, so
+        it is left to be planned. The match is judged by
+        :func:`config_diff` on the committed config as stored, exactly as
+        the syncer's next read would judge it (a ``nan`` never matches).
+        """
+        merge = self._merges.get(job_id)
+        if merge is None or merge.synced is None:
+            return
+        if merge.synced == _READ and not config_diff(stored.config, merge.config):
+            merge.config, merge.synced = None, stored.version
+        else:
+            # Another config than the one read, or a second commit of one
+            # read: nothing to vouch for, so merge again next time.
+            del self._merges[job_id]
 
     # ------------------------------------------------------------------
     # Dirtiness (torn-plan) tracking
@@ -420,8 +521,8 @@ class JobStore:
         self._states = source._states
         self._dirty = source._dirty
         # Cleared whole: a job the new tables lack is named by no
-        # notification, so its view would otherwise be held for good.
-        self._views.clear()
+        # notification, so its merge would otherwise be held for good.
+        self._merges.clear()
         for job_id in sorted(self._expected):
             self._notify_change(job_id)
 

@@ -53,7 +53,7 @@ from time import perf_counter
 from typing import Callable, Dict, Iterable, List, Optional
 
 from repro.errors import DegradedModeError, SyncError
-from repro.jobs.configs import COMPLEX_KEYS, config_diff
+from repro.jobs.configs import COMPLEX_KEYS, Config, config_diff
 from repro.jobs.plan import ExecutionPlan, TaskActuator, build_plan
 from repro.jobs.store import ChangeCursor, JobStore
 from repro.obs.bounded import BoundedList
@@ -277,7 +277,7 @@ class StateSyncer:
             if self._store.state_of(job_id) == JobState.QUARANTINED:
                 continue
             plan = self._plan_for(job_id)
-            if plan.is_empty:
+            if plan is None:
                 continue
             if plan.complex:
                 complex_plans.append(plan)
@@ -392,8 +392,18 @@ class StateSyncer:
     def held_jobs(self) -> Iterable[JobId]:
         return self._failure_counts.keys()
 
-    def _plan_for(self, job_id: JobId) -> ExecutionPlan:
-        expected = self._store.merged_expected(job_id)
+    def _plan_for(self, job_id: JobId) -> Optional[ExecutionPlan]:
+        """The job's plan, or ``None`` when running already matches
+        expected. A job unchanged since this syncer's own quiet commit is
+        answered by the store's version stamp, with no merge and no diff."""
+        expected = self._store.expected_for_sync(job_id)
+        if expected is None:
+            return None
+        return self._plan_from(job_id, expected)
+
+    def _plan_from(
+        self, job_id: JobId, expected: Config
+    ) -> Optional[ExecutionPlan]:
         running = self._store.read_running(job_id).config
         diff = config_diff(running, expected)
         if not diff and self._store.is_dirty(job_id):
@@ -401,6 +411,8 @@ class StateSyncer:
             # not match cluster reality even though it equals the expected
             # config. Force a full (complex) resynchronization.
             diff = dict.fromkeys(COMPLEX_KEYS)
+        if not diff:
+            return None
         return build_plan(job_id, running, expected, diff)
 
     def _run_plan(

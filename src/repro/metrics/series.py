@@ -31,7 +31,14 @@ COMPACT_MIN = 64
 
 
 class TimeSeries:
-    """Append-only ``(time, value)`` samples with a retention horizon."""
+    """Append-only ``(time, value)`` samples with a retention horizon.
+
+    Slotted: a platform keeps a dozen series per job.
+    """
+
+    __slots__ = (
+        "retention", "_times", "_values", "_head", "window_queries", "compactions",
+    )
 
     def __init__(self, retention: Optional[Seconds] = None) -> None:
         if retention is not None and retention <= 0:
@@ -84,6 +91,14 @@ class TimeSeries:
     def latest_time(self) -> Optional[Seconds]:
         """The most recent sample time, or ``None`` if empty."""
         return self._times[-1] if len(self._times) > self._head else None
+
+    def earliest_time(self, since: Optional[Seconds] = None) -> Optional[Seconds]:
+        """The oldest retained sample time at or after ``since`` (the oldest
+        retained at all when ``since`` is ``None``: O(1)), or ``None``."""
+        times, head = self._times, self._head
+        if since is not None:
+            head = bisect_left(times, since, head)
+        return times[head] if len(times) > head else None
 
     def _bounds(self, start: Seconds, end: Seconds) -> Tuple[int, int]:
         """Physical ``[lo, hi)`` of the samples with ``start <= time <= end``."""

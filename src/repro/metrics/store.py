@@ -135,10 +135,20 @@ class MetricStore:
         get = self._series.get
         count = 0
         for entity, metric, value in samples:
-            existing = get((entity, metric))
-            if existing is None:
-                existing = self.series(entity, metric)
-            existing.record(time, value)
+            series = get((entity, metric))
+            if series is None:
+                series = self.series(entity, metric)
+            # TimeSeries.record, inlined: no Python call per sample.
+            times = series._times
+            if times and time < times[-1]:
+                raise ValueError(
+                    f"samples must be time-ordered: {time} < {times[-1]}"
+                )
+            times.append(time)
+            series._values.append(float(value))
+            retention = series.retention
+            if retention is not None and times[series._head] < time - retention:
+                series._trim(time - retention)
             count += 1
         self.samples_ingested += count
         self.batches_ingested += 1

@@ -32,7 +32,7 @@ values are byte-identical across same-seed runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Mapping, Optional, Sequence
+from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro.jobs.model import JobView
 from repro.metrics.store import MetricStore
@@ -47,14 +47,59 @@ OOM_WINDOW: Seconds = 600.0
 #: not burn budget forever.
 RECOVERY_WINDOW: Seconds = 600.0
 
+
+# ----------------------------------------------------------------------
+# Per-job SLIs: one reader per name, each of a job's metric row (``None``
+# = no data yet). ``view`` is only read by ``availability``.
+# ----------------------------------------------------------------------
+def _lag_seconds(row: Mapping, view: Optional[JobView], now: Seconds):
+    series = row.get("time_lagged")
+    return None if series is None else series.latest()
+
+
+def _freshness_seconds(row: Mapping, view: Optional[JobView], now: Seconds):
+    series = row.get("processing_rate_mb")
+    newest = None if series is None else series.latest_time()
+    return None if newest is None else max(0.0, now - newest)
+
+
+def _availability(row: Mapping, view: Optional[JobView], now: Seconds):
+    # ``None`` before the first stats round or when no task is expected.
+    series = row.get("running_tasks")
+    running = None if series is None else series.latest()
+    if running is None or view.task_count <= 0:
+        return None
+    return min(1.0, running / float(view.task_count))
+
+
+def _oom_rate(row: Mapping, view: Optional[JobView], now: Seconds):
+    series = row.get("oom_events")
+    if series is None:
+        return 0.0
+    return float(series.count_between(now - OOM_WINDOW, now))
+
+
+def _recovery_lag(row: Mapping, view: Optional[JobView], now: Seconds):
+    # Newest recovery lag in seconds, recorded by the Task Managers when a
+    # failed task posts its first post-recovery progress (an OOM restart
+    # finishing its state restore, a promoted standby's first processed
+    # byte); only a sample inside RECOVERY_WINDOW judges the job.
+    series = row.get("recovery_lag")
+    if series is None or not series.count_between(now - RECOVERY_WINDOW, now):
+        return None
+    return series.latest()
+
+
+_ROW_SLIS: Dict[str, Callable[..., Optional[float]]] = {
+    "lag_seconds": _lag_seconds,
+    "freshness_seconds": _freshness_seconds,
+    "availability": _availability,
+    "oom_rate": _oom_rate,
+    "task.recovery_lag": _recovery_lag,
+}
+
 #: The per-job SLI names :meth:`SliEvaluator.job_sli` can evaluate.
-SLI_NAMES = (
-    "lag_seconds",
-    "freshness_seconds",
-    "availability",
-    "oom_rate",
-    "task.recovery_lag",
-)
+SLI_NAMES = tuple(_ROW_SLIS)
 
 
 @dataclass(frozen=True)
@@ -118,51 +163,20 @@ class SliEvaluator:
     # ------------------------------------------------------------------
     # Per-job SLIs
     # ------------------------------------------------------------------
-    def _row_sli(
-        self, name: str, row: Mapping, view: Optional[JobView], now: Seconds
-    ) -> Optional[float]:
-        """One named SLI from a job's metric row (``None`` = no data yet).
-        ``view`` is only read by ``availability``."""
-        if name == "lag_seconds":
-            series = row.get("time_lagged")
-            return None if series is None else series.latest()
-        if name == "freshness_seconds":
-            series = row.get("processing_rate_mb")
-            newest = None if series is None else series.latest_time()
-            return None if newest is None else max(0.0, now - newest)
-        if name == "availability":
-            # ``None`` before the first stats round or when no task is
-            # expected.
-            series = row.get("running_tasks")
-            running = None if series is None else series.latest()
-            if running is None or view.task_count <= 0:
-                return None
-            return min(1.0, running / float(view.task_count))
-        if name == "oom_rate":
-            series = row.get("oom_events")
-            if series is None:
-                return 0.0
-            return float(series.count_between(now - OOM_WINDOW, now))
-        if name == "task.recovery_lag":
-            # Newest recovery lag in seconds, recorded by the Task Managers
-            # when a failed task posts its first post-recovery progress (an
-            # OOM restart finishing its state restore, a promoted standby's
-            # first processed byte); only a sample inside RECOVERY_WINDOW
-            # judges the job.
-            series = row.get("recovery_lag")
-            if series is None or not series.count_between(now - RECOVERY_WINDOW, now):
-                return None
-            return series.latest()
-        raise ValueError(f"unknown SLI {name!r} (known: {', '.join(SLI_NAMES)})")
-
     def job_slis(
         self, job_id: JobId, names: Sequence[str], view: Optional[JobView],
         now: Seconds,
     ) -> List[Optional[float]]:
         """Evaluate the named SLIs for one job from one row lookup."""
+        try:
+            readers = [_ROW_SLIS[name] for name in names]
+        except KeyError as unknown:
+            raise ValueError(
+                f"unknown SLI {unknown.args[0]!r} (known: {', '.join(SLI_NAMES)})"
+            ) from None
         row = self._metrics.row(job_id)
         self.evaluations += len(names)
-        return [self._row_sli(name, row, view, now) for name in names]
+        return [read(row, view, now) for read in readers]
 
     def job_sli(self, job_id: JobId, name: str, now: Seconds) -> Optional[float]:
         """Evaluate one named SLI for one job (``None`` = no data yet)."""
@@ -171,23 +185,19 @@ class SliEvaluator:
 
     def lag_seconds(self, job_id: JobId) -> Optional[float]:
         """Newest ``time_lagged`` sample, or ``None`` before first stats."""
-        return self._row_sli("lag_seconds", self._metrics.row(job_id), None, 0.0)
+        return _lag_seconds(self._metrics.row(job_id), None, 0.0)
 
     def freshness_seconds(self, job_id: JobId, now: Seconds) -> Optional[float]:
         """Age of the newest processing-rate sample (measurement staleness)."""
-        return self._row_sli(
-            "freshness_seconds", self._metrics.row(job_id), None, now
-        )
+        return _freshness_seconds(self._metrics.row(job_id), None, now)
 
     def availability(self, job_id: JobId) -> Optional[float]:
         """Running tasks over expected tasks, in ``[0, 1]``."""
-        return self._row_sli(
-            "availability", self._metrics.row(job_id), self._view(job_id), 0.0
-        )
+        return _availability(self._metrics.row(job_id), self._view(job_id), 0.0)
 
     def oom_rate(self, job_id: JobId, now: Seconds) -> float:
         """OOM events in the trailing :data:`OOM_WINDOW` (count)."""
-        return self._row_sli("oom_rate", self._metrics.row(job_id), None, now)
+        return _oom_rate(self._metrics.row(job_id), None, now)
 
     # ------------------------------------------------------------------
     # Fleet aggregation (the health reporter's percentages)

@@ -9,8 +9,7 @@ the proactive generation — what changed is what happens *after* detection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from repro.obs.trace import NULL_TRACER, SLOT_SYMPTOM, Tracer
 from repro.scaler.snapshot import JobSnapshot
@@ -20,9 +19,8 @@ from repro.scaler.snapshot import JobSnapshot
 IMBALANCE_THRESHOLD = 0.5
 
 
-@dataclass(frozen=True)
-class JobSymptoms:
-    """The detector verdict for one job."""
+class JobSymptoms(NamedTuple):
+    """The detector verdict for one job (immutable; one per job per round)."""
 
     lagging: bool
     imbalanced: bool

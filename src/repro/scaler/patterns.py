@@ -46,16 +46,30 @@ OUTLIER_DEVIATION = 0.5
 PROBE_WINDOW: Seconds = 1800.0
 
 
-@dataclass
+@dataclass(init=False)
 class _JobPatternState:
-    """Per-job mutable analyzer state."""
+    """Per-job mutable analyzer state: one per job, so slotted by hand
+    (``dataclass(slots=True)`` needs Python 3.10, and a slot cannot have a
+    class-level default — the constructor sets them)."""
+
+    __slots__ = (
+        "rate_per_thread", "last_downscale_time", "last_downscale_from",
+        "adjustments", "low_throughput_streak",
+    )
 
     rate_per_thread: float
-    last_downscale_time: Optional[Seconds] = None
-    last_downscale_from: int = 0
-    adjustments: int = 0
+    last_downscale_time: Optional[Seconds]
+    last_downscale_from: int
+    adjustments: int
     #: Consecutive saturated-lag observations below the estimate.
-    low_throughput_streak: int = 0
+    low_throughput_streak: int
+
+    def __init__(self, rate_per_thread: float) -> None:
+        self.rate_per_thread = rate_per_thread
+        self.last_downscale_time = None
+        self.last_downscale_from = 0
+        self.adjustments = 0
+        self.low_throughput_streak = 0
 
 
 @dataclass
@@ -96,10 +110,18 @@ class PatternAnalyzer:
     # ------------------------------------------------------------------
     # P estimation
     # ------------------------------------------------------------------
-    def rate_per_thread(self, job_id: JobId, bootstrap: float) -> float:
-        """The current estimate of P, bootstrapped on first sight."""
+    def rate_per_thread(self, job_id: JobId, bootstrap: float) -> Optional[float]:
+        """The current estimate of P, bootstrapped on first sight.
+
+        A bootstrap that is not a positive number is never adopted: with no
+        estimate yet, the answer is ``None`` and nothing is kept (every
+        correction keeps a positive P positive, so only first sight can
+        take a bad one).
+        """
         state = self._jobs.get(job_id)
         if state is None:
+            if not bootstrap > 0:
+                return None
             state = _JobPatternState(rate_per_thread=bootstrap)
             self._jobs[job_id] = state
         return state.rate_per_thread

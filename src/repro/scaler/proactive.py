@@ -16,6 +16,7 @@ from typing import Dict, List, Optional, Set
 from repro.cluster.container import DEFAULT_CONTAINER_CAPACITY
 from repro.cluster.resources import ResourceVector
 from repro.jobs.configs import ConfigLevel
+from repro.jobs.model import JobView
 from repro.jobs.service import JobService
 from repro.metrics.store import MetricStore
 from repro.obs.telemetry import Telemetry
@@ -23,6 +24,7 @@ from repro.obs.trace import (
     NULL_TRACER,
     SLOT_SYMPTOM,
     SLOT_WRITE_ORIGIN,
+    TraceEvent,
     Tracer,
 )
 from repro.scaler.detectors import SymptomDetector
@@ -186,24 +188,49 @@ class AutoScaler:
         if not symptoms.healthy:
             self._last_unhealthy[job_id] = now
         bootstrap = view.rate_per_thread_mb * self.config.bootstrap_error
-        self.analyzer.rate_per_thread(job_id, bootstrap)  # ensure state
-        if symptoms.lagging:
-            # A lagging job runs saturated: its throughput refines P.
-            self.analyzer.observe_saturated_throughput(snapshot)
         rate = self.analyzer.rate_per_thread(job_id, bootstrap)
-        estimate = self.estimator.estimate(snapshot, rate)
-        decision = self.generator.decide(
-            snapshot,
-            symptoms,
-            estimate,
-            quiet_long_enough=self._quiet_long_enough(snapshot),
-            priority_floor=self.priority_floor,
-            # Claim (consume) the symptom event so it parents exactly the
-            # decision it triggered and never a later unrelated one.
-            trace=self._tracer.claim_context(job_id, SLOT_SYMPTOM),
-        )
+        # Claim (consume) the symptom event so it parents exactly the
+        # decision it triggered and never a later unrelated one.
+        trace = self._tracer.claim_context(job_id, SLOT_SYMPTOM)
+        if rate is None:
+            decision = self._refuse_hint(job_id, view, bootstrap, trace)
+        else:
+            acting = symptoms.lagging or symptoms.oom
+            quiet = not acting and self._quiet_long_enough(snapshot)
+            if not (acting or quiet):
+                # Algorithm 2's else branch: no lag, no OOM, no quiet
+                # window — ``decide`` would answer NONE from these alone.
+                return None
+            if symptoms.lagging:
+                # A lagging job runs saturated: its throughput refines P.
+                self.analyzer.observe_saturated_throughput(snapshot)
+                rate = self.analyzer.rate_per_thread(job_id, bootstrap)
+            decision = self.generator.decide(
+                snapshot,
+                symptoms,
+                self.estimator.estimate(snapshot, rate),
+                quiet_long_enough=quiet,
+                priority_floor=self.priority_floor,
+                trace=trace,
+            )
         self._apply(snapshot, decision)
         return decision
+
+    @staticmethod
+    def _refuse_hint(
+        job_id: JobId, view: JobView, bootstrap: float,
+        trace: Optional[TraceEvent],
+    ) -> ScalingDecision:
+        """A job whose P hint cannot bootstrap an estimate is left alone
+        and reported (every other job is still evaluated)."""
+        return ScalingDecision(
+            job_id, Action.UNTRIAGED,
+            reason=(
+                f"P hint rate_per_thread_mb={view.rate_per_thread_mb!r} "
+                f"(bootstrap {bootstrap!r}) is not positive; not adopted"
+            ),
+            trace=trace,
+        )
 
     def _quiet_long_enough(self, snapshot: JobSnapshot) -> bool:
         """True when no symptom fired within the configured quiet window
@@ -214,14 +241,18 @@ class AutoScaler:
         if last_bad is not None and now - last_bad < window:
             return False
         lag_series = self._metrics.row(snapshot.job_id).get("time_lagged")
-        points = lag_series.window(now - window, now) if lag_series else ()
-        if not points:
+        if lag_series is None:
             return False
-        if now - points[0][0] < window * 0.9:
+        # The window's first sample is no older than the series' first, so
+        # a series younger than 0.9 × the window fails here, in O(1).
+        oldest = lag_series.earliest_time()
+        if oldest is None or now - oldest < window * 0.9:
             return False
-        return max(value for __, value in points) <= (
-            0.1 * snapshot.slo_lag_seconds
-        )
+        first = lag_series.earliest_time(now - window)
+        if first is None or now - first < window * 0.9:
+            return False
+        lags = lag_series.values_in(now - window, now)
+        return bool(lags) and max(lags) <= 0.1 * snapshot.slo_lag_seconds
 
     # ------------------------------------------------------------------
     # Applying decisions

@@ -8,7 +8,7 @@ and unit-testable without a live cluster.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.jobs.model import JobView
 from repro.metrics.store import MetricStore
@@ -20,9 +20,12 @@ from repro.types import JobId, Priority, Seconds
 RATE_WINDOW: Seconds = 600.0
 
 
-@dataclass(frozen=True)
-class JobSnapshot:
-    """Everything the scaler pipeline knows about one job at one instant."""
+class JobSnapshot(NamedTuple):
+    """Everything the scaler pipeline knows about one job at one instant.
+
+    A named tuple: immutable like a frozen dataclass, at about a quarter of
+    its construction cost — the scaler builds one per job per round.
+    """
 
     job_id: JobId
     time: Seconds

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ScribeError
 from repro.scribe.category import Category
@@ -50,7 +50,14 @@ class ScribeBus:
         """Unprocessed bytes (MB) of a category for one reading job: per
         partition, what is available past the job's committed offset.
         The category must exist."""
-        return self.checkpoints.lag_mb(
+        return self.head_and_backlog_mb(job_id, category_name)[1]
+
+    def head_and_backlog_mb(
+        self, job_id: str, category_name: str
+    ) -> Tuple[float, float]:
+        """The category's total head and :meth:`backlog_mb`, from one walk
+        of its partitions. The category must exist."""
+        return self.checkpoints.head_and_lag_mb(
             job_id, self.get_category(category_name).partitions
         )
 

@@ -12,7 +12,7 @@ synchronization (paper section III-B).
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import Dict, Iterable, List, Mapping
+from typing import Dict, Iterable, List, Mapping, Tuple
 
 from repro.errors import ScribeError
 from repro.scribe.partition import Partition
@@ -41,15 +41,25 @@ class CheckpointStore:
         """Unprocessed bytes (MB) of ``partitions`` for one reading job:
         per partition, head minus committed offset. The true backlog — it
         keeps counting while a partition is offline."""
+        return self.head_and_lag_mb(job_id, partitions)[1]
+
+    def head_and_lag_mb(
+        self, job_id: JobId, partitions: Iterable[Partition]
+    ) -> Tuple[float, float]:
+        """``(Σ head, Σ lag)`` of ``partitions`` for one reading job, in one
+        walk (:meth:`lag_mb` is the second). Both add in partition order
+        from 0, the order ``sum()`` adds in on CPython 3.9–3.11, so the
+        head total is bit-identical to ``Category.total_head``."""
         committed = self.offsets.get(job_id, NO_OFFSETS).get
-        lag = 0
+        total = lag = 0
         for partition in partitions:
             offset = committed(partition.partition_id, 0.0)
             head = partition.head
             if offset < 0 or offset > head + 1e-6:
                 raise partition.offset_error(offset)
+            total += head
             lag += head - offset
-        return lag
+        return total, lag
 
     def commit(self, job_id: JobId, partition_id: str, offset: float) -> None:
         """Advance the committed offset. Moving backwards is rejected —

@@ -116,9 +116,22 @@ class JobStatsCollector:
         head = 0.0
         lagged = 0.0
         if category_name:
-            head = self._scribe.get_category(category_name).total_head()
-            lagged = self._scribe.backlog_mb(job_id, category_name)
-        processed_total = sum(task.total_processed_mb for task in tasks)
+            head, lagged = self._scribe.head_and_backlog_mb(job_id, category_name)
+        # One pass over the tasks: every task's processed total, and the
+        # running ones' rates, CPU and memory. The sums add in task order
+        # from 0, as ``sum()`` does (DESIGN.md, "Float order").
+        processed_total = 0
+        rates: List[float] = []
+        cpu_total = 0
+        memory_max = None
+        for task in tasks:
+            processed_total += task.total_processed_mb
+            if task.state == TaskState.RUNNING:
+                rates.append(task.last_rate_mb)
+                cpu_total += task.last_cpu_used
+                memory = task.memory_needed_gb()
+                if memory_max is None or memory > memory_max:
+                    memory_max = memory
 
         if dt is not None and dt > 0:
             last_head, last_processed = self._last.get(job_id, (head, processed_total))
@@ -153,21 +166,11 @@ class JobStatsCollector:
         self._last[job_id] = (head, processed_total)
 
         batch.append((job_id, "bytes_lagged_mb", lagged))
-        running = [t for t in tasks if t.state == TaskState.RUNNING]
-        batch.append((job_id, "running_tasks", float(len(running))))
-        if running:
-            batch.append((
-                job_id, "task_rate_stdev",
-                stdev(task.last_rate_mb for task in running),
-            ))
-            batch.append((
-                job_id, "task_memory_max_gb",
-                max(task.memory_needed_gb() for task in running),
-            ))
-            batch.append((
-                job_id, "task_cpu_mean",
-                sum(task.last_cpu_used for task in running) / len(running),
-            ))
+        batch.append((job_id, "running_tasks", float(len(rates))))
+        if rates:
+            batch.append((job_id, "task_rate_stdev", stdev(rates)))
+            batch.append((job_id, "task_memory_max_gb", memory_max))
+            batch.append((job_id, "task_cpu_mean", cpu_total / len(rates)))
 
     def _tasks_by_job(self) -> Dict[JobId, List[RunningTask]]:
         grouped: Dict[JobId, List[RunningTask]] = {}

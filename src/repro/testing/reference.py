@@ -2,12 +2,13 @@
 
 Production code answers "where does this task run", "which managers host
 this job", "which (job, SLO) pairs can be burning", "which jobs need a
-sync plan", "what does the scaler know about this job" and "what does
-this container process this tick" from state kept where the fact
-changes, or in one flat loop. The forms here answer the same questions
-the slow, obviously-right way — scan every manager, re-merge every
-config, rescan every job, one store call per number, one method call
-per task and per partition —
+sync plan", "what does the scaler know about this job", "what does the
+scaler decide for this job" and "what does this container process this
+tick" from state kept where the fact changes, or in one flat loop. The
+forms here answer the same questions the slow, obviously-right way —
+scan every manager, re-merge every config, rescan every job, one store
+call per number, every scaler stage for every job, one method call per
+task and per partition —
 and exist only
 so the equivalence suites in ``tests/`` and the hot-path benches have
 something to compare against.
@@ -17,15 +18,19 @@ under ``repro`` outside this package may import them.
 
 from __future__ import annotations
 
-from typing import Iterable, List, NamedTuple, Sequence, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.errors import DegradedModeError
 from repro.jobs.model import JobView
+from repro.jobs.plan import ExecutionPlan
 from repro.jobs.syncer import StateSyncer, SyncReport
 from repro.metrics.store import MetricStore
 from repro.obs.sli import SliEvaluator
 from repro.obs.slo import SloTracker, burn_rate
-from repro.scaler.snapshot import RATE_WINDOW, JobSnapshot
+from repro.obs.trace import SLOT_SYMPTOM
+from repro.scaler.plan_generator import ScalingDecision
+from repro.scaler.proactive import AutoScaler
+from repro.scaler.snapshot import RATE_WINDOW, JobSnapshot, snapshot_job
 from repro.scribe.bus import ScribeBus
 from repro.tasks.runtime import (
     DEFAULT_OUTPUT_PARTITIONS,
@@ -40,6 +45,7 @@ __all__ = [
     "FullReadSliEvaluator",
     "FullWalkSloTracker",
     "FullScanSyncer",
+    "EagerAutoScaler",
     "snapshot_job_store_read",
     "StepPlan",
     "desired_cores",
@@ -157,11 +163,74 @@ class FullWalkSloTracker(SloTracker):
 
 
 class FullScanSyncer(StateSyncer):
-    """Rescans the whole fleet every round, whatever the change feed says."""
+    """Rescans the whole fleet every round, whatever the change feed says,
+    and re-merges every job's config (no version stamp, no shared merge)."""
 
     def sync_once(self) -> SyncReport:
         self._rounds_since_full = self._full_scan_interval
         return super().sync_once()
+
+    def _plan_for(self, job_id: JobId) -> Optional[ExecutionPlan]:
+        return self._plan_from(job_id, self._store.merged_expected(job_id))
+
+
+class EagerAutoScaler(AutoScaler):
+    """The Auto Scaler with every stage run for every job: estimate, the
+    quiet-window read (as a list of ``(t, v)`` over the whole window) and
+    the plan generator, whatever the symptoms say. Only the P-hint guard
+    is production's, since an estimate of a refused hint would raise."""
+
+    def _evaluate_job(
+        self, job_id: JobId, now: Seconds
+    ) -> Optional[ScalingDecision]:
+        view = self._service.view(job_id)
+        category_name = view.input_category
+        partitions = 0
+        if category_name and category_name in self._scribe.categories:
+            partitions = self._scribe.get_category(category_name).num_partitions
+        snapshot = snapshot_job(
+            job_id, view, self._metrics, now, input_partitions=partitions
+        )
+        if snapshot.running_tasks == 0 and snapshot.input_rate_mb == 0:
+            return None
+        symptoms = self.detector.detect(snapshot)
+        if not symptoms.healthy:
+            self._last_unhealthy[job_id] = now
+        bootstrap = view.rate_per_thread_mb * self.config.bootstrap_error
+        self.analyzer.rate_per_thread(job_id, bootstrap)
+        if symptoms.lagging:
+            self.analyzer.observe_saturated_throughput(snapshot)
+        rate = self.analyzer.rate_per_thread(job_id, bootstrap)
+        trace = self._tracer.claim_context(job_id, SLOT_SYMPTOM)
+        if rate is None:
+            decision = self._refuse_hint(job_id, view, bootstrap, trace)
+        else:
+            decision = self.generator.decide(
+                snapshot,
+                symptoms,
+                self.estimator.estimate(snapshot, rate),
+                quiet_long_enough=self._quiet_over_the_window(snapshot),
+                priority_floor=self.priority_floor,
+                trace=trace,
+            )
+        self._apply(snapshot, decision)
+        return decision
+
+    def _quiet_over_the_window(self, snapshot: JobSnapshot) -> bool:
+        now = snapshot.time
+        window = self.config.downscale_after
+        last_bad = self._last_unhealthy.get(snapshot.job_id)
+        if last_bad is not None and now - last_bad < window:
+            return False
+        lag_series = self._metrics.row(snapshot.job_id).get("time_lagged")
+        points = lag_series.window(now - window, now) if lag_series else ()
+        if not points:
+            return False
+        if now - points[0][0] < window * 0.9:
+            return False
+        return max(value for __, value in points) <= (
+            0.1 * snapshot.slo_lag_seconds
+        )
 
 
 def snapshot_job_store_read(

@@ -10,7 +10,11 @@ snapshot round-trips must preserve:
 * the typed view the store serves (``view``) is always the view of the
   current merged config, and fails exactly as the merged read fails —
   across writes, deletes and re-creates, state changes, outages and a
-  takeover by a follower that lacks a job or holds an older config.
+  takeover by a follower that lacks a job or holds an older config;
+* ``merged_expected`` is a fresh dict each time (changing it changes
+  nothing the store holds);
+* the syncer's read (``expected_for_sync``) answers "nothing to plan"
+  only for a converged, clean job, and otherwise the merged config.
 """
 
 import re
@@ -106,6 +110,26 @@ class JobStoreMachine(RuleBasedStateMachine):
     def commit_running(self, job, value, quiet):
         if self.live(job):
             self.store.commit_running(job, {"task_count": value}, quiet=quiet)
+
+    @store_up
+    @rule(job=any_job, commit=st.booleans())
+    def syncer_reads(self, job, commit):
+        """The State Syncer's read: ``None`` only for a job whose running
+        config is its merged expected one and that is not dirty; otherwise
+        the merged config, which a quiet commit may then realise."""
+        if not self.live(job):
+            return
+        expected = self.store.expected_for_sync(job)
+        if expected is None:
+            assert self.store.read_running(job).config == (
+                self.store.merged_expected(job)
+            )
+            assert not self.store.is_dirty(job)
+            return
+        assert expected == self.store.merged_expected(job)
+        if commit:
+            self.store.commit_running(job, dict(expected), quiet=True)
+            assert self.store.expected_for_sync(job) is None
 
     @store_up
     @rule()
@@ -210,9 +234,16 @@ class JobStoreMachine(RuleBasedStateMachine):
             else:
                 assert self.store.view(job) == JobView.from_config(merged)
                 assert self.store.view(job) is self.store.view(job)
+                # A fresh dict: changing it, nested levels included,
+                # changes nothing the store holds.
+                again = self.store.merged_expected(job)
+                merged["task_count"] = -1
+                merged.setdefault("resources", {})["cpu"] = -1.0
+                assert self.store.merged_expected(job) == again
+                assert self.store.view(job) == JobView.from_config(again)
         # Nothing is held for a job the store does not have (a takeover
         # drops jobs without a notification naming them).
-        assert set(self.store._views) <= {j for j in JOBS if self.live(j)}
+        assert set(self.store._merges) <= {j for j in JOBS if self.live(j)}
 
 
 TestJobStoreMachine = JobStoreMachine.TestCase

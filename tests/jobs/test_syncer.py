@@ -292,3 +292,119 @@ class TestBatching:
         report = syncer.sync_once()
         assert len(report.simple_synced) == 200
         assert report.complex_synced == []
+
+
+class TestMergeOncePerChange:
+    """Algorithm 1 runs once per config change: the syncer's plan and the
+    typed view share a merge, and a job unchanged since the syncer's own
+    quiet commit is skipped by a full scan with no merge at all."""
+
+    @staticmethod
+    def counting_merges(monkeypatch):
+        import repro.jobs.store as store_module
+
+        calls = []
+        real = store_module.merge_levels
+
+        def counted(levels):
+            calls.append(1)
+            return real(levels)
+
+        monkeypatch.setattr(store_module, "merge_levels", counted)
+        return calls
+
+    @staticmethod
+    def converged_fleet(jobs=6):
+        store = JobStore()
+        service = JobService(store)
+        for index in range(jobs):
+            service.provision(
+                JobSpec(job_id=f"job-{index}", input_category="cat")
+            )
+        syncer = StateSyncer(store, RecordingActuator())
+        syncer.sync_once()  # the first round is a full scan that plans all
+        return store, service, syncer
+
+    def full_scan(self, syncer):
+        syncer._rounds_since_full = syncer._full_scan_interval
+        report = syncer.sync_once()
+        assert report.full_scan
+        return report
+
+    def test_a_full_scan_over_a_converged_fleet_merges_nothing(self, monkeypatch):
+        store, service, syncer = self.converged_fleet(jobs=6)
+        merges = self.counting_merges(monkeypatch)
+        report = self.full_scan(syncer)
+        assert merges == []
+        assert report.examined == 6 and report.total_synced == 0
+
+    def test_one_merge_serves_the_plan_and_the_view(self, monkeypatch):
+        store, service, syncer = self.converged_fleet(jobs=2)
+        merges = self.counting_merges(monkeypatch)
+        service.patch("job-0", ConfigLevel.SCALER, {"task_count": 3})
+        assert store.view("job-0").task_count == 3   # merges once
+        assert syncer.sync_once().complex_synced == ["job-0"]  # reuses it
+        assert store.view("job-0").task_count == 3
+        self.full_scan(syncer)
+        assert len(merges) == 1
+        # The other way round: the syncer merges, the view reuses it.
+        service.patch("job-1", ConfigLevel.SCALER, {"task_count": 5})
+        assert syncer.sync_once().complex_synced == ["job-1"]
+        assert store.view("job-1").task_count == 5
+        assert len(merges) == 2
+        # No merged dict outlives the syncer's commit.
+        assert all(merge.config is None for merge in store._merges.values())
+
+    def test_only_a_quiet_commit_of_the_syncers_read_stamps(self):
+        store, service, syncer = self.converged_fleet(jobs=1)
+        merged = store.merged_expected("job-0")
+        assert store.expected_for_sync("job-0") is None  # stamped
+        # A quiet commit that realises no read of the current merge.
+        store.commit_running("job-0", {"task_count": 99}, quiet=True)
+        assert store.expected_for_sync("job-0") == merged
+        # A read made after a notification is not what an older plan
+        # committed: the merge it made stays to be planned.
+        service.patch("job-0", ConfigLevel.SCALER, {"task_count": 2})
+        store.view("job-0")
+        store.commit_running("job-0", merged, quiet=True)
+        assert store.expected_for_sync("job-0") == store.merged_expected("job-0")
+
+    def test_a_quiet_commit_of_another_config_than_the_read_never_stamps(self):
+        store, service, syncer = self.converged_fleet(jobs=1)
+        service.patch("job-0", ConfigLevel.SCALER, {"task_count": 3})
+        assert store.expected_for_sync("job-0")["task_count"] == 3
+        store.commit_running("job-0", {"task_count": 99}, quiet=True)
+        assert store.expected_for_sync("job-0") == store.merged_expected("job-0")
+        assert syncer.sync_once().complex_synced == ["job-0"]
+        assert store.read_running("job-0").config["task_count"] == 3
+
+    def test_a_re_created_id_never_reuses_the_old_stamp(self):
+        store, service, syncer = self.converged_fleet(jobs=1)
+        old_running = store.read_running("job-0")
+        assert store.expected_for_sync("job-0") is None  # stamped
+        store.delete_job("job-0")
+        store.create_job("job-0")
+        store.write_expected("job-0", ConfigLevel.PROVISIONER, {"task_count": 9}, 0)
+        # The new incarnation's running config reaches the old one's
+        # version and value without a read of its own merge.
+        store.commit_running("job-0", old_running.config, quiet=True)
+        assert store.read_running("job-0").version == old_running.version
+        assert store.expected_for_sync("job-0") == {"task_count": 9}
+        report = self.full_scan(syncer)
+        assert report.complex_synced == ["job-0"]
+        assert store.read_running("job-0").config == {"task_count": 9}
+
+    def test_a_takeover_never_reuses_the_old_stamp(self):
+        store, service, syncer = self.converged_fleet(jobs=1)
+        assert store.expected_for_sync("job-0") is None  # stamped
+        # A follower with the same running version but another history.
+        follower = JobStore.load_snapshot(store.dump_snapshot())
+        follower.write_expected(
+            "job-0", ConfigLevel.ONCALL, {"task_count": 7},
+            follower.read_expected("job-0", ConfigLevel.ONCALL).version,
+        )
+        store.install_state(follower)
+        assert store.read_running("job-0").version == 1
+        report = self.full_scan(syncer)
+        assert report.complex_synced == ["job-0"]
+        assert store.view("job-0").task_count == 7

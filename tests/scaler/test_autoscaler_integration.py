@@ -164,3 +164,54 @@ class TestUntriaged:
             if action.action == Action.UPSCALE_HORIZONTAL
         ]
         assert not horizontal, "untriaged lag must not add tasks"
+
+
+class TestPHint:
+    """An ONCALL patch can set a type-valid ``rate_per_thread_mb`` of 0 that
+    ``JobSpec`` would reject. If it lands before the scaler first sees the
+    job, the scaler must refuse that hint for that job alone: no P is
+    adopted for it, its round ends UNTRIAGED naming the hint, and every
+    other job is still evaluated — the round (and the engine) go on."""
+
+    def test_a_zero_hint_is_refused_for_its_job_only(self):
+        from repro.jobs import ConfigLevel
+
+        platform = Turbine.create(
+            num_hosts=3, seed=11,
+            config=PlatformConfig(num_shards=32, containers_per_host=2),
+        )
+        platform.attach_scaler()
+        platform.start()
+        for index in range(3):
+            platform.provision(
+                JobSpec(job_id=f"job-{index}", input_category=f"cat-{index}")
+            )
+        platform.job_service.patch(
+            "job-1", ConfigLevel.ONCALL, {"perf": {"rate_per_thread_mb": 0.0}}
+        )
+        platform.run_for(minutes=10)  # an unguarded estimate raised at t = 240 s
+
+        scaler = platform.scaler
+        assert platform.now == 600.0
+        assert scaler.untriaged, "the refused hint must be reported"
+        assert {record.job_id for record in scaler.untriaged} == {"job-1"}
+        assert all(
+            "rate_per_thread_mb=0.0" in record.reason
+            for record in scaler.untriaged
+        )
+        # One report per round the job was evaluated in, none adopted P.
+        assert len(scaler.untriaged) == len({r.time for r in scaler.untriaged})
+        assert set(scaler.analyzer.held_jobs()) == {"job-0", "job-2"}
+        assert scaler.analyzer.rate_per_thread("job-1", 0.0) is None
+
+    @pytest.mark.parametrize("hint", [0.0, -1.0, float("nan")])
+    def test_the_analyzer_never_adopts_a_non_positive_p(self, hint):
+        from repro.metrics import MetricStore
+        from repro.scaler.patterns import PatternAnalyzer
+
+        analyzer = PatternAnalyzer(MetricStore())
+        assert analyzer.rate_per_thread("job", hint) is None
+        assert list(analyzer.held_jobs()) == []
+        # A job that already has an estimate keeps it, whatever the hint.
+        assert analyzer.rate_per_thread("job", 3.0) == 3.0
+        assert analyzer.rate_per_thread("job", hint) == 3.0
