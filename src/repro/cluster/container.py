@@ -13,7 +13,7 @@ from typing import Dict, Optional
 
 from repro.cluster.resources import ResourceVector
 from repro.errors import CapacityError, ClusterError
-from repro.types import ContainerId, HostId, TaskId
+from repro.types import ContainerId, HostId, TaskId, Version
 
 #: Default container shape. The paper mentions a 26 GB memory capacity as an
 #: example (section IV-B); CPU is sized so a host takes roughly 4 containers
@@ -31,8 +31,12 @@ class TurbineContainer:
         self,
         container_id: ContainerId,
         capacity: Optional[ResourceVector] = None,
+        liveness: Optional[Version] = None,
     ) -> None:
         self.container_id = container_id
+        #: Bumped by :meth:`kill` and :meth:`reboot`, the only writers of
+        #: ``alive``; the cluster shares one among all its containers.
+        self.liveness = liveness if liveness is not None else Version()
         self.capacity = (
             capacity if capacity is not None else DEFAULT_CONTAINER_CAPACITY
         )
@@ -108,6 +112,7 @@ class TurbineContainer:
         """Kill the container (host failure or forced fail-over)."""
         self.alive = False
         self.reservations.clear()
+        self.liveness.bump()
 
     def reboot(self) -> None:
         """Reboot after a Shard Manager connection timeout (section IV-C).
@@ -117,6 +122,7 @@ class TurbineContainer:
         """
         self.alive = True
         self.reservations.clear()
+        self.liveness.bump()
 
     def __repr__(self) -> str:
         state = "up" if self.alive else "DOWN"

@@ -16,7 +16,7 @@ from repro.cluster.container import DEFAULT_CONTAINER_CAPACITY, TurbineContainer
 from repro.cluster.host import Host
 from repro.cluster.resources import ResourceVector
 from repro.errors import CapacityError, ClusterError
-from repro.types import ContainerId, HostId
+from repro.types import ContainerId, HostId, Version
 
 
 class TupperwareCluster:
@@ -26,6 +26,9 @@ class TupperwareCluster:
         self.hosts: Dict[HostId, Host] = {}
         self.containers: Dict[ContainerId, TurbineContainer] = {}
         self._container_counter = itertools.count()
+        #: Bumped whenever one of this cluster's containers is killed or
+        #: rebooted: while it holds still, no container's ``alive`` moved.
+        self.liveness = Version()
         #: Callbacks invoked with the host id whenever a host dies. The
         #: Shard Manager subscribes to learn about lost containers.
         self.on_host_failure: List[Callable[[HostId], None]] = []
@@ -102,7 +105,7 @@ class TupperwareCluster:
         else:
             host = self._pick_host(shape)
         container_id = f"turbine-{next(self._container_counter)}"
-        container = TurbineContainer(container_id, shape)
+        container = TurbineContainer(container_id, shape, liveness=self.liveness)
         host.attach(container)
         self.containers[container_id] = container
         return container

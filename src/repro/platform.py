@@ -48,7 +48,7 @@ from repro.tasks.service import CACHE_TTL, TaskService
 from repro.tasks.shard import DEFAULT_NUM_SHARDS
 from repro.tasks.shard_manager import REBALANCE_INTERVAL, ShardManager
 from repro.tasks.stats import COLLECT_INTERVAL, JobStatsCollector
-from repro.types import ContainerId, JobId, Seconds, TaskId, TaskState
+from repro.types import ContainerId, JobId, Seconds, TaskId, TaskState, Version
 
 #: Data-plane step period (the ``data-plane-step`` timer). Coarser steps
 #: trade fidelity for speed in long-horizon benchmarks.
@@ -145,6 +145,10 @@ class Turbine:
         #: read by the actuator and the standby plane, so neither walks
         #: the fleet to find one task.
         self.task_hosts: Dict[JobId, Dict[TaskId, Set[ContainerId]]] = {}
+        #: Bumped by every write to what a Task Manager hosts or is
+        #: assigned (``TaskManager._changed``) and to ``task_managers``
+        #: itself: the fleet inputs of the standby plane's guard.
+        self.fleet_version = Version()
         self.actuator = TurbineActuator(
             self.task_service, self.shard_manager, self.scribe,
             self.task_hosts, self._job_holders, tracer=self.tracer,
@@ -321,7 +325,8 @@ class Turbine:
 
         Only jobs provisioned with ``hot_standby=True`` get replicas; a
         platform with the plane attached but no opted-in jobs behaves
-        byte-identically to one without the plane.
+        byte-identically to one without the plane. Re-attaching hands the
+        replaced plane's replicas to the new one (``take_over``).
         """
         from repro.tasks.standby import StandbyPlane
 
@@ -329,6 +334,8 @@ class Turbine:
             self.engine, self, telemetry=self.telemetry,
             **_given(interval=interval),
         )
+        if self.standby is not None:
+            plane.take_over(self.standby)
         for manager in self.task_managers.values():
             manager.standby_plane = plane
         return self._attach("standby", plane)
@@ -338,13 +345,17 @@ class Turbine:
 
         Compares per-task rates against the job median and drains
         containers that stay persistently slow; see
-        :mod:`repro.tasks.slow_node` for thresholds.
+        :mod:`repro.tasks.slow_node` for thresholds. Re-attaching hands
+        the replaced detector's drains to the new one (``take_over``).
         """
         from repro.tasks.slow_node import SlowNodeDetector
 
-        return self._attach("slow_nodes", SlowNodeDetector(
+        detector = SlowNodeDetector(
             self.engine, self, telemetry=self.telemetry, **kwargs
-        ))
+        )
+        if self.slow_nodes is not None:
+            detector.take_over(self.slow_nodes)
+        return self._attach("slow_nodes", detector)
 
     def attach_capacity_manager(self, capacity_config=None):
         """Attach the Capacity Manager (requires an attached scaler)."""
@@ -425,10 +436,12 @@ class Turbine:
             telemetry=self.telemetry,
             task_hosts=self.task_hosts,
             heartbeat_sweeps=self._heartbeat_sweeps,
+            fleet_version=self.fleet_version,
         )
         manager.standby_plane = self.standby
         manager.checkpoint_plane = self.checkpoint_plane
         self.task_managers[container.container_id] = manager
+        self.fleet_version.bump()
         manager.start()
         return manager
 
@@ -448,6 +461,7 @@ class Turbine:
         ]
         for container_id in dead:
             manager = self.task_managers.pop(container_id)
+            self.fleet_version.bump()
             manager.shutdown()
 
     def add_host(self, host_id: str) -> None:

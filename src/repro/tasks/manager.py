@@ -36,7 +36,15 @@ from repro.tasks.runtime import RunningTask, step_container
 from repro.tasks.service import TaskService
 from repro.tasks.shard_manager import ShardManager
 from repro.tasks.spec import TaskSpec
-from repro.types import ContainerId, JobId, Seconds, ShardId, TaskId, TaskState
+from repro.types import (
+    ContainerId,
+    JobId,
+    Seconds,
+    ShardId,
+    TaskId,
+    TaskState,
+    Version,
+)
 
 #: "Each task manager has a local refresh thread to periodically (every 60
 #: seconds) fetch from the Task Service."
@@ -134,6 +142,7 @@ class TaskManager:
         telemetry: Optional[Telemetry] = None,
         task_hosts: Optional[Dict[JobId, Dict[TaskId, Set[ContainerId]]]] = None,
         heartbeat_sweeps: Optional[List[HeartbeatSweep]] = None,
+        fleet_version: Optional[Version] = None,
     ) -> None:
         self._tracer = tracer or NULL_TRACER
         self._engine = engine
@@ -167,6 +176,14 @@ class TaskManager:
         #: :meth:`reboot` (it keeps its ``tasks`` too): readers check
         #: liveness at lookup.
         self._task_hosts = task_hosts if task_hosts is not None else {}
+        #: Shared like ``task_hosts``: bumped by :meth:`_changed`, so by
+        #: every write to what any manager hosts or is assigned.
+        self._fleet_version = (
+            fleet_version if fleet_version is not None else Version()
+        )
+        #: The shard index the last full reconcile ran against; ``None``
+        #: once anything it read here changed since (:meth:`_changed`).
+        self._reconciled: Optional[Dict[ShardId, Dict[TaskId, TaskSpec]]] = None
         #: The open heartbeat sweeps, shared like ``task_hosts`` by every
         #: manager of a platform so managers started together share one.
         self._heartbeat_sweeps = (
@@ -294,6 +311,7 @@ class TaskManager:
         if not self.alive or self.slow_add:
             raise TimeoutError(f"{self.container_id} add timed out")
         self.assigned_shards.add(shard_id)
+        self._changed()
         self._reconcile_shard(shard_id)
 
     def drop_shard(self, shard_id: ShardId) -> None:
@@ -308,11 +326,18 @@ class TaskManager:
             [task for task in self.tasks.values() if task.shard_id == shard_id]
         )
         self.assigned_shards.discard(shard_id)
+        self._changed()
 
     # ------------------------------------------------------------------
     # Periodic: snapshot refresh and reconciliation
     # ------------------------------------------------------------------
     def _refresh(self) -> None:
+        """Fetch the shard index, then reconcile every assigned shard —
+        unless this manager already reconciled against this very index
+        object and nothing it hosts or is assigned changed since: a
+        reconcile is idempotent, so that one would start and stop
+        nothing. The Task Service keeps one build per spec-table
+        version, so a quiet refresh costs the probe and one compare."""
         if not self.alive:
             return
         now = self._engine.now
@@ -328,8 +353,21 @@ class TaskManager:
                 "resilience.task-manager.task-service.staleness_s",
                 self._index_lkg.age(now),
             )
+        if self._cached_index is not self._reconciled:
+            self._reconcile_assigned()
+
+    def _reconcile_assigned(self) -> None:
+        """Reconcile every assigned shard against the cached index."""
         for shard_id in sorted(self.assigned_shards):
             self._reconcile_shard(shard_id)
+        self._reconciled = self._cached_index
+
+    def _changed(self) -> None:
+        """Note a write to what this manager hosts or is assigned (or to
+        a hosted task's state): the next refresh reconciles in full, and
+        the fleet's version moves for the standby plane."""
+        self._reconciled = None
+        self._fleet_version.bump()
 
     @property
     def _cached_index(self) -> Dict[ShardId, Dict[TaskId, TaskSpec]]:
@@ -361,6 +399,7 @@ class TaskManager:
                     self._failed_at[task_id] = failed_at
             elif existing.state == TaskState.CRASHED:
                 existing.restart()
+                self._changed()
 
     def _start_task(self, spec: TaskSpec, shard_id: ShardId) -> None:
         # Exactly-once handoff: if a promoted standby is covering for this
@@ -406,6 +445,7 @@ class TaskManager:
             spec.task_id, set()
         ).add(self.container_id)
         self.container.reserve(reservation, spec.resources)
+        self._changed()
 
     def _unhost(self, task: RunningTask) -> None:
         """Stop a hosted primary or replica and undo :meth:`_host`.
@@ -424,6 +464,7 @@ class TaskManager:
             del self.tasks[task_id]
             reservation = task_id
         task.stop()
+        self._changed()
         # A killed container has already lost its reservations.
         if reservation in self.container.reservations:
             self.container.release(reservation)
@@ -525,6 +566,7 @@ class TaskManager:
             return
         self._unhost_all(self._hosted())
         self.assigned_shards.clear()
+        self._changed()
         self.reboot_count += 1
         self._outage_started = None
         self.container.reboot()
@@ -616,6 +658,7 @@ class TaskManager:
                 task.spec.job_id, "oom_events", self._engine.now, 1.0
             )
         task.restart()
+        self._changed()
 
     # ------------------------------------------------------------------
     # Periodic: shard load aggregation

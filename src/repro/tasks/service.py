@@ -37,9 +37,11 @@ class TaskService:
         self._cache_ttl = cache_ttl
         #: Authoritative spec table, job -> list of specs (index order).
         self._specs: Dict[JobId, List[TaskSpec]] = {}
-        #: Cached snapshot + its build time and version.
+        #: Cached snapshot + when its TTL last started and the spec-table
+        #: version it was built from.
         self._cached_snapshot: Optional[Dict[TaskId, TaskSpec]] = None
         self._cached_at: Seconds = -float("inf")
+        self._cached_version = -1
         self._build_counter = 0
         self._version = 0
         self._shard_index: Dict[str, Dict[TaskId, TaskSpec]] = {}
@@ -121,17 +123,23 @@ class TaskService:
     def snapshot(self) -> Dict[TaskId, TaskSpec]:
         """The full task-spec snapshot, served from cache within the TTL.
 
+        When the TTL lapses over an unchanged spec table, the cached
+        build is kept and only its TTL restarts: a rebuild would be an
+        equal dict, and keeping the object keeps its shard grouping and
+        lets a Task Manager see that nothing changed by identity.
+
         Raises :class:`ServiceUnavailableError` when the service is down —
         callers keep their previous snapshot in that case.
         """
         if not self.available:
             raise ServiceUnavailableError("Task Service is unavailable")
         now = self._engine.now
-        if (
-            self._cached_snapshot is not None
-            and now - self._cached_at < self._cache_ttl
-        ):
-            return self._cached_snapshot
+        if self._cached_snapshot is not None:
+            if now - self._cached_at < self._cache_ttl:
+                return self._cached_snapshot
+            if self._cached_version == self._version:
+                self._cached_at = now
+                return self._cached_snapshot
         snapshot = {
             spec.task_id: spec
             for specs in self._specs.values()
@@ -139,6 +147,7 @@ class TaskService:
         }
         self._cached_snapshot = snapshot
         self._cached_at = now
+        self._cached_version = self._version
         self._build_counter += 1
         return snapshot
 

@@ -87,12 +87,20 @@ class StandbyPlane:
         #: "standby-retire" — never placement), so fault-free timelines
         #: are byte-identical with the plane off.
         self.events: BoundedList = BoundedList(maxlen=256)
+        #: When each replicated task's primary was last seen alive — as of
+        #: the last full tick; :meth:`_settle_stamps` adds the skipped ones.
         self._last_alive: Dict[TaskId, Seconds] = {}
         #: The opted-in roster and its sorted ids, as of the Task Service
         #: version they were built at (see :meth:`_refresh_roster`).
         self._wanted: Dict[TaskId, TaskSpec] = {}
         self._wanted_order: List[TaskId] = []
         self._wanted_version: Optional[int] = None
+        #: The guard (see :meth:`_tick`): the input versions the last full
+        #: tick began at, the tasks it found with a live primary, and the
+        #: time of the last tick skipped since.
+        self._seen: Optional[Tuple[int, int, int]] = None
+        self._stamped: List[TaskId] = []
+        self._skipped_at: Optional[Seconds] = None
         self._timer = None
 
     # ------------------------------------------------------------------
@@ -110,13 +118,66 @@ class StandbyPlane:
             self._timer.cancel()
             self._timer = None
 
+    def take_over(self, previous: "StandbyPlane") -> None:
+        """Continue where a replaced plane stopped (a re-attach).
+
+        Its replicas stay hosted, so this plane adopts them — placing
+        them again would reserve each task's replica twice — along with
+        their liveness stamps and the plane's records, which keeps the
+        ``promotions`` list equal to the durable promotion log. A
+        promoted replica keeps serving until its primary restarts.
+        """
+        previous._settle_stamps()
+        self.placements = dict(previous.placements)
+        self._last_alive = dict(previous._last_alive)
+        self.promotions = list(previous.promotions)
+        self.events.extend(previous.events)
+
     # ------------------------------------------------------------------
     # Reconcile tick
     # ------------------------------------------------------------------
     def _tick(self) -> None:
-        now = self._engine.now
+        """Reconcile in full only when an input changed.
+
+        The tick reads the roster (``TaskService.version``), where tasks
+        and replicas are hosted and the hosted tasks' states, and
+        ``task_managers`` membership (``Turbine.fleet_version``), and
+        container liveness (``cluster.liveness``); each version is bumped
+        where its input is written. When all three equal what the last
+        full tick began at, that tick's writes included, a full tick
+        would promote, place and retire nothing: only the time of this
+        skipped tick is kept, for :meth:`_settle_stamps`.
+        """
+        platform = self._platform
+        seen = (
+            platform.task_service.version,
+            platform.fleet_version.value,
+            platform.cluster.liveness.value,
+        )
+        if seen == self._seen:
+            self._skipped_at = self._engine.now
+            return
+        self._seen = seen
+        self._reconcile(self._engine.now)
+
+    def _settle_stamps(self) -> None:
+        """Write the liveness stamps the skipped ticks left out.
+
+        A skipped tick would have found exactly the primaries the last
+        full tick found alive still alive and stamped each with its own
+        time, so the last skipped tick's time is the stamp that survives.
+        """
+        if self._skipped_at is not None:
+            for task_id in self._stamped:
+                self._last_alive[task_id] = self._skipped_at
+            self._skipped_at = None
+
+    def _reconcile(self, now: Seconds) -> None:
+        """The full tick: retire, forget, promote and place replicas."""
+        self._settle_stamps()
         self._refresh_roster()
         wanted = self._wanted
+        stamped: List[TaskId] = []
         for task_id in sorted(self.placements):
             container_id = self.placements[task_id]
             manager = self._platform.task_managers.get(container_id)
@@ -138,6 +199,7 @@ class StandbyPlane:
             replica = manager.standbys[task_id]
             if self._primary_alive(wanted[task_id]):
                 self._last_alive[task_id] = now
+                stamped.append(task_id)
                 if replica.promoted:
                     # Backstop only: the start-task handoff hook retires
                     # promoted replicas before a primary restarts, so
@@ -155,6 +217,7 @@ class StandbyPlane:
                     )
             elif not replica.promoted:
                 self._promote(manager, replica, now)
+        self._stamped = stamped
         alive: Optional[List[Tuple[ContainerId, str]]] = None
         for task_id in self._wanted_order:
             if task_id not in self.placements:
@@ -269,6 +332,7 @@ class StandbyPlane:
         container_id = self.placements.pop(task_id, None)
         if container_id is None:
             return
+        self._seen = None  # the next tick re-places this replica
         manager = self._platform.task_managers.get(container_id)
         if manager is None:
             return

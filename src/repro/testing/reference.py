@@ -3,12 +3,13 @@
 Production code answers "where does this task run", "which managers host
 this job", "which (job, SLO) pairs can be burning", "which jobs need a
 sync plan", "what does the scaler know about this job", "what does the
-scaler decide for this job" and "what does this container process this
-tick" from state kept where the fact changes, or in one flat loop. The
-forms here answer the same questions the slow, obviously-right way —
-scan every manager, re-merge every config, rescan every job, one store
-call per number, every scaler stage for every job, one method call per
-task and per partition —
+scaler decide for this job", "which replicas does this standby tick
+promote or place" and "what does this container process this tick" from
+state kept where the fact changes, or in one flat loop. The forms here
+answer the same questions the slow, obviously-right way — scan every
+manager, re-merge every config, rescan every job, one store call per
+number, every scaler stage for every job, a full standby reconcile every
+tick, one method call per task and per partition —
 and exist only
 so the equivalence suites in ``tests/`` and the hot-path benches have
 something to compare against.
@@ -37,6 +38,7 @@ from repro.tasks.runtime import (
     STATE_RESTORE_RATE_MB,
     RunningTask,
 )
+from repro.tasks.standby import StandbyPlane
 from repro.types import JobId, Priority, Seconds, TaskId, TaskState
 
 __all__ = [
@@ -46,6 +48,7 @@ __all__ = [
     "FullWalkSloTracker",
     "FullScanSyncer",
     "EagerAutoScaler",
+    "PollingStandbyPlane",
     "snapshot_job_store_read",
     "StepPlan",
     "desired_cores",
@@ -231,6 +234,15 @@ class EagerAutoScaler(AutoScaler):
         return max(value for __, value in points) <= (
             0.1 * snapshot.slo_lag_seconds
         )
+
+
+class PollingStandbyPlane(StandbyPlane):
+    """The standby plane reconciling in full every tick — every placement
+    looked up, every primary's liveness read — whatever the versions of
+    its inputs say."""
+
+    def _tick(self) -> None:
+        self._reconcile(self._engine.now)
 
 
 def snapshot_job_store_read(

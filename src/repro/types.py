@@ -68,6 +68,23 @@ class Priority(enum.IntEnum):
     CRITICAL = 3
 
 
+class Version:
+    """A monotone change counter for one input of a reconcile loop.
+
+    Every writer of the input calls :meth:`bump` where it writes; a reader
+    keeps the ``value`` it last acted on, and while the two are equal it
+    knows nothing it reads there has changed.
+    """
+
+    __slots__ = ("value",)
+
+    def __init__(self) -> None:
+        self.value = 0
+
+    def bump(self) -> None:
+        self.value += 1
+
+
 @dataclass(frozen=True)
 class IncidentRecord:
     """One incident-worthy event, as a plane keeps it in its ``events``

@@ -5,7 +5,9 @@ Every optional subsystem reaches the platform through
 ``_START_ORDER``. Three properties follow and are pinned here:
 
 * re-attaching a subsystem stops the instance it replaces (an orphan
-  with an armed timer would keep acting on the fleet);
+  with an armed timer would keep acting on the fleet), and a failure
+  plane re-attached mid-fault takes over what the old one left in the
+  fleet (replicas, drains) instead of stranding it;
 * attaching after ``start()`` arms each timer exactly once;
 * the order in which the optional subsystems were *attached* is
   invisible: same-timestamp timers fire in ``_START_ORDER`` order, so
@@ -24,7 +26,9 @@ import pytest
 
 import repro
 from repro import JobSpec, PlatformConfig, Turbine
-from repro.chaos.runner import platform_fingerprint
+from repro.chaos.runner import WARMUP, platform_fingerprint
+from repro.chaos.runner import build_platform as build_chaos_platform
+from repro.chaos.scenarios import get_scenario
 from repro.cluster import FailurePlan
 from repro.jobs import syncer as syncer_module
 from repro.jobs.plan import TaskActuator
@@ -178,6 +182,72 @@ def test_reattach_after_start_stops_the_replaced_instance(method):
     # The orphan must stay silent: only the live instance's timers fire.
     platform.run_for(minutes=10)
     assert armed_timers(platform) == armed
+
+
+def hosted_replicas(platform):
+    """``(task id, container id)`` of every replica any manager hosts."""
+    return {
+        (task_id, container_id)
+        for container_id, manager in platform.task_managers.items()
+        for task_id in manager.standbys
+    }
+
+
+def test_reattach_standby_plane_mid_fault_strands_nothing():
+    """The replaced plane's replicas — one of them promoted, covering for
+    a primary on a dead host — belong to the new plane: the promoted one
+    serves until its primary restarts, and every replica left hosted is
+    one the live plane knows, one per opted-in task."""
+    platform = build_chaos_platform(seed=7, hot_standby=True)
+    platform.run_for(seconds=WARMUP)
+    task_id = "chaos/job-0:0"
+    primary = next(
+        manager for manager in platform.task_managers.values()
+        if manager.alive and task_id in manager.tasks
+    )
+    platform.failures.fail_now(primary.container.host_id, label="test")
+    platform.run_for(seconds=2)
+    assert [r.task_id for r in platform.standby.promotions].count(task_id) == 1
+    plane = platform.attach_standby()
+    platform.run_for(minutes=30)
+    assert hosted_replicas(platform) == set(plane.placements.items())
+    assert set(plane.placements) == {
+        spec.task_id
+        for job_id in platform.task_service.job_ids()
+        for spec in platform.task_service.specs_of(job_id)
+    }
+    assert [
+        event.kind for event in plane.events if task_id in event.detail
+    ] == ["standby-promote", "standby-handoff"]
+    assert all(
+        not platform.task_managers[container_id].standbys[task].promoted
+        for task, container_id in plane.placements.items()
+    )
+
+
+def test_reattach_slow_node_detector_mid_fault_strands_nothing():
+    """Regression: the new detector started with no drains, so nothing
+    ever undrained the gray host the replaced one had drained — its
+    containers sat out of the placement pool for good."""
+    platform = build_chaos_platform(seed=7, slow_node_detection=True)
+    platform.run_for(seconds=WARMUP)
+    platform.chaos.schedule(get_scenario("gray-node-drain"))
+    for __ in range(20):
+        platform.run_for(seconds=30)
+        if platform.slow_nodes.drained:
+            break
+    else:
+        pytest.fail("the gray host was never drained")
+    drained_at = dict(platform.slow_nodes.drained)
+    assert platform.shard_manager.drained
+    detector = platform.attach_slow_node_detector()
+    assert detector.drained == drained_at
+    platform.run_for(minutes=30)
+    assert detector.drained == {}
+    assert platform.shard_manager.drained == set()
+    assert [event.kind for event in detector.events] == [
+        "gray-node-drain", "gray-node-undrain",
+    ]
 
 
 @pytest.mark.parametrize("method", sorted(STARTABLE))

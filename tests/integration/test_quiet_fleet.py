@@ -7,6 +7,9 @@ can change an outcome.
 * One stats round reads each job's category head total and backlog in a
   single Scribe walk, never through ``Category.total_head`` /
   ``ScribeBus.backlog_mb``.
+* Over a quiet stretch no Task Manager refresh reconciles a shard, the
+  Task Service regroups no snapshot by shard when its TTL lapses, and the
+  standby plane looks up no primary: nothing they read has changed.
 
 Counts, not timings: they hold on any machine.
 """
@@ -18,6 +21,10 @@ from repro.scaler.detectors import SymptomDetector
 from repro.scaler.estimators import ResourceEstimator
 from repro.scribe.bus import ScribeBus
 from repro.scribe.category import Category
+from repro.tasks import shard
+from repro.tasks.manager import TaskManager
+from repro.tasks.service import TaskService
+from repro.tasks.standby import StandbyPlane
 from repro.workloads import TrafficDriver
 
 JOBS = 12
@@ -27,7 +34,9 @@ JOBS = 12
 def quiet_fleet():
     platform = Turbine.create(
         num_hosts=4, seed=23,
-        config=PlatformConfig(num_shards=32, containers_per_host=2),
+        config=PlatformConfig(
+            num_shards=32, containers_per_host=2, hot_standby=True,
+        ),
     )
     platform.attach_scaler()  # the paper's day-long quiet window
     platform.start()
@@ -35,7 +44,7 @@ def quiet_fleet():
     for index in range(JOBS):
         platform.provision(
             JobSpec(job_id=f"job-{index:02d}", input_category=f"cat-{index:02d}",
-                    rate_per_thread_mb=4.0),
+                    rate_per_thread_mb=4.0, hot_standby=index % 2 == 0),
             partitions=4,
         )
         driver.add_source(f"cat-{index:02d}", lambda t: 1.0)
@@ -81,3 +90,20 @@ def test_a_stats_round_walks_scribe_once_per_job(quiet_fleet, monkeypatch):
     quiet_fleet.stats.collect_once()
     assert heads == [] and backlogs == []
     assert len(walks) == JOBS
+
+
+def test_a_quiet_stretch_reconciles_regroups_and_looks_up_nothing(
+    quiet_fleet, monkeypatch
+):
+    assert quiet_fleet.standby.placements, "the plane must guard replicas"
+    reconciles = counting(monkeypatch, TaskManager, "_reconcile_shard")
+    groupings = counting(monkeypatch, shard, "shard_id_for_task")
+    lookups = counting(monkeypatch, StandbyPlane, "_primary_manager")
+    fetches = counting(monkeypatch, TaskService, "shard_index")
+    # Longer than the refresh interval and the Task Service's cache TTL,
+    # with a standby tick every second.
+    quiet_fleet.run_for(minutes=4)
+    assert len(fetches) >= len(quiet_fleet.task_managers)  # every refresh ran
+    assert reconciles == []
+    assert groupings == []
+    assert lookups == []

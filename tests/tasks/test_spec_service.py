@@ -87,13 +87,25 @@ class TestTaskService:
         assert after is not before
         assert len(after) == 2
 
-    def test_cache_expires_after_ttl(self):
+    def test_expiry_keeps_unchanged_build_shows_lazy_change(self):
         engine = Engine()
         service = TaskService(engine, cache_ttl=90.0)
         service.set_job_specs("a", job_config("a"))
         first = service.snapshot()
+        grouping = service.shard_index(8)
+        # Expired over an unchanged table: the same build and grouping,
+        # with a fresh TTL.
         engine.run_until(100.0)
-        assert service.snapshot() is not first
+        assert service.snapshot() is first
+        assert service.shard_index(8) is grouping
+        # A lazy change stays hidden for the restarted TTL, then shows.
+        service.set_job_specs("a", job_config("a", task_count=2))
+        engine.run_until(180.0)
+        assert service.snapshot() is first
+        engine.run_until(200.0)
+        rebuilt = service.snapshot()
+        assert rebuilt is not first and set(rebuilt) == {"a:0", "a:1"}
+        assert service.shard_index(8) is not grouping
 
     def test_remove_job(self):
         service = TaskService(Engine())

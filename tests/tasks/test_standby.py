@@ -11,6 +11,13 @@ index must equal a rebuild from the managers the platform still has, the
 actuator's per-job manager list must equal the full walk, and each
 manager's own per-task structures (``tasks`` / ``standbys``, container
 reservations, shard assignment, open recovery windows) must agree.
+
+The second hypothesis suite is the safety argument for skipping a tick
+(or a Task Manager refresh) whose inputs did not change: the guarded
+plane must decide exactly what
+:class:`repro.testing.reference.PollingStandbyPlane` decides on a twin
+platform, and a reconcile forced where a refresh would skip must change
+nothing.
 """
 
 import pytest
@@ -21,7 +28,11 @@ from repro import JobSpec, PlatformConfig, Turbine
 from repro.jobs import ConfigLevel
 from repro.tasks.manager import TaskManager
 from repro.tasks.standby import PROMOTION_LOG
-from repro.testing.reference import scan_hosting_managers, scan_primary_manager
+from repro.testing.reference import (
+    PollingStandbyPlane,
+    scan_hosting_managers,
+    scan_primary_manager,
+)
 from repro.types import TaskState
 
 NUM_HOSTS = 3
@@ -31,8 +42,11 @@ JOBS = ("alpha", "beta")
 
 
 def build_platform(
-    num_hosts=NUM_HOSTS, jobs=JOBS, task_count=2, num_shards=NUM_SHARDS
+    num_hosts=NUM_HOSTS, jobs=JOBS, task_count=2, num_shards=NUM_SHARDS,
+    plane=None,
 ):
+    """A small started fleet with ``jobs`` opted in; ``plane`` replaces
+    the production standby plane class (the reference suites)."""
     platform = Turbine.create(
         num_hosts=num_hosts, seed=5,
         config=PlatformConfig(
@@ -40,6 +54,10 @@ def build_platform(
             hot_standby=True,
         ),
     )
+    if plane is not None:
+        platform._attach("standby", plane(
+            platform.engine, platform, telemetry=platform.telemetry,
+        ))
     platform.start()
     for job_id in jobs:
         provision(platform, job_id, task_count)
@@ -94,6 +112,16 @@ class TestPlacement:
         platform = build_platform(num_hosts=1)
         assert platform.tasks_of_job("alpha")
         assert platform.standby.placements == {}
+
+    def test_a_second_host_gets_the_replicas_on_the_next_tick(self):
+        # New managers are new candidates: the spawn alone (no shard has
+        # moved yet) must wake the guarded tick up.
+        platform = build_platform(num_hosts=1)
+        platform.add_host("host-1")
+        platform.run_for(seconds=1.0)
+        assert set(platform.standby.placements) == {
+            f"{job}:{index}" for job in JOBS for index in range(2)
+        }
 
     def test_jobs_that_did_not_opt_in_get_no_replica(self):
         platform = build_platform(jobs=())
@@ -329,6 +357,64 @@ class TestLastAlivePruning:
         assert record.takeover_lag == 1.0
 
 
+def replicas_by_task(platform):
+    """Task id -> containers hosting a replica of it, fleet-wide."""
+    hosts = {}
+    for container_id in sorted(platform.task_managers):
+        for task_id in platform.task_managers[container_id].standbys:
+            hosts.setdefault(task_id, []).append(container_id)
+    return hosts
+
+
+class TestReattach:
+    """Regression: a re-attached plane did not know the replicas the
+    replaced one left hosted, placed them again, and the duplicate
+    reservation raised ``CapacityError`` on its first tick."""
+
+    def test_reattached_plane_takes_the_replicas_over(self):
+        platform = build_platform()
+        first = platform.standby
+        placed = dict(first.placements)
+        second = platform.attach_standby()
+        platform.run_for(seconds=3)
+        assert platform.standby is second and second is not first
+        assert second.placements == placed
+        assert replicas_by_task(platform) == {
+            task_id: [container_id] for task_id, container_id in placed.items()
+        }
+
+    def test_promoted_replica_serves_until_its_primary_restarts(self):
+        platform = build_platform()
+        task_id = "alpha:0"
+        target = platform.standby.placements[task_id]
+        platform.cluster.fail_host(
+            primary_of(platform, task_id).container.host_id
+        )
+        platform.run_for(seconds=2)
+        assert platform.task_managers[target].standbys[task_id].promoted
+        plane = platform.attach_standby()
+        assert [r.task_id for r in plane.promotions].count(task_id) == 1
+        platform.run_for(seconds=5)
+        replica = platform.task_managers[target].standbys[task_id]
+        assert replica.promoted and replica.state == TaskState.RUNNING
+        assert task_id in platform.tasks_of_job("alpha")
+        # Shard fail-over restarts the primary; the new plane hands off.
+        platform.run_for(minutes=3)
+        assert [
+            event.kind for event in plane.events if task_id in event.detail
+        ] == ["standby-promote", "standby-handoff"]
+        assert primary_of(platform, task_id) is not None
+        assert all(
+            len(hosts) == 1 for hosts in replicas_by_task(platform).values()
+        )
+        assert not replica_host(platform, task_id).standbys[task_id].promoted
+        promoted = [
+            payload for __, payload
+            in platform.scribe.logs[PROMOTION_LOG].read_from(0)
+        ]
+        assert len(promoted) == len(plane.promotions)
+
+
 # ----------------------------------------------------------------------
 # Scaling guard: a count, not a stopwatch
 # ----------------------------------------------------------------------
@@ -336,11 +422,19 @@ GUARD_JOBS = tuple(f"job-{index}" for index in range(6))
 
 
 def alive_reads_per_tick(num_hosts, monkeypatch):
-    """``TaskManager.alive`` reads made by one quiescent standby tick."""
+    """``TaskManager.alive`` reads made by one quiescent standby tick and
+    by the tick right after one primary's container is killed."""
     platform = build_platform(
         num_hosts=num_hosts, jobs=GUARD_JOBS, num_shards=64
     )
     replicas = len(platform.standby.placements)
+    # A container running primaries but no replica: killing it loses no
+    # replica, so the changed tick has nothing to re-place.
+    doomed = next(
+        platform.task_managers[cid] for cid in sorted(platform.task_managers)
+        if platform.task_managers[cid].tasks
+        and not platform.task_managers[cid].standbys
+    )
     reads = [0]
     real = TaskManager.alive
 
@@ -351,22 +445,29 @@ def alive_reads_per_tick(num_hosts, monkeypatch):
     monkeypatch.setattr(TaskManager, "alive", property(counting))
     try:
         platform.standby._tick()
+        quiescent = reads[0]
+        doomed.container.kill()
+        platform.standby._tick()
     finally:
         monkeypatch.setattr(TaskManager, "alive", real)
-    return replicas, reads[0]
+    return replicas, quiescent, reads[0] - quiescent
 
 
-def test_quiescent_tick_reads_liveness_per_replica_not_per_container(
+def test_quiescent_tick_reads_liveness_zero_times_a_changed_tick_per_replica(
     monkeypatch,
 ):
-    """The tick is O(replicas): doubling the containers at a fixed
-    replica count must not change how often liveness is read. (With a
+    """A tick whose inputs did not change reads nothing; the tick after
+    a container loss is O(replicas): doubling the containers at a fixed
+    replica count must not change how often it reads liveness. (With a
     per-replica fleet scan the reads grow with replicas × containers.)"""
-    replicas, reads = alive_reads_per_tick(4, monkeypatch)
-    replicas_doubled, reads_doubled = alive_reads_per_tick(8, monkeypatch)
+    replicas, quiescent, changed = alive_reads_per_tick(4, monkeypatch)
+    replicas_doubled, quiescent_doubled, changed_doubled = (
+        alive_reads_per_tick(8, monkeypatch)
+    )
     assert replicas == replicas_doubled == 2 * len(GUARD_JOBS)
+    assert quiescent == quiescent_doubled == 0
     # One read for the replica's host, one for the primary's.
-    assert reads == reads_doubled == 2 * replicas
+    assert changed == changed_doubled == 2 * replicas
 
 
 # ----------------------------------------------------------------------
@@ -565,3 +666,84 @@ def test_one_task_id_on_two_live_managers_resolves_to_the_lowest_id():
     platform.task_managers[expected].container.kill()
     assert_index_matches_scan(platform)
     assert platform.standby._primary_manager("alpha", task_id) is not None
+
+
+# ----------------------------------------------------------------------
+# Guarded ≡ polling, under generated fault / mutation sequences
+# ----------------------------------------------------------------------
+def apply_guard_step(platform, step, state):
+    """The index suite's steps, plus ``hot_standby`` roster flips and
+    Task Service outages (managers then refresh from their last index)."""
+    kind = step[0]
+    if kind == "roster":
+        job_id = JOBS[step[1] % len(JOBS)]
+        if platform.job_store.exists(job_id):
+            platform.job_service.patch(
+                job_id, ConfigLevel.ONCALL, {"hot_standby": step[2]}
+            )
+    elif kind == "task_service":
+        service = platform.task_service
+        service.fail() if step[1] else service.recover()
+    else:
+        apply_step(platform, step, state)
+
+
+def standby_record(platform):
+    """Everything the standby plane decided, as its exports see it."""
+    plane = platform.standby
+    log = platform.scribe.logs.get(PROMOTION_LOG)
+    plane._settle_stamps()
+    return {
+        "promotions": list(plane.promotions),
+        "placements": dict(plane.placements),
+        "events": list(plane.events),
+        "log": [payload for __, payload in log.read_from(0)] if log else [],
+        "last_alive": dict(plane._last_alive),
+    }
+
+
+def assert_skipped_refreshes_are_no_ops(platform):
+    """Wherever a refresh would skip its reconcile now, a forced one
+    hosts, unhosts and restarts nothing (each would bump the version).
+    Returns how many managers were checked."""
+    checked = 0
+    for container_id in sorted(platform.task_managers):
+        manager = platform.task_managers[container_id]
+        if not manager.alive or manager._cached_index is not manager._reconciled:
+            continue
+        before = platform.fleet_version.value
+        manager._reconcile_assigned()
+        assert platform.fleet_version.value == before, container_id
+        checked += 1
+    return checked
+
+
+guard_steps = st.lists(
+    st.one_of(
+        step,
+        st.tuples(st.just("roster"), small, st.booleans()),
+        st.tuples(st.just("task_service"), st.booleans()),
+    ),
+    min_size=1, max_size=20,
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(sequence=guard_steps)
+def test_guarded_plane_equals_the_polling_plane_after_every_step(sequence):
+    guarded = build_platform()
+    polling = build_platform(plane=PollingStandbyPlane)
+    assert type(guarded.standby) is not type(polling.standby)
+    states = ({"hosts": NUM_HOSTS}, {"hosts": NUM_HOSTS})
+    assert assert_skipped_refreshes_are_no_ops(guarded) > 0
+    assert standby_record(guarded) == standby_record(polling)
+    for step in sequence:
+        for platform, state in zip((guarded, polling), states):
+            apply_guard_step(platform, step, state)
+        assert standby_record(guarded) == standby_record(polling), step
+        assert_skipped_refreshes_are_no_ops(guarded)
+    for platform in (guarded, polling):
+        platform.task_service.recover()
+        platform.run_for(minutes=3)
+    assert standby_record(guarded) == standby_record(polling)
+    assert_skipped_refreshes_are_no_ops(guarded)
