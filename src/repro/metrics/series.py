@@ -1,14 +1,15 @@
 """A single time series: ring storage, retention, and windowed queries.
 
 Samples must arrive in non-decreasing time order (the simulation clock
-guarantees this). Storage is an index-offset ring: trimming past the
-retention horizon advances a head index instead of front-deleting the
-backing lists, and the dead prefix is compacted away only once it is both
-long and at least as large as the live data — O(1) amortized per append
-instead of O(n).
+guarantees this). Both axes are packed C doubles (``array('d')``, 16 bytes
+a sample; a list slot plus a boxed float costs ≈ 40–64). Storage is an
+index-offset ring: trimming past the retention horizon advances a head
+index instead of front-deleting the backing arrays, and the dead prefix is
+compacted away only once it is both long and at least as large as the live
+data — O(1) amortized per append instead of O(n).
 
 Every windowed read has one path: bisect the window's bounds on the time
-list, then reduce the value slice in C (``math.fsum``, ``max``, a sort for
+axis, then reduce the value slice in C (``math.fsum``, ``max``, a sort for
 percentiles). The platform's windows are short — 5 to 60 samples for the
 scaler, the stats fallback and the burn-rate rules, a few hundred for the
 SLO compliance windows — and a rescan of that size costs less than
@@ -19,6 +20,7 @@ keeping a rolling state per window up to date on every append (DESIGN.md,
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_left, bisect_right
 from typing import List, Optional, Tuple
 
@@ -44,8 +46,10 @@ class TimeSeries:
         if retention is not None and retention <= 0:
             raise ValueError(f"retention must be positive: {retention}")
         self.retention = retention
-        self._times: List[Seconds] = []
-        self._values: List[float] = []
+        #: Packed doubles: every append converts exactly as ``float()``
+        #: does, and every read unboxes the same double it stored.
+        self._times = array("d")
+        self._values = array("d")
         #: Physical index of the first live (retained) sample.
         self._head = 0
         #: Introspection counters (see ``MetricStore.read_stats``).
@@ -113,7 +117,7 @@ class TimeSeries:
     def values_in(self, start: Seconds, end: Seconds) -> List[float]:
         """Just the values with ``start <= time <= end``."""
         lo, hi = self._bounds(start, end)
-        return self._values[lo:hi]
+        return self._values[lo:hi].tolist()
 
     def all_points(self) -> List[Tuple[Seconds, float]]:
         """Every retained sample (mostly for reports and tests)."""
@@ -123,8 +127,9 @@ class TimeSeries:
     # ------------------------------------------------------------------
     # Trailing-window queries (the scaler / SLO hot path)
     # ------------------------------------------------------------------
-    def _trailing(self, duration: Seconds, now: Seconds) -> List[float]:
-        """The values of the trailing ``duration`` window ending at ``now``."""
+    def _trailing(self, duration: Seconds, now: Seconds) -> array:
+        """The values of the trailing ``duration`` window ending at ``now``
+        (an array slice: ``math.fsum`` and ``max`` reduce it in C)."""
         self.window_queries += 1
         times, head = self._times, self._head
         return self._values[
@@ -162,7 +167,8 @@ class TimeSeries:
     ) -> Tuple[float, int, Optional[float]]:
         """``(sum, count, max)`` over ``start <= time <= end``; the sum is
         correctly rounded (``math.fsum``)."""
-        chunk = self.values_in(start, end)
+        lo, hi = self._bounds(start, end)
+        chunk = self._values[lo:hi]
         if not chunk:
             return 0.0, 0, None
         return math.fsum(chunk), len(chunk), max(chunk)
@@ -173,12 +179,16 @@ class TimeSeries:
         return total / count if count else None
 
     def max_between(self, start: Seconds, end: Seconds) -> Optional[float]:
-        """Max over ``start <= time <= end``, or ``None`` if empty."""
-        return self.aggregate_between(start, end)[2]
+        """Max over ``start <= time <= end``, or ``None`` if empty. No sum
+        is taken, so values that overflow one (``1e308``, ``±inf``) read."""
+        lo, hi = self._bounds(start, end)
+        return max(self._values[lo:hi]) if hi > lo else None
 
     def count_between(self, start: Seconds, end: Seconds) -> int:
-        """Number of samples with ``start <= time <= end``."""
-        return self.aggregate_between(start, end)[1]
+        """Number of samples with ``start <= time <= end`` (two bisects; no
+        value is read)."""
+        lo, hi = self._bounds(start, end)
+        return hi - lo
 
     def __repr__(self) -> str:
         return f"TimeSeries(samples={len(self)}, retention={self.retention})"

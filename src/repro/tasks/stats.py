@@ -1,15 +1,23 @@
 """Job-level statistics collection.
 
 Computes, per job, the metrics the Auto Scaler's symptom detectors consume
-(paper section V-A):
+(paper section V-A). These six series are exactly what the collector
+writes, once a minute per job with specs:
 
-* ``input_rate_mb`` — MB/s arriving in the job's input category;
+* ``input_rate_mb`` — MB/s arriving in the job's input category (15-day
+  retention: the pattern analyzer's 14 days, section V-C);
 * ``processing_rate_mb`` — MB/s the job's tasks actually processed;
-* ``bytes_lagged_mb`` — bytes available but not yet ingested;
 * ``time_lagged`` — equation (1): ``total_bytes_lagged / processing_rate``;
+* ``bytes_lagged_mb`` — bytes available but not yet ingested;
+* ``running_tasks`` — live task count (the availability SLI);
 * ``task_rate_stdev`` — imbalance measure, "the standard deviation of
-  processing rate across all the tasks belonging to the same job";
-* ``running_tasks`` — live task count (availability dashboards).
+  processing rate across all the tasks belonging to the same job"
+  (only while a task runs).
+
+The first three are rates over the interval since the collector's
+previous round, so its first round writes only the last three. No
+per-job memory or CPU aggregate is written: nothing reads one (the OOM
+check reads each task's own memory in ``step_container``).
 """
 
 from __future__ import annotations
@@ -118,20 +126,14 @@ class JobStatsCollector:
         if category_name:
             head, lagged = self._scribe.head_and_backlog_mb(job_id, category_name)
         # One pass over the tasks: every task's processed total, and the
-        # running ones' rates, CPU and memory. The sums add in task order
-        # from 0, as ``sum()`` does (DESIGN.md, "Float order").
+        # running ones' rates. The sum adds in task order from 0, as
+        # ``sum()`` does (DESIGN.md, "Float order").
         processed_total = 0
         rates: List[float] = []
-        cpu_total = 0
-        memory_max = None
         for task in tasks:
             processed_total += task.total_processed_mb
             if task.state == TaskState.RUNNING:
                 rates.append(task.last_rate_mb)
-                cpu_total += task.last_cpu_used
-                memory = task.memory_needed_gb()
-                if memory_max is None or memory > memory_max:
-                    memory_max = memory
 
         if dt is not None and dt > 0:
             last_head, last_processed = self._last.get(job_id, (head, processed_total))
@@ -169,8 +171,6 @@ class JobStatsCollector:
         batch.append((job_id, "running_tasks", float(len(rates))))
         if rates:
             batch.append((job_id, "task_rate_stdev", stdev(rates)))
-            batch.append((job_id, "task_memory_max_gb", memory_max))
-            batch.append((job_id, "task_cpu_mean", cpu_total / len(rates)))
 
     def _tasks_by_job(self) -> Dict[JobId, List[RunningTask]]:
         grouped: Dict[JobId, List[RunningTask]] = {}

@@ -170,3 +170,22 @@ def test_input_rate_keeps_fifteen_days_whoever_touches_it_first(scaler_first):
     series = platform.metrics._series[("job", "input_rate_mb")]
     assert len(series) >= 2
     assert series.retention == 15 * 86400.0
+
+
+def test_a_jobs_stats_row_holds_exactly_the_six_collected_series():
+    """The collector writes what a reader reads and nothing more: the
+    scaler's detectors, the SLIs and the pattern analyzer read these six,
+    and no reader exists for a per-job memory or CPU aggregate."""
+    from repro.workloads import TrafficDriver
+
+    platform = collector_platform()
+    driver = TrafficDriver(platform.engine, platform.scribe, tick=10.0)
+    driver.add_source("cat", lambda t: 3.0)
+    driver.start()
+    platform.run_for(minutes=4)
+    row = platform.metrics.row("job")
+    assert set(row) == {
+        "input_rate_mb", "processing_rate_mb", "time_lagged",
+        "bytes_lagged_mb", "running_tasks", "task_rate_stdev",
+    }
+    assert all(len(series) >= 4 for series in row.values())
