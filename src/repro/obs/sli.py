@@ -32,7 +32,7 @@ values are byte-identical across same-seed runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.jobs.model import JobView
 from repro.metrics.store import MetricStore
@@ -90,7 +90,10 @@ def _recovery_lag(row: Mapping, view: Optional[JobView], now: Seconds):
     return series.latest()
 
 
-_ROW_SLIS: Dict[str, Callable[..., Optional[float]]] = {
+#: ``read(row, view, now)``: one per-job SLI over the job's metric row.
+RowReader = Callable[[Mapping, Optional[JobView], Seconds], Optional[float]]
+
+_ROW_SLIS: Dict[str, RowReader] = {
     "lag_seconds": _lag_seconds,
     "freshness_seconds": _freshness_seconds,
     "availability": _availability,
@@ -163,17 +166,28 @@ class SliEvaluator:
     # ------------------------------------------------------------------
     # Per-job SLIs
     # ------------------------------------------------------------------
+    def readers(self, names: Sequence[str]) -> Tuple[RowReader, ...]:
+        """The named SLIs as row readers, resolved once for a caller that
+        judges many jobs: ``read(self.row(job_id), view, now)`` is what
+        :meth:`job_slis` returns for that name. Such a caller adds
+        ``len(names)`` to :attr:`evaluations` per job it reads."""
+        try:
+            return tuple(_ROW_SLIS[name] for name in names)
+        except KeyError as unknown:
+            raise ValueError(
+                f"unknown SLI {unknown.args[0]!r} (known: {', '.join(SLI_NAMES)})"
+            ) from None
+
+    def row(self, job_id: JobId) -> Mapping:
+        """The job's metric row, the one argument every reader reads."""
+        return self._metrics.row(job_id)
+
     def job_slis(
         self, job_id: JobId, names: Sequence[str], view: Optional[JobView],
         now: Seconds,
     ) -> List[Optional[float]]:
         """Evaluate the named SLIs for one job from one row lookup."""
-        try:
-            readers = [_ROW_SLIS[name] for name in names]
-        except KeyError as unknown:
-            raise ValueError(
-                f"unknown SLI {unknown.args[0]!r} (known: {', '.join(SLI_NAMES)})"
-            ) from None
+        readers = self.readers(names)
         row = self._metrics.row(job_id)
         self.evaluations += len(names)
         return [read(row, view, now) for read in readers]

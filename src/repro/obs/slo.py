@@ -6,12 +6,14 @@ the trailing 6 hours". The :class:`SloTracker` evaluates every spec for
 every job on a fixed cadence and keeps the bookkeeping the Google SRE
 playbook asks for:
 
-* **good/bad samples** — each evaluation lands a 0/1 ``slo_bad`` sample
-  in a private :class:`~repro.metrics.store.MetricStore`, so every burn
-  rate and budget read below is one ``average_over`` (a C rescan of the
-  window's slice) — never perturbed by a chaos ``metric-gap`` fault
-  against the platform store. Reads create nothing: a (job, SLO) pair
-  with no sample yet burns 0.0;
+* **good/bad verdicts** — each evaluation appends one row to the judged
+  job's private judgement ledger: the round's time and one byte per spec
+  (good, bad, or no sample). Every burn rate and budget read below is two
+  bisects on the row times and two ``bytes.count`` calls on the spec's
+  strided column, so a bad fraction is a quotient of two integers. The
+  ledgers are the tracker's own, so a chaos ``metric-gap`` fault against
+  the platform store cannot erase the breach it causes. Reads create
+  nothing: a (job, SLO) pair with no verdict yet burns 0.0;
 * **burn rate** — bad fraction over a window divided by the budget
   fraction ``1 - target``. Burn 1.0 spends the budget exactly at the
   compliance horizon; 14.4 spends a 30-day budget in 2 days;
@@ -32,10 +34,12 @@ metric plane: same seed, byte-identical reports.
 from __future__ import annotations
 
 import json
+from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.metrics.store import MetricStore
+from repro.metrics.series import COMPACT_MIN
 from repro.obs.bounded import BoundedList
 from repro.obs.sli import SLI_NAMES, SliEvaluator
 from repro.types import JobId, Seconds
@@ -46,6 +50,13 @@ EVAL_INTERVAL: Seconds = 60.0
 
 #: Retained breach windows / alerts (same cap as health reports).
 DEFAULT_RETENTION = 8_640
+
+#: The trailing windows of ``report()``'s ``burn_1h`` / ``burn_6h`` columns.
+REPORT_BURN_1H: Seconds = 3600.0
+REPORT_BURN_6H: Seconds = 21600.0
+
+#: Ledger codes: one byte per (round, spec).
+GOOD, BAD, NO_SAMPLE = 0, 1, 2
 
 
 @dataclass(frozen=True)
@@ -177,23 +188,50 @@ class BreachWindow:
         }
 
 
-# ----------------------------------------------------------------------
-# Burn-rate math (shared with the full-walk reference)
-# ----------------------------------------------------------------------
-def bad_fraction(series, window: Seconds, now: Seconds) -> float:
-    """Mean of the 0/1 bad samples over the trailing window (0 if empty).
+class _Ledger:
+    """One job's verdicts: a row per round in which the job was judged.
 
-    ``series`` is a bookkeeping :class:`~repro.metrics.series.TimeSeries`
-    of 0/1 samples, or ``None`` for a pair never judged; this is the read
-    the SLO plane leans on fleet-wide every minute.
+    ``times[r]`` is row ``r``'s round time and ``codes[r * width + s]`` is
+    spec ``s``'s verdict in it (``GOOD``, ``BAD`` or ``NO_SAMPLE``), so a
+    row costs 8 + ``width`` bytes. Rows before ``head`` are past the
+    retention horizon; they are compacted away like a
+    :class:`~repro.metrics.series.TimeSeries` ring's dead prefix.
     """
-    mean = None if series is None else series.average_over(window, now)
-    return 0.0 if mean is None else mean
 
+    __slots__ = ("times", "codes", "head", "judged")
 
-def burn_rate(series, window: Seconds, now: Seconds, target: float) -> float:
-    """How many times faster than sustainable the budget is burning."""
-    return bad_fraction(series, window, now) / (1.0 - target)
+    def __init__(self) -> None:
+        self.times = array("d")
+        self.codes = bytearray()
+        #: Index of the first live (retained) row.
+        self.head = 0
+        #: Bit ``s`` is set once spec ``s`` had a verdict: the pairs
+        #: ``report()`` lists.
+        self.judged = 0
+
+    def trim(self, horizon: Seconds, width: int) -> None:
+        """Retire the rows older than ``horizon`` (there is at least one)."""
+        times = self.times
+        head = bisect_left(times, horizon, self.head)
+        if head >= COMPACT_MIN and head * 2 >= len(times):
+            del times[:head]
+            del self.codes[:head * width]
+            head = 0
+        self.head = head
+
+    def bad_fraction(
+        self, index: int, width: int, window: Seconds, now: Seconds
+    ) -> float:
+        """Bad verdicts over judged ones of spec ``index`` in the trailing
+        window ending at ``now`` (0.0 with none judged): two bisects and
+        two C counts. Exact: the quotient of two counts is what ``fsum``
+        of the 0/1 values over their number gives."""
+        times, head = self.times, self.head
+        lo = bisect_left(times, now - window, head)
+        hi = bisect_right(times, now, head)
+        column = self.codes[lo * width + index:hi * width:width]
+        judged = len(column) - column.count(NO_SAMPLE)
+        return column.count(BAD) / judged if judged else 0.0
 
 
 class SloTracker:
@@ -223,27 +261,46 @@ class SloTracker:
         self.rules = rules
         self._interval = interval
         self._telemetry = telemetry
-        #: Private bookkeeping store for the 0/1 bad samples. Separate
-        #: from the platform store on purpose: a chaos ``metric-gap``
+        #: job -> its verdicts. Private on purpose: a chaos ``metric-gap``
         #: fault must not silently erase the very breach it causes, and
-        #: budget accounting must survive any platform-store outage.
-        horizon = max(spec.compliance_window for spec in self.specs)
-        self._store = MetricStore(default_retention=horizon * 1.25)
+        #: budget accounting must survive any platform-store outage. A
+        #: deleted job's ledger is kept: it is the compliance record.
+        self._ledgers: Dict[JobId, _Ledger] = {}
+        self._width = len(self.specs)
+        self._index = {name: index for index, name in enumerate(names)}
+        #: Rows are kept for 1.25 × the longest window any read takes, so
+        #: every window read sees every verdict in it.
+        self._retention: Seconds = 1.25 * max(
+            *(spec.compliance_window for spec in self.specs),
+            *(rule.long_window for rule in rules),
+            REPORT_BURN_1H, REPORT_BURN_6H,
+        )
+        #: Each spec's judgement, resolved once: ``(index, bit, name,
+        #: spec, SLI row reader, threshold or None for the job's own lag
+        #: objective, whether good means ``value <= threshold``)`` —
+        #: ``SloSpec.is_good`` with the comparator looked up up front.
+        self._judges = tuple(
+            (index, 1 << index, spec.name, spec, read, spec.threshold,
+             spec.comparator == "<=")
+            for index, (spec, read) in enumerate(
+                zip(self.specs, sli.readers([spec.sli for spec in self.specs]))
+            )
+        )
+        #: Ledger window reads (introspection).
+        self.window_reads = 0
         self.alerts: List = BoundedList(maxlen=retention)
         self.breaches: List[BreachWindow] = BoundedList(maxlen=retention)
         #: (job, slo) -> open breach (also present in ``breaches``).
         self._open: Dict[Tuple[JobId, str], BreachWindow] = {}
         #: (job, slo, rule index) currently above threshold (edge trigger).
         self._firing: Dict[Tuple[JobId, str, int], bool] = {}
-        #: (job, index into ``specs``) -> time of the newest bad sample,
-        #: kept while that sample is inside some rule's short window.
+        #: (job, index into ``specs``) -> time of the newest bad verdict,
+        #: kept while that verdict is inside some rule's short window.
         #: These are the only pairs a burn-rate rule can fire for.
         self._last_bad: Dict[Tuple[JobId, int], Seconds] = {}
         self._burn_horizon: Seconds = max(
             (rule.short_window for rule in rules), default=0.0
         )
-        self._sli_names = tuple(spec.sli for spec in self.specs)
-        self._bad_metrics = tuple(f"slo_bad.{spec.name}" for spec in self.specs)
         self.evaluations = 0
         self._timer = None
 
@@ -263,8 +320,8 @@ class SloTracker:
 
     def forget_job(self, job_id: JobId) -> None:
         """End a deleted job's open breaches and drop its alert edges: a
-        series nobody writes any more must not fire as its good samples
-        age out. Samples, past breaches and alerts are the record; kept."""
+        ledger nobody writes any more must not fire as its good verdicts
+        age out. Verdicts, past breaches and alerts are the record; kept."""
         for index, spec in enumerate(self.specs):
             breach = self._open.pop((job_id, spec.name), None)
             if breach is not None:
@@ -283,10 +340,11 @@ class SloTracker:
         """Judge every (job, SLO) pair once and update all bookkeeping.
 
         One pass per job: its state, its expected view and its metric row
-        are read once and every spec is judged from them. A Job Store
-        outage makes the fleet unenumerable; the round is skipped whole
-        (no samples land), which reads as an accounting gap — the honest
-        representation of "nobody could tell".
+        are read once, every spec is judged from them, and the verdicts
+        land as one ledger row. A Job Store outage makes the fleet
+        unenumerable; the round is skipped whole (no row lands), which
+        reads as an accounting gap — the honest representation of "nobody
+        could tell".
         """
         from repro.errors import DegradedModeError
 
@@ -297,32 +355,49 @@ class SloTracker:
         except DegradedModeError:
             return
         self.evaluations += 1
-        batch: List[Tuple[str, str, float]] = []
+        running, job_view, metric_row = sli.running, sli._view, sli.row
+        ledgers, judges, last_bad = self._ledgers, self._judges, self._last_bad
+        open_breaches, track = self._open, self._track_breach
+        horizon = now - self._retention
+        judged = 0
         for job_id in job_ids:
             try:
-                if not sli.running(job_id):
-                    # Quarantined/stopped jobs stop accruing samples: the
+                if not running(job_id):
+                    # Quarantined/stopped jobs stop accruing verdicts: the
                     # quarantine itself is already alerted by the syncer.
                     continue
-                view = sli._view(job_id)
-                values = sli.job_slis(job_id, self._sli_names, view, now)
+                view = job_view(job_id)
             except DegradedModeError:
                 continue
-            for index, value in enumerate(values):
+            row = metric_row(job_id)
+            judged += 1
+            ledger = ledgers.get(job_id)
+            if ledger is None:
+                ledger = ledgers[job_id] = _Ledger()
+            times, codes = ledger.times, ledger.codes
+            if times and now < times[-1]:
+                raise ValueError(f"rounds must be time-ordered: {now} < {times[-1]}")
+            times.append(now)
+            seen = 0
+            for index, bit, name, spec, read, threshold, at_most in judges:
+                value = read(row, view, now)
                 if value is None:
-                    continue  # the SLI has no data yet
-                spec = self.specs[index]
-                threshold = spec.threshold
-                if threshold is None:
-                    threshold = view.slo_lag_seconds
-                bad = not spec.is_good(value, threshold)
-                batch.append((job_id, self._bad_metrics[index], 1.0 if bad else 0.0))
-                if bad:
-                    self._last_bad[(job_id, index)] = now
-                if bad or (job_id, spec.name) in self._open:
-                    self._track_breach(job_id, spec, bad=bad, now=now)
-        if batch:
-            self._store.record_many(now, batch)
+                    codes.append(NO_SAMPLE)  # the SLI has no data yet
+                    continue
+                seen |= bit
+                limit = view.slo_lag_seconds if threshold is None else threshold
+                if value <= limit if at_most else value >= limit:
+                    codes.append(GOOD)
+                    if (job_id, name) in open_breaches:
+                        track(job_id, spec, bad=False, now=now)
+                else:
+                    codes.append(BAD)
+                    last_bad[(job_id, index)] = now
+                    track(job_id, spec, bad=True, now=now)
+            ledger.judged |= seen
+            if times[ledger.head] < horizon:
+                ledger.trim(horizon, self._width)
+        sli.evaluations += judged * self._width
         self._check_burn_rates(now)
         self._publish_telemetry(now)
 
@@ -344,16 +419,35 @@ class SloTracker:
     # ------------------------------------------------------------------
     # Burn rates and alerting
     # ------------------------------------------------------------------
-    def _series(self, job_id: JobId, spec: SloSpec):
-        """The pair's 0/1 series, or ``None`` before its first sample."""
-        return self._store.row(job_id).get(f"slo_bad.{spec.name}")
+    def _bad_fraction(
+        self, job_id: JobId, index: int, window: Seconds, now: Seconds
+    ) -> float:
+        """Bad verdicts over judged ones for (job, ``specs[index]``) in the
+        trailing window; 0.0 with none."""
+        ledger = self._ledgers.get(job_id)
+        if ledger is None:
+            return 0.0
+        self.window_reads += 1
+        return ledger.bad_fraction(index, self._width, window, now)
+
+    def _judged_pairs(self) -> List[Tuple[JobId, int]]:
+        """Every (job, spec index) with a verdict, by job then spec order."""
+        return [
+            (job_id, index)
+            for job_id, ledger in sorted(self._ledgers.items())
+            for index in range(self._width)
+            if ledger.judged >> index & 1
+        ]
+
+    def _burn(self, job_id: JobId, index: int, window: Seconds, now: Seconds) -> float:
+        return (
+            self._bad_fraction(job_id, index, window, now)
+            / self.specs[index].budget_fraction
+        )
 
     def burn(self, job_id: JobId, slo: str, window: Seconds) -> float:
         """The (job, SLO) burn rate over a trailing window, now."""
-        spec = self.spec(slo)
-        return burn_rate(
-            self._series(job_id, spec), window, self._engine.now, spec.target
-        )
+        return self._burn(job_id, self._spec_index(slo), window, self._engine.now)
 
     def budget_burned(self, job_id: JobId, slo: str, now: Optional[Seconds] = None) -> float:
         """Fraction of the error budget consumed over the compliance window.
@@ -361,58 +455,57 @@ class SloTracker:
         1.0 means the budget is gone — the SLO is breached for the
         current horizon; values above 1.0 measure how far past it burned.
         """
-        spec = self.spec(slo)
+        index = self._spec_index(slo)
         if now is None:
             now = self._engine.now
-        frac = bad_fraction(self._series(job_id, spec), spec.compliance_window, now)
-        return frac / spec.budget_fraction
+        return self._burn(job_id, index, self.specs[index].compliance_window, now)
 
     def spec(self, name: str) -> SloSpec:
-        for spec in self.specs:
-            if spec.name == name:
-                return spec
-        raise KeyError(f"unknown SLO {name!r}")
+        return self.specs[self._spec_index(name)]
+
+    def _spec_index(self, name: str) -> int:
+        try:
+            return self._index[name]
+        except KeyError:
+            raise KeyError(f"unknown SLO {name!r}") from None
 
     def _check_burn_rates(self, now: Seconds) -> None:
         """Evaluate every rule for the pairs that burned budget lately.
 
-        A rule fires only while *both* its windows burn, and a 0/1 series
-        with no bad sample inside a window has burn rate exactly 0.0 over
-        it. So a rule whose short window holds no bad sample of the pair
-        is not firing, whatever its long window still holds, and is not
-        read; the long window is read only when the short one burns. A
-        pair is visited one last time on the round its bad sample leaves
-        the longest short window — every rule is then set not-firing —
-        and is forgotten until it goes bad again.
+        A rule fires only while *both* its windows burn, and a window
+        with no bad verdict of the pair has burn rate exactly 0.0. So a
+        rule whose short window holds no bad verdict of the pair is not
+        firing, whatever its long window still holds, and is not read;
+        the long window is read only when the short one burns. A pair is
+        visited one last time on the round its bad verdict leaves the
+        longest short window — every rule is then set not-firing — and
+        is forgotten until it goes bad again.
         """
         quiet_before = now - self._burn_horizon
+        width = self._width
         for pair in sorted(self._last_bad):
             entity, spec_index = pair
             spec = self.specs[spec_index]
+            budget = spec.budget_fraction
+            bad_fraction = self._ledgers[entity].bad_fraction
             last_bad = self._last_bad[pair]
-            series = self._series(entity, spec)
             for index, rule in enumerate(self.rules):
                 key = (entity, spec.name, index)
                 threshold = rule.burn_threshold
-                firing = (
-                    last_bad >= now - rule.short_window
-                    and burn_rate(series, rule.short_window, now, spec.target)
-                    >= threshold
-                )
+                firing = False
+                if last_bad >= now - rule.short_window:
+                    self.window_reads += 1
+                    short = bad_fraction(spec_index, width, rule.short_window, now)
+                    firing = short / budget >= threshold
                 if firing:
-                    long_burn = burn_rate(series, rule.long_window, now, spec.target)
+                    self.window_reads += 1
+                    long_burn = bad_fraction(spec_index, width, rule.long_window, now) / budget
                     firing = long_burn >= threshold
                     if firing and not self._firing.get(key):
                         self._alert(entity, spec, rule, long_burn, now)
                 self._firing[key] = firing
             if last_bad < quiet_before:
                 del self._last_bad[pair]
-
-    def _known_entities(self) -> List[str]:
-        entities = set()
-        for spec in self.specs:
-            entities.update(self._store.entities_with(f"slo_bad.{spec.name}"))
-        return sorted(entities)
 
     def _alert(
         self, job_id: JobId, spec: SloSpec, rule: BurnRateRule,
@@ -445,11 +538,14 @@ class SloTracker:
                 "sli.fleet.jobs_quarantined", float(counts.jobs_quarantined)
             )
             telemetry.set_gauge("sli.fleet.jobs_with_oom", float(counts.jobs_with_oom))
-        for spec in self.specs:
-            worst = 0.0
-            for entity in self._store.entities_with(f"slo_bad.{spec.name}"):
-                worst = max(worst, self.budget_burned(entity, spec.name, now))
-            telemetry.set_gauge(f"slo.{spec.name}.budget_burned_max", round(worst, 9))
+        worst = [0.0] * self._width
+        for job_id, index in self._judged_pairs():
+            burned = self._burn(
+                job_id, index, self.specs[index].compliance_window, now
+            )
+            worst[index] = max(worst[index], burned)
+        for spec, burned in zip(self.specs, worst):
+            telemetry.set_gauge(f"slo.{spec.name}.budget_burned_max", round(burned, 9))
         telemetry.set_gauge("slo.breach_windows", float(len(self.breaches)))
 
     def _fleet_counts_or_none(self, now: Seconds):
@@ -468,39 +564,29 @@ class SloTracker:
         if now is None:
             now = self._engine.now
         rows = []
-        for job_id in self._known_entities():
-            for spec in self.specs:
-                series = self._store._series.get(
-                    (job_id, f"slo_bad.{spec.name}")
-                )
-                if series is None:
-                    continue
-                burned = self.budget_burned(job_id, spec.name, now)
-                rows.append({
-                    "job": job_id,
-                    "slo": spec.name,
-                    "sli": spec.sli,
-                    "target": spec.target,
-                    "window": spec.compliance_window,
-                    "bad_fraction": round(
-                        bad_fraction(series, spec.compliance_window, now), 9
-                    ),
-                    "budget_burned": round(burned, 9),
-                    "burn_1h": round(
-                        burn_rate(series, 3600.0, now, spec.target), 9
-                    ),
-                    "burn_6h": round(
-                        burn_rate(series, 21600.0, now, spec.target), 9
-                    ),
-                    "status": (
-                        "breached" if burned >= 1.0
-                        else "burning" if any(
-                            self._firing.get((job_id, spec.name, index))
-                            for index in range(len(self.rules))
-                        )
-                        else "ok"
-                    ),
-                })
+        for job_id, index in self._judged_pairs():
+            spec = self.specs[index]
+            fraction = self._bad_fraction(job_id, index, spec.compliance_window, now)
+            burned = fraction / spec.budget_fraction
+            rows.append({
+                "job": job_id,
+                "slo": spec.name,
+                "sli": spec.sli,
+                "target": spec.target,
+                "window": spec.compliance_window,
+                "bad_fraction": round(fraction, 9),
+                "budget_burned": round(burned, 9),
+                "burn_1h": round(self._burn(job_id, index, REPORT_BURN_1H, now), 9),
+                "burn_6h": round(self._burn(job_id, index, REPORT_BURN_6H, now), 9),
+                "status": (
+                    "breached" if burned >= 1.0
+                    else "burning" if any(
+                        self._firing.get((job_id, spec.name, rule))
+                        for rule in range(len(self.rules))
+                    )
+                    else "ok"
+                ),
+            })
         return {
             "time": round(now, 3),
             "evaluations": self.evaluations,

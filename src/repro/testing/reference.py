@@ -1,15 +1,16 @@
 """Full-walk reference forms of the indexed / change-driven planes.
 
 Production code answers "where does this task run", "which managers host
-this job", "which (job, SLO) pairs can be burning", "which jobs need a
-sync plan", "what does the scaler know about this job", "what does the
-scaler decide for this job", "which replicas does this standby tick
-promote or place" and "what does this container process this tick" from
-state kept where the fact changes, or in one flat loop. The forms here
-answer the same questions the slow, obviously-right way — scan every
-manager, re-merge every config, rescan every job, one store call per
-number, every scaler stage for every job, a full standby reconcile every
-tick, one method call per task and per partition —
+this job", "which (job, SLO) pairs can be burning", "how much budget has
+this pair burned", "which jobs need a sync plan", "what does the scaler
+know about this job", "what does the scaler decide for this job", "which
+replicas does this standby tick promote or place" and "what does this
+container process this tick" from state kept where the fact changes, or
+in one flat loop. The forms here answer the same questions the slow,
+obviously-right way — scan every manager, re-merge every config, rescan
+every job, a 0/1 series per verdict stream, one store call per number,
+every scaler stage for every job, a full standby reconcile every tick,
+one method call per task and per partition —
 and exist only
 so the equivalence suites in ``tests/`` and the hot-path benches have
 something to compare against.
@@ -27,7 +28,7 @@ from repro.jobs.plan import ExecutionPlan
 from repro.jobs.syncer import StateSyncer, SyncReport
 from repro.metrics.store import MetricStore
 from repro.obs.sli import SliEvaluator
-from repro.obs.slo import SloTracker, burn_rate
+from repro.obs.slo import SloTracker
 from repro.obs.trace import SLOT_SYMPTOM
 from repro.scaler.plan_generator import ScalingDecision
 from repro.scaler.proactive import AutoScaler
@@ -45,6 +46,8 @@ __all__ = [
     "scan_primary_manager",
     "scan_hosting_managers",
     "FullReadSliEvaluator",
+    "bad_fraction",
+    "burn_rate",
     "FullWalkSloTracker",
     "FullScanSyncer",
     "EagerAutoScaler",
@@ -90,14 +93,30 @@ class FullReadSliEvaluator(SliEvaluator):
         return JobView.from_config(self._service.expected_config(job_id))
 
 
+def bad_fraction(series, window: Seconds, now: Seconds) -> float:
+    """Mean of the 0/1 bad samples over the trailing window (0 if empty);
+    ``series`` is ``None`` for a pair never judged."""
+    mean = None if series is None else series.average_over(window, now)
+    return 0.0 if mean is None else mean
+
+
+def burn_rate(series, window: Seconds, now: Seconds, target: float) -> float:
+    """How many times faster than sustainable the budget is burning."""
+    return bad_fraction(series, window, now) / (1.0 - target)
+
+
 class FullWalkSloTracker(SloTracker):
-    """Judges one (job, SLO) pair at a time through ``job_sli`` — one store
-    read per SLI — and reads both windows of every rule of every (job, SLO)
+    """Keeps every verdict as a 0/1 sample in one ``slo_bad.<spec>`` series
+    per (job, SLO) in a private :class:`MetricStore` (production keeps one
+    byte ledger per job), judges one pair at a time through ``job_sli`` —
+    one store read per SLI — and reads both windows of every rule of every
     series every round; a forgotten job's not until it is next judged bad,
-    as in production."""
+    as in production. Reports and burn reads are ``average_over`` calls on
+    those series."""
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
+        self._store = MetricStore(default_retention=self._retention)
         self._forgotten: set = set()
 
     def forget_job(self, job_id: JobId) -> None:
@@ -163,6 +182,26 @@ class FullWalkSloTracker(SloTracker):
                     if firing and not self._firing.get(key):
                         self._alert(entity, spec, rule, long_burn, now)
                     self._firing[key] = firing
+
+    def _known_entities(self) -> List[str]:
+        entities = set()
+        for spec in self.specs:
+            entities.update(self._store.entities_with(f"slo_bad.{spec.name}"))
+        return sorted(entities)
+
+    def _judged_pairs(self) -> List[Tuple[JobId, int]]:
+        return [
+            (job_id, index)
+            for job_id in self._known_entities()
+            for index, spec in enumerate(self.specs)
+            if (job_id, f"slo_bad.{spec.name}") in self._store._series
+        ]
+
+    def _bad_fraction(
+        self, job_id: JobId, index: int, window: Seconds, now: Seconds
+    ) -> float:
+        series = self._store.row(job_id).get(f"slo_bad.{self.specs[index].name}")
+        return bad_fraction(series, window, now)
 
 
 class FullScanSyncer(StateSyncer):

@@ -220,7 +220,7 @@ class TestMetricReadsTransparency:
         platform.run_for(hours=1)
         stats = platform.metrics.read_stats()
         assert stats["window_queries"] > 0, "the scaler reads rate windows"
-        assert slo._store._series, "the SLO plane must have been written"
+        assert slo._ledgers, "the SLO plane must have been written"
         assert stats["batches_ingested"] > 0, (
             "driver/stats collection should land coalesced batches"
         )

@@ -9,11 +9,10 @@ from repro.obs.slo import (
     BurnRateRule,
     SloSpec,
     SloTracker,
-    bad_fraction,
-    burn_rate,
     default_slo_specs,
 )
 from repro.sim.engine import Engine
+from repro.testing.reference import bad_fraction, burn_rate
 from repro.types import JobState
 
 from tests.obs.test_sli import Jobs
@@ -74,14 +73,15 @@ class TestBurnMath:
         assert burn_rate(series, 600.0, now, target=0.99) == pytest.approx(50.0)
 
 
-def build_tracker(lag_slo=90.0, rules=DEFAULT_BURN_RULES, interval=60.0):
+def build_tracker(lag_slo=90.0, rules=DEFAULT_BURN_RULES, interval=60.0,
+                  specs=None):
     """A tracker over one job whose lag we set per simulated minute."""
     engine = Engine(seed=1)
     service = Jobs()
     service.add("job", {"task_count": 2, "slo": {"max_lag_seconds": lag_slo}})
     metrics = MetricStore()
     sli = SliEvaluator(service.service, metrics)
-    tracker = SloTracker(engine, sli, rules=rules, interval=interval)
+    tracker = SloTracker(engine, sli, specs=specs, rules=rules, interval=interval)
 
     lag = {"value": 0.0}
 
@@ -153,12 +153,11 @@ class TestTracker:
         engine, service, metrics, tracker, lag = build_tracker()
         lag["value"] = 500.0
         engine.run_for(300.0)
-        series = tracker._series("job", tracker.spec("lag"))
-        before = series.count_between(0.0, engine.now)
+        rows = tracker._ledgers["job"].times
+        before = len(rows)
         service.store.set_state("job", JobState.QUARANTINED)
         engine.run_for(300.0)
-        after = series.count_between(0.0, engine.now)
-        assert after == before
+        assert len(rows) == before
 
     def test_job_store_outage_skips_round(self):
         engine, service, metrics, tracker, lag = build_tracker()
@@ -223,7 +222,25 @@ class TestTracker:
         assert tracker.burn("job", "lag", 3600.0) > 0.0
         assert tracker.budget_burned("job", "lag") > 0.0
         assert tracker.to_json() == before
-        assert tracker._store.row("ghost/job") == {}
+        assert "ghost/job" not in tracker._ledgers
+
+    def test_retention_covers_the_longest_window_any_read_takes(self):
+        """A 1 h compliance window must not cut the verdicts the warn
+        rule's 6 h window and the report's ``burn_6h`` read: 180 bad
+        minutes then 90 good ones burn 180 / 270 of the budget-fraction
+        over 6 h, not 0."""
+        spec = SloSpec(name="lag", sli="lag_seconds", target=0.99,
+                       compliance_window=3600.0)
+        engine, service, metrics, tracker, lag = build_tracker(specs=(spec,))
+        lag["value"] = 500.0
+        engine.run_for(180 * 60.0)
+        lag["value"] = 10.0
+        engine.run_for(90 * 60.0)
+        [row] = tracker.report()["slos"]
+        assert row["burn_6h"] == round((180 / 270) / spec.budget_fraction, 9)
+        assert row["burn_6h"] == pytest.approx(66.667, abs=1e-3)
+        assert row["burn_1h"] == 0.0
+        assert tracker.burn("job", "lag", 21600.0) == pytest.approx(66.667, abs=1e-3)
 
     def test_unknown_slo_name_raises(self):
         engine, service, metrics, tracker, lag = build_tracker()

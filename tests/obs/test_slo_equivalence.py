@@ -4,13 +4,15 @@ Two worlds receive the same metric streams, the same Job Store
 mutations, the same outage windows (Job Store and metric store) and the
 same replication takeover.
 World A is production: :class:`~repro.obs.slo.SloTracker` judges a job's
-specs in one pass over its state, view and metric row, and reads a
-burn-rate rule only while the pair's newest bad sample is inside that
-rule's short window, over a :class:`~repro.obs.sli.SliEvaluator` that
-reads the two per-job objectives from the Job Store's held view of the
-job (``JobStore.view``, dropped when the job's change is notified).
-World B is :mod:`repro.testing.reference`: one ``job_sli`` call per
-(job, SLO) pair, both windows of every rule of every series read every
+specs in one pass over its state, view and metric row, keeps the verdicts
+as one byte per (round, SLO) in a per-job ledger read by counting, and
+reads a burn-rate rule only while the pair's newest bad verdict is inside
+that rule's short window, over a :class:`~repro.obs.sli.SliEvaluator`
+that reads the two per-job objectives from the Job Store's held view of
+the job (``JobStore.view``, dropped when the job's change is notified).
+World B is :mod:`repro.testing.reference`: a 0/1 series per (job, SLO)
+in a private ``MetricStore`` read by ``average_over``, one ``job_sli``
+call per pair, both windows of every rule of every series read every
 round, the four-level config merge run on every read
 (``FullReadSliEvaluator`` overrides only the ``_view`` seam).
 
@@ -116,6 +118,11 @@ class World:
             self.metrics.recover()
         elif kind == "feed_late":
             self.late_fed = True
+        elif kind == "recovery":
+            # A task of the job finished recovering: ``recovery`` judges
+            # the job for the next RECOVERY_WINDOW and has no sample
+            # (no verdict) before and after.
+            self.metrics.record(JOBS[step[1]], "recovery_lag", self.engine.now, step[2])
         elif kind == "snapshot":
             self.follower = self.store.dump_snapshot()
         elif kind == "takeover":
@@ -200,6 +207,7 @@ mutation = st.one_of(
     st.tuples(st.just("metrics_fail")),
     st.tuples(st.just("metrics_recover")),
     st.tuples(st.just("feed_late")),
+    st.tuples(st.just("recovery"), job_index, st.sampled_from([30.0, 300.0])),
 )
 run = st.tuples(
     st.just("run"),
@@ -263,6 +271,44 @@ def test_bad_then_quiet_past_the_six_hour_window_then_bad_again():
         if alert.severity == "page" and alert.what.startswith("job-0: lag")
     ]
     assert len(pages) == 2  # one per burn, none in between
+
+
+def test_a_thousand_rounds_past_retention_and_compaction():
+    """Ledger ≡ series over 1 110 rounds: past the 7.5 h retention (450
+    rounds), so rows trim every round, and past the first compaction
+    (~900), with rounds where only some specs judge (the late job before
+    its first stats; ``recovery`` outside its sample's window) and a
+    deprovision followed by a re-provision of the same id."""
+    production, reference = worlds(DEFAULT_BURN_RULES)
+    good, bad = (5.0, 5.0, 5.0), (900.0, 5.0, 200.0)
+    script = [
+        ("run", 60, good, 2.0, None),
+        ("recovery", 1, 300.0),          # job-1 recovery judged bad
+        ("run", 40, bad, 2.0, 0),        # job-0 OOMs
+        ("feed_late",),
+        ("run", 200, good, 2.0, None),
+        ("deprovision", 2),
+        ("run", 100, good, 2.0, None),
+        ("provision", 2),
+        ("recovery", 2, 30.0),           # the new job-2 recovers fast
+        ("run", 150, bad, 1.0, None),    # half its tasks missing
+        ("run", 400, good, 2.0, None),
+        ("recovery", 0, 300.0),
+        ("run", 60, bad, 2.0, 1),
+        ("run", 100, good, 2.0, None),
+    ]
+    for step in script:
+        production.apply(step)
+        reference.apply(step)
+        assert_same(production, reference)
+    rounds = sum(step[1] for step in script if step[0] == "run")
+    assert rounds >= 1000
+    ledger = production.tracker._ledgers["job-0"]
+    assert ledger.head > 0 and len(ledger.times) < rounds  # trimmed, compacted
+    assert reference.tracker._store.read_stats()["compactions"] > 0
+    rows = {(row["job"], row["slo"]) for row in production.tracker.report()["slos"]}
+    assert ("job-1", "recovery") in rows and ("job-0", "recovery") in rows
+    assert (LATE, "lag") in rows
 
 
 def test_objectives_follow_oncall_patches_without_a_new_sample():
@@ -347,14 +393,12 @@ def test_each_rule_is_read_only_inside_its_own_short_window():
     production, reference = worlds(DEFAULT_BURN_RULES)
     tracker = production.tracker
 
-    def queries():
-        series = tracker._series("job-0", tracker.spec("lag"))
-        return 0 if series is None else series.window_queries
-
     def reads(step):
-        before = queries()
+        # Only job-0's lag pair ever burns here, so every ledger read a
+        # round makes is one of its rule windows.
+        before = tracker.window_reads
         production.apply(step)
-        count = queries() - before
+        count = tracker.window_reads - before
         reference.apply(step)
         assert_same(production, reference)  # (the report reads too)
         return count
@@ -435,8 +479,60 @@ class TestCallCount:
         assert not slo._last_bad, "the fleet must be quiet"
         return calls
 
-    def test_a_quiet_judged_job_costs_at_most_forty_python_calls(self):
+    def test_a_quiet_judged_job_costs_at_most_22_python_calls(self):
         few, many = self.calls_per_round(10), self.calls_per_round(60)
         per_job = (many - few) / 50
         print(f"python calls per quiet judged job: {per_job:.1f}")
-        assert per_job <= 40
+        assert per_job <= 22
+
+
+class TestFootprint:
+    """What the ledger buys: bytes of SLO bookkeeping per judged (job,
+    round) — one 8-byte round time and a byte per spec, where a 0/1
+    series per (job, SLO) cost five 16-byte samples and its batch."""
+
+    def test_a_judged_job_round_costs_at_most_16_bytes(self):
+        import tracemalloc
+
+        import repro.obs.slo
+
+        jobs, rounds = 200, 400
+        engine = Engine(seed=1)
+        service = JobService(JobStore())
+        # A short platform retention keeps the fed series at a steady size.
+        metrics = MetricStore(default_retention=600.0)
+        tracker = SloTracker(engine, SliEvaluator(service, metrics))
+        job_ids = [f"job-{index:03d}" for index in range(jobs)]
+        for job_id in job_ids:
+            service.provision(
+                JobSpec(job_id=job_id, input_category="cat", task_count=2)
+            )
+
+        def one_round():
+            engine.run_for(INTERVAL)
+            metrics.record_many(engine.now, [
+                (job_id, metric, value)
+                for job_id in job_ids
+                for metric, value in (("time_lagged", 5.0),
+                                      ("processing_rate_mb", 2.0),
+                                      ("running_tasks", 2.0))
+            ])
+            tracker.evaluate_once()
+
+        for __ in range(10):  # every ledger, view and fed series exists
+            one_round()
+        # Everything allocated under the tracker's own frames.
+        inside = [tracemalloc.Filter(True, repro.obs.slo.__file__, all_frames=True)]
+        tracemalloc.start(25)
+        try:
+            before = tracemalloc.take_snapshot().filter_traces(inside)
+            for __ in range(rounds):
+                one_round()
+            after = tracemalloc.take_snapshot().filter_traces(inside)
+        finally:
+            tracemalloc.stop()
+        assert not tracker._last_bad, "the fleet must be quiet"
+        grown = sum(stat.size_diff for stat in after.compare_to(before, "filename"))
+        per_row = grown / (jobs * rounds)
+        print(f"SLO bookkeeping bytes per judged (job, round): {per_row:.1f}")
+        assert per_row <= 16
