@@ -42,8 +42,7 @@ class Partition:
 
         This is the true backlog — it keeps counting while the partition
         is offline, which is what lag metrics must report. Consumers
-        fetch through :meth:`readable`/:meth:`read`, which go to zero
-        during an outage.
+        fetch up to :meth:`readable`, which goes to zero during an outage.
         """
         self._check_offset(offset)
         return self.head - offset
@@ -54,20 +53,6 @@ class Partition:
             self._check_offset(offset)
             return 0.0
         return self.available(offset)
-
-    def read(self, offset: float, max_bytes: float) -> float:
-        """Bytes a reader at ``offset`` consumes given a ``max_bytes`` budget.
-
-        Returns the number of bytes read (the caller advances its own
-        checkpoint by this amount). Reading never blocks: if less than
-        ``max_bytes`` is available, the reader gets what exists.
-        """
-        if max_bytes < 0:
-            raise ScribeError(f"max_bytes must be non-negative: {max_bytes}")
-        if not self.online:
-            self._check_offset(offset)
-            return 0.0
-        return min(max_bytes, self.available(offset))
 
     def _check_offset(self, offset: float) -> None:
         if offset < 0 or offset > self.head + 1e-6:

@@ -41,6 +41,9 @@ class EventQueue:
     def __init__(self) -> None:
         self._heap: List[Tuple[Seconds, int, Event]] = []
         self._counter = itertools.count()
+        #: The last event pushed for ``watched.time`` since :meth:`watch`.
+        self.watched: Optional[Event] = None
+        self._watched_time = -1.0
 
     def __len__(self) -> int:
         return sum(1 for entry in self._heap if not entry[2].cancelled)
@@ -54,7 +57,15 @@ class EventQueue:
             raise SimulationError(f"cannot schedule before time zero: {time}")
         event = Event(float(time), next(self._counter), callback)
         heapq.heappush(self._heap, (event.time, event.seq, event))
+        if event.time == self._watched_time:
+            self.watched = event
         return event
+
+    def watch(self, event: Event) -> None:
+        """Make ``event`` :attr:`watched` until a push for its time replaces
+        it: an O(1), conservative :meth:`last_at` (cancelling keeps it)."""
+        self.watched = event
+        self._watched_time = event.time
 
     def peek_time(self) -> Optional[Seconds]:
         """Time of the next live event, or ``None`` if the queue is empty."""
@@ -102,6 +113,7 @@ class EventQueue:
     def clear(self) -> None:
         """Drop every pending event."""
         self._heap.clear()
+        self.watched = None
 
     def _drop_cancelled_head(self) -> None:
         while self._heap and self._heap[0][2].cancelled:

@@ -83,6 +83,8 @@ class HeartbeatSweep:
         self._members: Dict["TaskManager", None] = {}
         self._sweeps = sweeps
         self._timer = engine.every(interval, self._fire, name="container-heartbeat")
+        self._queue = engine.queue
+        self._queue.watch(self._timer.pending)
         sweeps.append(self)
 
     @classmethod
@@ -94,17 +96,15 @@ class HeartbeatSweep:
         sweeps: List["HeartbeatSweep"],
     ) -> "HeartbeatSweep":
         """Add ``manager`` to the sweep its timer would fire right after,
-        or to a new sweep; ``sweeps`` holds the open ones."""
+        or to a new sweep; ``sweeps`` holds the open ones. A sweep watches
+        each event it arms (:meth:`EventQueue.watch`), so this is O(1)."""
         interval = float(interval)
-        due = engine.now + interval
-        last = None
+        last = engine.queue.watched
         for sweep in sweeps:
-            pending = sweep._timer.pending
-            if sweep.interval != interval or pending.time != due:
-                continue
-            if last is None:
-                last = engine.queue.last_at(due)
-            if pending is last:
+            if (
+                sweep._timer.pending is last and sweep.interval == interval
+                and last.time == engine.now + interval
+            ):
                 break
         else:
             sweep = cls(engine, interval, sweeps)
@@ -119,6 +119,7 @@ class HeartbeatSweep:
             self._sweeps.remove(self)
 
     def _fire(self) -> None:
+        self._queue.watch(self._timer.pending)  # re-armed just before this call
         for manager in self._members:
             manager._heartbeat_tick()
 

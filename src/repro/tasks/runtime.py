@@ -21,6 +21,7 @@ to:
 
 from __future__ import annotations
 
+from math import inf
 from typing import Iterable, List, Optional
 
 from repro.errors import ScribeError
@@ -73,7 +74,8 @@ def step_container(
     ``CRASHED``; restarting them is the caller's business).
 
     A contention pass and a step pass, both straight loops over local
-    variables with no Python call per task or per partition: partition
+    variables with no Python call per task or per partition (but the
+    memory sum of a task that could outgrow its cgroup): partition
     heads and the job's live offset mapping are read and written in
     place, with the checks of ``Partition`` / ``CheckpointStore`` kept
     inline. The mapping is looked up again per task and never kept, so a
@@ -169,63 +171,90 @@ def step_container(
             job_id = spec.job_id
             offsets = offsets_by_job.get(job_id)
             committed = (offsets or NO_OFFSETS).get
-            # ``(readable, seq, offset, id)`` per owned partition; an
-            # offline partition is checked like any other and reads 0.
-            entries = []
-            for seq, partition in enumerate(partitions):
-                partition_id = partition.partition_id
-                offset = committed(partition_id, 0.0)
-                head = partition.head
-                if offset < 0 or offset > head + 1e-6:
-                    raise partition.offset_error(offset)
-                entries.append((
-                    head - offset if partition.online else 0.0,
-                    seq, offset, partition_id,
-                ))
-            # Max-min fair water-filling across the owned partitions:
-            # visiting them in ascending order of availability (ties in
-            # slice order) and giving each ``budget / remaining``
-            # guarantees every backlogged partition gets its fair share
-            # AND all leftover capacity reaches the hot ones — a skewed
-            # partition is never starved to ``capacity / n``.
-            #
-            # One hard ceiling remains: a partition is a serial stream
-            # with a single reader thread, so no partition can be drained
-            # faster than one thread's rate (``P · dt``). This is why
-            # shuffling work across *partitions* — not just adding
-            # threads — matters for hot keys.
-            entries.sort()
             rate = spec.rate_per_thread_mb
             budget = rate * spec.threads * step_dt * throttle
             per_partition_cap = rate * step_dt * throttle
+            # Cursors in slice order, and what the drain-all test needs of
+            # the readable bytes; an offline partition is checked like any
+            # other and reads 0.
+            cursors = []
+            total = 0.0
+            last = -inf
+            ascending = True
+            for partition in partitions:
+                offset = committed(partition.partition_id, 0.0)
+                head = partition.head
+                if offset < 0 or offset > head + 1e-6:
+                    raise partition.offset_error(offset)
+                readable = head - offset if partition.online else 0.0
+                if readable < last:
+                    ascending = False
+                last = readable
+                total += readable
+                cursors.append(offset)
             processed = 0.0
-            remaining = len(entries)
-            for available, _seq, offset, partition_id in entries:
-                if budget <= 1e-12:
-                    break
-                # consumed = min(available, share, cap), spelled out.
-                consumed = available
-                share = budget / remaining
-                if share < consumed:
-                    consumed = share
-                if per_partition_cap < consumed:
-                    consumed = per_partition_cap
-                if consumed > 0:
-                    new_offset = offset + consumed
-                    if offsets is None:
-                        offsets = offsets_by_job[job_id] = {}
-                    # A regressing checkpoint would cause duplicate
-                    # processing: commit against what is stored now.
-                    current = offsets.get(partition_id, 0.0)
-                    if new_offset < current - 1e-6:
-                        raise ScribeError(
-                            f"checkpoint for {job_id}/{partition_id} cannot "
-                            f"move backwards: {new_offset} < {current}"
-                        )
-                    offsets[partition_id] = new_offset
-                    processed += consumed
-                    budget -= consumed
-                remaining -= 1
+            drain_all = ascending and last <= per_partition_cap and budget > 1e-2
+            if drain_all and total <= budget * (1.0 - 1e-9):
+                # The water-fill below would visit these in slice order
+                # and neither a share nor the cap would bind (DESIGN.md,
+                # "Data-plane stepping"): every partition drains fully.
+                if offsets is None and last > 0:
+                    offsets = offsets_by_job[job_id] = {}
+                for partition, offset in zip(partitions, cursors):
+                    # The same subtraction as the read pass, on unmoved heads.
+                    readable = partition.head - offset if partition.online else 0.0
+                    if readable > 0:
+                        partition_id = partition.partition_id
+                        new_offset = offset + readable
+                        current = offsets.get(partition_id, 0.0)
+                        if new_offset < current - 1e-6:
+                            raise _backwards(job_id, partition_id, new_offset, current)
+                        offsets[partition_id] = new_offset
+                        processed += readable
+            else:
+                # Max-min fair water-filling across the owned partitions:
+                # visiting them in ascending order of availability (ties
+                # in slice order) and giving each ``budget / remaining``
+                # guarantees every backlogged partition gets its fair
+                # share AND all leftover capacity reaches the hot ones — a
+                # skewed partition is never starved to ``capacity / n``.
+                #
+                # One hard ceiling remains: a partition is a serial stream
+                # with a single reader thread, so no partition can be
+                # drained faster than one thread's rate (``P · dt``). This
+                # is why shuffling work across *partitions* — not just
+                # adding threads — matters for hot keys.
+                readables = [
+                    partition.head - offset if partition.online else 0.0
+                    for partition, offset in zip(partitions, cursors)
+                ]
+                # ``seq`` is unique, so no two partitions are ever compared.
+                entries = sorted(zip(readables, range(len(readables)), cursors, partitions))
+                remaining = len(entries)
+                for available, _seq, offset, partition in entries:
+                    if budget <= 1e-12:
+                        break
+                    # consumed = min(available, share, cap), spelled out.
+                    consumed = available
+                    share = budget / remaining
+                    if share < consumed:
+                        consumed = share
+                    if per_partition_cap < consumed:
+                        consumed = per_partition_cap
+                    if consumed > 0:
+                        partition_id = partition.partition_id
+                        new_offset = offset + consumed
+                        if offsets is None:
+                            offsets = offsets_by_job[job_id] = {}
+                        # A regressing checkpoint would cause duplicate
+                        # processing: commit against what is stored now.
+                        current = offsets.get(partition_id, 0.0)
+                        if new_offset < current - 1e-6:
+                            raise _backwards(job_id, partition_id, new_offset, current)
+                        offsets[partition_id] = new_offset
+                        processed += consumed
+                        budget -= consumed
+                    remaining -= 1
             task.total_processed_mb += processed
             # Downstream publish: a job in the middle of a pipeline writes
             # its (reduced) output to another set of Scribe partitions.
@@ -237,33 +266,54 @@ def step_container(
             task.last_rate_mb = rate_mb
             # CPU ∝ processed bytes; a saturated thread uses ~1 core.
             task.last_cpu_used = rate_mb / rate if rate > 0 else 0.0
-            reserved_gb = spec.resources.memory_gb
-            if reserved_gb > 0:
-                # RunningTask.memory_needed_gb(), inlined.
-                needed = (
-                    BASE_MEMORY_GB
-                    + spec.memory_overhead_gb
-                    + rate_mb * BUFFER_SECONDS / 1000.0
-                )
-                if spec.stateful and spec.task_count > 0:
-                    keys_here = spec.state_key_cardinality / spec.task_count
-                    needed += (keys_here / 1e6) * STATE_GB_PER_MILLION_KEYS
-                if needed > reserved_gb:
-                    # cgroup kill: stats are preserved and read back on
-                    # restart (paper section V-A).
-                    task.state = TaskState.CRASHED
-                    task.oom_count += 1
-                    oom_killed.append(task)
+            # Only a task that could outgrow its cgroup pays for the sum.
+            if task._may_oom and 0 < spec.resources.memory_gb < _memory_needed_gb(spec, rate_mb):
+                # cgroup kill: stats are preserved and read back on
+                # restart (paper section V-A).
+                task.state = TaskState.CRASHED
+                task.oom_count += 1
+                oom_killed.append(task)
     return oom_killed
+
+
+def _backwards(job_id: str, partition_id: str, new_offset: float, current: float) -> ScribeError:
+    """A regressing checkpoint would cause duplicate processing: what a
+    commit below the stored cursor raises."""
+    return ScribeError(
+        f"checkpoint for {job_id}/{partition_id} cannot "
+        f"move backwards: {new_offset} < {current}"
+    )
+
+
+def _memory_needed_gb(spec: TaskSpec, rate_mb: float) -> float:
+    """Memory a task of ``spec`` needs at ``rate_mb``: non-decreasing in
+    ``rate_mb``, term by term and so in floating point too."""
+    needed = BASE_MEMORY_GB + spec.memory_overhead_gb + rate_mb * BUFFER_SECONDS / 1000.0
+    if spec.stateful and spec.task_count > 0:
+        keys_here = spec.state_key_cardinality / spec.task_count
+        needed += (keys_here / 1e6) * STATE_GB_PER_MILLION_KEYS
+    return needed
 
 
 class RunningTask:
     """One task instance executing inside a Turbine container."""
 
+    __slots__ = (
+        "spec", "_scribe", "state", "shard_id", "promoted", "oom_count",
+        "total_processed_mb", "last_rate_mb", "last_cpu_used", "_partitions",
+        "restore_remaining_mb", "_may_oom",
+    )
+
     def __init__(
         self, spec: TaskSpec, scribe: ScribeBus, passive: bool = False
     ) -> None:
         self.spec = spec
+        rate = spec.rate_per_thread_mb
+        #: False when even a saturated task — rate ``P · k``, with a 1e-9
+        #: margin for rounding — fits its reservation: no OOM check then.
+        self._may_oom = not rate > 0 or _memory_needed_gb(
+            spec, max(rate * spec.threads, 0.0) * (1.0 + 1e-9)
+        ) > spec.resources.memory_gb
         self._scribe = scribe
         self.state = TaskState.STANDBY if passive else TaskState.RUNNING
         #: The shard this task was started for, set by the hosting Task
@@ -330,18 +380,9 @@ class RunningTask:
         return (keys_here / 1e6) * DISK_GB_PER_MILLION_KEYS
 
     def memory_needed_gb(self) -> float:
-        """Memory this task needs at its current processing rate
-        (:func:`step_container` inlines the same sum for the OOM check)."""
-        spec = self.spec
-        needed = (
-            BASE_MEMORY_GB
-            + spec.memory_overhead_gb
-            + self.last_rate_mb * BUFFER_SECONDS / 1000.0
-        )
-        if spec.stateful and spec.task_count > 0:
-            keys_here = spec.state_key_cardinality / spec.task_count
-            needed += (keys_here / 1e6) * STATE_GB_PER_MILLION_KEYS
-        return needed
+        """Memory this task needs at its current processing rate (the sum
+        :func:`step_container`'s OOM check takes)."""
+        return _memory_needed_gb(self.spec, self.last_rate_mb)
 
     # ------------------------------------------------------------------
     # Lag accounting

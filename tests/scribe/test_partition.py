@@ -45,35 +45,9 @@ def test_negative_offset_rejected():
         Partition("cat/0").available(-1.0)
 
 
-def test_read_bounded_by_available():
-    partition = Partition("cat/0")
-    partition.append(100.0)
-    assert partition.read(0.0, 30.0) == 30.0
-    assert partition.read(90.0, 30.0) == 10.0
-    assert partition.read(100.0, 30.0) == 0.0
-
-
-def test_read_negative_budget_rejected():
-    partition = Partition("cat/0")
-    with pytest.raises(ScribeError):
-        partition.read(0.0, -5.0)
-
-
 @given(st.lists(st.floats(min_value=0, max_value=1e6), max_size=30))
 def test_head_is_sum_of_appends(appends):
     partition = Partition("cat/0")
     for num_bytes in appends:
         partition.append(num_bytes)
     assert partition.head == pytest.approx(sum(appends))
-
-
-@given(
-    st.floats(min_value=0, max_value=1e6),
-    st.floats(min_value=0, max_value=1e6),
-)
-def test_read_never_exceeds_available(total, budget):
-    partition = Partition("cat/0")
-    partition.append(total)
-    consumed = partition.read(0.0, budget)
-    assert consumed <= total + 1e-9
-    assert consumed <= budget + 1e-9

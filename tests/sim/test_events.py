@@ -149,3 +149,31 @@ def test_last_at_is_the_last_live_event_at_that_instant(pushes, time):
         events.append(event)
     live = [e for e in events if e.time == time and not e.cancelled]
     assert queue.last_at(time) is (max(live, key=lambda e: e.seq) if live else None)
+
+
+@given(
+    st.lists(
+        st.tuples(st.sampled_from([1.0, 2.0, 3.0]), st.booleans()),
+        min_size=1, max_size=40,
+    ),
+    st.integers(0, 39),
+)
+def test_watched_is_a_conservative_last_at(pushes, watch_at):
+    """``watched`` stays the watched event until a push for its instant
+    (cancelled or not) replaces it, and while it stays it is what
+    ``last_at`` finds."""
+    queue = EventQueue()
+    watch_at = min(watch_at, len(pushes) - 1)
+    for index, (at, cancelled) in enumerate(pushes):
+        event = queue.push(at, lambda: None)
+        if index == watch_at:
+            queue.watch(event)
+            watched = event
+        elif cancelled:
+            event.cancel()
+    replaced = any(at == watched.time for at, _ in pushes[watch_at + 1:])
+    assert (queue.watched is watched) is not replaced
+    if not replaced:
+        assert queue.last_at(watched.time) is watched
+    queue.clear()
+    assert queue.watched is None

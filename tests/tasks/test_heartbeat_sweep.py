@@ -3,12 +3,21 @@
 Managers started at the same instant share one sweep and heartbeat in
 spawn order; a manager whose own timer would not have been adjacent to
 the sweep's event (a different instant, or another event scheduled for
-the same instant in between) gets its own sweep. Also the reconnect loop
-of a container that stays partitioned: one reboot, one loop.
+the same instant in between) gets its own sweep. A join costs the same at
+any fleet size. Also the reconnect loop of a container that stays
+partitioned: one reboot, one loop.
 """
 
+import sys
+
 from repro import JobSpec, PlatformConfig, Turbine
-from repro.tasks.manager import HEARTBEAT_INTERVAL
+from repro.sim.engine import Engine
+from repro.tasks.manager import (
+    HEARTBEAT_INTERVAL,
+    LOAD_REPORT_INTERVAL,
+    REFRESH_INTERVAL,
+    HeartbeatSweep,
+)
 
 SM_CALLS = "resilience.task-manager.shard-manager.calls"
 
@@ -94,6 +103,66 @@ class TestPhases:
             managers_on(turbine, "host-a") + ["marker"]
             + managers_on(turbine, "host-b") + managers_on(turbine, "host-c")
         )
+
+
+def lines_run(function):
+    """Python lines executed while ``function()`` runs, in every frame."""
+    lines = 0
+
+    def trace(frame, event, arg):
+        nonlocal lines
+        lines += event == "line"
+        return trace
+
+    sys.settrace(trace)
+    try:
+        function()
+    finally:
+        sys.settrace(None)
+    return lines
+
+
+class TestJoinCost:
+    @staticmethod
+    def lines_per_join(managers):
+        """Arm ``managers`` managers' timers as ``TaskManager.start`` does
+        — a jittered refresh, the heartbeat join, a jittered load report —
+        in one instant, then count the lines one more join runs."""
+        engine = Engine(seed=3)
+        jitter = engine.rng.fork("jitter")
+        sweeps = []
+
+        def join():
+            HeartbeatSweep.join(engine, HEARTBEAT_INTERVAL, object(), sweeps)
+
+        for _ in range(managers):
+            engine.every(REFRESH_INTERVAL, lambda: None,
+                         initial_delay=jitter.uniform(0, REFRESH_INTERVAL))
+            join()
+            engine.every(LOAD_REPORT_INTERVAL, lambda: None,
+                         initial_delay=jitter.uniform(0, LOAD_REPORT_INTERVAL))
+        assert len(sweeps) == 1
+        return lines_run(join)
+
+    def test_a_join_needs_the_sweeps_instant_and_interval(self):
+        """Nothing queued behind a sweep's event is not enough: a join at a
+        later instant, or for another interval due at the same time, opens
+        its own sweep."""
+        engine = Engine(seed=3)
+        sweeps = []
+        first = HeartbeatSweep.join(engine, HEARTBEAT_INTERVAL, object(), sweeps)
+        engine.run_until(3.0)
+        later = HeartbeatSweep.join(engine, HEARTBEAT_INTERVAL, object(), sweeps)
+        assert later is not first
+        # Armed at 3 for 3 + 10 = 13; a 7 s sweep joined at 6 is due at 13 too.
+        engine.run_until(6.0)
+        other = HeartbeatSweep.join(engine, 7.0, object(), sweeps)
+        assert other is not later and len(sweeps) == 3
+
+    def test_the_work_per_join_does_not_grow_with_the_fleet(self):
+        """Every refresh jittered into the first heartbeat interval used to
+        be walked by every later join: starting N managers was O(N²)."""
+        assert self.lines_per_join(256) == self.lines_per_join(1024)
 
 
 class TestLeaving:
