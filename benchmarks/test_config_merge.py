@@ -34,7 +34,7 @@ def test_merge_throughput(benchmark):
     assert merged["package"]["name"] == "stream_engine"
 
 
-def test_merge_thirty_thousand_jobs(benchmark):
+def test_merge_thirty_thousand_jobs(timed_once):
     """One syncer round's worth of merges: 30 K jobs within seconds."""
     levels = realistic_levels()
 
@@ -42,7 +42,6 @@ def test_merge_thirty_thousand_jobs(benchmark):
         for __ in range(30_000):
             merge_levels(levels)
 
-    benchmark.pedantic(merge_fleet, rounds=1, iterations=1)
-    total_seconds = benchmark.stats.stats.max
+    _, total_seconds = timed_once(merge_fleet)
     print(f"\n30,000 merges in {total_seconds:.2f}s")
     assert total_seconds < 10.0, "a syncer round's merges fit in seconds"

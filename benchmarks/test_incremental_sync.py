@@ -41,7 +41,7 @@ def timed(callable_):
     return time.perf_counter() - start, result
 
 
-def test_quiescent_incremental_round_5x_faster_than_full_scan(benchmark):
+def test_quiescent_incremental_round_5x_faster_than_full_scan(timed_once):
     store, service, syncer = build_fleet()
 
     # Reference cost: a forced full scan over the converged fleet.
@@ -52,8 +52,7 @@ def test_quiescent_incremental_round_5x_faster_than_full_scan(benchmark):
     assert full_report.total_synced == 0
 
     # Measured cost: the incremental round over the same quiescent fleet.
-    report = benchmark.pedantic(syncer.sync_once, rounds=1, iterations=1)
-    incremental_elapsed = benchmark.stats.stats.max
+    report, incremental_elapsed = timed_once(syncer.sync_once)
     assert not report.full_scan
     assert report.examined == 0
     assert report.total_synced == 0
@@ -68,7 +67,7 @@ def test_quiescent_incremental_round_5x_faster_than_full_scan(benchmark):
     assert speedup >= MIN_SPEEDUP
 
 
-def test_single_change_incremental_round(benchmark):
+def test_single_change_incremental_round(timed_once):
     store, service, syncer = build_fleet()
     syncer.sync_once()  # quiescent incremental round; feed now empty
     service.patch(
@@ -76,8 +75,7 @@ def test_single_change_incremental_round(benchmark):
         {"package": {"name": "stream_engine", "version": "2.0"}},
     )
 
-    report = benchmark.pedantic(syncer.sync_once, rounds=1, iterations=1)
-    elapsed = benchmark.stats.stats.max
+    report, elapsed = timed_once(syncer.sync_once)
     print(
         f"\n1-of-{NUM_JOBS:,} change synced in {elapsed * 1e3:.3f}ms "
         f"(examined {report.examined} job)"

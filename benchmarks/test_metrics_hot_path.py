@@ -29,13 +29,10 @@ def ingest_one_day(store):
     return store
 
 
-def test_ingest_10k_tasks_one_day(benchmark):
+def test_ingest_10k_tasks_one_day(timed_once):
     """Batched ingest throughput: 10 000 entities × 1 day of ticks, one
     ``record_many`` call per tick, every sample counted."""
-    store = benchmark.pedantic(
-        ingest_one_day, args=(MetricStore(),), rounds=1, iterations=1
-    )
-    elapsed = benchmark.stats.stats.max
+    store, elapsed = timed_once(ingest_one_day, MetricStore())
     total = NUM_TASKS * INGEST_TICKS
     assert store.samples_ingested == total
     assert store.batches_ingested == INGEST_TICKS

@@ -28,11 +28,10 @@ def build_fleet():
     return syncer
 
 
-def test_simple_sync_twenty_thousand_jobs(benchmark):
+def test_simple_sync_twenty_thousand_jobs(timed_once):
     syncer = build_fleet()
 
-    report = benchmark.pedantic(syncer.sync_once, rounds=1, iterations=1)
-    elapsed = benchmark.stats.stats.max
+    report, elapsed = timed_once(syncer.sync_once)
     print(f"\n{len(report.simple_synced):,} simple syncs in {elapsed:.2f}s "
           f"(paper: tens of thousands within seconds)")
     assert len(report.simple_synced) == NUM_JOBS

@@ -17,13 +17,11 @@ from repro.chaos.scenarios import (
     Fault,
     all_scenarios,
     get_scenario,
-    scenario_names,
 )
 from repro.chaos.runner import (
     WARMUP,
     ScenarioResult,
     build_platform,
-    mttr_table,
     run_scenario,
 )
 
@@ -41,7 +39,5 @@ __all__ = [
     "all_scenarios",
     "build_platform",
     "get_scenario",
-    "mttr_table",
     "run_scenario",
-    "scenario_names",
 ]

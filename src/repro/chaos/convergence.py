@@ -204,16 +204,6 @@ class ConvergenceChecker:
         report.missing.sort()
         return report
 
-    def assert_safety(self) -> InvariantReport:
-        """Raise ``AssertionError`` on a duplicate or orphan task."""
-        report = self.check()
-        if not report.safety_ok:
-            raise AssertionError(
-                f"safety invariants violated at t={report.time:g}: "
-                f"duplicates={report.duplicates} orphans={report.orphans}"
-            )
-        return report
-
 
 def _job_of(platform, container_id: str, task_id: str) -> str:
     task = platform.task_managers[container_id].tasks.get(task_id)

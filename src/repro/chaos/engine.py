@@ -113,11 +113,6 @@ class ChaosEngine:
                 )
         self._ensure_watch_timer()
 
-    @property
-    def converged(self) -> bool:
-        """True when no MTTR clock is still open."""
-        return not self._watches
-
     def check(self) -> InvariantReport:
         """One immediate invariant sample (no timer involved)."""
         return self.checker.check()

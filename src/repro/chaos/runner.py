@@ -12,7 +12,7 @@ determinism tests and the CI determinism sweep diff these directly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.chaos.convergence import InvariantReport
 from repro.chaos.scenarios import ChaosScenario, get_scenario
@@ -267,17 +267,3 @@ def run_scenario(
         result.slo_breaches = len(slo_report["breach_windows"])
     return result
 
-
-def mttr_table(names: List[str], seeds: List[int]) -> str:
-    """An MTTR-across-seeds table (the EXPERIMENTS.md format)."""
-    from repro.analysis.report import Table
-
-    table = Table(["scenario"] + [f"seed {seed}" for seed in seeds])
-    for name in names:
-        row = [name]
-        for seed in seeds:
-            result = run_scenario(name, seed=seed)
-            value = result.max_mttr
-            row.append(f"{value:.1f}" if value is not None else "n/a")
-        table.add_row(*row)
-    return table.render()

@@ -152,19 +152,6 @@ class ChaosScenario:
     #: ``repro chaos list`` and enforced in CI via ``--max-mttr``.
     expected_max_mttr: Optional[Seconds] = None
 
-    def measured_faults(self) -> Tuple[Fault, ...]:
-        """The faults whose recovery the engine times.
-
-        A fault is measured when it asked to be (``measure``) and either
-        has a window to recover from (``duration``) or a non-default
-        watch (those time from inject, so instantaneous faults qualify).
-        """
-        return tuple(
-            fault for fault in self.faults
-            if fault.measure
-            and (fault.duration is not None or fault.watch != "convergence")
-        )
-
 
 def _job_store_outage() -> ChaosScenario:
     return ChaosScenario(
@@ -405,6 +392,3 @@ def get_scenario(name: str) -> ChaosScenario:
         raise KeyError(f"unknown chaos scenario {name!r} (known: {known})")
     return scenarios[name]
 
-
-def scenario_names() -> Tuple[str, ...]:
-    return tuple(sorted(all_scenarios()))

@@ -88,14 +88,6 @@ class TurbineContainer:
             )
         self.reservations[task_id] = request
 
-    def resize(self, task_id: TaskId, request: ResourceVector) -> None:
-        """Change an existing reservation (vertical scaling)."""
-        if task_id not in self.reservations:
-            raise CapacityError(
-                f"task {task_id} has no reservation in {self.container_id}"
-            )
-        self.reservations[task_id] = request
-
     def release(self, task_id: TaskId) -> ResourceVector:
         """Drop a child task's reservation and return what it held."""
         try:

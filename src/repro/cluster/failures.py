@@ -42,7 +42,7 @@ class FailureRecord:
 
 
 class FailureInjector:
-    """Schedules scripted and random host failures on the engine."""
+    """Schedules scripted host failures on the engine."""
 
     def __init__(self, engine: Engine, cluster: TupperwareCluster) -> None:
         self._engine = engine
@@ -62,13 +62,6 @@ class FailureInjector:
                 plan.recover_at, lambda: self._recover(plan.host_id, label)
             )
 
-    def schedule_all(
-        self, plans: List[FailurePlan], label: str = "scripted"
-    ) -> None:
-        """Schedule many scripted failures at once."""
-        for plan in plans:
-            self.schedule(plan, label=label)
-
     # ------------------------------------------------------------------
     # Immediate failures (chaos scenarios inject through these so every
     # host event lands in ``history`` with its scenario label)
@@ -80,40 +73,6 @@ class FailureInjector:
     def recover_now(self, host_id: HostId, label: str = "") -> None:
         """Recover ``host_id`` right now, recording the event."""
         self._recover(host_id, label)
-
-    # ------------------------------------------------------------------
-    # Random failures
-    # ------------------------------------------------------------------
-    def enable_random_failures(
-        self,
-        mean_time_between_failures: Seconds,
-        mean_time_to_recover: Seconds,
-        label: str = "random-failures",
-    ) -> None:
-        """Fail random live hosts with exponential inter-arrival times.
-
-        Each failed host recovers after an exponential downtime. Draws come
-        from a forked RNG stream so enabling failures does not perturb other
-        randomized components.
-        """
-        if mean_time_between_failures <= 0 or mean_time_to_recover <= 0:
-            raise ValueError("failure and recovery times must be positive")
-        rng = self._engine.rng.fork(label)
-
-        def next_failure() -> None:
-            live = self._cluster.live_hosts()
-            if live:
-                host = rng.choice(live)
-                self._fail(host.host_id, label)
-                downtime = rng.expovariate(1.0 / mean_time_to_recover)
-                self._engine.call_in(
-                    downtime, lambda h=host.host_id: self._recover(h, label)
-                )
-            gap = rng.expovariate(1.0 / mean_time_between_failures)
-            self._engine.call_in(gap, next_failure)
-
-        first_gap = rng.expovariate(1.0 / mean_time_between_failures)
-        self._engine.call_in(first_gap, next_failure)
 
     # ------------------------------------------------------------------
     # Internals

@@ -80,15 +80,6 @@ class Host:
         container.region = self.region
         self.containers[container.container_id] = container
 
-    def detach(self, container_id: ContainerId) -> TurbineContainer:
-        """Remove a container from this host and return it."""
-        try:
-            return self.containers.pop(container_id)
-        except KeyError:
-            raise ClusterError(
-                f"container {container_id} not on host {self.host_id}"
-            ) from None
-
     # ------------------------------------------------------------------
     # Failure model
     # ------------------------------------------------------------------

@@ -78,15 +78,6 @@ class ResourceVector:
             max(0.0, self.network_mbps),
         )
 
-    def component_max(self, other: "ResourceVector") -> "ResourceVector":
-        """Component-wise maximum — the peak of two footprints."""
-        return ResourceVector(
-            max(self.cpu, other.cpu),
-            max(self.memory_gb, other.memory_gb),
-            max(self.disk_gb, other.disk_gb),
-            max(self.network_mbps, other.network_mbps),
-        )
-
     # ------------------------------------------------------------------
     # Comparisons
     # ------------------------------------------------------------------
@@ -98,10 +89,6 @@ class ResourceVector:
             and self.disk_gb <= capacity.disk_gb + 1e-9
             and self.network_mbps <= capacity.network_mbps + 1e-9
         )
-
-    def is_zero(self) -> bool:
-        """True when every component is (numerically) zero."""
-        return all(abs(value) < 1e-12 for __, value in self.items())
 
     def any_negative(self) -> bool:
         """True when any component is negative (invalid as a footprint)."""

@@ -49,11 +49,6 @@ class TupperwareCluster:
         self.hosts[host_id] = host
         return host
 
-    def add_hosts(self, count: int, prefix: str = "host") -> List[Host]:
-        """Register ``count`` identical hosts named ``{prefix}-{i}``."""
-        start = len(self.hosts)
-        return [self.add_host(f"{prefix}-{start + i}") for i in range(count)]
-
     def remove_host(self, host_id: HostId) -> None:
         """Decommission a host. Containers on it are killed first."""
         host = self._get_host(host_id)
@@ -134,18 +129,6 @@ class TupperwareCluster:
             candidates,
             key=lambda host: (host.allocated.utilization_of(host.capacity), host.host_id),
         )
-
-    def release_container(self, container_id: ContainerId) -> None:
-        """Return a container's resources to its host."""
-        try:
-            container = self.containers.pop(container_id)
-        except KeyError:
-            raise ClusterError(f"unknown container {container_id}") from None
-        if container.host_id is not None and container.host_id in self.hosts:
-            host = self.hosts[container.host_id]
-            if container_id in host.containers:
-                host.detach(container_id)
-        container.kill()
 
     # ------------------------------------------------------------------
     # Queries

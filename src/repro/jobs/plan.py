@@ -87,11 +87,6 @@ class ExecutionPlan:
     #: or is a batched single-copy (package release etc.).
     complex: bool = False
 
-    @property
-    def is_empty(self) -> bool:
-        """An empty plan means running already matches expected."""
-        return not self.actions
-
     def execute(self, actuator: TaskActuator) -> None:
         """Run every action in order; raises on the first failure."""
         for action in self.actions:

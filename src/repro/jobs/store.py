@@ -465,20 +465,6 @@ class JobStore:
         # equivalence suite compare replicas byte-for-byte.
         return json.dumps(payload, sort_keys=True)
 
-    def save(self, path) -> None:
-        """Write a durable snapshot to ``path`` (the production Job Store
-        is MySQL-backed; a JSON file plays that role here)."""
-        from pathlib import Path
-
-        Path(path).write_text(self.dump_snapshot(), encoding="utf-8")
-
-    @classmethod
-    def load(cls, path) -> "JobStore":
-        """Restore a store from a :meth:`save` file."""
-        from pathlib import Path
-
-        return cls.load_snapshot(Path(path).read_text(encoding="utf-8"))
-
     @classmethod
     def load_snapshot(cls, snapshot: str) -> "JobStore":
         """Reconstruct a store from :meth:`dump_snapshot` output."""

@@ -9,10 +9,10 @@ compacted away only once it is both long and at least as large as the live
 data — O(1) amortized per append instead of O(n).
 
 Every windowed read has one path: bisect the window's bounds on the time
-axis, then reduce the value slice in C (``math.fsum``, ``max``, a sort for
-percentiles). The platform's windows are short — 5 to 60 samples for the
-scaler, the stats fallback and the burn-rate rules, a few hundred for the
-SLO compliance windows — and a rescan of that size costs less than
+axis, then reduce the value slice in C (``math.fsum``, ``max``). The
+platform's windows are short — 5 to 60 samples for the scaler, the stats
+fallback and the burn-rate rules, a few hundred for the SLO compliance
+windows — and a rescan of that size costs less than
 keeping a rolling state per window up to date on every append (DESIGN.md,
 "Metrics engine", has the measurement).
 """
@@ -24,7 +24,6 @@ from array import array
 from bisect import bisect_left, bisect_right
 from typing import List, Optional, Tuple
 
-from repro.metrics.aggregate import percentile
 from repro.types import Seconds
 
 #: Compact the ring only when the dead prefix reaches this length *and*
@@ -125,39 +124,22 @@ class TimeSeries:
         return list(zip(self._times[head:], self._values[head:]))
 
     # ------------------------------------------------------------------
-    # Trailing-window queries (the scaler / SLO hot path)
+    # Trailing-window query (the scaler / SLO hot path)
     # ------------------------------------------------------------------
-    def _trailing(self, duration: Seconds, now: Seconds) -> array:
-        """The values of the trailing ``duration`` window ending at ``now``
-        (an array slice: ``math.fsum`` and ``max`` reduce it in C)."""
-        self.window_queries += 1
-        times, head = self._times, self._head
-        return self._values[
-            bisect_left(times, now - duration, head):bisect_right(times, now, head)
-        ]
-
     def average_over(self, duration: Seconds, now: Seconds) -> Optional[float]:
         """Mean of samples in the trailing ``duration`` window, or ``None``.
 
         This implements readings like "average memory over the last 10
         minutes" (paper section IV-B) and "average input rate in the last
         30 minutes" (section V-C): the correctly rounded window sum
-        divided by the count.
+        divided by the count (``math.fsum`` reduces the array slice in C).
         """
-        values = self._trailing(duration, now)
+        self.window_queries += 1
+        times, head = self._times, self._head
+        values = self._values[
+            bisect_left(times, now - duration, head):bisect_right(times, now, head)
+        ]
         return math.fsum(values) / len(values) if values else None
-
-    def max_over(self, duration: Seconds, now: Seconds) -> Optional[float]:
-        """Max of samples in the trailing window, or ``None`` (peak usage)."""
-        values = self._trailing(duration, now)
-        return max(values) if values else None
-
-    def percentile_over(
-        self, duration: Seconds, now: Seconds, q: float
-    ) -> Optional[float]:
-        """The exact ``q``-th percentile of the trailing window, or ``None``."""
-        values = self.values_in(now - duration, now)
-        return percentile(values, q) if values else None
 
     # ------------------------------------------------------------------
     # Historical-range queries (the pattern analyzer's 14-day reads)
@@ -172,11 +154,6 @@ class TimeSeries:
         if not chunk:
             return 0.0, 0, None
         return math.fsum(chunk), len(chunk), max(chunk)
-
-    def mean_between(self, start: Seconds, end: Seconds) -> Optional[float]:
-        """Mean over ``start <= time <= end``, or ``None`` if empty."""
-        total, count, _ = self.aggregate_between(start, end)
-        return total / count if count else None
 
     def max_between(self, start: Seconds, end: Seconds) -> Optional[float]:
         """Max over ``start <= time <= end``, or ``None`` if empty. No sum

@@ -114,16 +114,6 @@ class FleetCounts:
     jobs_quarantined: int = 0
     jobs_with_oom: int = 0
 
-    @property
-    def pct_lagging(self) -> float:
-        return self.jobs_lagging / self.jobs_total if self.jobs_total else 0.0
-
-    @property
-    def pct_unhealthy(self) -> float:
-        if not self.jobs_total:
-            return 0.0
-        return (self.jobs_quarantined + self.jobs_with_oom) / self.jobs_total
-
 
 class SliEvaluator:
     """Derives per-job and fleet SLIs from the live services.
@@ -169,7 +159,7 @@ class SliEvaluator:
     def readers(self, names: Sequence[str]) -> Tuple[RowReader, ...]:
         """The named SLIs as row readers, resolved once for a caller that
         judges many jobs: ``read(self.row(job_id), view, now)`` is what
-        :meth:`job_slis` returns for that name. Such a caller adds
+        :meth:`job_sli` returns for that name. Such a caller adds
         ``len(names)`` to :attr:`evaluations` per job it reads."""
         try:
             return tuple(_ROW_SLIS[name] for name in names)
@@ -182,32 +172,16 @@ class SliEvaluator:
         """The job's metric row, the one argument every reader reads."""
         return self._metrics.row(job_id)
 
-    def job_slis(
-        self, job_id: JobId, names: Sequence[str], view: Optional[JobView],
-        now: Seconds,
-    ) -> List[Optional[float]]:
-        """Evaluate the named SLIs for one job from one row lookup."""
-        readers = self.readers(names)
-        row = self._metrics.row(job_id)
-        self.evaluations += len(names)
-        return [read(row, view, now) for read in readers]
-
     def job_sli(self, job_id: JobId, name: str, now: Seconds) -> Optional[float]:
         """Evaluate one named SLI for one job (``None`` = no data yet)."""
+        (read,) = self.readers((name,))
         view = self._view(job_id) if name == "availability" else None
-        return self.job_slis(job_id, (name,), view, now)[0]
+        self.evaluations += 1
+        return read(self._metrics.row(job_id), view, now)
 
     def lag_seconds(self, job_id: JobId) -> Optional[float]:
         """Newest ``time_lagged`` sample, or ``None`` before first stats."""
         return _lag_seconds(self._metrics.row(job_id), None, 0.0)
-
-    def freshness_seconds(self, job_id: JobId, now: Seconds) -> Optional[float]:
-        """Age of the newest processing-rate sample (measurement staleness)."""
-        return _freshness_seconds(self._metrics.row(job_id), None, now)
-
-    def availability(self, job_id: JobId) -> Optional[float]:
-        """Running tasks over expected tasks, in ``[0, 1]``."""
-        return _availability(self._metrics.row(job_id), self._view(job_id), 0.0)
 
     def oom_rate(self, job_id: JobId, now: Seconds) -> float:
         """OOM events in the trailing :data:`OOM_WINDOW` (count)."""

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Any, Dict, List, Optional
 
-from repro.analysis.report import Table
 
 #: Default histogram bucket upper bounds (unit-agnostic; callers pick the
 #: unit per instrument, e.g. milliseconds for wall-clock durations).
@@ -230,27 +229,6 @@ class Telemetry:
         Path(path).write_text(
             self.to_jsonl(deterministic=deterministic), encoding="utf-8"
         )
-
-    def render(self, prefix: str = "") -> str:
-        """A fixed-width table of every instrument matching ``prefix``."""
-        table = Table(["instrument", "kind", "value"])
-        for name in sorted(self.counters):
-            if name.startswith(prefix):
-                table.add_row(name, "counter", f"{self.counters[name]:g}")
-        for name, gauge in sorted(self.gauges.items()):
-            if name.startswith(prefix):
-                table.add_row(
-                    name, "gauge",
-                    f"{gauge.value:g} (max {gauge.max_value:g})",
-                )
-        for name, hist in sorted(self.histograms.items()):
-            if name.startswith(prefix):
-                table.add_row(
-                    name, "histogram",
-                    f"n={hist.count} mean={hist.mean:.3f} "
-                    f"p95={hist.quantile(0.95):.3f} max={hist.max_value:.3f}",
-                )
-        return table.render()
 
     def __repr__(self) -> str:
         return (

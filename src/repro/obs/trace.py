@@ -54,9 +54,6 @@ class TraceEvent:
     job_id: Optional[str] = None
     detail: Tuple[Tuple[str, Any], ...] = ()
 
-    def detail_dict(self) -> Dict[str, Any]:
-        return dict(self.detail)
-
     def mentions_job(self, job_id: str) -> bool:
         """True when this event is about ``job_id`` (directly or via a
         ``jobs`` list in the detail, as shard movements carry)."""
@@ -115,19 +112,6 @@ class Tracer:
     # ------------------------------------------------------------------
     def enable(self) -> None:
         self.enabled = True
-
-    def disable(self) -> None:
-        self.enabled = False
-
-    def bind_clock(self, clock: Callable[[], float]) -> None:
-        self._clock = clock
-
-    def clear(self) -> None:
-        self.events.clear()
-        self._job_context.clear()
-        self._shard_context.clear()
-        self._span_counter = 0
-        self._trace_counter = 0
 
     # ------------------------------------------------------------------
     # Recording

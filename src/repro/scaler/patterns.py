@@ -54,13 +54,12 @@ class _JobPatternState:
 
     __slots__ = (
         "rate_per_thread", "last_downscale_time", "last_downscale_from",
-        "adjustments", "low_throughput_streak",
+        "low_throughput_streak",
     )
 
     rate_per_thread: float
     last_downscale_time: Optional[Seconds]
     last_downscale_from: int
-    adjustments: int
     #: Consecutive saturated-lag observations below the estimate.
     low_throughput_streak: int
 
@@ -68,7 +67,6 @@ class _JobPatternState:
         self.rate_per_thread = rate_per_thread
         self.last_downscale_time = None
         self.last_downscale_from = 0
-        self.adjustments = 0
         self.low_throughput_streak = 0
 
 
@@ -126,14 +124,6 @@ class PatternAnalyzer:
             self._jobs[job_id] = state
         return state.rate_per_thread
 
-    def set_rate_per_thread(self, job_id: JobId, value: float) -> None:
-        """Force the estimate (used by tests and by staging refreshes)."""
-        if value <= 0:
-            raise ValueError(f"P must be positive: {value}")
-        self._jobs.setdefault(
-            job_id, _JobPatternState(rate_per_thread=value)
-        ).rate_per_thread = value
-
     def observe_underestimate(self, snapshot: JobSnapshot) -> None:
         """The planned downscale computed n' > n: P was too small.
 
@@ -144,7 +134,6 @@ class PatternAnalyzer:
         observed = snapshot.per_task_rate / max(1, snapshot.threads)
         if observed > state.rate_per_thread:
             state.rate_per_thread = observed
-            state.adjustments += 1
 
     def observe_saturated_throughput(self, snapshot: JobSnapshot) -> bool:
         """Refresh P from a saturated job's observed throughput.
@@ -174,7 +163,6 @@ class PatternAnalyzer:
         if observed > state.rate_per_thread * 1.05:
             state.low_throughput_streak = 0
             state.rate_per_thread = observed
-            state.adjustments += 1
             return True
         persistent_lag = snapshot.time_lagged > 2.0 * snapshot.slo_lag_seconds
         if persistent_lag and 0 < observed < state.rate_per_thread * 0.8:
@@ -186,7 +174,6 @@ class PatternAnalyzer:
                 state.rate_per_thread = (
                     state.rate_per_thread + observed
                 ) / 2.0
-                state.adjustments += 1
                 return True
             return False
         state.low_throughput_streak = 0
@@ -214,7 +201,6 @@ class PatternAnalyzer:
         floor = snapshot.input_rate_mb / (n * max(1, snapshot.threads))
         if floor < state.rate_per_thread:
             state.rate_per_thread = (floor + state.rate_per_thread) / 2.0
-            state.adjustments += 1
         state.last_downscale_time = None
         return True
 
@@ -309,11 +295,3 @@ class PatternAnalyzer:
             return recent_avg > 1e-9
         deviation = abs(recent_avg - history_avg) / history_avg
         return deviation > self._outlier_deviation
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    def adjustment_count(self, job_id: JobId) -> int:
-        """How many times P was corrected for a job (observability)."""
-        state = self._jobs.get(job_id)
-        return 0 if state is None else state.adjustments

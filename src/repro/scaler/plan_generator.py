@@ -59,15 +59,6 @@ class ScalingDecision:
     #: Causal origin (the detector symptom event) when tracing is on.
     trace: Optional[TraceEvent] = None
 
-    @property
-    def changes_config(self) -> bool:
-        return self.action in (
-            Action.UPSCALE_VERTICAL,
-            Action.UPSCALE_HORIZONTAL,
-            Action.DOWNSCALE,
-            Action.MEMORY_INCREASE,
-        )
-
 
 class PlanGenerator:
     """Combines symptoms, estimates, and patterns into one decision."""

@@ -314,9 +314,3 @@ class AutoScaler:
         category_name = self._service.view(job_id).input_category
         if category_name:
             self._scribe.get_category(category_name).set_weights(None)
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    def actions_for(self, job_id: JobId) -> List[AppliedAction]:
-        return [action for action in self.actions if action.job_id == job_id]

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.errors import ScribeError
 from repro.scribe.category import Category
@@ -42,10 +42,6 @@ class ScribeBus:
             return self.categories[name]
         return self.create_category(name, num_partitions)
 
-    def category_names(self) -> List[str]:
-        """All category names, sorted for deterministic iteration."""
-        return sorted(self.categories)
-
     def backlog_mb(self, job_id: str, category_name: str) -> float:
         """Unprocessed bytes (MB) of a category for one reading job: per
         partition, what is available past the job's committed offset.
@@ -73,13 +69,6 @@ class ScribeBus:
         log = CommandLog(name, retention=retention)
         self.logs[name] = log
         return log
-
-    def get_log(self, name: str) -> CommandLog:
-        """Look up a command log by name."""
-        try:
-            return self.logs[name]
-        except KeyError:
-            raise ScribeError(f"unknown log {name}") from None
 
     def ensure_log(
         self, name: str, retention: Optional[int] = None

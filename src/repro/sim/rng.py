@@ -45,10 +45,6 @@ class SeededRng:
         """A float drawn uniformly from ``[low, high]``."""
         return self._random.uniform(low, high)
 
-    def randint(self, low: int, high: int) -> int:
-        """An int drawn uniformly from ``[low, high]`` inclusive."""
-        return self._random.randint(low, high)
-
     def expovariate(self, rate: float) -> float:
         """An exponential inter-arrival time with the given rate."""
         return self._random.expovariate(rate)
@@ -56,10 +52,6 @@ class SeededRng:
     def gauss(self, mu: float, sigma: float) -> float:
         """A normal draw."""
         return self._random.gauss(mu, sigma)
-
-    def lognormal(self, mu: float, sigma: float) -> float:
-        """A log-normal draw (used for task footprint distributions)."""
-        return self._random.lognormvariate(mu, sigma)
 
     def choice(self, items: Sequence[T]) -> T:
         """A uniformly random element of ``items``."""

@@ -265,13 +265,3 @@ def _rebalance_within_band(
         placed[best] = coldest
         moves.append((best, hottest, coldest))
 
-
-def load_spread(container_load: Mapping[ContainerId, float]) -> float:
-    """Max relative deviation from the mean load (0 = perfectly balanced)."""
-    if not container_load:
-        return 0.0
-    loads = list(container_load.values())
-    average = sum(loads) / len(loads)
-    if average <= 0:
-        return 0.0
-    return max(abs(load - average) for load in loads) / average

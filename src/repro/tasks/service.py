@@ -23,7 +23,7 @@ from repro.jobs.configs import Config
 from repro.jobs.model import JobView
 from repro.sim.engine import Engine
 from repro.tasks.spec import TaskSpec
-from repro.types import JobId, Seconds, TaskId
+from repro.types import JobId, Seconds, TaskId, Version
 
 #: Snapshot cache TTL (paper section IV-D).
 CACHE_TTL: Seconds = 90.0
@@ -37,15 +37,17 @@ class TaskService:
         self._cache_ttl = cache_ttl
         #: Authoritative spec table, job -> list of specs (index order).
         self._specs: Dict[JobId, List[TaskSpec]] = {}
-        #: Cached snapshot + when its TTL last started and the spec-table
-        #: version it was built from.
+        #: The spec table's version, bumped on every change.
+        self.version = Version()
+        #: Cached snapshot + when its TTL last started and the ``version``
+        #: value it was built from.
         self._cached_snapshot: Optional[Dict[TaskId, TaskSpec]] = None
         self._cached_at: Seconds = -float("inf")
         self._cached_version = -1
-        self._build_counter = 0
-        self._version = 0
+        #: Shard grouping of the snapshot object ``_indexed`` (by identity).
         self._shard_index: Dict[str, Dict[TaskId, TaskSpec]] = {}
-        self._shard_index_key: Optional[tuple] = None
+        self._indexed: Optional[Dict[TaskId, TaskSpec]] = None
+        self._indexed_shards = 0
         #: When False the service is down; managers fall back to their own
         #: cached snapshots (degraded mode, section IV-D).
         self.available = True
@@ -108,18 +110,13 @@ class TaskService:
         # reflected in runtime after the Task Service caching expires (90
         # seconds) plus synchronization time", section IV-D). The cache
         # trades freshness for fan-out capacity.
-        self._version += 1
+        self.version.bump()
         if urgent:
             self._cached_snapshot = None
 
     # ------------------------------------------------------------------
     # Snapshot serving
     # ------------------------------------------------------------------
-    @property
-    def version(self) -> int:
-        """Monotone version of the spec table (bumped on every change)."""
-        return self._version
-
     def snapshot(self) -> Dict[TaskId, TaskSpec]:
         """The full task-spec snapshot, served from cache within the TTL.
 
@@ -137,7 +134,7 @@ class TaskService:
         if self._cached_snapshot is not None:
             if now - self._cached_at < self._cache_ttl:
                 return self._cached_snapshot
-            if self._cached_version == self._version:
+            if self._cached_version == self.version.value:
                 self._cached_at = now
                 return self._cached_snapshot
         snapshot = {
@@ -147,8 +144,7 @@ class TaskService:
         }
         self._cached_snapshot = snapshot
         self._cached_at = now
-        self._cached_version = self._version
-        self._build_counter += 1
+        self._cached_version = self.version.value
         return snapshot
 
     def shard_index(
@@ -164,8 +160,7 @@ class TaskService:
         snapshot = self.snapshot()  # raises when degraded
         # Memoize per snapshot *build* (not table version): within the
         # TTL every manager sees the same cached snapshot and grouping.
-        key = (self._build_counter, num_shards)
-        if self._shard_index_key != key:
+        if snapshot is not self._indexed or num_shards != self._indexed_shards:
             from repro.tasks.shard import shard_id_for_task
 
             index: Dict[str, Dict[TaskId, TaskSpec]] = {}
@@ -173,7 +168,7 @@ class TaskService:
                 shard = shard_id_for_task(task_id, num_shards)
                 index.setdefault(shard, {})[task_id] = spec
             self._shard_index = index
-            self._shard_index_key = key
+            self._indexed, self._indexed_shards = snapshot, num_shards
         return self._shard_index
 
     def specs_of(self, job_id: JobId) -> List[TaskSpec]:

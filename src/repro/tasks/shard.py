@@ -13,7 +13,7 @@ two-level scheduling work without the Shard Manager knowing about tasks.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Iterable, List
+from typing import List
 
 from repro.errors import PlacementError
 from repro.types import ShardId, TaskId
@@ -38,20 +38,6 @@ def shard_index_for_task(task_id: TaskId, num_shards: int) -> int:
 def shard_id_for_task(task_id: TaskId, num_shards: int) -> ShardId:
     """The shard a task belongs to, by MD5 hash of its id."""
     return f"shard-{shard_index_for_task(task_id, num_shards):05d}"
-
-
-def group_tasks_by_shard(
-    task_ids: Iterable[TaskId], num_shards: int
-) -> Dict[ShardId, List[TaskId]]:
-    """Bucket task ids into shards (sorted within each bucket)."""
-    buckets: Dict[ShardId, List[TaskId]] = {}
-    for task_id in task_ids:
-        buckets.setdefault(shard_id_for_task(task_id, num_shards), []).append(
-            task_id
-        )
-    for bucket in buckets.values():
-        bucket.sort()
-    return buckets
 
 
 def all_shard_ids(num_shards: int) -> List[ShardId]:

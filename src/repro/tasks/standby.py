@@ -150,7 +150,7 @@ class StandbyPlane:
         """
         platform = self._platform
         seen = (
-            platform.task_service.version,
+            platform.task_service.version.value,
             platform.fleet_version.value,
             platform.cluster.liveness.value,
         )
@@ -242,8 +242,8 @@ class StandbyPlane:
         changed (its version bumps on every ``set_job_specs`` /
         ``remove_job`` — the roster's only input)."""
         service = self._platform.task_service
-        if service.version != self._wanted_version:
-            self._wanted_version = service.version
+        if service.version.value != self._wanted_version:
+            self._wanted_version = service.version.value
             self._wanted = {
                 spec.task_id: spec
                 for job_id in service.job_ids()

@@ -5,9 +5,9 @@ the synthetic equivalents each experiment needs:
 
 * :mod:`repro.workloads.diurnal` — daily traffic curves with ~1 %
   day-over-day variation (the pattern analyzer's bread and butter,
-  section V-C) plus long-term growth trends (Fig. 1);
-* :mod:`repro.workloads.spikes` — transient traffic spikes and input skew
-  (Fig. 7's trigger);
+  section V-C);
+* :mod:`repro.workloads.spikes` — transient traffic spikes (Fig. 7's
+  trigger);
 * :mod:`repro.workloads.storm` — disaster-drill traffic redirection
   (Fig. 9: +16 % at peak);
 * :mod:`repro.workloads.scuba` — a Scuba Tailer fleet whose per-task
@@ -16,20 +16,16 @@ the synthetic equivalents each experiment needs:
   bytes into Scribe categories on the simulation clock.
 """
 
-from repro.workloads.diurnal import DiurnalPattern, GrowthTrend
+from repro.workloads.diurnal import DiurnalPattern
 from repro.workloads.driver import TrafficDriver
 from repro.workloads.scuba import ScubaFleet, ScubaJobProfile
-from repro.workloads.spikes import SpikeSchedule, SkewSchedule
+from repro.workloads.spikes import SpikeSchedule
 from repro.workloads.storm import StormSchedule
-from repro.workloads.weekly import WeeklyPattern
 
 __all__ = [
     "DiurnalPattern",
-    "GrowthTrend",
-    "WeeklyPattern",
     "TrafficDriver",
     "SpikeSchedule",
-    "SkewSchedule",
     "StormSchedule",
     "ScubaFleet",
     "ScubaJobProfile",

@@ -1,4 +1,4 @@
-"""Diurnal traffic patterns and growth trends.
+"""Diurnal traffic patterns.
 
 "Most stream processing jobs at Facebook exhibit diurnal load patterns:
 while the workload varies during a given day, it is normally similar —
@@ -63,30 +63,6 @@ class DiurnalPattern:
             2.0 * math.pi * (t - self.phase) / DAY
         )
         return self.base_rate_mb * curve * self._noise_for_day(int(t // DAY))
-
-    def peak_rate(self) -> float:
-        """The deterministic curve maximum (ignoring daily noise)."""
-        return self.base_rate_mb * (1.0 + self.amplitude)
-
-    def __call__(self, t: Seconds) -> float:
-        return self.rate(t)
-
-
-class GrowthTrend:
-    """Exponential long-term growth layered over another rate function.
-
-    Fig. 1 shows the Scuba Tailer service's traffic doubling over a year;
-    ``GrowthTrend(inner, doubling_seconds=365 days)`` reproduces that shape.
-    """
-
-    def __init__(self, inner: RateFn, doubling_seconds: Seconds) -> None:
-        if doubling_seconds <= 0:
-            raise ValueError("doubling period must be positive")
-        self._inner = inner
-        self.doubling_seconds = doubling_seconds
-
-    def rate(self, t: Seconds) -> float:
-        return self._inner(t) * (2.0 ** (t / self.doubling_seconds))
 
     def __call__(self, t: Seconds) -> float:
         return self.rate(t)

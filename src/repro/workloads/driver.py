@@ -2,21 +2,19 @@
 
 One driver serves any number of sources; each tick it evaluates every
 source's rate function at the current simulated time and appends
-``rate · dt`` MB to the source's category (applying any scheduled
-partition-weight skew first).
+``rate · dt`` MB to the source's category.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.metrics.store import MetricStore
 from repro.scribe.bus import ScribeBus
 from repro.sim.engine import Engine, Timer
 from repro.types import Seconds
 from repro.workloads.diurnal import RateFn
-from repro.workloads.spikes import SkewSchedule
 
 #: Default tick: one minute, matching the metric collection cadence.
 DEFAULT_TICK: Seconds = 60.0
@@ -26,7 +24,6 @@ DEFAULT_TICK: Seconds = 60.0
 class _Source:
     category_name: str
     rate_fn: RateFn
-    skew: Optional[SkewSchedule] = None
     total_appended_mb: float = 0.0
 
 
@@ -53,16 +50,11 @@ class TrafficDriver:
         self._last_time: Seconds = engine.now
         self._timer: Optional[Timer] = None
 
-    def add_source(
-        self,
-        category_name: str,
-        rate_fn: RateFn,
-        skew: Optional[SkewSchedule] = None,
-    ) -> None:
+    def add_source(self, category_name: str, rate_fn: RateFn) -> None:
         """Attach a rate function to a category (one source per category)."""
         if category_name in self._sources:
             raise ValueError(f"category {category_name} already has a source")
-        self._sources[category_name] = _Source(category_name, rate_fn, skew)
+        self._sources[category_name] = _Source(category_name, rate_fn)
 
     def remove_source(self, category_name: str) -> None:
         self._sources.pop(category_name, None)
@@ -89,8 +81,6 @@ class TrafficDriver:
         samples = [] if self._metrics is not None else None
         for source in self._sources.values():
             category = self._scribe.get_category(source.category_name)
-            if source.skew is not None:
-                category.set_weights(source.skew.weights_at(now))
             appended = max(0.0, source.rate_fn(now)) * dt
             category.append(appended)
             source.total_appended_mb += appended
@@ -110,6 +100,3 @@ class TrafficDriver:
             source = self._sources.get(category_name)
             return source.total_appended_mb if source else 0.0
         return sum(s.total_appended_mb for s in self._sources.values())
-
-    def source_names(self) -> List[str]:
-        return sorted(self._sources)

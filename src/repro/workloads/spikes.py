@@ -1,14 +1,15 @@
-"""Traffic spikes and input skew.
+"""Traffic spikes.
 
 Fig. 7's instability is "caused by traffic spikes in the input of some
-jobs"; imbalanced input (section V-A) is producer skew across partitions.
-Both are modelled as time-windowed modifiers.
+jobs", modelled as time-windowed rate multipliers. Imbalanced input
+(section V-A) is producer skew across partitions: a category's
+:meth:`~repro.scribe.category.Category.set_weights`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.types import Seconds
 from repro.workloads.diurnal import RateFn
@@ -53,35 +54,3 @@ class SpikeSchedule:
     def __call__(self, t: Seconds) -> float:
         return self.rate(t)
 
-
-class SkewSchedule:
-    """Time-windowed partition-weight skew for a category.
-
-    Outside the window the split is uniform; inside it, the supplied
-    weights apply. The traffic driver consults :meth:`weights_at` each
-    tick and pushes the result into the category.
-    """
-
-    def __init__(
-        self,
-        num_partitions: int,
-        skewed_weights: Sequence[float],
-        start: Seconds,
-        end: Seconds,
-    ) -> None:
-        if len(skewed_weights) != num_partitions:
-            raise ValueError(
-                f"need {num_partitions} weights, got {len(skewed_weights)}"
-            )
-        if end <= start:
-            raise ValueError("skew end must be after start")
-        self.num_partitions = num_partitions
-        self.skewed_weights = list(skewed_weights)
-        self.start = start
-        self.end = end
-
-    def weights_at(self, t: Seconds) -> Optional[List[float]]:
-        """The weights in force at ``t`` (``None`` = uniform)."""
-        if self.start <= t < self.end:
-            return list(self.skewed_weights)
-        return None

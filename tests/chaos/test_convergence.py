@@ -62,7 +62,7 @@ def test_dead_container_yields_missing_and_unplaced():
     assert ConvergenceChecker(platform).check().converged
 
 
-def test_assert_safety_raises_on_duplicate():
+def test_duplicate_task_breaks_safety():
     platform = small_platform()
     # Copy one running task's entry into a second manager's table.
     owner = next(
@@ -75,12 +75,6 @@ def test_assert_safety_raises_on_duplicate():
     )
     task_id, task = next(iter(owner.tasks.items()))
     other.tasks[task_id] = task
-    checker = ConvergenceChecker(platform)
-    report = checker.check()
+    report = ConvergenceChecker(platform).check()
     assert task_id in report.duplicates
-    try:
-        checker.assert_safety()
-    except AssertionError as error:
-        assert task_id in str(error)
-    else:
-        raise AssertionError("assert_safety should have raised")
+    assert not report.safety_ok

@@ -36,17 +36,6 @@ class TestHost:
         with pytest.raises(ClusterError):
             host.attach(make_container(cpu=6.0))
 
-    def test_detach_returns_container(self):
-        host = Host("h0")
-        container = make_container()
-        host.attach(container)
-        assert host.detach("c0") is container
-        assert host.free == host.capacity
-
-    def test_detach_unknown_rejected(self):
-        with pytest.raises(ClusterError):
-            Host("h0").detach("nope")
-
     def test_fail_kills_containers(self):
         host = Host("h0")
         container = make_container()
@@ -85,7 +74,7 @@ class TestTurbineContainer:
         assert container.available.cpu == 5.0
         released = container.release("t1")
         assert released.cpu == 1.0
-        assert container.reserved.is_zero()
+        assert container.reserved == ResourceVector.zero()
 
     def test_duplicate_reservation_rejected(self):
         container = make_container()
@@ -100,15 +89,6 @@ class TestTurbineContainer:
         container.reserve("t2", ResourceVector(cpu=1.5))
         assert container.utilization() > 1.0
 
-    def test_resize_changes_reservation(self):
-        container = make_container()
-        container.reserve("t1", ResourceVector(cpu=1.0))
-        container.resize("t1", ResourceVector(cpu=3.0))
-        assert container.reserved.cpu == 3.0
-
-    def test_resize_unknown_task_rejected(self):
-        with pytest.raises(CapacityError):
-            make_container().resize("nope", ResourceVector(cpu=1.0))
 
     def test_release_unknown_task_rejected(self):
         with pytest.raises(CapacityError):

@@ -15,7 +15,6 @@ vectors = st.builds(ResourceVector, cpu=finite, memory_gb=finite, disk_gb=finite
 def test_zero_is_identity():
     v = ResourceVector(cpu=1.0, memory_gb=2.0)
     assert v + ResourceVector.zero() == v
-    assert ResourceVector.zero().is_zero()
 
 
 def test_addition_componentwise():
@@ -42,12 +41,6 @@ def test_clamped_non_negative():
 def test_scaled():
     v = ResourceVector(cpu=2.0, memory_gb=4.0)
     assert v.scaled(0.5) == ResourceVector(cpu=1.0, memory_gb=2.0)
-
-
-def test_component_max():
-    a = ResourceVector(cpu=1.0, memory_gb=9.0)
-    b = ResourceVector(cpu=5.0, memory_gb=2.0)
-    assert a.component_max(b) == ResourceVector(cpu=5.0, memory_gb=9.0)
 
 
 def test_fits_within():
@@ -119,7 +112,7 @@ class TestProperties:
 
     @given(vectors)
     def test_utilization_at_capacity_is_one(self, v):
-        if not v.is_zero():
+        if v != ResourceVector.zero():
             assert v.utilization_of(v) == pytest.approx(1.0)
 
     @given(vectors, st.floats(min_value=0.0, max_value=100.0))

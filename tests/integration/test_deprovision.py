@@ -224,7 +224,7 @@ def test_reprovisioned_id_bootstraps_p_from_its_own_hint():
     platform.attach_scaler()
     platform.run_for(minutes=3)
     analyzer = platform.scaler.analyzer
-    analyzer.set_rate_per_thread("drop", 1.25)  # what the old job taught
+    analyzer._jobs["drop"].rate_per_thread = 1.25  # what the old job taught
     platform.deprovision("drop")
     platform.run_for(minutes=5)
     platform.provision(JobSpec(
@@ -500,7 +500,8 @@ def second_life(eager):
     }
     seen["scaler actions"] = [
         (a.time, a.action, a.task_count, a.threads, a.reason)
-        for a in platform.scaler.actions_for("drop") if a.time >= reborn_at
+        for a in platform.scaler.actions
+        if a.job_id == "drop" and a.time >= reborn_at
     ]
     seen["slo alerts"] = [
         (a.time, a.severity, a.what)

@@ -57,10 +57,8 @@ def test_survives_rolling_host_failures_with_traffic():
     platform.run_for(minutes=10)
     from repro.cluster import FailurePlan
 
-    platform.failures.schedule_all([
-        FailurePlan("host-0", fail_at=platform.now + 300.0),
-        FailurePlan("host-1", fail_at=platform.now + 1200.0),
-    ])
+    platform.failures.schedule(FailurePlan("host-0", fail_at=platform.now + 300.0))
+    platform.failures.schedule(FailurePlan("host-1", fail_at=platform.now + 1200.0))
     platform.run_for(hours=1)
     # The scaler may legitimately resize the job along the way; what must
     # hold is that the *expected* parallelism is fully scheduled...

@@ -38,7 +38,7 @@ def quarantine_platform(seed):
 def test_quarantine_lifecycle_under_store_outages(outage_plan, seed):
     platform = quarantine_platform(seed)
     checker = ConvergenceChecker(platform)
-    checker.assert_safety()
+    assert checker.check().safety_ok
 
     # Poison the oncall level: spec generation fails inside every sync
     # plan, so the job marches toward quarantine — but only on rounds
@@ -52,7 +52,7 @@ def test_quarantine_lifecycle_under_store_outages(outage_plan, seed):
         else:
             platform.job_store.recover()
         platform.run_for(seconds=30.0)
-        checker.assert_safety()
+        assert checker.check().safety_ok
 
     new_rounds = platform.syncer.rounds[rounds_before:]
     if any(outage_plan):
@@ -67,12 +67,12 @@ def test_quarantine_lifecycle_under_store_outages(outage_plan, seed):
     # Store stays up: three real failed rounds quarantine the job.
     platform.job_store.recover()
     platform.run_for(minutes=3)
-    checker.assert_safety()
+    assert checker.check().safety_ok
     assert platform.job_store.state_of("job") == JobState.QUARANTINED
     assert any(job_id == "job" for __, job_id, __r in platform.syncer.alerts)
     # Atomicity at the cluster level: the job is either still on its
     # last good config or fully stopped awaiting resync — never a
-    # half-applied hybrid (and never duplicated, per assert_safety).
+    # half-applied hybrid (and never duplicated, per safety_ok).
     assert len(platform.tasks_of_job("job")) in (0, 2)
 
     # Oncall fixes the config and releases the quarantine: the platform
@@ -97,7 +97,7 @@ def test_no_quarantine_without_real_failures(outage_plan):
         else:
             platform.job_store.recover()
         platform.run_for(seconds=30.0)
-        checker.assert_safety()
+        assert checker.check().safety_ok
     platform.job_store.recover()
     platform.run_for(minutes=2)
     assert platform.job_store.state_of("job") == JobState.RUNNING

@@ -30,7 +30,7 @@ def plan_between(running, expected):
 def test_no_diff_empty_plan():
     config = {"task_count": 4, "package": {"version": "1"}}
     plan = plan_between(config, dict(config))
-    assert plan.is_empty
+    assert plan.actions == []
     assert not plan.complex
 
 

@@ -129,15 +129,6 @@ class TestSnapshots:
         assert restored.read_running("job-a").config == {"task_count": 8}
         assert restored.state_of("job-b") == JobState.QUARANTINED
 
-    def test_file_round_trip(self, tmp_path):
-        store = store_with_job()
-        store.write_expected("job", ConfigLevel.SCALER, {"task_count": 8}, 0)
-        store.commit_running("job", {"task_count": 8})
-        path = tmp_path / "jobstore.json"
-        store.save(path)
-        restored = JobStore.load(path)
-        assert restored.dump_snapshot() == store.dump_snapshot()
-
     def test_snapshot_versions_preserved(self):
         """Durability: versions survive a restart, so CAS semantics hold
         across crashes."""

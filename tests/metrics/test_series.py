@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.metrics import MetricStore, TimeSeries, percentile
+from repro.metrics import MetricStore, TimeSeries
 
 
 def test_starts_empty():
@@ -67,15 +67,6 @@ def test_average_over_empty_window_is_none():
     series = TimeSeries()
     series.record(0.0, 1.0)
     assert series.average_over(5.0, now=100.0) is None
-
-
-def test_max_over():
-    series = TimeSeries()
-    series.record(0.0, 5.0)
-    series.record(1.0, 9.0)
-    series.record(2.0, 3.0)
-    assert series.max_over(10.0, now=2.0) == 9.0
-    assert series.max_over(0.5, now=100.0) is None
 
 
 def test_retention_trims_old_samples():
@@ -232,18 +223,8 @@ def test_every_read_equals_a_plain_list_of_the_retained_samples(
                     assert outcome(series.average_over, duration, at) == (
                         outcome(fsum_mean, values)
                     )
-                    assert bits(series.max_over(duration, at)) == bits(
-                        max(values) if values else None
-                    )
-                    for q in (0.0, 50.0, 95.0):
-                        assert bits(series.percentile_over(duration, at, q)) == bits(
-                            percentile(values, q) if values else None
-                        )
                     assert outcome(series.aggregate_between, start, at) == (
                         outcome(fsum_aggregate, values)
-                    )
-                    assert outcome(series.mean_between, start, at) == (
-                        outcome(fsum_mean, values)
                     )
                     assert bits(series.max_between(start, at)) == bits(
                         max(values) if values else None

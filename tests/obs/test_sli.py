@@ -8,6 +8,7 @@ from repro.metrics.store import MetricStore
 from repro.obs.sli import (
     OOM_WINDOW,
     SLI_NAMES,
+    FleetCounts,
     SliEvaluator,
 )
 from repro.types import JobState
@@ -52,27 +53,27 @@ class TestPerJobSlis:
     def test_freshness_is_age_of_newest_rate_sample(self, setup):
         service, metrics, sli = setup
         service.add("job")
-        assert sli.freshness_seconds("job", now=100.0) is None
+        assert sli.job_sli("job", "freshness_seconds", 100.0) is None
         metrics.record("job", "processing_rate_mb", 60.0, 2.0)
-        assert sli.freshness_seconds("job", now=100.0) == 40.0
+        assert sli.job_sli("job", "freshness_seconds", 100.0) == 40.0
         # A clock exactly on the sample reads as perfectly fresh.
-        assert sli.freshness_seconds("job", now=60.0) == 0.0
+        assert sli.job_sli("job", "freshness_seconds", 60.0) == 0.0
 
     def test_availability_ratio_and_cap(self, setup):
         service, metrics, sli = setup
         service.add("job", {"task_count": 4})
-        assert sli.availability("job") is None  # no stats yet
+        assert sli.job_sli("job", "availability", 0.0) is None  # no stats yet
         metrics.record("job", "running_tasks", 60.0, 3.0)
-        assert sli.availability("job") == 0.75
+        assert sli.job_sli("job", "availability", 0.0) == 0.75
         # More running than expected (scale-down in flight) caps at 1.
         metrics.record("job", "running_tasks", 120.0, 6.0)
-        assert sli.availability("job") == 1.0
+        assert sli.job_sli("job", "availability", 0.0) == 1.0
 
     def test_availability_none_without_expected_tasks(self, setup):
         service, metrics, sli = setup
         service.add("job", {"task_count": 0})
         metrics.record("job", "running_tasks", 60.0, 2.0)
-        assert sli.availability("job") is None
+        assert sli.job_sli("job", "availability", 0.0) is None
 
     def test_oom_rate_counts_only_trailing_window(self, setup):
         service, metrics, sli = setup
@@ -115,7 +116,6 @@ class TestFleetCounts:
         counts = sli.fleet_counts(now=60.0)
         assert counts.jobs_total == 2
         assert counts.jobs_lagging == 1  # only the strict one
-        assert counts.pct_lagging == 0.5
 
     def test_quarantined_jobs_not_judged_for_lag_or_oom(self, setup):
         service, metrics, sli = setup
@@ -126,7 +126,6 @@ class TestFleetCounts:
         assert counts.jobs_quarantined == 1
         assert counts.jobs_lagging == 0
         assert counts.jobs_with_oom == 0
-        assert counts.pct_unhealthy == 1.0
 
     def test_oom_jobs_counted(self, setup):
         service, metrics, sli = setup
@@ -139,8 +138,7 @@ class TestFleetCounts:
         service, metrics, sli = setup
         counts = sli.fleet_counts(now=0.0)
         assert counts.jobs_total == 0
-        assert counts.pct_lagging == 0.0
-        assert counts.pct_unhealthy == 0.0
+        assert counts == FleetCounts()
 
     def test_job_store_outage_propagates(self, setup):
         service, metrics, sli = setup

@@ -322,14 +322,14 @@ def test_objectives_follow_oncall_patches_without_a_new_sample():
     service.provision(JobSpec(job_id="job", input_category="c", task_count=4))
     metrics.record("job", "running_tasks", 60.0, 2.0)
     assert sli.lag_slo_seconds("job") == 90.0
-    assert sli.availability("job") == 0.5
+    assert sli.job_sli("job", "availability", 0.0) == 0.5
     service.patch("job", ConfigLevel.ONCALL, {"slo": {"max_lag_seconds": 30.0}})
     service.patch("job", ConfigLevel.ONCALL, {"task_count": 2})
     assert sli.lag_slo_seconds("job") == 30.0
-    assert sli.availability("job") == 1.0
+    assert sli.job_sli("job", "availability", 0.0) == 1.0
     service.clear_level("job", ConfigLevel.ONCALL)
     assert sli.lag_slo_seconds("job") == 90.0
-    assert sli.availability("job") == 0.5
+    assert sli.job_sli("job", "availability", 0.0) == 0.5
 
 
 def test_objective_reads_fail_like_the_merged_read():

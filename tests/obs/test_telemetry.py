@@ -83,14 +83,6 @@ class TestInstruments:
         assert "sli.fleet.jobs_total" in text
         assert "eval_wall_ms" not in text
 
-    def test_render_filters_by_prefix(self):
-        telemetry = Telemetry()
-        telemetry.inc("syncer.rounds")
-        telemetry.inc("balancer.rounds")
-        text = telemetry.render(prefix="syncer.")
-        assert "syncer.rounds" in text
-        assert "balancer.rounds" not in text
-
 
 class TestEngineInstrumentation:
     def test_timer_fires_are_counted(self):

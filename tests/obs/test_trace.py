@@ -37,7 +37,7 @@ class TestDisabled:
         tracer = Tracer()
         tracer.enable()
         assert tracer.record("a", "b") is not None
-        tracer.disable()
+        tracer.enabled = False
         assert tracer.record("a", "b") is None
 
 
@@ -66,7 +66,7 @@ class TestRecording:
         tracer = Tracer(enabled=True)
         event = tracer.record("a", "b", zebra=1, alpha=2)
         assert [key for key, __ in event.detail] == ["alpha", "zebra"]
-        assert event.detail_dict() == {"alpha": 2, "zebra": 1}
+        assert dict(event.detail) == {"alpha": 2, "zebra": 1}
 
     def test_max_events_evicts_oldest(self):
         # Retention uses BoundedList (the health-report pattern): the cap
@@ -76,7 +76,7 @@ class TestRecording:
         for index in range(8):
             tracer.record("a", "b", index=index)
         assert len(tracer.events) <= 5
-        indices = [event.detail_dict()["index"] for event in tracer.events]
+        indices = [dict(event.detail)["index"] for event in tracer.events]
         assert indices == sorted(indices)
         assert indices[-1] == 7
         assert 0 not in indices

@@ -135,7 +135,7 @@ class TestSliSourcing:
         assert report.jobs_lagging == counts.jobs_lagging
         assert report.jobs_quarantined == counts.jobs_quarantined
         assert report.jobs_with_oom == counts.jobs_with_oom
-        assert report.pct_jobs_lagging == counts.pct_lagging
+        assert report.pct_jobs_lagging == counts.jobs_lagging / counts.jobs_total
 
     def test_injected_evaluator_is_used(self):
         from repro.obs.sli import SliEvaluator

@@ -25,7 +25,7 @@ def test_bootstrap_leader_and_log():
     platform, group = make_platform()
     assert group.leader_id == "replica-0"
     assert group.has_leader
-    assert platform.scribe.get_log(COMMAND_LOG_NAME) is group.log
+    assert platform.scribe.logs[COMMAND_LOG_NAME] is group.log
     # Provisioning before start already hit the log via the sink.
     assert group.log.head_index > 0
 

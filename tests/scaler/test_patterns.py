@@ -39,11 +39,6 @@ class TestRateEstimation:
         analyzer.rate_per_thread("job", bootstrap=2.5)
         assert analyzer.rate_per_thread("job", bootstrap=99.0) == 2.5
 
-    def test_set_rate_validates(self):
-        analyzer = PatternAnalyzer(MetricStore())
-        with pytest.raises(ValueError):
-            analyzer.set_rate_per_thread("job", 0.0)
-
     def test_underestimate_raises_p(self):
         """Observed per-task throughput above estimated P pulls P up."""
         analyzer = PatternAnalyzer(MetricStore())
@@ -51,7 +46,6 @@ class TestRateEstimation:
         snapshot = make_snapshot(processing_rate_mb=12.0, running_tasks=4)
         analyzer.observe_underestimate(snapshot)  # observed 3.0 per task
         assert analyzer.rate_per_thread("job", 1.0) == pytest.approx(3.0)
-        assert analyzer.adjustment_count("job") == 1
 
     def test_underestimate_never_lowers_p(self):
         analyzer = PatternAnalyzer(MetricStore())

@@ -32,13 +32,6 @@ def test_ensure_category_idempotent():
     assert first.num_partitions == 4
 
 
-def test_category_names_sorted():
-    bus = ScribeBus()
-    bus.create_category("zeta", 1)
-    bus.create_category("alpha", 1)
-    assert bus.category_names() == ["alpha", "zeta"]
-
-
 def test_bus_has_checkpoint_store():
     bus = ScribeBus()
     bus.checkpoints.commit("job", "ads/0", 5.0)

@@ -61,12 +61,10 @@ def test_offline_log_reads_nothing_but_keeps_appends():
 def test_bus_log_registry():
     bus = ScribeBus()
     log = bus.create_log("cmds")
-    assert bus.get_log("cmds") is log
+    assert bus.logs["cmds"] is log
     assert bus.ensure_log("cmds") is log
     with pytest.raises(Exception):
         bus.create_log("cmds")
-    with pytest.raises(Exception):
-        bus.get_log("missing")
     # Logs and categories are separate namespaces.
     bus.ensure_category("cmds", 4)
     assert bus.get_category("cmds") is not log

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from repro.cluster import ResourceVector
 from repro.errors import PlacementError
 from repro.tasks import compute_assignment
-from repro.tasks.balancer import load_spread
 
 
 def uniform_containers(count, cpu=8.0, mem=32.0):
@@ -21,6 +20,17 @@ def uniform_shards(count, cpu=0.5, mem=1.0):
         f"shard-{i:05d}": ResourceVector(cpu=cpu, memory_gb=mem)
         for i in range(count)
     }
+
+
+def load_spread(container_load):
+    """Max relative deviation from the mean load (0 = perfectly balanced)."""
+    if not container_load:
+        return 0.0
+    loads = list(container_load.values())
+    average = sum(loads) / len(loads)
+    if average <= 0:
+        return 0.0
+    return max(abs(load - average) for load in loads) / average
 
 
 def container_loads(change, shard_loads, containers):

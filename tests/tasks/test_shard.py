@@ -1,16 +1,14 @@
 """Unit tests for the MD5 task-to-shard mapping."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import PlacementError
 from repro.tasks import shard_id_for_task
-from repro.tasks.shard import (
-    all_shard_ids,
-    group_tasks_by_shard,
-    shard_index_for_task,
-)
+from repro.tasks.shard import all_shard_ids, shard_index_for_task
 
 
 def test_mapping_is_deterministic():
@@ -45,18 +43,6 @@ def test_zero_shards_rejected():
         all_shard_ids(-1)
 
 
-def test_group_tasks_by_shard_covers_all_tasks():
-    task_ids = [f"job-{j}:{i}" for j in range(10) for i in range(10)]
-    grouped = group_tasks_by_shard(task_ids, 16)
-    regrouped = [tid for bucket in grouped.values() for tid in bucket]
-    assert sorted(regrouped) == sorted(task_ids)
-
-
-def test_group_buckets_sorted():
-    grouped = group_tasks_by_shard(["b:1", "a:1", "c:1"], 1)
-    assert grouped["shard-00000"] == ["a:1", "b:1", "c:1"]
-
-
 def test_all_shard_ids_format():
     assert all_shard_ids(3) == ["shard-00000", "shard-00001", "shard-00002"]
 
@@ -72,6 +58,7 @@ def test_any_task_id_maps_into_range(task_id, num_shards):
 def test_distribution_roughly_uniform(num_shards):
     """No shard should get a wildly disproportionate share of tasks."""
     task_ids = [f"job-{i}:{i % 7}" for i in range(num_shards * 20)]
-    grouped = group_tasks_by_shard(task_ids, num_shards)
-    biggest = max(len(bucket) for bucket in grouped.values())
+    biggest = max(Counter(
+        shard_id_for_task(task_id, num_shards) for task_id in task_ids
+    ).values())
     assert biggest <= 20 * 4, "MD5 should spread tasks roughly uniformly"

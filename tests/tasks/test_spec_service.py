@@ -124,9 +124,9 @@ class TestTaskService:
 
     def test_version_bumps_on_change(self):
         service = TaskService(Engine())
-        v0 = service.version
+        v0 = service.version.value
         service.set_job_specs("a", job_config("a"))
-        assert service.version > v0
+        assert service.version.value > v0
 
     def test_shard_index_covers_snapshot(self):
         service = TaskService(Engine())

@@ -327,15 +327,6 @@ def test_chaos_exports_slo_report(capsys, tmp_path):
     assert report["slos"], "chaos platform must track default SLOs"
 
 
-def test_chaos_mttr_table_renders():
-    from repro.chaos import mttr_table
-
-    text = mttr_table(["metric-gap"], [0, 1])
-    assert "metric-gap" in text
-    assert "seed 0" in text and "seed 1" in text
-    assert "0.0" in text
-
-
 def test_missing_command_errors():
     with pytest.raises(SystemExit):
         main([])

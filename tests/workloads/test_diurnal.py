@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim import SeededRng
-from repro.workloads import DiurnalPattern, GrowthTrend
+from repro.workloads import DiurnalPattern
 from repro.workloads.diurnal import DAY, constant, scaled
 
 
@@ -13,10 +13,6 @@ class TestDiurnalPattern:
         rates = [pattern.rate(t) for t in range(0, int(DAY), 600)]
         assert min(rates) == pytest.approx(7.0, rel=0.01)
         assert max(rates) == pytest.approx(13.0, rel=0.01)
-
-    def test_peak_rate(self):
-        pattern = DiurnalPattern(10.0, amplitude=0.3)
-        assert pattern.peak_rate() == pytest.approx(13.0)
 
     def test_day_over_day_within_variation(self):
         """"normally similar — within 1% variation on aggregate — to the
@@ -42,24 +38,6 @@ class TestDiurnalPattern:
     def test_callable_interface(self):
         pattern = DiurnalPattern(10.0, daily_variation=0.0)
         assert pattern(0.0) == pattern.rate(0.0)
-
-
-class TestGrowthTrend:
-    def test_doubles_after_period(self):
-        trend = GrowthTrend(constant(10.0), doubling_seconds=100.0)
-        assert trend.rate(0.0) == pytest.approx(10.0)
-        assert trend.rate(100.0) == pytest.approx(20.0)
-        assert trend.rate(200.0) == pytest.approx(40.0)
-
-    def test_figure_1_shape(self):
-        """Traffic doubles over a 12-month interval (Fig. 1)."""
-        year = 365.0 * DAY
-        trend = GrowthTrend(constant(100.0), doubling_seconds=year)
-        assert trend.rate(year) / trend.rate(0.0) == pytest.approx(2.0)
-
-    def test_invalid_period_rejected(self):
-        with pytest.raises(ValueError):
-            GrowthTrend(constant(1.0), doubling_seconds=0.0)
 
 
 def test_constant_and_scaled():

@@ -4,7 +4,7 @@ import pytest
 
 from repro.scribe import ScribeBus
 from repro.sim import Engine
-from repro.workloads import SkewSchedule, TrafficDriver
+from repro.workloads import TrafficDriver
 from repro.workloads.diurnal import constant
 
 
@@ -35,7 +35,6 @@ def test_multiple_sources_tracked_separately():
     assert driver.total_appended_mb("cat") == pytest.approx(120.0)
     assert driver.total_appended_mb("other") == pytest.approx(360.0)
     assert driver.total_appended_mb() == pytest.approx(480.0)
-    assert driver.source_names() == ["cat", "other"]
 
 
 def test_duplicate_source_rejected():
@@ -43,21 +42,6 @@ def test_duplicate_source_rejected():
     driver.add_source("cat", constant(1.0))
     with pytest.raises(ValueError):
         driver.add_source("cat", constant(1.0))
-
-
-def test_skew_pushed_to_category():
-    engine, scribe, driver = setup()
-    skew = SkewSchedule(4, [0.7, 0.1, 0.1, 0.1], start=0.0, end=120.0)
-    driver.add_source("cat", constant(4.0), skew=skew)
-    driver.start()
-    engine.run_until(120.0)
-    partitions = scribe.get_category("cat").partitions
-    assert partitions[0].head > partitions[1].head
-    # After the window, traffic is uniform again.
-    head_before = [p.head for p in partitions]
-    engine.run_until(240.0)
-    deltas = [p.head - before for p, before in zip(partitions, head_before)]
-    assert max(deltas) == pytest.approx(min(deltas))
 
 
 def test_stop_halts_traffic():

@@ -1,8 +1,8 @@
-"""Tests for spike, skew, and storm schedules."""
+"""Tests for spike and storm schedules."""
 
 import pytest
 
-from repro.workloads import SkewSchedule, SpikeSchedule, StormSchedule
+from repro.workloads import SpikeSchedule, StormSchedule
 from repro.workloads.diurnal import constant
 
 
@@ -26,22 +26,6 @@ class TestSpikes:
             schedule.add(100.0, 100.0, factor=2.0)
         with pytest.raises(ValueError):
             schedule.add(0.0, 1.0, factor=-1.0)
-
-
-class TestSkew:
-    def test_weights_only_in_window(self):
-        skew = SkewSchedule(2, [0.9, 0.1], start=100.0, end=200.0)
-        assert skew.weights_at(50.0) is None
-        assert skew.weights_at(150.0) == [0.9, 0.1]
-        assert skew.weights_at(200.0) is None
-
-    def test_wrong_weight_count_rejected(self):
-        with pytest.raises(ValueError):
-            SkewSchedule(3, [1.0, 2.0], 0.0, 1.0)
-
-    def test_bad_window_rejected(self):
-        with pytest.raises(ValueError):
-            SkewSchedule(2, [1.0, 1.0], 10.0, 10.0)
 
 
 class TestStorm:
