@@ -12,7 +12,8 @@ reduce to a small set of checkable invariants:
 * **placement converged** — every assigned shard's owner is a live,
   registered container;
 * **configs converged** — every RUNNING job's running config equals its
-  merged expected config, nothing is dirty, and nothing is quarantined.
+  merged expected config, nothing is dirty, and nothing is quarantined
+  (``JobStore.config_converged``, read from the syncer's stamp).
 
 :class:`ConvergenceChecker` evaluates all of them against a live
 platform; the chaos engine samples it after each fault clears to measure
@@ -26,7 +27,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List
 
 from repro.errors import DegradedModeError
-from repro.jobs.configs import config_diff
 from repro.types import JobState, Seconds, TaskState
 
 
@@ -134,6 +134,8 @@ class ConvergenceChecker:
         # promoted one overlapping a fresh primary is the handoff
         # protocol working as designed, tracked as ``promoting`` below.
         owners: Dict[str, List[str]] = {}
+        # Task id -> job id, as its first (sorted) hosting container has it.
+        job_of: Dict[str, str] = {}
         running: set = set()
         promoted: Dict[str, str] = {}
         for container_id in sorted(platform.task_managers):
@@ -142,6 +144,7 @@ class ConvergenceChecker:
                 continue
             for task_id, task in manager.tasks.items():
                 owners.setdefault(task_id, []).append(container_id)
+                job_of.setdefault(task_id, task.spec.job_id)
                 if task.state == TaskState.RUNNING:
                     running.add(task_id)
             for task_id, task in manager.standbys.items():
@@ -175,9 +178,8 @@ class ConvergenceChecker:
             return report
         live_jobs = set(job_ids)
         report.orphans = sorted(
-            task_id
-            for task_id, where in owners.items()
-            if _job_of(platform, where[0], task_id) not in live_jobs
+            task_id for task_id, job_id in job_of.items()
+            if job_id not in live_jobs
         )
         spec_jobs = set(platform.task_service.job_ids())
         for job_id in job_ids:
@@ -186,9 +188,7 @@ class ConvergenceChecker:
                 report.quarantined.append(job_id)
             if state != JobState.RUNNING:
                 continue
-            expected = store.merged_expected(job_id)
-            running_config = store.read_running(job_id).config
-            if config_diff(running_config, expected) or store.is_dirty(job_id):
+            if not store.config_converged(job_id):
                 report.diverged.append(job_id)
             elif job_id not in spec_jobs:
                 # Converged on paper with nothing to run (a half-killed
@@ -203,8 +203,3 @@ class ConvergenceChecker:
                     report.missing.append(spec.task_id)
         report.missing.sort()
         return report
-
-
-def _job_of(platform, container_id: str, task_id: str) -> str:
-    task = platform.task_managers[container_id].tasks.get(task_id)
-    return task.spec.job_id if task is not None else ""

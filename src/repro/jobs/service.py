@@ -96,10 +96,10 @@ class JobService:
     ) -> Config:
         """Read-modify-write one expected level with CAS retries.
 
-        ``modify`` receives a copy of the current level config and returns
-        the new config (it may mutate and return its argument). On a version
-        conflict the cycle re-reads and re-applies ``modify`` to the fresh
-        config, so concurrent writers to the same level serialize cleanly.
+        ``modify`` receives a deep copy of the current level config and
+        returns the new config (it may mutate and return its argument). On
+        a version conflict the cycle re-reads and re-applies ``modify``, so
+        concurrent writers to the same level serialize cleanly.
         Returns the config that was committed.
 
         Every committed write records a ``config-write`` trace event,
@@ -111,7 +111,7 @@ class JobService:
         last_conflict: Optional[VersionConflictError] = None
         for __ in range(max_retries):
             current = self._store.read_expected(job_id, level)
-            new_config = modify(dict(current.config))
+            new_config = modify(current.config)
             if new_config is None:
                 raise JobStoreError(
                     f"modify callback returned None for {job_id}/{level.name}"

@@ -32,6 +32,11 @@ that only the typed view stays. That commit stamps the job as
 converged, so a later full-scan round skips it without merging: nothing
 changed since, or a notification would have dropped the stamp with the
 merge.
+
+The stamp also answers the convergence oracle
+(:meth:`JobStore.config_converged`) with no merge. It is exact: every
+mutation notifies or stamps, :meth:`JobStore.install_state` clears the
+merges, and reads hand out deep copies that cannot change a stored level.
 """
 
 from __future__ import annotations
@@ -48,6 +53,7 @@ from repro.errors import (
 from repro.jobs.configs import (
     Config,
     ConfigLevel,
+    _copy_value,
     config_diff,
     merge_levels,
     validate_config,
@@ -88,6 +94,10 @@ class _Merge:
         #: ``None``, ``_READ``, or the version stamp: the running-config
         #: version at which the job was found converged on this merge.
         self.synced: Optional[int] = None
+
+    def stamped(self, version: int) -> bool:
+        """Whether this merge vouches the job converged at ``version``."""
+        return self.config is None and self.synced == version
 
 
 class ChangeCursor:
@@ -261,11 +271,11 @@ class JobStore:
     def read_expected(
         self, job_id: JobId, level: ConfigLevel
     ) -> VersionedConfig:
-        """A copy of one expected level (config + version)."""
+        """A deep copy of one expected level (config + version)."""
         self._check_available()
         self._require_job(job_id)
         stored = self._expected[job_id][level]
-        return VersionedConfig(dict(stored.config), stored.version)
+        return VersionedConfig(_copy_value(stored.config), stored.version)
 
     def write_expected(
         self,
@@ -340,11 +350,11 @@ class JobStore:
         self._require_job(job_id)
         running = self._running[job_id]
         merge = self._merges.get(job_id)
+        if merge is not None and merge.stamped(running.version):
+            return None
         if merge is None:
             merge = self._merge(job_id)
         elif merge.config is None:
-            if merge.synced == running.version:
-                return None
             merge.config = self._merge_levels(job_id)
         if job_id not in self._dirty and not config_diff(
             running.config, merge.config
@@ -356,15 +366,33 @@ class JobStore:
         merge.synced = _READ
         return merge.config
 
+    def config_converged(self, job_id: JobId) -> bool:
+        """``not is_dirty(j) and not config_diff(read_running(j).config,
+        merged_expected(j))``, raising exactly when :meth:`merged_expected`
+        would. Pure: read from the job's stamp when it has one, else diffed
+        against its held merge or a fresh one that is not kept."""
+        self._check_available()
+        self._require_job(job_id)
+        if job_id in self._dirty:
+            return False
+        running = self._running[job_id]
+        merge = self._merges.get(job_id)
+        if merge is not None and merge.stamped(running.version):
+            return True
+        merged = merge.config if merge is not None else None
+        if merged is None:
+            merged = self._merge_levels(job_id)
+        return not config_diff(running.config, merged)
+
     # ------------------------------------------------------------------
     # Running configuration
     # ------------------------------------------------------------------
     def read_running(self, job_id: JobId) -> VersionedConfig:
-        """A copy of the running configuration."""
+        """A deep copy of the running configuration."""
         self._check_available()
         self._require_job(job_id)
         stored = self._running[job_id]
-        return VersionedConfig(dict(stored.config), stored.version)
+        return VersionedConfig(_copy_value(stored.config), stored.version)
 
     def commit_running(
         self, job_id: JobId, config: Config, quiet: bool = False

@@ -37,6 +37,26 @@ class TestProvisioning:
 
 
 class TestUpdates:
+    def test_a_rejected_update_leaves_the_store_unchanged(self):
+        """``modify`` edits a nested map of its copy in place and the
+        typed check rejects the result: nothing may reach the store, or
+        the merged config and the cached typed view would disagree."""
+        service = service_with_job()
+        store = service.store
+        before = store.dump_snapshot()
+        view = service.view("scuba/ads")
+
+        def bump(config):
+            config["package"]["version"] = 7
+            return config
+
+        with pytest.raises(JobStoreError, match="package.version"):
+            service.update("scuba/ads", ConfigLevel.PROVISIONER, bump)
+        assert store.dump_snapshot() == before
+        assert service.expected_config("scuba/ads")["package"]["version"] == "1.0"
+        assert service.view("scuba/ads") is view
+        assert view.package_version == "1.0"
+
     def test_patch_shallow_merges(self):
         service = service_with_job()
         service.patch("scuba/ads", ConfigLevel.SCALER, {"task_count": 15})

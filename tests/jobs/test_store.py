@@ -81,6 +81,31 @@ class TestExpectedConfigs:
         vc.config["a"] = 999
         assert store.read_expected("job", ConfigLevel.BASE).config["a"] == 1
 
+    def test_a_write_that_loses_its_cas_leaves_the_store_unchanged(self):
+        """A writer edits the nested maps of its copy in place and then
+        loses the compare-and-swap: nothing of its edit may reach the
+        store (the copy is deep), and no change is announced."""
+        store = store_with_job()
+        store.write_expected(
+            "job", ConfigLevel.ONCALL, {"resources": {"cpu": 1.0}}, 0
+        )
+        stale = store.read_expected("job", ConfigLevel.ONCALL)
+        store.write_expected(
+            "job", ConfigLevel.ONCALL, {"resources": {"cpu": 2.0}}, 1
+        )
+        before = store.dump_snapshot()
+        cursor = store.change_cursor()
+        cursor.poll()
+        edited = store.read_expected("job", ConfigLevel.ONCALL).config
+        edited["resources"]["cpu"] = 3.0
+        with pytest.raises(VersionConflictError):
+            store.write_expected(
+                "job", ConfigLevel.ONCALL, edited, stale.version
+            )
+        assert store.dump_snapshot() == before
+        assert store.merged_expected("job") == {"resources": {"cpu": 2.0}}
+        assert cursor.poll() == []
+
     def test_merged_expected_applies_precedence(self):
         store = store_with_job()
         store.write_expected("job", ConfigLevel.BASE, {"task_count": 1}, 0)
@@ -113,6 +138,13 @@ class TestRunningConfig:
         vc = store.read_running("job")
         vc.config["a"] = 2
         assert store.read_running("job").config["a"] == 1
+
+    def test_running_read_is_a_deep_copy(self):
+        store = store_with_job()
+        store.commit_running("job", {"resources": {"cpu": 1.0}})
+        vc = store.read_running("job")
+        vc.config["resources"]["cpu"] = 2.0
+        assert store.read_running("job").config == {"resources": {"cpu": 1.0}}
 
 
 class TestSnapshots:

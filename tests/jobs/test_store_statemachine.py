@@ -14,7 +14,12 @@ snapshot round-trips must preserve:
 * ``merged_expected`` is a fresh dict each time (changing it changes
   nothing the store holds);
 * the syncer's read (``expected_for_sync``) answers "nothing to plan"
-  only for a converged, clean job, and otherwise the merged config.
+  only for a converged, clean job, and otherwise the merged config;
+* the convergence oracle's read (``config_converged``) is "clean, and
+  running equals merged expected", fails exactly as the merged read
+  fails, and changes nothing the store holds or will answer next;
+* a Job Service update that edits nested maps of its copy in place and
+  is then rejected leaves nothing behind.
 """
 
 import re
@@ -30,8 +35,9 @@ from hypothesis.stateful import (
 )
 from hypothesis import strategies as st
 
-from repro.errors import TurbineError, VersionConflictError
-from repro.jobs import ConfigLevel, JobStore, JobView
+from repro.errors import JobStoreError, TurbineError, VersionConflictError
+from repro.jobs import ConfigLevel, JobService, JobStore, JobView
+from repro.jobs.configs import config_diff
 from repro.types import JobState
 
 LEVELS = list(ConfigLevel)
@@ -68,6 +74,10 @@ class JobStoreMachine(RuleBasedStateMachine):
     def create_jobs(self):
         for job_id in JOBS:
             self._create(job_id)
+            # A provisioned job's base level holds nested maps.
+            base = {"package": {"version": "1.0"}}
+            self.store.write_expected(job_id, ConfigLevel.BASE, base, 0)
+            self.model[(job_id, ConfigLevel.BASE)] = (base, 1)
 
     # ------------------------------------------------------------------
     # Rules
@@ -77,12 +87,15 @@ class JobStoreMachine(RuleBasedStateMachine):
         job=any_job,
         level=st.sampled_from(LEVELS),
         value=st.integers(0, 100),
+        package=st.one_of(st.none(), st.sampled_from(["1.0", "2.0"])),
     )
-    def fresh_write_lands(self, job, level, value):
+    def fresh_write_lands(self, job, level, value, package):
         if not self.live(job):
             return
         config, version = self.model[(job, level)]
         new_config = {"task_count": value}
+        if package is not None:
+            new_config["package"] = {"version": package}
         new_version = self.store.write_expected(job, level, new_config, version)
         assert new_version == version + 1
         self.model[(job, level)] = (new_config, new_version)
@@ -104,6 +117,28 @@ class JobStoreMachine(RuleBasedStateMachine):
             raise AssertionError("stale write must not land")
         except VersionConflictError:
             pass
+
+    @store_up
+    @rule(job=any_job)
+    def rejected_updates_edit_nested_maps(self, job):
+        """At every level, ``modify`` edits the nested maps of its copy in
+        place, then fails the typed check: each write is rejected and must
+        leave the store exactly as it was (no stale stamp over a changed
+        level)."""
+        if not self.live(job):
+            return
+
+        def modify(config):
+            for value in config.values():
+                if isinstance(value, dict):
+                    value["version"] = "9.9"
+            config["task_count"] = "many"
+            return config
+
+        service = JobService(self.store)
+        for level in LEVELS:
+            with pytest.raises(JobStoreError, match="task_count"):
+                service.update(job, level, modify)
 
     @store_up
     @rule(job=any_job, value=st.integers(0, 100), quiet=st.booleans())
@@ -244,6 +279,33 @@ class JobStoreMachine(RuleBasedStateMachine):
         # Nothing is held for a job the store does not have (a takeover
         # drops jobs without a notification naming them).
         assert set(self.store._merges) <= {j for j in JOBS if self.live(j)}
+
+    @invariant()
+    def config_converged_is_the_re_merge(self):
+        """``config_converged`` is the oracle's whole-config verdict read
+        the long way, or the same error; and it is pure: every held merge
+        keeps its view, dict and stamp, so the next ``view`` and
+        ``expected_for_sync`` answer as they would have."""
+        held = {
+            job: (merge, merge.view, merge.config, merge.synced)
+            for job, merge in self.store._merges.items()
+        }
+        for job in JOBS:
+            try:
+                converged = not self.store.is_dirty(job) and not config_diff(
+                    self.store.read_running(job).config,
+                    self.store.merged_expected(job),
+                )
+            except TurbineError as error:
+                with pytest.raises(type(error), match=re.escape(str(error))):
+                    self.store.config_converged(job)
+            else:
+                assert self.store.config_converged(job) is converged
+        assert self.store._merges.keys() == held.keys()
+        for job, (merge, view, config, synced) in held.items():
+            assert self.store._merges[job] is merge
+            assert merge.view is view and merge.config is config
+            assert merge.synced == synced
 
 
 TestJobStoreMachine = JobStoreMachine.TestCase

@@ -300,20 +300,6 @@ class TestMergeOncePerChange:
     quiet commit is skipped by a full scan with no merge at all."""
 
     @staticmethod
-    def counting_merges(monkeypatch):
-        import repro.jobs.store as store_module
-
-        calls = []
-        real = store_module.merge_levels
-
-        def counted(levels):
-            calls.append(1)
-            return real(levels)
-
-        monkeypatch.setattr(store_module, "merge_levels", counted)
-        return calls
-
-    @staticmethod
     def converged_fleet(jobs=6):
         store = JobStore()
         service = JobService(store)
@@ -331,16 +317,16 @@ class TestMergeOncePerChange:
         assert report.full_scan
         return report
 
-    def test_a_full_scan_over_a_converged_fleet_merges_nothing(self, monkeypatch):
+    def test_a_full_scan_over_a_converged_fleet_merges_nothing(self, count_merges):
         store, service, syncer = self.converged_fleet(jobs=6)
-        merges = self.counting_merges(monkeypatch)
+        merges = count_merges()
         report = self.full_scan(syncer)
         assert merges == []
         assert report.examined == 6 and report.total_synced == 0
 
-    def test_one_merge_serves_the_plan_and_the_view(self, monkeypatch):
+    def test_one_merge_serves_the_plan_and_the_view(self, count_merges):
         store, service, syncer = self.converged_fleet(jobs=2)
-        merges = self.counting_merges(monkeypatch)
+        merges = count_merges()
         service.patch("job-0", ConfigLevel.SCALER, {"task_count": 3})
         assert store.view("job-0").task_count == 3   # merges once
         assert syncer.sync_once().complex_synced == ["job-0"]  # reuses it
