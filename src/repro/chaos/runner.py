@@ -106,6 +106,7 @@ def platform_fingerprint(platform) -> str:
     processed the same bytes in the same order, which makes this the
     sharpest of the five exports the determinism goldens compare.
     """
+    import io
     import json
 
     checkpoints = platform.scribe.checkpoints
@@ -133,16 +134,18 @@ def platform_fingerprint(platform) -> str:
         name: [p.head for p in category.partitions]
         for name, category in sorted(platform.scribe.categories.items())
     }
-    return json.dumps(
+    # Not ``json.dumps``: its indented encoder lists every chunk to join.
+    out = io.StringIO()
+    json.dump(
         {
             "now": platform.now,
             "checkpoints": jobs,
             "managers": managers,
             "heads": heads,
         },
-        sort_keys=True,
-        indent=2,
+        out, sort_keys=True, indent=2,
     )
+    return out.getvalue()
 
 
 def build_platform(

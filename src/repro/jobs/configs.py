@@ -51,24 +51,33 @@ def validate_config(config: Mapping[str, Any]) -> str:
     to JSON; in Python the equivalent guard is a round-trip check plus a
     string-key requirement on every nesting level.
     """
-    _require_string_keys(config, path="")
+    if isinstance(config, (dict, list)):
+        _require_string_keys(config, None)
     try:
         return json.dumps(config)
     except (TypeError, ValueError) as exc:
         raise JobStoreError(f"config is not JSON-serializable: {exc}") from exc
 
 
-def _require_string_keys(node: Any, path: str) -> None:
-    if isinstance(node, dict):
-        for key, value in node.items():
-            if not isinstance(key, str):
-                raise JobStoreError(
-                    f"non-string key {key!r} at config path {path or '<root>'}"
-                )
-            _require_string_keys(value, f"{path}.{key}" if path else key)
-    elif isinstance(node, list):
-        for index, value in enumerate(node):
-            _require_string_keys(value, f"{path}[{index}]")
+def _require_string_keys(node: Any, path: Any) -> None:
+    # ``node`` is a dict or a list; a scalar has no keys to check.
+    is_dict = isinstance(node, dict)
+    for key, value in node.items() if is_dict else enumerate(node):
+        if is_dict and not isinstance(key, str):
+            raise JobStoreError(
+                f"non-string key {key!r} at config path {_format_path(path) or '<root>'}"
+            )
+        if isinstance(value, (dict, list)):
+            _require_string_keys(value, (path, key))
+
+
+def _format_path(path: Any) -> str:
+    """``path`` is ``None`` at the root, else ``(parent path, key or index)``:
+    built for every nested map or list, formatted only for a failing key."""
+    if path is None:
+        return ""
+    head, step = _format_path(path[0]), path[1]
+    return f"{head}[{step}]" if isinstance(step, int) else f"{head}.{step}" if head else step
 
 
 def layer_configs(bottom_config: Config, top_config: Config) -> Config:
@@ -77,13 +86,18 @@ def layer_configs(bottom_config: Config, top_config: Config) -> Config:
     Nested maps merge recursively; any other value type (including lists)
     replaces the bottom value wholesale. Inputs are never mutated.
     """
+    return _layer(bottom_config, _copy_value(top_config))
+
+
+def _layer(bottom_config: Config, top_config: Config) -> Config:
+    """:func:`layer_configs` that takes the top layer's values uncopied."""
     layered_config = dict(bottom_config)
     for key, top_value in top_config.items():
         bottom_value = bottom_config.get(key)
         if isinstance(top_value, dict) and isinstance(bottom_value, dict):
-            layered_config[key] = layer_configs(bottom_value, top_value)
+            layered_config[key] = _layer(bottom_value, top_value)
         else:
-            layered_config[key] = _copy_value(top_value)
+            layered_config[key] = top_value
     return layered_config
 
 
@@ -100,13 +114,14 @@ def merge_levels(levels: Mapping[ConfigLevel, Optional[Config]]) -> Config:
     """Merge all expected-config levels according to precedence.
 
     Missing levels are skipped. The result "provides a consistent view of
-    expected job states" (paper section III-A).
+    expected job states" (paper section III-A). The result may be, or share
+    values with, a level: the Job Store passes fresh decodes of its text.
     """
     merged: Config = {}
     for level in ConfigLevel.in_precedence_order():
         config = levels.get(level)
         if config:
-            merged = layer_configs(merged, config)
+            merged = _layer(merged, config) if merged else config
     return merged
 
 

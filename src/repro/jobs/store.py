@@ -10,6 +10,9 @@ The store keeps, for every job:
 * one *running* configuration — the settings the cluster is actually
   executing, committed only by the State Syncer after a plan succeeds.
 
+Like the paper's MySQL table of JSON documents, each is kept as the JSON
+text :func:`validate_config` returns, and decoded where it is used.
+
 Durability is modelled with JSON snapshots: :meth:`dump_snapshot` /
 :meth:`load_snapshot` round-trip the entire store, which the crash-recovery
 tests use to prove committed state survives a restart.
@@ -36,14 +39,14 @@ merge.
 The stamp also answers the convergence oracle
 (:meth:`JobStore.config_converged`) with no merge. It is exact: every
 mutation notifies or stamps, :meth:`JobStore.install_state` clears the
-merges, and reads hand out deep copies that cannot change a stored level.
+merges, and a stored level is a ``str`` that no reader can change.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, NamedTuple, Optional
 
 from repro.errors import (
     JobStoreError,
@@ -53,7 +56,6 @@ from repro.errors import (
 from repro.jobs.configs import (
     Config,
     ConfigLevel,
-    _copy_value,
     config_diff,
     merge_levels,
     validate_config,
@@ -69,6 +71,9 @@ class VersionedConfig:
     config: Config = field(default_factory=dict)
     version: int = 0
 
+
+#: One stored expected level or running config: its JSON text and version.
+_Stored = NamedTuple("_Stored", [("text", str), ("version", int)])
 
 #: ``_Merge.synced`` of a merge the State Syncer has read and not yet
 #: committed (running versions start at 0, so no stamp equals it).
@@ -134,8 +139,8 @@ class JobStore:
     """In-memory versioned store of expected and running job configurations."""
 
     def __init__(self) -> None:
-        self._expected: Dict[JobId, Dict[ConfigLevel, VersionedConfig]] = {}
-        self._running: Dict[JobId, VersionedConfig] = {}
+        self._expected: Dict[JobId, Dict[ConfigLevel, _Stored]] = {}
+        self._running: Dict[JobId, _Stored] = {}
         self._states: Dict[JobId, JobState] = {}
         #: Jobs whose running config may not reflect cluster reality: a
         #: plan failed after taking actions. The syncer must re-execute a
@@ -171,6 +176,8 @@ class JobStore:
 
     def _emit(self, op: str, **args: Any) -> None:
         if self._command_sink is not None:
+            if "config" in args:  # the stored text: the sink gets its own decode
+                args["config"] = json.loads(args["config"])
             self._command_sink(op, args)
 
     # ------------------------------------------------------------------
@@ -222,10 +229,8 @@ class JobStore:
         self._check_available()
         if job_id in self._expected:
             raise JobStoreError(f"job {job_id} already exists")
-        self._expected[job_id] = {
-            level: VersionedConfig() for level in ConfigLevel
-        }
-        self._running[job_id] = VersionedConfig()
+        self._expected[job_id] = {level: _Stored("{}", 0) for level in ConfigLevel}
+        self._running[job_id] = _Stored("{}", 0)
         self._states[job_id] = JobState.RUNNING
         self._notify_change(job_id)
         self._emit("create_job", job_id=job_id)
@@ -271,11 +276,11 @@ class JobStore:
     def read_expected(
         self, job_id: JobId, level: ConfigLevel
     ) -> VersionedConfig:
-        """A deep copy of one expected level (config + version)."""
+        """One expected level (config + version), decoded for the caller."""
         self._check_available()
         self._require_job(job_id)
         stored = self._expected[job_id][level]
-        return VersionedConfig(_copy_value(stored.config), stored.version)
+        return VersionedConfig(json.loads(stored.text), stored.version)
 
     def write_expected(
         self,
@@ -299,12 +304,11 @@ class JobStore:
                 f"job {job_id} level {level.name}: expected version "
                 f"{expected_version}, found {stored.version}"
             )
-        stored.config = json.loads(text)
-        stored.version += 1
+        self._expected[job_id][level] = stored = _Stored(text, stored.version + 1)
         self._notify_change(job_id)
         self._emit(
             "write_expected", job_id=job_id, level=level.name,
-            config=stored.config, expected_version=expected_version,
+            config=text, expected_version=expected_version,
         )
         return stored.version
 
@@ -316,9 +320,10 @@ class JobStore:
         return self._merge_levels(job_id)
 
     def _merge_levels(self, job_id: JobId) -> Config:
-        return merge_levels(
-            {level: vc.config for level, vc in self._expected[job_id].items()}
-        )
+        return merge_levels({
+            level: json.loads(s.text) for level, s in self._expected[job_id].items()
+            if s.text != "{}"
+        })
 
     def _merge(self, job_id: JobId) -> _Merge:
         config = self._merge_levels(job_id)
@@ -357,7 +362,7 @@ class JobStore:
         elif merge.config is None:
             merge.config = self._merge_levels(job_id)
         if job_id not in self._dirty and not config_diff(
-            running.config, merge.config
+            json.loads(running.text), merge.config
         ):
             # Converged already (the syncer would plan nothing): stamp it
             # here, so the dict is not held for a commit that never comes.
@@ -382,17 +387,17 @@ class JobStore:
         merged = merge.config if merge is not None else None
         if merged is None:
             merged = self._merge_levels(job_id)
-        return not config_diff(running.config, merged)
+        return not config_diff(json.loads(running.text), merged)
 
     # ------------------------------------------------------------------
     # Running configuration
     # ------------------------------------------------------------------
     def read_running(self, job_id: JobId) -> VersionedConfig:
-        """A deep copy of the running configuration."""
+        """The running configuration, decoded for the caller."""
         self._check_available()
         self._require_job(job_id)
         stored = self._running[job_id]
-        return VersionedConfig(_copy_value(stored.config), stored.version)
+        return VersionedConfig(json.loads(stored.text), stored.version)
 
     def commit_running(
         self, job_id: JobId, config: Config, quiet: bool = False
@@ -413,20 +418,16 @@ class JobStore:
         self._check_available()
         self._require_job(job_id)
         text = validate_config(config)
-        stored = self._running[job_id]
-        stored.config = json.loads(text)
-        stored.version += 1
+        stored = self._running[job_id] = _Stored(text, self._running[job_id].version + 1)
         self._dirty.discard(job_id)
         if not quiet:
             self._notify_change(job_id)
         else:
             self._stamp_synced(job_id, stored)
-        self._emit(
-            "commit_running", job_id=job_id, config=stored.config, quiet=quiet
-        )
+        self._emit("commit_running", job_id=job_id, config=text, quiet=quiet)
         return stored.version
 
-    def _stamp_synced(self, job_id: JobId, stored: VersionedConfig) -> None:
+    def _stamp_synced(self, job_id: JobId, stored: _Stored) -> None:
         """After a quiet commit: stamp the job converged when the syncer
         read the job's current merge and the committed config matches it.
 
@@ -438,7 +439,7 @@ class JobStore:
         merge = self._merges.get(job_id)
         if merge is None or merge.synced is None:
             return
-        if merge.synced == _READ and not config_diff(stored.config, merge.config):
+        if merge.synced == _READ and not config_diff(json.loads(stored.text), merge.config):
             merge.config, merge.synced = None, stored.version
         else:
             # Another config than the one read, or a second commit of one
@@ -474,14 +475,14 @@ class JobStore:
         payload = {
             "expected": {
                 job_id: {
-                    level.name: {"config": vc.config, "version": vc.version}
-                    for level, vc in levels.items()
+                    level.name: {"config": json.loads(s.text), "version": s.version}
+                    for level, s in levels.items()
                 }
                 for job_id, levels in self._expected.items()
             },
             "running": {
-                job_id: {"config": vc.config, "version": vc.version}
-                for job_id, vc in self._running.items()
+                job_id: {"config": json.loads(s.text), "version": s.version}
+                for job_id, s in self._running.items()
             },
             "states": {
                 job_id: state.value for job_id, state in self._states.items()
@@ -500,14 +501,14 @@ class JobStore:
         store = cls()
         for job_id, levels in payload["expected"].items():
             store._expected[job_id] = {
-                ConfigLevel[name]: VersionedConfig(
-                    entry["config"], entry["version"]
+                ConfigLevel[name]: _Stored(
+                    json.dumps(entry["config"]), entry["version"]
                 )
                 for name, entry in levels.items()
             }
         for job_id, entry in payload["running"].items():
-            store._running[job_id] = VersionedConfig(
-                entry["config"], entry["version"]
+            store._running[job_id] = _Stored(
+                json.dumps(entry["config"]), entry["version"]
             )
         for job_id, value in payload["states"].items():
             store._states[job_id] = JobState(value)

@@ -124,6 +124,15 @@ class TestValidateConfig:
         with pytest.raises(JobStoreError):
             validate_config({1: "x"})
 
+    def test_a_nested_non_string_key_names_its_path(self):
+        config = {"a": {"b": [0, {"c": {2: "x"}}]}, "d": 1}
+        with pytest.raises(JobStoreError) as error:
+            validate_config(config)
+        assert str(error.value) == "non-string key 2 at config path a.b[1].c"
+        with pytest.raises(JobStoreError) as error:
+            validate_config({None: 1})
+        assert str(error.value) == "non-string key None at config path <root>"
+
 
 class TestConfigDiff:
     def test_no_difference(self):

@@ -1,10 +1,17 @@
 """Tests for the Job Store: versioned tables and durability snapshots."""
 
+import gc
+import tracemalloc
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import JobStoreError, VersionConflictError
 from repro.jobs import ConfigLevel, JobStore
+from repro.jobs.model import base_config
 from repro.types import JobState
+from repro.workloads.scuba import ScubaFleet
 
 
 def store_with_job(job_id="job"):
@@ -170,3 +177,103 @@ class TestSnapshots:
         with pytest.raises(VersionConflictError):
             restored.write_expected("job", ConfigLevel.ONCALL, {"a": 2}, 0)
         restored.write_expected("job", ConfigLevel.ONCALL, {"a": 2}, 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_dump_load_dump_is_byte_identical_after_any_writes(self, data):
+        """Arbitrary writes, commits and lifecycle calls; the snapshot of
+        the reloaded store is the same bytes as the original's."""
+        keys = st.sampled_from(["x", "limits", "ü", ""])
+        values = st.recursive(
+            st.none() | st.booleans() | st.integers(-5, 5) | st.text(max_size=3)
+            | st.floats(allow_nan=False),
+            lambda inner: st.lists(inner, max_size=3)
+            | st.dictionaries(keys, inner, max_size=3),
+            max_leaves=6,
+        )
+        configs = st.dictionaries(keys, values, max_size=4)
+        store = JobStore()
+        jobs = ["a", "b", "c"]
+        for job_id in jobs:
+            store.create_job(job_id)
+        for _ in range(data.draw(st.integers(0, 12))):
+            job_id = data.draw(st.sampled_from(jobs))
+            if not store.exists(job_id):
+                continue
+            action = data.draw(st.sampled_from(
+                ["write", "commit", "quiet", "dirty", "state", "delete"]
+            ))
+            if action == "write":
+                level = data.draw(st.sampled_from(list(ConfigLevel)))
+                version = store.read_expected(job_id, level).version
+                store.write_expected(job_id, level, data.draw(configs), version)
+            elif action == "commit":
+                store.commit_running(job_id, data.draw(configs))
+            elif action == "quiet":
+                merged = store.expected_for_sync(job_id)
+                if merged is not None:
+                    store.commit_running(job_id, merged, quiet=True)
+            elif action == "dirty":
+                store.mark_dirty(job_id)
+            elif action == "state":
+                store.set_state(job_id, data.draw(st.sampled_from(list(JobState))))
+            else:
+                store.delete_job(job_id)
+        snapshot = store.dump_snapshot()
+        assert JobStore.load_snapshot(snapshot).dump_snapshot() == snapshot
+
+
+class TestCommandSink:
+    def test_a_sink_that_edits_its_config_changes_no_stored_level(self):
+        """A command sink gets the config of every write and commit. What
+        it does with that dict must not reach the store: the levels, the
+        running config and the convergence verdict stay as written, with
+        no version bump and no notification behind the merge stamp."""
+        store = store_with_job()
+        store.set_command_sink(
+            lambda op, args: "config" in args
+            and args["config"].update(task_count=99)
+        )
+        store.write_expected("job", ConfigLevel.ONCALL, {"task_count": 2}, 0)
+        store.commit_running("job", {"task_count": 1})
+        assert store.read_expected("job", ConfigLevel.ONCALL).config == {
+            "task_count": 2
+        }
+        assert store.read_running("job").config == {"task_count": 1}
+        assert store.merged_expected("job") == {"task_count": 2}
+        assert not store.config_converged("job")
+        store.commit_running("job", store.expected_for_sync("job"), quiet=True)
+        assert store.read_running("job").config == {"task_count": 2}
+        assert store.config_converged("job")
+
+
+class TestFootprint:
+    def test_a_scuba_fleet_store_costs_at_most_2500_bytes_a_job(self):
+        """The tables of 1 000 provisioned and synced Scuba tailers: each
+        level and running config is kept as its JSON text (≈ 1 800 B a
+        job), not as a decoded dict tree (≈ 8 600 B)."""
+        jobs = 1_000
+        levels = [
+            (spec.job_id, base_config(), spec.to_provisioner_config())
+            for spec in ScubaFleet(jobs, seed=1).job_specs()
+        ]
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            store = JobStore()
+            for job_id, base, provisioner in levels:
+                store.create_job(job_id)
+                store.write_expected(job_id, ConfigLevel.BASE, base, 0)
+                store.write_expected(
+                    job_id, ConfigLevel.PROVISIONER, provisioner, 0
+                )
+                store.commit_running(
+                    job_id, store.merged_expected(job_id), quiet=True
+                )
+            gc.collect()
+            per_job = (tracemalloc.get_traced_memory()[0] - before) / jobs
+        finally:
+            tracemalloc.stop()
+        assert store.job_ids() == sorted(job_id for job_id, _, _ in levels)
+        assert per_job <= 2_500, per_job

@@ -33,7 +33,7 @@ MAX_PARTITIONS = 21
 
 #: Rates, intervals, limits and factors are deliberately not dyadic: a
 #: reordered product must show up in the low bits.
-task_shapes = st.fixed_dictionaries({
+TASK_FIELDS = {
     "partitions": st.integers(1, MAX_PARTITIONS),
     #: Skewed producers: partition ``i`` gets a ``(i + 1) ** -skew`` share
     #: (a negative skew fills the slice in ascending order).
@@ -62,10 +62,10 @@ task_shapes = st.fixed_dictionaries({
     #: Publish into the next task's input category: a pipeline whose
     #: second stage reads the first stage's output in the same tick.
     "feeds_next": st.booleans(),
-})
+}
 
-scenarios = st.fixed_dictionaries({
-    "tasks": st.lists(task_shapes, min_size=1, max_size=6),
+SCENARIO_FIELDS = {
+    "tasks": st.lists(st.fixed_dictionaries(TASK_FIELDS), min_size=1, max_size=6),
     #: No limit / tight / exactly the running threads / loose.
     "cpu": st.sampled_from([0.0, 0.35, 1.0, 2.0, 2.9, 64.0]),
     "slow_factor": st.sampled_from([1.0, 1.0, 0.9, 0.37]),
@@ -77,7 +77,43 @@ scenarios = st.fixed_dictionaries({
         ),
         min_size=2, max_size=5,
     ),
-})
+    "drainable": st.just(False),
+}
+
+#: Running tasks on ascending slices (all online, no restore) whose
+#: readable bytes on the first tick, ≤ 4 MB a category (2 MB of backlog
+#: plus 2 MB appended, or fed by a stage that halves ≤ 4 MB), sit under
+#: the smallest budget and cap that tick can give: 1.7 MB/s × 9.9 s × 0.9
+#: (no CPU throttle, the slower of two factors). Every example of this
+#: arm takes drain-all on its first tick, so the branch gets a known
+#: share of the examples rather than a share left to chance.
+DRAINABLE_TASK_FIELDS = {
+    **TASK_FIELDS,
+    "skew": st.just(-0.7),
+    "offline": st.just(frozenset()),
+    "backlog_mb": st.floats(0.01, 2.0),
+    "rate": st.sampled_from([1.7, 7.3]),
+    "keys": st.just(0),
+    "role": st.sampled_from(["running", "promoted"]),
+}
+DRAINABLE_SCENARIO_FIELDS = {
+    **SCENARIO_FIELDS,
+    "tasks": st.lists(
+        st.fixed_dictionaries(DRAINABLE_TASK_FIELDS), min_size=1, max_size=6
+    ),
+    #: No limit, or one above what up to 36 threads can want.
+    "cpu": st.sampled_from([0.0, 64.0]),
+    "slow_factor": st.sampled_from([1.0, 0.9]),
+    "ticks": st.lists(
+        st.tuples(st.sampled_from([9.9, 10.0, 61.3]), st.floats(0.0, 2.0)),
+        min_size=2, max_size=5,
+    ),
+    "drainable": st.just(True),
+}
+
+scenarios = st.fixed_dictionaries(SCENARIO_FIELDS) | st.fixed_dictionaries(
+    DRAINABLE_SCENARIO_FIELDS
+)
 
 
 def saturated_need_gb(rate_mb, keys=0, task_count=1, overhead=0.0):
@@ -254,6 +290,7 @@ def test_flat_step_equals_the_per_call_form_bit_for_bit():
     @given(scenario=scenarios)
     def equivalent(scenario):
         branches = run_scenario(scenario)
+        assert "drain-all" in branches or not scenario["drainable"], branches
         hits["examples"] += 1
         for branch in ("drain-all", "water-fill"):
             hits[branch] += branch in branches
