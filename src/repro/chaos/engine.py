@@ -75,10 +75,9 @@ class _Watch:
 class ChaosEngine:
     """Schedules declarative fault scenarios against one platform."""
 
-    def __init__(self, platform, check_interval: Seconds = CHECK_INTERVAL) -> None:
+    def __init__(self, platform) -> None:
         self._platform = platform
         self._engine = platform.engine
-        self._check_interval = check_interval
         self.checker = ConvergenceChecker(platform)
         self.records: List[ChaosRecord] = []
         #: fault key → MTTR in seconds (``None`` until converged).
@@ -98,9 +97,9 @@ class ChaosEngine:
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
-    def schedule(self, scenario: ChaosScenario, at: Optional[Seconds] = None) -> None:
-        """Arm every fault of ``scenario`` relative to ``at`` (default now)."""
-        base = self._engine.now if at is None else at
+    def schedule(self, scenario: ChaosScenario) -> None:
+        """Arm every fault of ``scenario`` relative to now."""
+        base = self._engine.now
         for fault in scenario.faults:
             self._engine.call_at(
                 base + fault.at,
@@ -228,7 +227,7 @@ class ChaosEngine:
     def _ensure_watch_timer(self) -> None:
         if self._watch_timer is None:
             self._watch_timer = self._engine.every(
-                self._check_interval, self._check_watches, name="chaos-watch"
+                CHECK_INTERVAL, self._check_watches, name="chaos-watch"
             )
 
     def _ensure_fine_timer(self) -> None:

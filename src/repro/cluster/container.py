@@ -60,15 +60,6 @@ class TurbineContainer:
             total = total + reservation
         return total
 
-    @property
-    def available(self) -> ResourceVector:
-        """Capacity not yet reserved by child tasks."""
-        return (self.capacity - self.reserved).clamped_non_negative()
-
-    def utilization(self) -> float:
-        """Dominant-share utilization of reservations against capacity."""
-        return self.reserved.utilization_of(self.capacity)
-
     # ------------------------------------------------------------------
     # Child task reservations
     # ------------------------------------------------------------------

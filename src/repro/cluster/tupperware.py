@@ -82,23 +82,16 @@ class TupperwareCluster:
     # ------------------------------------------------------------------
     def allocate_container(
         self,
+        host_id: HostId,
         capacity: Optional[ResourceVector] = None,
-        host_id: Optional[HostId] = None,
     ) -> TurbineContainer:
-        """Carve a Turbine container out of a host.
-
-        With no ``host_id``, the least-allocated live host that fits is
-        chosen (ties broken by host id for determinism).
-        """
+        """Carve a Turbine container out of host ``host_id``."""
         shape = capacity if capacity is not None else DEFAULT_CONTAINER_CAPACITY
-        if host_id is not None:
-            host = self._get_host(host_id)
-            if not host.can_fit(shape):
-                raise CapacityError(
-                    f"host {host_id} cannot fit a container of {shape!r}"
-                )
-        else:
-            host = self._pick_host(shape)
+        host = self._get_host(host_id)
+        if not host.can_fit(shape):
+            raise CapacityError(
+                f"host {host_id} cannot fit a container of {shape!r}"
+            )
         container_id = f"turbine-{next(self._container_counter)}"
         container = TurbineContainer(container_id, shape, liveness=self.liveness)
         host.attach(container)
@@ -114,21 +107,8 @@ class TupperwareCluster:
         allocated = []
         for host in self.live_hosts():
             for __ in range(containers_per_host):
-                allocated.append(
-                    self.allocate_container(capacity, host_id=host.host_id)
-                )
+                allocated.append(self.allocate_container(host.host_id, capacity))
         return allocated
-
-    def _pick_host(self, shape: ResourceVector) -> Host:
-        candidates = [host for host in self.live_hosts() if host.can_fit(shape)]
-        if not candidates:
-            raise CapacityError(
-                f"no live host can fit a container of {shape!r}"
-            )
-        return min(
-            candidates,
-            key=lambda host: (host.allocated.utilization_of(host.capacity), host.host_id),
-        )
 
     # ------------------------------------------------------------------
     # Queries

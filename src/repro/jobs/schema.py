@@ -49,9 +49,9 @@ _SCHEMA: Dict[str, Any] = {
 }
 
 
-def validate_typed(config: Mapping[str, Any], path: str = "") -> None:
+def validate_typed(config: Mapping[str, Any]) -> None:
     """Raise :class:`JobStoreError` when a known key has the wrong type."""
-    _check_node(config, _SCHEMA, path)
+    _check_node(config, _SCHEMA, "")
 
 
 def _check_node(

@@ -65,7 +65,7 @@ from repro.obs.trace import (
     TraceEvent,
     Tracer,
 )
-from repro.resilience import CircuitBreaker, Dependency, RetryPolicy
+from repro.resilience import CircuitBreaker, Dependency
 from repro.sim.engine import Engine, Timer
 from repro.types import JobId, JobState, Seconds
 
@@ -157,9 +157,8 @@ class StateSyncer:
         #: Resilience edges. The store edge carries a breaker whose reset
         #: timeout equals the sync interval, so every round is a probe and
         #: recovery is detected with no extra latency; the actuator edge
-        #: is count-and-classify only — a failed plan already has
-        #: retry-next-round semantics, and auto-retrying inside a round
-        #: would change the quarantine accounting.
+        #: is count-and-classify only — a failed plan is retried next
+        #: round.
         self._store_dep = Dependency(
             "syncer.job-store",
             clock=lambda: self.now,
@@ -170,7 +169,6 @@ class StateSyncer:
             "syncer.actuator",
             clock=lambda: self.now,
             telemetry=self._telemetry,
-            retry=RetryPolicy(max_attempts=1, retry_on=()),
         )
 
     # ------------------------------------------------------------------

@@ -35,20 +35,17 @@ _NO_ROW: Mapping[str, TimeSeries] = MappingProxyType({})
 class MetricStore:
     """All time series in one cluster."""
 
-    def __init__(
-        self,
-        default_retention: Seconds = DEFAULT_RETENTION,
-        telemetry=None,
-    ) -> None:
+    def __init__(self, default_retention: Seconds = DEFAULT_RETENTION) -> None:
         self.default_retention = default_retention
         self._series: Dict[Tuple[str, str], TimeSeries] = {}
         #: Inverted indexes: entity -> {metric: series}, metric -> entities.
         self._entity_index: Dict[str, Dict[str, TimeSeries]] = {}
         self._metric_index: Dict[str, Set[str]] = {}
-        #: Optional telemetry sink (duck-typed ``.inc``); mechanism
-        #: counters live under the ``metrics.*`` namespace, which the
-        #: deterministic telemetry export excludes.
-        self._telemetry = telemetry
+        #: Optional telemetry sink (duck-typed ``.inc``, see
+        #: :meth:`set_telemetry`); mechanism counters live under the
+        #: ``metrics.*`` namespace, which the deterministic telemetry
+        #: export excludes.
+        self._telemetry = None
         #: When False the ingestion path is down: writes are dropped (a
         #: gap appears in every series) while reads keep serving whatever
         #: was recorded before — the realistic shape of a metric-store

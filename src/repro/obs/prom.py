@@ -19,7 +19,7 @@ excludes from JSONL exports, so the text is byte-identical per seed.
 from __future__ import annotations
 
 import re
-from typing import List, Optional
+from typing import List
 
 _NAME_RE = re.compile(r"[^a-zA-Z0-9_:]")
 _LABEL_ESCAPE = str.maketrans({"\\": r"\\", '"': r"\"", "\n": r"\n"})
@@ -49,14 +49,13 @@ def render_prometheus(
     telemetry=None,
     slo=None,
     deterministic: bool = False,
-    now: Optional[float] = None,
 ) -> str:
     """A Prometheus text-format snapshot (version 0.0.4 exposition)."""
     lines: List[str] = []
     if telemetry is not None:
         lines.extend(_telemetry_lines(telemetry, deterministic))
     if slo is not None:
-        lines.extend(_slo_lines(slo, now))
+        lines.extend(_slo_lines(slo))
     return "".join(line + "\n" for line in lines)
 
 
@@ -91,8 +90,8 @@ def _telemetry_lines(telemetry, deterministic: bool) -> List[str]:
     return lines
 
 
-def _slo_lines(slo, now: Optional[float]) -> List[str]:
-    report = slo.report(now)
+def _slo_lines(slo) -> List[str]:
+    report = slo.report()
     lines: List[str] = []
     rows = report["slos"]
     if rows:

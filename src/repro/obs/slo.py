@@ -449,16 +449,16 @@ class SloTracker:
         """The (job, SLO) burn rate over a trailing window, now."""
         return self._burn(job_id, self._spec_index(slo), window, self._engine.now)
 
-    def budget_burned(self, job_id: JobId, slo: str, now: Optional[Seconds] = None) -> float:
+    def budget_burned(self, job_id: JobId, slo: str) -> float:
         """Fraction of the error budget consumed over the compliance window.
 
         1.0 means the budget is gone — the SLO is breached for the
         current horizon; values above 1.0 measure how far past it burned.
         """
         index = self._spec_index(slo)
-        if now is None:
-            now = self._engine.now
-        return self._burn(job_id, index, self.specs[index].compliance_window, now)
+        return self._burn(
+            job_id, index, self.specs[index].compliance_window, self._engine.now
+        )
 
     def spec(self, name: str) -> SloSpec:
         return self.specs[self._spec_index(name)]

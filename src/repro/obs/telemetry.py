@@ -223,12 +223,10 @@ class Telemetry:
             ))
         return "".join(line + "\n" for line in lines)
 
-    def write_jsonl(self, path, deterministic: bool = False) -> None:
+    def write_jsonl(self, path) -> None:
         from pathlib import Path
 
-        Path(path).write_text(
-            self.to_jsonl(deterministic=deterministic), encoding="utf-8"
-        )
+        Path(path).write_text(self.to_jsonl(), encoding="utf-8")
 
     def __repr__(self) -> str:
         return (

@@ -24,6 +24,9 @@ from repro.tasks.service import TaskService
 from repro.tasks.shard_manager import ShardManager
 from repro.types import Seconds
 
+#: How often the reporter snapshots the platform's health.
+REPORT_INTERVAL: Seconds = 300.0
+
 #: Retained reports/alerts. At the default 5-minute cadence this is a
 #: month of history — plenty for timelines, bounded for endless soaks.
 DEFAULT_REPORT_RETENTION = 8_640
@@ -106,7 +109,7 @@ class HealthReporter:
         shard_manager: ShardManager,
         metrics: MetricStore,
         thresholds: Optional[HealthThresholds] = None,
-        interval: Seconds = 300.0,
+        interval: Seconds = REPORT_INTERVAL,
         retention: int = DEFAULT_REPORT_RETENTION,
         sli: Optional[SliEvaluator] = None,
     ) -> None:

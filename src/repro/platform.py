@@ -224,15 +224,15 @@ class Turbine:
             config=scaler_config, tracer=self.tracer,
         ))
 
-    def attach_health_reporter(self, thresholds=None, interval=300.0):
+    def attach_health_reporter(self, thresholds=None, interval=None):
         """Attach the operations health reporter (paper section VII)."""
         from repro.ops.health import HealthReporter
 
         return self._attach("health", HealthReporter(
             self.engine, self.job_service, self.task_service,
             self.shard_manager, self.metrics,
-            thresholds=thresholds, interval=interval,
-            sli=self._sli_evaluator(),
+            thresholds=thresholds, sli=self._sli_evaluator(),
+            **_given(interval=interval),
         ))
 
     def _sli_evaluator(self):
@@ -243,7 +243,7 @@ class Turbine:
             self.sli = SliEvaluator(self.job_service, self.metrics)
         return self.sli
 
-    def attach_slo(self, specs=None, rules=None, interval=60.0):
+    def attach_slo(self, specs=None):
         """Attach the SLO plane: SLI judgements, error budgets, alerts.
 
         Evaluation is passive (reads metrics, writes its own private
@@ -255,8 +255,7 @@ class Turbine:
 
         return self._attach("slo", SloTracker(
             self.engine, self._sli_evaluator(),
-            specs=specs, interval=interval, telemetry=self.telemetry,
-            **_given(rules=rules),
+            specs=specs, telemetry=self.telemetry,
         ))
 
     def attach_chaos(self):
@@ -301,7 +300,7 @@ class Turbine:
             ),
         ))
 
-    def attach_checkpoints(self, interval=None, retention=None):
+    def attach_checkpoints(self):
         """Attach the durable checkpoint plane (Scribe-backed snapshots).
 
         Periodically snapshots every job's committed offsets into a
@@ -314,13 +313,12 @@ class Turbine:
         plane = CheckpointPlane(
             self.engine, self.scribe, self.task_service,
             telemetry=self.telemetry,
-            **_given(interval=interval, retention=retention),
         )
         for manager in self.task_managers.values():
             manager.checkpoint_plane = plane
         return self._attach("checkpoint_plane", plane)
 
-    def attach_standby(self, interval=None):
+    def attach_standby(self):
         """Attach the hot-standby plane (passive replicas, fast takeover).
 
         Only jobs provisioned with ``hot_standby=True`` get replicas; a
@@ -330,10 +328,7 @@ class Turbine:
         """
         from repro.tasks.standby import StandbyPlane
 
-        plane = StandbyPlane(
-            self.engine, self, telemetry=self.telemetry,
-            **_given(interval=interval),
-        )
+        plane = StandbyPlane(self.engine, self, telemetry=self.telemetry)
         if self.standby is not None:
             plane.take_over(self.standby)
         for manager in self.task_managers.values():
@@ -377,13 +372,12 @@ class Turbine:
         num_hosts: int,
         seed: int = 0,
         config: Optional[PlatformConfig] = None,
-        host_capacity: Optional[ResourceVector] = None,
     ) -> "Turbine":
         """Build a deployment with ``num_hosts`` identical hosts."""
         engine = Engine(seed=seed)
         cluster = TupperwareCluster()
         for index in range(num_hosts):
-            cluster.add_host(f"host-{index}", host_capacity)
+            cluster.add_host(f"host-{index}")
         return cls(engine, cluster, config)
 
     def start(self) -> None:
@@ -482,7 +476,7 @@ class Turbine:
         """Allocate the host's containers, one Task Manager each."""
         for __ in range(self.config.containers_per_host):
             container = self.cluster.allocate_container(
-                self.config.container_capacity, host_id=host_id
+                host_id, self.config.container_capacity
             )
             self._spawn_manager(container)
 

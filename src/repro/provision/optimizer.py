@@ -24,10 +24,14 @@ from repro.provision.ir import IRNode, StreamGraph
 from repro.provision.query import Filter, Project, QueryError, Shuffle
 
 
-def optimize(graph: StreamGraph, max_passes: int = 10) -> StreamGraph:
-    """Apply rewrite rules to fixpoint (bounded by ``max_passes``)."""
+#: Rewrite passes after which the optimizer stops, fixpoint or not.
+MAX_PASSES = 10
+
+
+def optimize(graph: StreamGraph) -> StreamGraph:
+    """Apply rewrite rules to fixpoint (bounded by :data:`MAX_PASSES`)."""
     schema_before = graph.sink.op.output_schema()
-    for __ in range(max_passes):
+    for __ in range(MAX_PASSES):
         changed = False
         changed |= _push_filters_below_shuffles(graph)
         changed |= _push_projections_below_shuffles(graph)

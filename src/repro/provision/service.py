@@ -22,12 +22,11 @@ from typing import Dict, List, Optional, Set
 from repro.jobs.model import JobSpec
 from repro.provision.ir import IRNode, StreamGraph, compile_query
 from repro.provision.optimizer import optimize
-from repro.provision.query import Query, QueryError
-from repro.types import Priority
+from repro.provision.query import Query
 
-#: Default engine throughput assumption for sizing new stages (MB/s per
-#: thread), refined later at runtime by the scaler's pattern analyzer.
-DEFAULT_RATE_PER_THREAD = 2.0
+#: Engine throughput assumed when sizing new stages (MB/s per thread),
+#: refined later at runtime by the scaler's pattern analyzer.
+RATE_PER_THREAD = 2.0
 
 #: Target utilization of a task at provisioning time (leave headroom).
 TARGET_UTILIZATION = 0.7
@@ -90,16 +89,6 @@ class ProvisionedPipeline:
 
 class ProvisionService:
     """Validates, compiles, optimizes, and provisions queries."""
-
-    def __init__(
-        self,
-        rate_per_thread_mb: float = DEFAULT_RATE_PER_THREAD,
-        default_priority: Priority = Priority.NORMAL,
-    ) -> None:
-        if rate_per_thread_mb <= 0:
-            raise QueryError("rate_per_thread_mb must be positive")
-        self._rate_per_thread = rate_per_thread_mb
-        self._priority = default_priority
 
     # ------------------------------------------------------------------
     # Planning (pure)
@@ -212,17 +201,16 @@ class ProvisionService:
         The Auto Scaler owns sizing after launch; the provisioner only
         needs to be in the right ballpark (the staging-period bootstrap).
         """
-        capacity_per_task = self._rate_per_thread * TARGET_UTILIZATION
+        capacity_per_task = RATE_PER_THREAD * TARGET_UTILIZATION
         task_count = max(1, math.ceil(stage.input_rate_mb / capacity_per_task))
         return JobSpec(
             job_id=f"{query_name}/stage-{stage.stage_id}",
             input_category=stage.input_category,
             task_count=min(task_count, 32),
             threads_per_task=1,
-            rate_per_thread_mb=self._rate_per_thread,
+            rate_per_thread_mb=RATE_PER_THREAD,
             stateful=stage.stateful,
             state_key_cardinality=stage.key_cardinality,
             output_category=stage.output_category or "",
             output_ratio=stage.reduction_ratio,
-            priority=self._priority,
         )

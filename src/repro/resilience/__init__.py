@@ -1,4 +1,4 @@
-"""Shared resilience policy kit (retries, breakers, last-known-good).
+"""Shared resilience policy kit (breakers, last-known-good, guarded edges).
 
 See :mod:`repro.resilience.policy` for the rationale; components build
 one :class:`Dependency` per call edge and route every cross-component
@@ -12,7 +12,6 @@ from repro.resilience.policy import (
     CircuitBreaker,
     Dependency,
     LastKnownGood,
-    RetryPolicy,
 )
 
 __all__ = [
@@ -22,5 +21,4 @@ __all__ = [
     "CircuitBreaker",
     "Dependency",
     "LastKnownGood",
-    "RetryPolicy",
 ]

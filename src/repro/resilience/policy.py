@@ -7,9 +7,6 @@ that discipline ad hoc — scattered ``if not service.available`` checks and
 ``except DegradedModeError`` clauses. The policy kit centralizes the
 patterns:
 
-* :class:`RetryPolicy` — exponential backoff with optional jitter drawn
-  from a forked :class:`~repro.sim.rng.SeededRng` stream, so retries are
-  deterministic and replayable like everything else in the simulation.
 * :class:`CircuitBreaker` — the classic CLOSED → OPEN → HALF_OPEN state
   machine on simulation time. With ``reset_timeout`` at or below the
   caller's tick period every periodic tick doubles as the half-open
@@ -24,17 +21,17 @@ patterns:
   failures, so call sites write ``dep.call(...)`` or ``dep.probe(...)``
   instead of re-implementing the availability dance.
 
-Synchronous retries are *immediate* re-attempts: simulation time cannot
-advance inside a call, so in-call backoff would be a lie. Backoff applies
-to *scheduled* retries — callers that re-arm themselves via
-``engine.call_in`` ask the policy for :meth:`RetryPolicy.delay`.
+A call is attempted once. Simulation time cannot advance inside a call,
+so a synchronous retry could only hit the same outage again; callers that
+try again do so on a later tick (the Task Manager's reconnect loop
+re-arms itself every heartbeat interval).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Any, Callable, Mapping, Optional, Tuple, Type
+from typing import Any, Callable, Mapping, Optional
 
 from repro.errors import CircuitOpenError, DegradedModeError
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
@@ -43,45 +40,6 @@ from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
 CLOSED = "closed"
 OPEN = "open"
 HALF_OPEN = "half-open"
-
-
-class RetryPolicy:
-    """Exponential backoff schedule: ``base * multiplier**attempt``.
-
-    ``max_attempts`` governs synchronous (immediate) re-attempts inside
-    :meth:`Dependency.call`; :meth:`delay` serves callers that schedule
-    their own retries on the engine. ``jitter`` is the +/- fraction of the
-    delay randomized per call; pass an rng (fork one per component) to
-    keep draws off the shared stream.
-    """
-
-    def __init__(
-        self,
-        max_attempts: int = 1,
-        base_delay: float = 1.0,
-        multiplier: float = 2.0,
-        max_delay: float = 300.0,
-        jitter: float = 0.0,
-        retry_on: Tuple[Type[BaseException], ...] = (DegradedModeError,),
-    ) -> None:
-        if max_attempts < 1:
-            raise ValueError(f"max_attempts must be >= 1: {max_attempts}")
-        if not 0.0 <= jitter < 1.0:
-            raise ValueError(f"jitter must be in [0, 1): {jitter}")
-        self.max_attempts = max_attempts
-        self.base_delay = base_delay
-        self.multiplier = multiplier
-        self.max_delay = max_delay
-        self.jitter = jitter
-        self.retry_on = retry_on
-
-    def delay(self, attempt: int, rng=None) -> float:
-        """Backoff before retry number ``attempt`` (0-based)."""
-        raw = self.base_delay * (self.multiplier ** max(0, attempt))
-        raw = min(raw, self.max_delay)
-        if self.jitter and rng is not None:
-            raw += raw * rng.uniform(-self.jitter, self.jitter)
-        return max(0.0, raw)
 
 
 class CircuitBreaker:
@@ -172,7 +130,7 @@ def _counter_keys(name: str) -> Mapping[str, str]:
     return MappingProxyType({
         what: f"resilience.{name}.{what}"
         for what in (
-            "calls", "retries", "short_circuits", "fallbacks",
+            "calls", "short_circuits", "fallbacks",
             "unavailable", "failures", "breaker_opened",
         )
     })
@@ -193,16 +151,12 @@ class Dependency:
         name: str,
         clock: Optional[Callable[[], float]] = None,
         telemetry: Optional[Telemetry] = None,
-        retry: Optional[RetryPolicy] = None,
         breaker: Optional[CircuitBreaker] = None,
-        rng=None,
     ) -> None:
         self.name = name
         self._clock = clock or (lambda: 0.0)
         self._telemetry = telemetry or NULL_TELEMETRY
-        self.retry = retry or RetryPolicy()
         self.breaker = breaker
-        self.rng = rng
         self.last_error: Optional[BaseException] = None
         #: Counter keys built once, so a call never formats one.
         self._keys = _counter_keys(name)
@@ -212,12 +166,10 @@ class Dependency:
     # Guarded calls
     # ------------------------------------------------------------------
     def call(self, fn: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
-        """Run ``fn`` under this policy; raise its failure when exhausted.
+        """Run ``fn`` once under this policy; count and re-raise its failure.
 
-        Degraded-mode failures (and anything in ``retry.retry_on``) are
-        retried up to ``retry.max_attempts`` times synchronously; other
-        exceptions propagate immediately after being counted. The clock
-        is read only for the breaker: a breaker-less edge never needs it.
+        The clock is read only for the breaker: a breaker-less edge never
+        needs it.
         """
         breaker = self.breaker
         now = 0.0
@@ -228,26 +180,16 @@ class Dependency:
                 raise CircuitOpenError(
                     f"dependency {self.name} circuit is open"
                 )
-        retry = self.retry
-        attempts = retry.max_attempts
-        for attempt in range(attempts):
-            self._telemetry.inc(self._calls_key)
-            try:
-                result = fn(*args, **kwargs)
-            except retry.retry_on as error:
-                self._note_failure(error, now)
-                if attempt + 1 >= attempts:
-                    raise
-                self._inc("retries")
-            except BaseException as error:
-                self._note_failure(error, now)
-                raise
-            else:
-                self.last_error = None
-                if breaker is not None:
-                    breaker.record_success()
-                return result
-        raise AssertionError("unreachable")  # pragma: no cover
+        self._telemetry.inc(self._calls_key)
+        try:
+            result = fn(*args, **kwargs)
+        except BaseException as error:
+            self._note_failure(error, now)
+            raise
+        self.last_error = None
+        if breaker is not None:
+            breaker.record_success()
+        return result
 
     def probe(
         self, fn: Callable[..., Any], *args: Any, default: Any = None, **kwargs: Any
@@ -263,10 +205,6 @@ class Dependency:
         except DegradedModeError:
             self._inc("fallbacks")
             return default
-
-    def schedule_delay(self, attempt: int) -> float:
-        """Backoff for a caller-scheduled retry (uses this edge's rng)."""
-        return self.retry.delay(attempt, rng=self.rng)
 
     # ------------------------------------------------------------------
     # Internals

@@ -85,14 +85,10 @@ class PatternAnalyzer:
         self,
         metrics: MetricStore,
         validate_hours: float = DEFAULT_VALIDATE_HOURS,
-        history_days: int = HISTORY_DAYS,
-        outlier_deviation: float = OUTLIER_DEVIATION,
         history_enabled: bool = True,
     ) -> None:
         self._metrics = metrics
         self._validate_hours = validate_hours
-        self._history_days = history_days
-        self._outlier_deviation = outlier_deviation
         #: Ablation switch: with history disabled, downscales are checked
         #: against the estimate only (the pre-preactive behaviour).
         self.history_enabled = history_enabled
@@ -240,7 +236,7 @@ class PatternAnalyzer:
         now = snapshot.time
         window = self._validate_hours * 3600.0
         days_checked = 0
-        for day in range(1, self._history_days + 1):
+        for day in range(1, HISTORY_DAYS + 1):
             start = now - day * 86400.0
             if start < 0:
                 break
@@ -279,7 +275,7 @@ class PatternAnalyzer:
         recent_avg = recent_sum / recent_count
         history_sum = 0.0
         history_count = 0
-        for day in range(1, self._history_days + 1):
+        for day in range(1, HISTORY_DAYS + 1):
             start = now - day * 86400.0 - 1800.0
             if start < -1800.0:
                 break
@@ -294,4 +290,4 @@ class PatternAnalyzer:
         if history_avg <= 1e-9:
             return recent_avg > 1e-9
         deviation = abs(recent_avg - history_avg) / history_avg
-        return deviation > self._outlier_deviation
+        return deviation > OUTLIER_DEVIATION

@@ -19,7 +19,6 @@ from repro.jobs.configs import ConfigLevel
 from repro.jobs.model import JobView
 from repro.jobs.service import JobService
 from repro.metrics.store import MetricStore
-from repro.obs.telemetry import Telemetry
 from repro.obs.trace import (
     NULL_TRACER,
     SLOT_SYMPTOM,
@@ -88,7 +87,6 @@ class AutoScaler:
         scribe: ScribeBus,
         config: Optional[AutoScalerConfig] = None,
         tracer: Optional[Tracer] = None,
-        telemetry: Optional[Telemetry] = None,
     ) -> None:
         self._engine = engine
         self._service = job_service
@@ -124,7 +122,6 @@ class AutoScaler:
         self._store_dep = Dependency(
             "scaler.job-service",
             clock=lambda: engine.now,
-            telemetry=telemetry,
             breaker=CircuitBreaker(
                 failure_threshold=2, reset_timeout=self.config.interval
             ),

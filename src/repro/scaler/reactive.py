@@ -17,12 +17,6 @@ from typing import List, Optional
 from repro.jobs.configs import ConfigLevel
 from repro.jobs.service import JobService
 from repro.metrics.store import MetricStore
-from repro.obs.trace import (
-    NULL_TRACER,
-    SLOT_SYMPTOM,
-    SLOT_WRITE_ORIGIN,
-    Tracer,
-)
 from repro.resilience import CircuitBreaker, Dependency
 from repro.scaler.detectors import SymptomDetector
 from repro.scaler.snapshot import JobSnapshot, snapshot_job
@@ -68,15 +62,13 @@ class ReactiveAutoScaler:
         metrics: MetricStore,
         scribe: ScribeBus,
         config: Optional[ReactiveConfig] = None,
-        tracer: Optional[Tracer] = None,
     ) -> None:
         self._engine = engine
         self._service = job_service
         self._metrics = metrics
         self._scribe = scribe
         self.config = config or ReactiveConfig()
-        self._tracer = tracer or NULL_TRACER
-        self._detector = SymptomDetector(tracer=self._tracer)
+        self._detector = SymptomDetector()
         self.actions: List[ReactiveAction] = []
         self._timer: Optional[Timer] = None
         #: Resilience edge toward the Job Service (see the proactive
@@ -121,33 +113,26 @@ class ReactiveAutoScaler:
 
     def _evaluate(self, snapshot: JobSnapshot) -> None:
         symptoms = self._detector.detect(snapshot)
-        # Consume the symptom event (if traced) so the resolver's action
-        # links back to exactly the symptom that triggered it.
-        trace = self._tracer.claim_context(snapshot.job_id, SLOT_SYMPTOM)
         if symptoms.lagging:                       # line 2
             if symptoms.imbalanced and snapshot.task_count > 1:   # line 3
-                self._rebalance(snapshot, trace)   # line 4
+                self._rebalance(snapshot)          # line 4
             else:
-                self._increase_tasks(snapshot, trace)  # line 6
+                self._increase_tasks(snapshot)     # line 6
         elif symptoms.oom:                          # line 8
-            self._increase_memory(snapshot, trace)  # line 9
+            self._increase_memory(snapshot)        # line 9
         elif self._quiet_long_enough(snapshot):     # line 10
             self._decrease_tasks(snapshot)         # line 11
 
     # ------------------------------------------------------------------
     # Resolvers
     # ------------------------------------------------------------------
-    def _rebalance(self, snapshot: JobSnapshot, trace=None) -> None:
+    def _rebalance(self, snapshot: JobSnapshot) -> None:
         category_name = self._service.view(snapshot.job_id).input_category
         if category_name:
             self._scribe.get_category(category_name).set_weights(None)
-        self._tracer.record(
-            "reactive-scaler", "action-rebalance", job_id=snapshot.job_id,
-            parent=trace,
-        )
         self._record(snapshot, "rebalance", "evened input traffic")
 
-    def _increase_tasks(self, snapshot: JobSnapshot, trace=None) -> None:
+    def _increase_tasks(self, snapshot: JobSnapshot) -> None:
         new_count = min(
             max(
                 snapshot.task_count + 1,
@@ -157,25 +142,21 @@ class ReactiveAutoScaler:
         )
         if new_count <= snapshot.task_count:
             return
-        self._patch_traced(
-            snapshot, "action-upscale", trace,
-            {"task_count": new_count},
-            task_count=new_count,
+        self._service.patch(
+            snapshot.job_id, ConfigLevel.SCALER, {"task_count": new_count}
         )
         self._record(
             snapshot, "upscale",
             f"{snapshot.task_count} -> {new_count} tasks",
         )
 
-    def _increase_memory(self, snapshot: JobSnapshot, trace=None) -> None:
+    def _increase_memory(self, snapshot: JobSnapshot) -> None:
         current = snapshot.memory_per_task_gb or 0.5
         target = round(current * self.config.oom_memory_factor, 3)
         resources = dict(self._service.view(snapshot.job_id).resources)
         resources["memory_gb"] = target
-        self._patch_traced(
-            snapshot, "action-memory", trace,
-            {"resources": resources},
-            memory_gb=target,
+        self._service.patch(
+            snapshot.job_id, ConfigLevel.SCALER, {"resources": resources}
         )
         self._record(snapshot, "memory", f"{current:.2f} -> {target:.2f} GB")
 
@@ -183,26 +164,13 @@ class ReactiveAutoScaler:
         new_count = snapshot.task_count - self.config.downscale_step
         if new_count < 1:
             return
-        self._patch_traced(
-            snapshot, "action-downscale", None,
-            {"task_count": new_count},
-            task_count=new_count,
+        self._service.patch(
+            snapshot.job_id, ConfigLevel.SCALER, {"task_count": new_count}
         )
         self._record(
             snapshot, "downscale",
             f"{snapshot.task_count} -> {new_count} tasks",
         )
-
-    def _patch_traced(
-        self, snapshot: JobSnapshot, kind: str, trace, changes, **detail
-    ) -> None:
-        """Record the action event, mark it as the write's origin, patch."""
-        event = self._tracer.record(
-            "reactive-scaler", kind, job_id=snapshot.job_id, parent=trace,
-            **detail,
-        )
-        self._tracer.set_context(snapshot.job_id, SLOT_WRITE_ORIGIN, event)
-        self._service.patch(snapshot.job_id, ConfigLevel.SCALER, changes)
 
     # ------------------------------------------------------------------
     # Helpers

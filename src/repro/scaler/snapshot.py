@@ -19,6 +19,9 @@ from repro.types import JobId, Priority, Seconds
 #: ~10-minute usage averages for load).
 RATE_WINDOW: Seconds = 600.0
 
+#: Trailing window in which an OOM event makes a job "OOM recently".
+OOM_WINDOW: Seconds = 600.0
+
 
 class JobSnapshot(NamedTuple):
     """Everything the scaler pipeline knows about one job at one instant.
@@ -70,7 +73,6 @@ def snapshot_job(
     view: JobView,
     metrics: MetricStore,
     now: Seconds,
-    oom_window: Seconds = 600.0,
     input_partitions: int = 0,
 ) -> JobSnapshot:
     """Build a snapshot from the job's expected view and its metric row."""
@@ -88,7 +90,7 @@ def snapshot_job(
         input_rate = latest("input_rate_mb")
 
     oom_series = row.get("oom_events")
-    oom_recently = bool(oom_series and oom_series.values_in(now - oom_window, now))
+    oom_recently = bool(oom_series and oom_series.values_in(now - OOM_WINDOW, now))
 
     return JobSnapshot(
         job_id=job_id,

@@ -5,7 +5,7 @@ two ways:
 
 * one-shot events — ``engine.call_in(delay, fn)`` / ``engine.call_at(t, fn)``
 * periodic timers — ``engine.every(interval, fn)`` returns a :class:`Timer`
-  that re-arms itself after each firing and can be paused or cancelled.
+  that re-arms itself after each firing until it is cancelled.
 
 Timers are the backbone of the reproduction: the paper's services are all
 periodic (State Syncer every 30 s, Task Manager refresh every 60 s, shard
@@ -29,9 +29,7 @@ class Timer:
     """A periodic timer managed by the engine.
 
     The timer re-schedules itself after each firing. ``cancel()`` stops it
-    permanently; ``pause()`` / ``resume()`` toggle it. A paused timer does
-    *not* keep its phase: resuming schedules the next firing one full
-    interval from the resume time.
+    permanently.
     """
 
     def __init__(
@@ -49,17 +47,16 @@ class Timer:
         self.name = name
         self._event: Optional[Event] = None
         self._cancelled = False
-        self._paused = False
         self.fire_count = 0
 
     @property
     def active(self) -> bool:
-        """True while the timer will keep firing."""
-        return not self._cancelled and not self._paused
+        """True until the timer is cancelled."""
+        return not self._cancelled
 
     @property
     def pending(self) -> Optional[Event]:
-        """The armed next firing (``None`` while cancelled or paused)."""
+        """The armed next firing (``None`` once cancelled)."""
         return self._event
 
     def cancel(self) -> None:
@@ -69,28 +66,10 @@ class Timer:
             self._event.cancel()
             self._event = None
 
-    def pause(self) -> None:
-        """Stop firing until :meth:`resume` is called."""
-        self._paused = True
-        if self._event is not None:
-            self._event.cancel()
-            self._event = None
-
-    def resume(self) -> None:
-        """Re-arm a paused timer one full interval from now (the paused
-        phase is discarded, per the class docstring)."""
-        if self._cancelled:
-            raise SimulationError(f"cannot resume cancelled timer {self.name!r}")
-        if not self._paused:
-            return
-        self._paused = False
-        self._arm()
-
     def _arm(self, delay: Optional[Seconds] = None) -> None:
         """Schedule the next firing ``delay`` seconds from now (defaults
-        to one interval). No-op while cancelled or paused, so every arming
-        path — including the very first one — honours both states."""
-        if self._cancelled or self._paused:
+        to one interval). No-op once cancelled."""
+        if self._cancelled:
             return
         self._event = self._engine.queue.push(
             self._engine.now + (self.interval if delay is None else delay),
@@ -98,7 +77,7 @@ class Timer:
         )
 
     def _fire(self) -> None:
-        if self._cancelled or self._paused:
+        if self._cancelled:
             return
         self.fire_count += 1
         # Re-arm before invoking the callback so a callback that raises does
@@ -107,7 +86,7 @@ class Timer:
         self._callback()
 
     def __repr__(self) -> str:
-        state = "cancelled" if self._cancelled else ("paused" if self._paused else "active")
+        state = "cancelled" if self._cancelled else "active"
         return f"Timer(name={self.name!r}, interval={self.interval}, {state})"
 
 
@@ -180,16 +159,6 @@ class Engine:
         else:
             self.instrumentation.record_event(self, callback)
 
-    def step(self) -> bool:
-        """Deliver the next event. Returns False when the queue is empty."""
-        next_time = self.queue.peek_time()
-        if next_time is None:
-            return False
-        time, callback = self.queue.pop()
-        self.clock.advance_to(time)
-        self._dispatch(callback)
-        return True
-
     def run_until(self, deadline: Seconds) -> None:
         """Deliver events up to and including ``deadline``.
 
@@ -220,23 +189,6 @@ class Engine:
         if duration < 0:
             raise SimulationError(f"duration must be non-negative: {duration}")
         self.run_until(self.now + duration)
-
-    def drain(self, max_events: int = 1_000_000) -> int:
-        """Deliver events until the queue is empty; returns the count.
-
-        ``max_events`` guards against runaway self-scheduling loops (every
-        periodic timer makes the queue technically never-empty, so ``drain``
-        is only meaningful in timer-free unit tests).
-        """
-        delivered = 0
-        while delivered < max_events and self.step():
-            delivered += 1
-        if delivered >= max_events and self.queue.peek_time() is not None:
-            raise SimulationError(
-                f"drain exceeded {max_events} events; "
-                "did a periodic timer leak into a drain-based test?"
-            )
-        return delivered
 
     def __repr__(self) -> str:
         return f"Engine(now={self.now:.3f}, pending={len(self.queue)})"

@@ -110,11 +110,6 @@ class EventQueue:
             stack.append(2 * index + 2)
         return last
 
-    def clear(self) -> None:
-        """Drop every pending event."""
-        self._heap.clear()
-        self.watched = None
-
     def _drop_cancelled_head(self) -> None:
         while self._heap and self._heap[0][2].cancelled:
             heapq.heappop(self._heap)

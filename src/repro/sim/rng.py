@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import List, Sequence, TypeVar
+from typing import Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -22,11 +22,6 @@ class SeededRng:
     def __init__(self, seed: int = 0) -> None:
         self._seed = seed
         self._random = random.Random(seed)
-
-    @property
-    def seed(self) -> int:
-        """The seed this generator was created with."""
-        return self._seed
 
     def fork(self, label: str) -> "SeededRng":
         """Derive an independent child generator.
@@ -57,24 +52,6 @@ class SeededRng:
         """A uniformly random element of ``items``."""
         return self._random.choice(items)
 
-    def sample(self, items: Sequence[T], k: int) -> List[T]:
-        """``k`` distinct elements of ``items``, in random order."""
-        return self._random.sample(items, k)
-
-    def shuffle(self, items: List[T]) -> None:
-        """Shuffle ``items`` in place."""
-        self._random.shuffle(items)
-
     def random(self) -> float:
         """A float in ``[0, 1)``."""
         return self._random.random()
-
-    def jitter(self, value: float, fraction: float) -> float:
-        """``value`` perturbed by up to ``±fraction`` of itself.
-
-        Used to de-synchronize periodic timers the way real deployments do
-        (e.g. Task Manager refresh threads do not all fire together).
-        """
-        if fraction < 0:
-            raise ValueError("jitter fraction must be non-negative")
-        return value * (1.0 + self._random.uniform(-fraction, fraction))

@@ -201,17 +201,22 @@ class CheckpointPlane:
         )
         high_water = self._high_water.get(job_id)
         if high_water and self._regressed(live, high_water):
-            if self._roll_forward(job_id, log) < 0:
-                # Nothing durable survives (log trimmed past retention):
-                # fall back to the backlog horizon, loudly.
+            cause = "checkpoint log trimmed past retention horizon"
+            try:
+                moved = self._roll_forward(job_id, log)
+            except CheckpointDecodeError:
+                moved, cause = -1, "no retained checkpoint record decodes"
+            if moved < 0:
+                # Nothing durable survives: fall back to the backlog
+                # horizon, loudly.
                 self.fallbacks += 1
                 self._high_water[job_id] = dict(live)
                 self.events.append(
                     IncidentRecord(
                         self._engine.now,
                         "checkpoint-fallback",
-                        f"{job_id}: checkpoint log trimmed past retention "
-                        "horizon; restarting from the backlog horizon",
+                        f"{job_id}: {cause}; restarting from the backlog "
+                        "horizon",
                     )
                 )
                 if self._telemetry is not None:
@@ -245,13 +250,18 @@ class CheckpointPlane:
         log = self._scribe.logs.get(checkpoint_log_name(job_id))
         if log is None:
             return 0  # Never checkpointed — nothing durable to restore.
-        return max(0, self._roll_forward(job_id, log))
+        try:
+            return max(0, self._roll_forward(job_id, log))
+        except CheckpointDecodeError:
+            return 0
 
     def _roll_forward(self, job_id: JobId, log: CommandLog) -> int:
         """Commit the latest durable snapshot over the live cursors.
 
         Returns the number of partitions moved forward, or -1 when no
-        durable record survives in the log.
+        durable record survives in the log; raises
+        :class:`CheckpointDecodeError` when records survive but none
+        decodes.
         """
         latest = self._latest(job_id, log)
         if latest is None:
@@ -279,7 +289,12 @@ class CheckpointPlane:
         return moved
 
     def _latest(self, job_id: JobId, log: CommandLog) -> Optional[TaskCheckpoint]:
-        """The newest decodable snapshot in ``log``, tailing incrementally."""
+        """The newest decodable snapshot in ``log``, tailing incrementally.
+
+        ``None`` when no record is retained. A record that does not decode
+        is skipped for the one before it, back to the oldest retained
+        record; when none decodes, the last error is raised.
+        """
         start = self._last_seq.get(job_id, log.first_index)
         try:
             records = log.read_from(start)
@@ -291,8 +306,14 @@ class CheckpointPlane:
         self._last_seq[job_id] = seq
         try:
             return TaskCheckpoint.decode(payload)
-        except CheckpointDecodeError:
-            return None
+        except CheckpointDecodeError as error:
+            undecodable = error
+        for __, payload in reversed(log.read_from(log.first_index)[:-1]):
+            try:
+                return TaskCheckpoint.decode(payload)
+            except CheckpointDecodeError as error:
+                undecodable = error
+        raise undecodable
 
     @staticmethod
     def _regressed(

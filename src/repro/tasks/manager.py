@@ -28,7 +28,7 @@ from repro.errors import DegradedModeError, ServiceUnavailableError
 from repro.metrics.store import MetricStore
 from repro.obs.telemetry import Telemetry
 from repro.obs.trace import NULL_TRACER, SLOT_SYNC, Tracer
-from repro.resilience import Dependency, LastKnownGood, RetryPolicy
+from repro.resilience import Dependency, LastKnownGood
 from repro.scribe.bus import ScribeBus
 from repro.sim.engine import Engine, Timer
 from repro.sim.events import Event
@@ -138,7 +138,6 @@ class TaskManager:
         refresh_interval: Seconds = REFRESH_INTERVAL,
         heartbeat_interval: Seconds = HEARTBEAT_INTERVAL,
         connection_timeout: Seconds = CONNECTION_TIMEOUT,
-        load_report_interval: Seconds = LOAD_REPORT_INTERVAL,
         tracer: Optional[Tracer] = None,
         telemetry: Optional[Telemetry] = None,
         task_hosts: Optional[Dict[JobId, Dict[TaskId, Set[ContainerId]]]] = None,
@@ -155,7 +154,6 @@ class TaskManager:
         self._refresh_interval = refresh_interval
         self._heartbeat_interval = heartbeat_interval
         self._connection_timeout = connection_timeout
-        self._load_report_interval = load_report_interval
 
         self.assigned_shards: set = set()
         #: Primaries hosted here (each carries its ``shard_id``), in start
@@ -208,18 +206,11 @@ class TaskManager:
         self._index_lkg: LastKnownGood = LastKnownGood()
         #: Resilience edges toward the two control-plane services this
         #: manager calls. The edges share one telemetry name per target
-        #: across all containers, so counters aggregate fleet-wide. The
-        #: reconnect retry policy reproduces the historical fixed
-        #: heartbeat-interval cadence (multiplier 1, no jitter) so
-        #: recovery timing is unchanged.
+        #: across all containers, so counters aggregate fleet-wide.
         self._sm_dep = Dependency(
             "task-manager.shard-manager",
             clock=lambda: engine.now,
             telemetry=telemetry,
-            retry=RetryPolicy(
-                max_attempts=1, base_delay=heartbeat_interval,
-                multiplier=1.0, retry_on=(),
-            ),
         )
         self._ts_dep = Dependency(
             "task-manager.task-service",
@@ -227,7 +218,6 @@ class TaskManager:
             telemetry=telemetry,
         )
         self._telemetry = telemetry
-        self._reconnect_attempts = 0
         #: The pending attempt of this manager's one reconnect loop.
         self._reconnect: Optional[Event] = None
         #: Simulated network partition toward the Shard Manager.
@@ -288,9 +278,9 @@ class TaskManager:
             self._engine, self._heartbeat_interval, self, self._heartbeat_sweeps
         )
         load_report = self._engine.every(
-            self._load_report_interval, self._report_loads,
+            LOAD_REPORT_INTERVAL, self._report_loads,
             name=f"{self.container_id}-load-report",
-            initial_delay=jitter.uniform(0, self._load_report_interval),
+            initial_delay=jitter.uniform(0, LOAD_REPORT_INTERVAL),
         )
         self._timers = [refresh, load_report]
 
@@ -583,19 +573,16 @@ class TaskManager:
         try:
             self._sm_dep.call(self._shard_manager.register_container, self)
         except DegradedModeError:
-            # Shard Manager still down; back off per the retry policy.
+            # Shard Manager still down; try again next heartbeat.
             self._schedule_reconnect()
             return
-        self._reconnect_attempts = 0
         # Whatever shards the Shard Manager still maps here are re-adopted;
         # if fail-over already moved them, this list is empty.
         for shard_id in self._shard_manager.shards_of(self.container_id):
             self.add_shard(shard_id)
 
     def _schedule_reconnect(self) -> None:
-        delay = self._sm_dep.schedule_delay(self._reconnect_attempts)
-        self._reconnect_attempts += 1
-        self._reconnect_in(delay)
+        self._reconnect_in(self._heartbeat_interval)
 
     def _reconnect_in(self, delay: Seconds) -> None:
         """(Re)schedule the one reconnect loop's next attempt."""

@@ -32,9 +32,9 @@ from repro.errors import (
 from repro.obs.bounded import BoundedList
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
 from repro.obs.trace import NULL_TRACER, TraceEvent, Tracer
-from repro.resilience import Dependency, RetryPolicy
+from repro.resilience import Dependency
 from repro.sim.engine import Engine, Timer
-from repro.tasks.balancer import DEFAULT_BAND, compute_assignment
+from repro.tasks.balancer import compute_assignment
 from repro.tasks.shard import all_shard_ids
 from repro.types import ContainerId, Seconds, ShardId
 
@@ -77,9 +77,7 @@ class ShardManager:
         self,
         engine: Engine,
         num_shards: int,
-        failover_interval: Seconds = FAILOVER_INTERVAL,
         rebalance_interval: Seconds = REBALANCE_INTERVAL,
-        band: float = DEFAULT_BAND,
         tracer: Optional[Tracer] = None,
         telemetry: Optional[Telemetry] = None,
         failover_retention: int = DEFAULT_FAILOVER_RETENTION,
@@ -88,9 +86,7 @@ class ShardManager:
             raise PlacementError(f"num_shards must be positive: {num_shards}")
         self._engine = engine
         self.num_shards = num_shards
-        self.failover_interval = failover_interval
         self.rebalance_interval = rebalance_interval
-        self.band = band
         #: The authoritative mapping.
         self.assignment: Dict[ShardId, ContainerId] = {}
         #: Latest reported loads.
@@ -122,14 +118,13 @@ class ShardManager:
         self.drained: set = set()
         self._timers: List[Timer] = []
         #: Resilience edge toward the Task Managers it commands. No
-        #: breaker and no auto-retry: a timed-out DROP_SHARD/ADD_SHARD has
-        #: its own paper-mandated consequence (force-kill / fail-over),
-        #: so the edge only counts and classifies.
+        #: breaker: a timed-out DROP_SHARD/ADD_SHARD has its own
+        #: paper-mandated consequence (force-kill / fail-over), so the
+        #: edge only counts and classifies.
         self._manager_dep = Dependency(
             "shard-manager.task-manager",
             clock=lambda: self._engine.now,
             telemetry=self._telemetry,
-            retry=RetryPolicy(max_attempts=1, retry_on=()),
         )
 
     # ------------------------------------------------------------------
@@ -309,9 +304,9 @@ class ShardManager:
         )
 
     def _compute_placement(self, loads, capacities, current, container_regions):
-        """Run the balancer with this manager's band and shard regions."""
+        """Run the balancer with this manager's shard regions."""
         return compute_assignment(
-            loads, capacities, current=current, band=self.band,
+            loads, capacities, current=current,
             container_regions=container_regions,
             shard_regions=self.shard_regions,
         )
@@ -385,7 +380,7 @@ class ShardManager:
         stale = [
             container_id
             for container_id, last in self._heartbeats.items()
-            if now - last >= self.failover_interval
+            if now - last >= FAILOVER_INTERVAL
         ]
         for container_id in stale:
             self._fail_over_container(container_id)

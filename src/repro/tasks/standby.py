@@ -72,12 +72,10 @@ class StandbyPlane:
         self,
         engine,
         platform,
-        interval: Seconds = STANDBY_INTERVAL,
         telemetry=None,
     ) -> None:
         self._engine = engine
         self._platform = platform
-        self._interval = interval
         self._telemetry = telemetry
         #: Where each task's replica currently lives.
         self.placements: Dict[TaskId, ContainerId] = {}
@@ -110,7 +108,7 @@ class StandbyPlane:
         if self._timer is not None:
             return
         self._timer = self._engine.every(
-            self._interval, self._tick, name="standby-plane"
+            STANDBY_INTERVAL, self._tick, name="standby-plane"
         )
 
     def stop(self) -> None:

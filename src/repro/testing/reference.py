@@ -32,7 +32,12 @@ from repro.obs.slo import SloTracker
 from repro.obs.trace import SLOT_SYMPTOM
 from repro.scaler.plan_generator import ScalingDecision
 from repro.scaler.proactive import AutoScaler
-from repro.scaler.snapshot import RATE_WINDOW, JobSnapshot, snapshot_job
+from repro.scaler.snapshot import (
+    OOM_WINDOW,
+    RATE_WINDOW,
+    JobSnapshot,
+    snapshot_job,
+)
 from repro.scribe.bus import ScribeBus
 from repro.tasks.runtime import (
     DEFAULT_OUTPUT_PARTITIONS,
@@ -289,7 +294,6 @@ def snapshot_job_store_read(
     view: JobView,
     metrics: MetricStore,
     now: Seconds,
-    oom_window: Seconds = 600.0,
     input_partitions: int = 0,
 ) -> JobSnapshot:
     """``scaler.snapshot.snapshot_job`` as one store call per number: six
@@ -324,7 +328,7 @@ def snapshot_job_store_read(
         backlog_mb=latest("bytes_lagged_mb"),
         time_lagged=latest("time_lagged"),
         task_rate_stdev=latest("task_rate_stdev"),
-        oom_recently=bool(oom_series.values_in(now - oom_window, now)),
+        oom_recently=bool(oom_series.values_in(now - OOM_WINDOW, now)),
         running_tasks=int(latest("running_tasks")),
         input_partitions=input_partitions,
     )

@@ -27,14 +27,6 @@ class WarehouseTable:
             raise WarehouseError(f"partition size must be non-negative: {size_mb}")
         self._partitions[day] = size_mb
 
-    def days(self) -> List[int]:
-        """All days with landed partitions, sorted."""
-        return sorted(self._partitions)
-
-    def size_mb(self, day: int) -> float:
-        """Size of one day's partition (0 when not landed)."""
-        return self._partitions.get(day, 0.0)
-
     def size_between(self, first_day: int, last_day: int) -> float:
         """Total MB over an inclusive day range."""
         if last_day < first_day:

@@ -73,8 +73,3 @@ def constant(rate_mb: float) -> RateFn:
     if rate_mb < 0:
         raise ValueError(f"rate must be non-negative: {rate_mb}")
     return lambda __: rate_mb
-
-
-def scaled(inner: RateFn, factor: float) -> RateFn:
-    """``inner`` multiplied by a constant factor."""
-    return lambda t: inner(t) * factor

@@ -9,7 +9,7 @@ jobs", modelled as time-windowed rate multipliers. Imbalanced input
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List
 
 from repro.types import Seconds
 from repro.workloads.diurnal import RateFn
@@ -36,9 +36,9 @@ class Spike:
 class SpikeSchedule:
     """A rate function with scheduled multiplicative spikes."""
 
-    def __init__(self, inner: RateFn, spikes: Sequence[Spike] = ()) -> None:
+    def __init__(self, inner: RateFn) -> None:
         self._inner = inner
-        self.spikes: List[Spike] = list(spikes)
+        self.spikes: List[Spike] = []
 
     def add(self, start: Seconds, end: Seconds, factor: float) -> None:
         """Schedule another spike."""

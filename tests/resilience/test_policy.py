@@ -11,9 +11,7 @@ from repro.resilience import (
     CircuitBreaker,
     Dependency,
     LastKnownGood,
-    RetryPolicy,
 )
-from repro.sim import SeededRng
 
 
 class Clock:
@@ -22,37 +20,6 @@ class Clock:
 
     def __call__(self):
         return self.now
-
-
-# ----------------------------------------------------------------------
-# RetryPolicy
-# ----------------------------------------------------------------------
-def test_retry_delay_grows_exponentially():
-    policy = RetryPolicy(base_delay=2.0, multiplier=3.0, max_delay=1000.0)
-    assert policy.delay(0) == 2.0
-    assert policy.delay(1) == 6.0
-    assert policy.delay(2) == 18.0
-
-
-def test_retry_delay_caps_at_max():
-    policy = RetryPolicy(base_delay=10.0, multiplier=10.0, max_delay=50.0)
-    assert policy.delay(5) == 50.0
-
-
-def test_retry_jitter_is_deterministic_per_rng():
-    policy = RetryPolicy(base_delay=10.0, jitter=0.5)
-    a = policy.delay(0, rng=SeededRng(7))
-    b = policy.delay(0, rng=SeededRng(7))
-    assert a == b
-    assert 5.0 <= a <= 15.0
-    assert policy.delay(0, rng=SeededRng(8)) != a
-
-
-def test_retry_validation():
-    with pytest.raises(ValueError):
-        RetryPolicy(max_attempts=0)
-    with pytest.raises(ValueError):
-        RetryPolicy(jitter=1.0)
 
 
 # ----------------------------------------------------------------------
@@ -131,37 +98,24 @@ def test_call_passes_through_and_counts():
     assert dep.last_error is None
 
 
-def test_call_retries_degraded_failures_synchronously():
-    dep, __, telemetry = make_dep(retry=RetryPolicy(max_attempts=3))
-    outcomes = [DegradedModeError("a"), DegradedModeError("b"), "ok"]
-
-    def flaky():
-        result = outcomes.pop(0)
-        if isinstance(result, Exception):
-            raise result
-        return result
-
-    assert dep.call(flaky) == "ok"
-    assert counter(telemetry, "calls") == 3
-    assert counter(telemetry, "retries") == 2
-    assert counter(telemetry, "unavailable") == 2
-
-
-def test_call_raises_when_retries_exhausted():
-    dep, __, telemetry = make_dep(retry=RetryPolicy(max_attempts=2))
+def test_call_counts_and_reraises_degraded_failures():
+    dep, __, telemetry = make_dep()
+    calls = []
 
     def always_down():
+        calls.append(1)
         raise DegradedModeError("down")
 
     with pytest.raises(DegradedModeError):
         dep.call(always_down)
-    assert counter(telemetry, "calls") == 2
-    assert counter(telemetry, "unavailable") == 2
+    assert len(calls) == 1
+    assert counter(telemetry, "calls") == 1
+    assert counter(telemetry, "unavailable") == 1
     assert isinstance(dep.last_error, DegradedModeError)
 
 
 def test_call_does_not_retry_unexpected_errors():
-    dep, __, telemetry = make_dep(retry=RetryPolicy(max_attempts=3))
+    dep, __, telemetry = make_dep()
     calls = []
 
     def broken():
@@ -216,18 +170,10 @@ def test_probe_swallows_open_breaker():
     assert dep.probe(lambda: "ignored", default=None) is None
 
 
-def test_schedule_delay_uses_policy():
-    dep, __, __tel = make_dep(
-        retry=RetryPolicy(base_delay=5.0, multiplier=2.0)
-    )
-    assert dep.schedule_delay(0) == 5.0
-    assert dep.schedule_delay(2) == 20.0
-
-
 def test_counters_are_deterministic_instruments():
     from repro.obs.telemetry import is_deterministic_instrument
 
-    for what in ("calls", "retries", "unavailable", "failures",
+    for what in ("calls", "unavailable", "failures",
                  "short_circuits", "breaker_opened", "fallbacks"):
         assert is_deterministic_instrument(f"resilience.edge.{what}")
 
@@ -243,17 +189,16 @@ class CountingClock(Clock):
 
 
 def test_call_pins_counters_last_error_and_breaker_states():
-    """One scripted edge through success, degraded failures (retried,
-    opening the breaker), a short circuit, a non-degraded failure of the
-    half-open probe, recovery and a probe fallback: every counter value,
-    the counters' insertion order, ``last_error`` and the breaker state
-    after each step."""
+    """One scripted edge through success, two degraded failures (opening
+    the breaker), a short circuit, a non-degraded failure of the
+    half-open probe, recovery and two probe fallbacks: every counter
+    value, the counters' insertion order, ``last_error`` and the breaker
+    state after each step."""
     clock = Clock()
     telemetry = Telemetry(enabled=True)
     breaker = CircuitBreaker(failure_threshold=2, reset_timeout=30.0)
     dep = Dependency(
-        "edge", clock=clock, telemetry=telemetry,
-        retry=RetryPolicy(max_attempts=2), breaker=breaker,
+        "edge", clock=clock, telemetry=telemetry, breaker=breaker,
     )
     errors = []
 
@@ -269,6 +214,9 @@ def test_call_pins_counters_last_error_and_breaker_states():
     assert (dep.last_error, breaker.state) == (None, CLOSED)
 
     clock.now = 1.0
+    with pytest.raises(DegradedModeError):
+        dep.call(down)
+    assert (dep.last_error, breaker.state) == (errors[0], CLOSED)
     with pytest.raises(DegradedModeError):
         dep.call(down)
     assert dep.last_error is errors[1]
@@ -290,18 +238,18 @@ def test_call_pins_counters_last_error_and_breaker_states():
     assert (dep.last_error, breaker.state) == (None, CLOSED)
 
     clock.now = 62.0
-    assert dep.probe(down, default="cached") == "cached"
+    for __ in range(2):
+        assert dep.probe(down, default="cached") == "cached"
     assert dep.last_error is errors[4]
     assert (breaker.state, breaker.times_opened) == (OPEN, 3)
 
     assert list(telemetry.counters.items()) == [
         ("resilience.edge.calls", 7.0),
         ("resilience.edge.unavailable", 4.0),
-        ("resilience.edge.retries", 2.0),
         ("resilience.edge.breaker_opened", 3.0),
         ("resilience.edge.short_circuits", 1.0),
         ("resilience.edge.failures", 1.0),
-        ("resilience.edge.fallbacks", 1.0),
+        ("resilience.edge.fallbacks", 2.0),
     ]
 
 

@@ -89,28 +89,6 @@ def test_events_scheduled_during_run_are_delivered():
     assert seen == [1.0, 2.0, 3.0]
 
 
-def test_step_returns_false_when_empty():
-    assert Engine().step() is False
-
-
-def test_drain_counts_events():
-    engine = Engine()
-    for i in range(5):
-        engine.call_in(float(i + 1), lambda: None)
-    assert engine.drain() == 5
-
-
-def test_drain_guards_against_runaway():
-    engine = Engine()
-
-    def reschedule():
-        engine.call_in(1.0, reschedule)
-
-    engine.call_in(1.0, reschedule)
-    with pytest.raises(SimulationError):
-        engine.drain(max_events=100)
-
-
 class TestTimer:
     def test_periodic_firing(self):
         engine = Engine()
@@ -135,56 +113,6 @@ class TestTimer:
         engine.run_until(100.0)
         assert times == [10.0, 20.0]
         assert not timer.active
-
-    def test_pause_and_resume(self):
-        engine = Engine()
-        times = []
-        timer = engine.every(10.0, lambda: times.append(engine.now))
-        engine.run_until(15.0)
-        timer.pause()
-        engine.run_until(50.0)
-        assert times == [10.0]
-        timer.resume()
-        engine.run_until(65.0)
-        assert times == [10.0, 60.0]
-
-    def test_pause_before_first_fire_cancels_it(self):
-        # ``every`` arms the first firing through the same path as every
-        # later one, so pausing immediately must suppress it too.
-        engine = Engine()
-        times = []
-        timer = engine.every(10.0, lambda: times.append(engine.now))
-        timer.pause()
-        engine.run_until(50.0)
-        assert times == []
-        timer.resume()
-        engine.run_until(65.0)
-        assert times == [60.0]
-
-    def test_resume_discards_paused_phase(self):
-        engine = Engine()
-        times = []
-        timer = engine.every(10.0, lambda: times.append(engine.now))
-        engine.run_until(12.0)
-        timer.pause()
-        engine.run_until(13.0)
-        timer.resume()  # next firing one full interval from t=13
-        engine.run_until(30.0)
-        assert times == [10.0, 23.0]
-
-    def test_resume_unpaused_timer_is_noop(self):
-        engine = Engine()
-        timer = engine.every(10.0, lambda: None)
-        timer.resume()
-        engine.run_until(15.0)
-        assert timer.fire_count == 1
-
-    def test_resume_cancelled_timer_rejected(self):
-        engine = Engine()
-        timer = engine.every(10.0, lambda: None)
-        timer.cancel()
-        with pytest.raises(SimulationError):
-            timer.resume()
 
     def test_zero_interval_rejected(self):
         with pytest.raises(SimulationError):

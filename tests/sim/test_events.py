@@ -70,14 +70,6 @@ def test_peek_time_skips_cancelled_head():
     assert queue.peek_time() == 5.0
 
 
-def test_clear_empties_queue():
-    queue = EventQueue()
-    queue.push(1.0, lambda: None)
-    queue.push(2.0, lambda: None)
-    queue.clear()
-    assert not queue
-
-
 class Unorderable:
     """A callback that raises if the heap ever compares it."""
 
@@ -175,5 +167,3 @@ def test_watched_is_a_conservative_last_at(pushes, watch_at):
     assert (queue.watched is watched) is not replaced
     if not replaced:
         assert queue.last_at(watched.time) is watched
-    queue.clear()
-    assert queue.watched is None

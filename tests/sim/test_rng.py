@@ -1,7 +1,5 @@
 """Unit tests for the seeded RNG helpers."""
 
-import pytest
-
 from repro.sim import SeededRng
 
 
@@ -32,33 +30,9 @@ def test_uniform_within_bounds():
         assert 2.0 <= value <= 3.0
 
 
-def test_jitter_stays_within_fraction():
-    rng = SeededRng(0)
-    for _ in range(100):
-        value = rng.jitter(100.0, 0.1)
-        assert 90.0 <= value <= 110.0
-
-
-def test_jitter_zero_fraction_is_identity():
-    assert SeededRng(0).jitter(42.0, 0.0) == 42.0
-
-
-def test_jitter_negative_fraction_rejected():
-    with pytest.raises(ValueError):
-        SeededRng(0).jitter(1.0, -0.5)
-
-
-def test_choice_and_sample():
-    rng = SeededRng(0)
+def test_choice():
     items = ["a", "b", "c"]
-    assert rng.choice(items) in items
-    sampled = rng.sample(items, 2)
-    assert len(sampled) == 2
-    assert set(sampled) <= set(items)
-
-
-def test_seed_property():
-    assert SeededRng(99).seed == 99
+    assert SeededRng(0).choice(items) in items
 
 
 # ----------------------------------------------------------------------

@@ -187,9 +187,40 @@ class TestPlane:
         engine, scribe, service, plane = build_plane()
         commit(scribe, "job", {"p0": 10.0})
         plane.snapshot_job("job")
-        scribe.logs[checkpoint_log_name("job")].append("corrupt{{{")
+        log = scribe.logs[checkpoint_log_name("job")]
+        log.trim(log.head_index)  # the corrupt record is all that is left
+        log.append("corrupt{{{")
         scribe.checkpoints.drop_job("job")
         assert plane.on_task_start("job") == 0  # typed decode, no crash
+
+    def test_corrupt_newest_record_restores_the_newest_decodable_one(self):
+        """One undecodable record must not throw away the snapshots
+        before it: the restore walks back to the newest one that
+        decodes."""
+        engine, scribe, service, plane = build_plane()
+        for head in (10.0, 20.0):
+            commit(scribe, "job", {"p0": head})
+            plane.snapshot_job("job")
+        scribe.logs[checkpoint_log_name("job")].append("{corrupt")
+        scribe.checkpoints.drop_job("job")
+        plane.snapshot_job("job")
+        assert (plane.restores, plane.fallbacks) == (1, 0)
+        assert scribe.checkpoints.snapshot("job") == {"p0": 20.0}
+
+    def test_no_decodable_record_falls_back_and_says_so(self):
+        engine, scribe, service, plane = build_plane()
+        commit(scribe, "job", {"p0": 10.0})
+        plane.snapshot_job("job")
+        log = scribe.logs[checkpoint_log_name("job")]
+        log.trim(log.head_index)
+        log.append("{corrupt")
+        scribe.checkpoints.drop_job("job")
+        plane.snapshot_job("job")
+        assert (plane.restores, plane.fallbacks) == (0, 1)
+        (event,) = list(plane.events)
+        assert event.kind == "checkpoint-fallback"
+        assert "no retained checkpoint record decodes" in event.detail
+        assert "backlog horizon" in event.detail
 
     def test_retention_bounds_the_log(self):
         engine, scribe, service, plane = build_plane(retention=4)

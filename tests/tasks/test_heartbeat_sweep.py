@@ -274,3 +274,78 @@ class TestReconnectLoop:
             and entry[2].callback == victim._try_reconnect
         ]
         assert len(loops) == 1
+
+
+def log_attempts(turbine, manager):
+    """Log the time of every reconnect attempt of ``manager`` (an
+    instance attribute: the loop arms ``manager._try_reconnect``)."""
+    attempts = []
+    attempt = manager._try_reconnect
+
+    def logged():
+        attempts.append(turbine.now)
+        attempt()
+
+    manager._try_reconnect = logged
+    return attempts
+
+
+def log_registrations(turbine):
+    """Log ``(time, container id)`` for every registration that lands."""
+    registered = []
+    register = turbine.shard_manager.register_container
+
+    def counting_register(manager):
+        register(manager)
+        registered.append((turbine.now, manager.container_id))
+
+    turbine.shard_manager.register_container = counting_register
+    return registered
+
+
+class TestReconnectCadence:
+    """A rebooted container retries registration once per heartbeat
+    interval for as long as it cannot register, and registers exactly
+    once within one interval of the cause going away."""
+
+    def assert_cadence(self, turbine, victim, attempts, registered, healed):
+        turbine.run_for(minutes=2)
+        ours = [at for at, cid in registered if cid == victim.container_id]
+        assert len(ours) == 1
+        assert healed < ours[0] <= healed + HEARTBEAT_INTERVAL
+        assert attempts[-1] == ours[0]  # the loop ends with the success
+        gaps = {b - a for a, b in zip(attempts, attempts[1:])}
+        assert gaps == {HEARTBEAT_INTERVAL}
+
+    def test_while_partitioned(self):
+        turbine = platform(num_hosts=3)
+        turbine.provision(
+            JobSpec(job_id="job", input_category="cat", task_count=8)
+        )
+        turbine.run_for(minutes=5)
+        victim = next(
+            manager for manager in turbine.task_managers.values()
+            if manager.running_task_ids()
+        )
+        attempts = log_attempts(turbine, victim)
+        registered = log_registrations(turbine)
+        victim.partitioned = True
+        turbine.run_for(minutes=10)
+        assert victim.reboot_count == 1
+        assert len(attempts) >= 50
+        turbine.run_for(seconds=3.0)  # heal off the attempts' phase
+        victim.partitioned = False
+        self.assert_cadence(turbine, victim, attempts, registered, turbine.now)
+
+    def test_while_the_shard_manager_is_down(self):
+        turbine = platform(num_hosts=3)
+        turbine.run_for(minutes=5)
+        victim = next(iter(turbine.task_managers.values()))
+        attempts = log_attempts(turbine, victim)
+        registered = log_registrations(turbine)
+        turbine.shard_manager.fail()
+        victim.reboot()
+        turbine.run_for(minutes=5, seconds=3.0)
+        assert len(attempts) == 31  # one at the reboot, then every 10 s
+        turbine.shard_manager.recover()
+        self.assert_cadence(turbine, victim, attempts, registered, turbine.now)

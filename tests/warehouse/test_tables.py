@@ -11,9 +11,9 @@ class TestWarehouseTable:
         table = WarehouseTable("clicks")
         table.add_partition(0, 100.0)
         table.add_partition(1, 150.0)
-        assert table.days() == [0, 1]
-        assert table.size_mb(0) == 100.0
-        assert table.size_mb(99) == 0.0
+        assert table.size_between(0, 0) == 100.0
+        assert table.size_between(1, 1) == 150.0
+        assert table.size_between(2, 99) == 0.0
 
     def test_size_between_inclusive(self):
         table = WarehouseTable("clicks")
@@ -31,7 +31,7 @@ class TestWarehouseTable:
         table = WarehouseTable("clicks")
         table.add_partition(0, 100.0)
         table.add_partition(0, 120.0)
-        assert table.size_mb(0) == 120.0
+        assert table.size_between(0, 0) == 120.0
 
     def test_invalid_inputs_rejected(self):
         with pytest.raises(WarehouseError):
@@ -55,5 +55,5 @@ class TestDataWarehouse:
     def test_land_daily(self):
         warehouse = DataWarehouse()
         table = warehouse.land_daily("clicks", [10.0, 20.0, 30.0], first_day=5)
-        assert table.days() == [5, 6, 7]
         assert table.size_between(5, 7) == 60.0
+        assert table.size_between(0, 4) == table.size_between(8, 99) == 0.0

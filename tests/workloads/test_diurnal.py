@@ -4,7 +4,7 @@ import pytest
 
 from repro.sim import SeededRng
 from repro.workloads import DiurnalPattern
-from repro.workloads.diurnal import DAY, constant, scaled
+from repro.workloads.diurnal import DAY, constant
 
 
 class TestDiurnalPattern:
@@ -40,9 +40,7 @@ class TestDiurnalPattern:
         assert pattern(0.0) == pattern.rate(0.0)
 
 
-def test_constant_and_scaled():
-    flat = constant(5.0)
-    assert flat(123.0) == 5.0
-    assert scaled(flat, 2.0)(0.0) == 10.0
+def test_constant():
+    assert constant(5.0)(123.0) == 5.0
     with pytest.raises(ValueError):
         constant(-1.0)
