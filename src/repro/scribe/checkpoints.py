@@ -11,6 +11,7 @@ synchronization (paper section III-B).
 
 from __future__ import annotations
 
+import math
 from types import MappingProxyType
 from typing import Dict, Iterable, List, Mapping, Tuple
 
@@ -63,9 +64,10 @@ class CheckpointStore:
 
     def commit(self, job_id: JobId, partition_id: str, offset: float) -> None:
         """Advance the committed offset. Moving backwards is rejected —
-        a regressing checkpoint would cause duplicate processing."""
-        if offset < 0:
-            raise ScribeError(f"negative checkpoint offset: {offset}")
+        a regressing checkpoint would cause duplicate processing, and a
+        non-finite one would put the cursor past every partition head."""
+        if not 0 <= offset < math.inf:
+            raise ScribeError(f"bad checkpoint offset: {offset}")
         current = self.get(job_id, partition_id)
         if offset < current - 1e-6:
             raise ScribeError(

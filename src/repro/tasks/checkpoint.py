@@ -8,15 +8,15 @@ the backlog horizon: crash recovery cost is O(backlog).
 
 The ``CheckpointPlane`` makes progress durable the same way PR 7 made the
 Job Store durable: it periodically snapshots each job's committed offsets
-(plus the progress scalar that seeds the memory-footprint estimate) as a
-canonical-JSON record appended to a per-job ``CommandLog``
-(``turbine.ckpt.<job>``). When the live cursors regress below the last
-durable snapshot — a wipe, or a task restarting from scratch — the plane
-rolls them forward to the snapshot, turning recovery cost into
-O(since-last-checkpoint).
+as a record (packed doubles under a CRC-32, see :class:`TaskCheckpoint`)
+appended to a per-job ``CommandLog`` (``turbine.ckpt.<job>``). When the
+live cursors regress below the last durable snapshot — a wipe, or a task
+restarting from scratch — the plane rolls them forward to the snapshot,
+turning recovery cost into O(since-last-checkpoint).
 
-Restore never crashes: if the log has been trimmed past the retention
-horizon and no durable record survives, the plane records an explicit
+Restore never crashes: a record that fails decode's checks is skipped for
+the newest retained one that passes. If none does, or the log has been
+trimmed past the retention horizon, the plane records an explicit
 ``checkpoint-fallback`` incident event and lets the job restart from the
 backlog horizon — degraded, visible, and deterministic.
 
@@ -28,6 +28,9 @@ it (the transparency pattern every optional subsystem here follows).
 from __future__ import annotations
 
 import json
+import math
+import struct
+import zlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -59,63 +62,75 @@ def checkpoint_log_name(job_id: JobId) -> str:
     return f"turbine.ckpt.{job_id}"
 
 
+class _RecordHeader:
+    """A job's record text up to its doubles, built once per id set; ``crc``
+    is that text's CRC-32, which :meth:`record` continues over the hex."""
+
+    __slots__ = ("ids", "text", "crc", "doubles")
+
+    def __init__(self, job_id: JobId, ids: List[str]) -> None:
+        self.ids = ids
+        self.text = json.dumps([job_id, ids], separators=(",", ":")) + " "
+        self.crc = zlib.crc32(self.text.encode())
+        self.doubles = f"<{len(ids) + 1}d"
+
+    def record(self, time: Seconds, offsets: Dict[str, float]) -> str:
+        """The record of ``offsets`` (keyed by exactly :attr:`ids`)."""
+        values = map(offsets.__getitem__, self.ids)
+        hexed = struct.pack(self.doubles, time, *values).hex()
+        return f"{zlib.crc32(hexed.encode(), self.crc):08x}{self.text}{hexed}"
+
+
 @dataclass(frozen=True)
 class TaskCheckpoint:
     """One durable snapshot of a job's progress state.
+
+    The record is ``<crc32:08x>[job_id,[ids…]] <hex>``: the CRC-32 of the
+    rest, the job id and its sorted partition ids as compact JSON, then
+    the time and the offsets (in id order) as little-endian doubles in
+    lowercase hex. Equal snapshots are equal text; doubles are bit-exact.
 
     Attributes:
         job_id: the job whose progress this records.
         time: simulation time the snapshot was taken.
         offsets: committed offset (MB consumed) per input partition.
-        progress_mb: total MB processed across partitions — the scalar
-            that seeds the restored task's memory-footprint estimate.
     """
 
     job_id: JobId
     time: Seconds
     offsets: Dict[str, float] = field(default_factory=dict)
-    progress_mb: float = 0.0
 
     def encode(self) -> str:
-        """Canonical JSON: key-sorted, so equal snapshots are equal bytes."""
-        return json.dumps(
-            {
-                "job_id": self.job_id,
-                "time": self.time,
-                "offsets": self.offsets,
-                "progress_mb": self.progress_mb,
-            },
-            sort_keys=True,
-        )
+        """The canonical record of this snapshot."""
+        header = _RecordHeader(self.job_id, sorted(self.offsets))
+        return header.record(self.time, self.offsets)
 
     @classmethod
     def decode(cls, payload: str) -> "TaskCheckpoint":
-        """Parse a record appended by :meth:`encode`.
+        """Parse and check a record appended by :meth:`encode`.
 
-        Raises :class:`CheckpointDecodeError` on anything that is not a
-        well-formed snapshot, so a corrupt log entry surfaces as a typed
-        error instead of a stray ``KeyError`` deep in restore.
+        Raises :class:`CheckpointDecodeError` unless ``payload`` is exactly
+        the encoding of the snapshot it parses to (so the CRC, the id order
+        and the hex are all checked) with a finite, non-negative time and
+        offsets: a corrupt log entry surfaces as a typed error instead of a
+        stray ``KeyError`` deep in restore or a cursor past a head.
         """
         try:
-            raw = json.loads(payload)
-        except json.JSONDecodeError as exc:
-            raise CheckpointDecodeError(f"not JSON: {payload!r}") from exc
-        if not isinstance(raw, dict):
-            raise CheckpointDecodeError(f"not an object: {payload!r}")
-        try:
-            offsets = raw["offsets"]
-            if not isinstance(offsets, dict):
-                raise CheckpointDecodeError(f"offsets not a map: {payload!r}")
-            return cls(
-                job_id=str(raw["job_id"]),
-                time=float(raw["time"]),
-                offsets={str(k): float(v) for k, v in offsets.items()},
-                progress_mb=float(raw["progress_mb"]),
+            text, _, hexed = payload[8:].rpartition(" ")
+            job_id, ids = json.loads(text)
+            if not all(isinstance(name, str) for name in (job_id, *ids)):
+                raise ValueError("malformed header")
+            time, *values = struct.unpack(
+                f"<{len(ids) + 1}d", bytes.fromhex(hexed)
             )
-        except (KeyError, TypeError, ValueError) as exc:
-            if isinstance(exc, CheckpointDecodeError):
-                raise
-            raise CheckpointDecodeError(f"bad snapshot: {payload!r}") from exc
+            if not all(0.0 <= value < math.inf for value in (time, *values)):
+                raise ValueError("non-finite or negative time or offset")
+            snapshot = cls(job_id, time, dict(zip(ids, values)))
+            if snapshot.encode() != payload:
+                raise ValueError("CRC mismatch or not the canonical record")
+        except (TypeError, ValueError, RecursionError, struct.error) as exc:
+            raise CheckpointDecodeError(f"{exc}: {payload!r}") from exc
+        return snapshot
 
 
 class CheckpointPlane:
@@ -153,6 +168,8 @@ class CheckpointPlane:
         self._high_water: Dict[JobId, Dict[str, float]] = {}
         #: Last record index read per job (restores resume tailing there).
         self._last_seq: Dict[JobId, int] = {}
+        #: Per job, the record header of its current partition-id set.
+        self._headers: Dict[JobId, _RecordHeader] = {}
         self._timer = None
 
     # ------------------------------------------------------------------
@@ -174,6 +191,7 @@ class CheckpointPlane:
         """Drop a deprovisioned job's durable state, its log included."""
         self._high_water.pop(job_id, None)
         self._last_seq.pop(job_id, None)
+        self._headers.pop(job_id, None)
         self._scribe.drop_log(checkpoint_log_name(job_id))
 
     def held_jobs(self) -> List[JobId]:
@@ -210,7 +228,7 @@ class CheckpointPlane:
                 # Nothing durable survives: fall back to the backlog
                 # horizon, loudly.
                 self.fallbacks += 1
-                self._high_water[job_id] = dict(live)
+                self._high_water[job_id] = live
                 self.events.append(
                     IncidentRecord(
                         self._engine.now,
@@ -223,14 +241,14 @@ class CheckpointPlane:
                     self._telemetry.inc("ckpt.fallbacks")
             return
         if live and live != high_water:
-            snapshot = TaskCheckpoint(
-                job_id=job_id,
-                time=self._engine.now,
-                offsets=dict(live),
-                progress_mb=sum(live.values()),
+            ids = sorted(live)
+            header = self._headers.get(job_id)
+            if header is None or header.ids != ids:
+                header = self._headers[job_id] = _RecordHeader(job_id, ids)
+            self._last_seq[job_id] = log.append(
+                header.record(self._engine.now, live)
             )
-            self._last_seq[job_id] = log.append(snapshot.encode())
-            self._high_water[job_id] = dict(live)
+            self._high_water[job_id] = live
             self.appends += 1
             if self._telemetry is not None:
                 self._telemetry.inc("ckpt.appends")
@@ -273,7 +291,7 @@ class CheckpointPlane:
             if offset > store.get(job_id, partition_id) + _OFFSET_EPSILON:
                 store.commit(job_id, partition_id, offset)
                 moved += 1
-        self._high_water[job_id] = dict(store.snapshot(job_id))
+        self._high_water[job_id] = store.snapshot(job_id)
         if moved:
             self.restores += 1
             self.events.append(
@@ -320,7 +338,7 @@ class CheckpointPlane:
         live: Dict[str, float], high_water: Dict[str, float]
     ) -> bool:
         """True when any live cursor sits behind the last written snapshot."""
-        return any(
-            live.get(partition_id, 0.0) + _OFFSET_EPSILON < offset
-            for partition_id, offset in high_water.items()
-        )
+        for partition_id, offset in high_water.items():
+            if live.get(partition_id, 0.0) + _OFFSET_EPSILON < offset:
+                return True
+        return False

@@ -101,7 +101,8 @@ def test_reprovisioned_id_inherits_no_rate_delta_state():
 
 def test_deprovision_forgets_durable_checkpoints():
     """With the checkpoint plane attached, teardown also deletes the
-    job's ``turbine.ckpt.<job>`` log and the plane's high-water marks —
+    job's ``turbine.ckpt.<job>`` log and the plane's high-water marks and
+    record header —
     otherwise one log per job ever provisioned stays on the bus, and a
     job re-provisioned under the id is rolled forward to offsets the
     dead job committed."""
@@ -111,6 +112,7 @@ def test_deprovision_forgets_durable_checkpoints():
     reborn_at = reprovision_drop_after(platform, minutes=30)
     assert "turbine.ckpt.drop" not in platform.scribe.logs
     assert "drop" not in plane._high_water and "drop" not in plane._last_seq
+    assert "drop" not in plane._headers
     platform.run_for(minutes=3)
     assert plane.restores == 0 and list(plane.events) == []
     # Starts from offset 0: nothing can be committed faster than the

@@ -36,6 +36,22 @@ def test_negative_offset_rejected():
         CheckpointStore().commit("job", "cat/0", -1.0)
 
 
+@pytest.mark.parametrize("offset", [
+    float("nan"), float("inf"), float("-inf"),
+])
+def test_non_finite_offset_rejected(offset):
+    """``nan < 0`` is False: a sign check alone stores NaN and inf, and
+    NaN even replaces a committed offset (the backwards check is False
+    too)."""
+    store = CheckpointStore()
+    store.commit("job", "cat/0", 5.0)
+    with pytest.raises(ScribeError):
+        store.commit("job", "cat/0", offset)
+    with pytest.raises(ScribeError):
+        store.commit("job", "cat/1", offset)
+    assert store.snapshot("job") == {"cat/0": 5.0}
+
+
 def test_jobs_are_isolated():
     store = CheckpointStore()
     store.commit("job-a", "cat/0", 100.0)

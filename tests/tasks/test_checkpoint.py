@@ -1,13 +1,17 @@
 """Unit + property tests for the durable checkpoint plane.
 
-The encode/decode pair must be a lossless round trip (canonical JSON, so
-equal snapshots are equal bytes), decode must fail *typed* on anything
-malformed, and restore must never crash: a checkpoint log trimmed past
-the retention horizon falls back to the backlog horizon with an explicit
+The encode/decode pair must be a lossless round trip (packed doubles, so
+every offset comes back bit for bit; sorted ids, so equal snapshots are
+equal text), decode must fail *typed* on anything malformed, and restore
+must never crash: a checkpoint log trimmed past the retention horizon
+falls back to the backlog horizon with an explicit
 ``checkpoint-fallback`` event instead of raising.
 """
 
 import json
+import math
+import struct
+import zlib
 
 import pytest
 from hypothesis import given, settings
@@ -23,42 +27,76 @@ from repro.tasks.checkpoint import (
     checkpoint_log_name,
 )
 
+#: Doubles the codec must carry bit for bit: signed zero, the smallest
+#: subnormal and a larger one, the last exact integer, a huge value.
+EDGE_DOUBLES = [-0.0, 0.0, 5e-324, 2.2250738585072014e-308 / 3, 2.0**53, 1e308]
+
+doubles = st.one_of(
+    st.sampled_from(EDGE_DOUBLES),
+    st.floats(min_value=-0.0, allow_nan=False, allow_infinity=False),
+)
 offsets_maps = st.dictionaries(
     st.text(
-        alphabet="abcdefghijklmnopqrstuvwxyz0123456789-.", min_size=1,
+        alphabet="abcdefghijklmnopqrstuvwxyz0123456789-./ \"é", min_size=1,
         max_size=12,
     ),
-    st.floats(min_value=0.0, max_value=1e9, allow_nan=False),
+    doubles,
     max_size=8,
 )
 snapshots = st.builds(
     TaskCheckpoint,
     job_id=st.text(
-        alphabet="abcdefghijklmnopqrstuvwxyz0123456789-/", min_size=1,
+        alphabet="abcdefghijklmnopqrstuvwxyz0123456789-/ \"", min_size=1,
         max_size=20,
     ),
-    time=st.floats(min_value=0.0, max_value=1e8, allow_nan=False),
+    time=doubles,
     offsets=offsets_maps,
-    progress_mb=st.floats(min_value=0.0, max_value=1e12, allow_nan=False),
 )
+
+
+def bits(value):
+    return struct.pack("<d", value)
+
+
+def assert_bit_identical(decoded, snapshot):
+    assert decoded.job_id == snapshot.job_id
+    assert bits(decoded.time) == bits(snapshot.time)
+    assert decoded.offsets.keys() == snapshot.offsets.keys()
+    for partition_id, offset in snapshot.offsets.items():
+        assert bits(decoded.offsets[partition_id]) == bits(offset)
+
+
+def seal(body):
+    """``body`` under a correct CRC, so a rejection comes from another check."""
+    return f"{zlib.crc32(body.encode()):08x}{body}"
+
+
+def hex_doubles(*values):
+    return struct.pack(f"<{len(values)}d", *values).hex()
 
 
 class TestRoundTrip:
     @settings(max_examples=200, deadline=None)
     @given(snapshot=snapshots)
     def test_decode_inverts_encode(self, snapshot):
-        assert TaskCheckpoint.decode(snapshot.encode()) == snapshot
+        """Bit for bit: ``-0.0`` stays negative, subnormals survive."""
+        assert_bit_identical(TaskCheckpoint.decode(snapshot.encode()), snapshot)
+
+    @pytest.mark.parametrize("value", EDGE_DOUBLES)
+    def test_edge_doubles_round_trip_bit_for_bit(self, value):
+        snapshot = TaskCheckpoint("j", value, {"p0": value, "p1": 1.5})
+        assert_bit_identical(TaskCheckpoint.decode(snapshot.encode()), snapshot)
 
     @settings(max_examples=100, deadline=None)
     @given(snapshot=snapshots)
     def test_encode_is_canonical(self, snapshot):
-        """Equal snapshots are equal bytes, and encoding is a fixed point
-        under a decode round trip — the property the replicated command
-        log's byte-compare audits rely on."""
+        """Equal snapshots are equal text whatever the dict insertion
+        order, and encoding is a fixed point under a decode round trip —
+        the property the replicated command log's byte-compare audits
+        rely on."""
         twin = TaskCheckpoint(
             job_id=snapshot.job_id, time=snapshot.time,
             offsets=dict(reversed(list(snapshot.offsets.items()))),
-            progress_mb=snapshot.progress_mb,
         )
         assert twin.encode() == snapshot.encode()
         assert TaskCheckpoint.decode(snapshot.encode()).encode() == (
@@ -66,26 +104,81 @@ class TestRoundTrip:
         )
 
     @settings(max_examples=200, deadline=None)
-    @given(payload=st.text(max_size=80))
-    def test_decode_arbitrary_text_never_raises_untyped(self, payload):
+    @given(payload=st.text(max_size=80), sealed=st.booleans())
+    def test_decode_arbitrary_text_never_raises_untyped(self, payload, sealed):
         """Garbage decodes to a snapshot or CheckpointDecodeError — never
-        a stray KeyError/TypeError from deep inside restore."""
+        a stray KeyError/TypeError from deep inside restore. Half the
+        examples carry a correct CRC, so the CRC alone cannot reject them."""
         try:
-            TaskCheckpoint.decode(payload)
+            TaskCheckpoint.decode(seal(payload) if sealed else payload)
         except CheckpointDecodeError:
             pass
+
+    @settings(max_examples=300, deadline=None)
+    @given(snapshot=snapshots, data=st.data())
+    def test_every_single_character_change_is_caught(self, snapshot, data):
+        """A flipped character in a stored record decodes to the identical
+        snapshot or raises CheckpointDecodeError: it never restores
+        different offsets."""
+        record = snapshot.encode()
+        index = data.draw(st.integers(0, len(record) - 1))
+        char = data.draw(st.characters())
+        mutated = record[:index] + char + record[index + 1:]
+        try:
+            decoded = TaskCheckpoint.decode(mutated)
+        except CheckpointDecodeError:
+            return
+        assert_bit_identical(decoded, snapshot)
+
+    def test_every_printable_substitution_in_one_record_is_caught(self):
+        snapshot = TaskCheckpoint(
+            "chaos/job-0", 270.0, {"cat-0/0": 32.5, "cat-0/1": 5e-324},
+        )
+        record = snapshot.encode()
+        checked = 0
+        for index in range(len(record)):
+            for code in range(32, 127):
+                mutated = record[:index] + chr(code) + record[index + 1:]
+                if mutated == record:
+                    continue
+                with pytest.raises(CheckpointDecodeError):
+                    TaskCheckpoint.decode(mutated)
+                checked += 1
+        assert checked == len(record) * 94
+
+    @pytest.mark.parametrize("time, offset", [
+        (1.0, math.inf), (1.0, -math.inf), (1.0, math.nan), (1.0, -1.0),
+        (math.inf, 1.0), (math.nan, 1.0), (-1.0, 1.0),
+    ])
+    def test_decode_rejects_non_finite_or_negative_values(self, time, offset):
+        """A well-sealed record can still hold a value no cursor may take;
+        committing it would put a partition's cursor past its head."""
+        record = TaskCheckpoint("j", time, {"p0": 1.0, "p1": offset}).encode()
+        with pytest.raises(CheckpointDecodeError, match="non-finite"):
+            TaskCheckpoint.decode(record)
 
     @pytest.mark.parametrize("payload", [
         "not json at all",
         "[1, 2, 3]",
         '"a bare string"',
-        json.dumps({"job_id": "j", "time": 1.0}),  # missing keys
-        json.dumps({"job_id": "j", "time": 1.0, "offsets": "nope",
-                    "progress_mb": 0.0}),
-        json.dumps({"job_id": "j", "time": "soon", "offsets": {},
-                    "progress_mb": 0.0}),
-        json.dumps({"job_id": "j", "time": 1.0,
-                    "offsets": {"p": [1, 2]}, "progress_mb": 0.0}),
+        "",
+        # A snapshot in the retired JSON format: there is no old reader.
+        json.dumps({"job_id": "j", "time": 1.0, "offsets": {"p": 1.0},
+                    "progress_mb": 1.0}),
+        seal('["j"] ' + hex_doubles(1.0)),  # no partition-id list
+        seal('["j","nope"] ' + hex_doubles(1.0)),  # ids not a list
+        seal('["j",[1]] ' + hex_doubles(1.0, 2.0)),  # id not a string
+        seal('{"job_id":"j"} ' + hex_doubles(1.0)),  # not a pair
+        seal('["j",[]] soon'),  # doubles not hex
+        seal('["j",["p"]] ' + hex_doubles(1.0)),  # one double short
+        seal('["j",["p"]] ' + hex_doubles(1.0, 2.0, 3.0)),  # one too many
+        seal('["j",["q","p"]] ' + hex_doubles(1.0, 2.0, 3.0)),  # unsorted
+        seal('["j",["p","p"]] ' + hex_doubles(1.0, 2.0, 3.0)),  # duplicate
+        seal('["j", ["p"]] ' + hex_doubles(1.0, 2.0)),  # not canonical JSON
+        seal('["j",["p"]] ' + hex_doubles(1.0, 2.0).upper()),  # not lowercase
+        seal('["j",["p"]] ' + hex_doubles(1.0, 2.0)[:-2] + " 40"),  # spaced
+        seal('["j",["p"]]' + hex_doubles(1.0, 2.0)),  # no separator
+        "0" * 8 + '["j",["p"]] ' + hex_doubles(1.0, 2.0),  # wrong CRC
     ])
     def test_decode_rejects_malformed_payloads(self, payload):
         with pytest.raises(CheckpointDecodeError):
@@ -161,6 +254,41 @@ class TestPlane:
         plane.snapshot_job("job")
         plane.snapshot_job("job")  # same offsets: no new record
         assert plane.appends == 1
+
+    def test_records_are_the_canonical_encoding(self):
+        """One codec: the plane's record of a snapshot is exactly what
+        :meth:`TaskCheckpoint.encode` gives for it."""
+        engine, scribe, service, plane = build_plane()
+        engine.run_for(45.0)
+        commit(scribe, "job", {"p1": 7.25, "p0": 2.0**53})
+        plane.snapshot_job("job")
+        ((__, record),) = scribe.logs[checkpoint_log_name("job")].read_from(0)
+        assert record == TaskCheckpoint(
+            "job", 45.0, {"p0": 2.0**53, "p1": 7.25}
+        ).encode()
+
+    def test_record_header_is_built_once_per_partition_id_set(self):
+        engine, scribe, service, plane = build_plane()
+        commit(scribe, "job", {"p0": 1.0, "p1": 1.0})
+        plane.snapshot_job("job")
+        header = plane._headers["job"]
+        commit(scribe, "job", {"p0": 2.0})
+        plane.snapshot_job("job")
+        assert plane._headers["job"] is header  # same ids: reused
+        commit(scribe, "job", {"p2": 3.0})
+        plane.snapshot_job("job")
+        assert plane._headers["job"].ids == ["p0", "p1", "p2"]
+        log = scribe.logs[checkpoint_log_name("job")]
+        assert [
+            TaskCheckpoint.decode(record).offsets
+            for __, record in log.read_from(0)
+        ] == [
+            {"p0": 1.0, "p1": 1.0},
+            {"p0": 2.0, "p1": 1.0},
+            {"p0": 2.0, "p1": 1.0, "p2": 3.0},
+        ]
+        plane.forget_job("job")
+        assert "job" not in plane._headers
 
     def test_trimmed_log_falls_back_to_backlog_horizon(self):
         """The satellite invariant: log trimmed past retention ⇒ loud,
@@ -275,3 +403,30 @@ class TestPlane:
         else:
             assert (plane.restores, plane.fallbacks) == (1, 0)
             assert scribe.checkpoints.snapshot("job") == offsets
+
+
+class TestCorruptRecordOnAPlatform:
+    def test_sealed_infinite_offset_is_skipped_not_committed(self):
+        """A record that decodes but holds an offset no cursor may take
+        (here ``inf``) used to be rolled forward, and the next data-plane
+        step raised ``offset inf beyond head`` out of the engine. Decode
+        now rejects it, so the plane walks back to the record before."""
+        from repro.chaos import build_platform
+
+        platform = build_platform(7, durable_checkpoints=True)
+        platform.run_for(seconds=300)
+        job_id = "chaos/job-0"
+        plane = platform.checkpoint_plane
+        live = platform.scribe.checkpoints.snapshot(job_id)
+        bad = dict(live, **{min(live): math.inf})
+        platform.scribe.logs[checkpoint_log_name(job_id)].append(
+            TaskCheckpoint(job_id=job_id, time=platform.now, offsets=bad).encode()
+        )
+        platform.scribe.checkpoints.drop_job(job_id)
+        platform.run_for(seconds=120)
+        assert (plane.restores, plane.fallbacks) == (1, 0)
+        (event,) = list(plane.events)
+        assert event.kind == "checkpoint-restore"
+        restored = platform.scribe.checkpoints.snapshot(job_id)
+        assert all(math.isfinite(offset) for offset in restored.values())
+        assert min(restored.values()) >= min(live.values()) - 1e-6
