@@ -313,11 +313,6 @@ class SloTracker:
                 self._interval, self.evaluate_once, name="slo-tracker"
             )
 
-    def stop(self) -> None:
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
-
     def forget_job(self, job_id: JobId) -> None:
         """End a deleted job's open breaches and drop its alert edges: a
         ledger nobody writes any more must not fire as its good verdicts

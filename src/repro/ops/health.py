@@ -133,11 +133,6 @@ class HealthReporter:
                 self._interval, self.check_once, name="health-reporter"
             )
 
-    def stop(self) -> None:
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
-
     # ------------------------------------------------------------------
     # One round
     # ------------------------------------------------------------------

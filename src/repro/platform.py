@@ -187,18 +187,20 @@ class Turbine:
     # ------------------------------------------------------------------
     # Resource Management attachment
     # ------------------------------------------------------------------
-    def _attach(self, name: str, subsystem):
-        """Install ``subsystem`` as ``self.<name>``, the one wiring path.
+    def _attach(self, name: str, build):
+        """Install ``build()`` as ``self.<name>``, the one wiring path.
 
-        A previously attached instance is stopped first — otherwise its
-        timer would stay armed and an orphan would keep acting — and the
-        new one starts right away when the platform already runs.
+        A subsystem is attached once: a second attach of ``name`` raises
+        before ``build`` runs, since some constructors wire themselves
+        into the platform (the replication group takes the Job Store's
+        command sink). One attached after ``start()`` starts right away
+        (Fig. 10's rollout attaches the scaler late).
         """
-        previous = getattr(self, name)
-        if previous is not None:
-            previous.stop()
+        if getattr(self, name) is not None:
+            raise RuntimeError(f"{name} is already attached")
+        subsystem = build()
         setattr(self, name, subsystem)
-        if self._started:
+        if self._started and name in _START_ORDER:
             subsystem.start()
         return subsystem
 
@@ -219,7 +221,7 @@ class Turbine:
             scaler_config = AutoScalerConfig(
                 **_given(container_capacity=self.config.container_capacity)
             )
-        return self._attach("scaler", AutoScaler(
+        return self._attach("scaler", lambda: AutoScaler(
             self.engine, self.job_service, self.metrics, self.scribe,
             config=scaler_config, tracer=self.tracer,
         ))
@@ -228,7 +230,7 @@ class Turbine:
         """Attach the operations health reporter (paper section VII)."""
         from repro.ops.health import HealthReporter
 
-        return self._attach("health", HealthReporter(
+        return self._attach("health", lambda: HealthReporter(
             self.engine, self.job_service, self.task_service,
             self.shard_manager, self.metrics,
             thresholds=thresholds, sli=self._sli_evaluator(),
@@ -253,7 +255,7 @@ class Turbine:
         """
         from repro.obs.slo import SloTracker
 
-        return self._attach("slo", SloTracker(
+        return self._attach("slo", lambda: SloTracker(
             self.engine, self._sli_evaluator(),
             specs=specs, telemetry=self.telemetry,
         ))
@@ -266,8 +268,7 @@ class Turbine:
         """
         from repro.chaos import ChaosEngine
 
-        self.chaos = ChaosEngine(self)
-        return self.chaos
+        return self._attach("chaos", lambda: ChaosEngine(self))
 
     def attach_replication(
         self,
@@ -288,7 +289,7 @@ class Turbine:
         """
         from repro.replication import ReplicationGroup
 
-        return self._attach("replication", ReplicationGroup(
+        return self._attach("replication", lambda: ReplicationGroup(
             self.engine, self.job_store, self.scribe,
             telemetry=self.telemetry,
             **_given(
@@ -310,47 +311,42 @@ class Turbine:
         """
         from repro.tasks.checkpoint import CheckpointPlane
 
-        plane = CheckpointPlane(
+        plane = self._attach("checkpoint_plane", lambda: CheckpointPlane(
             self.engine, self.scribe, self.task_service,
             telemetry=self.telemetry,
-        )
+        ))
         for manager in self.task_managers.values():
             manager.checkpoint_plane = plane
-        return self._attach("checkpoint_plane", plane)
+        return plane
 
     def attach_standby(self):
         """Attach the hot-standby plane (passive replicas, fast takeover).
 
         Only jobs provisioned with ``hot_standby=True`` get replicas; a
         platform with the plane attached but no opted-in jobs behaves
-        byte-identically to one without the plane. Re-attaching hands the
-        replaced plane's replicas to the new one (``take_over``).
+        byte-identically to one without the plane.
         """
         from repro.tasks.standby import StandbyPlane
 
-        plane = StandbyPlane(self.engine, self, telemetry=self.telemetry)
-        if self.standby is not None:
-            plane.take_over(self.standby)
+        plane = self._attach("standby", lambda: StandbyPlane(
+            self.engine, self, telemetry=self.telemetry,
+        ))
         for manager in self.task_managers.values():
             manager.standby_plane = plane
-        return self._attach("standby", plane)
+        return plane
 
     def attach_slow_node_detector(self, **kwargs):
         """Attach the gray-failure (slow-node) detector.
 
         Compares per-task rates against the job median and drains
         containers that stay persistently slow; see
-        :mod:`repro.tasks.slow_node` for thresholds. Re-attaching hands
-        the replaced detector's drains to the new one (``take_over``).
+        :mod:`repro.tasks.slow_node` for thresholds.
         """
         from repro.tasks.slow_node import SlowNodeDetector
 
-        detector = SlowNodeDetector(
+        return self._attach("slow_nodes", lambda: SlowNodeDetector(
             self.engine, self, telemetry=self.telemetry, **kwargs
-        )
-        if self.slow_nodes is not None:
-            detector.take_over(self.slow_nodes)
-        return self._attach("slow_nodes", detector)
+        ))
 
     def attach_capacity_manager(self, capacity_config=None):
         """Attach the Capacity Manager (requires an attached scaler)."""
@@ -358,7 +354,7 @@ class Turbine:
 
         if self.scaler is None:
             raise RuntimeError("attach_scaler must be called first")
-        return self._attach("capacity_manager", CapacityManager(
+        return self._attach("capacity_manager", lambda: CapacityManager(
             self.engine, self.cluster, self.job_service, self.scaler,
             self.actuator, config=capacity_config,
         ))

@@ -115,7 +115,12 @@ class Replica:
 
 
 class ReplicationGroup:
-    """Replicates one Job Store endpoint over a Scribe command log."""
+    """Replicates one Job Store endpoint over a Scribe command log.
+
+    A platform attaches one group for its life (``Turbine._attach``
+    refuses a second before building it), because the constructor takes
+    the endpoint's command sink.
+    """
 
     def __init__(
         self,
@@ -201,14 +206,6 @@ class ReplicationGroup:
                 self.catchup_interval, self._catchup_tick,
                 name="replication-catchup",
             )
-
-    def stop(self) -> None:
-        """Cancel the timers (used by teardown-style tests)."""
-        for timer in (self._lease_timer, self._catchup_timer):
-            if timer is not None:
-                timer.cancel()
-        self._lease_timer = None
-        self._catchup_timer = None
 
     # ------------------------------------------------------------------
     # Command tap (endpoint → log)

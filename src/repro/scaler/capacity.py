@@ -80,11 +80,6 @@ class CapacityManager:
                 self.config.interval, self.run_once, name="capacity-manager"
             )
 
-    def stop(self) -> None:
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
-
     def forget_job(self, job_id: JobId) -> None:
         """A deleted job is not resumed — nor is a later one of its id."""
         if job_id in self.stopped_jobs:

@@ -87,11 +87,6 @@ class ReactiveAutoScaler:
                 self.config.interval, self.run_once, name="reactive-scaler"
             )
 
-    def stop(self) -> None:
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
-
     def forget_job(self, job_id: str) -> None:
         """Algorithm 2 carries nothing per job from round to round."""
 

@@ -182,11 +182,6 @@ class CheckpointPlane:
             self._interval, self._tick, name="checkpoint-plane"
         )
 
-    def stop(self) -> None:
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
-
     def forget_job(self, job_id: JobId) -> None:
         """Drop a deprovisioned job's durable state, its log included."""
         self._high_water.pop(job_id, None)

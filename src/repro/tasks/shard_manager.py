@@ -235,11 +235,6 @@ class ShardManager:
             )
         )
 
-    def stop(self) -> None:
-        for timer in self._timers:
-            timer.cancel()
-        self._timers.clear()
-
     # ------------------------------------------------------------------
     # Placement
     # ------------------------------------------------------------------

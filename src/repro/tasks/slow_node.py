@@ -91,23 +91,6 @@ class SlowNodeDetector:
             self._interval, self._tick, name="slow-node-detector"
         )
 
-    def stop(self) -> None:
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
-
-    def take_over(self, previous: "SlowNodeDetector") -> None:
-        """Continue where a replaced detector stopped (a re-attach).
-
-        Its drains come along with their drain times, so each host is
-        still undrained once its cooldown elapses: a drain no running
-        detector owns would keep its host out of the placement pool for
-        good. The records of those drains come along too.
-        """
-        self.drained = dict(previous.drained)
-        self.drains = previous.drains
-        self.events.extend(previous.events)
-
     # ------------------------------------------------------------------
     # Evaluation tick
     # ------------------------------------------------------------------

@@ -111,26 +111,6 @@ class StandbyPlane:
             STANDBY_INTERVAL, self._tick, name="standby-plane"
         )
 
-    def stop(self) -> None:
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
-
-    def take_over(self, previous: "StandbyPlane") -> None:
-        """Continue where a replaced plane stopped (a re-attach).
-
-        Its replicas stay hosted, so this plane adopts them — placing
-        them again would reserve each task's replica twice — along with
-        their liveness stamps and the plane's records, which keeps the
-        ``promotions`` list equal to the durable promotion log. A
-        promoted replica keeps serving until its primary restarts.
-        """
-        previous._settle_stamps()
-        self.placements = dict(previous.placements)
-        self._last_alive = dict(previous._last_alive)
-        self.promotions = list(previous.promotions)
-        self.events.extend(previous.events)
-
     # ------------------------------------------------------------------
     # Reconcile tick
     # ------------------------------------------------------------------

@@ -71,11 +71,6 @@ class JobStatsCollector:
                 self._interval, self.collect_once, name="job-stats"
             )
 
-    def stop(self) -> None:
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
-
     def forget_job(self, job_id: JobId) -> None:
         """Drop a deleted job's delta stamp and metric entity. Not for a job
         merely spec-less for a round: its delta across that gap is real."""

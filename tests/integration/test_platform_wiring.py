@@ -4,10 +4,10 @@ Every optional subsystem reaches the platform through
 ``Turbine._attach`` and is started by the single loop over
 ``_START_ORDER``. Three properties follow and are pinned here:
 
-* re-attaching a subsystem stops the instance it replaces (an orphan
-  with an armed timer would keep acting on the fleet), and a failure
-  plane re-attached mid-fault takes over what the old one left in the
-  fleet (replicas, drains) instead of stranding it;
+* a subsystem is attached once: a second ``attach_*`` raises, before or
+  after ``start()``, and the first instance stays attached with each of
+  its timers armed once (a replaced one would strand what it left in
+  the fleet, or keep acting with an armed timer);
 * attaching after ``start()`` arms each timer exactly once;
 * the order in which the optional subsystems were *attached* is
   invisible: same-timestamp timers fire in ``_START_ORDER`` order, so
@@ -53,6 +53,10 @@ STARTABLE = {
     "attach_standby": ("standby", ("standby-plane",)),
     "attach_slow_node_detector": ("slow_nodes", ("slow-node-detector",)),
 }
+
+#: Every ``attach_*`` method: the startable ones and the chaos engine,
+#: which arms no timer until a scenario is scheduled.
+ATTACHABLE = {**STARTABLE, "attach_chaos": ("chaos", ())}
 
 
 def small_platform(method):
@@ -167,22 +171,44 @@ def test_every_started_subsystem_is_covered_here():
     assert len(_START_ORDER) == len(always_on) + len(optional)
 
 
-@pytest.mark.parametrize("method", sorted(STARTABLE))
-def test_reattach_after_start_stops_the_replaced_instance(method):
-    attr, timer_names = STARTABLE[method]
+@pytest.mark.parametrize("second_attach", ["before-start", "after-start"])
+@pytest.mark.parametrize("method", sorted(ATTACHABLE))
+def test_a_second_attach_raises_and_keeps_the_first(method, second_attach):
+    attr, timer_names = ATTACHABLE[method]
     platform = small_platform(method)
     first = getattr(platform, method)()
+    if method == "attach_scaler":
+        # The Capacity Manager must keep working for the one scaler.
+        platform.attach_capacity_manager()
+    if second_attach == "after-start":
+        platform.start()
+    with pytest.raises(RuntimeError, match=f"^{attr} is already attached$"):
+        getattr(platform, method)()
     platform.start()
-    second = getattr(platform, method)()
-    assert getattr(platform, attr) is second and second is not first
+    assert getattr(platform, attr) is first
     armed = armed_timers(platform)
     for timer_name in timer_names:
-        assert armed[timer_name] == 1, (
-            f"{timer_name}: the replaced {attr} kept its timer armed"
-        )
-    # The orphan must stay silent: only the live instance's timers fire.
+        assert armed[timer_name] == 1, timer_name
+    if platform.capacity_manager is not None:
+        assert platform.capacity_manager._scaler is platform.scaler
     platform.run_for(minutes=10)
     assert armed_timers(platform) == armed
+
+
+def test_a_second_chaos_attach_leaves_the_faults_with_the_first_engine():
+    """Regression: a second ``attach_chaos`` installed a new engine; the
+    first kept its ``chaos-watch`` timer armed and recorded the MTTR
+    where ``platform.chaos`` could no longer see it."""
+    platform = build_chaos_platform(seed=7)
+    platform.run_for(seconds=WARMUP)
+    engine = platform.chaos
+    engine.schedule(get_scenario("syncer-crash"))
+    with pytest.raises(RuntimeError, match="^chaos is already attached$"):
+        platform.attach_chaos()
+    platform.run_for(minutes=15)
+    assert platform.chaos is engine
+    assert len(engine.mttr) == 1
+    assert all(mttr is not None for mttr in engine.mttr.values())
 
 
 def hosted_replicas(platform):
@@ -195,10 +221,9 @@ def hosted_replicas(platform):
 
 
 def test_reattach_standby_plane_mid_fault_strands_nothing():
-    """The replaced plane's replicas — one of them promoted, covering for
-    a primary on a dead host — belong to the new plane: the promoted one
-    serves until its primary restarts, and every replica left hosted is
-    one the live plane knows, one per opted-in task."""
+    """A replica promoted to cover for a primary on a dead host serves
+    until its primary restarts, and every replica left hosted is one the
+    plane knows, one per opted-in task."""
     platform = build_chaos_platform(seed=7, hot_standby=True)
     platform.run_for(seconds=WARMUP)
     task_id = "chaos/job-0:0"
@@ -208,8 +233,8 @@ def test_reattach_standby_plane_mid_fault_strands_nothing():
     )
     platform.failures.fail_now(primary.container.host_id, label="test")
     platform.run_for(seconds=2)
-    assert [r.task_id for r in platform.standby.promotions].count(task_id) == 1
-    plane = platform.attach_standby()
+    plane = platform.standby
+    assert [r.task_id for r in plane.promotions].count(task_id) == 1
     platform.run_for(minutes=30)
     assert hosted_replicas(platform) == set(plane.placements.items())
     assert set(plane.placements) == {
@@ -227,22 +252,20 @@ def test_reattach_standby_plane_mid_fault_strands_nothing():
 
 
 def test_reattach_slow_node_detector_mid_fault_strands_nothing():
-    """Regression: the new detector started with no drains, so nothing
-    ever undrained the gray host the replaced one had drained — its
-    containers sat out of the placement pool for good."""
+    """The gray host the detector drained is undrained once its cooldown
+    elapses: a drain left in place would keep its containers out of the
+    placement pool for good."""
     platform = build_chaos_platform(seed=7, slow_node_detection=True)
     platform.run_for(seconds=WARMUP)
     platform.chaos.schedule(get_scenario("gray-node-drain"))
+    detector = platform.slow_nodes
     for __ in range(20):
         platform.run_for(seconds=30)
-        if platform.slow_nodes.drained:
+        if detector.drained:
             break
     else:
         pytest.fail("the gray host was never drained")
-    drained_at = dict(platform.slow_nodes.drained)
     assert platform.shard_manager.drained
-    detector = platform.attach_slow_node_detector()
-    assert detector.drained == drained_at
     platform.run_for(minutes=30)
     assert detector.drained == {}
     assert platform.shard_manager.drained == set()
@@ -334,7 +357,8 @@ def test_attach_order_is_invisible_to_every_export(seed):
 def test_every_job_holder_is_a_platform_attribute_with_both_methods():
     platform = small_platform("attach_capacity_manager")
     for method in STARTABLE:
-        getattr(platform, method)()
+        if method != "attach_scaler":  # small_platform attached it
+            getattr(platform, method)()
     assert len(set(_JOB_HOLDERS)) == len(_JOB_HOLDERS)
     for name in _JOB_HOLDERS:
         holder = getattr(platform, name)

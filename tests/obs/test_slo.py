@@ -255,14 +255,6 @@ class TestTracker:
         with pytest.raises(ValueError, match="duplicate"):
             SloTracker(engine, sli, specs=(spec, spec))
 
-    def test_stop_cancels_the_timer(self):
-        engine, service, metrics, tracker, lag = build_tracker()
-        engine.run_for(300.0)
-        evals = tracker.evaluations
-        tracker.stop()
-        engine.run_for(600.0)
-        assert tracker.evaluations == evals
-
 
 class TestForgetJob:
     """A deleted job keeps its compliance record and loses its alert

@@ -117,9 +117,6 @@ class TestAlerts:
         reporter.start()
         platform.run_for(minutes=16)
         assert len(reporter.reports) == 3
-        reporter.stop()
-        platform.run_for(minutes=10)
-        assert len(reporter.reports) == 3
 
 
 class TestSliSourcing:

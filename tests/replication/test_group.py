@@ -161,22 +161,6 @@ def test_replica_snapshot_of_dead_replica_raises():
         group.replica_snapshot("replica-1")
 
 
-def test_stop_cancels_timers():
-    platform, group = make_platform()
-    platform.run_for(minutes=1)
-    head = group.log.head_index
-    group.stop()
-    platform.job_service.patch("t/j", ConfigLevel.ONCALL, {"task_count": 3})
-    platform.run_for(minutes=2)
-    # The sink still logs (it is the store's, not the timers') but no
-    # catch-up ran, so followers stay behind.
-    assert group.log.head_index > head
-    assert group.lagging_replicas()
-    group.start()
-    platform.run_for(seconds=10)
-    assert group.in_sync
-
-
 def test_non_genesis_rejoin_waits_for_a_leader():
     """Replication attached mid-life (state predates the log): a replica
     that lost its disk can only recover via leader snapshot. With no
