@@ -79,6 +79,7 @@ def _incident_platform(seed: int, minutes: float, replication: bool = False):
     if replication:
         platform.attach_replication()
     platform.enable_tracing()
+    platform.enable_instrumentation()
     platform.start()
     driver = TrafficDriver(platform.engine, platform.scribe, tick=60.0)
     rates = {"demo/job-0": 30.0, "demo/job-1": 2.0, "demo/job-2": 2.0}

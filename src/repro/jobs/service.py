@@ -32,7 +32,7 @@ from repro.types import JobId, JobState
 #: How many CAS retries :meth:`update` attempts before giving up. Conflicts
 #: are transient (another writer won the race), so a handful of retries is
 #: always enough in practice.
-DEFAULT_MAX_RETRIES = 16
+MAX_RETRIES = 16
 
 
 class JobService:
@@ -92,7 +92,6 @@ class JobService:
         job_id: JobId,
         level: ConfigLevel,
         modify: Callable[[Config], Config],
-        max_retries: int = DEFAULT_MAX_RETRIES,
     ) -> Config:
         """Read-modify-write one expected level with CAS retries.
 
@@ -109,7 +108,7 @@ class JobService:
         change links back to the decision that requested it.
         """
         last_conflict: Optional[VersionConflictError] = None
-        for __ in range(max_retries):
+        for __ in range(MAX_RETRIES):
             current = self._store.read_expected(job_id, level)
             new_config = modify(current.config)
             if new_config is None:
@@ -128,7 +127,7 @@ class JobService:
             except VersionConflictError as conflict:
                 last_conflict = conflict
         raise JobStoreError(
-            f"update of {job_id}/{level.name} failed after {max_retries} "
+            f"update of {job_id}/{level.name} failed after {MAX_RETRIES} "
             f"retries: {last_conflict}"
         )
 

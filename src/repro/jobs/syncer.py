@@ -18,7 +18,7 @@ ACIDF properties and where they live here:
 * **Durability** — committed running configs survive syncer crashes
   (the store outlives the syncer; see the crash tests).
 * **Failure handling** — a failed plan is aborted and retried next round;
-  after ``quarantine_after`` consecutive failures the job is quarantined
+  after ``QUARANTINE_AFTER`` consecutive failures the job is quarantined
   and an alert is raised for the oncall.
 
 Incremental synchronization
@@ -33,7 +33,7 @@ whose expected config, running config, lifecycle state, or torn-plan flag
 changed — plus its own retry backlog (failed plans re-enter the dirty set
 through ``mark_dirty``; orphaned deletions are kept in a retry set).
 
-A periodic **full scan** (every ``full_scan_interval`` rounds) remains as
+A periodic **full scan** (every :data:`FULL_SCAN_INTERVAL` rounds) remains as
 a safety net against any mutation path the feed might miss, mirroring the
 production pattern of pairing deltas with periodic anti-entropy sweeps.
 Correctness does not depend on the net: the change feed is complete by
@@ -75,16 +75,16 @@ SYNC_INTERVAL: Seconds = 30.0
 #: Consecutive failures before a job is quarantined ("If it fails for
 #: multiple times, the State Syncer quarantines the job and creates an
 #: alert for the oncall to investigate").
-DEFAULT_QUARANTINE_AFTER = 3
+QUARANTINE_AFTER = 3
 
 #: Retained :class:`SyncReport` history (a week of 30-second rounds); the
 #: syncer runs forever in soak tests, so the audit trail must be bounded.
-DEFAULT_ROUND_RETENTION = 20_160
+ROUND_RETENTION = 20_160
 
 #: Incremental rounds between anti-entropy full scans (the safety net).
 #: At the default 30-second sync interval this is one full fleet rescan
 #: every ten minutes.
-DEFAULT_FULL_SCAN_INTERVAL = 20
+FULL_SCAN_INTERVAL = 20
 
 
 @dataclass
@@ -119,37 +119,26 @@ class StateSyncer:
         store: JobStore,
         actuator: TaskActuator,
         engine: Optional[Engine] = None,
-        interval: Seconds = SYNC_INTERVAL,
-        quarantine_after: int = DEFAULT_QUARANTINE_AFTER,
         tracer: Optional[Tracer] = None,
         telemetry: Optional[Telemetry] = None,
-        round_retention: int = DEFAULT_ROUND_RETENTION,
-        full_scan_interval: int = DEFAULT_FULL_SCAN_INTERVAL,
     ) -> None:
         self._store = store
         self._actuator = actuator
         self._engine = engine
-        self._interval = interval
-        self._quarantine_after = quarantine_after
         self._tracer = tracer or NULL_TRACER
         self._telemetry = telemetry or NULL_TELEMETRY
         self._failure_counts: Dict[JobId, int] = {}
         self._timer: Optional[Timer] = None
-        if full_scan_interval < 1:
-            raise SyncError(
-                f"full_scan_interval must be >= 1: {full_scan_interval}"
-            )
-        self._full_scan_interval = full_scan_interval
         # Start saturated so the very first round is a full scan: it
         # sweeps cluster orphans that predate this syncer (and its
         # cursor), which no change feed can know about.
-        self._rounds_since_full = full_scan_interval
+        self._rounds_since_full = FULL_SCAN_INTERVAL
         #: Dirty-set source; None between :meth:`crash` and
         #: :meth:`restart` (every round is then a full scan).
         self._cursor: Optional[ChangeCursor] = store.change_cursor()
         #: Deleted jobs whose cluster-side GC failed and must be retried.
         self._orphan_retry: set = set()
-        self.rounds: List[SyncReport] = BoundedList(maxlen=round_retention)
+        self.rounds: List[SyncReport] = BoundedList(maxlen=ROUND_RETENTION)
         #: Oncall alerts raised on quarantine, as ``(time, job_id, reason)``.
         self.alerts: List[tuple] = []
         #: Callbacks invoked with (job_id, reason) when a job is quarantined.
@@ -163,7 +152,9 @@ class StateSyncer:
             "syncer.job-store",
             clock=lambda: self.now,
             telemetry=self._telemetry,
-            breaker=CircuitBreaker(failure_threshold=2, reset_timeout=interval),
+            breaker=CircuitBreaker(
+                failure_threshold=2, reset_timeout=SYNC_INTERVAL
+            ),
         )
         self._actuator_dep = Dependency(
             "syncer.actuator",
@@ -181,7 +172,7 @@ class StateSyncer:
         if self._timer is not None:
             return
         self._timer = self._engine.every(
-            self._interval, self.sync_once, name="state-syncer"
+            SYNC_INTERVAL, self.sync_once, name="state-syncer"
         )
 
     def stop(self) -> None:
@@ -213,7 +204,7 @@ class StateSyncer:
         """
         if self._cursor is None:
             self._cursor = self._store.change_cursor()
-        self._rounds_since_full = self._full_scan_interval
+        self._rounds_since_full = FULL_SCAN_INTERVAL
         self._telemetry.inc("syncer.restarts")
         if self._engine is not None and self._timer is None:
             self.start()
@@ -230,7 +221,7 @@ class StateSyncer:
         that might need work.
 
         Only the dirty set (jobs the change feed reported since the
-        previous round) is examined; every ``full_scan_interval`` rounds
+        previous round) is examined; every :data:`FULL_SCAN_INTERVAL` rounds
         — and always while a crash has left the syncer without a cursor —
         the whole fleet is rescanned as an anti-entropy safety net.
         Either way, simple synchronizations are batched (collected
@@ -251,7 +242,7 @@ class StateSyncer:
             return report
         full_scan = (
             self._cursor is None
-            or self._rounds_since_full >= self._full_scan_interval
+            or self._rounds_since_full >= FULL_SCAN_INTERVAL
         )
         report = SyncReport(time=self.now, full_scan=full_scan)
         simple_plans: List[ExecutionPlan] = []
@@ -464,7 +455,7 @@ class StateSyncer:
         count = self._failure_counts.get(job_id, 0) + 1
         self._failure_counts[job_id] = count
         report.failed.append(job_id)
-        if count >= self._quarantine_after:
+        if count >= QUARANTINE_AFTER:
             self._store.set_state(job_id, JobState.QUARANTINED)
             report.quarantined.append(job_id)
             self.alerts.append((self.now, job_id, reason))

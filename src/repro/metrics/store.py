@@ -2,7 +2,7 @@
 
 Entities are free-form strings — job ids, task ids, container ids, host ids
 — so one store serves every layer. Series are created on first write with
-the store's default retention; callers with special needs (the pattern
+:data:`DEFAULT_RETENTION`; callers with special needs (the pattern
 analyzer's 14 days) pass an explicit retention at creation.
 
 At fleet scale the store is on the simulation's hottest path, so it keeps
@@ -35,8 +35,7 @@ _NO_ROW: Mapping[str, TimeSeries] = MappingProxyType({})
 class MetricStore:
     """All time series in one cluster."""
 
-    def __init__(self, default_retention: Seconds = DEFAULT_RETENTION) -> None:
-        self.default_retention = default_retention
+    def __init__(self) -> None:
         self._series: Dict[Tuple[str, str], TimeSeries] = {}
         #: Inverted indexes: entity -> {metric: series}, metric -> entities.
         self._entity_index: Dict[str, Dict[str, TimeSeries]] = {}
@@ -80,7 +79,7 @@ class MetricStore:
         if existing is not None:
             return existing
         created = TimeSeries(
-            retention if retention is not None else self.default_retention
+            retention if retention is not None else DEFAULT_RETENTION
         )
         self._series[key] = created
         self._entity_index.setdefault(entity, {})[metric] = created

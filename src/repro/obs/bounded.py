@@ -13,7 +13,7 @@ equality against plain lists, slicing, ``[-1]`` — keep working.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, TypeVar
+from typing import Optional, TypeVar
 
 T = TypeVar("T")
 
@@ -21,14 +21,11 @@ T = TypeVar("T")
 class BoundedList(list):
     """A ``list`` that evicts its oldest entries beyond ``maxlen``."""
 
-    def __init__(
-        self, iterable: Iterable = (), maxlen: Optional[int] = None
-    ) -> None:
+    def __init__(self, maxlen: Optional[int] = None) -> None:
         if maxlen is not None and maxlen <= 0:
             raise ValueError(f"maxlen must be positive: {maxlen}")
-        super().__init__(iterable)
+        super().__init__()
         self.maxlen = maxlen
-        self._trim(exact=True)
 
     def append(self, item) -> None:
         super().append(item)
@@ -38,11 +35,9 @@ class BoundedList(list):
         super().extend(iterable)
         self._trim()
 
-    def _trim(self, exact: bool = False) -> None:
+    def _trim(self) -> None:
         if self.maxlen is None or len(self) <= self.maxlen:
             return
-        # Evict down past the cap by a chunk, so eviction is amortized;
-        # ``exact`` trims to exactly the cap (used at construction).
-        slack = 0 if exact else max(1, self.maxlen // 10)
-        target = max(0, self.maxlen - slack)
+        # Evict down past the cap by a chunk, so eviction is amortized.
+        target = max(0, self.maxlen - max(1, self.maxlen // 10))
         del self[: len(self) - target]

@@ -44,12 +44,12 @@ from repro.obs.bounded import BoundedList
 from repro.obs.sli import SLI_NAMES, SliEvaluator
 from repro.types import JobId, Seconds
 
-#: Default evaluation cadence: one judgement per simulated minute, the
-#: same cadence the stats collector lands the underlying metrics at.
+#: Evaluation cadence: one judgement per simulated minute, the same
+#: cadence the stats collector lands the underlying metrics at.
 EVAL_INTERVAL: Seconds = 60.0
 
 #: Retained breach windows / alerts (same cap as health reports).
-DEFAULT_RETENTION = 8_640
+RECORD_RETENTION = 8_640
 
 #: The trailing windows of ``report()``'s ``burn_1h`` / ``burn_6h`` columns.
 REPORT_BURN_1H: Seconds = 3600.0
@@ -242,10 +242,7 @@ class SloTracker:
         engine,
         sli: SliEvaluator,
         specs: Optional[Tuple[SloSpec, ...]] = None,
-        rules: Tuple[BurnRateRule, ...] = DEFAULT_BURN_RULES,
-        interval: Seconds = EVAL_INTERVAL,
         telemetry=None,
-        retention: int = DEFAULT_RETENTION,
     ) -> None:
         from repro.ops.health import Alert  # shared alert shape
 
@@ -258,8 +255,7 @@ class SloTracker:
         names = [spec.name for spec in self.specs]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate SLO names: {names}")
-        self.rules = rules
-        self._interval = interval
+        self.rules = DEFAULT_BURN_RULES
         self._telemetry = telemetry
         #: job -> its verdicts. Private on purpose: a chaos ``metric-gap``
         #: fault must not silently erase the very breach it causes, and
@@ -272,7 +268,7 @@ class SloTracker:
         #: every window read sees every verdict in it.
         self._retention: Seconds = 1.25 * max(
             *(spec.compliance_window for spec in self.specs),
-            *(rule.long_window for rule in rules),
+            *(rule.long_window for rule in self.rules),
             REPORT_BURN_1H, REPORT_BURN_6H,
         )
         #: Each spec's judgement, resolved once: ``(index, bit, name,
@@ -288,8 +284,8 @@ class SloTracker:
         )
         #: Ledger window reads (introspection).
         self.window_reads = 0
-        self.alerts: List = BoundedList(maxlen=retention)
-        self.breaches: List[BreachWindow] = BoundedList(maxlen=retention)
+        self.alerts: List = BoundedList(maxlen=RECORD_RETENTION)
+        self.breaches: List[BreachWindow] = BoundedList(maxlen=RECORD_RETENTION)
         #: (job, slo) -> open breach (also present in ``breaches``).
         self._open: Dict[Tuple[JobId, str], BreachWindow] = {}
         #: (job, slo, rule index) currently above threshold (edge trigger).
@@ -299,7 +295,7 @@ class SloTracker:
         #: These are the only pairs a burn-rate rule can fire for.
         self._last_bad: Dict[Tuple[JobId, int], Seconds] = {}
         self._burn_horizon: Seconds = max(
-            (rule.short_window for rule in rules), default=0.0
+            (rule.short_window for rule in self.rules), default=0.0
         )
         self.evaluations = 0
         self._timer = None
@@ -310,7 +306,7 @@ class SloTracker:
     def start(self) -> None:
         if self._timer is None:
             self._timer = self._engine.every(
-                self._interval, self.evaluate_once, name="slo-tracker"
+                EVAL_INTERVAL, self.evaluate_once, name="slo-tracker"
             )
 
     def forget_job(self, job_id: JobId) -> None:

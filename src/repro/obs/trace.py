@@ -30,9 +30,9 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 from repro.obs.bounded import BoundedList
 from repro.types import JobId
 
-#: Default bound on retained events; old events are evicted first. Large
-#: enough for any benchmark horizon, small enough to bound a soak test.
-DEFAULT_MAX_EVENTS = 200_000
+#: Bound on retained events; old events are evicted first. Large enough
+#: for any benchmark horizon, small enough to bound a soak test.
+MAX_EVENTS = 200_000
 
 #: Hand-off slot names (documented here so the layers agree on them).
 SLOT_SYMPTOM = "symptom"        # detector -> scaler
@@ -88,7 +88,6 @@ class Tracer:
         self,
         clock: Optional[Callable[[], float]] = None,
         enabled: bool = False,
-        max_events: int = DEFAULT_MAX_EVENTS,
     ) -> None:
         self.enabled = enabled
         self._clock = clock or (lambda: 0.0)
@@ -96,7 +95,7 @@ class Tracer:
         #: endless soak evicts its oldest events in amortized-O(1) chunks
         #: while ``chain()``/``to_jsonl()`` keep working on the retained
         #: window (a real list, so slicing and equality behave normally).
-        self.events: List[TraceEvent] = BoundedList(maxlen=max_events)
+        self.events: List[TraceEvent] = BoundedList(maxlen=MAX_EVENTS)
         self._span_counter = 0
         self._trace_counter = 0
         #: Hand-off slots: ``(job_id, slot) -> event``. A producer layer

@@ -29,7 +29,16 @@ REPORT_INTERVAL: Seconds = 300.0
 
 #: Retained reports/alerts. At the default 5-minute cadence this is a
 #: month of history — plenty for timelines, bounded for endless soaks.
-DEFAULT_REPORT_RETENTION = 8_640
+REPORT_RETENTION = 8_640
+
+#: Alerting thresholds: the share of expected tasks not running, the
+#: share of jobs lagging, and the count of quarantined jobs at which the
+#: reporter warns or pages.
+TASKS_NOT_RUNNING_WARN = 0.01
+TASKS_NOT_RUNNING_PAGE = 0.10
+JOBS_LAGGING_WARN = 0.02
+JOBS_LAGGING_PAGE = 0.20
+QUARANTINED_PAGE = 1
 
 
 @dataclass
@@ -87,17 +96,6 @@ class HealthReport:
         return table.render()
 
 
-@dataclass
-class HealthThresholds:
-    """Alerting thresholds."""
-
-    tasks_not_running_warn: float = 0.01
-    tasks_not_running_page: float = 0.10
-    jobs_lagging_warn: float = 0.02
-    jobs_lagging_page: float = 0.20
-    quarantined_page: int = 1
-
-
 class HealthReporter:
     """Computes health reports and raises threshold alerts."""
 
@@ -108,9 +106,7 @@ class HealthReporter:
         task_service: TaskService,
         shard_manager: ShardManager,
         metrics: MetricStore,
-        thresholds: Optional[HealthThresholds] = None,
         interval: Seconds = REPORT_INTERVAL,
-        retention: int = DEFAULT_REPORT_RETENTION,
         sli: Optional[SliEvaluator] = None,
     ) -> None:
         self._engine = engine
@@ -121,10 +117,9 @@ class HealthReporter:
         #: The SLI layer is the single source of the per-job judgements;
         #: the reporter only adds the task/container side and thresholds.
         self.sli = sli if sli is not None else SliEvaluator(job_service, metrics)
-        self.thresholds = thresholds or HealthThresholds()
         self._interval = interval
-        self.reports: List[HealthReport] = BoundedList(maxlen=retention)
-        self.alerts: List[Alert] = BoundedList(maxlen=retention)
+        self.reports: List[HealthReport] = BoundedList(maxlen=REPORT_RETENTION)
+        self.alerts: List[Alert] = BoundedList(maxlen=REPORT_RETENTION)
         self._timer: Optional[Timer] = None
 
     def start(self) -> None:
@@ -196,24 +191,23 @@ class HealthReporter:
     # Alerting
     # ------------------------------------------------------------------
     def _raise_alerts(self, report: HealthReport) -> None:
-        t = self.thresholds
-        if report.pct_tasks_not_running >= t.tasks_not_running_page:
+        if report.pct_tasks_not_running >= TASKS_NOT_RUNNING_PAGE:
             self._alert("page",
                         f"{report.pct_tasks_not_running:.0%} of tasks not running",
                         "check Shard Manager failovers and host availability")
-        elif report.pct_tasks_not_running >= t.tasks_not_running_warn:
+        elif report.pct_tasks_not_running >= TASKS_NOT_RUNNING_WARN:
             self._alert("warn",
                         f"{report.pct_tasks_not_running:.1%} of tasks not running",
                         "verify recent syncs and container churn")
-        if report.pct_jobs_lagging >= t.jobs_lagging_page:
+        if report.pct_jobs_lagging >= JOBS_LAGGING_PAGE:
             self._alert("page",
                         f"{report.pct_jobs_lagging:.0%} of jobs lagging",
                         "suspect a shared dependency; do not mass-scale")
-        elif report.pct_jobs_lagging >= t.jobs_lagging_warn:
+        elif report.pct_jobs_lagging >= JOBS_LAGGING_WARN:
             self._alert("warn",
                         f"{report.pct_jobs_lagging:.1%} of jobs lagging",
                         "check Auto Scaler actions and untriaged reports")
-        if report.jobs_quarantined >= t.quarantined_page:
+        if report.jobs_quarantined >= QUARANTINED_PAGE:
             self._alert("page",
                         f"{report.jobs_quarantined} job(s) quarantined",
                         "inspect State Syncer alerts; release after fixing")

@@ -31,7 +31,7 @@ from repro.cluster.tupperware import TupperwareCluster
 from repro.jobs.model import JobSpec
 from repro.jobs.service import JobService
 from repro.jobs.store import JobStore
-from repro.jobs.syncer import SYNC_INTERVAL, StateSyncer
+from repro.jobs.syncer import StateSyncer
 from repro.metrics.store import MetricStore
 from repro.obs.telemetry import EngineInstrumentation, Telemetry
 from repro.obs.trace import Tracer
@@ -40,11 +40,10 @@ from repro.sim.engine import Engine
 from repro.tasks.actuator import TurbineActuator
 from repro.tasks.manager import (
     HEARTBEAT_INTERVAL,
-    REFRESH_INTERVAL,
     HeartbeatSweep,
     TaskManager,
 )
-from repro.tasks.service import CACHE_TTL, TaskService
+from repro.tasks.service import TaskService
 from repro.tasks.shard import DEFAULT_NUM_SHARDS
 from repro.tasks.shard_manager import REBALANCE_INTERVAL, ShardManager
 from repro.tasks.stats import COLLECT_INTERVAL, JobStatsCollector
@@ -90,9 +89,6 @@ class PlatformConfig:
     num_shards: int = DEFAULT_NUM_SHARDS
     containers_per_host: int = 4
     container_capacity: Optional[ResourceVector] = None
-    sync_interval: Seconds = SYNC_INTERVAL
-    cache_ttl: Seconds = CACHE_TTL
-    refresh_interval: Seconds = REFRESH_INTERVAL
     heartbeat_interval: Seconds = HEARTBEAT_INTERVAL
     rebalance_interval: Seconds = REBALANCE_INTERVAL
     step_interval: Seconds = STEP_INTERVAL
@@ -131,7 +127,7 @@ class Turbine:
         self.job_service = JobService(self.job_store, tracer=self.tracer)
 
         # --- Task Management ------------------------------------------
-        self.task_service = TaskService(engine, cache_ttl=self.config.cache_ttl)
+        self.task_service = TaskService(engine)
         self.shard_manager = ShardManager(
             engine,
             num_shards=self.config.num_shards,
@@ -155,7 +151,6 @@ class Turbine:
         )
         self.syncer = StateSyncer(
             self.job_store, self.actuator, engine=engine,
-            interval=self.config.sync_interval,
             tracer=self.tracer, telemetry=self.telemetry,
         )
         self.task_managers: Dict[str, TaskManager] = {}
@@ -226,14 +221,13 @@ class Turbine:
             config=scaler_config, tracer=self.tracer,
         ))
 
-    def attach_health_reporter(self, thresholds=None, interval=None):
+    def attach_health_reporter(self, interval=None):
         """Attach the operations health reporter (paper section VII)."""
         from repro.ops.health import HealthReporter
 
         return self._attach("health", lambda: HealthReporter(
             self.engine, self.job_service, self.task_service,
-            self.shard_manager, self.metrics,
-            thresholds=thresholds, sli=self._sli_evaluator(),
+            self.shard_manager, self.metrics, sli=self._sli_evaluator(),
             **_given(interval=interval),
         ))
 
@@ -270,14 +264,7 @@ class Turbine:
 
         return self._attach("chaos", lambda: ChaosEngine(self))
 
-    def attach_replication(
-        self,
-        replicas=None,
-        heartbeat_interval=None,
-        lease_timeout=None,
-        catchup_interval=None,
-        log_retention=None,
-    ):
+    def attach_replication(self, replicas=None):
         """Attach Job Store state-machine replication over Scribe.
 
         Mutations of the Job Store endpoint are serialized onto a
@@ -291,14 +278,7 @@ class Turbine:
 
         return self._attach("replication", lambda: ReplicationGroup(
             self.engine, self.job_store, self.scribe,
-            telemetry=self.telemetry,
-            **_given(
-                replicas=replicas,
-                heartbeat_interval=heartbeat_interval,
-                lease_timeout=lease_timeout,
-                catchup_interval=catchup_interval,
-                log_retention=log_retention,
-            ),
+            telemetry=self.telemetry, **_given(replicas=replicas),
         ))
 
     def attach_checkpoints(self):
@@ -335,7 +315,7 @@ class Turbine:
             manager.standby_plane = plane
         return plane
 
-    def attach_slow_node_detector(self, **kwargs):
+    def attach_slow_node_detector(self):
         """Attach the gray-failure (slow-node) detector.
 
         Compares per-task rates against the job median and drains
@@ -345,7 +325,7 @@ class Turbine:
         from repro.tasks.slow_node import SlowNodeDetector
 
         return self._attach("slow_nodes", lambda: SlowNodeDetector(
-            self.engine, self, telemetry=self.telemetry, **kwargs
+            self.engine, self, telemetry=self.telemetry
         ))
 
     def attach_capacity_manager(self, capacity_config=None):
@@ -420,7 +400,6 @@ class Turbine:
             self.shard_manager,
             self.scribe,
             metrics=self.metrics,
-            refresh_interval=self.config.refresh_interval,
             heartbeat_interval=self.config.heartbeat_interval,
             tracer=self.tracer,
             telemetry=self.telemetry,

@@ -17,6 +17,9 @@ from repro.provision.query import Query, QueryError
 from repro.provision.service import ProvisionService, Stage
 from repro.warehouse.tables import DataWarehouse
 
+#: MB/s one batch worker processes through any stage.
+RATE_PER_WORKER_MB = 8.0
+
 
 @dataclass
 class BatchStageResult:
@@ -56,20 +59,13 @@ class BatchRunner:
 
     Execution is analytic: bytes flow through the stage pipeline with each
     stage's reduction ratio taken from the optimized IR's rate estimates,
-    and stage duration is ``input / (workers · rate_per_worker)``. That is
+    and stage duration is ``input / (workers · RATE_PER_WORKER_MB)``. That is
     exactly the level of fidelity the management layer needs to reason
     about backfills (how long, how much intermediate data).
     """
 
-    def __init__(
-        self,
-        warehouse: DataWarehouse,
-        rate_per_worker_mb: float = 8.0,
-    ) -> None:
-        if rate_per_worker_mb <= 0:
-            raise QueryError("rate_per_worker_mb must be positive")
+    def __init__(self, warehouse: DataWarehouse) -> None:
         self._warehouse = warehouse
-        self._rate_per_worker = rate_per_worker_mb
         self._provisioner = ProvisionService()
 
     def run(
@@ -92,7 +88,7 @@ class BatchRunner:
             input_mb = self._stage_input_mb(stage, first_day, last_day, carried)
             ratio = stage.reduction_ratio
             output_mb = input_mb * ratio
-            duration = input_mb / (workers * self._rate_per_worker)
+            duration = input_mb / (workers * RATE_PER_WORKER_MB)
             result.stages.append(
                 BatchStageResult(
                     stage_id=stage.stage_id,

@@ -15,11 +15,11 @@ for byte.
 Roles and failover:
 
 * **Leader** — the replica whose state *is* the endpoint. It renews a
-  sim-time lease every ``heartbeat_interval``; clients keep writing
+  sim-time lease every ``HEARTBEAT_INTERVAL``; clients keep writing
   through the endpoint exactly as they would to a singleton store, so
   with no faults a replicated platform is byte-identical to an
   unreplicated one (the golden transparency suite).
-* **Followers** — poll the log every ``catchup_interval`` and apply new
+* **Followers** — poll the log every ``CATCHUP_INTERVAL`` and apply new
   commands to their shadow stores. A follower whose next index fell
   behind the log's retention horizon — or that just (re)joined with an
   empty disk — installs a snapshot from the leader first, then tails
@@ -30,7 +30,7 @@ Roles and failover:
   group deterministically elects the live follower with the highest
   applied index (ties broken by lowest replica id), catches it up to
   the log head, and installs its state into the endpoint in place.
-  Write availability returns after roughly ``lease_timeout`` — seconds,
+  Write availability returns after roughly ``LEASE_TIMEOUT`` — seconds,
   versus the 40-second reboot clock a singleton restart pays — and no
   committed mutation is lost or re-applied, because the promoted state
   is the log-applied state.
@@ -128,29 +128,17 @@ class ReplicationGroup:
         endpoint: JobStore,
         scribe: ScribeBus,
         replicas: int = DEFAULT_REPLICAS,
-        heartbeat_interval: Seconds = HEARTBEAT_INTERVAL,
-        lease_timeout: Seconds = LEASE_TIMEOUT,
-        catchup_interval: Seconds = CATCHUP_INTERVAL,
-        log_retention: Optional[int] = None,
         telemetry: Optional[Telemetry] = None,
     ) -> None:
         if replicas < 2:
             raise ReplicationError(
                 f"a replica set needs at least 2 members: {replicas}"
             )
-        if lease_timeout <= heartbeat_interval:
-            raise ReplicationError(
-                "lease_timeout must exceed heartbeat_interval "
-                f"({lease_timeout} <= {heartbeat_interval})"
-            )
         self._engine = engine
         self._endpoint = endpoint
         self._telemetry = telemetry or NULL_TELEMETRY
-        self.heartbeat_interval = heartbeat_interval
-        self.lease_timeout = lease_timeout
-        self.catchup_interval = catchup_interval
         #: The replicated command log (a dedicated Scribe log partition).
-        self.log = scribe.ensure_log(COMMAND_LOG_NAME, retention=log_retention)
+        self.log = scribe.ensure_log(COMMAND_LOG_NAME)
         #: True when the log covers the store's entire history (empty
         #: store and empty log at attach). A genesis log lets a replica
         #: with no state rebuild by full replay, without a live leader to
@@ -177,7 +165,7 @@ class ReplicationGroup:
             self.replicas[replica_id] = replica
         self.leader_id: Optional[str] = "replica-0"
         self.lease = Lease(
-            holder="replica-0", expires_at=engine.now + lease_timeout
+            holder="replica-0", expires_at=engine.now + LEASE_TIMEOUT
         )
         #: Failover/rejoin/snapshot incidents (timeline source
         #: ``replication``); empty for a fault-free run by design.
@@ -198,12 +186,12 @@ class ReplicationGroup:
         """Arm the lease and catch-up timers."""
         if self._lease_timer is None:
             self._lease_timer = self._engine.every(
-                self.heartbeat_interval, self._lease_tick,
+                HEARTBEAT_INTERVAL, self._lease_tick,
                 name="replication-lease",
             )
         if self._catchup_timer is None:
             self._catchup_timer = self._engine.every(
-                self.catchup_interval, self._catchup_tick,
+                CATCHUP_INTERVAL, self._catchup_tick,
                 name="replication-catchup",
             )
 
@@ -226,7 +214,7 @@ class ReplicationGroup:
         )
         if leader is not None and leader.alive:
             self.lease.holder = leader.replica_id
-            self.lease.expires_at = now + self.lease_timeout
+            self.lease.expires_at = now + LEASE_TIMEOUT
             self._telemetry.inc("repl.heartbeats")
         elif now >= self.lease.expires_at:
             self._elect()
@@ -274,7 +262,7 @@ class ReplicationGroup:
         replica.applied = None
         self.leader_id = replica.replica_id
         self.lease.holder = replica.replica_id
-        self.lease.expires_at = now + self.lease_timeout
+        self.lease.expires_at = now + LEASE_TIMEOUT
         leaderless = (
             now - self._leader_lost_at
             if self._leader_lost_at is not None

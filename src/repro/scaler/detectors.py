@@ -34,14 +34,7 @@ class JobSymptoms(NamedTuple):
 class SymptomDetector:
     """Turns a job snapshot into symptoms."""
 
-    def __init__(
-        self,
-        imbalance_threshold: float = IMBALANCE_THRESHOLD,
-        tracer: Optional[Tracer] = None,
-    ) -> None:
-        if imbalance_threshold <= 0:
-            raise ValueError("imbalance threshold must be positive")
-        self._imbalance_threshold = imbalance_threshold
+    def __init__(self, tracer: Optional[Tracer] = None) -> None:
         self._tracer = tracer or NULL_TRACER
 
     def detect(self, snapshot: JobSnapshot) -> JobSymptoms:
@@ -80,4 +73,4 @@ class SymptomDetector:
         mean_rate = snapshot.per_task_rate
         if mean_rate <= 1e-9:
             return False
-        return snapshot.task_rate_stdev / mean_rate > self._imbalance_threshold
+        return snapshot.task_rate_stdev / mean_rate > IMBALANCE_THRESHOLD

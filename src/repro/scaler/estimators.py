@@ -32,10 +32,10 @@ from repro.tasks.runtime import (
 
 #: Safety margin applied on top of the raw CPU estimate so a job is not
 #: sized exactly at its observed peak.
-DEFAULT_CPU_MARGIN = 0.2
+CPU_MARGIN = 0.2
 
 #: Safety margin on per-task memory reservations.
-DEFAULT_MEMORY_MARGIN = 0.3
+MEMORY_MARGIN = 0.3
 
 
 @dataclass(frozen=True)
@@ -64,16 +64,6 @@ class ResourceEstimate:
 class ResourceEstimator:
     """Computes :class:`ResourceEstimate` from a snapshot and estimated P."""
 
-    def __init__(
-        self,
-        cpu_margin: float = DEFAULT_CPU_MARGIN,
-        memory_margin: float = DEFAULT_MEMORY_MARGIN,
-    ) -> None:
-        if cpu_margin < 0 or memory_margin < 0:
-            raise ScalerError("estimator margins must be non-negative")
-        self._cpu_margin = cpu_margin
-        self._memory_margin = memory_margin
-
     def estimate(
         self, snapshot: JobSnapshot, rate_per_thread: float
     ) -> ResourceEstimate:
@@ -90,7 +80,7 @@ class ResourceEstimator:
 
         x = max(0.0, snapshot.input_rate_mb)
         steady_raw = x / per_task_rate
-        steady = max(1, math.ceil(steady_raw * (1.0 + self._cpu_margin)))
+        steady = max(1, math.ceil(steady_raw * (1.0 + CPU_MARGIN)))
         min_count = max(1, math.ceil(steady_raw))
 
         # Equation (3): include the backlog drained over the recovery budget.
@@ -103,13 +93,13 @@ class ResourceEstimator:
         memory = self._memory_per_task(snapshot, per_task_rate, task_count_for_memory)
         disk = self._disk_per_task(snapshot, task_count_for_memory)
         # One busy thread ≈ one core; reserve for all threads plus margin.
-        cpu = max(1, snapshot.threads) * (1.0 + self._cpu_margin)
+        cpu = max(1, snapshot.threads) * (1.0 + CPU_MARGIN)
 
         # Network: read + write the per-task throughput (MB/s → Mbit/s).
         per_task_throughput = (
             x / task_count_for_memory if task_count_for_memory else 0.0
         )
-        network = per_task_throughput * 8.0 * 2.0 * (1.0 + self._cpu_margin)
+        network = per_task_throughput * 8.0 * 2.0 * (1.0 + CPU_MARGIN)
 
         return ResourceEstimate(
             steady_task_count=steady,
@@ -133,7 +123,7 @@ class ResourceEstimator:
         if snapshot.stateful and task_count > 0:
             keys_per_task = snapshot.state_key_cardinality / task_count
             needed += (keys_per_task / 1e6) * STATE_GB_PER_MILLION_KEYS
-        return needed * (1.0 + self._memory_margin)
+        return needed * (1.0 + MEMORY_MARGIN)
 
     def _disk_per_task(self, snapshot: JobSnapshot, task_count: int) -> float:
         if not snapshot.stateful or task_count <= 0:

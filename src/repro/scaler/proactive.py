@@ -36,6 +36,10 @@ from repro.scribe.bus import ScribeBus
 from repro.sim.engine import Engine, Timer
 from repro.types import JobId, Priority, Seconds
 
+#: Multiplicative error applied to the staging-period P hint, to model
+#: imperfect bootstrap profiling (1.0 = perfect).
+BOOTSTRAP_ERROR = 1.0
+
 
 @dataclass
 class AutoScalerConfig:
@@ -50,9 +54,6 @@ class AutoScalerConfig:
     container_capacity: ResourceVector = field(
         default_factory=lambda: DEFAULT_CONTAINER_CAPACITY
     )
-    #: Multiplicative error applied to the staging-period P hint, to model
-    #: imperfect bootstrap profiling (1.0 = perfect).
-    bootstrap_error: float = 1.0
     #: Ablation switch for the preactive historical-workload pruning.
     pattern_history: bool = True
     #: "the next x hours" a downscale is validated against in history
@@ -184,7 +185,7 @@ class AutoScaler:
         symptoms = self.detector.detect(snapshot)
         if not symptoms.healthy:
             self._last_unhealthy[job_id] = now
-        bootstrap = view.rate_per_thread_mb * self.config.bootstrap_error
+        bootstrap = view.rate_per_thread_mb * BOOTSTRAP_ERROR
         rate = self.analyzer.rate_per_thread(job_id, bootstrap)
         # Claim (consume) the symptom event so it parents exactly the
         # decision it triggered and never a later unrelated one.

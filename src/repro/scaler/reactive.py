@@ -11,7 +11,7 @@ failure modes the paper lists as motivation for the proactive redesign.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.jobs.configs import ConfigLevel
@@ -24,6 +24,16 @@ from repro.scribe.bus import ScribeBus
 from repro.sim.engine import Engine, Timer
 from repro.types import Seconds
 
+#: Multiplier applied to task count when lagging.
+UPSCALE_FACTOR = 2.0
+#: Memory growth factor on OOM.
+OOM_MEMORY_FACTOR = 1.5
+#: Quiet time before attempting a downscale ("no OOM, no lag is detected
+#: in a day").
+DOWNSCALE_AFTER: Seconds = 86400.0
+#: Tasks removed per downscale round (slow, cautious decay).
+DOWNSCALE_STEP = 1
+
 
 @dataclass
 class ReactiveConfig:
@@ -31,15 +41,6 @@ class ReactiveConfig:
 
     #: Evaluation period.
     interval: Seconds = 120.0
-    #: Multiplier applied to task count when lagging.
-    upscale_factor: float = 2.0
-    #: Memory growth factor on OOM.
-    oom_memory_factor: float = 1.5
-    #: Quiet time before attempting a downscale ("no OOM, no lag is
-    #: detected in a day").
-    downscale_after: Seconds = 86400.0
-    #: Tasks removed per downscale round (slow, cautious decay).
-    downscale_step: int = 1
 
 
 @dataclass
@@ -131,7 +132,7 @@ class ReactiveAutoScaler:
         new_count = min(
             max(
                 snapshot.task_count + 1,
-                int(snapshot.task_count * self.config.upscale_factor),
+                int(snapshot.task_count * UPSCALE_FACTOR),
             ),
             snapshot.task_count_limit,
         )
@@ -147,7 +148,7 @@ class ReactiveAutoScaler:
 
     def _increase_memory(self, snapshot: JobSnapshot) -> None:
         current = snapshot.memory_per_task_gb or 0.5
-        target = round(current * self.config.oom_memory_factor, 3)
+        target = round(current * OOM_MEMORY_FACTOR, 3)
         resources = dict(self._service.view(snapshot.job_id).resources)
         resources["memory_gb"] = target
         self._service.patch(
@@ -156,7 +157,7 @@ class ReactiveAutoScaler:
         self._record(snapshot, "memory", f"{current:.2f} -> {target:.2f} GB")
 
     def _decrease_tasks(self, snapshot: JobSnapshot) -> None:
-        new_count = snapshot.task_count - self.config.downscale_step
+        new_count = snapshot.task_count - DOWNSCALE_STEP
         if new_count < 1:
             return
         self._service.patch(
@@ -173,7 +174,7 @@ class ReactiveAutoScaler:
     def _quiet_long_enough(self, snapshot: JobSnapshot) -> bool:
         """No lag above 10 % of SLO and no OOM for the whole quiet window."""
         now = snapshot.time
-        window = self.config.downscale_after
+        window = DOWNSCALE_AFTER
         row = self._metrics.row(snapshot.job_id)
         lag_series = row.get("time_lagged")
         lags = lag_series.values_in(now - window, now) if lag_series else ()

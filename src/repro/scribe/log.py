@@ -97,9 +97,7 @@ class CommandLog:
         """Records currently retained."""
         return len(self._records)
 
-    def read_from(
-        self, index: int, max_records: Optional[int] = None
-    ) -> List[Tuple[int, str]]:
+    def read_from(self, index: int) -> List[Tuple[int, str]]:
         """Retained ``(sequence, payload)`` records at or after ``index``.
 
         Returns an empty list while offline (consumers stall; nothing is
@@ -115,10 +113,7 @@ class CommandLog:
             )
         if not self.online:
             return []
-        offset = index - self._first_index
-        records = self._records[offset:]
-        if max_records is not None:
-            records = records[:max_records]
+        records = self._records[index - self._first_index:]
         return [
             (index + position, payload)
             for position, payload in enumerate(records)

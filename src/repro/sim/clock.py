@@ -21,10 +21,8 @@ class SimClock:
 
     __slots__ = ("_now",)
 
-    def __init__(self, start: Seconds = 0.0) -> None:
-        if start < 0:
-            raise SimulationError(f"clock cannot start before zero: {start}")
-        self._now: Seconds = float(start)
+    def __init__(self) -> None:
+        self._now: Seconds = 0.0
 
     @property
     def now(self) -> Seconds:

@@ -93,20 +93,16 @@ class Timer:
 class Engine:
     """Deterministic discrete-event simulation engine."""
 
-    def __init__(
-        self,
-        seed: int = 0,
-        start: Seconds = 0.0,
-        instrumentation: Optional[Any] = None,
-    ) -> None:
-        self.clock = SimClock(start)
+    def __init__(self, seed: int = 0) -> None:
+        self.clock = SimClock()
         self.queue = EventQueue()
         self.rng = SeededRng(seed)
         self._running = False
         #: Optional per-event hook (duck-typed ``record_event(engine, cb)``;
-        #: see :class:`repro.obs.telemetry.EngineInstrumentation`). ``None``
-        #: keeps dispatch on the zero-overhead path.
-        self.instrumentation = instrumentation
+        #: see :class:`repro.obs.telemetry.EngineInstrumentation`), set by
+        #: whoever instruments the run. ``None`` keeps dispatch on the
+        #: zero-overhead path.
+        self.instrumentation: Optional[Any] = None
 
     @property
     def now(self) -> Seconds:

@@ -27,12 +27,9 @@ from repro.cluster.resources import ResourceVector
 from repro.errors import PlacementError
 from repro.types import ContainerId, ShardId
 
-#: "within a band (e.g +/-10%) of the average" — the default band.
-DEFAULT_BAND = 0.10
-
-#: Fraction of container capacity kept free: "maintaining a head room per
-#: host" for absorbing spikes (sections IV-B, VI-A).
-DEFAULT_HEADROOM = 0.10
+#: "within a band (e.g +/-10%) of the average": the allowed relative
+#: deviation of a container's load from the mean container load.
+BAND = 0.10
 
 
 @dataclass
@@ -65,8 +62,6 @@ def compute_assignment(
     shard_loads: Mapping[ShardId, ResourceVector],
     container_capacities: Mapping[ContainerId, ResourceVector],
     current: Optional[Mapping[ShardId, ContainerId]] = None,
-    band: float = DEFAULT_BAND,
-    headroom: float = DEFAULT_HEADROOM,
     container_regions: Optional[Mapping[ContainerId, str]] = None,
     shard_regions: Optional[Mapping[ShardId, str]] = None,
 ) -> AssignmentChange:
@@ -77,8 +72,6 @@ def compute_assignment(
         container_capacities: capacity of every live container.
         current: the existing assignment (shards on dead containers are
             treated as unassigned).
-        band: allowed relative deviation from the mean container load.
-        headroom: capacity fraction the packing tries to keep free.
         container_regions: optional region label per container.
         shard_regions: optional region *requirement* per shard — a shard
             with a region is only ever placed on containers of that region
@@ -90,15 +83,11 @@ def compute_assignment(
         The new assignment plus the move list.
 
     Raises:
-        PlacementError: no containers, invalid band/headroom, or a
+        PlacementError: no containers, or a
             regional constraint that no container can satisfy.
     """
     if not container_capacities:
         raise PlacementError("cannot place shards on zero containers")
-    if band <= 0:
-        raise PlacementError(f"band must be positive: {band}")
-    if not 0 <= headroom < 1:
-        raise PlacementError(f"headroom must be in [0, 1): {headroom}")
     current = current or {}
     container_regions = container_regions or {}
     shard_regions = shard_regions or {}
@@ -183,7 +172,7 @@ def compute_assignment(
 
     # Phase 3 — drain containers above the band into containers below it.
     _rebalance_within_band(
-        container_load, shards_on, scalar_loads, placed, moves, band,
+        container_load, shards_on, scalar_loads, placed, moves, BAND,
         eligible=eligible,
     )
     return AssignmentChange(assignment=placed, moves=moves)

@@ -145,15 +145,11 @@ class CheckpointPlane:
         engine,
         scribe,
         task_service,
-        interval: Seconds = CHECKPOINT_INTERVAL,
-        retention: int = CHECKPOINT_RETENTION,
         telemetry=None,
     ) -> None:
         self._engine = engine
         self._scribe = scribe
         self._task_service = task_service
-        self._interval = interval
-        self._retention = retention
         self._telemetry = telemetry
         #: Incident events only ("checkpoint-restore" |
         #: "checkpoint-fallback") — empty for a fault-free run, which keeps
@@ -179,7 +175,7 @@ class CheckpointPlane:
         if self._timer is not None:
             return
         self._timer = self._engine.every(
-            self._interval, self._tick, name="checkpoint-plane"
+            CHECKPOINT_INTERVAL, self._tick, name="checkpoint-plane"
         )
 
     def forget_job(self, job_id: JobId) -> None:
@@ -210,7 +206,7 @@ class CheckpointPlane:
         """Snapshot one job now — or roll it forward if its cursors regressed."""
         live = self._scribe.checkpoints.snapshot(job_id)
         log = self._scribe.ensure_log(
-            checkpoint_log_name(job_id), retention=self._retention
+            checkpoint_log_name(job_id), retention=CHECKPOINT_RETENTION
         )
         high_water = self._high_water.get(job_id)
         if high_water and self._regressed(live, high_water):

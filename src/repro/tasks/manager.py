@@ -135,7 +135,6 @@ class TaskManager:
         shard_manager: ShardManager,
         scribe: ScribeBus,
         metrics: Optional[MetricStore] = None,
-        refresh_interval: Seconds = REFRESH_INTERVAL,
         heartbeat_interval: Seconds = HEARTBEAT_INTERVAL,
         connection_timeout: Seconds = CONNECTION_TIMEOUT,
         tracer: Optional[Tracer] = None,
@@ -151,7 +150,6 @@ class TaskManager:
         self._shard_manager = shard_manager
         self._scribe = scribe
         self._metrics = metrics
-        self._refresh_interval = refresh_interval
         self._heartbeat_interval = heartbeat_interval
         self._connection_timeout = connection_timeout
 
@@ -271,8 +269,8 @@ class TaskManager:
             return
         jitter = self._engine.rng.fork(self.container_id)
         refresh = self._engine.every(
-            self._refresh_interval, self._refresh, name=f"{self.container_id}-refresh",
-            initial_delay=jitter.uniform(0, self._refresh_interval),
+            REFRESH_INTERVAL, self._refresh, name=f"{self.container_id}-refresh",
+            initial_delay=jitter.uniform(0, REFRESH_INTERVAL),
         )
         self._heartbeats = HeartbeatSweep.join(
             self._engine, self._heartbeat_interval, self, self._heartbeat_sweeps

@@ -32,9 +32,8 @@ CACHE_TTL: Seconds = 90.0
 class TaskService:
     """Generates and serves task-spec snapshots."""
 
-    def __init__(self, engine: Engine, cache_ttl: Seconds = CACHE_TTL) -> None:
+    def __init__(self, engine: Engine) -> None:
         self._engine = engine
-        self._cache_ttl = cache_ttl
         #: Authoritative spec table, job -> list of specs (index order).
         self._specs: Dict[JobId, List[TaskSpec]] = {}
         #: The spec table's version, bumped on every change.
@@ -132,7 +131,7 @@ class TaskService:
             raise ServiceUnavailableError("Task Service is unavailable")
         now = self._engine.now
         if self._cached_snapshot is not None:
-            if now - self._cached_at < self._cache_ttl:
+            if now - self._cached_at < CACHE_TTL:
                 return self._cached_snapshot
             if self._cached_version == self.version.value:
                 self._cached_at = now

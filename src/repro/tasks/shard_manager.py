@@ -58,7 +58,7 @@ DEFAULT_SHARD_LOAD = ResourceVector(cpu=0.01, memory_gb=0.05)
 #: Retained :class:`FailoverEvent` history. Health reports only look one
 #: hour back and long soaks fail containers constantly, so the audit list
 #: must be bounded.
-DEFAULT_FAILOVER_RETENTION = 10_000
+FAILOVER_RETENTION = 10_000
 
 
 @dataclass
@@ -80,7 +80,6 @@ class ShardManager:
         rebalance_interval: Seconds = REBALANCE_INTERVAL,
         tracer: Optional[Tracer] = None,
         telemetry: Optional[Telemetry] = None,
-        failover_retention: int = DEFAULT_FAILOVER_RETENTION,
     ) -> None:
         if num_shards <= 0:
             raise PlacementError(f"num_shards must be positive: {num_shards}")
@@ -99,7 +98,7 @@ class ShardManager:
         self._tracer = tracer or NULL_TRACER
         self._telemetry = telemetry or NULL_TELEMETRY
         self.failover_events: List[FailoverEvent] = BoundedList(
-            maxlen=failover_retention
+            maxlen=FAILOVER_RETENTION
         )
         self.rebalance_count = 0
         #: When False the Shard Manager is down: no placement changes, no

@@ -10,12 +10,13 @@ the *node*.
 The ``SlowNodeDetector`` closes that gap with the comparison the symptom
 pipeline cannot make on its own: within each job, every task has the same
 spec and an even partition slice, so all its tasks should process at
-roughly the job-median rate. A task persistently below ``ratio · median``
-while its siblings keep up indicts its *host*, not the job. Rates are
+roughly the job-median rate. A task persistently below
+``RATIO_THRESHOLD · median`` while its siblings keep up indicts its
+*host*, not the job. Rates are
 averaged over the detector's own evaluation window (deltas of each
 task's processed-bytes counter), never instantaneous samples — bursty
 sources make instantaneous rates read zero between bursts, which is
-phase noise, not a gray node. After ``confirmations`` consecutive
+phase noise, not a gray node. After ``CONFIRMATIONS`` consecutive
 suspicious evaluations the detector *drains* every container on the
 suspect host through the Shard Manager — shards (and their tasks)
 migrate to healthy nodes gracefully, the gray node keeps heartbeating
@@ -55,18 +56,10 @@ class SlowNodeDetector:
         self,
         engine,
         platform,
-        interval: Seconds = EVAL_INTERVAL,
-        ratio: float = RATIO_THRESHOLD,
-        confirmations: int = CONFIRMATIONS,
-        cooldown: Seconds = DRAIN_COOLDOWN,
         telemetry=None,
     ) -> None:
         self._engine = engine
         self._platform = platform
-        self._interval = interval
-        self._ratio = ratio
-        self._confirmations = confirmations
-        self._cooldown = cooldown
         self._telemetry = telemetry
         #: Drained hosts and when they were drained.
         self.drained: Dict[HostId, Seconds] = {}
@@ -88,7 +81,7 @@ class SlowNodeDetector:
         if self._timer is not None:
             return
         self._timer = self._engine.every(
-            self._interval, self._tick, name="slow-node-detector"
+            EVAL_INTERVAL, self._tick, name="slow-node-detector"
         )
 
     # ------------------------------------------------------------------
@@ -97,7 +90,7 @@ class SlowNodeDetector:
     def _tick(self) -> None:
         now = self._engine.now
         for host_id in sorted(self.drained):
-            if now - self.drained[host_id] >= self._cooldown:
+            if now - self.drained[host_id] >= DRAIN_COOLDOWN:
                 for container_id in self._containers_on(host_id):
                     self._platform.shard_manager.undrain(container_id)
                 del self.drained[host_id]
@@ -123,7 +116,7 @@ class SlowNodeDetector:
             if host_id in suspects:
                 count = self._suspicion.get(host_id, 0) + 1
                 self._suspicion[host_id] = count
-                if count >= self._confirmations:
+                if count >= CONFIRMATIONS:
                     self._drain(host_id, suspects[host_id], now)
             else:
                 self._suspicion.pop(host_id, None)
@@ -155,7 +148,7 @@ class SlowNodeDetector:
                     continue  # First window on this container.
                 if total < previous[0]:
                     continue  # Restarted in place; window re-seeds.
-                rate = (total - previous[0]) / self._interval
+                rate = (total - previous[0]) / EVAL_INTERVAL
                 by_job.setdefault(task.spec.job_id, []).append(
                     (rate, host_id, task_id)
                 )
@@ -174,7 +167,7 @@ class SlowNodeDetector:
             if median <= 1e-9:
                 continue  # Idle job: every rate is ~0, nothing to learn.
             for rate, host_id, task_id in entries:
-                if rate < self._ratio * median:
+                if rate < RATIO_THRESHOLD * median:
                     suspects.setdefault(
                         host_id,
                         f"{task_id} at {rate:.2f} MB/s vs job median "

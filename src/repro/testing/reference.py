@@ -30,6 +30,7 @@ from repro.metrics.store import MetricStore
 from repro.obs.sli import SliEvaluator
 from repro.obs.slo import SloTracker
 from repro.obs.trace import SLOT_SYMPTOM
+from repro.scaler import proactive
 from repro.scaler.plan_generator import ScalingDecision
 from repro.scaler.proactive import AutoScaler
 from repro.scaler.snapshot import (
@@ -121,7 +122,7 @@ class FullWalkSloTracker(SloTracker):
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self._store = MetricStore(default_retention=self._retention)
+        self._store = MetricStore()
         self._forgotten: set = set()
 
     def forget_job(self, job_id: JobId) -> None:
@@ -152,6 +153,8 @@ class FullWalkSloTracker(SloTracker):
                     self._track_breach(job_id, spec, bad=bad, now=now)
             except DegradedModeError:
                 continue
+        for job_id, metric, __ in batch:
+            self._store.series(job_id, metric, retention=self._retention)
         if batch:
             self._store.record_many(now, batch)
         self._check_burn_rates(now)
@@ -214,7 +217,7 @@ class FullScanSyncer(StateSyncer):
     and re-merges every job's config (no version stamp, no shared merge)."""
 
     def sync_once(self) -> SyncReport:
-        self._rounds_since_full = self._full_scan_interval
+        self._rounds_since_full = float("inf")
         return super().sync_once()
 
     def _plan_for(self, job_id: JobId) -> Optional[ExecutionPlan]:
@@ -243,7 +246,7 @@ class EagerAutoScaler(AutoScaler):
         symptoms = self.detector.detect(snapshot)
         if not symptoms.healthy:
             self._last_unhealthy[job_id] = now
-        bootstrap = view.rate_per_thread_mb * self.config.bootstrap_error
+        bootstrap = view.rate_per_thread_mb * proactive.BOOTSTRAP_ERROR
         self.analyzer.rate_per_thread(job_id, bootstrap)
         if symptoms.lagging:
             self.analyzer.observe_saturated_throughput(snapshot)

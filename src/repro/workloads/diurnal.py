@@ -16,6 +16,9 @@ from repro.types import Seconds
 
 DAY: Seconds = 86400.0
 
+#: Half-width of the per-day noise multiplier: "within 1% variation".
+DAILY_VARIATION = 0.01
+
 #: Rate functions map simulated time to MB/s.
 RateFn = Callable[[Seconds], float]
 
@@ -25,7 +28,7 @@ class DiurnalPattern:
 
     ``rate(t) = base · (1 + amplitude · sin(2π(t − phase)/day)) · day_noise``
 
-    ``day_noise`` is a per-calendar-day multiplier within ``±daily_variation``
+    ``day_noise`` is a per-calendar-day multiplier within ``±DAILY_VARIATION``
     drawn from a seeded stream, so two runs with the same seed see the same
     traffic and the "same time yesterday" really is within ~1 %.
     """
@@ -35,7 +38,6 @@ class DiurnalPattern:
         base_rate_mb: float,
         amplitude: float = 0.3,
         phase: Seconds = 0.0,
-        daily_variation: float = 0.01,
         rng: Optional[SeededRng] = None,
     ) -> None:
         if base_rate_mb < 0:
@@ -45,7 +47,6 @@ class DiurnalPattern:
         self.base_rate_mb = base_rate_mb
         self.amplitude = amplitude
         self.phase = phase
-        self.daily_variation = daily_variation
         self._rng = rng or SeededRng(0)
         self._day_noise: dict = {}
 
@@ -53,7 +54,7 @@ class DiurnalPattern:
         if day not in self._day_noise:
             fork = self._rng.fork(f"day-{day}")
             self._day_noise[day] = 1.0 + fork.uniform(
-                -self.daily_variation, self.daily_variation
+                -DAILY_VARIATION, DAILY_VARIATION
             )
         return self._day_noise[day]
 

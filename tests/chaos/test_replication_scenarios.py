@@ -12,6 +12,7 @@ import json
 import pytest
 
 from repro.chaos import build_platform, get_scenario, run_scenario
+from repro.replication.group import HEARTBEAT_INTERVAL, LEASE_TIMEOUT
 
 #: The paper's single-instance recovery budget the replicated control
 #: plane must beat: a Job Store reboot costs ~40 s of write downtime.
@@ -129,7 +130,7 @@ def test_failover_beats_reboot_clock_end_to_end():
     __, leaderless = group.failovers[0]
     assert 0.0 < leaderless < REBOOT_CLOCK_SECONDS
     # Lease timeout (10 s) + at most one heartbeat tick (3 s).
-    assert leaderless <= group.lease_timeout + group.heartbeat_interval
+    assert leaderless <= LEASE_TIMEOUT + HEARTBEAT_INTERVAL
 
 
 # ----------------------------------------------------------------------

@@ -2,7 +2,16 @@
 
 import pytest
 
+import repro.jobs.syncer
+import repro.tasks.manager
+import repro.tasks.service
 from repro import JobSpec, PlatformConfig, ResourceVector, Turbine
+
+#: The control-loop periods are module constants (the paper's production
+#: values); the two loop-speed rows below patch them as
+#: ``(SYNC_INTERVAL, REFRESH_INTERVAL, CACHE_TTL)``.
+FAST_LOOPS = (5.0, 10.0, 15.0)
+SLOW_LOOPS = (120.0, 300.0, 600.0)
 
 
 @pytest.mark.parametrize(
@@ -18,16 +27,21 @@ from repro import JobSpec, PlatformConfig, ResourceVector, Turbine
                         container_capacity=ResourceVector(
                             cpu=4.0, memory_gb=16.0)), 2),
         ("fast control loops",
-         PlatformConfig(num_shards=16, containers_per_host=2,
-                        sync_interval=5.0, refresh_interval=10.0,
-                        cache_ttl=15.0), 2),
+         PlatformConfig(num_shards=16, containers_per_host=2), 2),
         ("slow control loops",
-         PlatformConfig(num_shards=16, containers_per_host=2,
-                        sync_interval=120.0, refresh_interval=300.0,
-                        cache_ttl=600.0), 2),
+         PlatformConfig(num_shards=16, containers_per_host=2), 2),
     ],
 )
-def test_platform_schedules_under_config(description, config, num_hosts):
+def test_platform_schedules_under_config(
+    description, config, num_hosts, monkeypatch
+):
+    loops = {"fast control loops": FAST_LOOPS,
+             "slow control loops": SLOW_LOOPS}.get(description)
+    if loops is not None:
+        sync, refresh, ttl = loops
+        monkeypatch.setattr(repro.jobs.syncer, "SYNC_INTERVAL", sync)
+        monkeypatch.setattr(repro.tasks.manager, "REFRESH_INTERVAL", refresh)
+        monkeypatch.setattr(repro.tasks.service, "CACHE_TTL", ttl)
     platform = Turbine.create(num_hosts=num_hosts, seed=13, config=config)
     platform.start()
     platform.provision(

@@ -43,10 +43,7 @@ def run_busy_hour(
     if slow_node_detection:
         platform.attach_slow_node_detector()
     platform.start()
-    driver = TrafficDriver(
-        platform.engine, platform.scribe, tick=60.0,
-        metrics=platform.metrics,
-    )
+    driver = TrafficDriver(platform.engine, platform.scribe, tick=60.0)
     for index in range(4):
         pattern = DiurnalPattern(
             3.0 + index, amplitude=0.3,
@@ -204,10 +201,7 @@ class TestMetricReadsTransparency:
         platform.attach_scaler(AutoScalerConfig(interval=120.0))
         slo = platform.attach_slo()
         platform.start()
-        driver = TrafficDriver(
-            platform.engine, platform.scribe, tick=60.0,
-            metrics=platform.metrics,
-        )
+        driver = TrafficDriver(platform.engine, platform.scribe, tick=60.0)
         platform.provision(
             JobSpec(job_id="job", input_category="cat", task_count=2,
                     rate_per_thread_mb=2.0)
@@ -370,10 +364,7 @@ class TestResiliencyTransparency:
         )
         plane = platform.attach_checkpoints()
         platform.start()
-        driver = TrafficDriver(
-            platform.engine, platform.scribe, tick=60.0,
-            metrics=platform.metrics,
-        )
+        driver = TrafficDriver(platform.engine, platform.scribe, tick=60.0)
         platform.provision(
             JobSpec(job_id="job", input_category="cat", task_count=2)
         )
@@ -433,10 +424,7 @@ class TestResiliencyTransparency:
         )
         detector = platform.attach_slow_node_detector()
         platform.start()
-        driver = TrafficDriver(
-            platform.engine, platform.scribe, tick=60.0,
-            metrics=platform.metrics,
-        )
+        driver = TrafficDriver(platform.engine, platform.scribe, tick=60.0)
         platform.provision(
             JobSpec(job_id="job", input_category="cat", task_count=4)
         )

@@ -34,7 +34,7 @@ def test_multi_job_fleet_stays_within_slo():
 
 def test_diurnal_traffic_handled_without_slo_violation():
     platform, driver = full_platform()
-    pattern = DiurnalPattern(4.0, amplitude=0.3, daily_variation=0.01,
+    pattern = DiurnalPattern(4.0, amplitude=0.3,
                              rng=platform.engine.rng.fork("wl"))
     platform.provision(
         JobSpec(job_id="job", input_category="cat", task_count=4,

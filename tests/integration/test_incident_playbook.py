@@ -11,7 +11,7 @@ import pytest
 
 from repro import JobSpec, PlatformConfig, ResourceVector, Turbine
 from repro.jobs import ConfigLevel
-from repro.ops.health import HealthThresholds
+import repro.ops.health
 from repro.scaler import AutoScalerConfig
 from repro.types import JobState
 from repro.workloads import TrafficDriver
@@ -23,9 +23,7 @@ def build_platform():
         config=PlatformConfig(num_shards=32, containers_per_host=2),
     )
     platform.attach_scaler(AutoScalerConfig(interval=120.0))
-    platform.attach_health_reporter(
-        thresholds=HealthThresholds(jobs_lagging_warn=0.01), interval=120.0,
-    )
+    platform.attach_health_reporter(interval=120.0)
     platform.start()
     driver = TrafficDriver(platform.engine, platform.scribe, tick=60.0)
     for index in range(4):
@@ -39,7 +37,8 @@ def build_platform():
     return platform
 
 
-def test_incident_lifecycle():
+def test_incident_lifecycle(monkeypatch):
+    monkeypatch.setattr(repro.ops.health, "JOBS_LAGGING_WARN", 0.01)
     platform = build_platform()
     baseline_report = platform.health.check_once()
     assert baseline_report.pct_jobs_lagging == 0.0

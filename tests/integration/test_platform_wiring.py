@@ -305,9 +305,7 @@ def run_attached_in(order, seed):
         else:
             getattr(platform, method)()
     platform.start()
-    driver = TrafficDriver(
-        platform.engine, platform.scribe, tick=60.0, metrics=platform.metrics,
-    )
+    driver = TrafficDriver(platform.engine, platform.scribe, tick=60.0)
     for index in range(3):
         platform.provision(JobSpec(
             job_id=f"job-{index}", input_category=f"cat-{index}",

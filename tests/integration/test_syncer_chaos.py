@@ -59,7 +59,7 @@ def test_acidf_under_chaos(updates, failure_plan):
             JobSpec(job_id=f"job-{index}", input_category="cat")
         )
     actuator = ChaoticActuator(failure_plan)
-    syncer = StateSyncer(store, actuator, quarantine_after=3)
+    syncer = StateSyncer(store, actuator)
 
     expected_history = {
         job_id: {canonical({}), canonical(store.merged_expected(job_id))}
@@ -99,7 +99,7 @@ def test_quarantine_only_after_consecutive_failures(failure_plan):
     service = JobService(store)
     service.provision(JobSpec(job_id="job", input_category="cat"))
     actuator = ChaoticActuator(failure_plan)
-    syncer = StateSyncer(store, actuator, quarantine_after=3)
+    syncer = StateSyncer(store, actuator)
 
     consecutive = 0
     for __ in range(15):

@@ -13,10 +13,12 @@ default: any mutation the change feed missed would show up here as a
 divergence between the worlds.
 """
 
-import pytest
+from unittest import mock
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.jobs.syncer
 from repro.jobs import ConfigLevel, JobService, JobSpec, JobStore, StateSyncer
 from repro.testing import ChaoticActuator, NullActuator
 from repro.testing.reference import FullScanSyncer
@@ -28,14 +30,16 @@ NUM_JOBS = 3
 NO_FULL_SCANS = 10**9
 
 
-def build_world(incremental, failure_plan, full_scan_interval=NO_FULL_SCANS):
+def full_scans_every(rounds):
+    """Patch the syncer's safety-net period (``FULL_SCAN_INTERVAL``)."""
+    return mock.patch.object(repro.jobs.syncer, "FULL_SCAN_INTERVAL", rounds)
+
+
+def build_world(incremental, failure_plan):
     store = JobStore()
     service = JobService(store)
     actuator = ChaoticActuator(list(failure_plan))
-    syncer = (StateSyncer if incremental else FullScanSyncer)(
-        store, actuator, quarantine_after=3,
-        full_scan_interval=full_scan_interval,
-    )
+    syncer = (StateSyncer if incremental else FullScanSyncer)(store, actuator)
     for index in range(NUM_JOBS):
         service.provision(JobSpec(job_id=f"job-{index}", input_category="cat"))
     return store, service, actuator, syncer
@@ -119,6 +123,7 @@ failures = st.lists(st.booleans(), min_size=0, max_size=60)
 
 @settings(max_examples=60, deadline=None)
 @given(ops=operations, failure_plan=failures)
+@full_scans_every(NO_FULL_SCANS)
 def test_incremental_equals_full_scan(ops, failure_plan):
     store_a, service_a, actuator_a, syncer_a = build_world(True, failure_plan)
     store_b, service_b, actuator_b, syncer_b = build_world(False, failure_plan)
@@ -154,12 +159,11 @@ def test_incremental_equals_full_scan(ops, failure_plan):
 
 @settings(max_examples=25, deadline=None)
 @given(ops=operations, failure_plan=failures)
+@full_scans_every(2)
 def test_periodic_full_scans_change_nothing(ops, failure_plan):
-    """With the default safety-net interval, full scans interleave with
+    """With a short safety-net interval, full scans interleave with
     incremental rounds — outcomes must still match the full-scan world."""
-    store_a, service_a, actuator_a, syncer_a = build_world(
-        True, failure_plan, full_scan_interval=2
-    )
+    store_a, service_a, actuator_a, syncer_a = build_world(True, failure_plan)
     store_b, service_b, actuator_b, syncer_b = build_world(False, failure_plan)
 
     for op in ops:
@@ -198,11 +202,11 @@ class GCActuator(NullActuator):
 class TestIncrementalRounds:
     """Deterministic spot checks of the dirty-set bookkeeping."""
 
-    def make(self, num_jobs=5, **kwargs):
+    def make(self, num_jobs=5):
         store = JobStore()
         service = JobService(store)
         actuator = GCActuator()
-        syncer = StateSyncer(store, actuator, **kwargs)
+        syncer = StateSyncer(store, actuator)
         for index in range(num_jobs):
             service.provision(
                 JobSpec(job_id=f"job-{index}", input_category="cat")
@@ -280,10 +284,3 @@ class TestIncrementalRounds:
         report = syncer.sync_once()
         assert not report.full_scan
         assert report.simple_synced == ["job-0"]
-
-    def test_invalid_full_scan_interval_rejected(self):
-        from repro.errors import SyncError
-
-        store = JobStore()
-        with pytest.raises(SyncError):
-            StateSyncer(store, GCActuator(), full_scan_interval=0)

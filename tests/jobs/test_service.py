@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.jobs.service
 from repro.errors import DegradedModeError, JobStoreError
 from repro.jobs import ConfigLevel, JobService, JobSpec, JobStore
 from repro.types import JobState
@@ -105,7 +106,8 @@ class TestUpdates:
         assert final.config["task_count"] == 15
         assert final.version == 2  # racer's write + ours
 
-    def test_update_gives_up_after_max_retries(self):
+    def test_update_gives_up_after_max_retries(self, monkeypatch):
+        monkeypatch.setattr(repro.jobs.service, "MAX_RETRIES", 3)
         service = service_with_job()
         store = service.store
 
@@ -116,10 +118,8 @@ class TestUpdates:
             )
             return config
 
-        with pytest.raises(JobStoreError, match="retries"):
-            service.update(
-                "scuba/ads", ConfigLevel.SCALER, always_race, max_retries=3
-            )
+        with pytest.raises(JobStoreError, match="after 3 retries"):
+            service.update("scuba/ads", ConfigLevel.SCALER, always_race)
 
     def test_modify_returning_none_rejected(self):
         service = service_with_job()

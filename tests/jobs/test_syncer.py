@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.jobs.syncer as syncer_module
 from repro.errors import SyncError
 from repro.jobs import (
     ConfigLevel,
@@ -146,7 +147,7 @@ class TestFaultTolerance:
 
     @pytest.mark.parametrize("full_scan_interval", [1, 20])
     def test_failure_streak_and_dirty_flag_die_with_the_job(
-        self, full_scan_interval
+        self, full_scan_interval, monkeypatch
     ):
         """A job provisioned under a deleted id starts with a clean
         record — whether the syncer learns of the delete from its feed
@@ -156,9 +157,10 @@ class TestFaultTolerance:
         spec = JobSpec(job_id="job", input_category="cat", task_count=4)
         service.provision(spec)
         actuator = RecordingActuator()
-        syncer = StateSyncer(
-            store, actuator, full_scan_interval=full_scan_interval
+        monkeypatch.setattr(
+            syncer_module, "FULL_SCAN_INTERVAL", full_scan_interval
         )
+        syncer = StateSyncer(store, actuator)
         actuator.fail_on.add("start_tasks")
         syncer.sync_once()
         syncer.sync_once()
@@ -312,7 +314,7 @@ class TestMergeOncePerChange:
         return store, service, syncer
 
     def full_scan(self, syncer):
-        syncer._rounds_since_full = syncer._full_scan_interval
+        syncer._rounds_since_full = syncer_module.FULL_SCAN_INTERVAL
         report = syncer.sync_once()
         assert report.full_scan
         return report

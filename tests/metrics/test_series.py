@@ -193,7 +193,8 @@ def test_every_read_equals_a_plain_list_of_the_retained_samples(
     raising where the list's read raises, and hand out lists of floats."""
     assume(sum(dt for dt, __ in motif) >= 0.5 * len(motif))
     single = TimeSeries(retention=retention)
-    store = MetricStore(default_retention=retention)
+    store = MetricStore()
+    store.series("entity", "metric", retention=retention)
     plain = []
     now = 0.0
     for index in range(STREAM_LENGTH):

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.metrics import MetricStore
+from repro.metrics.store import DEFAULT_RETENTION
 
 
 def test_series_created_on_first_use():
@@ -51,9 +52,9 @@ def test_drop_entity():
 
 
 def test_custom_retention_honored():
-    store = MetricStore(default_retention=5.0)
+    store = MetricStore()
     series = store.series("job-a", "lag")
-    assert series.retention == 5.0
+    assert series.retention == DEFAULT_RETENTION
     long_series = store.series("job-a", "history", retention=100.0)
     assert long_series.retention == 100.0
 

@@ -1,11 +1,15 @@
 """Unit tests for the SLO tracker: budgets, burn rates, breach windows."""
 
+from unittest import mock
+
 import pytest
 
+import repro.obs.slo
 from repro.metrics.store import MetricStore
 from repro.obs.sli import SliEvaluator
 from repro.obs.slo import (
     DEFAULT_BURN_RULES,
+    EVAL_INTERVAL,
     BurnRateRule,
     SloSpec,
     SloTracker,
@@ -73,15 +77,16 @@ class TestBurnMath:
         assert burn_rate(series, 600.0, now, target=0.99) == pytest.approx(50.0)
 
 
-def build_tracker(lag_slo=90.0, rules=DEFAULT_BURN_RULES, interval=60.0,
-                  specs=None):
-    """A tracker over one job whose lag we set per simulated minute."""
+def build_tracker(lag_slo=90.0, rules=DEFAULT_BURN_RULES, specs=None):
+    """A tracker over one job whose lag we set per simulated minute;
+    ``rules`` stand in for the module's burn rules while it is built."""
     engine = Engine(seed=1)
     service = Jobs()
     service.add("job", {"task_count": 2, "slo": {"max_lag_seconds": lag_slo}})
     metrics = MetricStore()
     sli = SliEvaluator(service.service, metrics)
-    tracker = SloTracker(engine, sli, specs=specs, rules=rules, interval=interval)
+    with mock.patch.object(repro.obs.slo, "DEFAULT_BURN_RULES", rules):
+        tracker = SloTracker(engine, sli, specs=specs)
 
     lag = {"value": 0.0}
 
@@ -92,7 +97,7 @@ def build_tracker(lag_slo=90.0, rules=DEFAULT_BURN_RULES, interval=60.0,
 
     # The feed timer is created first so it fires before the tracker's
     # evaluation at the same timestamp (engine preserves creation order).
-    engine.every(interval, feed, name="feed")
+    engine.every(EVAL_INTERVAL, feed, name="feed")
     tracker.start()
     return engine, service, metrics, tracker, lag
 

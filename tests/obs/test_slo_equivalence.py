@@ -21,9 +21,12 @@ and on every alert and breach window — the skip is only allowed because
 it is exact, so any difference at all is a bug.
 """
 
+from unittest import mock
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.obs.slo
 from repro.errors import DegradedModeError, JobStoreError
 from repro.jobs import ConfigLevel, JobService, JobSpec, JobStore
 from repro.metrics.store import MetricStore
@@ -43,7 +46,7 @@ JOBS = ("job-0", "job-1", "job-2")
 #: Provisioned with the others but fed no metric until a ``feed_late``
 #: step: a job before its first stats round (every verdict ``None``).
 LATE = "job-late"
-INTERVAL = 60.0
+INTERVAL = repro.obs.slo.EVAL_INTERVAL
 #: Short rule windows, so generated runs cross "bad sample leaves the
 #: longest window" many times (the default 6 h needs 360 rounds each).
 SHORT_RULES = (
@@ -77,9 +80,9 @@ class World:
         self.service = JobService(self.store)
         self.metrics = MetricStore()
         self.sli = sli_cls(self.service, self.metrics)
-        self.tracker = tracker_cls(
-            self.engine, self.sli, specs=specs, rules=rules, interval=INTERVAL
-        )
+        # The burn rules are read once, when the tracker is built.
+        with mock.patch.object(repro.obs.slo, "DEFAULT_BURN_RULES", rules):
+            self.tracker = tracker_cls(self.engine, self.sli, specs=specs)
         self.late_fed = False
         for job_id in (*JOBS, LATE):
             self.service.provision(
@@ -491,16 +494,15 @@ class TestFootprint:
     round) — one 8-byte round time and a byte per spec, where a 0/1
     series per (job, SLO) cost five 16-byte samples and its batch."""
 
-    def test_a_judged_job_round_costs_at_most_16_bytes(self):
+    def test_a_judged_job_round_costs_at_most_16_bytes(self, monkeypatch):
         import tracemalloc
-
-        import repro.obs.slo
 
         jobs, rounds = 200, 400
         engine = Engine(seed=1)
         service = JobService(JobStore())
         # A short platform retention keeps the fed series at a steady size.
-        metrics = MetricStore(default_retention=600.0)
+        monkeypatch.setattr(repro.metrics.store, "DEFAULT_RETENTION", 600.0)
+        metrics = MetricStore()
         tracker = SloTracker(engine, SliEvaluator(service, metrics))
         job_ids = [f"job-{index:03d}" for index in range(jobs)]
         for job_id in job_ids:

@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.obs.trace
 from repro.obs.trace import (
     NULL_TRACER,
     SLOT_SYMPTOM,
@@ -68,11 +69,12 @@ class TestRecording:
         assert [key for key, __ in event.detail] == ["alpha", "zebra"]
         assert dict(event.detail) == {"alpha": 2, "zebra": 1}
 
-    def test_max_events_evicts_oldest(self):
+    def test_max_events_evicts_oldest(self, monkeypatch):
         # Retention uses BoundedList (the health-report pattern): the cap
         # is never exceeded, eviction drops the oldest events first, and
         # the newest events always survive.
-        tracer = Tracer(enabled=True, max_events=5)
+        monkeypatch.setattr(repro.obs.trace, "MAX_EVENTS", 5)
+        tracer = Tracer(enabled=True)
         for index in range(8):
             tracer.record("a", "b", index=index)
         assert len(tracer.events) <= 5
@@ -81,8 +83,9 @@ class TestRecording:
         assert indices[-1] == 7
         assert 0 not in indices
 
-    def test_bounded_events_still_chain_and_export(self):
-        tracer = Tracer(enabled=True, max_events=10)
+    def test_bounded_events_still_chain_and_export(self, monkeypatch):
+        monkeypatch.setattr(repro.obs.trace, "MAX_EVENTS", 10)
+        tracer = Tracer(enabled=True)
         parent = None
         for index in range(25):
             parent = tracer.record(

@@ -4,7 +4,7 @@ import pytest
 
 from repro import JobSpec, PlatformConfig, Turbine
 from repro.ops import HealthReporter
-from repro.ops.health import HealthThresholds
+import repro.ops.health
 from repro.workloads import TrafficDriver
 
 
@@ -89,11 +89,9 @@ class TestAlerts:
         assert any("not running" in a.what for a in pages)
         assert all(a.runbook for a in pages)
 
-    def test_warn_threshold_below_page(self):
+    def test_warn_threshold_below_page(self, monkeypatch):
         platform, reporter = healthy_platform(num_jobs=8)
-        reporter.thresholds = HealthThresholds(
-            tasks_not_running_warn=0.01, tasks_not_running_page=0.9,
-        )
+        monkeypatch.setattr(repro.ops.health, "TASKS_NOT_RUNNING_PAGE", 0.9)
         # Stop one task of 32: ~3% missing → warn, not page.
         manager = next(
             m for m in platform.task_managers.values() if m.tasks

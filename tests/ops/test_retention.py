@@ -5,6 +5,9 @@ append-only record list must be bounded, and windowed queries (like
 ``failovers_last_hour``) must stay correct inside the retained window.
 """
 
+import repro.jobs.syncer
+import repro.ops.health
+import repro.tasks.shard_manager
 from repro import PlatformConfig, Turbine
 from repro.jobs.store import JobStore
 from repro.jobs.syncer import StateSyncer
@@ -20,22 +23,24 @@ class _IdleActuator:
         return []
 
 
-def test_syncer_round_history_is_bounded():
-    syncer = StateSyncer(JobStore(), _IdleActuator(), round_retention=3)
+def test_syncer_round_history_is_bounded(monkeypatch):
+    monkeypatch.setattr(repro.jobs.syncer, "ROUND_RETENTION", 3)
+    syncer = StateSyncer(JobStore(), _IdleActuator())
     for __ in range(10):
         syncer.sync_once()
     assert len(syncer.rounds) <= 3
     assert isinstance(syncer.rounds, BoundedList)
 
 
-def test_health_reports_and_alerts_are_bounded():
+def test_health_reports_and_alerts_are_bounded(monkeypatch):
+    monkeypatch.setattr(repro.ops.health, "REPORT_RETENTION", 2)
     platform = Turbine.create(
         num_hosts=1, seed=5, config=PlatformConfig(num_shards=4)
     )
     platform.start()
     reporter = HealthReporter(
         platform.engine, platform.job_service, platform.task_service,
-        platform.shard_manager, platform.metrics, retention=2,
+        platform.shard_manager, platform.metrics,
     )
     for __ in range(6):
         reporter.check_once()
@@ -52,8 +57,9 @@ def test_capacity_events_are_bounded():
     assert manager.events.maxlen == 7
 
 
-def test_failover_events_are_bounded():
-    shard_manager = ShardManager(Engine(), num_shards=4, failover_retention=5)
+def test_failover_events_are_bounded(monkeypatch):
+    monkeypatch.setattr(repro.tasks.shard_manager, "FAILOVER_RETENTION", 5)
+    shard_manager = ShardManager(Engine(), num_shards=4)
     assert isinstance(shard_manager.failover_events, BoundedList)
     assert shard_manager.failover_events.maxlen == 5
 

@@ -12,7 +12,7 @@ from repro.provision import (
     Sink,
     Source,
 )
-from repro.provision.batch import BatchRunner
+from repro.provision.batch import RATE_PER_WORKER_MB, BatchRunner
 from repro.provision.query import QueryError
 from repro.warehouse import DataWarehouse
 
@@ -66,9 +66,9 @@ class TestBatchRun:
         )
 
     def test_duration_is_sum_of_sequential_stages(self):
-        runner = BatchRunner(warehouse_with_data(), rate_per_worker_mb=10.0)
+        runner = BatchRunner(warehouse_with_data())
         result = runner.run(backfill_query(selectivity=0.5), 0, 6, workers=1)
-        expected = 700.0 / 10.0 + 350.0 / 10.0
+        expected = 700.0 / RATE_PER_WORKER_MB + 350.0 / RATE_PER_WORKER_MB
         assert result.total_duration_seconds == pytest.approx(expected)
 
     def test_missing_table_rejected(self):
@@ -82,8 +82,6 @@ class TestBatchRun:
         runner = BatchRunner(warehouse_with_data())
         with pytest.raises(QueryError):
             runner.run(backfill_query(), 0, 6, workers=0)
-        with pytest.raises(QueryError):
-            BatchRunner(warehouse_with_data(), rate_per_worker_mb=0.0)
 
     def test_empty_range_is_free(self):
         runner = BatchRunner(warehouse_with_data(days=3))

@@ -4,6 +4,7 @@ tests/chaos/test_replication_scenarios.py)."""
 
 import pytest
 
+import repro.replication.group
 from repro.errors import DegradedModeError
 from repro.jobs import ConfigLevel
 from repro.jobs.model import JobSpec
@@ -11,9 +12,9 @@ from repro.platform import Turbine
 from repro.replication import COMMAND_LOG_NAME, ReplicationError
 
 
-def make_platform(seed=1, **repl_kwargs):
+def make_platform(seed=1):
     platform = Turbine.create(num_hosts=2, seed=seed)
-    group = platform.attach_replication(**repl_kwargs)
+    group = platform.attach_replication()
     platform.provision(
         JobSpec(job_id="t/j", input_category="cat", task_count=2)
     )
@@ -130,12 +131,11 @@ def test_constructor_validation():
     platform = Turbine.create(num_hosts=1, seed=0)
     with pytest.raises(ReplicationError):
         platform.attach_replication(replicas=1)
-    with pytest.raises(ReplicationError):
-        platform.attach_replication(heartbeat_interval=10.0, lease_timeout=5.0)
 
 
-def test_lagging_replica_detected_then_drains():
-    platform, group = make_platform(catchup_interval=60.0)
+def test_lagging_replica_detected_then_drains(monkeypatch):
+    monkeypatch.setattr(repro.replication.group, "CATCHUP_INTERVAL", 60.0)
+    platform, group = make_platform()
     platform.run_for(seconds=5)
     platform.job_service.patch("t/j", ConfigLevel.ONCALL, {"task_count": 3})
     # The command landed in the log but the slow catch-up timer has not

@@ -78,7 +78,8 @@ job_row = st.fixed_dictionaries({
 
 
 def build(jobs, floor, eager):
-    engine = Engine(start=START)
+    engine = Engine()
+    engine.run_until(START)
     store = JobStore()
     tracer = Tracer(clock=lambda: engine.now, enabled=True)
     service = JobService(store, tracer=tracer)

@@ -2,17 +2,22 @@
 
 import pytest
 
+import repro.scaler.reactive
 from repro import JobSpec, PlatformConfig, Turbine
-from repro.scaler import ReactiveAutoScaler, ReactiveConfig
+from repro.scaler import ReactiveAutoScaler
 
 
-def reactive_platform(downscale_after=1200.0, seed=5):
+def reactive_platform(monkeypatch, downscale_after=1200.0, seed=5):
+    """A platform under the reactive scaler, whose quiet-time window
+    (``DOWNSCALE_AFTER``, a day) is shortened to ``downscale_after``."""
+    monkeypatch.setattr(
+        repro.scaler.reactive, "DOWNSCALE_AFTER", downscale_after
+    )
     config = PlatformConfig(num_shards=16, containers_per_host=2)
     platform = Turbine.create(num_hosts=3, seed=seed, config=config)
     platform.scaler = ReactiveAutoScaler(
         platform.engine, platform.job_service, platform.metrics,
         platform.scribe,
-        config=ReactiveConfig(downscale_after=downscale_after),
     )
     platform.start()
     return platform
@@ -24,8 +29,8 @@ def feed(platform, category, rate_mb, minutes):
         platform.run_for(minutes=1)
 
 
-def test_lag_doubles_task_count():
-    platform = reactive_platform()
+def test_lag_doubles_task_count(monkeypatch):
+    platform = reactive_platform(monkeypatch)
     platform.provision(
         JobSpec(job_id="job", input_category="cat", task_count=2,
                 rate_per_thread_mb=2.0),
@@ -37,10 +42,10 @@ def test_lag_doubles_task_count():
     assert platform.job_service.expected_config("job")["task_count"] >= 4
 
 
-def test_reactive_converges_slower_than_needed():
+def test_reactive_converges_slower_than_needed(monkeypatch):
     """The motivating flaw: fixed-step doubling takes several rounds to
     reach the required capacity — no estimate shortcuts it."""
-    platform = reactive_platform()
+    platform = reactive_platform(monkeypatch)
     platform.provision(
         JobSpec(job_id="job", input_category="cat", task_count=1,
                 rate_per_thread_mb=1.0, task_count_limit=64),
@@ -51,8 +56,8 @@ def test_reactive_converges_slower_than_needed():
     assert len(upscales) >= 3, "doubling needs many rounds: 1→2→4→8…"
 
 
-def test_quiet_job_shrinks_one_task_at_a_time():
-    platform = reactive_platform(downscale_after=900.0)
+def test_quiet_job_shrinks_one_task_at_a_time(monkeypatch):
+    platform = reactive_platform(monkeypatch, downscale_after=900.0)
     platform.provision(
         JobSpec(job_id="job", input_category="cat", task_count=6,
                 rate_per_thread_mb=5.0),
@@ -65,11 +70,11 @@ def test_quiet_job_shrinks_one_task_at_a_time():
     assert final < 6
 
 
-def test_reactive_can_overshoot_downscale():
+def test_reactive_can_overshoot_downscale(monkeypatch):
     """Without a resource floor, the reactive scaler keeps shrinking a
     quiet job until it lags — the incorrect-downscale flaw (section V-A).
     The proactive scaler's floor prevents exactly this."""
-    platform = reactive_platform(downscale_after=600.0)
+    platform = reactive_platform(monkeypatch, downscale_after=600.0)
     platform.provision(
         JobSpec(job_id="job", input_category="cat", task_count=4,
                 rate_per_thread_mb=2.0),

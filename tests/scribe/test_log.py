@@ -20,7 +20,6 @@ def test_read_from_middle_and_head():
         log.append(payload)
     assert log.read_from(2) == [(2, "c"), (3, "d")]
     assert log.read_from(4) == []          # at the head: nothing new
-    assert log.read_from(2, max_records=1) == [(2, "c")]
 
 
 def test_retention_drops_oldest_and_raises_below_horizon():

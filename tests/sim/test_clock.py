@@ -10,15 +10,6 @@ def test_starts_at_zero_by_default():
     assert SimClock().now == 0.0
 
 
-def test_starts_at_custom_time():
-    assert SimClock(start=12.5).now == 12.5
-
-
-def test_negative_start_rejected():
-    with pytest.raises(SimulationError):
-        SimClock(start=-1.0)
-
-
 def test_advance_moves_forward():
     clock = SimClock()
     clock.advance_to(10.0)
@@ -26,16 +17,20 @@ def test_advance_moves_forward():
 
 
 def test_advance_to_same_time_is_noop():
-    clock = SimClock(start=5.0)
+    clock = SimClock()
+    clock.advance_to(5.0)
     clock.advance_to(5.0)
     assert clock.now == 5.0
 
 
 def test_advance_backwards_rejected():
-    clock = SimClock(start=10.0)
+    clock = SimClock()
+    clock.advance_to(10.0)
     with pytest.raises(SimulationError):
         clock.advance_to(9.999)
 
 
 def test_repr_mentions_time():
-    assert "3.000" in repr(SimClock(start=3.0))
+    clock = SimClock()
+    clock.advance_to(3.0)
+    assert "3.000" in repr(clock)

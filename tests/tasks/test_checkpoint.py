@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.tasks.checkpoint
 from repro.errors import ServiceUnavailableError
 from repro.scribe.bus import ScribeBus
 from repro.sim.engine import Engine
@@ -198,11 +199,11 @@ class StubTaskService:
         return list(self.jobs)
 
 
-def build_plane(jobs=("job",), **kwargs):
+def build_plane(jobs=("job",)):
     engine = Engine(seed=1)
     scribe = ScribeBus()
     service = StubTaskService(jobs)
-    plane = CheckpointPlane(engine, scribe, service, **kwargs)
+    plane = CheckpointPlane(engine, scribe, service)
     return engine, scribe, service, plane
 
 
@@ -350,8 +351,9 @@ class TestPlane:
         assert "no retained checkpoint record decodes" in event.detail
         assert "backlog horizon" in event.detail
 
-    def test_retention_bounds_the_log(self):
-        engine, scribe, service, plane = build_plane(retention=4)
+    def test_retention_bounds_the_log(self, monkeypatch):
+        monkeypatch.setattr(repro.tasks.checkpoint, "CHECKPOINT_RETENTION", 4)
+        engine, scribe, service, plane = build_plane()
         for head in range(1, 11):
             commit(scribe, "job", {"p0": float(head)})
             plane.snapshot_job("job")
@@ -360,7 +362,8 @@ class TestPlane:
         assert plane.appends == 10
 
     def test_timer_snapshots_and_outage_skips_round(self):
-        engine, scribe, service, plane = build_plane(interval=30.0)
+        assert repro.tasks.checkpoint.CHECKPOINT_INTERVAL == 30.0
+        engine, scribe, service, plane = build_plane()
         plane.start()
         commit(scribe, "job", {"p0": 5.0})
         engine.run_for(60.0)

@@ -65,7 +65,7 @@ class TestTaskService:
 
     def test_snapshot_cached_within_ttl(self):
         engine = Engine()
-        service = TaskService(engine, cache_ttl=90.0)
+        service = TaskService(engine)
         service.set_job_specs("a", job_config("a"))
         first = service.snapshot()
         engine.run_until(30.0)
@@ -76,7 +76,7 @@ class TestTaskService:
         cache TTL: a committed change becomes visible to managers only
         when the cached snapshot expires."""
         engine = Engine()
-        service = TaskService(engine, cache_ttl=90.0)
+        service = TaskService(engine)
         service.set_job_specs("a", job_config("a", task_count=1))
         before = service.snapshot()
         service.set_job_specs("a", job_config("a", task_count=2))
@@ -89,7 +89,7 @@ class TestTaskService:
 
     def test_expiry_keeps_unchanged_build_shows_lazy_change(self):
         engine = Engine()
-        service = TaskService(engine, cache_ttl=90.0)
+        service = TaskService(engine)
         service.set_job_specs("a", job_config("a"))
         first = service.snapshot()
         grouping = service.shard_index(8)
@@ -139,7 +139,7 @@ class TestTaskService:
 
     def test_shard_index_memoized_per_snapshot_build(self):
         engine = Engine()
-        service = TaskService(engine, cache_ttl=90.0)
+        service = TaskService(engine)
         service.set_job_specs("a", job_config("a"))
         first = service.shard_index(8)
         assert service.shard_index(8) is first
@@ -155,7 +155,7 @@ class TestTaskService:
 
     def test_urgent_write_visible_immediately(self):
         engine = Engine()
-        service = TaskService(engine, cache_ttl=90.0)
+        service = TaskService(engine)
         service.set_job_specs("a", job_config("a", task_count=1))
         service.snapshot()
         service.set_job_specs("a", job_config("a", task_count=2), urgent=True)
@@ -163,7 +163,7 @@ class TestTaskService:
 
     def test_remove_job_visible_immediately(self):
         engine = Engine()
-        service = TaskService(engine, cache_ttl=90.0)
+        service = TaskService(engine)
         service.set_job_specs("a", job_config("a"))
         service.snapshot()
         service.remove_job("a")

@@ -220,6 +220,12 @@ def test_slo_prom_out_writes_exposition(capsys, tmp_path):
     text = prom_path.read_text()
     assert "# TYPE repro_slo_budget_burned gauge" in text
     assert 'repro_slo_budget_burned{job="demo/job-0",slo="lag"}' in text
+    # The deterministic telemetry instruments ride along (docs/RUNBOOK.md).
+    assert "repro_slo_evals_total" in text
+    assert any(
+        line.startswith("repro_resilience_") and "_calls_total" in line
+        for line in text.splitlines()
+    )
 
 
 def test_chaos_list_enumerates_scenarios(capsys):

@@ -2,14 +2,16 @@
 
 import pytest
 
+import repro.workloads.diurnal
 from repro.sim import SeededRng
 from repro.workloads import DiurnalPattern
 from repro.workloads.diurnal import DAY, constant
 
 
 class TestDiurnalPattern:
-    def test_rate_oscillates_around_base(self):
-        pattern = DiurnalPattern(10.0, amplitude=0.3, daily_variation=0.0)
+    def test_rate_oscillates_around_base(self, monkeypatch):
+        monkeypatch.setattr(repro.workloads.diurnal, "DAILY_VARIATION", 0.0)
+        pattern = DiurnalPattern(10.0, amplitude=0.3)
         rates = [pattern.rate(t) for t in range(0, int(DAY), 600)]
         assert min(rates) == pytest.approx(7.0, rel=0.01)
         assert max(rates) == pytest.approx(13.0, rel=0.01)
@@ -17,7 +19,8 @@ class TestDiurnalPattern:
     def test_day_over_day_within_variation(self):
         """"normally similar — within 1% variation on aggregate — to the
         workload at the same time in prior days"."""
-        pattern = DiurnalPattern(10.0, daily_variation=0.01, rng=SeededRng(4))
+        assert repro.workloads.diurnal.DAILY_VARIATION == 0.01
+        pattern = DiurnalPattern(10.0, rng=SeededRng(4))
         for hour in (0, 6, 12, 18):
             today = pattern.rate(hour * 3600.0)
             yesterday = pattern.rate(hour * 3600.0 + DAY)
@@ -36,7 +39,7 @@ class TestDiurnalPattern:
             DiurnalPattern(1.0, amplitude=1.0)
 
     def test_callable_interface(self):
-        pattern = DiurnalPattern(10.0, daily_variation=0.0)
+        pattern = DiurnalPattern(10.0)
         assert pattern(0.0) == pattern.rate(0.0)
 
 
