@@ -105,47 +105,63 @@ def platform_fingerprint(platform) -> str:
     same seed are byte-identical here if and only if every step
     processed the same bytes in the same order, which makes this the
     sharpest of the five exports the determinism goldens compare.
+
+    The text is what ``json.dump(state, sort_keys=True, indent=2)`` writes
+    for the whole state, but it is written one job, manager and category
+    at a time, so no copy of the whole state is built next to the text.
     """
     import io
-    import json
 
     checkpoints = platform.scribe.checkpoints
-    jobs = {}
-    for job_id in platform.job_store.job_ids():
-        jobs[job_id] = {
-            partition_id: checkpoints.get(job_id, partition_id)
-            for partition_id in checkpoints.partitions_of(job_id)
-        }
-    managers = {}
-    for container_id, manager in sorted(platform.task_managers.items()):
-        managers[container_id] = {
-            "oom_events": manager.oom_events,
-            "reboots": manager.reboot_count,
-            "tasks": {
-                task_id: {
-                    "state": task.state.name,
-                    "processed_mb": task.total_processed_mb,
-                    "oom_count": task.oom_count,
-                }
-                for task_id, task in sorted(manager.tasks.items())
-            },
-        }
-    heads = {
-        name: [p.head for p in category.partitions]
-        for name, category in sorted(platform.scribe.categories.items())
-    }
-    # Not ``json.dumps``: its indented encoder lists every chunk to join.
+    categories = platform.scribe.categories
+    managers = platform.task_managers
     out = io.StringIO()
-    json.dump(
-        {
-            "now": platform.now,
-            "checkpoints": jobs,
-            "managers": managers,
-            "heads": heads,
-        },
-        out, sort_keys=True, indent=2,
-    )
+    _write_json(out, iter((
+        ("checkpoints", (
+            (job_id, checkpoints.snapshot(job_id))
+            for job_id in sorted(platform.job_store.job_ids())
+        )),
+        ("heads", (
+            (name, list(categories[name].heads)) for name in sorted(categories)
+        )),
+        ("managers", (
+            (container_id, {
+                "oom_events": manager.oom_events,
+                "reboots": manager.reboot_count,
+                "tasks": {
+                    task_id: {
+                        "state": task.state.name,
+                        "processed_mb": task.total_processed_mb,
+                        "oom_count": task.oom_count,
+                    }
+                    for task_id, task in manager.tasks.items()
+                },
+            })
+            for container_id, manager in sorted(managers.items())
+        )),
+        ("now", platform.now),
+    )), 0)
     return out.getvalue()
+
+
+def _write_json(out, value, level: int) -> None:
+    """Write ``value`` as ``json.dump(…, sort_keys=True, indent=2)`` nests
+    it at ``level``; an iterator stands for an object and yields its
+    ``(key, value)`` items in key order, written one at a time."""
+    import json
+    from collections.abc import Iterator
+
+    if not isinstance(value, Iterator):
+        text = json.dumps(value, sort_keys=True, indent=2)
+        out.write(text.replace("\n", "\n" + "  " * level))
+        return
+    inner = "\n" + "  " * (level + 1)
+    separator = "{"
+    for key, item in value:
+        out.write(f"{separator}{inner}{json.dumps(key)}: ")
+        _write_json(out, item, level + 1)
+        separator = ","
+    out.write("{}" if separator == "{" else "\n" + "  " * level + "}")
 
 
 def build_platform(

@@ -27,6 +27,7 @@ class ScribeBus:
             raise ScribeError(f"category {name} already exists")
         category = Category(name, num_partitions)
         self.categories[name] = category
+        self.checkpoints.fit(name, num_partitions)
         return category
 
     def get_category(self, name: str) -> Category:
@@ -52,9 +53,10 @@ class ScribeBus:
         self, job_id: str, category_name: str
     ) -> Tuple[float, float]:
         """The category's total head and :meth:`backlog_mb`, from one walk
-        of its partitions. The category must exist."""
+        of its columns. The category must exist."""
+        category = self.get_category(category_name)
         return self.checkpoints.head_and_lag_mb(
-            job_id, self.get_category(category_name).partitions
+            job_id, category, range(category.num_partitions)
         )
 
     # ------------------------------------------------------------------

@@ -6,10 +6,17 @@ categories." (paper section VI). A category is a fixed set of partitions;
 producers write into it and the category spreads bytes across partitions,
 either uniformly or by explicit weights (the imbalanced-input case that the
 reactive scaler's rebalance path handles).
+
+A category keeps its partitions' state as columns indexed by partition
+number — :attr:`Category.heads` and :attr:`Category.online` — which the
+container step and the lag sums read directly; :attr:`Category.partitions`
+makes one :class:`Partition` handle per entry, on first use, for
+everything else.
 """
 
 from __future__ import annotations
 
+from math import inf
 from typing import List, Optional, Sequence
 
 from repro.errors import ScribeError
@@ -25,14 +32,29 @@ class Category:
                 f"category {name} needs at least one partition, got {num_partitions}"
             )
         self.name = name
-        self.partitions: List[Partition] = [
-            Partition(f"{name}/{index}") for index in range(num_partitions)
-        ]
+        #: Per partition number: total bytes ever appended (the write
+        #: frontier). Written in place only, so a reader may hold the list.
+        self.heads: List[float] = [0.0] * num_partitions
+        #: Per partition number: False while its brokers are unreachable
+        #: (see :attr:`Partition.online`). Written in place only.
+        self.online: List[bool] = [True] * num_partitions
+        self._partitions: Optional[List[Partition]] = None
         self._weights: Optional[List[float]] = None
 
     @property
     def num_partitions(self) -> int:
-        return len(self.partitions)
+        return len(self.heads)
+
+    @property
+    def partitions(self) -> List[Partition]:
+        """One :class:`Partition` handle per partition, in partition
+        order, made on first use (the step never needs them)."""
+        if self._partitions is None:
+            self._partitions = [
+                Partition(f"{self.name}/{index}", self, index)
+                for index in range(len(self.heads))
+            ]
+        return self._partitions
 
     # ------------------------------------------------------------------
     # Producing
@@ -52,39 +74,43 @@ class Category:
                 f"category {self.name} has {self.num_partitions} partitions "
                 f"but got {len(weights)} weights"
             )
-        if any(weight < 0 for weight in weights):
-            raise ScribeError("weights must be non-negative")
+        if not all(0 <= weight < inf for weight in weights):
+            raise ScribeError(f"weights must be finite and non-negative: {weights}")
         total = sum(weights)
-        if total <= 0:
-            raise ScribeError("at least one weight must be positive")
+        if not 0 < total < inf:
+            raise ScribeError(
+                f"weights must have a positive, finite sum: {weights}"
+            )
         self._weights = [weight / total for weight in weights]
 
     def append(self, num_bytes: float) -> None:
         """Write ``num_bytes`` into the category, split by current weights.
 
         Each head takes the same ``+=`` :meth:`Partition.append` would
-        make, in the same order; with ``num_bytes`` checked here and the
-        weights non-negative, no share can be negative.
+        make, in partition order, written back into :attr:`heads` in
+        place; with ``num_bytes`` checked here and the weights finite and
+        non-negative, no share can be negative or non-finite.
         """
-        if num_bytes < 0:
-            raise ScribeError(f"cannot append negative bytes: {num_bytes}")
+        if not 0 <= num_bytes < inf:
+            raise ScribeError(f"cannot append {num_bytes} bytes to {self.name}")
+        heads = self.heads
         if self._weights is None:
-            share = num_bytes / self.num_partitions
-            for partition in self.partitions:
-                partition.head += share
+            share = num_bytes / len(heads)
+            heads[:] = [head + share for head in heads]
         else:
-            for partition, weight in zip(self.partitions, self._weights):
-                partition.head += num_bytes * weight
+            heads[:] = [
+                head + num_bytes * weight for head, weight in zip(heads, self._weights)
+            ]
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
     def total_head(self) -> float:
         """Total bytes ever written across all partitions."""
-        return sum(partition.head for partition in self.partitions)
+        return sum(self.heads)
 
-    def partition_slice(self, task_index: int, task_count: int) -> List[Partition]:
-        """The disjoint subset of partitions owned by one task of a job.
+    def slice_indices(self, task_index: int, task_count: int) -> range:
+        """The partition numbers one task of a job owns.
 
         Partitions are distributed round-robin: task ``i`` of ``n`` owns
         partitions ``i, i+n, i+2n, ...``. Every partition belongs to exactly
@@ -97,11 +123,7 @@ class Category:
             raise ScribeError(
                 f"task_index {task_index} out of range for {task_count} tasks"
             )
-        return [
-            partition
-            for index, partition in enumerate(self.partitions)
-            if index % task_count == task_index
-        ]
+        return range(task_index, len(self.heads), task_count)
 
     def __repr__(self) -> str:
         return f"Category({self.name!r}, partitions={self.num_partitions})"

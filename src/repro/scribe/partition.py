@@ -4,38 +4,64 @@ A partition is an append-only byte stream addressed by offset. Producers
 append; consumers read from an offset they manage themselves (via the
 checkpoint store). The partition never forgets data — Scribe is persistent —
 so any offset at or below the head is always readable.
+
+The state lives in its category's columns (:attr:`Category.heads`,
+:attr:`Category.online`); a ``Partition`` is a handle on one entry of
+them, for the callers that address one partition at a time.
 """
 
 from __future__ import annotations
 
+from math import inf
+from typing import TYPE_CHECKING
+
 from repro.errors import ScribeError
+
+if TYPE_CHECKING:
+    from repro.scribe.category import Category
 
 
 class Partition:
-    """An append-only stream measured in bytes."""
+    """An append-only stream measured in bytes: entry ``index`` of
+    ``category``'s columns."""
 
-    __slots__ = ("partition_id", "head", "online")
+    __slots__ = ("partition_id", "category", "index")
 
-    def __init__(self, partition_id: str) -> None:
+    def __init__(self, partition_id: str, category: "Category", index: int) -> None:
         self.partition_id = partition_id
-        #: Total bytes ever appended (the write frontier). A plain slot:
-        #: the container step reads it once per partition per pass, and
-        #: :meth:`Category.append` adds each share to it in place.
-        self.head: float = 0.0
-        #: When False the partition's brokers are unreachable: reads
-        #: return nothing (consumers stall and lag builds) while appends
-        #: still land — Scribe buffers producer-side, so no data is lost
-        #: and the backlog is fully readable after recovery.
-        self.online = True
+        self.category = category
+        self.index = index
+
+    @property
+    def head(self) -> float:
+        """Total bytes ever appended (the write frontier)."""
+        return self.category.heads[self.index]
+
+    @head.setter
+    def head(self, value: float) -> None:
+        self.category.heads[self.index] = value
+
+    @property
+    def online(self) -> bool:
+        """When False the partition's brokers are unreachable: reads
+        return nothing (consumers stall and lag builds) while appends
+        still land — Scribe buffers producer-side, so no data is lost
+        and the backlog is fully readable after recovery."""
+        return self.category.online[self.index]
+
+    @online.setter
+    def online(self, value: bool) -> None:
+        self.category.online[self.index] = value
 
     def append(self, num_bytes: float) -> float:
         """Append ``num_bytes`` and return the new head offset."""
-        if num_bytes < 0:
+        if not 0 <= num_bytes < inf:
             raise ScribeError(
-                f"cannot append negative bytes to {self.partition_id}: {num_bytes}"
+                f"cannot append {num_bytes} bytes to {self.partition_id}"
             )
-        self.head += num_bytes
-        return self.head
+        heads = self.category.heads
+        heads[self.index] += num_bytes
+        return heads[self.index]
 
     def available(self, offset: float) -> float:
         """Bytes backlogged past ``offset`` (0 when the reader is caught up).

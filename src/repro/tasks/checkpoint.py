@@ -32,10 +32,11 @@ import math
 import struct
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ServiceUnavailableError
 from repro.obs.bounded import BoundedList
+from repro.scribe.checkpoints import Layout
 from repro.scribe.log import CommandLog, RetentionError
 from repro.types import IncidentRecord, JobId, Seconds
 
@@ -63,20 +64,24 @@ def checkpoint_log_name(job_id: JobId) -> str:
 
 
 class _RecordHeader:
-    """A job's record text up to its doubles, built once per id set; ``crc``
-    is that text's CRC-32, which :meth:`record` continues over the hex."""
+    """A job's record text up to its doubles; ``crc`` is that text's
+    CRC-32, which :meth:`record` continues over the hex. The plane builds
+    one per :class:`~repro.scribe.checkpoints.Layout` of the job's
+    cursors (so once per id set) and keeps it while the layout holds."""
 
-    __slots__ = ("ids", "text", "crc", "doubles")
+    __slots__ = ("layout", "ids", "text", "crc", "doubles")
 
-    def __init__(self, job_id: JobId, ids: List[str]) -> None:
+    def __init__(
+        self, job_id: JobId, ids: List[str], layout: Optional[Layout] = None
+    ) -> None:
+        self.layout = layout
         self.ids = ids
         self.text = json.dumps([job_id, ids], separators=(",", ":")) + " "
         self.crc = zlib.crc32(self.text.encode())
         self.doubles = f"<{len(ids) + 1}d"
 
-    def record(self, time: Seconds, offsets: Dict[str, float]) -> str:
-        """The record of ``offsets`` (keyed by exactly :attr:`ids`)."""
-        values = map(offsets.__getitem__, self.ids)
+    def record(self, time: Seconds, values: Iterable[float]) -> str:
+        """The record of ``values`` (the offsets of :attr:`ids`, in order)."""
         hexed = struct.pack(self.doubles, time, *values).hex()
         return f"{zlib.crc32(hexed.encode(), self.crc):08x}{self.text}{hexed}"
 
@@ -103,7 +108,7 @@ class TaskCheckpoint:
     def encode(self) -> str:
         """The canonical record of this snapshot."""
         header = _RecordHeader(self.job_id, sorted(self.offsets))
-        return header.record(self.time, self.offsets)
+        return header.record(self.time, map(self.offsets.__getitem__, header.ids))
 
     @classmethod
     def decode(cls, payload: str) -> "TaskCheckpoint":
@@ -159,9 +164,10 @@ class CheckpointPlane:
         self.appends = 0
         self.restores = 0
         self.fallbacks = 0
-        #: Last snapshot written per job, kept in memory to detect cursor
-        #: regression without a log read on every tick.
-        self._high_water: Dict[JobId, Dict[str, float]] = {}
+        #: Last snapshot written per job — its header and a copy of the
+        #: committed offsets in the header's id order — kept in memory to
+        #: detect cursor regression without a log read on every tick.
+        self._high_water: Dict[JobId, Tuple[_RecordHeader, Sequence[float]]] = {}
         #: Last record index read per job (restores resume tailing there).
         self._last_seq: Dict[JobId, int] = {}
         #: Per job, the record header of its current partition-id set.
@@ -204,12 +210,30 @@ class CheckpointPlane:
 
     def snapshot_job(self, job_id: JobId) -> None:
         """Snapshot one job now — or roll it forward if its cursors regressed."""
-        live = self._scribe.checkpoints.snapshot(job_id)
+        live = header, values = self._live(job_id)
         log = self._scribe.ensure_log(
             checkpoint_log_name(job_id), retention=CHECKPOINT_RETENTION
         )
         high_water = self._high_water.get(job_id)
-        if high_water and self._regressed(live, high_water):
+        if high_water is None:
+            regressed = False
+        elif high_water[0] is header:
+            # The same ids in the same order: compare the value lists.
+            marked = high_water[1]
+            if values == marked:
+                return
+            regressed = False
+            for now, then in zip(values, marked):
+                if now + _OFFSET_EPSILON < then:
+                    regressed = True
+                    break
+        else:
+            now_by_id = dict(zip(header.ids, values))
+            marked_by_id = dict(zip(high_water[0].ids, high_water[1]))
+            regressed = _regressed(now_by_id, marked_by_id)
+            if not regressed and now_by_id == marked_by_id:
+                return
+        if regressed:
             cause = "checkpoint log trimmed past retention horizon"
             try:
                 moved = self._roll_forward(job_id, log)
@@ -231,18 +255,25 @@ class CheckpointPlane:
                 if self._telemetry is not None:
                     self._telemetry.inc("ckpt.fallbacks")
             return
-        if live and live != high_water:
-            ids = sorted(live)
-            header = self._headers.get(job_id)
-            if header is None or header.ids != ids:
-                header = self._headers[job_id] = _RecordHeader(job_id, ids)
+        if values:
             self._last_seq[job_id] = log.append(
-                header.record(self._engine.now, live)
+                header.record(self._engine.now, values)
             )
             self._high_water[job_id] = live
             self.appends += 1
             if self._telemetry is not None:
                 self._telemetry.inc("ckpt.appends")
+
+    def _live(self, job_id: JobId) -> Tuple[_RecordHeader, Sequence[float]]:
+        """The job's record header now (rebuilt only when its committed
+        partitions changed) and its committed offsets in the header's id
+        order."""
+        store = self._scribe.checkpoints
+        header = self._headers.get(job_id)
+        layout = store.layout(job_id, header.layout if header is not None else None)
+        if header is None or header.layout is not layout:
+            header = self._headers[job_id] = _RecordHeader(job_id, layout.ids, layout)
+        return header, layout.values(store.columns.get(job_id, {}))
 
     # ------------------------------------------------------------------
     # Restore
@@ -282,7 +313,7 @@ class CheckpointPlane:
             if offset > store.get(job_id, partition_id) + _OFFSET_EPSILON:
                 store.commit(job_id, partition_id, offset)
                 moved += 1
-        self._high_water[job_id] = store.snapshot(job_id)
+        self._high_water[job_id] = self._live(job_id)
         if moved:
             self.restores += 1
             self.events.append(
@@ -324,12 +355,11 @@ class CheckpointPlane:
                 undecodable = error
         raise undecodable
 
-    @staticmethod
-    def _regressed(
-        live: Dict[str, float], high_water: Dict[str, float]
-    ) -> bool:
-        """True when any live cursor sits behind the last written snapshot."""
-        for partition_id, offset in high_water.items():
-            if live.get(partition_id, 0.0) + _OFFSET_EPSILON < offset:
-                return True
-        return False
+
+
+def _regressed(live: Dict[str, float], high_water: Dict[str, float]) -> bool:
+    """True when any live cursor sits behind the last written snapshot."""
+    for partition_id, offset in high_water.items():
+        if live.get(partition_id, 0.0) + _OFFSET_EPSILON < offset:
+            return True
+    return False

@@ -22,11 +22,11 @@ to:
 from __future__ import annotations
 
 from math import inf
-from typing import Iterable, List, Optional
+from typing import Iterable, List, NamedTuple, Optional
 
 from repro.errors import ScribeError
 from repro.scribe.bus import ScribeBus
-from repro.scribe.checkpoints import NO_OFFSETS
+from repro.scribe.category import Category
 from repro.scribe.partition import Partition
 from repro.tasks.spec import TaskSpec
 from repro.types import Seconds, ShardId, TaskState
@@ -75,18 +75,21 @@ def step_container(
 
     A contention pass and a step pass, both straight loops over local
     variables with no Python call per task or per partition (but the
-    memory sum of a task that could outgrow its cgroup): partition
-    heads and the job's live offset mapping are read and written in
-    place, with the checks of ``Partition`` / ``CheckpointStore`` kept
-    inline. The mapping is looked up again per task and never kept, so a
-    ``drop_job`` between ticks cannot leave commits in a dead dict.
+    memory sum of a task that could outgrow its cgroup): each task's
+    slice is a range of partition numbers into its category's head and
+    online columns and its job's offsets column, all read and written in
+    place by index, with the checks of ``Partition`` / ``CheckpointStore``
+    kept inline. The offsets column is looked up again per task and never
+    kept, so a ``drop_job`` between ticks cannot leave commits in a dead
+    column.
 
     The order of every float operation is part of the contract (the
     recorded exports pin the low bits); DESIGN.md, "Data-plane stepping",
     lists it.
     """
     running = TaskState.RUNNING
-    offsets_by_job = scribe.checkpoints.offsets
+    checkpoints = scribe.checkpoints
+    columns_by_job = checkpoints.columns
     groups = (primaries, standbys)
 
     # Contention: the container's cgroup CPU limit is shared. When the
@@ -103,7 +106,7 @@ def step_container(
     for group in groups:
         for task in group:
             if task.state is running:
-                threads += task.spec.threads or 1
+                threads += (task._slice or task._resolve_slice()).threads or 1
     if cpu_capacity > 0 and threads > cpu_capacity * (1.0 - 1e-9):
         desired = 0
         for group in groups:
@@ -114,23 +117,24 @@ def step_container(
                 if task.restore_remaining_mb > 1e-9:
                     wanted += 1.0  # restore is I/O+CPU heavy
                     continue
-                spec = task.spec
-                partitions = task._partitions
-                if partitions is None:
-                    partitions = task.partitions
-                committed = (offsets_by_job.get(spec.job_id) or NO_OFFSETS).get
+                name, heads, online, indices, category, job_id, rate, task_threads, _ = (
+                    task._slice or task._resolve_slice()
+                )
+                try:
+                    offsets = columns_by_job[job_id][name]
+                except KeyError:
+                    offsets = checkpoints.column(job_id, name, len(heads))
                 lag = 0
-                for partition in partitions:
-                    offset = committed(partition.partition_id, 0.0)
-                    head = partition.head
+                for index in indices:
+                    offset = offsets[index]
+                    head = heads[index]
                     if offset < 0 or offset > head + 1e-6:
-                        raise partition.offset_error(offset)
+                        raise category.partitions[index].offset_error(offset)
                     lag += head - offset
-                rate = spec.rate_per_thread_mb
                 if rate > 0:
                     # Cores to drain min(P·k·dt, backlog): a saturated
                     # thread uses ~1 core.
-                    drain_mb = rate * spec.threads * dt
+                    drain_mb = rate * task_threads * dt
                     if lag < drain_mb:
                         drain_mb = lag
                     wanted += (drain_mb / dt) / rate
@@ -164,15 +168,14 @@ def step_container(
                     task.last_rate_mb = 0.0
                     task.last_cpu_used = 1.0  # restore is I/O+CPU heavy
                     continue
-            spec = task.spec
-            partitions = task._partitions
-            if partitions is None:
-                partitions = task.partitions
-            job_id = spec.job_id
-            offsets = offsets_by_job.get(job_id)
-            committed = (offsets or NO_OFFSETS).get
-            rate = spec.rate_per_thread_mb
-            budget = rate * spec.threads * step_dt * throttle
+            name, heads, online, indices, category, job_id, rate, task_threads, output = (
+                task._slice or task._resolve_slice()
+            )
+            try:
+                offsets = columns_by_job[job_id][name]
+            except KeyError:
+                offsets = checkpoints.column(job_id, name, len(heads))
+            budget = rate * task_threads * step_dt * throttle
             per_partition_cap = rate * step_dt * throttle
             # Cursors in slice order, and what the drain-all test needs of
             # the readable bytes; an offline partition is checked like any
@@ -181,12 +184,12 @@ def step_container(
             total = 0.0
             last = -inf
             ascending = True
-            for partition in partitions:
-                offset = committed(partition.partition_id, 0.0)
-                head = partition.head
+            for index in indices:
+                offset = offsets[index]
+                head = heads[index]
                 if offset < 0 or offset > head + 1e-6:
-                    raise partition.offset_error(offset)
-                readable = head - offset if partition.online else 0.0
+                    raise category.partitions[index].offset_error(offset)
+                readable = head - offset if online[index] else 0.0
                 if readable < last:
                     ascending = False
                 last = readable
@@ -198,18 +201,20 @@ def step_container(
                 # The water-fill below would visit these in slice order
                 # and neither a share nor the cap would bind (DESIGN.md,
                 # "Data-plane stepping"): every partition drains fully.
-                if offsets is None and last > 0:
-                    offsets = offsets_by_job[job_id] = {}
-                for partition, offset in zip(partitions, cursors):
+                for index, offset in zip(indices, cursors):
                     # The same subtraction as the read pass, on unmoved heads.
-                    readable = partition.head - offset if partition.online else 0.0
+                    readable = heads[index] - offset if online[index] else 0.0
                     if readable > 0:
-                        partition_id = partition.partition_id
                         new_offset = offset + readable
-                        current = offsets.get(partition_id, 0.0)
-                        if new_offset < current - 1e-6:
-                            raise _backwards(job_id, partition_id, new_offset, current)
-                        offsets[partition_id] = new_offset
+                        # A regressing checkpoint would cause duplicate
+                        # processing: commit against what is stored now.
+                        # Still the object the read pass saw, it is
+                        # ``offset`` itself, and ``new_offset`` is not
+                        # below it.
+                        current = offsets[index]
+                        if current is not offset and new_offset < current - 1e-6:
+                            raise _backwards(job_id, category, index, new_offset, current)
+                        offsets[index] = new_offset
                         processed += readable
             else:
                 # Max-min fair water-filling across the owned partitions:
@@ -225,13 +230,14 @@ def step_container(
                 # is why shuffling work across *partitions* — not just
                 # adding threads — matters for hot keys.
                 readables = [
-                    partition.head - offset if partition.online else 0.0
-                    for partition, offset in zip(partitions, cursors)
+                    heads[index] - offset if online[index] else 0.0
+                    for index, offset in zip(indices, cursors)
                 ]
-                # ``seq`` is unique, so no two partitions are ever compared.
-                entries = sorted(zip(readables, range(len(readables)), cursors, partitions))
+                # Partition numbers are unique, so no two entries tie past
+                # the readable bytes, and a tie there keeps slice order.
+                entries = sorted(zip(readables, indices, cursors))
                 remaining = len(entries)
-                for available, _seq, offset, partition in entries:
+                for available, index, offset in entries:
                     if budget <= 1e-12:
                         break
                     # consumed = min(available, share, cap), spelled out.
@@ -242,32 +248,29 @@ def step_container(
                     if per_partition_cap < consumed:
                         consumed = per_partition_cap
                     if consumed > 0:
-                        partition_id = partition.partition_id
                         new_offset = offset + consumed
-                        if offsets is None:
-                            offsets = offsets_by_job[job_id] = {}
-                        # A regressing checkpoint would cause duplicate
-                        # processing: commit against what is stored now.
-                        current = offsets.get(partition_id, 0.0)
-                        if new_offset < current - 1e-6:
-                            raise _backwards(job_id, partition_id, new_offset, current)
-                        offsets[partition_id] = new_offset
+                        current = offsets[index]
+                        if current is not offset and new_offset < current - 1e-6:
+                            raise _backwards(job_id, category, index, new_offset, current)
+                        offsets[index] = new_offset
                         processed += consumed
                         budget -= consumed
                     remaining -= 1
             task.total_processed_mb += processed
             # Downstream publish: a job in the middle of a pipeline writes
             # its (reduced) output to another set of Scribe partitions.
-            if processed > 0 and spec.output_category:
-                scribe.ensure_category(
-                    spec.output_category, DEFAULT_OUTPUT_PARTITIONS
-                ).append(processed * spec.output_ratio)
+            if processed > 0 and output:
+                scribe.ensure_category(output, DEFAULT_OUTPUT_PARTITIONS).append(
+                    processed * task.spec.output_ratio
+                )
             rate_mb = processed / step_dt
             task.last_rate_mb = rate_mb
             # CPU ∝ processed bytes; a saturated thread uses ~1 core.
             task.last_cpu_used = rate_mb / rate if rate > 0 else 0.0
             # Only a task that could outgrow its cgroup pays for the sum.
-            if task._may_oom and 0 < spec.resources.memory_gb < _memory_needed_gb(spec, rate_mb):
+            if task._may_oom and 0 < task.spec.resources.memory_gb < _memory_needed_gb(
+                task.spec, rate_mb
+            ):
                 # cgroup kill: stats are preserved and read back on
                 # restart (paper section V-A).
                 task.state = TaskState.CRASHED
@@ -276,13 +279,36 @@ def step_container(
     return oom_killed
 
 
-def _backwards(job_id: str, partition_id: str, new_offset: float, current: float) -> ScribeError:
+def _backwards(
+    job_id: str, category: Category, index: int, new_offset: float, current: float
+) -> ScribeError:
     """A regressing checkpoint would cause duplicate processing: what a
     commit below the stored cursor raises."""
     return ScribeError(
-        f"checkpoint for {job_id}/{partition_id} cannot "
-        f"move backwards: {new_offset} < {current}"
+        f"checkpoint for {job_id}/{category.partitions[index].partition_id} "
+        f"cannot move backwards: {new_offset} < {current}"
     )
+
+
+class _Slice(NamedTuple):
+    """What the step reads of a task, resolved once: its partitions as
+    its category's columns see them, and the fields of its (immutable)
+    spec the step needs on every tick."""
+
+    #: The input category's name: the key of the job's offsets column.
+    name: str
+    #: The category's :attr:`~Category.heads` and :attr:`~Category.online`.
+    heads: List[float]
+    online: List[bool]
+    #: The partition numbers the task owns, ascending.
+    indices: range
+    #: ``None`` for a task without an input category.
+    category: Optional[Category]
+    job_id: str
+    #: ``P``, ``k`` and where processed bytes are published (if anywhere).
+    rate: float
+    threads: int
+    output: Optional[str]
 
 
 def _memory_needed_gb(spec: TaskSpec, rate_mb: float) -> float:
@@ -300,7 +326,7 @@ class RunningTask:
 
     __slots__ = (
         "spec", "_scribe", "state", "shard_id", "promoted", "oom_count",
-        "total_processed_mb", "last_rate_mb", "last_cpu_used", "_partitions",
+        "total_processed_mb", "last_rate_mb", "last_cpu_used", "_slice",
         "restore_remaining_mb", "_may_oom",
     )
 
@@ -327,7 +353,8 @@ class RunningTask:
         #: Most recent step's processing rate (MB/s) and cpu cores used.
         self.last_rate_mb = 0.0
         self.last_cpu_used = 0.0
-        self._partitions: Optional[List[Partition]] = None
+        #: Resolved on the first step (:meth:`_resolve_slice`).
+        self._slice: Optional[_Slice] = None
         #: Stateful tasks must re-load their state before processing.
         #: A passive standby tails the primary's checkpoint stream, so its
         #: state is already warm — promotion skips the restore entirely
@@ -350,18 +377,31 @@ class RunningTask:
     # ------------------------------------------------------------------
     # Partition ownership
     # ------------------------------------------------------------------
+    def _resolve_slice(self) -> _Slice:
+        """Look up the disjoint partition slice this task owns, once."""
+        spec = self.spec
+        fields = (
+            spec.job_id, spec.rate_per_thread_mb, spec.threads, spec.output_category
+        )
+        if not spec.input_category:
+            self._slice = _Slice("", [], [], range(0), None, *fields)
+        else:
+            category = self._scribe.get_category(spec.input_category)
+            indices = category.slice_indices(spec.task_index, spec.task_count)
+            self._slice = _Slice(
+                category.name, category.heads, category.online, indices, category,
+                *fields,
+            )
+        return self._slice
+
     @property
     def partitions(self) -> List[Partition]:
-        """The disjoint partition slice this task owns (lazy lookup)."""
-        if self._partitions is None:
-            if not self.spec.input_category:
-                self._partitions = []
-            else:
-                category = self._scribe.get_category(self.spec.input_category)
-                self._partitions = category.partition_slice(
-                    self.spec.task_index, self.spec.task_count
-                )
-        return self._partitions
+        """Handles on the partitions this task owns, in slice order."""
+        view = self._slice or self._resolve_slice()
+        indices, category = view.indices, view.category
+        if category is None:
+            return []
+        return [category.partitions[index] for index in indices]
 
     # ------------------------------------------------------------------
     # Footprint
@@ -389,7 +429,11 @@ class RunningTask:
     # ------------------------------------------------------------------
     def bytes_lagged_mb(self) -> float:
         """Unprocessed bytes across this task's partitions."""
-        return self._scribe.checkpoints.lag_mb(self.spec.job_id, self.partitions)
+        view = self._slice or self._resolve_slice()
+        indices, category = view.indices, view.category
+        if category is None:
+            return 0.0
+        return self._scribe.checkpoints.lag_mb(self.spec.job_id, category, indices)
 
     # ------------------------------------------------------------------
     # Lifecycle

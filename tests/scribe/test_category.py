@@ -59,6 +59,14 @@ def test_all_zero_weights_rejected():
         Category("ads", 2).set_weights([0.0, 0.0])
 
 
+def owned(category, task_index, task_count):
+    """The partitions task ``task_index`` of ``task_count`` reads."""
+    return [
+        category.partitions[index]
+        for index in category.slice_indices(task_index, task_count)
+    ]
+
+
 class TestPartitionSlices:
     def test_slices_are_disjoint_and_complete(self):
         """Every partition is owned by exactly one task — the core data-model
@@ -69,28 +77,28 @@ class TestPartitionSlices:
         for task_index in range(task_count):
             seen.extend(
                 p.partition_id
-                for p in category.partition_slice(task_index, task_count)
+                for p in owned(category, task_index, task_count)
             )
         assert sorted(seen) == [p.partition_id for p in category.partitions]
         assert len(seen) == len(set(seen))
 
     def test_round_robin_assignment(self):
         category = Category("ads", 5)
-        slice_0 = category.partition_slice(0, 2)
+        slice_0 = owned(category, 0, 2)
         assert [p.partition_id for p in slice_0] == ["ads/0", "ads/2", "ads/4"]
 
     def test_more_tasks_than_partitions_leaves_some_idle(self):
         category = Category("ads", 2)
-        assert category.partition_slice(2, 4) == []
+        assert owned(category, 2, 4) == []
 
     def test_bad_index_rejected(self):
         category = Category("ads", 4)
         with pytest.raises(ScribeError):
-            category.partition_slice(2, 2)
+            owned(category, 2, 2)
         with pytest.raises(ScribeError):
-            category.partition_slice(-1, 2)
+            owned(category, -1, 2)
         with pytest.raises(ScribeError):
-            category.partition_slice(0, 0)
+            owned(category, 0, 0)
 
     @given(
         st.integers(min_value=1, max_value=64),
@@ -102,7 +110,7 @@ class TestPartitionSlices:
         for task_index in range(task_count):
             ids.extend(
                 p.partition_id
-                for p in category.partition_slice(task_index, task_count)
+                for p in owned(category, task_index, task_count)
             )
         assert sorted(ids) == sorted(p.partition_id for p in category.partitions)
 
@@ -114,8 +122,6 @@ class TestFlatAppend:
 
     @given(st.data())
     def test_heads_equal_per_partition_appends(self, data):
-        from repro.scribe.partition import Partition
-
         num_partitions = data.draw(st.integers(min_value=1, max_value=12))
         byte_counts = st.floats(min_value=0.0, max_value=1e12, allow_nan=False)
         weight_lists = st.lists(
@@ -123,7 +129,7 @@ class TestFlatAppend:
             min_size=num_partitions, max_size=num_partitions,
         ).filter(lambda weights: sum(weights) > 0)
         category = Category("c", num_partitions)
-        reference = [Partition(f"ref/{index}") for index in range(num_partitions)]
+        reference = Category("ref", num_partitions).partitions
         for __ in range(data.draw(st.integers(min_value=1, max_value=8))):
             weights = data.draw(st.none() | weight_lists)
             category.set_weights(weights)
@@ -152,3 +158,42 @@ class TestFlatAppend:
         with pytest.raises(ScribeError):
             category.append(-num_bytes)
         assert [p.head for p in category.partitions] == before
+
+
+class TestNonFiniteInput:
+    """A NaN or infinite byte count or weight used to reach every head
+    (``nan < 0`` is False), so a reading job's lag went NaN and its step
+    silently committed nothing. Each is refused and changes nothing."""
+
+    @pytest.mark.parametrize("num_bytes", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("weights", [None, [2.0, 1.0, 0.0]])
+    def test_non_finite_bytes_raise_and_leave_every_head(self, num_bytes, weights):
+        category = Category("c", 3)
+        category.set_weights(weights)
+        category.append(7.0)
+        before = [p.head for p in category.partitions]
+        with pytest.raises(ScribeError):
+            category.append(num_bytes)
+        assert [p.head for p in category.partitions] == before
+
+    @pytest.mark.parametrize("weights", [
+        [float("nan"), 1.0], [float("inf"), 1.0],
+        [1e308, 1e308],  # finite weights whose sum is not
+    ])
+    def test_non_finite_weights_raise_and_keep_the_split(self, weights):
+        category = Category("c", 2)
+        category.set_weights([3.0, 1.0])
+        with pytest.raises(ScribeError):
+            category.set_weights(weights)
+        category.append(100.0)
+        assert [p.head for p in category.partitions] == [75.0, 25.0]
+
+    def test_a_reading_job_keeps_a_finite_lag(self):
+        from repro.scribe import ScribeBus
+
+        bus = ScribeBus()
+        category = bus.create_category("c", 2)
+        category.append(10.0)
+        with pytest.raises(ScribeError):
+            category.append(float("nan"))
+        assert bus.backlog_mb("job", "c") == 10.0

@@ -198,23 +198,24 @@ class TestChecksSurviveTheFlattening:
 
         platform, manager = one_container_platform(task_count=2)
         platform.scribe.get_category("cat").append(80.0)
-        platform.scribe.checkpoints.offsets.setdefault("job", {})["cat/3"] = cursor
+        # Written into the live column, past ``commit``'s own checks.
+        platform.scribe.checkpoints.column("job", "cat", 8)[3] = cursor
         with pytest.raises(ScribeError, match=message):
             step_once(platform, manager)
 
     def test_commit_below_the_stored_offset_raises_from_the_managers_step(self):
         from repro.errors import ScribeError
 
-        class StaleReads(dict):
+        class StaleReads(list):
             """Cursors as a reader holding an old copy would see them:
             ``cat/3`` reads 30 MB behind what is stored until the step
             looks again to commit."""
 
             stale = True
 
-            def get(self, key, default=None):
-                value = super().get(key, default)
-                if key == "cat/3" and self.stale:
+            def __getitem__(self, index):
+                value = super().__getitem__(index)
+                if index == 3 and self.stale:
                     self.stale = False
                     return value - 30.0
                 return value
@@ -224,9 +225,10 @@ class TestChecksSurviveTheFlattening:
         assert manager.capacity.cpu > 2
         platform.scribe.get_category("cat").append(8 * 100.0)
         platform.run_for(seconds=4 * STEP)  # 12.5 MB per partition per tick
-        offsets = platform.scribe.checkpoints.offsets
-        assert offsets["job"]["cat/3"] == 50.0
-        offsets["job"] = StaleReads(offsets["job"])
+        checkpoints = platform.scribe.checkpoints
+        assert checkpoints.get("job", "cat/3") == 50.0
+        columns = checkpoints.columns["job"]
+        columns["cat"] = StaleReads(columns["cat"])
         with pytest.raises(ScribeError, match="cannot move backwards"):
             step_once(platform, manager)
 
@@ -250,7 +252,7 @@ class TestChecksSurviveTheFlattening:
         assert checkpoints.snapshot("job") == {
             f"cat/{index}": 11.0 for index in range(8)
         }
-        assert checkpoints.snapshot("job") == checkpoints.offsets["job"]
+        assert checkpoints.columns["job"] == {"cat": [11.0] * 8}
         assert platform.job_lag_mb("job") == 0.0
 
     def test_offline_partition_reads_nothing_and_lags_in_full(self):

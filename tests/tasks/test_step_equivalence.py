@@ -150,8 +150,8 @@ def task_config(job_id, category, *, rate, threads=1, task_count=1, keys=0,
 def observe(scribe, tasks, oom_killed):
     return {
         "offsets": [
-            (job_id, list(offsets.items()))
-            for job_id, offsets in scribe.checkpoints.offsets.items()
+            (job_id, list(scribe.checkpoints.snapshot(job_id).items()))
+            for job_id in sorted(scribe.checkpoints.job_ids())
         ],
         "heads": [
             (name, [partition.head for partition in category.partitions])
@@ -322,11 +322,10 @@ def twins(heads, *, cursors=None, offline=(), rate=RATE, threads=1, keys=0,
             partition.head = head
         for index in offline:
             category.partitions[index].online = False
-        if cursors is not None:
-            scribe.checkpoints.offsets["job"] = {
-                category.partitions[index].partition_id: offset
-                for index, offset in cursors.items()
-            }
+        for index, offset in (cursors or {}).items():
+            scribe.checkpoints.commit(
+                "job", category.partitions[index].partition_id, offset
+            )
         config = task_config(
             "job", "in", rate=rate, threads=threads, keys=keys,
             memory_gb=memory_gb, overhead=overhead,
