@@ -49,12 +49,13 @@ def validate_config(config: Mapping[str, Any]) -> str:
 
     The paper uses Thrift for compile-time type checking and then converts
     to JSON; in Python the equivalent guard is a round-trip check plus a
-    string-key requirement on every nesting level.
+    string-key requirement on every nesting level. NaN and infinity are
+    not JSON, so no stored number is either.
     """
     if isinstance(config, (dict, list)):
         _require_string_keys(config, None)
     try:
-        return json.dumps(config)
+        return json.dumps(config, allow_nan=False)
     except (TypeError, ValueError) as exc:
         raise JobStoreError(f"config is not JSON-serializable: {exc}") from exc
 

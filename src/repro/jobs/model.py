@@ -10,6 +10,7 @@ is written; every layer takes its fields from a view (``JobStore.view``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import inf
 from typing import Any, Dict, Mapping, Tuple
 
 from repro.cluster.resources import ResourceVector
@@ -96,13 +97,14 @@ class JobSpec:
     hot_standby: bool = False
 
     def __post_init__(self) -> None:
-        if self.rate_per_thread_mb <= 0:
+        if not 0 < self.rate_per_thread_mb < inf:
             raise JobStoreError(
-                f"rate_per_thread_mb must be positive: {self.rate_per_thread_mb}"
+                f"rate_per_thread_mb must be positive and finite: "
+                f"{self.rate_per_thread_mb}"
             )
-        if self.output_ratio < 0:
+        if not 0 <= self.output_ratio < inf:
             raise JobStoreError(
-                f"output_ratio must be non-negative: {self.output_ratio}"
+                f"output_ratio must be non-negative and finite: {self.output_ratio}"
             )
         if self.output_category and self.output_category == self.input_category:
             raise JobStoreError(

@@ -6,7 +6,10 @@ III-A). The Python equivalent: a declarative type schema for the canonical
 keys, enforced on every Job Service write. Type errors are caught at write
 time, exactly like Thrift would; *semantic* validity (e.g. a task count
 that is positive) remains the State Syncer's concern, since an arbitrary
-combination of layered configs is only meaningful once merged.
+combination of layered configs is only meaningful once merged. The one
+exception is a floor no merge can repair: a level whose
+``threads_per_task`` wins the merge sets the thread count of every task,
+and a task runs at least one thread.
 
 Unknown keys are deliberately allowed: "a new component can be added to
 the system by introducing a new configuration at the right level of
@@ -50,7 +53,8 @@ _SCHEMA: Dict[str, Any] = {
 
 
 def validate_typed(config: Mapping[str, Any]) -> None:
-    """Raise :class:`JobStoreError` when a known key has the wrong type."""
+    """Raise :class:`JobStoreError` when a known key has the wrong type,
+    or ``threads_per_task`` is below 1."""
     _check_node(config, _SCHEMA, "")
 
 
@@ -85,4 +89,8 @@ def _check_node(
             raise JobStoreError(
                 f"config key {key_path!r} must be {expected_names}, "
                 f"got {type(value).__name__}"
+            )
+        if key_path == "threads_per_task" and value < 1:
+            raise JobStoreError(
+                f"config key {key_path!r} must be >= 1, got {value}"
             )

@@ -42,6 +42,7 @@ from repro.tasks.manager import (
     HEARTBEAT_INTERVAL,
     HeartbeatSweep,
     TaskManager,
+    step_managers,
 )
 from repro.tasks.service import TaskService
 from repro.tasks.shard import DEFAULT_NUM_SHARDS
@@ -389,8 +390,7 @@ class Turbine:
 
     def _step_data_plane(self) -> None:
         """The one stepping path: every manager, in spawn order."""
-        for manager in self.task_managers.values():
-            manager.step_tasks()
+        step_managers(self.scribe, self.task_managers.values(), self.engine.now)
 
     def _spawn_manager(self, container) -> TaskManager:
         manager = TaskManager(

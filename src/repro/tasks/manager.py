@@ -13,14 +13,15 @@ manager:
   connection is broken for longer than the 40-second connection timeout —
   reboots itself *before* the Shard Manager's 60-second fail-over can
   create a duplicate elsewhere (section IV-C);
-* steps its tasks' data-plane processing (driven by the platform's single
-  ``data-plane-step`` timer, see :meth:`step_tasks`) and aggregates
-  per-shard loads, reporting them to the Shard Manager every ten minutes.
+* has its tasks' data-plane processing stepped (the platform's single
+  ``data-plane-step`` timer runs :func:`step_managers` over the fleet) and
+  aggregates per-shard loads, reporting them to the Shard Manager every
+  ten minutes.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, Iterable, List, Optional, Set
 
 from repro.cluster.container import TurbineContainer
 from repro.cluster.resources import ResourceVector
@@ -59,6 +60,40 @@ HEARTBEAT_INTERVAL: Seconds = 10.0
 #: "This refreshed shard load is reported to the Shard Manager every ten
 #: minutes."
 LOAD_REPORT_INTERVAL: Seconds = 600.0
+
+
+def step_managers(
+    scribe: ScribeBus, managers: Iterable["TaskManager"], now: Seconds
+) -> None:
+    """One data-plane tick of the fleet: every live manager's container,
+    once, in the order given (spawn order), so a task's commits and
+    downstream publishes are visible to every task stepped after it in
+    the same tick.
+
+    Per manager this loop owns the step clock, the liveness check and the
+    contention decision: a container whose hosted threads fit inside its
+    CPU limit is stepped with no limit, since no task wants more cores
+    than it has threads (a restoring one wants one) — the contention
+    pass could only answer "no throttle". The margin keeps that exact:
+    rounding can lift a saturated task's demand a few ulps above its
+    thread count. The step itself is
+    :func:`~repro.tasks.runtime.step_container`; the manager's own part
+    (:meth:`TaskManager._after_step`) runs only when it has work.
+    """
+    for manager in managers:
+        dt = now - manager._last_step_time
+        manager._last_step_time = now
+        container = manager.container
+        if not container.alive or dt <= 0:
+            continue
+        cpu = container.capacity.cpu
+        oom_killed = step_container(
+            scribe, manager.tasks.values(), manager.standbys.values(), dt,
+            cpu if manager._hosted_threads > cpu * (1.0 - 1e-9) else 0.0,
+            manager.slow_factor,
+        )
+        if oom_killed or manager._failed_at:
+            manager._after_step(now, oom_killed)
 
 
 class HeartbeatSweep:
@@ -225,6 +260,11 @@ class TaskManager:
         self.slow_add = False
         self._outage_started: Optional[Seconds] = None
         self._last_step_time: Seconds = engine.now
+        #: ``spec.threads`` summed over ``tasks`` and ``standbys``: a bound
+        #: on the threads running here, kept by :meth:`_host` /
+        #: :meth:`_unhost` (specs are immutable), so the step knows
+        #: without a pass over the tasks when the cgroup cannot saturate.
+        self._hosted_threads = 0
         self.reboot_count = 0
         self.oom_events = 0
         self._timers: List[Timer] = []
@@ -430,6 +470,7 @@ class TaskManager:
         else:
             self.tasks[spec.task_id] = task
             reservation = spec.task_id
+        self._hosted_threads += spec.threads
         self._task_hosts.setdefault(spec.job_id, {}).setdefault(
             spec.task_id, set()
         ).add(self.container_id)
@@ -452,6 +493,7 @@ class TaskManager:
         else:
             del self.tasks[task_id]
             reservation = task_id
+        self._hosted_threads -= task.spec.threads
         task.stop()
         self._changed()
         # A killed container has already lost its reservations.
@@ -589,26 +631,12 @@ class TaskManager:
         self._reconnect = self._engine.call_in(delay, self._try_reconnect)
 
     # ------------------------------------------------------------------
-    # Data-plane stepping (one call per platform ``data-plane-step`` tick)
+    # Data-plane stepping (driven by :func:`step_managers`)
     # ------------------------------------------------------------------
-    def step_tasks(self) -> None:
-        """One cgroup step of this container: every hosted task, once.
-
-        The platform calls this for each manager in spawn order, so a
-        task's commits and downstream publishes are visible to every
-        task stepped after it in the same tick. The stepping itself is
-        :func:`~repro.tasks.runtime.step_container`; what is left here is
-        the manager's: recovery-lag windows and OOM restarts.
-        """
-        now = self._engine.now
-        dt = now - self._last_step_time
-        self._last_step_time = now
-        if not self.alive or dt <= 0:
-            return
-        oom_killed = step_container(
-            self._scribe, self.tasks.values(), self.standbys.values(), dt,
-            self.container.capacity.cpu, self.slow_factor,
-        )
+    def _after_step(self, now: Seconds, oom_killed: List[RunningTask]) -> None:
+        """What a container step leaves to the manager: close recovery-lag
+        windows, then restart this tick's OOM kills. Called only when a
+        window is open or the cgroup killed something."""
         if self._failed_at:
             # First post-recovery progress sample: close the task's
             # recovery-lag window for the task.recovery_lag SLI. Judged

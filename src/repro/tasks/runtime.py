@@ -22,7 +22,7 @@ to:
 from __future__ import annotations
 
 from math import inf
-from typing import Iterable, List, NamedTuple, Optional
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.errors import ScribeError
 from repro.scribe.bus import ScribeBus
@@ -73,15 +73,17 @@ def step_container(
     after it — and returns the tasks the cgroup OOM-killed (now
     ``CRASHED``; restarting them is the caller's business).
 
-    A contention pass and a step pass, both straight loops over local
-    variables with no Python call per task or per partition (but the
-    memory sum of a task that could outgrow its cgroup): each task's
-    slice is a range of partition numbers into its category's head and
-    online columns and its job's offsets column, all read and written in
-    place by index, with the checks of ``Partition`` / ``CheckpointStore``
-    kept inline. The offsets column is looked up again per task and never
-    kept, so a ``drop_job`` between ticks cannot leave commits in a dead
-    column.
+    A contention pass, run only for a positive ``cpu_capacity`` (the
+    fleet loop passes 0.0 for a container whose hosted threads fit its
+    limit, :func:`~repro.tasks.manager.step_managers`), and a step pass:
+    straight loops over local variables with no Python call per task or
+    per partition (but the memory sum of a task that could outgrow its
+    cgroup). Each task's slice is a range of partition numbers into its
+    category's head and online columns and its job's offsets column, all
+    read in place by index, with the checks of ``Partition`` /
+    ``CheckpointStore`` kept inline. The offsets column is looked up
+    again per task and never kept, so a ``drop_job`` between ticks cannot
+    leave commits in a dead column.
 
     The order of every float operation is part of the contract (the
     recorded exports pin the low bits); DESIGN.md, "Data-plane stepping",
@@ -97,17 +99,7 @@ def step_container(
     # slows down proportionally — this is what produces lag on hot
     # containers (the paper's Fig. 7 observation).
     throttle = 1.0
-    # No task wants more cores than it has threads (a restoring one wants
-    # one), so a container whose running threads fit inside its limit is
-    # never throttled and its backlog is not read twice. The margin keeps
-    # the shortcut exact: rounding can lift a saturated task's demand a
-    # few ulps above its thread count.
-    threads = 0
-    for group in groups:
-        for task in group:
-            if task.state is running:
-                threads += (task._slice or task._resolve_slice()).threads or 1
-    if cpu_capacity > 0 and threads > cpu_capacity * (1.0 - 1e-9):
+    if cpu_capacity > 0:
         desired = 0
         for group in groups:
             wanted = 0
@@ -117,7 +109,7 @@ def step_container(
                 if task.restore_remaining_mb > 1e-9:
                     wanted += 1.0  # restore is I/O+CPU heavy
                     continue
-                name, heads, online, indices, category, job_id, rate, task_threads, _ = (
+                name, heads, online, indices, _, category, job_id, rate, task_threads, _ = (
                     task._slice or task._resolve_slice()
                 )
                 try:
@@ -168,7 +160,7 @@ def step_container(
                     task.last_rate_mb = 0.0
                     task.last_cpu_used = 1.0  # restore is I/O+CPU heavy
                     continue
-            name, heads, online, indices, category, job_id, rate, task_threads, output = (
+            name, heads, online, indices, window, category, job_id, rate, task_threads, output = (
                 task._slice or task._resolve_slice()
             )
             try:
@@ -177,11 +169,15 @@ def step_container(
                 offsets = checkpoints.column(job_id, name, len(heads))
             budget = rate * task_threads * step_dt * throttle
             per_partition_cap = rate * step_dt * throttle
-            # Cursors in slice order, and what the drain-all test needs of
-            # the readable bytes; an offline partition is checked like any
-            # other and reads 0.
+            # One pass reads the cursors in slice order, what the
+            # drain-all test needs of the readable bytes, and what a
+            # drain-all would commit: a partition with nothing readable
+            # keeps the very object it holds. An offline partition is
+            # checked like any other and reads 0.
             cursors = []
+            news = []
             total = 0.0
+            processed = 0.0
             last = -inf
             ascending = True
             for index in indices:
@@ -195,27 +191,32 @@ def step_container(
                 last = readable
                 total += readable
                 cursors.append(offset)
-            processed = 0.0
-            drain_all = ascending and last <= per_partition_cap and budget > 1e-2
-            if drain_all and total <= budget * (1.0 - 1e-9):
+                if readable > 0:
+                    processed += readable
+                    news.append(offset + readable)
+                else:
+                    news.append(offset)
+            if (
+                ascending and last <= per_partition_cap and budget > 1e-2
+                and total <= budget * (1.0 - 1e-9)
+            ):
                 # The water-fill below would visit these in slice order
                 # and neither a share nor the cap would bind (DESIGN.md,
-                # "Data-plane stepping"): every partition drains fully.
-                for index, offset in zip(indices, cursors):
-                    # The same subtraction as the read pass, on unmoved heads.
-                    readable = heads[index] - offset if online[index] else 0.0
-                    if readable > 0:
-                        new_offset = offset + readable
-                        # A regressing checkpoint would cause duplicate
-                        # processing: commit against what is stored now.
-                        # Still the object the read pass saw, it is
-                        # ``offset`` itself, and ``new_offset`` is not
-                        # below it.
-                        current = offsets[index]
-                        if current is not offset and new_offset < current - 1e-6:
-                            raise _backwards(job_id, category, index, new_offset, current)
-                        offsets[index] = new_offset
-                        processed += readable
+                # "Data-plane stepping"): every partition drains fully,
+                # in one write. A regressing checkpoint would cause
+                # duplicate processing, so the write waits for the
+                # column to still hold what the read pass saw (a C-level
+                # compare that holds on identity); if it moved, each
+                # entry is committed against what is stored now.
+                if offsets[window] == cursors:
+                    offsets[window] = news
+                else:
+                    for index, offset, new_offset in zip(indices, cursors, news):
+                        if new_offset is not offset:
+                            current = offsets[index]
+                            if current is not offset and new_offset < current - 1e-6:
+                                raise _backwards(job_id, category, index, new_offset, current)
+                            offsets[index] = new_offset
             else:
                 # Max-min fair water-filling across the owned partitions:
                 # visiting them in ascending order of availability (ties
@@ -236,6 +237,7 @@ def step_container(
                 # Partition numbers are unique, so no two entries tie past
                 # the readable bytes, and a tie there keeps slice order.
                 entries = sorted(zip(readables, indices, cursors))
+                processed = 0.0
                 remaining = len(entries)
                 for available, index, offset in entries:
                     if budget <= 1e-12:
@@ -300,8 +302,10 @@ class _Slice(NamedTuple):
     #: The category's :attr:`~Category.heads` and :attr:`~Category.online`.
     heads: List[float]
     online: List[bool]
-    #: The partition numbers the task owns, ascending.
+    #: The partition numbers the task owns, ascending, and the same as a
+    #: slice of a column.
     indices: range
+    window: slice
     #: ``None`` for a task without an input category.
     category: Optional[Category]
     job_id: str
@@ -309,6 +313,22 @@ class _Slice(NamedTuple):
     rate: float
     threads: int
     output: Optional[str]
+
+
+#: One ``(range, slice)`` pair per distinct partition window, shared by
+#: every task that owns one: a fleet of equal jobs keeps a pair per task
+#: index, not one per task.
+_WINDOWS: Dict[range, Tuple[range, slice]] = {}
+
+
+def _windows(indices: range) -> Tuple[range, slice]:
+    """``indices`` and the same partition numbers as a column slice."""
+    pair = _WINDOWS.get(indices)
+    if pair is None:
+        pair = _WINDOWS[indices] = (
+            indices, slice(indices.start, indices.stop, indices.step)
+        )
+    return pair
 
 
 def _memory_needed_gb(spec: TaskSpec, rate_mb: float) -> float:
@@ -384,13 +404,13 @@ class RunningTask:
             spec.job_id, spec.rate_per_thread_mb, spec.threads, spec.output_category
         )
         if not spec.input_category:
-            self._slice = _Slice("", [], [], range(0), None, *fields)
+            self._slice = _Slice("", [], [], *_windows(range(0)), None, *fields)
         else:
             category = self._scribe.get_category(spec.input_category)
             indices = category.slice_indices(spec.task_index, spec.task_count)
             self._slice = _Slice(
-                category.name, category.heads, category.online, indices, category,
-                *fields,
+                category.name, category.heads, category.online,
+                *_windows(indices), category, *fields,
             )
         return self._slice
 

@@ -60,6 +60,12 @@ class TaskSpec:
                 f"task index {self.task_index} out of range "
                 f"for {self.task_count} tasks"
             )
+        # Every hosted task runs at least one thread: a container's
+        # hosted-thread sum bounds its running threads from above.
+        if self.threads < 1:
+            raise TurbineError(
+                f"task {self.task_id} needs at least one thread: {self.threads}"
+            )
 
     @classmethod
     def from_job_config(

@@ -124,6 +124,14 @@ class TestValidateConfig:
         with pytest.raises(JobStoreError):
             validate_config({1: "x"})
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_number_rejected(self, value):
+        """NaN and infinity are not JSON: a store of JSON text holds none."""
+        with pytest.raises(JobStoreError):
+            validate_config({"perf": {"rate_per_thread_mb": value}})
+        with pytest.raises(JobStoreError):
+            validate_config({"a": [1.0, {"b": value}]})
+
     def test_a_nested_non_string_key_names_its_path(self):
         config = {"a": {"b": [0, {"c": {2: "x"}}]}, "d": 1}
         with pytest.raises(JobStoreError) as error:

@@ -90,6 +90,17 @@ def test_invalid_specs_rejected():
         JobSpec(job_id="j", input_category="c", task_count_limit=0)
 
 
+@pytest.mark.parametrize("fields", [
+    {"rate_per_thread_mb": float("nan")},
+    {"rate_per_thread_mb": float("inf")},
+    {"output_ratio": float("nan")},
+    {"output_ratio": float("inf")},
+])
+def test_non_finite_rates_rejected(fields):
+    with pytest.raises(JobStoreError):
+        JobSpec(job_id="j", input_category="c", **fields)
+
+
 def test_invalid_slo_rejected():
     with pytest.raises(ValueError):
         SLO(max_lag_seconds=0.0)

@@ -36,6 +36,11 @@ class TestValidateTyped:
     def test_floats_accept_ints(self):
         validate_typed({"resources": {"cpu": 2}})  # int where float is fine
 
+    def test_threads_below_one_rejected(self):
+        with pytest.raises(JobStoreError, match="threads_per_task"):
+            validate_typed({"threads_per_task": 0})
+        validate_typed({"threads_per_task": 1})
+
     def test_unknown_keys_are_open(self):
         """New services add new keys without schema changes (III-A)."""
         validate_typed({"auto_root_causer": {"enabled": True}})
@@ -56,6 +61,23 @@ class TestServiceEnforcement:
         assert "task_count" not in (
             service.store.read_expected("job", ConfigLevel.ONCALL).config
         )
+
+    @pytest.mark.parametrize("changes", [
+        {"threads_per_task": -1},
+        {"threads_per_task": 0},
+        {"perf": {"rate_per_thread_mb": float("nan")}},
+        {"perf": {"rate_per_thread_mb": float("inf")}},
+        {"output": {"ratio": float("nan")}},
+        {"resources": {"cpu": float("inf")}},
+    ])
+    def test_unrunnable_values_rejected_at_write(self, changes):
+        service = self.make_service()
+        before = service.store.read_expected("job", ConfigLevel.ONCALL)
+        with pytest.raises(JobStoreError):
+            service.patch("job", ConfigLevel.ONCALL, changes)
+        # Nothing was written.
+        after = service.store.read_expected("job", ConfigLevel.ONCALL)
+        assert (after.version, after.config) == (before.version, before.config)
 
     def test_valid_patch_still_lands(self):
         service = self.make_service()

@@ -186,7 +186,7 @@ class TestSnapshots:
         keys = st.sampled_from(["x", "limits", "ü", ""])
         values = st.recursive(
             st.none() | st.booleans() | st.integers(-5, 5) | st.text(max_size=3)
-            | st.floats(allow_nan=False),
+            | st.floats(allow_nan=False, allow_infinity=False),
             lambda inner: st.lists(inner, max_size=3)
             | st.dictionaries(keys, inner, max_size=3),
             max_leaves=6,

@@ -9,6 +9,7 @@ import pytest
 
 from repro import JobSpec, PlatformConfig, Turbine
 from repro.sim.engine import Timer
+from repro.tasks.manager import step_managers
 from tests.tasks.helpers import python_calls
 
 STEP = 10.0
@@ -180,9 +181,11 @@ def one_container_platform(task_count):
 
 
 def step_once(platform, manager):
-    """One more ``step_tasks`` over a full interval, outside the timer."""
-    manager._last_step_time = platform.now - STEP
-    manager.step_tasks()
+    """One more fleet-loop pass over ``manager`` alone, a full interval
+    after its last step, outside the timer."""
+    now = platform.now
+    manager._last_step_time = now - STEP
+    step_managers(platform.scribe, [manager], now)
 
 
 class TestChecksSurviveTheFlattening:
@@ -273,6 +276,65 @@ class TestChecksSurviveTheFlattening:
         assert platform.job_lag_mb("job") == 0.0
 
 
+class TestHostedThreads:
+    """The fleet loop's contention bound: each manager's
+    ``_hosted_threads`` is the threads of what it hosts, through starts,
+    settings restarts, rescales, fail-over and reboots."""
+
+    @staticmethod
+    def assert_bound_holds(platform):
+        for manager in platform.task_managers.values():
+            assert manager._hosted_threads == sum(
+                task.spec.threads for task in manager._hosted()
+            ), manager
+
+    def test_bound_follows_every_way_in_and_out(self):
+        from repro.jobs import ConfigLevel
+
+        platform = started_platform()
+        platform.provision(
+            JobSpec(job_id="job", input_category="cat", task_count=6,
+                    threads_per_task=2, rate_per_thread_mb=5.0)
+        )
+        platform.run_for(seconds=300.0)
+        self.assert_bound_holds(platform)
+        assert sum(
+            manager._hosted_threads for manager in platform.task_managers.values()
+        ) == 12
+        platform.job_service.patch("job", ConfigLevel.ONCALL, {"threads_per_task": 3})
+        platform.job_service.patch("job", ConfigLevel.SCALER, {"task_count": 4})
+        platform.run_for(seconds=300.0)
+        self.assert_bound_holds(platform)
+        assert sum(
+            manager._hosted_threads for manager in platform.task_managers.values()
+        ) == 12
+        platform.failures.fail_now("host-0")
+        platform.run_for(seconds=300.0)
+        self.assert_bound_holds(platform)
+
+    def test_threads_below_one_never_reach_a_container(self):
+        """Refused at write time: the running specs keep their threads."""
+        from repro.errors import JobStoreError
+        from repro.jobs import ConfigLevel
+
+        platform = started_platform()
+        platform.provision(
+            JobSpec(job_id="job", input_category="cat", task_count=2,
+                    rate_per_thread_mb=5.0)
+        )
+        platform.run_for(seconds=300.0)
+        with pytest.raises(JobStoreError, match="threads_per_task"):
+            platform.job_service.patch(
+                "job", ConfigLevel.ONCALL, {"threads_per_task": -1}
+            )
+        platform.run_for(seconds=300.0)
+        threads = [
+            task.spec.threads for manager in platform.task_managers.values()
+            for task in manager.tasks.values()
+        ]
+        assert threads == [1, 1]
+
+
 class TestCallCount:
     """What the flat step buys, independent of the hardware: the number of
     Python-level calls in a container-tick does not grow with the tasks
@@ -291,4 +353,5 @@ class TestCallCount:
     def test_calls_per_container_tick_do_not_grow_with_tasks(self):
         few, many = self.calls_per_tick(4), self.calls_per_tick(32)
         assert few == many
-        assert few < 20
+        # 7 through the fleet loop; 10 when each manager stepped itself.
+        assert few < 10

@@ -37,6 +37,15 @@ class TestTaskSpec:
         with pytest.raises(TurbineError):
             TaskSpec.from_job_config("job", 4, job_config(task_count=4))
 
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_threads_below_one_rejected(self, threads):
+        """Every spec a container can host runs at least one thread: the
+        step's contention shortcut sums hosted threads as a bound."""
+        with pytest.raises(TurbineError, match="at least one thread"):
+            TaskSpec.from_job_config(
+                "job", 0, job_config(threads_per_task=threads)
+            )
+
     def test_fingerprint_changes_with_version(self):
         a = TaskSpec.from_job_config("job", 0, job_config())
         config = job_config()
