@@ -15,7 +15,27 @@ from __future__ import annotations
 
 import argparse
 import sys
+from math import inf
 from pathlib import Path
+
+
+def _at_least(minimum: int):
+    """argparse type: an integer no smaller than ``minimum`` (exit 2 if not)."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}: {text}")
+        return value
+
+    return parse
+
+
+def _time(text: str) -> float:
+    """argparse type: a finite, non-negative span or instant (exit 2 if not)."""
+    value = float(text)
+    if not 0.0 <= value < inf:
+        raise argparse.ArgumentTypeError(f"must be finite and non-negative: {text}")
+    return value
 
 
 def cmd_demo(args: argparse.Namespace) -> int:
@@ -306,9 +326,9 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     demo = sub.add_parser("demo", help="run a small deployment")
-    demo.add_argument("--hosts", type=int, default=3)
-    demo.add_argument("--jobs", type=int, default=4)
-    demo.add_argument("--minutes", type=float, default=30.0)
+    demo.add_argument("--hosts", type=_at_least(1), default=3)
+    demo.add_argument("--jobs", type=_at_least(1), default=4)
+    demo.add_argument("--minutes", type=_time, default=30.0)
     demo.add_argument("--seed", type=int, default=0)
     demo.add_argument("--trace-out", metavar="FILE", default=None,
                       help="enable tracing and export trace JSONL here")
@@ -320,10 +340,10 @@ def main(argv=None) -> int:
     timeline = sub.add_parser(
         "timeline", help="incident scenario: merged operator timeline"
     )
-    timeline.add_argument("--minutes", type=float, default=40.0)
+    timeline.add_argument("--minutes", type=_time, default=40.0)
     timeline.add_argument("--seed", type=int, default=0)
-    timeline.add_argument("--since", type=float, default=0.0)
-    timeline.add_argument("--until", type=float, default=None)
+    timeline.add_argument("--since", type=_time, default=0.0)
+    timeline.add_argument("--until", type=_time, default=None)
     timeline.add_argument("--source", action="append", metavar="SOURCE",
                           help="only events from this source (repeatable, "
                                "exact match)")
@@ -340,7 +360,7 @@ def main(argv=None) -> int:
         "trace", help="causal decision chain for one job"
     )
     trace.add_argument("job_id", help="job to reconstruct, e.g. demo/job-0")
-    trace.add_argument("--minutes", type=float, default=40.0)
+    trace.add_argument("--minutes", type=_time, default=40.0)
     trace.add_argument("--seed", type=int, default=0)
     trace.add_argument("--input", metavar="FILE", default=None,
                        help="read trace JSONL (from demo --trace-out) "
@@ -353,7 +373,7 @@ def main(argv=None) -> int:
     slo = sub.add_parser(
         "slo", help="incident scenario: fleet SLO compliance table"
     )
-    slo.add_argument("--minutes", type=float, default=40.0)
+    slo.add_argument("--minutes", type=_time, default=40.0)
     slo.add_argument("--seed", type=int, default=0)
     slo.add_argument("--report-out", metavar="FILE", default=None,
                      help="write the deterministic SLO report JSON here")
@@ -367,10 +387,10 @@ def main(argv=None) -> int:
     chaos.add_argument("scenario",
                        help="scenario name, or 'list' to enumerate")
     chaos.add_argument("--seed", type=int, default=0)
-    chaos.add_argument("--replicas", type=int, default=None,
+    chaos.add_argument("--replicas", type=_at_least(2), default=None,
                        help="run the Job Store as a replica group of this "
                             "size (replication scenarios default to 3)")
-    chaos.add_argument("--max-mttr", type=float, default=None,
+    chaos.add_argument("--max-mttr", type=_time, default=None,
                        help="exit 1 if any fault's recovery exceeds this "
                             "many seconds (or never happens)")
     chaos.add_argument("--control", action="store_true",
@@ -386,12 +406,12 @@ def main(argv=None) -> int:
     chaos.set_defaults(func=cmd_chaos)
 
     growth = sub.add_parser("growth", help="Fig. 1-style growth table")
-    growth.add_argument("--jobs", type=int, default=1000)
+    growth.add_argument("--jobs", type=_at_least(1), default=1000)
     growth.add_argument("--seed", type=int, default=0)
     growth.set_defaults(func=cmd_growth)
 
     footprints = sub.add_parser("footprints", help="Fig. 5-style CDFs")
-    footprints.add_argument("--jobs", type=int, default=5000)
+    footprints.add_argument("--jobs", type=_at_least(1), default=5000)
     footprints.add_argument("--seed", type=int, default=0)
     footprints.set_defaults(func=cmd_footprints)
 

@@ -17,6 +17,7 @@ path: the engine dispatches every event through it when (and only when)
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Any, Dict, List, Optional
@@ -27,6 +28,35 @@ from typing import Any, Dict, List, Optional
 DEFAULT_BUCKETS = (
     0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0, 50.0, 100.0, 500.0, 1000.0,
 )
+
+
+#: The layer each periodic service's timer belongs to, by timer-name
+#: family. :class:`EngineInstrumentation` records every firing once more
+#: as ``layer.<layer>.wall_ms``: its count is the fires, count × mean the
+#: busy time. ``tests/obs/test_timer_layers.py`` fails on a timer armed
+#: under a name this table does not hold.
+TIMER_LAYERS = {
+    "data-plane-step": "plane", "traffic-driver": "driver",
+    "container-heartbeat": "heartbeat", "container-refresh": "refresh",
+    "container-load-report": "load-report",
+    "shard-manager-failover": "failover",
+    "shard-manager-rebalance": "rebalance",
+    "job-stats": "stats", "state-syncer": "syncer", "slo-tracker": "slo",
+    "auto-scaler": "scaler", "reactive-scaler": "scaler",
+    "capacity-manager": "capacity", "health-reporter": "health",
+    "checkpoint-plane": "checkpoint", "standby-plane": "standby",
+    "slow-node-detector": "slow-node",
+    "replication-lease": "replication", "replication-catchup": "replication",
+    "chaos-watch": "chaos", "chaos-fine-watch": "chaos",
+}
+
+_CONTAINER_PREFIX = re.compile(r"^[a-z]+-\d+-(?=[a-z])")
+
+
+def timer_family(name: str) -> str:
+    """A timer name with its container stripped: ``turbine-17-refresh``
+    reads as ``container-refresh``; any other name is its own family."""
+    return _CONTAINER_PREFIX.sub("container-", name)
 
 
 def is_deterministic_instrument(name: str) -> bool:
@@ -253,7 +283,8 @@ class EngineInstrumentation:
     (or :meth:`Turbine.enable_instrumentation`). For every delivered event
     it records the total event count, the event-queue depth, and — when
     the callback is a named :class:`~repro.sim.engine.Timer` firing — a
-    per-timer fire counter and wall-clock duration histogram.
+    per-timer fire counter and wall-clock duration histogram, plus the
+    same duration under its layer (:data:`TIMER_LAYERS`).
     """
 
     def __init__(self, telemetry: Telemetry) -> None:
@@ -278,6 +309,9 @@ class EngineInstrumentation:
             if name:
                 telemetry.inc(f"timer.{name}.fires")
                 telemetry.observe(f"timer.{name}.wall_ms", wall_ms)
+                layer = TIMER_LAYERS.get(timer_family(name))
+                if layer is not None:
+                    telemetry.observe(f"layer.{layer}.wall_ms", wall_ms)
             else:
                 telemetry.observe("engine.callback_wall_ms", wall_ms)
 

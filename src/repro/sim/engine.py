@@ -16,6 +16,7 @@ self-re-arming timers reproduces the propagation latencies the paper quotes
 
 from __future__ import annotations
 
+from math import inf
 from typing import Any, Callable, Optional
 
 from repro.errors import SimulationError
@@ -39,8 +40,8 @@ class Timer:
         callback: Callable[[], Any],
         name: str = "",
     ) -> None:
-        if interval <= 0:
-            raise SimulationError(f"timer interval must be positive: {interval}")
+        if not 0.0 < interval < inf:
+            raise SimulationError(f"timer interval must be positive and finite: {interval}")
         self._engine = engine
         self.interval = float(interval)
         self._callback = callback
@@ -114,16 +115,17 @@ class Engine:
     # ------------------------------------------------------------------
     def call_at(self, time: Seconds, callback: Callable[[], Any]) -> Event:
         """Schedule ``callback`` at absolute simulated time ``time``."""
-        if time < self.now:
+        if not self.now <= time < inf:
             raise SimulationError(
-                f"cannot schedule in the past: {time} < {self.now}"
+                f"cannot schedule at {time}: before now ({self.now}) or "
+                "not finite"
             )
         return self.queue.push(time, callback)
 
     def call_in(self, delay: Seconds, callback: Callable[[], Any]) -> Event:
         """Schedule ``callback`` after ``delay`` seconds."""
-        if delay < 0:
-            raise SimulationError(f"delay must be non-negative: {delay}")
+        if not 0.0 <= delay < inf:
+            raise SimulationError(f"delay must be non-negative and finite: {delay}")
         return self.queue.push(self.now + delay, callback)
 
     def every(
@@ -140,8 +142,8 @@ class Engine:
         """
         timer = Timer(self, interval, callback, name=name)
         first = interval if initial_delay is None else initial_delay
-        if first < 0:
-            raise SimulationError(f"initial delay must be non-negative: {first}")
+        if not 0.0 <= first < inf:
+            raise SimulationError(f"initial delay must be non-negative and finite: {first}")
         timer._arm(first)
         return timer
 
@@ -161,9 +163,9 @@ class Engine:
         The clock finishes exactly at ``deadline`` even when no event falls
         on it, so back-to-back ``run_until`` calls tile time precisely.
         """
-        if deadline < self.now:
+        if not self.now <= deadline < inf:
             raise SimulationError(
-                f"deadline is in the past: {deadline} < {self.now}"
+                f"deadline {deadline} is before now ({self.now}) or not finite"
             )
         if self._running:
             raise SimulationError("engine is already running (re-entrant run)")
@@ -182,8 +184,8 @@ class Engine:
 
     def run_for(self, duration: Seconds) -> None:
         """Deliver events for the next ``duration`` seconds."""
-        if duration < 0:
-            raise SimulationError(f"duration must be non-negative: {duration}")
+        if not 0.0 <= duration < inf:
+            raise SimulationError(f"duration must be non-negative and finite: {duration}")
         self.run_until(self.now + duration)
 
     def __repr__(self) -> str:

@@ -23,6 +23,7 @@ from repro.jobs import ConfigLevel, JobService, JobSpec, JobStore, StateSyncer
 from repro.testing import ChaoticActuator, NullActuator
 from repro.testing.reference import FullScanSyncer
 from repro.types import JobState
+from tests.tasks.helpers import python_calls
 
 NUM_JOBS = 3
 #: Effectively "never full-scan" — forces the pure incremental path
@@ -35,12 +36,12 @@ def full_scans_every(rounds):
     return mock.patch.object(repro.jobs.syncer, "FULL_SCAN_INTERVAL", rounds)
 
 
-def build_world(incremental, failure_plan):
+def build_world(incremental, failure_plan, num_jobs=NUM_JOBS):
     store = JobStore()
     service = JobService(store)
     actuator = ChaoticActuator(list(failure_plan))
     syncer = (StateSyncer if incremental else FullScanSyncer)(store, actuator)
-    for index in range(NUM_JOBS):
+    for index in range(num_jobs):
         service.provision(JobSpec(job_id=f"job-{index}", input_category="cat"))
     return store, service, actuator, syncer
 
@@ -179,6 +180,23 @@ def test_periodic_full_scans_change_nothing(ops, failure_plan):
         assert store_a.dump_snapshot() == store_b.dump_snapshot()
 
 
+def test_a_package_push_to_every_seventh_of_two_thousand_jobs():
+    """The same property at fleet scale, on one input: a converged fleet
+    of 2 000 jobs, a package push to every seventh, one round."""
+    worlds = [build_world(incremental, [], num_jobs=2_000)
+              for incremental in (True, False)]
+    for store, service, __, syncer in worlds:
+        syncer.sync_once()
+        for index in range(0, 2_000, 7):
+            apply_op(("patch_simple", index, 31), store, service)
+    (store_a, __, ___, syncer_a), (store_b, __, ___, syncer_b) = worlds
+    report_a = syncer_a.sync_once()
+    report_b = syncer_b.sync_once()
+    assert len(report_a.simple_synced) == 286
+    assert semantic_fields(report_a) == semantic_fields(report_b)
+    assert store_a.dump_snapshot() == store_b.dump_snapshot()
+
+
 class GCActuator(NullActuator):
     """Knows cluster-side jobs, so the syncer's GC sweep has work to do."""
 
@@ -284,3 +302,54 @@ class TestIncrementalRounds:
         report = syncer.sync_once()
         assert not report.full_scan
         assert report.simple_synced == ["job-0"]
+
+
+class TestRoundCost:
+    """What the dirty set buys, independent of the hardware: a round's
+    work follows the change feed, not the fleet. A quiet round examines
+    no job and a one-job change examines that one, for the same number
+    of Python calls at two fleet sizes."""
+
+    SIZES = (250, 1_000)
+
+    @staticmethod
+    def converged(num_jobs):
+        store = JobStore()
+        service = JobService(store)
+        for index in range(num_jobs):
+            service.provision(
+                JobSpec(job_id=f"job-{index:05d}", input_category="cat")
+            )
+        syncer = StateSyncer(store, NullActuator())
+        syncer.sync_once()  # the first round is a full scan that plans all
+        return service, syncer
+
+    @staticmethod
+    def measured_round(syncer):
+        reports = []
+        calls = python_calls(lambda: reports.append(syncer.sync_once()))
+        return reports[0], calls
+
+    def test_a_quiet_round_examines_nothing_at_any_fleet_size(self):
+        costs = []
+        for num_jobs in self.SIZES:
+            report, calls = self.measured_round(self.converged(num_jobs)[1])
+            assert report.total_synced == 0
+            costs.append((report.examined, calls))
+        assert costs[0] == costs[1]
+        assert costs[0][0] == 0
+
+    def test_a_one_job_change_examines_that_job_at_any_fleet_size(self):
+        costs = []
+        for num_jobs in self.SIZES:
+            service, syncer = self.converged(num_jobs)
+            changed = f"job-{num_jobs // 2:05d}"
+            service.patch(
+                changed, ConfigLevel.PROVISIONER,
+                {"package": {"name": "stream_engine", "version": "2.0"}},
+            )
+            report, calls = self.measured_round(syncer)
+            assert report.simple_synced == [changed]
+            costs.append((report.examined, calls))
+        assert costs[0] == costs[1]
+        assert costs[0][0] == 1

@@ -154,3 +154,39 @@ class TestDeterminism:
             b.rng.random() for _ in range(10)
         ]
 
+
+
+class TestNonFiniteTimes:
+    """NaN compares false both ways and ±inf is never reached, so a
+    range check written as ``if x < 0: raise`` lets both through: a NaN
+    deadline on a busy queue never returns (``next_time > nan`` is never
+    true) and on an empty one leaves ``now == nan``."""
+
+    BAD = [float("nan"), float("inf"), float("-inf")]
+
+    @pytest.mark.parametrize("deadline", BAD)
+    def test_run_until_rejects_a_non_finite_deadline(self, deadline):
+        engine = Engine()  # empty queue: a NaN deadline cannot hang here
+        with pytest.raises(SimulationError):
+            engine.run_until(deadline)
+        assert engine.now == 0.0
+
+    @pytest.mark.parametrize("duration", BAD)
+    def test_run_for_rejects_a_non_finite_duration(self, duration):
+        engine = Engine()
+        with pytest.raises(SimulationError):
+            engine.run_for(duration)
+        assert engine.now == 0.0
+
+    @pytest.mark.parametrize("value", BAD)
+    def test_scheduling_rejects_a_non_finite_time(self, value):
+        engine = Engine()
+        with pytest.raises(SimulationError):
+            engine.call_in(value, lambda: None)
+        with pytest.raises(SimulationError):
+            engine.call_at(value, lambda: None)
+        with pytest.raises(SimulationError):
+            engine.every(value, lambda: None)
+        with pytest.raises(SimulationError):
+            engine.every(1.0, lambda: None, initial_delay=value)
+        assert len(engine.queue) == 0

@@ -37,18 +37,20 @@ def desired_cores(task, dt):
     return 0.5 * 2.0 * dt / probe.total_processed_mb - 1.0
 
 
-def python_calls(function):
+def python_calls(function, builtins=False):
     """Python-level ``call`` events while ``function()`` runs — what the
-    call-count guards compare between fleet sizes. The collector is held
+    call-count guards compare between fleet sizes; with ``builtins``,
+    calls into C functions (``c_call``) count too. The collector is held
     off meanwhile: a finalizer it happens to run is a call too."""
     import gc
     import sys
 
     calls = 0
+    events = ("call", "c_call") if builtins else ("call",)
 
     def count(frame, event, arg):
         nonlocal calls
-        calls += event == "call"
+        calls += event in events
 
     gc.collect()
     gc.disable()

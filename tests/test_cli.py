@@ -7,6 +7,7 @@ import pytest
 
 import repro.__main__
 from repro.__main__ import main
+from repro.obs.telemetry import TIMER_LAYERS, timer_family
 
 
 def test_experiments_lists_benches(capsys):
@@ -73,6 +74,14 @@ def test_demo_telemetry_out_writes_jsonl(capsys, tmp_path):
     names = {json.loads(line)["name"] for line in lines}
     assert "syncer.rounds" in names
     assert "engine.events" in names
+    # One layer row per layer whose timers fired.
+    fired = {name[len("timer."):-len(".fires")] for name in names
+             if name.startswith("timer.") and name.endswith(".fires")}
+    layers = {name for name in names if name.startswith("layer.")}
+    assert layers == {
+        f"layer.{TIMER_LAYERS[timer_family(timer)]}.wall_ms" for timer in fired
+    }
+    assert {"layer.plane.wall_ms", "layer.heartbeat.wall_ms"} <= layers
 
 
 def test_timeline_command_prints_story(capsys):
@@ -336,3 +345,45 @@ def test_chaos_exports_slo_report(capsys, tmp_path):
 def test_missing_command_errors():
     with pytest.raises(SystemExit):
         main([])
+
+
+@pytest.fixture
+def ran(monkeypatch):
+    """Every command function replaced by a recorder of its parsed args,
+    so a test sees what parsing let through without running anything."""
+    calls = []
+    for name in ("cmd_demo", "cmd_timeline", "cmd_trace", "cmd_slo",
+                 "cmd_chaos", "cmd_growth", "cmd_footprints"):
+        monkeypatch.setattr(repro.__main__, name, calls.append)
+    return calls
+
+
+@pytest.mark.parametrize("argv", [
+    ["demo", "--minutes", "nan"],
+    ["demo", "--minutes", "-5"],
+    ["demo", "--minutes", "inf"],
+    ["demo", "--hosts", "0"],
+    ["demo", "--jobs", "0"],
+    ["timeline", "--since", "nan"],
+    ["timeline", "--until", "-1"],
+    ["trace", "demo/job-0", "--minutes", "inf"],
+    ["slo", "--minutes", "-1"],
+    ["chaos", "syncer-crash", "--replicas", "0"],
+    ["chaos", "syncer-crash", "--max-mttr", "nan"],
+    ["growth", "--jobs", "-3"],
+    ["footprints", "--jobs", "0"],
+])
+def test_an_out_of_range_number_exits_2_before_anything_runs(argv, ran, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert ran == []
+    assert "must be" in capsys.readouterr().err
+
+
+def test_the_range_edges_are_accepted(ran):
+    main(["demo", "--hosts", "1", "--jobs", "1", "--minutes", "0"])
+    main(["chaos", "syncer-crash", "--replicas", "2", "--max-mttr", "0"])
+    demo, chaos = ran
+    assert (demo.hosts, demo.jobs, demo.minutes) == (1, 1, 0.0)
+    assert (chaos.replicas, chaos.max_mttr) == (2, 0.0)
