@@ -149,7 +149,8 @@ class ChaosScenario:
     slow_node_detection: bool = False
     #: The documented recovery bound for this scenario's worst measured
     #: fault, in seconds (``None`` = no published bound). Rendered by
-    #: ``repro chaos list`` and enforced in CI via ``--max-mttr``.
+    #: ``repro chaos list`` and asserted at ``--seed 7`` by the tier-1
+    #: chaos tests.
     expected_max_mttr: Optional[Seconds] = None
 
 
@@ -167,6 +168,7 @@ def _job_store_outage() -> ChaosScenario:
                   payload={"task_count": 4}, measure=False),
             Fault("job-store-outage", at=45.0, duration=300.0),
         ),
+        expected_max_mttr=180.0,
     )
 
 
@@ -201,6 +203,7 @@ def _shard_manager_outage() -> ChaosScenario:
             Fault("host-failure", at=120.0, target="host-1", measure=False),
         ),
         horizon=1200.0,
+        expected_max_mttr=180.0,
     )
 
 
@@ -270,6 +273,7 @@ def _leader_crash_mid_plan() -> ChaosScenario:
                   target="leader"),
         ),
         replication=True,
+        expected_max_mttr=40.0,
     )
 
 

@@ -48,10 +48,6 @@ class SyncError(TurbineError):
     """
 
 
-class JobQuarantinedError(SyncError):
-    """The job failed synchronization too many times and was quarantined."""
-
-
 class PlacementError(TurbineError):
     """The shard placement algorithm could not satisfy its constraints."""
 
@@ -83,13 +79,4 @@ class ServiceUnavailableError(DegradedModeError):
     "I am unavailable" is a service-level outage — every container is
     equally affected, no fail-over can happen, and the correct degraded
     mode is "keep your shards and keep processing".
-    """
-
-
-class CircuitOpenError(DegradedModeError):
-    """A resilience circuit breaker is open: the dependency failed
-    repeatedly and calls are short-circuited until the breaker half-opens.
-
-    Subclasses :class:`DegradedModeError` so existing degraded-mode
-    handling treats a tripped breaker like an unavailable dependency.
     """

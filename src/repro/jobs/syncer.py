@@ -65,7 +65,7 @@ from repro.obs.trace import (
     TraceEvent,
     Tracer,
 )
-from repro.resilience import CircuitBreaker, Dependency
+from repro.resilience import Dependency
 from repro.sim.engine import Engine, Timer
 from repro.types import JobId, JobState, Seconds
 
@@ -143,24 +143,10 @@ class StateSyncer:
         self.alerts: List[tuple] = []
         #: Callbacks invoked with (job_id, reason) when a job is quarantined.
         self.on_quarantine: List[Callable[[JobId, str], None]] = []
-        #: Resilience edges. The store edge carries a breaker whose reset
-        #: timeout equals the sync interval, so every round is a probe and
-        #: recovery is detected with no extra latency; the actuator edge
-        #: is count-and-classify only — a failed plan is retried next
-        #: round.
-        self._store_dep = Dependency(
-            "syncer.job-store",
-            clock=lambda: self.now,
-            telemetry=self._telemetry,
-            breaker=CircuitBreaker(
-                failure_threshold=2, reset_timeout=SYNC_INTERVAL
-            ),
-        )
-        self._actuator_dep = Dependency(
-            "syncer.actuator",
-            clock=lambda: self.now,
-            telemetry=self._telemetry,
-        )
+        #: Counted edges. A round skipped by a store outage or a failed
+        #: plan is retried on the next round.
+        self._store_dep = Dependency("syncer.job-store", self._telemetry)
+        self._actuator_dep = Dependency("syncer.actuator", self._telemetry)
 
     # ------------------------------------------------------------------
     # Periodic operation

@@ -165,7 +165,7 @@ class HealthReporter:
     def _task_service_snapshot(self):
         try:
             return self._task_service.snapshot()
-        except Exception:  # noqa: BLE001 - degraded task service
+        except DegradedModeError:
             return {}
 
     def check_once(self) -> HealthReport:

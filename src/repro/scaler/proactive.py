@@ -15,6 +15,7 @@ from typing import Dict, List, Optional, Set
 
 from repro.cluster.container import DEFAULT_CONTAINER_CAPACITY
 from repro.cluster.resources import ResourceVector
+from repro.errors import DegradedModeError
 from repro.jobs.configs import ConfigLevel
 from repro.jobs.model import JobView
 from repro.jobs.service import JobService
@@ -31,7 +32,6 @@ from repro.scaler.estimators import ResourceEstimator
 from repro.scaler.patterns import PatternAnalyzer
 from repro.scaler.plan_generator import Action, PlanGenerator, ScalingDecision
 from repro.scaler.snapshot import JobSnapshot, snapshot_job
-from repro.resilience import CircuitBreaker, Dependency
 from repro.scribe.bus import ScribeBus
 from repro.sim.engine import Engine, Timer
 from repro.types import JobId, Priority, Seconds
@@ -117,16 +117,6 @@ class AutoScaler:
         self._timer: Optional[Timer] = None
         #: Per-job time of the last symptom, for the quiet-window check.
         self._last_unhealthy: Dict[JobId, Seconds] = {}
-        #: Resilience edge toward the Job Service / Job Store: rounds are
-        #: skipped while the store is out, and the breaker (reset at the
-        #: evaluation interval, so every round probes) tracks the outage.
-        self._store_dep = Dependency(
-            "scaler.job-service",
-            clock=lambda: engine.now,
-            breaker=CircuitBreaker(
-                failure_threshold=2, reset_timeout=self.config.interval
-            ),
-        )
 
     # ------------------------------------------------------------------
     # Periodic operation
@@ -157,8 +147,9 @@ class AutoScaler:
         """Evaluate every active job; returns the non-trivial decisions."""
         now = self._engine.now
         decisions = []
-        job_ids = self._store_dep.probe(self._service.active_job_ids)
-        if job_ids is None:
+        try:
+            job_ids = self._service.active_job_ids()
+        except DegradedModeError:
             # Job Store outage: no configs to read or patch. Skip the
             # round; running tasks are unaffected (degraded mode).
             return decisions

@@ -14,10 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
+from repro.errors import DegradedModeError
 from repro.jobs.configs import ConfigLevel
 from repro.jobs.service import JobService
 from repro.metrics.store import MetricStore
-from repro.resilience import CircuitBreaker, Dependency
 from repro.scaler.detectors import SymptomDetector
 from repro.scaler.snapshot import JobSnapshot, snapshot_job
 from repro.scribe.bus import ScribeBus
@@ -72,15 +72,6 @@ class ReactiveAutoScaler:
         self._detector = SymptomDetector()
         self.actions: List[ReactiveAction] = []
         self._timer: Optional[Timer] = None
-        #: Resilience edge toward the Job Service (see the proactive
-        #: scaler for the breaker-period rationale).
-        self._store_dep = Dependency(
-            "reactive-scaler.job-service",
-            clock=lambda: engine.now,
-            breaker=CircuitBreaker(
-                failure_threshold=2, reset_timeout=self.config.interval
-            ),
-        )
 
     def start(self) -> None:
         if self._timer is None:
@@ -99,8 +90,9 @@ class ReactiveAutoScaler:
     # ------------------------------------------------------------------
     def run_once(self) -> None:
         now = self._engine.now
-        job_ids = self._store_dep.probe(self._service.active_job_ids)
-        if job_ids is None:
+        try:
+            job_ids = self._service.active_job_ids()
+        except DegradedModeError:
             return  # Job Store outage: skip the round (degraded mode).
         for job_id in job_ids:
             view = self._service.view(job_id)

@@ -29,7 +29,7 @@ from repro.errors import DegradedModeError, ServiceUnavailableError
 from repro.metrics.store import MetricStore
 from repro.obs.telemetry import Telemetry
 from repro.obs.trace import NULL_TRACER, SLOT_SYNC, Tracer
-from repro.resilience import Dependency, LastKnownGood
+from repro.resilience import Dependency
 from repro.scribe.bus import ScribeBus
 from repro.sim.engine import Engine, Timer
 from repro.sim.events import Event
@@ -234,22 +234,16 @@ class TaskManager:
         #: (failure -> first post-recovery progress sample). A window
         #: belongs to a hosted id and leaves with it (:meth:`_unhost`).
         self._failed_at: Dict[TaskId, Seconds] = {}
-        #: Last-known-good shard index for degraded-mode operation
-        #: ("containers run tasks based on existing snapshots", IV-D).
-        self._index_lkg: LastKnownGood = LastKnownGood()
-        #: Resilience edges toward the two control-plane services this
+        #: Last-known-good shard index and when it was fetched, for
+        #: degraded-mode operation ("containers run tasks based on
+        #: existing snapshots", IV-D); None until the first fetch.
+        self._index: Optional[Dict[ShardId, Dict[TaskId, TaskSpec]]] = None
+        self._index_fetched_at: Seconds = 0.0
+        #: Counted edges toward the two control-plane services this
         #: manager calls. The edges share one telemetry name per target
         #: across all containers, so counters aggregate fleet-wide.
-        self._sm_dep = Dependency(
-            "task-manager.shard-manager",
-            clock=lambda: engine.now,
-            telemetry=telemetry,
-        )
-        self._ts_dep = Dependency(
-            "task-manager.task-service",
-            clock=lambda: engine.now,
-            telemetry=telemetry,
-        )
+        self._sm_dep = Dependency("task-manager.shard-manager", telemetry)
+        self._ts_dep = Dependency("task-manager.task-service", telemetry)
         self._telemetry = telemetry
         #: The pending attempt of this manager's one reconnect loop.
         self._reconnect: Optional[Event] = None
@@ -374,13 +368,14 @@ class TaskManager:
             self._service.shard_index, self._shard_manager.num_shards
         )
         if index is not None:
-            self._index_lkg.store(index, now)
-        elif self._telemetry is not None and self._index_lkg.has_value:
+            self._index = index
+            self._index_fetched_at = now
+        elif self._telemetry is not None and self._index is not None:
             # Task Service down: keep operating on the last-known-good
             # snapshot (paper section IV-D) and record how stale it is.
             self._telemetry.observe(
                 "resilience.task-manager.task-service.staleness_s",
-                self._index_lkg.age(now),
+                now - self._index_fetched_at,
             )
         if self._cached_index is not self._reconciled:
             self._reconcile_assigned()
@@ -400,8 +395,9 @@ class TaskManager:
 
     @property
     def _cached_index(self) -> Dict[ShardId, Dict[TaskId, TaskSpec]]:
-        """The last successfully fetched shard index (empty when never)."""
-        return self._index_lkg.get({})
+        """The last successfully fetched shard index (a fresh empty dict
+        when never, so the reconcile guard never matches before a fetch)."""
+        return self._index if self._index is not None else {}
 
     def _reconcile_shard(self, shard_id: ShardId) -> None:
         """Drive this shard's tasks to match the (cached) spec snapshot."""

@@ -116,15 +116,8 @@ class ShardManager:
         #: un-drained.
         self.drained: set = set()
         self._timers: List[Timer] = []
-        #: Resilience edge toward the Task Managers it commands. No
-        #: breaker: a timed-out DROP_SHARD/ADD_SHARD has its own
-        #: paper-mandated consequence (force-kill / fail-over), so the
-        #: edge only counts and classifies.
-        self._manager_dep = Dependency(
-            "shard-manager.task-manager",
-            clock=lambda: self._engine.now,
-            telemetry=self._telemetry,
-        )
+        #: Counted edge toward the Task Managers it commands.
+        self._manager_dep = Dependency("shard-manager.task-manager", self._telemetry)
 
     # ------------------------------------------------------------------
     # Availability (chaos hooks)

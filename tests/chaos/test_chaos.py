@@ -63,6 +63,8 @@ def test_fault_validation():
 
 @pytest.mark.parametrize("name", ACCEPTANCE_SCENARIOS)
 def test_scenario_converges_with_finite_mttr(name):
+    """Every drill converges at ``--seed 7``, within its documented
+    ``expected_max_mttr`` wherever the scenario states one."""
     result = run_scenario(name, seed=7)
     assert result.converged, (
         f"{name} did not converge: "
@@ -73,6 +75,11 @@ def test_scenario_converges_with_finite_mttr(name):
         assert value is not None, f"{key} never recovered"
         assert 0.0 <= value < 900.0
     assert result.max_mttr is not None
+    bound = get_scenario(name).expected_max_mttr
+    if bound is not None:
+        assert result.max_mttr <= bound, (
+            f"{name}: worst MTTR {result.max_mttr}s exceeds its {bound}s bound"
+        )
 
 
 def test_chaos_records_reach_the_timeline():
@@ -174,7 +181,7 @@ def test_inline_scenario_and_relative_scheduling():
 
 
 def test_telemetry_counts_resilience_edges():
-    """Acceptance: retry/breaker counters are visible in Telemetry."""
+    """Acceptance: the counted edges are visible in Telemetry."""
     result = run_scenario("job-store-outage", seed=7)
     assert "resilience.syncer.job-store." in result.telemetry_jsonl
     assert "syncer.rounds_skipped" in result.telemetry_jsonl

@@ -12,7 +12,7 @@ from repro.jobs import (
     StateSyncer,
 )
 from repro.sim import Engine
-from repro.testing import RecordingActuator
+from repro.testing import NullActuator, RecordingActuator
 from repro.types import JobState
 
 
@@ -253,6 +253,22 @@ class TestPeriodicOperation:
         syncer.start()
         engine.run_until(95.0)
         assert len(syncer.rounds) == 3  # t=30, 60, 90
+
+    def test_first_round_after_a_store_outage_runs(self):
+        """Off the 30 s grid, ``fl(t + 30) - t`` can fall short of 30: a
+        round guard keyed on elapsed time would skip the 90.1 s round
+        even though the store is back at 75 s."""
+        engine = Engine()
+        engine.run_until(0.1)
+        store = JobStore()
+        syncer = StateSyncer(store, NullActuator(), engine=engine)
+        syncer.start()
+        engine.call_at(20.0, store.fail)
+        engine.call_at(75.0, store.recover)
+        engine.run_until(125.0)
+        assert [
+            (round(report.time, 6), report.skipped) for report in syncer.rounds
+        ] == [(30.1, True), (60.1, True), (90.1, False), (120.1, False)]
 
     def test_start_without_engine_rejected(self):
         store, service, actuator, syncer = make_setup()

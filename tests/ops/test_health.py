@@ -76,6 +76,19 @@ class TestReport:
         report = reporter.check_once()
         assert report.tasks_expected == 0  # unknown, not a crash
 
+    def test_task_service_bug_propagates(self, monkeypatch):
+        """Only an outage reads as "no tasks expected": a programming
+        error in ``snapshot`` must surface, not report 0 % missing and
+        silence the mass-task-loss page."""
+        platform, reporter = healthy_platform()
+
+        def broken():
+            raise RuntimeError("bug in snapshot")
+
+        monkeypatch.setattr(platform.task_service, "snapshot", broken)
+        with pytest.raises(RuntimeError, match="bug in snapshot"):
+            reporter.check_once()
+
 
 class TestAlerts:
     def test_page_on_mass_task_loss(self):

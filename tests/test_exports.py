@@ -21,7 +21,7 @@ def test_every_package_export_resolves():
     ]
     packages = [importlib.import_module(name) for name in names]
     exporting = [p for p in packages if hasattr(p, "__all__")]
-    assert len(exporting) >= 18
+    assert len(exporting) >= 17
     unresolved = [
         f"{package.__name__}.{name}"
         for package in exporting
