@@ -221,15 +221,10 @@ def cmd_chaos(args: argparse.Namespace) -> int:
             print(f"  {name:36s} [{kinds}] ({bound})")
             print(f"  {'':36s} {scenario.description}")
         return 0
-    control = {} if not args.control else {
-        "durable_checkpoints": False,
-        "hot_standby": False,
-        "slow_node_detection": False,
-    }
     try:
         result = run_scenario(
             args.scenario, seed=args.seed, replicas=args.replicas,
-            **control,
+            control=args.control,
         )
     except KeyError as error:
         print(error.args[0], file=sys.stderr)
@@ -395,9 +390,9 @@ def main(argv=None) -> int:
                             "many seconds (or never happens)")
     chaos.add_argument("--control", action="store_true",
                        help="control arm: run with checkpoints, hot "
-                            "standbys, and slow-node detection all "
-                            "forced off (what the fault costs without "
-                            "the resiliency features)")
+                            "standbys, slow-node detection and the "
+                            "Capacity Manager all forced off (what the "
+                            "fault costs without the feature)")
     chaos.add_argument("--out-dir", metavar="DIR", default=None,
                        help="write every deterministic export here: "
                             "fingerprint.json (canonical end state), "

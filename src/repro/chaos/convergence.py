@@ -13,7 +13,9 @@ reduce to a small set of checkable invariants:
   registered container;
 * **configs converged** — every RUNNING job's running config equals its
   merged expected config, nothing is dirty, and nothing is quarantined
-  (``JobStore.config_converged``, read from the syncer's stamp).
+  (``JobStore.config_converged``, read from the syncer's stamp);
+* **nothing shed** — no job the Capacity Manager stopped is still
+  waiting to be resumed.
 
 :class:`ConvergenceChecker` evaluates all of them against a live
 platform; the chaos engine samples it after each fault clears to measure
@@ -48,6 +50,8 @@ class InvariantReport:
     diverged: List[str] = field(default_factory=list)
     #: Jobs in QUARANTINED state (oncall attention required).
     quarantined: List[str] = field(default_factory=list)
+    #: Jobs the Capacity Manager stopped and has not resumed yet.
+    shed: List[str] = field(default_factory=list)
     #: False while the Job Store is unavailable: store-dependent checks
     #: could not run, so the system cannot be called converged.
     store_visible: bool = True
@@ -82,6 +86,7 @@ class InvariantReport:
             and not self.unplaced_shards
             and not self.diverged
             and not self.quarantined
+            and not self.shed
             and not self.lagging_replicas
             and not self.leaderless
             and not self.promoting
@@ -92,7 +97,7 @@ class InvariantReport:
         out: Dict[str, List[str]] = {}
         for name in (
             "duplicates", "orphans", "missing", "unplaced_shards",
-            "diverged", "quarantined",
+            "diverged", "quarantined", "shed",
         ):
             values = getattr(self, name)
             if values:
@@ -126,6 +131,9 @@ class ConvergenceChecker:
         if replication is not None:
             report.lagging_replicas = replication.lagging_replicas()
             report.leaderless = not replication.has_leader
+        capacity = getattr(platform, "capacity_manager", None)
+        if capacity is not None:
+            report.shed = sorted(capacity.stopped_jobs)
 
         # Duplicates: every task object on a live manager occupies the
         # task-id namespace, whatever its state. Standby replicas are

@@ -168,10 +168,16 @@ class ChaosEngine:
             kind = "action"
         elif fault.kind == "slow-node":
             host = self._resolve_host(fault)
-            factor = float((fault.payload or {}).get("factor", 0.5))
+            factor = fault.slow_factor
             for manager in self._managers_on(host):
                 manager.slow_factor = factor
             detail = f"{host} at {factor:g}x"
+        elif fault.kind == "container-partition":
+            host = self._resolve_host(fault)
+            for manager in self._managers_on(host):
+                manager.partitioned = True
+            if host != fault.target:
+                detail = host
         self._record(scenario, kind, fault.key, detail)
         self._telemetry_inc("chaos.faults_injected")
         if fault.measure and fault.watch != "convergence":
@@ -213,6 +219,10 @@ class ChaosEngine:
             host = self._resolved_hosts.get(fault.key, fault.target)
             for manager in self._managers_on(host):
                 manager.slow_factor = 1.0
+        elif fault.kind == "container-partition":
+            host = self._resolved_hosts.get(fault.key, fault.target)
+            for manager in self._managers_on(host):
+                manager.partitioned = False
         self._record(scenario, "clear", fault.key)
         if fault.measure and fault.watch == "convergence":
             self.mttr.setdefault(fault.key, None)

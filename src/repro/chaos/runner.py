@@ -171,6 +171,7 @@ def build_platform(
     durable_checkpoints: bool = False,
     hot_standby: bool = False,
     slow_node_detection: bool = False,
+    capacity_manager: bool = False,
 ):
     """The standard chaos deployment (shared with the hypothesis suites).
 
@@ -181,7 +182,8 @@ def build_platform(
     ``replica-crash``/``repl-log-trim`` fault kinds). The resiliency
     toggles attach the matching data-plane feature (checkpoint plane,
     standby plane, slow-node detector); ``hot_standby`` additionally
-    opts every chaos job into passive replicas.
+    opts every chaos job into passive replicas. ``capacity_manager``
+    attaches the Capacity Manager next to the scaler.
     """
     from repro import JobSpec, PlatformConfig, Turbine
     from repro.workloads import TrafficDriver
@@ -191,6 +193,8 @@ def build_platform(
         config=PlatformConfig(num_shards=32, containers_per_host=2),
     )
     platform.attach_scaler()
+    if capacity_manager:
+        platform.attach_capacity_manager()
     platform.attach_health_reporter()
     platform.attach_slo()
     platform.attach_chaos()
@@ -223,18 +227,16 @@ def run_scenario(
     seed: int = 0,
     warmup: Seconds = WARMUP,
     replicas: Optional[int] = None,
-    durable_checkpoints: Optional[bool] = None,
-    hot_standby: Optional[bool] = None,
-    slow_node_detection: Optional[bool] = None,
+    control: bool = False,
 ) -> ScenarioResult:
     """Run one named (or inline) scenario on a fresh platform.
 
     ``replicas`` overrides the replica-set size; passing it also forces
-    replication on for scenarios that do not require it. The three
-    resiliency overrides default to the scenario's own flags; passing
-    ``False`` for all of them is the control arm (``repro chaos
-    --control``) that shows what the same fault costs without the
-    feature.
+    replication on for scenarios that do not require it. ``control``
+    leaves every plane the scenario asks for unattached (checkpoints,
+    standbys, slow-node detection, Capacity Manager): the control arm
+    (``repro chaos --control``) that shows what the same fault costs
+    without the feature.
     """
     scenario: ChaosScenario = (
         name_or_scenario
@@ -242,20 +244,15 @@ def run_scenario(
         else get_scenario(name_or_scenario)
     )
 
-    def _flag(override: Optional[bool], default: bool) -> bool:
-        return default if override is None else override
-
+    planes = not control
     platform = build_platform(
         seed,
         replication=scenario.replication or replicas is not None,
         replicas=replicas,
-        durable_checkpoints=_flag(
-            durable_checkpoints, scenario.durable_checkpoints
-        ),
-        hot_standby=_flag(hot_standby, scenario.hot_standby),
-        slow_node_detection=_flag(
-            slow_node_detection, scenario.slow_node_detection
-        ),
+        durable_checkpoints=planes and scenario.durable_checkpoints,
+        hot_standby=planes and scenario.hot_standby,
+        slow_node_detection=planes and scenario.slow_node_detection,
+        capacity_manager=planes and scenario.capacity_manager,
     )
     platform.run_for(seconds=warmup)
     started_at = platform.now

@@ -39,14 +39,19 @@ The registry covers the degraded modes the paper calls out:
 * ``gray-node-drain`` — a host degrades to a fraction of its throughput
   without failing a single health check; the slow-node detector drains
   the gray containers so shards migrate to healthy hosts.
+* ``container-partition`` — one host's Task Managers lose the Shard
+  Manager and reboot before their fail-over (section IV-C);
+* ``capacity-squeeze`` — a host loss overfills the cluster and the
+  Capacity Manager stops, then resumes, the lowest-priority job (V-F).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Tuple
 
-from repro.types import Seconds
+from repro.types import Priority, Seconds
 
 #: Fault kinds the chaos engine knows how to inject.
 FAULT_KINDS = (
@@ -62,6 +67,7 @@ FAULT_KINDS = (
     "repl-log-trim",
     "checkpoint-wipe",
     "slow-node",
+    "container-partition",
 )
 
 #: Recovery watch kinds a measured fault can request.
@@ -108,14 +114,22 @@ class Fault:
     def __post_init__(self) -> None:
         if self.kind not in FAULT_KINDS:
             raise ValueError(f"unknown fault kind: {self.kind!r}")
-        if self.at < 0:
-            raise ValueError(f"fault time must be non-negative: {self.at}")
-        if self.duration is not None and self.duration <= 0:
-            raise ValueError(f"fault duration must be positive: {self.duration}")
+        if not (math.isfinite(self.at) and self.at >= 0):
+            raise ValueError(f"fault time must be finite and non-negative: {self.at}")
+        duration = self.duration
+        if duration is not None and not (math.isfinite(duration) and duration > 0):
+            raise ValueError(f"fault duration must be finite and positive: {duration}")
+        if self.kind == "slow-node" and not 0.0 <= self.slow_factor <= 1.0:
+            raise ValueError(f"slow-node factor must be in [0, 1]: {self.slow_factor}")
         if self.watch not in WATCH_KINDS:
             raise ValueError(
                 f"unknown watch kind {self.watch!r} (known: {WATCH_KINDS})"
             )
+
+    @property
+    def slow_factor(self) -> float:
+        """A ``slow-node`` fault's throughput factor (0.5 unless given)."""
+        return float((self.payload or {}).get("factor", 0.5))
 
     @property
     def key(self) -> str:
@@ -147,6 +161,8 @@ class ChaosScenario:
     hot_standby: bool = False
     #: Whether the gray-failure (slow-node) detector is attached.
     slow_node_detection: bool = False
+    #: Whether the Capacity Manager (section V-F) is attached.
+    capacity_manager: bool = False
     #: The documented recovery bound for this scenario's worst measured
     #: fault, in seconds (``None`` = no published bound). Rendered by
     #: ``repro chaos list`` and asserted at ``--seed 7`` by the tier-1
@@ -369,6 +385,59 @@ def _gray_node_drain() -> ChaosScenario:
     )
 
 
+def _container_partition() -> ChaosScenario:
+    return ChaosScenario(
+        name="container-partition",
+        description=(
+            "host-0's Task Managers lose the Shard Manager for 3 min while "
+            "their tasks keep running. Each reboots 40 s after its first "
+            "failed heartbeat, before the 60 s fail-over starts its shards "
+            "elsewhere, so no task runs twice (paper IV-C)."
+        ),
+        faults=(
+            Fault("container-partition", at=30.0, duration=180.0,
+                  target="host-0"),
+        ),
+        expected_max_mttr=10.0,
+    )
+
+
+def _squeeze_patch(priority: Priority, memory_gb: float) -> Dict[str, object]:
+    return {
+        "priority": int(priority),
+        "task_count": 16,
+        "resources": {"cpu": 0.5, "memory_gb": memory_gb},
+    }
+
+
+def _capacity_squeeze() -> ChaosScenario:
+    return ChaosScenario(
+        name="capacity-squeeze",
+        description=(
+            "Oncall patches fill 0.75 of the cluster (16 tasks a job; HIGH "
+            "and NORMAL at 20 GB a task, LOW at 8 GB), then host-1 dies "
+            "for 10 min and utilization reads 1.0. The Capacity Manager "
+            "stops the LOW job, never a HIGH one, and resumes it once the "
+            "host is back (paper V-F); MTTR runs until it runs again."
+        ),
+        faults=(
+            Fault("oncall-patch", at=30.0, target="chaos/job-0",
+                  payload=_squeeze_patch(Priority.HIGH, 20.0), measure=False),
+            Fault("oncall-patch", at=30.0, target="chaos/job-1",
+                  payload=_squeeze_patch(Priority.NORMAL, 20.0),
+                  measure=False),
+            Fault("oncall-patch", at=30.0, target="chaos/job-2",
+                  payload=_squeeze_patch(Priority.LOW, 8.0), measure=False),
+            Fault("host-failure", at=320.0, duration=600.0, target="host-1"),
+        ),
+        horizon=1500.0,
+        capacity_manager=True,
+        # The resume waits for the next Capacity Manager round (300 s),
+        # the restarted tasks for a refresh (60 s) and a watch tick (5 s).
+        expected_max_mttr=365.0,
+    )
+
+
 #: Name → scenario. The registry is rebuilt per call so scenario tuples
 #: can never be mutated by one run and leak into the next.
 def all_scenarios() -> Dict[str, ChaosScenario]:
@@ -384,6 +453,8 @@ def all_scenarios() -> Dict[str, ChaosScenario]:
         _checkpoint_restore_vs_cold_restart(),
         _standby_takeover(),
         _gray_node_drain(),
+        _container_partition(),
+        _capacity_squeeze(),
     )
     return {scenario.name: scenario for scenario in scenarios}
 

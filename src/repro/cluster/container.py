@@ -43,8 +43,6 @@ class TurbineContainer:
         if self.capacity.any_negative():
             raise ClusterError(f"container {container_id} has negative capacity")
         self.host_id: Optional[HostId] = None
-        #: Region inherited from the host at attach time.
-        self.region: str = "default"
         self.alive = True
         #: Per-task resource reservations of the child containers.
         self.reservations: Dict[TaskId, ResourceVector] = {}

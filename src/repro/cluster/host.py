@@ -28,15 +28,11 @@ class Host:
         self,
         host_id: HostId,
         capacity: Optional[ResourceVector] = None,
-        region: str = "default",
     ) -> None:
         self.host_id = host_id
         self.capacity = capacity if capacity is not None else DEFAULT_HOST_CAPACITY
         if self.capacity.any_negative():
             raise ClusterError(f"host {host_id} has negative capacity")
-        #: Region/datacenter label; the balancer can pin shards to regions
-        #: (the Scuba fleet runs "in three replicated regions", section VI).
-        self.region = region
         self.alive = True
         self.containers: Dict[ContainerId, TurbineContainer] = {}
 
@@ -77,7 +73,6 @@ class Host:
                 f"{self.host_id} (free={self.free!r})"
             )
         container.host_id = self.host_id
-        container.region = self.region
         self.containers[container.container_id] = container
 
     # ------------------------------------------------------------------

@@ -40,12 +40,11 @@ class TupperwareCluster:
         self,
         host_id: HostId,
         capacity: Optional[ResourceVector] = None,
-        region: str = "default",
     ) -> Host:
         """Register a new physical host."""
         if host_id in self.hosts:
             raise ClusterError(f"host {host_id} already exists")
-        host = Host(host_id, capacity, region=region)
+        host = Host(host_id, capacity)
         self.hosts[host_id] = host
         return host
 

@@ -167,10 +167,6 @@ class JobService:
         """The merged expected configuration as a typed, immutable view."""
         return self._store.view(job_id)
 
-    def running_config(self, job_id: JobId) -> Config:
-        """The configuration the cluster is currently executing."""
-        return self._store.read_running(job_id).config
-
     def job_ids(self) -> "list[JobId]":
         """All managed jobs (sorted)."""
         return self._store.job_ids()

@@ -329,7 +329,7 @@ class Turbine:
             self.engine, self, telemetry=self.telemetry
         ))
 
-    def attach_capacity_manager(self, capacity_config=None):
+    def attach_capacity_manager(self):
         """Attach the Capacity Manager (requires an attached scaler)."""
         from repro.scaler.capacity import CapacityManager
 
@@ -337,7 +337,7 @@ class Turbine:
             raise RuntimeError("attach_scaler must be called first")
         return self._attach("capacity_manager", lambda: CapacityManager(
             self.engine, self.cluster, self.job_service, self.scaler,
-            self.actuator, config=capacity_config,
+            self.actuator,
         ))
 
     # ------------------------------------------------------------------

@@ -14,7 +14,6 @@ section V-F).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.obs.bounded import BoundedList
@@ -27,24 +26,23 @@ from repro.scaler.proactive import AutoScaler
 from repro.sim.engine import Engine, Timer
 from repro.types import IncidentRecord, JobId, JobState, Priority, Seconds
 
+#: Evaluation period.
+INTERVAL: Seconds = 300.0
 
-@dataclass
-class CapacityConfig:
-    """Thresholds of the capacity manager."""
+#: Dominant-share cluster utilization above which only privileged jobs may
+#: scale up.
+PRESSURE_THRESHOLD: float = 0.80
 
-    #: Evaluation period.
-    interval: Seconds = 300.0
-    #: Dominant-share cluster utilization above which only privileged jobs
-    #: may scale up.
-    pressure_threshold: float = 0.80
-    #: Utilization above which the cluster is "unstable" and low-priority
-    #: jobs are stopped.
-    instability_threshold: float = 0.95
-    #: Priority floor imposed under pressure.
-    pressure_floor: Priority = Priority.HIGH
-    #: Retained ``CapacityManager.events`` audit records (bounded so endless
-    #: pressure flapping in soak tests cannot grow memory without limit).
-    event_retention: int = 10_000
+#: Utilization above which the cluster is "unstable" and low-priority jobs
+#: are stopped.
+INSTABILITY_THRESHOLD: float = 0.95
+
+#: Priority floor imposed under pressure.
+PRESSURE_FLOOR: Priority = Priority.HIGH
+
+#: Retained ``CapacityManager.events`` audit records (bounded so endless
+#: pressure flapping in soak tests cannot grow memory without limit).
+EVENT_RETENTION: int = 10_000
 
 
 class CapacityManager:
@@ -57,27 +55,26 @@ class CapacityManager:
         job_service: JobService,
         scaler: AutoScaler,
         actuator: TaskActuator,
-        config: Optional[CapacityConfig] = None,
     ) -> None:
         self._engine = engine
         self._cluster = cluster
         self._service = job_service
         self._scaler = scaler
         self._actuator = actuator
-        self.config = config or CapacityConfig()
         #: Audit records: what the capacity manager did and when
         #: ("pressure_on" | "pressure_off" | "job_stopped" | "job_resumed").
         self.events: List[IncidentRecord] = BoundedList(
-            maxlen=self.config.event_retention
+            maxlen=EVENT_RETENTION
         )
         self.stopped_jobs: List[JobId] = []
-        self._pressure = False
+        #: True while only privileged jobs may scale up.
+        self.under_pressure = False
         self._timer: Optional[Timer] = None
 
     def start(self) -> None:
         if self._timer is None:
             self._timer = self._engine.every(
-                self.config.interval, self.run_once, name="capacity-manager"
+                INTERVAL, self.run_once, name="capacity-manager"
             )
 
     def forget_job(self, job_id: JobId) -> None:
@@ -105,10 +102,10 @@ class CapacityManager:
             # pressure decisions wait for the next round (degraded mode).
             return
         utilization = self.cluster_utilization()
-        if utilization >= self.config.instability_threshold:
+        if utilization >= INSTABILITY_THRESHOLD:
             self._enter_pressure(utilization)
             self._shed_low_priority(utilization)
-        elif utilization >= self.config.pressure_threshold:
+        elif utilization >= PRESSURE_THRESHOLD:
             self._enter_pressure(utilization)
         else:
             self._exit_pressure(utilization)
@@ -118,10 +115,10 @@ class CapacityManager:
     # Pressure signalling to the Auto Scaler
     # ------------------------------------------------------------------
     def _enter_pressure(self, utilization: float) -> None:
-        if self._pressure:
+        if self.under_pressure:
             return
-        self._pressure = True
-        self._scaler.priority_floor = self.config.pressure_floor
+        self.under_pressure = True
+        self._scaler.priority_floor = PRESSURE_FLOOR
         self.events.append(
             IncidentRecord(
                 self._engine.now, "pressure_on",
@@ -130,9 +127,9 @@ class CapacityManager:
         )
 
     def _exit_pressure(self, utilization: float) -> None:
-        if not self._pressure:
+        if not self.under_pressure:
             return
-        self._pressure = False
+        self.under_pressure = False
         self._scaler.priority_floor = Priority.LOW
         self.events.append(
             IncidentRecord(
@@ -156,7 +153,7 @@ class CapacityManager:
             for job_id in self._service.active_job_ids()
         )
         for priority, job_id in candidates:
-            if self.cluster_utilization() < self.config.instability_threshold:
+            if self.cluster_utilization() < INSTABILITY_THRESHOLD:
                 return
             if priority >= Priority.HIGH:
                 break  # never stop privileged jobs
@@ -173,22 +170,18 @@ class CapacityManager:
     def _maybe_resume_stopped(self) -> None:
         """Bring back jobs we stopped, once there is room again."""
         while self.stopped_jobs:
-            if self.cluster_utilization() >= self.config.pressure_threshold:
+            if self.cluster_utilization() >= PRESSURE_THRESHOLD:
                 return
             job_id = self.stopped_jobs.pop(0)
             if not self._service.store.exists(job_id):
                 continue
             self._service.store.set_state(job_id, JobState.RUNNING)
-            # Re-publishing the config makes the State Syncer re-create
-            # the job's tasks on its next round.
-            self._bump_for_resync(job_id)
+            # Invalidating the running config makes the State Syncer
+            # re-create the job's tasks on its next round.
+            self._service.store.commit_running(job_id, {})
             self.events.append(
                 IncidentRecord(self._engine.now, "job_resumed", job_id)
             )
-
-    def _bump_for_resync(self, job_id: str) -> None:
-        """Invalidate the running config so the syncer restarts the job."""
-        self._service.store.commit_running(job_id, {})
 
     # ------------------------------------------------------------------
     # Host transfer (storm drills)
@@ -204,7 +197,3 @@ class CapacityManager:
             self._cluster.remove_host(host.host_id)
             lent.append(host.host_id)
         return lent
-
-    @property
-    def under_pressure(self) -> bool:
-        return self._pressure

@@ -41,10 +41,6 @@ class AssignmentChange:
         default_factory=list
     )
 
-    @property
-    def num_moves(self) -> int:
-        return len(self.moves)
-
 
 def _scalar_load(
     load: ResourceVector, reference_capacity: ResourceVector
@@ -62,8 +58,6 @@ def compute_assignment(
     shard_loads: Mapping[ShardId, ResourceVector],
     container_capacities: Mapping[ContainerId, ResourceVector],
     current: Optional[Mapping[ShardId, ContainerId]] = None,
-    container_regions: Optional[Mapping[ContainerId, str]] = None,
-    shard_regions: Optional[Mapping[ShardId, str]] = None,
 ) -> AssignmentChange:
     """Produce a balanced shard-to-container assignment.
 
@@ -72,34 +66,19 @@ def compute_assignment(
         container_capacities: capacity of every live container.
         current: the existing assignment (shards on dead containers are
             treated as unassigned).
-        container_regions: optional region label per container.
-        shard_regions: optional region *requirement* per shard — a shard
-            with a region is only ever placed on containers of that region
-            ("The algorithm also ensures additional constraints are
-            satisfied, e.g. ... satisfying regional constraints",
-            paper section IV-B).
 
     Returns:
         The new assignment plus the move list.
 
     Raises:
-        PlacementError: no containers, or a
-            regional constraint that no container can satisfy.
+        PlacementError: no containers.
     """
     if not container_capacities:
         raise PlacementError("cannot place shards on zero containers")
     current = current or {}
-    container_regions = container_regions or {}
-    shard_regions = shard_regions or {}
 
     container_ids = sorted(container_capacities)
     reference = _reference_capacity(container_capacities)
-
-    def eligible(shard_id: ShardId, container_id: ContainerId) -> bool:
-        required = shard_regions.get(shard_id)
-        if required is None:
-            return True
-        return container_regions.get(container_id) == required
 
     scalar_loads = {
         shard_id: _scalar_load(load, reference)
@@ -107,7 +86,7 @@ def compute_assignment(
     }
     sorted_shards = sorted(shard_loads)
 
-    # Phase 1 — keep valid existing placements (region-compatible only).
+    # Phase 1 — keep valid existing placements.
     placed: Dict[ShardId, ContainerId] = {}
     container_load: Dict[ContainerId, float] = {
         container_id: 0.0 for container_id in container_ids
@@ -118,7 +97,7 @@ def compute_assignment(
     unassigned: List[ShardId] = []
     for shard_id in sorted_shards:
         container_id = current.get(shard_id)
-        if container_id in container_load and eligible(shard_id, container_id):
+        if container_id in container_load:
             placed[shard_id] = container_id
             container_load[container_id] += scalar_loads[shard_id]
             shards_on[container_id].append(shard_id)
@@ -126,43 +105,13 @@ def compute_assignment(
             unassigned.append(shard_id)
 
     # Phase 2 — place unassigned shards, heaviest first, on the least
-    # loaded *eligible* container. Per-region heaps with lazy staleness
-    # checks keep this O(n log n) even with constraints.
+    # loaded container (a heap keeps this O(n log n)).
     moves: List[Tuple[ShardId, Optional[ContainerId], ContainerId]] = []
-    heaps: Dict[Optional[str], list] = {}
-
-    def heap_for(region: Optional[str]) -> list:
-        if region not in heaps:
-            if region is None:
-                members = container_ids
-            else:
-                members = [
-                    cid for cid in container_ids
-                    if container_regions.get(cid) == region
-                ]
-            heap = [(container_load[cid], cid) for cid in members]
-            heapq.heapify(heap)
-            heaps[region] = heap
-        return heaps[region]
-
+    heap = [(container_load[cid], cid) for cid in container_ids]
+    heapq.heapify(heap)
     unassigned.sort(key=lambda shard_id: (-scalar_loads[shard_id], shard_id))
     for shard_id in unassigned:
-        region = shard_regions.get(shard_id)
-        heap = heap_for(region)
-        container_id = None
-        while heap:
-            load, candidate = heapq.heappop(heap)
-            if abs(container_load[candidate] - load) > 1e-12:
-                # Stale entry (the load changed via another region heap):
-                # push the fresh value and re-examine.
-                heapq.heappush(heap, (container_load[candidate], candidate))
-                continue
-            container_id = candidate
-            break
-        if container_id is None:
-            raise PlacementError(
-                f"no container satisfies region {region!r} for {shard_id}"
-            )
+        __, container_id = heapq.heappop(heap)
         placed[shard_id] = container_id
         new_load = container_load[container_id] + scalar_loads[shard_id]
         container_load[container_id] = new_load
@@ -173,7 +122,6 @@ def compute_assignment(
     # Phase 3 — drain containers above the band into containers below it.
     _rebalance_within_band(
         container_load, shards_on, scalar_loads, placed, moves, BAND,
-        eligible=eligible,
     )
     return AssignmentChange(assignment=placed, moves=moves)
 
@@ -195,7 +143,6 @@ def _rebalance_within_band(
     placed: Dict[ShardId, ContainerId],
     moves: List[Tuple[ShardId, Optional[ContainerId], ContainerId]],
     band: float,
-    eligible=None,
 ) -> None:
     """Move shards off overloaded containers until all are inside the band.
 
@@ -233,8 +180,6 @@ def _rebalance_within_band(
             load = scalar_loads[shard_id]
             if load <= 0:
                 continue
-            if eligible is not None and not eligible(shard_id, coldest):
-                continue  # regional constraint pins this shard here
             overshoot = abs(excess - load)
             key = (load > excess, overshoot, shard_id)
             if best_key is None or key < best_key:

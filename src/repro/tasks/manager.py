@@ -51,7 +51,9 @@ from repro.types import (
 #: seconds) fetch from the Task Service."
 REFRESH_INTERVAL: Seconds = 60.0
 
-#: "timeout is configured to 40 seconds, fail-over is 60 seconds".
+#: "timeout is configured to 40 seconds, fail-over is 60 seconds". Read
+#: at each heartbeat, so a test patches the module constant to run a
+#: manager past the fail-over (90 s shows the duplicate it prevents).
 CONNECTION_TIMEOUT: Seconds = 40.0
 
 #: Heartbeat period (must be well under the connection timeout).
@@ -171,7 +173,6 @@ class TaskManager:
         scribe: ScribeBus,
         metrics: Optional[MetricStore] = None,
         heartbeat_interval: Seconds = HEARTBEAT_INTERVAL,
-        connection_timeout: Seconds = CONNECTION_TIMEOUT,
         tracer: Optional[Tracer] = None,
         telemetry: Optional[Telemetry] = None,
         task_hosts: Optional[Dict[JobId, Dict[TaskId, Set[ContainerId]]]] = None,
@@ -186,7 +187,6 @@ class TaskManager:
         self._scribe = scribe
         self._metrics = metrics
         self._heartbeat_interval = heartbeat_interval
-        self._connection_timeout = connection_timeout
 
         self.assigned_shards: set = set()
         #: Primaries hosted here (each carries its ``shard_id``), in start
@@ -273,11 +273,6 @@ class TaskManager:
     @property
     def capacity(self) -> ResourceVector:
         return self.container.capacity
-
-    @property
-    def region(self) -> str:
-        """Region of the underlying host (for regional placement)."""
-        return self.container.region
 
     @property
     def alive(self) -> bool:
@@ -570,7 +565,7 @@ class TaskManager:
         if self._outage_started is None:
             self._outage_started = now
             return
-        if now - self._outage_started >= self._connection_timeout:
+        if now - self._outage_started >= CONNECTION_TIMEOUT:
             self.reboot()
 
     def reboot(self) -> None:
@@ -591,6 +586,11 @@ class TaskManager:
             self.tasks or self.standbys
         ):
             return
+        if self._tracer.enabled:
+            self._tracer.record(
+                "task-manager", "reboot", container=self.container_id,
+                tasks=len(self.tasks), shards=len(self.assigned_shards),
+            )
         self._unhost_all(self._hosted())
         self.assigned_shards.clear()
         self._changed()

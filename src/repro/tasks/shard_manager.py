@@ -90,9 +90,6 @@ class ShardManager:
         self.assignment: Dict[ShardId, ContainerId] = {}
         #: Latest reported loads.
         self.shard_loads: Dict[ShardId, ResourceVector] = {}
-        #: Regional placement requirements per shard (section IV-B:
-        #: "satisfying regional constraints").
-        self.shard_regions: Dict[ShardId, str] = {}
         self._managers: Dict[ContainerId, "TaskManager"] = {}
         self._heartbeats: Dict[ContainerId, Seconds] = {}
         self._tracer = tracer or NULL_TRACER
@@ -200,13 +197,6 @@ class ShardManager:
             raise ServiceUnavailableError("Shard Manager is unavailable")
         self.shard_loads[shard_id] = load
 
-    def pin_shard_to_region(self, shard_id: ShardId, region: str) -> None:
-        """Require a shard to live on containers of the given region."""
-        self.shard_regions[shard_id] = region
-
-    def unpin_shard(self, shard_id: ShardId) -> None:
-        self.shard_regions.pop(shard_id, None)
-
     # ------------------------------------------------------------------
     # Periodic operation
     # ------------------------------------------------------------------
@@ -278,24 +268,13 @@ class ShardManager:
             for shard_id, owner in self.assignment.items()
             if owner in live
         }
-        return self._compute_placement(
+        return compute_assignment(
             {
                 shard_id: self.shard_loads.get(shard_id, DEFAULT_SHARD_LOAD)
                 for shard_id in (*current, *shard_ids)
             },
             {cid: manager.capacity for cid, manager in live.items()},
-            current,
-            container_regions={
-                cid: manager.region for cid, manager in live.items()
-            },
-        )
-
-    def _compute_placement(self, loads, capacities, current, container_regions):
-        """Run the balancer with this manager's shard regions."""
-        return compute_assignment(
-            loads, capacities, current=current,
-            container_regions=container_regions,
-            shard_regions=self.shard_regions,
+            current=current,
         )
 
     def _move_shard(
@@ -375,10 +354,13 @@ class ShardManager:
     def _fail_over_container(self, container_id: ContainerId) -> None:
         """Move every shard off a failed container onto live ones.
 
-        If the container is still alive (an unresponsive-but-running
-        Turbine container, e.g. a timed-out ADD_SHARD), it is rebooted
-        first so its old tasks stop before their shards start elsewhere —
-        otherwise the fail-over itself would create duplicates.
+        If the container is still alive and this manager can reach it
+        (an unresponsive-but-running Turbine container, e.g. a timed-out
+        ADD_SHARD), it is rebooted first so its old tasks stop before
+        their shards start elsewhere. A container cut off by a network
+        partition cannot be told to reboot: its own 40 s connection
+        timeout, shorter than the 60 s fail-over, must already have
+        stopped its tasks (section IV-C).
         """
         manager = self._managers.get(container_id)
         orphaned = self.shards_of(container_id)
@@ -398,7 +380,7 @@ class ShardManager:
                 }),
             )
         self._telemetry.inc("shard_manager.failovers")
-        if manager is not None and manager.alive:
+        if manager is not None and manager.alive and not manager.partitioned:
             manager.reboot()
         self.unregister_container(container_id)
         live = self._live_containers()
@@ -484,10 +466,16 @@ class ShardManager:
         ]
 
     def _live_containers(self) -> Dict[ContainerId, "TaskManager"]:
+        """Placement targets: alive, not drained, and heard from within
+        the fail-over interval — so one fail-over of a scan never hands
+        shards to another container the same scan is about to fail over
+        (two partitioned containers of one host go stale together)."""
+        now, heartbeats = self._engine.now, self._heartbeats
         return {
             container_id: manager
             for container_id, manager in self._managers.items()
             if manager.alive and container_id not in self.drained
+            and now - heartbeats[container_id] < FAILOVER_INTERVAL
         }
 
     def __repr__(self) -> str:

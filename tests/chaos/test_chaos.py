@@ -30,6 +30,10 @@ ACCEPTANCE_SCENARIOS = (
     "checkpoint-restore-vs-cold-restart",
     "standby-takeover",
     "gray-node-drain",
+    # Paper mechanisms with no plane switch of their own (deep assertions
+    # live in tests/chaos/test_paper_mechanism_drills.py)
+    "container-partition",
+    "capacity-squeeze",
 )
 
 
@@ -59,6 +63,30 @@ def test_fault_validation():
         Fault("job-store-outage", at=-1.0)
     with pytest.raises(ValueError):
         Fault("job-store-outage", at=0.0, duration=0.0)
+
+
+@pytest.mark.parametrize("at, duration", [
+    (float("nan"), None), (float("inf"), None),
+    (5.0, float("nan")), (5.0, float("inf")),
+])
+def test_fault_times_must_be_finite(at, duration):
+    """A NaN or infinite time passes a sign check; ``schedule`` would arm
+    the inject and then refuse the clear, leaving the host failed for
+    good."""
+    with pytest.raises(ValueError):
+        Fault("host-failure", at=at, duration=duration, target="host-1")
+
+
+@pytest.mark.parametrize("factor", [float("nan"), -1.0, 2.0, float("inf")])
+def test_slow_node_factor_must_be_a_fraction(factor):
+    """The throttle clamp reads NaN or -1 as a full stall and 2 or inf
+    as no fault at all."""
+    with pytest.raises(ValueError):
+        Fault("slow-node", at=0.0, duration=60.0, target="host-0",
+              payload={"factor": factor})
+    for edge in (0.0, 1.0):
+        Fault("slow-node", at=0.0, duration=60.0, target="host-0",
+              payload={"factor": edge})
 
 
 @pytest.mark.parametrize("name", ACCEPTANCE_SCENARIOS)

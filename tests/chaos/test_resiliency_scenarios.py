@@ -23,11 +23,7 @@ REBOOT_CLOCK_SECONDS = 40.0
 SEEDS = [101, 202, 303]
 
 #: Control arm: the same fault with every resiliency feature forced off.
-CONTROL = {
-    "durable_checkpoints": False,
-    "hot_standby": False,
-    "slow_node_detection": False,
-}
+CONTROL = {"control": True}
 
 
 # ----------------------------------------------------------------------

@@ -12,10 +12,17 @@ and B's scaler resumes scaling unprivileged jobs.
 
 import pytest
 
+import repro.scaler.capacity
 from repro import JobSpec, PlatformConfig, ResourceVector, Turbine
-from repro.scaler.capacity import CapacityConfig
 from repro.types import Priority
 from repro.workloads import TrafficDriver
+
+
+@pytest.fixture(autouse=True)
+def eager_capacity_manager(monkeypatch):
+    monkeypatch.setattr(repro.scaler.capacity, "INTERVAL", 120.0)
+    monkeypatch.setattr(repro.scaler.capacity, "PRESSURE_THRESHOLD", 0.30)
+    monkeypatch.setattr(repro.scaler.capacity, "INSTABILITY_THRESHOLD", 0.9)
 
 
 def build_cluster(num_hosts, seed):
@@ -24,10 +31,7 @@ def build_cluster(num_hosts, seed):
         config=PlatformConfig(num_shards=32, containers_per_host=2),
     )
     platform.attach_scaler()
-    platform.attach_capacity_manager(
-        CapacityConfig(interval=120.0, pressure_threshold=0.30,
-                       instability_threshold=0.9)
-    )
+    platform.attach_capacity_manager()
     platform.start()
     return platform
 

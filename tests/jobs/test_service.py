@@ -130,7 +130,7 @@ class TestUpdates:
 class TestReads:
     def test_running_config_initially_empty(self):
         service = service_with_job()
-        assert service.running_config("scuba/ads") == {}
+        assert service.store.read_running("scuba/ads").config == {}
 
     def test_active_jobs_excludes_quarantined(self):
         service = service_with_job()

@@ -49,9 +49,8 @@ def armed():
         patch.setattr(Engine, "every", every)
         platform = build_platform(
             7, replication=True, durable_checkpoints=True,
-            hot_standby=True, slow_node_detection=True,
+            hot_standby=True, slow_node_detection=True, capacity_manager=True,
         )
-        platform.attach_capacity_manager()
         platform.run_for(minutes=5)
         for scenario in sorted(all_scenarios()):
             run_scenario(scenario, seed=7)

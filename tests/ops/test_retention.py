@@ -7,13 +7,14 @@ append-only record list must be bounded, and windowed queries (like
 
 import repro.jobs.syncer
 import repro.ops.health
+import repro.scaler.capacity
 import repro.tasks.shard_manager
 from repro import PlatformConfig, Turbine
 from repro.jobs.store import JobStore
 from repro.jobs.syncer import StateSyncer
 from repro.obs.bounded import BoundedList
 from repro.ops.health import HealthReporter
-from repro.scaler.capacity import CapacityConfig, CapacityManager
+from repro.scaler.capacity import CapacityManager
 from repro.sim.engine import Engine
 from repro.tasks.shard_manager import FailoverEvent, ShardManager
 
@@ -48,11 +49,9 @@ def test_health_reports_and_alerts_are_bounded(monkeypatch):
     assert reporter.reports[-1].time == platform.now
 
 
-def test_capacity_events_are_bounded():
-    manager = CapacityManager(
-        None, None, None, None, None,
-        config=CapacityConfig(event_retention=7),
-    )
+def test_capacity_events_are_bounded(monkeypatch):
+    monkeypatch.setattr(repro.scaler.capacity, "EVENT_RETENTION", 7)
+    manager = CapacityManager(None, None, None, None, None)
     assert isinstance(manager.events, BoundedList)
     assert manager.events.maxlen == 7
 

@@ -1,21 +1,33 @@
-"""Tests for the Capacity Manager."""
+"""Tests for the Capacity Manager.
+
+The thresholds are module constants; these tests lower them (and the
+period) so a two-host platform crosses them with a few small jobs. The
+``capacity-squeeze`` drill runs the Manager at its defaults.
+"""
 
 import pytest
 
+import repro.scaler.capacity
 from repro import JobSpec, PlatformConfig, ResourceVector, Turbine
-from repro.scaler.capacity import CapacityConfig
 from repro.types import JobState, Priority
 
 
-def capacity_platform(num_hosts=2, seed=9, **capacity_kw):
-    config = PlatformConfig(num_shards=16, containers_per_host=2)
-    platform = Turbine.create(num_hosts=num_hosts, seed=seed, config=config)
-    platform.attach_scaler()
-    platform.attach_capacity_manager(
-        CapacityConfig(interval=120.0, **capacity_kw)
-    )
-    platform.start()
-    return platform
+@pytest.fixture
+def capacity_platform(monkeypatch):
+    def build(num_hosts=2, seed=9, pressure=None, instability=None):
+        module = repro.scaler.capacity
+        monkeypatch.setattr(module, "INTERVAL", 120.0)
+        if pressure is not None:
+            monkeypatch.setattr(module, "PRESSURE_THRESHOLD", pressure)
+        if instability is not None:
+            monkeypatch.setattr(module, "INSTABILITY_THRESHOLD", instability)
+        config = PlatformConfig(num_shards=16, containers_per_host=2)
+        platform = Turbine.create(num_hosts=num_hosts, seed=seed, config=config)
+        platform.attach_scaler()
+        platform.attach_capacity_manager()
+        platform.start()
+        return platform
+    return build
 
 
 def provision_heavy(platform, job_id, priority, tasks=8, memory=5.0):
@@ -28,7 +40,7 @@ def provision_heavy(platform, job_id, priority, tasks=8, memory=5.0):
     )
 
 
-def test_utilization_reflects_reservations():
+def test_utilization_reflects_reservations(capacity_platform):
     platform = capacity_platform()
     assert platform.capacity_manager.cluster_utilization() == 0.0
     provision_heavy(platform, "job", Priority.NORMAL)
@@ -36,8 +48,8 @@ def test_utilization_reflects_reservations():
     assert platform.capacity_manager.cluster_utilization() > 0.0
 
 
-def test_pressure_sets_priority_floor():
-    platform = capacity_platform(pressure_threshold=0.05)
+def test_pressure_sets_priority_floor(capacity_platform):
+    platform = capacity_platform(pressure=0.05)
     provision_heavy(platform, "job", Priority.NORMAL)
     platform.run_for(minutes=6)
     assert platform.capacity_manager.under_pressure
@@ -46,8 +58,8 @@ def test_pressure_sets_priority_floor():
     assert "pressure_on" in kinds
 
 
-def test_pressure_releases_when_load_drops():
-    platform = capacity_platform(pressure_threshold=0.05)
+def test_pressure_releases_when_load_drops(capacity_platform):
+    platform = capacity_platform(pressure=0.05)
     provision_heavy(platform, "job", Priority.NORMAL)
     platform.run_for(minutes=6)
     assert platform.capacity_manager.under_pressure
@@ -59,10 +71,8 @@ def test_pressure_releases_when_load_drops():
     assert platform.scaler.priority_floor == Priority.LOW
 
 
-def test_instability_stops_lowest_priority_first():
-    platform = capacity_platform(
-        pressure_threshold=0.03, instability_threshold=0.06
-    )
+def test_instability_stops_lowest_priority_first(capacity_platform):
+    platform = capacity_platform(pressure=0.03, instability=0.06)
     provision_heavy(platform, "low-job", Priority.LOW, tasks=8)
     provision_heavy(platform, "high-job", Priority.HIGH, tasks=2)
     platform.run_for(minutes=6)
@@ -73,19 +83,15 @@ def test_instability_stops_lowest_priority_first():
     assert platform.job_store.state_of("high-job") == JobState.RUNNING
 
 
-def test_privileged_jobs_never_stopped():
-    platform = capacity_platform(
-        pressure_threshold=0.01, instability_threshold=0.02
-    )
+def test_privileged_jobs_never_stopped(capacity_platform):
+    platform = capacity_platform(pressure=0.01, instability=0.02)
     provision_heavy(platform, "critical", Priority.CRITICAL, tasks=8)
     platform.run_for(minutes=6)
     assert platform.job_store.state_of("critical") == JobState.RUNNING
 
 
-def test_stopped_jobs_resume_when_capacity_returns():
-    platform = capacity_platform(
-        pressure_threshold=0.04, instability_threshold=0.10
-    )
+def test_stopped_jobs_resume_when_capacity_returns(capacity_platform):
+    platform = capacity_platform(pressure=0.04, instability=0.10)
     provision_heavy(platform, "low-job", Priority.LOW, tasks=8)
     provision_heavy(platform, "high-job", Priority.HIGH, tasks=4, memory=3.0)
     platform.run_for(minutes=6)
@@ -99,7 +105,7 @@ def test_stopped_jobs_resume_when_capacity_returns():
     assert platform.tasks_of_job("low-job"), "tasks re-created after resume"
 
 
-def test_lend_hosts_removes_from_cluster():
+def test_lend_hosts_removes_from_cluster(capacity_platform):
     platform = capacity_platform(num_hosts=4)
     lent = platform.capacity_manager.lend_hosts(2)
     assert len(lent) == 2

@@ -133,9 +133,12 @@ class TestFailover:
         platform.run_for(minutes=3)
         assert platform.shard_manager.failover_events, "failover must fire"
 
-    def test_partitioned_manager_reboots_before_failover(self):
-        """The 40 s connection timeout fires before the 60 s fail-over,
-        so no duplicate tasks can exist (section IV-C)."""
+    @staticmethod
+    def partition_and_sample():
+        """Partition one busy manager for 5 min; return it, the platform
+        and how many 1 s samples saw a task id in two containers."""
+        from repro.chaos import ConvergenceChecker
+
         platform = small_platform(num_hosts=3)
         provision_and_settle(
             platform, JobSpec(job_id="job", input_category="cat", task_count=8)
@@ -144,12 +147,32 @@ class TestFailover:
             manager for manager in platform.task_managers.values()
             if manager.running_task_ids()
         )
+        checker = ConvergenceChecker(platform)
         victim.partitioned = True
-        platform.run_for(minutes=5)
+        duplicated = 0
+        for __ in range(300):
+            platform.run_for(seconds=1.0)
+            duplicated += bool(checker.check().duplicates)
+        return platform, victim, duplicated
+
+    def test_partitioned_manager_reboots_before_failover(self):
+        """The 40 s connection timeout fires before the 60 s fail-over,
+        so no duplicate tasks can exist (section IV-C)."""
+        platform, victim, duplicated = self.partition_and_sample()
         assert victim.reboot_count >= 1
-        tasks = platform.running_tasks()
-        assert len(tasks) == len(set(tasks)), "no duplicates at any point"
+        assert duplicated == 0, "no duplicates at any point"
         assert len(platform.tasks_of_job("job")) == 8
+
+    def test_timeout_past_failover_duplicates_tasks(self, monkeypatch):
+        """The same partition with the timeout at 90 s, past the 60 s
+        fail-over: the victim's tasks run on while its shards restart
+        elsewhere, which is the split brain the 40 s value prevents."""
+        import repro.tasks.manager as manager_module
+
+        monkeypatch.setattr(manager_module, "CONNECTION_TIMEOUT", 90.0)
+        __, victim, duplicated = self.partition_and_sample()
+        assert duplicated > 0
+        assert victim.reboot_count >= 1
 
     def test_short_partition_keeps_shards(self):
         """A connection blip shorter than the timeout changes nothing."""

@@ -33,21 +33,6 @@ CALLERS = (ROOT / "src", ROOT / "benchmarks", ROOT / "examples")
 
 #: Knobs no call outside ``tests/`` sets, kept on purpose.
 ALLOWED: Dict[Tuple[str, str], str] = {
-    ("TaskManager", "connection_timeout"): (
-        "a planned container-partition drill runs a --control arm at 90 s, "
-        "past the Shard Manager's 60 s failover, to show the duplicate "
-        "task the 40 s timeout prevents"
-    ),
-    **{
-        ("CapacityConfig", name): (
-            "the Capacity Manager is either reached from a drill or deleted "
-            "as a whole; its config goes with that decision"
-        )
-        for name in (
-            "interval", "pressure_threshold", "instability_threshold",
-            "pressure_floor", "event_retention",
-        )
-    },
     ("PlatformConfig", "container_capacity"): (
         "the container shape is hardware, a deployment setting"
     ),
