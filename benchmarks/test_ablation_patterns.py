@@ -56,7 +56,7 @@ def run_scaler(pattern_history: bool):
         if action.action in (Action.DOWNSCALE, Action.UPSCALE_HORIZONTAL,
                              Action.UPSCALE_VERTICAL)
     ]
-    lag_series = platform.metrics.series("job", "time_lagged")
+    lag_series = platform.metrics.row("job")["time_lagged"]
     violations = sum(
         1 for __, value in lag_series.all_points() if value > 90.0
     )

@@ -1,45 +1,55 @@
-"""The metric store: named series per (entity, metric) pair.
+"""The metric store: one row of columns per entity.
 
 Entities are free-form strings — job ids, task ids, container ids, host ids
-— so one store serves every layer. Series are created on first write with
-:data:`DEFAULT_RETENTION`; callers with special needs (the pattern
-analyzer's 14 days) pass an explicit retention at creation.
+— so one store serves every layer. Each entity's metrics are one
+:class:`~repro.metrics.row.MetricRow`: the values a writer lands at one
+``now`` share one time slot, and each metric is a column of that row. A
+column keeps :data:`DEFAULT_RETENTION` of samples unless its metric was
+given its own with :meth:`MetricStore.retain` (the pattern analyzer's 14
+days of input rates).
 
-At fleet scale the store is on the simulation's hottest path, so it keeps
-two inverted indexes — entity → its series by metric, and metric →
-entities — updated on series creation/deletion, making ``entities_with``
-and ``drop_entity`` O(answer) instead of O(all series), and offers
-:meth:`record_many`, the batched ingestion path the task managers and
-collectors use to land one coalesced sample set per engine event instead
-of one store call per task. The first index is also the per-entity read
-path: :meth:`row` hands a reader every series of one entity in one lookup.
-Only writes create series; no read does.
+The store keeps one index, entity → row. It is the per-entity read path:
+:meth:`row` hands a reader every column of one entity in one lookup, and
+:meth:`drop_entity` forgets an entity in one pop. Only writes create
+columns; no read does. Writers land a whole row at once
+(:meth:`record_row`, the stats collector's per-job round) or a batch of
+``(entity, metric, value)`` samples at one time (:meth:`record_many`).
+Every write refuses a non-finite time or value before anything lands.
 """
 
 from __future__ import annotations
 
+import math
 from types import MappingProxyType
-from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
-from repro.metrics.series import TimeSeries
+from repro.metrics.row import Column, MetricRow
 from repro.types import Seconds
 
-#: Series retention when none is specified: two days, enough for every
+#: Column retention when none is specified: two days, enough for every
 #: trailing-window read in the paper except the pattern analyzer's.
 DEFAULT_RETENTION: Seconds = 2 * 24 * 3600.0
 
 #: The row of an entity nobody has written to.
-_NO_ROW: Mapping[str, TimeSeries] = MappingProxyType({})
+_NO_ROW: Mapping[str, Column] = MappingProxyType({})
+
+_isfinite = math.isfinite
+
+
+def _refuse(what: str, number) -> None:
+    raise ValueError(f"{what} must be finite: {number!r}")
 
 
 class MetricStore:
-    """All time series in one cluster."""
+    """All metric rows in one cluster."""
 
     def __init__(self) -> None:
-        self._series: Dict[Tuple[str, str], TimeSeries] = {}
-        #: Inverted indexes: entity -> {metric: series}, metric -> entities.
-        self._entity_index: Dict[str, Dict[str, TimeSeries]] = {}
-        self._metric_index: Dict[str, Set[str]] = {}
+        #: The one index: entity -> its row.
+        self._rows: Dict[str, MetricRow] = {}
+        #: metric -> retention of the columns created for it from now on.
+        self._retention: Dict[str, Seconds] = {}
+        #: The ``record_row`` metric tuples already checked for repeats.
+        self._row_shapes: Set[Tuple[str, ...]] = set()
         #: Optional telemetry sink (duck-typed ``.inc``, see
         #: :meth:`set_telemetry`); mechanism counters live under the
         #: ``metrics.*`` namespace, which the deterministic telemetry
@@ -65,109 +75,135 @@ class MetricStore:
         self.available = True
 
     # ------------------------------------------------------------------
-    # Series lifecycle
+    # Rows and retention
     # ------------------------------------------------------------------
-    def series(
-        self,
-        entity: str,
-        metric: str,
-        retention: Optional[Seconds] = None,
-    ) -> TimeSeries:
-        """The series for ``(entity, metric)``, created on first use."""
-        key = (entity, metric)
-        existing = self._series.get(key)
-        if existing is not None:
-            return existing
-        created = TimeSeries(
-            retention if retention is not None else DEFAULT_RETENTION
-        )
-        self._series[key] = created
-        self._entity_index.setdefault(entity, {})[metric] = created
-        self._metric_index.setdefault(metric, set()).add(entity)
-        return created
+    def retain(self, metric: str, retention: Seconds) -> None:
+        """Give every ``metric`` column created from now on ``retention``
+        seconds of samples instead of :data:`DEFAULT_RETENTION`."""
+        if not _isfinite(retention) or retention <= 0:
+            raise ValueError(f"retention must be positive and finite: {retention!r}")
+        self._retention[metric] = retention
+
+    def _row_for(self, entity: str) -> MetricRow:
+        row = self._rows.get(entity)
+        if row is None:
+            row = self._rows[entity] = MetricRow(self._retention, DEFAULT_RETENTION)
+        return row
 
     def drop_entity(self, entity: str) -> None:
-        """Forget every series of a deleted entity (O(its own series))."""
-        metrics = self._entity_index.pop(entity, None)
-        if not metrics:
-            return
-        for metric in metrics:
-            del self._series[(entity, metric)]
-            entities = self._metric_index.get(metric)
-            if entities is not None:
-                entities.discard(entity)
-                if not entities:
-                    del self._metric_index[metric]
+        """Forget every column of a deleted entity."""
+        self._rows.pop(entity, None)
 
     def entities_with(self, metric: str) -> List[str]:
-        """All entities that have ever reported ``metric`` (sorted)."""
-        return sorted(self._metric_index.get(metric, ()))
+        """All entities whose row holds ``metric`` (sorted; O(entities))."""
+        return sorted(
+            entity for entity, row in self._rows.items() if metric in row.columns
+        )
 
     # ------------------------------------------------------------------
     # Ingestion
     # ------------------------------------------------------------------
+    def _check_order(self, entity: str, time: Seconds) -> None:
+        row = self._rows.get(entity)
+        if row is not None and row.times and time < row.times[-1]:
+            raise ValueError(
+                f"samples must be time-ordered: {time} < {row.times[-1]}"
+            )
+
+    def _count(self, landed: int) -> None:
+        self.samples_ingested += landed
+        self.batches_ingested += 1
+        if self._telemetry is not None and landed:
+            self._telemetry.inc("metrics.ingest.batches")
+            self._telemetry.inc("metrics.ingest.samples", landed)
+
     def record(self, entity: str, metric: str, time: Seconds, value: float) -> None:
         """Append one sample (silently dropped while unavailable)."""
+        if not _isfinite(time):
+            _refuse("sample time", time)
+        if not _isfinite(value):
+            _refuse("sample value", value)
         if not self.available:
             self.dropped_points += 1
             return
-        self.series(entity, metric).record(time, value)
+        self._row_for(entity).append(time, (metric,), (value,))
         self.samples_ingested += 1
+
+    def record_row(
+        self,
+        entity: str,
+        time: Seconds,
+        metrics: Sequence[str],
+        values: Sequence[Optional[float]],
+    ) -> int:
+        """Append one row: ``values[i]`` as ``metrics[i]`` at ``time``, in one
+        time slot (``None``: the metric is absent from this row; no metric
+        may be named twice). Returns the number of samples ingested (0
+        while unavailable)."""
+        if not _isfinite(time):
+            _refuse("sample time", time)
+        metrics = tuple(metrics)  # the same object when it is one
+        if metrics not in self._row_shapes:
+            if len(set(metrics)) != len(metrics):
+                raise ValueError(f"a row names a metric twice: {metrics}")
+            self._row_shapes.add(metrics)
+        present = 0
+        for value in values:
+            if value is not None:
+                if not _isfinite(value):
+                    _refuse("sample value", value)
+                present += 1
+        if not self.available:
+            self.dropped_points += present
+            return 0
+        row = self._rows.get(entity)
+        if row is None:
+            row = self._rows[entity] = MetricRow(self._retention, DEFAULT_RETENTION)
+        landed = row.append(time, metrics, values)
+        self._count(landed)
+        return landed
 
     def record_many(
         self, time: Seconds, samples: Iterable[Tuple[str, str, float]]
     ) -> int:
         """Append a batch of ``(entity, metric, value)`` samples at ``time``.
 
-        The batched fast path: one availability check and one telemetry
-        update for the whole batch, series resolved straight off the key
-        dict. Callers coalesce per-entity sampling — the stats collector
-        lands one round's derived job metrics in a single call. Returns
-        the number of samples ingested (0 while unavailable).
+        One availability check and one telemetry update for the whole
+        batch; an entity's samples share its row's slot at ``time``. The
+        batch is checked whole before any sample lands. Returns the number
+        of samples ingested (0 while unavailable).
         """
+        if not _isfinite(time):
+            _refuse("sample time", time)
+        samples = list(samples)
+        for entity, __, value in samples:
+            self._check_order(entity, time)
+            if not _isfinite(value):
+                _refuse("sample value", value)
         if not self.available:
-            self.dropped_points += sum(1 for _ in samples)
+            self.dropped_points += len(samples)
             return 0
-        get = self._series.get
-        count = 0
         for entity, metric, value in samples:
-            series = get((entity, metric))
-            if series is None:
-                series = self.series(entity, metric)
-            # TimeSeries.record, inlined: no Python call per sample.
-            times = series._times
-            if times and time < times[-1]:
-                raise ValueError(
-                    f"samples must be time-ordered: {time} < {times[-1]}"
-                )
-            times.append(time)
-            series._values.append(float(value))
-            retention = series.retention
-            if retention is not None and times[series._head] < time - retention:
-                series._trim(time - retention)
-            count += 1
-        self.samples_ingested += count
-        self.batches_ingested += 1
-        if self._telemetry is not None and count:
-            self._telemetry.inc("metrics.ingest.batches")
-            self._telemetry.inc("metrics.ingest.samples", count)
-        return count
+            self._row_for(entity).append(time, (metric,), (value,))
+        self._count(len(samples))
+        return len(samples)
 
     # ------------------------------------------------------------------
     # Reads
     # ------------------------------------------------------------------
-    def row(self, entity: str) -> Mapping[str, TimeSeries]:
-        """Every series of ``entity`` by metric name, in one lookup — empty
+    def row(self, entity: str) -> Mapping[str, Column]:
+        """Every column of ``entity`` by metric name, in one lookup — empty
         for an entity nobody has written to (nothing is created). A
         per-job reader takes the row once a round and reads
         ``row.get("time_lagged")`` and friends off it; do not keep it
         across rounds (``drop_entity`` retires it)."""
-        return self._entity_index.get(entity, _NO_ROW)
+        row = self._rows.get(entity)
+        return _NO_ROW if row is None else row.columns
 
     def latest(self, entity: str, metric: str) -> Optional[float]:
-        """Most recent value, or ``None`` if the series is empty/missing."""
-        existing = self._series.get((entity, metric))
-        return None if existing is None else existing.latest()
+        """Most recent value, or ``None`` if the metric is missing."""
+        column = self.row(entity).get(metric)
+        return None if column is None else column.latest()
 
     def set_telemetry(self, telemetry) -> None:
         """Attach a telemetry sink (the ``metrics.ingest.*`` counters)."""
@@ -177,18 +213,20 @@ class MetricStore:
     # Introspection
     # ------------------------------------------------------------------
     def read_stats(self) -> Dict[str, int]:
-        """Aggregate per-series read/maintenance counters (for reports)."""
+        """Aggregate per-column read/maintenance counters (for reports)."""
         stats = {
-            "series": len(self._series),
+            "series": 0,
             "samples_ingested": self.samples_ingested,
             "batches_ingested": self.batches_ingested,
             "window_queries": 0,
             "compactions": 0,
         }
-        for series in self._series.values():
-            stats["window_queries"] += series.window_queries
-            stats["compactions"] += series.compactions
+        for row in self._rows.values():
+            for column in row.columns.values():
+                stats["series"] += 1
+                stats["window_queries"] += column.window_queries
+                stats["compactions"] += column.compactions
         return stats
 
     def __repr__(self) -> str:
-        return f"MetricStore(series={len(self._series)})"
+        return f"MetricStore(rows={len(self._rows)})"

@@ -39,7 +39,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.metrics.series import COMPACT_MIN
+from repro.metrics.row import COMPACT_MIN
 from repro.obs.bounded import BoundedList
 from repro.obs.sli import SLI_NAMES, SliEvaluator
 from repro.types import JobId, Seconds
@@ -195,7 +195,7 @@ class _Ledger:
     spec ``s``'s verdict in it (``GOOD``, ``BAD`` or ``NO_SAMPLE``), so a
     row costs 8 + ``width`` bytes. Rows before ``head`` are past the
     retention horizon; they are compacted away like a
-    :class:`~repro.metrics.series.TimeSeries` ring's dead prefix.
+    :class:`~repro.metrics.row.Column`'s dead prefix.
     """
 
     __slots__ = ("times", "codes", "head", "judged")

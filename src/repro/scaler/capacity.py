@@ -18,6 +18,7 @@ from typing import List, Optional
 
 from repro.obs.bounded import BoundedList
 
+from repro.cluster.resources import ResourceVector
 from repro.cluster.tupperware import TupperwareCluster
 from repro.errors import DegradedModeError
 from repro.jobs.plan import TaskActuator
@@ -168,13 +169,25 @@ class CapacityManager:
             )
 
     def _maybe_resume_stopped(self) -> None:
-        """Bring back jobs we stopped, once there is room again."""
+        """Bring back jobs we stopped, once there is room for them again:
+        the cluster's utilization *with* the job's own reservation (its
+        task count times its per-task resources) must stay under the
+        pressure threshold, or resuming it re-creates the squeeze that
+        shed it."""
         while self.stopped_jobs:
-            if self.cluster_utilization() >= PRESSURE_THRESHOLD:
-                return
-            job_id = self.stopped_jobs.pop(0)
+            job_id = self.stopped_jobs[0]
             if not self._service.store.exists(job_id):
+                self.stopped_jobs.pop(0)
                 continue
+            view = self._service.view(job_id)
+            own = ResourceVector.from_dict(dict(view.resources)).scaled(
+                view.task_count
+            )
+            capacity = self._cluster.total_capacity()
+            reserved = self._cluster.total_reserved() + own
+            if reserved.utilization_of(capacity) >= PRESSURE_THRESHOLD:
+                return
+            self.stopped_jobs.pop(0)
             self._service.store.set_state(job_id, JobState.RUNNING)
             # Invalidating the running config makes the State Syncer
             # re-create the job's tasks on its next round.

@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, Optional
 
-from repro.metrics.series import TimeSeries
 from repro.metrics.store import MetricStore
 from repro.scaler.snapshot import JobSnapshot
 from repro.types import JobId, Seconds
@@ -223,10 +222,7 @@ class PatternAnalyzer:
                 )
             return PatternVerdict(allowed=True)
         series = self._metrics.row(snapshot.job_id).get("input_rate_mb")
-        if series is None:
-            series = TimeSeries()  # never written: reads as "no history"
-
-        if self._is_outlier(snapshot, series):
+        if series is not None and self._is_outlier(snapshot, series):
             return PatternVerdict(
                 allowed=False,
                 reason="current traffic deviates from history; "
@@ -236,7 +232,8 @@ class PatternAnalyzer:
         now = snapshot.time
         window = self._validate_hours * 3600.0
         days_checked = 0
-        for day in range(1, HISTORY_DAYS + 1):
+        history_days = HISTORY_DAYS if series is not None else 0  # never written
+        for day in range(1, history_days + 1):
             start = now - day * 86400.0
             if start < 0:
                 break

@@ -156,8 +156,29 @@ class HeartbeatSweep:
             self._sweeps.remove(self)
 
     def _fire(self) -> None:
+        """Deliver every member's heartbeat in one Shard Manager call while
+        it is up; a dead, partitioned or unregistered member, and every
+        member during an outage, takes its own path (:meth:`TaskManager.
+        _heartbeat_tick`), in join order. A delivered heartbeat has no
+        effect a member's own path can see, so the split keeps the order
+        of everything observable."""
         self._queue.watch(self._timer.pending)  # re-armed just before this call
-        for manager in self._members:
+        members = self._members
+        first = next(iter(members))
+        shard_manager = first._shard_manager
+        if not shard_manager.available:
+            for manager in members:
+                manager._heartbeat_tick()
+            return
+        own_path = shard_manager.heartbeat_many(members)
+        delivered = len(members) - len(own_path)
+        if delivered:
+            first._sm_dep.count_calls(delivered)
+            skip = set(own_path)
+            for manager in members:
+                if manager not in skip:
+                    manager._outage_started = None
+        for manager in own_path:
             manager._heartbeat_tick()
 
 

@@ -180,6 +180,30 @@ class ShardManager:
             )
         self._heartbeats[container_id] = self._engine.now
 
+    def heartbeat_many(self, managers: Iterable["TaskManager"]) -> List["TaskManager"]:
+        """:meth:`heartbeat` for many Task Managers in one call (a heartbeat
+        sweep's): record one for every manager in ``managers`` that is
+        alive, reachable and registered, and return the others in order,
+        each for :meth:`heartbeat`'s own path. Raises
+        :class:`ServiceUnavailableError` when down, before recording any."""
+        if not self.available:
+            raise ServiceUnavailableError("Shard Manager is unavailable")
+        now = self._engine.now
+        heartbeats = self._heartbeats
+        registered = self._managers
+        own_path = []
+        for manager in managers:
+            container_id = manager.container_id
+            if (
+                container_id in registered
+                and not manager.partitioned
+                and manager.container.alive
+            ):
+                heartbeats[container_id] = now
+            else:
+                own_path.append(manager)
+        return own_path
+
     def shards_of(self, container_id: ContainerId) -> List[ShardId]:
         """Shards currently assigned to a container (sorted)."""
         return sorted(

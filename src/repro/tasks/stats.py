@@ -1,8 +1,9 @@
 """Job-level statistics collection.
 
 Computes, per job, the metrics the Auto Scaler's symptom detectors consume
-(paper section V-A). These six series are exactly what the collector
-writes, once a minute per job with specs:
+(paper section V-A). These six metrics are exactly what the collector
+writes, as one row a minute per job with specs (one time slot, one value
+per metric column):
 
 * ``input_rate_mb`` — MB/s arriving in the job's input category (15-day
   retention: the pattern analyzer's 14 days, section V-C);
@@ -15,16 +16,16 @@ writes, once a minute per job with specs:
   (only while a task runs).
 
 The first three are rates over the interval since the collector's
-previous round, so its first round writes only the last three. No
+previous round, so its first round's row holds only the last three. No
 per-job memory or CPU aggregate is written: nothing reads one (the OOM
 check reads each task's own memory in ``step_container``).
 """
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.metrics.aggregate import stdev
 from repro.metrics.store import MetricStore
 from repro.scribe.bus import ScribeBus
 from repro.sim.engine import Engine, Timer
@@ -39,6 +40,18 @@ COLLECT_INTERVAL: Seconds = 60.0
 
 #: time_lagged stand-in when the job has backlog but zero throughput.
 INFINITE_LAG: float = 1e9
+
+#: ``input_rate_mb`` retention: the pattern analyzer's 14 days of
+#: per-minute input rates (paper section V-C) and a day to spare. Every
+#: other column keeps the store's 2-day default.
+INPUT_RATE_RETENTION: Seconds = 15 * 86400.0
+
+#: The metrics of every row the collector writes, in row order; a row
+#: holds ``None`` for a metric absent from its round.
+ROW_METRICS = (
+    "input_rate_mb", "processing_rate_mb", "time_lagged", "bytes_lagged_mb",
+    "running_tasks", "task_rate_stdev",
+)
 
 
 class JobStatsCollector:
@@ -58,6 +71,7 @@ class JobStatsCollector:
         self._shard_manager = shard_manager
         self._scribe = scribe
         self._metrics = metrics
+        metrics.retain("input_rate_mb", INPUT_RATE_RETENTION)
         self._interval = interval
         #: ``job -> (category head, MB processed)`` at the last round.
         self._last: Dict[JobId, Tuple[float, float]] = {}
@@ -84,27 +98,23 @@ class JobStatsCollector:
     # One collection round
     # ------------------------------------------------------------------
     def collect_once(self) -> None:
-        """Compute and record metrics for every job with specs.
+        """Compute and record one metric row for every job with specs.
 
-        Derived job metrics are coalesced across the whole round into one
-        batched store call — one collection event lands one sample set.
-        The exception is a zero processing rate, recorded inline because
-        the job's lag computation reads it back.
+        A zero processing rate is recorded first, on its own, because the
+        job's lag computation reads it back; the row then shares its time
+        slot.
         """
         now = self._engine.now
         dt = now - self._last_time if self._last_time is not None else None
         tasks_by_job = self._tasks_by_job()
 
-        batch: List[tuple] = []
         for job_id in self._service.job_ids():
             specs = self._service.specs_of(job_id)
             if not specs:
                 continue
             category_name = specs[0].input_category
             tasks = tasks_by_job.get(job_id, [])
-            self._collect_job(job_id, category_name, tasks, now, dt, batch)
-        if batch:
-            self._metrics.record_many(now, batch)
+            self._collect_job(job_id, category_name, tasks, now, dt)
         self._last_time = now
 
     def _collect_job(
@@ -114,41 +124,43 @@ class JobStatsCollector:
         tasks: List[RunningTask],
         now: Seconds,
         dt: Optional[Seconds],
-        batch: List[tuple],
     ) -> None:
         head = 0.0
         lagged = 0.0
         if category_name:
             head, lagged = self._scribe.head_and_backlog_mb(job_id, category_name)
         # One pass over the tasks: every task's processed total, and the
-        # running ones' rates. The sum adds in task order from 0, as
-        # ``sum()`` does (DESIGN.md, "Float order").
+        # running ones' rates folded into their standard deviation exactly
+        # as ``aggregate.stdev`` folds a list of them (Welford, in task
+        # order). The sum adds in task order from 0, as ``sum()`` does
+        # (DESIGN.md, "Float order").
         processed_total = 0
-        rates: List[float] = []
+        running = 0
+        rate_mean = 0.0
+        rate_m2 = 0.0
         for task in tasks:
             processed_total += task.total_processed_mb
             if task.state == TaskState.RUNNING:
-                rates.append(task.last_rate_mb)
+                running += 1
+                rate = task.last_rate_mb
+                delta = rate - rate_mean
+                rate_mean += delta / running
+                rate_m2 += delta * (rate - rate_mean)
 
+        input_rate = processing_rate = time_lagged = None
         if dt is not None and dt > 0:
             last_head, last_processed = self._last.get(job_id, (head, processed_total))
-            input_rate = (head - last_head) / dt
-            processing_rate = (processed_total - last_processed) / dt
-            # The pattern analyzer needs 14 days of per-minute input rates
-            # (paper section V-C): the writer creates this series, with a
-            # longer retention than the store's default.
-            self._metrics.series(job_id, "input_rate_mb", retention=15 * 86400.0)
-            batch.append((job_id, "input_rate_mb", max(0.0, input_rate)))
+            input_rate = max(0.0, (head - last_head) / dt)
             # Equation (1)'s denominator is what the job *can* process per
             # second. The instantaneous rate dips to zero during routine
             # restarts (package pushes, parallelism changes); using the
             # recent processing capability avoids phantom infinite lag.
-            rate_basis = max(0.0, processing_rate)
+            rate_basis = max(0.0, (processed_total - last_processed) / dt)
             if rate_basis > 1e-9:
-                batch.append((job_id, "processing_rate_mb", rate_basis))
+                processing_rate = rate_basis
             else:
                 # The fallback average includes the current sample, so it
-                # lands now rather than with the round's batch.
+                # lands now rather than with the row.
                 self._metrics.record(job_id, "processing_rate_mb", now, rate_basis)
                 recent = self._metrics.row(job_id).get("processing_rate_mb")
                 if recent is not None:  # None: never landed (store down)
@@ -159,13 +171,19 @@ class JobStatsCollector:
                 time_lagged = lagged / rate_basis
             else:
                 time_lagged = INFINITE_LAG
-            batch.append((job_id, "time_lagged", time_lagged))
         self._last[job_id] = (head, processed_total)
 
-        batch.append((job_id, "bytes_lagged_mb", lagged))
-        batch.append((job_id, "running_tasks", float(len(rates))))
-        if rates:
-            batch.append((job_id, "task_rate_stdev", stdev(rates)))
+        if running == 0:
+            rate_stdev = None  # only while a task runs
+        elif running == 1:
+            rate_stdev = 0.0
+        else:
+            rate_stdev = math.sqrt(max(0.0, rate_m2) / running)
+        self._metrics.record_row(
+            job_id, now, ROW_METRICS,
+            (input_rate, processing_rate, time_lagged, lagged, float(running),
+             rate_stdev),
+        )
 
     def _tasks_by_job(self) -> Dict[JobId, List[RunningTask]]:
         grouped: Dict[JobId, List[RunningTask]] = {}

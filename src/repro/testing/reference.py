@@ -4,14 +4,15 @@ Production code answers "where does this task run", "which managers host
 this job", "which (job, SLO) pairs can be burning", "how much budget has
 this pair burned", "which jobs need a sync plan", "what does the scaler
 know about this job", "what does the scaler decide for this job", "which
-replicas does this standby tick promote or place" and "what does this
-container process this tick" from state kept where the fact changes, or
-in one flat loop. The forms here answer the same questions the slow,
+replicas does this standby tick promote or place", "what does this
+container process this tick" and "what does this metric read" from state
+kept where the fact changes, in one flat loop or in one shared row. The
+forms here answer the same questions the slow,
 obviously-right way — scan every manager, re-merge every config, rescan
 every job, a 0/1 series per verdict stream, one store call per number,
 every scaler stage for every job, a full standby reconcile every tick,
-one method call per task and per partition —
-and exist only
+one method call per task and per partition, a time array per metric
+series — and exist only
 so the equivalence suites in ``tests/`` and the hot-path benches have
 something to compare against.
 Production classes take no argument that selects one of these; nothing
@@ -20,13 +21,16 @@ under ``repro`` outside this package may import them.
 
 from __future__ import annotations
 
-from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
+import math
+from array import array
+from bisect import bisect_left, bisect_right
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.errors import DegradedModeError
 from repro.jobs.model import JobView
 from repro.jobs.plan import ExecutionPlan
 from repro.jobs.syncer import StateSyncer, SyncReport
-from repro.metrics.store import MetricStore
+from repro.metrics.store import DEFAULT_RETENTION
 from repro.obs.sli import SliEvaluator
 from repro.obs.slo import SloTracker
 from repro.obs.trace import SLOT_SYMPTOM
@@ -49,6 +53,8 @@ from repro.tasks.standby import StandbyPlane
 from repro.types import JobId, Priority, Seconds, TaskId, TaskState
 
 __all__ = [
+    "TimeSeries",
+    "PerMetricStore",
     "scan_primary_manager",
     "scan_hosting_managers",
     "FullReadSliEvaluator",
@@ -65,6 +71,211 @@ __all__ = [
     "apply_step_plan",
     "step_container_per_call",
 ]
+
+
+# ----------------------------------------------------------------------
+# Per-metric storage: the metric row's oracle
+# ----------------------------------------------------------------------
+#: Compact a series' ring only when the dead prefix reaches this length
+#: *and* is at least as long as the live suffix.
+COMPACT_MIN = 64
+
+
+class TimeSeries:
+    """Append-only ``(time, value)`` samples with a retention horizon, each
+    series with its own packed time array: what ``repro.metrics`` kept per
+    ``(entity, metric)`` before a row shared one time column. Samples must
+    arrive in non-decreasing time order. Trimming past the horizon advances
+    a head index; the dead prefix is compacted once it is both long and at
+    least as large as the live data. Every windowed read bisects the
+    window and reduces the value slice in C."""
+
+    __slots__ = (
+        "retention", "_times", "_values", "_head", "window_queries", "compactions",
+    )
+
+    def __init__(self, retention: Optional[Seconds] = None) -> None:
+        if retention is not None and retention <= 0:
+            raise ValueError(f"retention must be positive: {retention}")
+        self.retention = retention
+        self._times = array("d")
+        self._values = array("d")
+        self._head = 0
+        self.window_queries = 0
+        self.compactions = 0
+
+    def __len__(self) -> int:
+        return len(self._times) - self._head
+
+    def record(self, time: Seconds, value: float) -> None:
+        """Append a sample at ``time``."""
+        times = self._times
+        if times and time < times[-1]:
+            raise ValueError(
+                f"samples must be time-ordered: {time} < {times[-1]}"
+            )
+        times.append(time)
+        self._values.append(float(value))
+        retention = self.retention
+        if retention is not None and times[self._head] < time - retention:
+            self._trim(time - retention)
+
+    def _trim(self, horizon: Seconds) -> None:
+        new_head = bisect_left(self._times, horizon, self._head)
+        self._head = new_head
+        if new_head >= COMPACT_MIN and new_head * 2 >= len(self._times):
+            del self._times[:new_head]
+            del self._values[:new_head]
+            self._head = 0
+            self.compactions += 1
+
+    def latest(self) -> Optional[float]:
+        return self._values[-1] if len(self._times) > self._head else None
+
+    def latest_time(self) -> Optional[Seconds]:
+        return self._times[-1] if len(self._times) > self._head else None
+
+    def earliest_time(self, since: Optional[Seconds] = None) -> Optional[Seconds]:
+        times, head = self._times, self._head
+        if since is not None:
+            head = bisect_left(times, since, head)
+        return times[head] if len(times) > head else None
+
+    def _bounds(self, start: Seconds, end: Seconds) -> Tuple[int, int]:
+        times, head = self._times, self._head
+        return bisect_left(times, start, head), bisect_right(times, end, head)
+
+    def window(self, start: Seconds, end: Seconds) -> List[Tuple[Seconds, float]]:
+        lo, hi = self._bounds(start, end)
+        return list(zip(self._times[lo:hi], self._values[lo:hi]))
+
+    def values_in(self, start: Seconds, end: Seconds) -> List[float]:
+        lo, hi = self._bounds(start, end)
+        return self._values[lo:hi].tolist()
+
+    def all_points(self) -> List[Tuple[Seconds, float]]:
+        head = self._head
+        return list(zip(self._times[head:], self._values[head:]))
+
+    def average_over(self, duration: Seconds, now: Seconds) -> Optional[float]:
+        self.window_queries += 1
+        lo, hi = self._bounds(now - duration, now)
+        values = self._values[lo:hi]
+        return math.fsum(values) / len(values) if values else None
+
+    def aggregate_between(
+        self, start: Seconds, end: Seconds
+    ) -> Tuple[float, int, Optional[float]]:
+        lo, hi = self._bounds(start, end)
+        chunk = self._values[lo:hi]
+        if not chunk:
+            return 0.0, 0, None
+        return math.fsum(chunk), len(chunk), max(chunk)
+
+    def max_between(self, start: Seconds, end: Seconds) -> Optional[float]:
+        lo, hi = self._bounds(start, end)
+        return max(self._values[lo:hi]) if hi > lo else None
+
+    def count_between(self, start: Seconds, end: Seconds) -> int:
+        lo, hi = self._bounds(start, end)
+        return hi - lo
+
+
+class PerMetricStore:
+    """``repro.metrics.MetricStore`` with one :class:`TimeSeries` per
+    ``(entity, metric)`` under a tuple key, plus entity and metric indexes.
+    The same writes (``record`` / ``record_row`` / ``record_many``,
+    ``retain``, ``drop_entity``, ``fail`` / ``recover``) and reads (``row``,
+    ``latest``, ``entities_with``); :meth:`series` creates what it does not
+    find. It checks no value, so it also reads what the row refuses."""
+
+    def __init__(self) -> None:
+        self._series: Dict[Tuple[str, str], TimeSeries] = {}
+        self._entity_index: Dict[str, Dict[str, TimeSeries]] = {}
+        self._metric_index: Dict[str, Set[str]] = {}
+        self._retention: Dict[str, Seconds] = {}
+        self.available = True
+        self.dropped_points = 0
+        self.samples_ingested = 0
+
+    def fail(self) -> None:
+        self.available = False
+
+    def recover(self) -> None:
+        self.available = True
+
+    def retain(self, metric: str, retention: Seconds) -> None:
+        self._retention[metric] = retention
+
+    def series(
+        self, entity: str, metric: str, retention: Optional[Seconds] = None
+    ) -> TimeSeries:
+        key = (entity, metric)
+        existing = self._series.get(key)
+        if existing is not None:
+            return existing
+        if retention is None:
+            retention = self._retention.get(metric, DEFAULT_RETENTION)
+        created = self._series[key] = TimeSeries(retention)
+        self._entity_index.setdefault(entity, {})[metric] = created
+        self._metric_index.setdefault(metric, set()).add(entity)
+        return created
+
+    def drop_entity(self, entity: str) -> None:
+        for metric in self._entity_index.pop(entity, {}):
+            del self._series[(entity, metric)]
+            entities = self._metric_index[metric]
+            entities.discard(entity)
+            if not entities:
+                del self._metric_index[metric]
+
+    def entities_with(self, metric: str) -> List[str]:
+        return sorted(self._metric_index.get(metric, ()))
+
+    def record(self, entity: str, metric: str, time: Seconds, value: float) -> None:
+        if not self.available:
+            self.dropped_points += 1
+            return
+        self.series(entity, metric).record(time, value)
+        self.samples_ingested += 1
+
+    def record_row(
+        self,
+        entity: str,
+        time: Seconds,
+        metrics: Sequence[str],
+        values: Sequence[Optional[float]],
+    ) -> int:
+        return self.record_many(time, [
+            (entity, metric, value)
+            for metric, value in zip(metrics, values) if value is not None
+        ])
+
+    def record_many(
+        self, time: Seconds, samples: Iterable[Tuple[str, str, float]]
+    ) -> int:
+        samples = list(samples)
+        if not self.available:
+            self.dropped_points += len(samples)
+            return 0
+        for entity, metric, value in samples:
+            self.series(entity, metric).record(time, value)
+        self.samples_ingested += len(samples)
+        return len(samples)
+
+    def row(self, entity: str) -> Dict[str, TimeSeries]:
+        return self._entity_index.get(entity, {})
+
+    def latest(self, entity: str, metric: str) -> Optional[float]:
+        existing = self._series.get((entity, metric))
+        return None if existing is None else existing.latest()
+
+    def read_stats(self) -> Dict[str, int]:
+        return {
+            "series": len(self._series),
+            "window_queries": sum(s.window_queries for s in self._series.values()),
+            "compactions": sum(s.compactions for s in self._series.values()),
+        }
 
 
 def scan_primary_manager(platform, task_id: TaskId):
@@ -113,7 +324,7 @@ def burn_rate(series, window: Seconds, now: Seconds, target: float) -> float:
 
 class FullWalkSloTracker(SloTracker):
     """Keeps every verdict as a 0/1 sample in one ``slo_bad.<spec>`` series
-    per (job, SLO) in a private :class:`MetricStore` (production keeps one
+    per (job, SLO) in a private :class:`PerMetricStore` (production keeps one
     byte ledger per job), judges one pair at a time through ``job_sli`` —
     one store read per SLI — and reads both windows of every rule of every
     series every round; a forgotten job's not until it is next judged bad,
@@ -122,7 +333,7 @@ class FullWalkSloTracker(SloTracker):
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self._store = MetricStore()
+        self._store = PerMetricStore()
         self._forgotten: set = set()
 
     def forget_job(self, job_id: JobId) -> None:
@@ -295,13 +506,13 @@ class PollingStandbyPlane(StandbyPlane):
 def snapshot_job_store_read(
     job_id: JobId,
     view: JobView,
-    metrics: MetricStore,
+    metrics: PerMetricStore,
     now: Seconds,
     input_partitions: int = 0,
 ) -> JobSnapshot:
-    """``scaler.snapshot.snapshot_job`` as one store call per number: six
-    ``metrics.latest`` lookups and two ``metrics.series`` reads (which
-    create the series they do not find)."""
+    """``scaler.snapshot.snapshot_job`` as one store call per number over a
+    :class:`PerMetricStore`: six ``metrics.latest`` lookups and two
+    ``metrics.series`` reads (which create the series they do not find)."""
 
     def latest(metric: str, default: float = 0.0) -> float:
         value = metrics.latest(job_id, metric)

@@ -10,10 +10,14 @@
   never a privileged one, and resumes it once the host is back.
 """
 
+import dataclasses
+
 import pytest
 
 import repro.tasks.manager as manager_module
 from repro.chaos import WARMUP, build_platform, get_scenario, run_scenario
+from repro.chaos.scenarios import Fault, _squeeze_patch
+from repro.types import Priority
 
 
 def unsafe_samples():
@@ -71,9 +75,11 @@ def squeeze():
     return run_scenario("capacity-squeeze", seed=7)
 
 
-def test_squeeze_stops_the_lowest_priority_job_and_resumes_it(squeeze):
+def capacity_actions(result):
+    """``(time, kind, job)`` of every stop and resume, and when the host
+    came back."""
     rows = [
-        line.split(None, 3) for line in squeeze.timeline_text.splitlines()[2:]
+        line.split(None, 3) for line in result.timeline_text.splitlines()[2:]
     ]
     capacity = [
         (float(row[0]), row[2], row[3].split()[0])
@@ -84,6 +90,11 @@ def test_squeeze_stops_the_lowest_priority_job_and_resumes_it(squeeze):
         float(row[0]) for row in rows
         if row[1:3] == ["cluster", "host-recover"]
     )
+    return capacity, recovered
+
+
+def test_squeeze_stops_the_lowest_priority_job_and_resumes_it(squeeze):
+    capacity, recovered = capacity_actions(squeeze)
     # Only the LOW job is stopped (the HIGH and NORMAL ones fit once it
     # is gone), and it comes back only after the host does.
     assert [(kind, job) for __, kind, job in capacity] == [
@@ -92,6 +103,28 @@ def test_squeeze_stops_the_lowest_priority_job_and_resumes_it(squeeze):
     stopped_at, resumed_at = capacity[0][0], capacity[1][0]
     assert stopped_at < recovered < resumed_at
     assert squeeze.converged
+
+
+def test_a_shed_job_is_not_resumed_into_the_squeeze_that_shed_it():
+    """Three jobs of 16 tasks x 16 GB fill two thirds of the cluster
+    without the LOW one; a resume that counted only the others' load
+    (0.67 < 0.80) brought it back at every round the host was down, and
+    each time the next round shed it again. Counting its own 256 GB, it
+    stays stopped until host-1 is back, then resumes once."""
+    faults = tuple(
+        Fault("oncall-patch", at=30.0, target=f"chaos/job-{index}",
+              payload=_squeeze_patch(priority, 16.0), measure=False)
+        for index, priority in enumerate(
+            (Priority.HIGH, Priority.NORMAL, Priority.LOW))
+    ) + (Fault("host-failure", at=320.0, duration=1500.0, target="host-1"),)
+    scenario = dataclasses.replace(
+        get_scenario("capacity-squeeze"), faults=faults, horizon=3000.0
+    )
+    capacity, recovered = capacity_actions(run_scenario(scenario, seed=7))
+    assert [(kind, job) for __, kind, job in capacity] == [
+        ("job_stopped", "chaos/job-2"), ("job_resumed", "chaos/job-2"),
+    ]
+    assert capacity[0][0] < recovered < capacity[1][0]
 
 
 def test_squeeze_without_the_capacity_manager_stops_nothing():

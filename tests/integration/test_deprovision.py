@@ -81,7 +81,7 @@ def assert_reads_the_drivers_rate(platform):
     every later sample is the driver's 2 MB/s."""
     rates = [
         value for __, value in
-        platform.metrics.series("drop", "input_rate_mb").window(0.0, platform.now)
+        platform.metrics.row("drop")["input_rate_mb"].window(0.0, platform.now)
     ]
     assert rates[0] == 0.0
     assert len(rates) >= 4 and rates[1:] == [pytest.approx(2.0)] * (len(rates) - 1)
@@ -161,7 +161,7 @@ def test_gc_path_leaves_nothing_behind():
     platform.run_for(seconds=30)  # one sync round
     assert platform.scribe.checkpoints.partitions_of("drop") == []
     assert platform.metrics.latest("drop", "time_lagged") is None
-    assert "drop" not in platform.metrics._entity_index
+    assert "drop" not in platform.metrics._rows
     assert "drop" not in platform.stats._last
     assert "turbine.ckpt.drop" not in platform.scribe.logs
     assert "drop" not in analyzer.held_jobs()
@@ -371,7 +371,7 @@ def everything_attached():
 
 def assert_gone_now(platform, job_id):
     """Eager means eager: nothing waits for the syncer's sweep."""
-    assert job_id not in platform.metrics._entity_index
+    assert job_id not in platform.metrics._rows
     assert f"turbine.ckpt.{job_id}" not in platform.scribe.logs
     assert [row for row in orphan_state(platform) if row.endswith(f":{job_id}")] == []
 
@@ -455,7 +455,7 @@ def test_nothing_outlives_its_job(sequence):
     assert orphan_state(platform) == []
     for job_id in standby.JOBS:
         if not platform.job_store.exists(job_id):
-            assert job_id not in platform.metrics._entity_index
+            assert job_id not in platform.metrics._rows
             assert f"turbine.ckpt.{job_id}" not in platform.scribe.logs
 
 
@@ -497,7 +497,7 @@ def second_life(eager):
     platform.provision(spec, partitions=16)
     platform.run_for(minutes=40)
     seen = {
-        name: platform.metrics.series("drop", name).window(reborn_at, platform.now)
+        name: platform.metrics.row("drop")[name].window(reborn_at, platform.now)
         for name in SECOND_LIFE_SERIES
     }
     seen["scaler actions"] = [

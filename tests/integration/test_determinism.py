@@ -66,9 +66,9 @@ def run_busy_hour(
         "assignment": dict(platform.shard_manager.assignment),
         "tasks": platform.running_tasks(),
         "lags": {
-            f"job-{i}": platform.metrics.series(
-                f"job-{i}", "time_lagged"
-            ).all_points()
+            f"job-{i}": platform.metrics.row(f"job-{i}")[
+                "time_lagged"
+            ].all_points()
             for i in range(4)
         },
         "actions": [
@@ -222,10 +222,17 @@ class TestMetricReadsTransparency:
         # round (no OOM happened, so ``oom_events`` has never been
         # written) leave the platform store's series set as it was.
         assert platform.metrics.latest("job", "oom_events") is None
-        series_before = set(platform.metrics._series)
+        def columns():
+            return {
+                (entity, metric)
+                for entity, row in platform.metrics._rows.items()
+                for metric in row.columns
+            }
+
+        series_before = columns()
         slo.evaluate_once()
         platform.scaler.run_once()
-        assert set(platform.metrics._series) == series_before
+        assert columns() == series_before
         assert ("job", "oom_events") not in series_before
 
 

@@ -42,7 +42,7 @@ def test_diurnal_traffic_handled_without_slo_violation():
     )
     driver.add_source("cat", pattern)
     platform.run_for(hours=6)
-    lag_series = platform.metrics.series("job", "time_lagged")
+    lag_series = platform.metrics.row("job")["time_lagged"]
     violations = [v for __, v in lag_series.all_points() if v > 90.0]
     assert not violations
 

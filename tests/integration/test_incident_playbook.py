@@ -60,7 +60,7 @@ def test_incident_lifecycle(monkeypatch):
     ]
     assert memory > 0.42
     platform.run_for(minutes=15)
-    oom_series = platform.metrics.series("job-0", "oom_events")
+    oom_series = platform.metrics.row("job-0")["oom_events"]
     recent = oom_series.values_in(platform.now - 600.0, platform.now)
     assert not recent, "OOMs stop once memory is right-sized"
 

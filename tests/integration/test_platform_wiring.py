@@ -33,7 +33,8 @@ from repro.cluster import FailurePlan
 from repro.jobs import syncer as syncer_module
 from repro.jobs.plan import TaskActuator
 from repro.jobs.syncer import StateSyncer
-from repro.metrics import MetricStore, TimeSeries
+from repro.metrics import MetricStore
+from repro.metrics.row import MetricRow
 from repro.ops.timeline import IncidentTimeline
 from repro.platform import _JOB_HOLDERS, _START_ORDER
 from repro.scaler import AutoScalerConfig
@@ -83,9 +84,9 @@ def armed_timers(platform):
 def test_no_production_constructor_selects_a_reference_implementation():
     """The full-scan syncer is a subclass in ``repro.testing.reference``:
     production classes take no switch for it (nor does the metric store,
-    which has one read path), and production code never imports the
-    reference forms."""
-    for production in (StateSyncer, TimeSeries, MetricStore):
+    which has one storage layout and one read path), and production code
+    never imports the reference forms."""
+    for production in (StateSyncer, MetricRow, MetricStore):
         parameters = set(inspect.signature(production).parameters)
         assert not parameters & {"incremental", "streaming"}, production
     package = Path(repro.__file__).parent

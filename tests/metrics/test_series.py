@@ -1,4 +1,4 @@
-"""Unit tests for TimeSeries."""
+"""Unit tests for a metric row's columns, each read like a time series."""
 
 import math
 import operator
@@ -8,18 +8,37 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.metrics import MetricStore, TimeSeries
+from repro.metrics import MetricStore
+from repro.testing.reference import TimeSeries
+
+
+class Series:
+    """One metric of one entity in a fresh store: records through
+    ``MetricStore.record`` and reads off the entity's column."""
+
+    def __init__(self, retention=None):
+        self.store = MetricStore()
+        if retention is not None:
+            self.store.retain("metric", retention)
+
+    def record(self, time, value):
+        self.store.record("entity", "metric", time, value)
+
+    def __getattr__(self, name):
+        return getattr(self.store.row("entity")["metric"], name)
+
+    def __len__(self):
+        return len(self.store.row("entity")["metric"])
 
 
 def test_starts_empty():
-    series = TimeSeries()
-    assert len(series) == 0
-    assert series.latest() is None
-    assert series.latest_time() is None
+    store = MetricStore()
+    assert store.row("entity").get("metric") is None
+    assert store.latest("entity", "metric") is None
 
 
 def test_record_and_latest():
-    series = TimeSeries()
+    series = Series()
     series.record(1.0, 10.0)
     series.record(2.0, 20.0)
     assert series.latest() == 20.0
@@ -27,21 +46,26 @@ def test_record_and_latest():
 
 
 def test_out_of_order_rejected():
-    series = TimeSeries()
+    series = Series()
     series.record(5.0, 1.0)
     with pytest.raises(ValueError):
         series.record(4.0, 1.0)
+    # Time order is the entity's: another metric cannot go back either.
+    with pytest.raises(ValueError):
+        series.store.record("entity", "other", 4.0, 1.0)
+    assert series.all_points() == [(5.0, 1.0)]
 
 
 def test_same_time_allowed():
-    series = TimeSeries()
+    series = Series()
     series.record(5.0, 1.0)
     series.record(5.0, 2.0)
     assert len(series) == 2
+    assert series.all_points() == [(5.0, 1.0), (5.0, 2.0)]
 
 
 def test_window_inclusive():
-    series = TimeSeries()
+    series = Series()
     for t in range(10):
         series.record(float(t), float(t * 10))
     window = series.window(3.0, 5.0)
@@ -49,14 +73,14 @@ def test_window_inclusive():
 
 
 def test_values_in():
-    series = TimeSeries()
+    series = Series()
     for t in range(10):
         series.record(float(t), float(t))
     assert series.values_in(7.0, 9.0) == [7.0, 8.0, 9.0]
 
 
 def test_average_over_trailing_window():
-    series = TimeSeries()
+    series = Series()
     series.record(0.0, 100.0)
     series.record(50.0, 10.0)
     series.record(60.0, 20.0)
@@ -64,13 +88,13 @@ def test_average_over_trailing_window():
 
 
 def test_average_over_empty_window_is_none():
-    series = TimeSeries()
+    series = Series()
     series.record(0.0, 1.0)
     assert series.average_over(5.0, now=100.0) is None
 
 
 def test_retention_trims_old_samples():
-    series = TimeSeries(retention=10.0)
+    series = Series(retention=10.0)
     for t in range(30):
         series.record(float(t), float(t))
     times = [t for t, __ in series.all_points()]
@@ -79,15 +103,17 @@ def test_retention_trims_old_samples():
 
 
 def test_no_retention_keeps_everything():
-    series = TimeSeries(retention=None)
+    """Nothing trims inside the retention horizon (every column has one)."""
+    series = Series(retention=1e6)
     for t in range(1000):
         series.record(float(t), 0.0)
     assert len(series) == 1000
 
 
 def test_invalid_retention_rejected():
-    with pytest.raises(ValueError):
-        TimeSeries(retention=0.0)
+    for retention in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            MetricStore().retain("metric", retention)
 
 
 # ----------------------------------------------------------------------
@@ -99,15 +125,26 @@ def test_invalid_retention_rejected():
 )
 def test_counting_and_max_take_no_sum(values, expected_max):
     """``count_between`` and ``max_between`` read no sum, so samples that
-    overflow ``math.fsum`` (``OverflowError``) or cancel to no value
-    (``inf - inf``: ``ValueError``) still count and still have a max."""
-    series = TimeSeries()
+    overflow ``math.fsum`` (``OverflowError``) still count and still have
+    a max. Infinities never reach a column (the store refuses them); the
+    per-metric reference reads them without a sum too."""
+    reference = TimeSeries()
     for t, value in enumerate(values):
-        series.record(float(t), value)
-    assert series.count_between(0.0, 10.0) == len(values)
-    assert series.max_between(0.0, 10.0) == expected_max
-    assert series.count_between(20.0, 30.0) == 0
-    assert series.max_between(20.0, 30.0) is None
+        reference.record(float(t), value)
+    series = Series()
+    if all(map(math.isfinite, values)):
+        for t, value in enumerate(values):
+            series.record(float(t), value)
+        readers = (reference, series)
+    else:
+        with pytest.raises(ValueError):
+            series.record(0.0, values[0])
+        readers = (reference,)
+    for reader in readers:
+        assert reader.count_between(0.0, 10.0) == len(values)
+        assert reader.max_between(0.0, 10.0) == expected_max
+        assert reader.count_between(20.0, 30.0) == 0
+        assert reader.max_between(20.0, 30.0) is None
 
 
 # ----------------------------------------------------------------------
@@ -186,29 +223,55 @@ def test_every_read_equals_a_plain_list_of_the_retained_samples(
     motif, retention, durations, offsets
 ):
     """The motif is repeated to ``STREAM_LENGTH`` samples, enough for
-    retention to retire most of them and the ring to compact at least
-    three times under the reads. One series is fed through
-    ``TimeSeries.record``, a second through ``MetricStore.record_many``'s
-    inline copy of it; both must read as the plain list, bit for bit,
-    raising where the list's read raises, and hand out lists of floats."""
+    retention to retire most of them and the columns to compact at least
+    three times under the reads (when at least half the samples are
+    finite). The reference series takes every sample;
+    three columns of one store take the finite ones — one through
+    ``record``, one through ``record_many``, one through ``record_row``
+    with another metric written between every other pair of its samples
+    (so it reads across NaN pads) — and refuse the rest. Each must read as the plain list of what
+    it took, bit for bit, raising where the list's read raises, and hand
+    out lists of floats."""
     assume(sum(dt for dt, __ in motif) >= 0.5 * len(motif))
-    single = TimeSeries(retention=retention)
+    reference = TimeSeries(retention=retention)
     store = MetricStore()
-    store.series("entity", "metric", retention=retention)
-    plain = []
+    store.retain("metric", retention)
+    every, finite = [], []
+    taken = 0
     now = 0.0
     for index in range(STREAM_LENGTH):
         dt, value = motif[index % len(motif)]
-        now += dt
-        single.record(now, value)
-        store.record_many(now, [("entity", "metric", value)])
-        plain.append((now, float(value)))
-        plain = [(t, v) for t, v in plain if t >= now - retention]
-
-        for series in (single, store.row("entity")["metric"]):
+        before, now = now, now + dt
+        reference.record(now, value)
+        every.append((now, float(value)))
+        every = [(t, v) for t, v in every if t >= now - retention]
+        if math.isfinite(value):
+            store.record("one", "metric", now, value)
+            store.record_many(now, [("many", "metric", value)])
+            if index % 2:
+                store.record("row", "other", (before + now) / 2, 1.0)
+            store.record_row("row", now, ("metric",), (value,))
+            finite.append((now, float(value)))
+            taken += 1
+            finite = [(t, v) for t, v in finite if t >= now - retention]
+        else:
+            for write in (
+                lambda: store.record("one", "metric", now, value),
+                lambda: store.record_many(now, [("many", "metric", value)]),
+                lambda: store.record_row("row", now, ("metric",), (value,)),
+            ):
+                with pytest.raises(ValueError):
+                    write()
+        readers = [(reference, every)]
+        if finite:
+            # The padded column every step, the other two every tenth.
+            entities = ("row", "one", "many") if index % 10 == 0 else ("row",)
+            readers += [(store.row(e)["metric"], finite) for e in entities]
+        for series, plain in readers:
             assert len(series) == len(plain)
             assert bits(series.latest()) == bits(plain[-1][1])
             assert series.latest_time() == plain[-1][0]
+            assert series.earliest_time() == plain[0][0]
             assert_floats(series.all_points())
             assert bits(series.all_points()) == bits(plain)
             for offset in offsets:
@@ -221,6 +284,9 @@ def test_every_read_equals_a_plain_list_of_the_retained_samples(
                     assert_floats(series.values_in(start, at))
                     assert bits(series.window(start, at)) == bits(window)
                     assert bits(series.values_in(start, at)) == bits(values)
+                    assert series.earliest_time(start) == next(
+                        (t for t, __ in plain if t >= start), None
+                    )
                     assert outcome(series.average_over, duration, at) == (
                         outcome(fsum_mean, values)
                     )
@@ -231,8 +297,10 @@ def test_every_read_equals_a_plain_list_of_the_retained_samples(
                         max(values) if values else None
                     )
                     assert series.count_between(start, at) == len(values)
-    assert single.compactions >= 3
-    assert store.row("entity")["metric"].compactions >= 3
+    assert reference.compactions >= 3
+    if taken >= STREAM_LENGTH // 2:
+        for entity in ("one", "many", "row"):
+            assert store.row(entity)["metric"].compactions >= 3
 
 
 # ----------------------------------------------------------------------
@@ -245,22 +313,23 @@ FOURTEEN_DAYS_OF_MINUTES = 14 * 24 * 60
 
 @pytest.mark.parametrize("path", ["record", "record_many"])
 def test_a_retained_sample_costs_at_most_twenty_bytes(path):
-    """Two packed doubles are 16 bytes a sample; a list slot per axis
-    plus a boxed value costs ≈ 40 (batched) to 64 (single). The guard
-    leaves room for the arrays' over-allocation and nothing else."""
+    """A one-metric row is two packed doubles a sample, 16 bytes; a list
+    slot per axis plus a boxed value costs ≈ 40 (batched) to 64 (single).
+    The guard leaves room for the arrays' over-allocation and nothing
+    else."""
     tracemalloc.start()
     try:
         store = MetricStore()
-        series = store.series("job", "input_rate_mb", retention=15 * 86400.0)
+        store.retain("input_rate_mb", 15 * 86400.0)
         before = tracemalloc.get_traced_memory()[0]
         for minute in range(FOURTEEN_DAYS_OF_MINUTES):
             time, value = minute * 60.0, 3.0 + minute * 1e-3
             if path == "record":
-                series.record(time, value)
+                store.record("job", "input_rate_mb", time, value)
             else:
                 store.record_many(time, [("job", "input_rate_mb", value)])
         grown = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert len(series) == FOURTEEN_DAYS_OF_MINUTES
+    assert len(store.row("job")["input_rate_mb"]) == FOURTEEN_DAYS_OF_MINUTES
     assert grown / FOURTEEN_DAYS_OF_MINUTES <= 20.0

@@ -1,5 +1,7 @@
 """Unit tests for the MetricStore."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,9 +12,12 @@ from repro.metrics.store import DEFAULT_RETENTION
 
 def test_series_created_on_first_use():
     store = MetricStore()
-    series = store.series("job-a", "input_rate")
-    assert len(series) == 0
-    assert store.series("job-a", "input_rate") is series
+    assert "input_rate" not in store.row("job-a")
+    store.record("job-a", "input_rate", 0.0, 1.0)
+    column = store.row("job-a")["input_rate"]
+    assert len(column) == 1
+    store.record("job-a", "input_rate", 60.0, 2.0)
+    assert store.row("job-a")["input_rate"] is column and len(column) == 2
 
 
 def test_record_and_latest():
@@ -53,10 +58,61 @@ def test_drop_entity():
 
 def test_custom_retention_honored():
     store = MetricStore()
-    series = store.series("job-a", "lag")
-    assert series.retention == DEFAULT_RETENTION
-    long_series = store.series("job-a", "history", retention=100.0)
-    assert long_series.retention == 100.0
+    store.retain("history", 100.0)
+    store.record_many(0.0, [("job-a", "lag", 1.0), ("job-a", "history", 1.0)])
+    assert store.row("job-a")["lag"].retention == DEFAULT_RETENTION
+    assert store.row("job-a")["history"].retention == 100.0
+    store.record_many(150.0, [("job-a", "lag", 2.0), ("job-a", "history", 2.0)])
+    assert len(store.row("job-a")["lag"]) == 2
+    assert store.row("job-a")["history"].all_points() == [(150.0, 2.0)]
+
+
+# ----------------------------------------------------------------------
+# Non-finite input never lands
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_time_or_value_is_refused_and_lands_nothing(bad):
+    store = MetricStore()
+    store.record("j", "x", 1.0, 10.0)
+    with pytest.raises(ValueError):
+        store.record("j", "x", 2.0, bad)
+    with pytest.raises(ValueError):
+        store.record("j", "x", bad, 5.0)
+    with pytest.raises(ValueError):
+        store.record_many(2.0, [("j", "x", 4.0), ("k", "x", 4.0), ("j", "y", bad)])
+    with pytest.raises(ValueError):
+        store.record_many(bad, [("j", "x", 4.0)])
+    with pytest.raises(ValueError):
+        store.record_row("j", 2.0, ("x", "y"), (4.0, bad))
+    with pytest.raises(ValueError):
+        store.record_row("j", bad, ("x",), (4.0,))
+    assert store.row("k") == {} and "y" not in store.row("j")
+    store.record("j", "x", 3.0, 5.0)
+    column = store.row("j")["x"]
+    assert column.all_points() == [(1.0, 10.0), (3.0, 5.0)]
+    assert column.average_over(100.0, 10.0) == 7.5
+    assert store.samples_ingested == 2
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+def test_a_retention_that_is_not_positive_and_finite_is_refused(bad):
+    with pytest.raises(ValueError):
+        MetricStore().retain("x", bad)
+
+
+def test_a_row_naming_a_metric_twice_is_refused():
+    store = MetricStore()
+    with pytest.raises(ValueError):
+        store.record_row("j", 1.0, ("x", "y", "x"), (1.0, 2.0, 3.0))
+    assert store.row("j") == {}
+
+
+def test_an_out_of_order_batch_lands_nothing():
+    store = MetricStore()
+    store.record("late", "x", 10.0, 1.0)
+    with pytest.raises(ValueError):
+        store.record_many(5.0, [("early", "x", 1.0), ("late", "x", 2.0)])
+    assert store.row("early") == {} and len(store.row("late")["x"]) == 1
 
 
 # ----------------------------------------------------------------------
@@ -68,7 +124,7 @@ def test_row_is_every_series_of_the_entity_by_metric():
     store.record_many(60.0, [("job-a", "rate", 2.0), ("job-b", "lag", 3.0)])
     row = store.row("job-a")
     assert sorted(row) == ["lag", "rate"]
-    assert row["lag"] is store.series("job-a", "lag")
+    assert row["lag"].all_points() == [(0.0, 1.0)]
     assert row.get("rate").latest() == 2.0
     assert row.get("nope") is None
 
@@ -77,7 +133,7 @@ def test_row_of_an_unknown_entity_is_empty_and_creates_nothing():
     store = MetricStore()
     row = store.row("ghost")
     assert len(row) == 0 and row.get("lag") is None
-    assert store._series == {} and store._entity_index == {}
+    assert store._rows == {}
     assert store.entities_with("lag") == []
     with pytest.raises(TypeError):
         row["lag"] = None  # the shared empty row is read-only
@@ -133,11 +189,12 @@ def test_record_many_matches_record_loop(batches):
         for entity, metric, value in batch:
             looped.record(entity, metric, now, value)
     assert batched.samples_ingested == looped.samples_ingested
-    assert set(batched._series) == set(looped._series)
-    for key, series in looped._series.items():
-        assert batched._series[key].all_points() == series.all_points()
     for metric in ("cpu_used", "rate_mb", "lag"):
         assert batched.entities_with(metric) == looped.entities_with(metric)
+        for entity in looped.entities_with(metric):
+            assert batched.row(entity)[metric].all_points() == (
+                looped.row(entity)[metric].all_points()
+            )
 
 
 def test_record_many_drops_whole_batch_while_unavailable():
@@ -145,7 +202,7 @@ def test_record_many_drops_whole_batch_while_unavailable():
     store.fail()
     assert store.record_many(0.0, [("e", "m", 1.0), ("e", "m2", 2.0)]) == 0
     assert store.dropped_points == 2
-    assert store._series == {}
+    assert store._rows == {}
     store.recover()
     assert store.record_many(60.0, [("e", "m", 1.0)]) == 1
     assert store.latest("e", "m") == 1.0

@@ -16,7 +16,7 @@ from repro.obs.slo import (
     default_slo_specs,
 )
 from repro.sim.engine import Engine
-from repro.testing.reference import bad_fraction, burn_rate
+from repro.testing.reference import TimeSeries, bad_fraction, burn_rate
 from repro.types import JobState
 
 from tests.obs.test_sli import Jobs
@@ -61,13 +61,11 @@ class TestSpecValidation:
 
 class TestBurnMath:
     def test_bad_fraction_empty_series_is_zero(self):
-        store = MetricStore()
-        series = store.series("job", "slo_bad.lag")
-        assert bad_fraction(series, 3600.0, now=0.0) == 0.0
+        assert bad_fraction(TimeSeries(), 3600.0, now=0.0) == 0.0
+        assert bad_fraction(None, 3600.0, now=0.0) == 0.0
 
     def test_burn_rate_scales_by_budget(self):
-        store = MetricStore()
-        series = store.series("job", "slo_bad.lag")
+        series = TimeSeries()
         # Half the samples bad over the window.
         for minute in range(10):
             series.record(minute * 60.0, 1.0 if minute % 2 else 0.0)

@@ -91,7 +91,9 @@ def test_privileged_jobs_never_stopped(capacity_platform):
 
 
 def test_stopped_jobs_resume_when_capacity_returns(capacity_platform):
-    platform = capacity_platform(pressure=0.04, instability=0.10)
+    # LOW alone reserves 0.083 of the cluster (8 of 96 cores), HIGH 0.042:
+    # the LOW job fits under the 0.09 pressure line only once HIGH is gone.
+    platform = capacity_platform(pressure=0.09, instability=0.10)
     provision_heavy(platform, "low-job", Priority.LOW, tasks=8)
     provision_heavy(platform, "high-job", Priority.HIGH, tasks=4, memory=3.0)
     platform.run_for(minutes=6)

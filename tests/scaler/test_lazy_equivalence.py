@@ -110,15 +110,19 @@ def build(jobs, floor, eager):
                 job_id, ConfigLevel.ONCALL,
                 {"perf": {"rate_per_thread_mb": job["hint"]}},
             )
+        # A row's writes are time-ordered: gather the history, then land it.
+        history = []
         if job["lag_age"] is not None:
             time = START - job["lag_age"]
             while time < START:
-                metrics.record(job_id, "time_lagged", time, 0.01 * job["slo"])
+                history.append((time, "time_lagged", 0.01 * job["slo"]))
                 time += 60.0
             if job["history_spike"]:
-                metrics.record(job_id, "time_lagged", time - 60.0, job["slo"])
+                history.append((time - 60.0, "time_lagged", job["slo"]))
         if job["oom_age"] is not None:
-            metrics.record(job_id, "oom_events", START - job["oom_age"], 1.0)
+            history.append((START - job["oom_age"], "oom_events", 1.0))
+        for time, metric, value in sorted(history, key=lambda write: write[0]):
+            metrics.record(job_id, metric, time, value)
     return engine, store, tracer, metrics, scaler
 
 

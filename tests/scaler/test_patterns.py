@@ -15,7 +15,7 @@ def analyzer_with_history(days=3, rate=4.0, peak_rate=None, peak_hour=None):
     ``peak_rate``/``peak_hour`` inject a daily traffic peak.
     """
     metrics = MetricStore()
-    series = metrics.series("job", "input_rate_mb", retention=15 * DAY)
+    metrics.retain("input_rate_mb", 15 * DAY)
     now = days * DAY
     t = 0.0
     while t <= now:
@@ -24,7 +24,7 @@ def analyzer_with_history(days=3, rate=4.0, peak_rate=None, peak_hour=None):
             hour = (t % DAY) / 3600.0
             if peak_hour <= hour < peak_hour + 1:
                 value = peak_rate
-        series.record(t, value)
+        metrics.record("job", "input_rate_mb", t, value)
         t += 60.0
     return PatternAnalyzer(metrics), metrics, now
 
@@ -190,13 +190,13 @@ class TestHistoricalValidation:
         """Current traffic far from the same window in prior days →
         pattern-based decisions disabled (conservative veto)."""
         metrics = MetricStore()
-        series = metrics.series("job", "input_rate_mb", retention=15 * DAY)
+        metrics.retain("input_rate_mb", 15 * DAY)
         now = 3 * DAY
         t = 0.0
         while t <= now:
             # History at 4 MB/s; last 30 minutes spike to 40 MB/s.
             value = 40.0 if t > now - 1800.0 else 4.0
-            series.record(t, value)
+            metrics.record("job", "input_rate_mb", t, value)
             t += 60.0
         analyzer = PatternAnalyzer(metrics)
         analyzer.rate_per_thread("job", bootstrap=2.0)

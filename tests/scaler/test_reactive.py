@@ -85,7 +85,7 @@ def test_reactive_can_overshoot_downscale(monkeypatch):
     counts = [
         a.detail for a in platform.scaler.actions if a.kind == "downscale"
     ]
-    lag_series = platform.metrics.series("job", "time_lagged")
+    lag_series = platform.metrics.row("job")["time_lagged"]
     max_lag = max(
         (value for __, value in lag_series.all_points()), default=0.0
     )

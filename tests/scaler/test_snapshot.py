@@ -67,7 +67,7 @@ def test_missing_metrics_default_to_zero():
 
 def test_oom_window():
     metrics = store_with_metrics()
-    metrics.record("job", "oom_events", 900.0, 1.0)
+    metrics.record("job", "oom_events", 1000.0, 1.0)
     fresh = snapshot_job("job", view_for(), metrics, 1000.0)
     assert fresh.oom_recently
     # Hours later the event has aged out of the window.

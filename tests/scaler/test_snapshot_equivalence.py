@@ -3,9 +3,9 @@
 Production takes the job's row once (``MetricStore.row``) and reads every
 number off it; ``repro.testing.reference.snapshot_job_store_read`` is the
 form it replaced — one ``metrics.latest`` / ``metrics.series`` call per
-number. Both are run against stores that ingested the same samples and
-must build ``==`` snapshots for any subset of metrics, any sample times
-and any read time — including a read ``now`` behind the newest sample,
+number, over the per-metric store it replaced. Both are run against
+stores that ingested the same samples and must build ``==`` snapshots
+for any subset of metrics, any sample times and any read time — including a read ``now`` behind the newest sample,
 and an OOM event exactly on the edge of the recency window.
 """
 
@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from repro.jobs import JobSpec, JobView
 from repro.metrics import MetricStore
 from repro.scaler.snapshot import RATE_WINDOW, snapshot_job
-from repro.testing.reference import snapshot_job_store_read
+from repro.testing.reference import PerMetricStore, snapshot_job_store_read
 
 METRICS = (
     "input_rate_mb", "processing_rate_mb", "bytes_lagged_mb", "time_lagged",
@@ -40,20 +40,22 @@ series = st.one_of(
 
 
 def stores(samples_by_metric):
-    """Two stores fed the same writes (the reference read creates series,
-    so the two forms must not share one)."""
-    pair = MetricStore(), MetricStore()
-    newest = 0.0
+    """The row store and the per-metric one fed the same writes, in time
+    order (a row's writes are; the order of one metric's samples is kept)."""
+    pair = MetricStore(), PerMetricStore()
+    writes = []
     for metric, samples in samples_by_metric.items():
         if samples is None:
             continue
         time = 0.0
         for gap, sample in samples:
             time += gap
-            for store in pair:
-                store.record("job", metric, time, sample)
-        newest = max(newest, time)
-    return pair, newest
+            writes.append((time, metric, sample))
+    writes.sort(key=lambda write: write[0])
+    for time, metric, sample in writes:
+        for store in pair:
+            store.record("job", metric, time, sample)
+    return pair, max((time for time, __, __ in writes), default=0.0)
 
 
 @settings(max_examples=200, deadline=None)
@@ -67,7 +69,7 @@ def test_row_snapshot_equals_store_read_snapshot(
 ):
     (row_store, read_store), newest = stores(samples_by_metric)
     now = max(0.0, newest + offset)
-    series_before = len(row_store._series)
+    columns_before = len(row_store.row("job"))
     production = snapshot_job(
         "job", VIEW, row_store, now, input_partitions=partitions
     )
@@ -75,12 +77,12 @@ def test_row_snapshot_equals_store_read_snapshot(
         "job", VIEW, read_store, now, input_partitions=partitions
     )
     assert production == reference
-    assert len(row_store._series) == series_before, "a read created a series"
+    assert len(row_store.row("job")) == columns_before, "a read created a column"
     # An unknown job reads as all-defaults in both forms.
     assert snapshot_job("ghost", VIEW, row_store, now) == (
         snapshot_job_store_read("ghost", VIEW, read_store, now)
     )
-    assert "ghost" not in row_store._entity_index
+    assert "ghost" not in row_store._rows
 
 
 def test_oom_exactly_on_the_window_edge_counts_in_both_forms():

@@ -32,18 +32,28 @@ def platform(num_hosts=2, seed=5):
 
 
 def record_ticks(turbine, log):
-    """Log ``(time, container id)`` for every heartbeat of every manager
-    (an instance attribute: the sweep calls ``manager._heartbeat_tick``)."""
-    for manager in turbine.task_managers.values():
-        if "_heartbeat_tick" in vars(manager):
-            continue
-        tick = manager._heartbeat_tick
+    """Log ``(time, container id)`` for every heartbeat the Shard Manager
+    records, in the order it records them: a sweep delivers its members'
+    in one ``heartbeat_many`` call, and ``heartbeat`` takes the rest."""
+    shard_manager = turbine.shard_manager
+    if "heartbeat_many" in vars(shard_manager):
+        return
+    many, one = shard_manager.heartbeat_many, shard_manager.heartbeat
 
-        def logged(manager=manager, tick=tick):
-            log.append((turbine.now, manager.container_id))
-            tick()
+    def logged_many(managers):
+        own_path = many(managers)
+        log.extend(
+            (turbine.now, manager.container_id)
+            for manager in managers if manager not in own_path
+        )
+        return own_path
 
-        manager._heartbeat_tick = logged
+    def logged_one(container_id):
+        one(container_id)
+        log.append((turbine.now, container_id))
+
+    shard_manager.heartbeat_many = logged_many
+    shard_manager.heartbeat = logged_one
 
 
 def managers_on(turbine, host_id):

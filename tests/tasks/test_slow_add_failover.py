@@ -74,9 +74,8 @@ def test_live_but_unresponsive_container_rebooted_on_failover():
     )
     # Freeze heartbeats without the proactive 40 s self-timeout (simulates
     # a wedged heartbeat thread rather than a network partition).
-    # The heartbeat sweep calls each member's ``_heartbeat_tick``, so an
-    # instance attribute silences this container and no other.
-    victim._heartbeat_tick = lambda: None
+    # Leaving its heartbeat sweep silences this container and no other.
+    victim._heartbeats.leave(victim)
     platform.run_for(minutes=3)  # 60 s stale → Shard Manager fail-over
     assert victim.reboot_count >= 1, "fail-over must reboot the live victim"
     assert {

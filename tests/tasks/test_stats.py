@@ -3,7 +3,10 @@
 import pytest
 
 from repro import JobSpec, PlatformConfig, Turbine
-from repro.tasks.stats import INFINITE_LAG
+from repro.metrics import MetricStore
+from repro.metrics.aggregate import stdev
+from repro.tasks.stats import INFINITE_LAG, JobStatsCollector
+from repro.types import TaskState
 
 
 def collector_platform(step_interval=10.0, stats_interval=60.0):
@@ -88,6 +91,38 @@ def test_task_rate_stdev_reflects_skew():
     assert balanced == pytest.approx(0.0, abs=0.1)
 
 
+def test_the_written_stdev_is_aggregate_stdev_of_the_running_rates():
+    """The collector folds the running tasks' rates into Welford as it
+    reads them; what it writes must be ``aggregate.stdev`` of the same
+    rates in the same order, bit for bit."""
+    from repro.workloads import TrafficDriver
+
+    platform = collector_platform()
+    platform.provision(
+        JobSpec(job_id="wide", input_category="cat", task_count=6,
+                rate_per_thread_mb=0.3),
+        partitions=8,
+    )
+    driver = TrafficDriver(platform.engine, platform.scribe, tick=10.0)
+    driver.add_source("cat", lambda t: 4.0)
+    driver.start()
+    platform.scribe.get_category("cat").set_weights([5.0, 0.3, 1.7, 0.1, 2.9, 0.7, 0.2, 1.1])
+    platform.run_for(minutes=4)
+    store = MetricStore()
+    collector = JobStatsCollector(
+        platform.engine, platform.task_service, platform.shard_manager,
+        platform.scribe, store,
+    )
+    collector.collect_once()
+    for job_id in ("job", "wide"):
+        rates = [
+            task.last_rate_mb for task in collector._tasks_by_job()[job_id]
+            if task.state == TaskState.RUNNING
+        ]
+        assert len(rates) >= 2 and len(set(rates)) > 1
+        assert store.latest(job_id, "task_rate_stdev").hex() == stdev(rates).hex()
+
+
 def test_running_tasks_gauge_and_reconciliation():
     platform = collector_platform()
     platform.run_for(minutes=2)
@@ -116,9 +151,8 @@ def outage_platform():
 
 def series_lengths(platform, job_id="job"):
     return {
-        metric: len(series)
-        for (entity, metric), series in platform.metrics._series.items()
-        if entity == job_id
+        metric: len(column)
+        for metric, column in platform.metrics.row(job_id).items()
     }
 
 
@@ -167,7 +201,7 @@ def test_input_rate_keeps_fifteen_days_whoever_touches_it_first(scaler_first):
     else:
         platform.run_for(minutes=3)
         platform.attach_scaler().run_once()
-    series = platform.metrics._series[("job", "input_rate_mb")]
+    series = platform.metrics.row("job")["input_rate_mb"]
     assert len(series) >= 2
     assert series.retention == 15 * 86400.0
 

@@ -15,8 +15,8 @@ callers pass.
 
 Knobs a workload, figure bench, example or CLI command sets need no
 entry below: the scan sees their callers (the health reporter's
-``interval`` through ``attach_health_reporter``, a series' ``retention``
-through ``MetricStore.series``). ``ALLOWED`` holds the knobs kept on
+``interval`` through ``attach_health_reporter``, a generator's ``seed``
+through ``SeededRng.fork``). ``ALLOWED`` holds the knobs kept on
 purpose although nothing outside ``tests/`` sets them, each with why.
 """
 
@@ -215,5 +215,5 @@ def test_the_scan_sees_knobs_and_callers():
     assert "step_interval" in keywords["PlatformConfig"]
     # Passed through Turbine.attach_health_reporter's **_given(interval=...).
     assert "interval" in keywords["HealthReporter"]
-    # Passed by position, by MetricStore.series.
-    assert positional["TimeSeries"] >= 1
+    # Passed by position, by SeededRng.fork.
+    assert positional["SeededRng"] >= 1
