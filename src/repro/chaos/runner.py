@@ -180,9 +180,9 @@ def build_platform(
     steady traffic on ``cat-0..2``. With ``replication`` the Job Store
     runs as a 3-replica group over a Scribe command log (required by the
     ``replica-crash``/``repl-log-trim`` fault kinds). The resiliency
-    toggles attach the matching data-plane feature (checkpoint plane,
-    standby plane, slow-node detector); ``hot_standby`` additionally
-    opts every chaos job into passive replicas. ``capacity_manager``
+    toggles are passed to the ``PlatformConfig`` fields of the same name
+    (checkpoint plane, standby plane, slow-node detector); ``hot_standby``
+    also opts every chaos job into passive replicas. ``capacity_manager``
     attaches the Capacity Manager next to the scaler.
     """
     from repro import JobSpec, PlatformConfig, Turbine
@@ -190,7 +190,11 @@ def build_platform(
 
     platform = Turbine.create(
         num_hosts=4, seed=seed,
-        config=PlatformConfig(num_shards=32, containers_per_host=2),
+        config=PlatformConfig(
+            num_shards=32, containers_per_host=2,
+            durable_checkpoints=durable_checkpoints, hot_standby=hot_standby,
+            slow_node_detection=slow_node_detection,
+        ),
     )
     platform.attach_scaler()
     if capacity_manager:
@@ -200,12 +204,6 @@ def build_platform(
     platform.attach_chaos()
     if replication:
         platform.attach_replication(replicas=replicas)
-    if durable_checkpoints:
-        platform.attach_checkpoints()
-    if hot_standby:
-        platform.attach_standby()
-    if slow_node_detection:
-        platform.attach_slow_node_detector()
     platform.enable_tracing()
     platform.enable_instrumentation()
     platform.start()

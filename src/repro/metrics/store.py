@@ -11,17 +11,17 @@ days of input rates).
 The store keeps one index, entity → row. It is the per-entity read path:
 :meth:`row` hands a reader every column of one entity in one lookup, and
 :meth:`drop_entity` forgets an entity in one pop. Only writes create
-columns; no read does. Writers land a whole row at once
-(:meth:`record_row`, the stats collector's per-job round) or a batch of
-``(entity, metric, value)`` samples at one time (:meth:`record_many`).
-Every write refuses a non-finite time or value before anything lands.
+columns; no read does. Every write lands through :meth:`record_row` (the
+stats collector's per-job round); :meth:`record` is its one-metric call.
+It refuses a non-finite time or value before anything lands, drops the
+row during an outage, and counts what it lands.
 """
 
 from __future__ import annotations
 
 import math
 from types import MappingProxyType
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.metrics.row import Column, MetricRow
 from repro.types import Seconds
@@ -84,12 +84,6 @@ class MetricStore:
             raise ValueError(f"retention must be positive and finite: {retention!r}")
         self._retention[metric] = retention
 
-    def _row_for(self, entity: str) -> MetricRow:
-        row = self._rows.get(entity)
-        if row is None:
-            row = self._rows[entity] = MetricRow(self._retention, DEFAULT_RETENTION)
-        return row
-
     def drop_entity(self, entity: str) -> None:
         """Forget every column of a deleted entity."""
         self._rows.pop(entity, None)
@@ -103,31 +97,9 @@ class MetricStore:
     # ------------------------------------------------------------------
     # Ingestion
     # ------------------------------------------------------------------
-    def _check_order(self, entity: str, time: Seconds) -> None:
-        row = self._rows.get(entity)
-        if row is not None and row.times and time < row.times[-1]:
-            raise ValueError(
-                f"samples must be time-ordered: {time} < {row.times[-1]}"
-            )
-
-    def _count(self, landed: int) -> None:
-        self.samples_ingested += landed
-        self.batches_ingested += 1
-        if self._telemetry is not None and landed:
-            self._telemetry.inc("metrics.ingest.batches")
-            self._telemetry.inc("metrics.ingest.samples", landed)
-
-    def record(self, entity: str, metric: str, time: Seconds, value: float) -> None:
-        """Append one sample (silently dropped while unavailable)."""
-        if not _isfinite(time):
-            _refuse("sample time", time)
-        if not _isfinite(value):
-            _refuse("sample value", value)
-        if not self.available:
-            self.dropped_points += 1
-            return
-        self._row_for(entity).append(time, (metric,), (value,))
-        self.samples_ingested += 1
+    def record(self, entity: str, metric: str, time: Seconds, value: float) -> int:
+        """Append one sample: a one-metric :meth:`record_row`."""
+        return self.record_row(entity, time, (metric,), (value,))
 
     def record_row(
         self,
@@ -160,33 +132,12 @@ class MetricStore:
         if row is None:
             row = self._rows[entity] = MetricRow(self._retention, DEFAULT_RETENTION)
         landed = row.append(time, metrics, values)
-        self._count(landed)
+        self.samples_ingested += landed
+        self.batches_ingested += 1
+        if self._telemetry is not None and landed:
+            self._telemetry.inc("metrics.ingest.batches")
+            self._telemetry.inc("metrics.ingest.samples", landed)
         return landed
-
-    def record_many(
-        self, time: Seconds, samples: Iterable[Tuple[str, str, float]]
-    ) -> int:
-        """Append a batch of ``(entity, metric, value)`` samples at ``time``.
-
-        One availability check and one telemetry update for the whole
-        batch; an entity's samples share its row's slot at ``time``. The
-        batch is checked whole before any sample lands. Returns the number
-        of samples ingested (0 while unavailable).
-        """
-        if not _isfinite(time):
-            _refuse("sample time", time)
-        samples = list(samples)
-        for entity, __, value in samples:
-            self._check_order(entity, time)
-            if not _isfinite(value):
-                _refuse("sample value", value)
-        if not self.available:
-            self.dropped_points += len(samples)
-            return 0
-        for entity, metric, value in samples:
-            self._row_for(entity).append(time, (metric,), (value,))
-        self._count(len(samples))
-        return len(samples)
 
     # ------------------------------------------------------------------
     # Reads

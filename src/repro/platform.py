@@ -94,9 +94,13 @@ class PlatformConfig:
     rebalance_interval: Seconds = REBALANCE_INTERVAL
     step_interval: Seconds = STEP_INTERVAL
     stats_interval: Seconds = COLLECT_INTERVAL
-    #: Data-plane resiliency toggles (all off by default — with every
+    #: Data-plane resiliency planes, switched on here only and built by
+    #: ``Turbine.start()``: Scribe-backed offset snapshots that roll
+    #: regressed cursors forward; passive replicas for jobs provisioned
+    #: with ``hot_standby=True``; the gray-failure detector that drains
+    #: persistently slow containers. All off by default — with every
     #: toggle off the platform is byte-identical to one built before
-    #: these features existed; the transparency suite asserts it).
+    #: these features existed; the transparency suite asserts it.
     durable_checkpoints: bool = False
     hot_standby: bool = False
     slow_node_detection: bool = False
@@ -172,8 +176,8 @@ class Turbine:
         self.sli = None
         self.slo = None
         self.replication = None
-        #: Data-plane resiliency planes (see :meth:`attach_checkpoints`,
-        #: :meth:`attach_standby`, :meth:`attach_slow_node_detector`).
+        #: Data-plane resiliency planes, built by :meth:`start` when
+        #: their ``PlatformConfig`` toggle is on.
         self.checkpoint_plane = None
         self.standby = None
         self.slow_nodes = None
@@ -282,53 +286,6 @@ class Turbine:
             telemetry=self.telemetry, **_given(replicas=replicas),
         ))
 
-    def attach_checkpoints(self):
-        """Attach the durable checkpoint plane (Scribe-backed snapshots).
-
-        Periodically snapshots every job's committed offsets into a
-        per-job command log and rolls the live cursors forward when they
-        regress (a cursor wipe, or a task restarting from scratch).
-        Fault-free behavior is byte-identical to a platform without it.
-        """
-        from repro.tasks.checkpoint import CheckpointPlane
-
-        plane = self._attach("checkpoint_plane", lambda: CheckpointPlane(
-            self.engine, self.scribe, self.task_service,
-            telemetry=self.telemetry,
-        ))
-        for manager in self.task_managers.values():
-            manager.checkpoint_plane = plane
-        return plane
-
-    def attach_standby(self):
-        """Attach the hot-standby plane (passive replicas, fast takeover).
-
-        Only jobs provisioned with ``hot_standby=True`` get replicas; a
-        platform with the plane attached but no opted-in jobs behaves
-        byte-identically to one without the plane.
-        """
-        from repro.tasks.standby import StandbyPlane
-
-        plane = self._attach("standby", lambda: StandbyPlane(
-            self.engine, self, telemetry=self.telemetry,
-        ))
-        for manager in self.task_managers.values():
-            manager.standby_plane = plane
-        return plane
-
-    def attach_slow_node_detector(self):
-        """Attach the gray-failure (slow-node) detector.
-
-        Compares per-task rates against the job median and drains
-        containers that stay persistently slow; see
-        :mod:`repro.tasks.slow_node` for thresholds.
-        """
-        from repro.tasks.slow_node import SlowNodeDetector
-
-        return self._attach("slow_nodes", lambda: SlowNodeDetector(
-            self.engine, self, telemetry=self.telemetry
-        ))
-
     def attach_capacity_manager(self):
         """Attach the Capacity Manager (requires an attached scaler)."""
         from repro.scaler.capacity import CapacityManager
@@ -361,14 +318,7 @@ class Turbine:
         """Allocate containers, start every service, place all shards."""
         if self._started:
             return
-        # Config-driven resiliency planes attach before the managers
-        # spawn, so every manager is wired to them from the first task.
-        if self.config.durable_checkpoints and self.checkpoint_plane is None:
-            self.attach_checkpoints()
-        if self.config.hot_standby and self.standby is None:
-            self.attach_standby()
-        if self.config.slow_node_detection and self.slow_nodes is None:
-            self.attach_slow_node_detector()
+        self._build_resiliency_planes()
         self._started = True
         containers = self.cluster.allocate_fleet(
             self.config.containers_per_host, self.config.container_capacity
@@ -387,6 +337,30 @@ class Turbine:
             self._step_data_plane,
             name="data-plane-step",
         )
+
+    def _build_resiliency_planes(self) -> None:
+        """Build the planes the config switches on, before the first
+        manager spawns, so :meth:`_spawn_manager` wires every manager to
+        them."""
+        if self.config.durable_checkpoints:
+            from repro.tasks.checkpoint import CheckpointPlane
+
+            self._attach("checkpoint_plane", lambda: CheckpointPlane(
+                self.engine, self.scribe, self.task_service,
+                telemetry=self.telemetry,
+            ))
+        if self.config.hot_standby:
+            from repro.tasks.standby import StandbyPlane
+
+            self._attach("standby", lambda: StandbyPlane(
+                self.engine, self, telemetry=self.telemetry,
+            ))
+        if self.config.slow_node_detection:
+            from repro.tasks.slow_node import SlowNodeDetector
+
+            self._attach("slow_nodes", lambda: SlowNodeDetector(
+                self.engine, self, telemetry=self.telemetry,
+            ))
 
     def _step_data_plane(self) -> None:
         """The one stepping path: every manager, in spawn order."""

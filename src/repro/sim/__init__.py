@@ -8,9 +8,8 @@ design goal — the same seed always produces the same run, which makes the
 paper's experiments reproducible bit-for-bit.
 """
 
-from repro.sim.clock import SimClock
 from repro.sim.engine import Engine, Timer
 from repro.sim.events import Event, EventQueue
 from repro.sim.rng import SeededRng
 
-__all__ = ["SimClock", "Engine", "Timer", "Event", "EventQueue", "SeededRng"]
+__all__ = ["Engine", "Timer", "Event", "EventQueue", "SeededRng"]

@@ -1,7 +1,8 @@
 """The discrete-event engine.
 
-The engine owns the clock and the event queue. Services interact with it in
-two ways:
+The engine owns simulated time and the event queue. Services read the time
+through :attr:`Engine.now` (only :meth:`Engine.run_until` moves it) and
+interact with the engine in two ways:
 
 * one-shot events — ``engine.call_in(delay, fn)`` / ``engine.call_at(t, fn)``
 * periodic timers — ``engine.every(interval, fn)`` returns a :class:`Timer`
@@ -20,7 +21,6 @@ from math import inf
 from typing import Any, Callable, Optional
 
 from repro.errors import SimulationError
-from repro.sim.clock import SimClock
 from repro.sim.events import Event, EventQueue
 from repro.sim.rng import SeededRng
 from repro.types import Seconds
@@ -95,7 +95,8 @@ class Engine:
     """Deterministic discrete-event simulation engine."""
 
     def __init__(self, seed: int = 0) -> None:
-        self.clock = SimClock()
+        #: Current simulated time; only :meth:`run_until` moves it.
+        self._now: Seconds = 0.0
         self.queue = EventQueue()
         self.rng = SeededRng(seed)
         self._running = False
@@ -107,8 +108,8 @@ class Engine:
 
     @property
     def now(self) -> Seconds:
-        """Current simulated time."""
-        return self.clock.now
+        """Current simulated time (read-only)."""
+        return self._now
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -176,11 +177,16 @@ class Engine:
                 if next_time is None or next_time > deadline:
                     break
                 time, callback = self.queue.pop()
-                self.clock.advance_to(time)
+                if time < self._now:
+                    # It would reorder already-delivered events.
+                    raise SimulationError(
+                        f"time cannot move backwards: {time} < {self._now}"
+                    )
+                self._now = float(time)
                 self._dispatch(callback)
         finally:
             self._running = False
-        self.clock.advance_to(deadline)
+        self._now = float(deadline)
 
     def run_for(self, duration: Seconds) -> None:
         """Deliver events for the next ``duration`` seconds."""

@@ -184,10 +184,10 @@ class TimeSeries:
 class PerMetricStore:
     """``repro.metrics.MetricStore`` with one :class:`TimeSeries` per
     ``(entity, metric)`` under a tuple key, plus entity and metric indexes.
-    The same writes (``record`` / ``record_row`` / ``record_many``,
-    ``retain``, ``drop_entity``, ``fail`` / ``recover``) and reads (``row``,
-    ``latest``, ``entities_with``); :meth:`series` creates what it does not
-    find. It checks no value, so it also reads what the row refuses."""
+    The same writes (``record`` / ``record_row``, ``retain``,
+    ``drop_entity``, ``fail`` / ``recover``) and reads (``row``, ``latest``,
+    ``entities_with``); :meth:`series` creates what it does not find. It
+    checks no value, so it also reads what the row refuses."""
 
     def __init__(self) -> None:
         self._series: Dict[Tuple[str, str], TimeSeries] = {}
@@ -232,12 +232,8 @@ class PerMetricStore:
     def entities_with(self, metric: str) -> List[str]:
         return sorted(self._metric_index.get(metric, ()))
 
-    def record(self, entity: str, metric: str, time: Seconds, value: float) -> None:
-        if not self.available:
-            self.dropped_points += 1
-            return
-        self.series(entity, metric).record(time, value)
-        self.samples_ingested += 1
+    def record(self, entity: str, metric: str, time: Seconds, value: float) -> int:
+        return self.record_row(entity, time, (metric,), (value,))
 
     def record_row(
         self,
@@ -246,22 +242,17 @@ class PerMetricStore:
         metrics: Sequence[str],
         values: Sequence[Optional[float]],
     ) -> int:
-        return self.record_many(time, [
-            (entity, metric, value)
+        present = [
+            (metric, value)
             for metric, value in zip(metrics, values) if value is not None
-        ])
-
-    def record_many(
-        self, time: Seconds, samples: Iterable[Tuple[str, str, float]]
-    ) -> int:
-        samples = list(samples)
+        ]
         if not self.available:
-            self.dropped_points += len(samples)
+            self.dropped_points += len(present)
             return 0
-        for entity, metric, value in samples:
+        for metric, value in present:
             self.series(entity, metric).record(time, value)
-        self.samples_ingested += len(samples)
-        return len(samples)
+        self.samples_ingested += len(present)
+        return len(present)
 
     def row(self, entity: str) -> Dict[str, TimeSeries]:
         return self._entity_index.get(entity, {})
@@ -347,7 +338,6 @@ class FullWalkSloTracker(SloTracker):
         except DegradedModeError:
             return
         self.evaluations += 1
-        batch = []
         for job_id in job_ids:
             try:
                 if not self._sli.running(job_id):
@@ -356,7 +346,9 @@ class FullWalkSloTracker(SloTracker):
                     verdict = self._judge(job_id, spec, now)
                     if verdict is None:
                         continue
-                    batch.append((job_id, f"slo_bad.{spec.name}", verdict))
+                    metric = f"slo_bad.{spec.name}"
+                    self._store.series(job_id, metric, retention=self._retention)
+                    self._store.record(job_id, metric, now, verdict)
                     bad = verdict > 0.0
                     if bad:
                         self._last_bad[(job_id, index)] = now
@@ -364,10 +356,6 @@ class FullWalkSloTracker(SloTracker):
                     self._track_breach(job_id, spec, bad=bad, now=now)
             except DegradedModeError:
                 continue
-        for job_id, metric, __ in batch:
-            self._store.series(job_id, metric, retention=self._retention)
-        if batch:
-            self._store.record_many(now, batch)
         self._check_burn_rates(now)
         self._publish_telemetry(now)
 

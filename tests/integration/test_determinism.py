@@ -27,7 +27,11 @@ def run_busy_hour(
         flag_hot_standby = hot_standby
     platform = Turbine.create(
         num_hosts=4, seed=seed,
-        config=PlatformConfig(num_shards=32, containers_per_host=2),
+        config=PlatformConfig(
+            num_shards=32, containers_per_host=2,
+            durable_checkpoints=durable_checkpoints, hot_standby=hot_standby,
+            slow_node_detection=slow_node_detection,
+        ),
     )
     if observe:
         platform.enable_tracing()
@@ -36,12 +40,6 @@ def run_busy_hour(
     platform.attach_slo()
     if replication:
         platform.attach_replication()
-    if durable_checkpoints:
-        platform.attach_checkpoints()
-    if hot_standby:
-        platform.attach_standby()
-    if slow_node_detection:
-        platform.attach_slow_node_detector()
     platform.start()
     driver = TrafficDriver(platform.engine, platform.scribe, tick=60.0)
     for index in range(4):
@@ -367,10 +365,12 @@ class TestResiliencyTransparency:
         """Guard against the transparency test passing vacuously."""
         platform = Turbine.create(
             num_hosts=4, seed=101,
-            config=PlatformConfig(num_shards=32, containers_per_host=2),
+            config=PlatformConfig(
+                num_shards=32, containers_per_host=2, durable_checkpoints=True,
+            ),
         )
-        plane = platform.attach_checkpoints()
         platform.start()
+        plane = platform.checkpoint_plane
         driver = TrafficDriver(platform.engine, platform.scribe, tick=60.0)
         platform.provision(
             JobSpec(job_id="job", input_category="cat", task_count=2)
@@ -393,10 +393,12 @@ class TestResiliencyTransparency:
         one instead of waiting out the reboot clock."""
         platform = Turbine.create(
             num_hosts=4, seed=101,
-            config=PlatformConfig(num_shards=32, containers_per_host=2),
+            config=PlatformConfig(
+                num_shards=32, containers_per_host=2, hot_standby=True,
+            ),
         )
-        standby = platform.attach_standby()
         platform.start()
+        standby = platform.standby
         platform.provision(
             JobSpec(job_id="job", input_category="cat", task_count=2,
                     hot_standby=True)
@@ -427,10 +429,12 @@ class TestResiliencyTransparency:
         detector samples real task rates yet drains nothing healthy."""
         platform = Turbine.create(
             num_hosts=4, seed=101,
-            config=PlatformConfig(num_shards=32, containers_per_host=2),
+            config=PlatformConfig(
+                num_shards=32, containers_per_host=2, slow_node_detection=True,
+            ),
         )
-        detector = platform.attach_slow_node_detector()
         platform.start()
+        detector = platform.slow_nodes
         driver = TrafficDriver(platform.engine, platform.scribe, tick=60.0)
         platform.provision(
             JobSpec(job_id="job", input_category="cat", task_count=4)

@@ -2,13 +2,17 @@
 
 Every optional subsystem reaches the platform through
 ``Turbine._attach`` and is started by the single loop over
-``_START_ORDER``. Three properties follow and are pinned here:
+``_START_ORDER``; a data-plane resiliency plane is switched on only by
+its ``PlatformConfig`` toggle, and ``start()`` builds it before the first
+Task Manager spawns. Four properties follow and are pinned here:
 
 * a subsystem is attached once: a second ``attach_*`` raises, before or
   after ``start()``, and the first instance stays attached with each of
   its timers armed once (a replaced one would strand what it left in
   the fleet, or keep acting with an armed timer);
 * attaching after ``start()`` arms each timer exactly once;
+* a plane switched on by config reaches every Task Manager, the ones
+  spawned after ``start()`` included, and arms its timer once;
 * the order in which the optional subsystems were *attached* is
   invisible: same-timestamp timers fire in ``_START_ORDER`` order, so
   every export is byte-identical for any attach order.
@@ -50,21 +54,32 @@ STARTABLE = {
     "attach_replication": (
         "replication", ("replication-lease", "replication-catchup"),
     ),
-    "attach_checkpoints": ("checkpoint_plane", ("checkpoint-plane",)),
-    "attach_standby": ("standby", ("standby-plane",)),
-    "attach_slow_node_detector": ("slow_nodes", ("slow-node-detector",)),
 }
+
+#: ``PlatformConfig`` plane toggle -> (platform attribute, the timer it
+#: arms, the Task Manager attribute that holds it or ``None``).
+PLANES = {
+    "durable_checkpoints": (
+        "checkpoint_plane", "checkpoint-plane", "checkpoint_plane",
+    ),
+    "hot_standby": ("standby", "standby-plane", "standby_plane"),
+    "slow_node_detection": ("slow_nodes", "slow-node-detector", None),
+}
+
+#: Every plane toggle on.
+ALL_PLANES = dict.fromkeys(PLANES, True)
 
 #: Every ``attach_*`` method: the startable ones and the chaos engine,
 #: which arms no timer until a scenario is scheduled.
 ATTACHABLE = {**STARTABLE, "attach_chaos": ("chaos", ())}
 
 
-def small_platform(method):
-    """A two-host platform ready to have ``method`` called on it."""
+def small_platform(method, **planes):
+    """A two-host platform, with the ``planes`` toggles given, ready to
+    have ``method`` called on it."""
     platform = Turbine.create(
         num_hosts=2, seed=3,
-        config=PlatformConfig(num_shards=8, containers_per_host=2),
+        config=PlatformConfig(num_shards=8, containers_per_host=2, **planes),
     )
     if method == "attach_capacity_manager":
         platform.attach_scaler()  # the one attach-order rule of the API
@@ -168,8 +183,9 @@ def test_every_started_subsystem_is_covered_here():
     """A subsystem added to ``_START_ORDER`` must join :data:`STARTABLE`."""
     always_on = {"shard_manager", "syncer", "stats"}
     optional = {attr for attr, _names in STARTABLE.values()}
-    assert set(_START_ORDER) == always_on | optional
-    assert len(_START_ORDER) == len(always_on) + len(optional)
+    planes = {attr for attr, __, __ in PLANES.values()}
+    assert set(_START_ORDER) == always_on | optional | planes
+    assert len(_START_ORDER) == len(always_on) + len(optional) + len(planes)
 
 
 @pytest.mark.parametrize("second_attach", ["before-start", "after-start"])
@@ -221,7 +237,7 @@ def hosted_replicas(platform):
     }
 
 
-def test_reattach_standby_plane_mid_fault_strands_nothing():
+def test_a_standby_takeover_mid_fault_strands_nothing():
     """A replica promoted to cover for a primary on a dead host serves
     until its primary restarts, and every replica left hosted is one the
     plane knows, one per opted-in task."""
@@ -252,7 +268,7 @@ def test_reattach_standby_plane_mid_fault_strands_nothing():
     )
 
 
-def test_reattach_slow_node_detector_mid_fault_strands_nothing():
+def test_a_gray_node_drain_mid_fault_strands_nothing():
     """The gray host the detector drained is undrained once its cooldown
     elapses: a drain left in place would keep its containers out of the
     placement pool for good."""
@@ -291,12 +307,47 @@ def test_attach_after_start_arms_each_timer_exactly_once(method):
     assert armed_timers(platform) == after
 
 
+@pytest.mark.parametrize("toggle", sorted(PLANES))
+def test_a_plane_switched_on_by_config_reaches_every_manager(toggle):
+    """The toggle is the plane's one switch: ``start()`` builds it before
+    the first manager spawns and arms its timer once however often it is
+    called, and every Task Manager holds it — the ones ``start()``,
+    ``add_host`` and ``recover_host`` spawn alike."""
+    attr, timer_name, manager_attr = PLANES[toggle]
+    platform = small_platform(None, **{toggle: True})
+    assert getattr(platform, attr) is None
+    platform.start()
+    plane = getattr(platform, attr)
+    assert plane is not None
+    assert [name for name, (other, __, __) in PLANES.items()
+            if getattr(platform, other) is not None] == [toggle]
+    armed = armed_timers(platform)
+    assert armed[timer_name] == 1
+    platform.start()
+    plane.start()
+    assert armed_timers(platform) == armed
+    first = set(platform.task_managers)
+    platform.add_host("host-2")
+    platform.failures.fail_now("host-0", label="test")
+    platform.run_for(minutes=2)
+    platform.recover_host("host-0")
+    spawned_later = set(platform.task_managers) - first
+    assert len(spawned_later) == 4  # two on host-2, two on host-0
+    if manager_attr is not None:
+        for manager in platform.task_managers.values():
+            assert getattr(manager, manager_attr) is plane
+    platform.run_for(minutes=10)
+    assert getattr(platform, attr) is plane
+    assert armed_timers(platform)[timer_name] == 1
+
+
 def run_attached_in(order, seed):
     """A busy 40 minutes (traffic, scaling, a host loss) with every
-    optional subsystem attached in ``order`` before ``start()``."""
+    optional subsystem attached in ``order`` before ``start()`` and every
+    plane switched on."""
     platform = Turbine.create(
         num_hosts=4, seed=seed,
-        config=PlatformConfig(num_shards=32, containers_per_host=2),
+        config=PlatformConfig(num_shards=32, containers_per_host=2, **ALL_PLANES),
     )
     platform.enable_tracing()
     platform.enable_instrumentation()
@@ -354,10 +405,11 @@ def test_attach_order_is_invisible_to_every_export(seed):
 # One way out for a job: ``_JOB_HOLDERS`` + ``TurbineActuator.forget_job``
 # ----------------------------------------------------------------------
 def test_every_job_holder_is_a_platform_attribute_with_both_methods():
-    platform = small_platform("attach_capacity_manager")
+    platform = small_platform("attach_capacity_manager", **ALL_PLANES)
     for method in STARTABLE:
         if method != "attach_scaler":  # small_platform attached it
             getattr(platform, method)()
+    platform.start()  # builds the planes
     assert len(set(_JOB_HOLDERS)) == len(_JOB_HOLDERS)
     for name in _JOB_HOLDERS:
         holder = getattr(platform, name)

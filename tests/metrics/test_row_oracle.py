@@ -203,15 +203,14 @@ def test_both_retentions_trim_and_compact_under_the_same_reads():
 # ----------------------------------------------------------------------
 def test_a_round_appends_one_time_per_entity():
     """Six metrics landed at one ``now`` take one time slot, shared by
-    their six columns — whichever write path lands them."""
+    their six columns — in one row or one ``record`` a metric."""
     store = MetricStore()
     for minute in range(1, 11):
         now = minute * 60.0
         store.record_row("a", now, ROW_METRICS, (1.0,) * len(ROW_METRICS))
-        store.record_many(now, [("b", metric, 1.0) for metric in ROW_METRICS])
         for metric in ROW_METRICS:
             store.record("c", metric, now, 1.0)
-    for entity in "abc":
+    for entity in "ac":
         row = store._rows[entity]
         assert len(row.times) == 10
         assert all(column._times is row.times for column in row.columns.values())
@@ -228,10 +227,9 @@ def test_a_six_metric_round_costs_eight_bytes_of_time_and_eight_a_column():
         for metric in ROW_METRICS:
             store.retain(metric, INPUT_RATE_RETENTION)
         before = tracemalloc.get_traced_memory()[0]
+        values = (1.0,) * len(ROW_METRICS)
         for minute in range(rounds):
-            store.record_many(
-                minute * 60.0, [("job", metric, 1.0) for metric in ROW_METRICS]
-            )
+            store.record_row("job", minute * 60.0, ROW_METRICS, values)
         grown = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()

@@ -226,10 +226,10 @@ def test_every_read_equals_a_plain_list_of_the_retained_samples(
     retention to retire most of them and the columns to compact at least
     three times under the reads (when at least half the samples are
     finite). The reference series takes every sample;
-    three columns of one store take the finite ones — one through
-    ``record``, one through ``record_many``, one through ``record_row``
-    with another metric written between every other pair of its samples
-    (so it reads across NaN pads) — and refuse the rest. Each must read as the plain list of what
+    two columns of one store take the finite ones — one through
+    ``record``, one through ``record_row`` with another metric written
+    between every other pair of its samples (so it reads across NaN
+    pads) — and refuse the rest. Each must read as the plain list of what
     it took, bit for bit, raising where the list's read raises, and hand
     out lists of floats."""
     assume(sum(dt for dt, __ in motif) >= 0.5 * len(motif))
@@ -247,7 +247,6 @@ def test_every_read_equals_a_plain_list_of_the_retained_samples(
         every = [(t, v) for t, v in every if t >= now - retention]
         if math.isfinite(value):
             store.record("one", "metric", now, value)
-            store.record_many(now, [("many", "metric", value)])
             if index % 2:
                 store.record("row", "other", (before + now) / 2, 1.0)
             store.record_row("row", now, ("metric",), (value,))
@@ -257,15 +256,14 @@ def test_every_read_equals_a_plain_list_of_the_retained_samples(
         else:
             for write in (
                 lambda: store.record("one", "metric", now, value),
-                lambda: store.record_many(now, [("many", "metric", value)]),
                 lambda: store.record_row("row", now, ("metric",), (value,)),
             ):
                 with pytest.raises(ValueError):
                     write()
         readers = [(reference, every)]
         if finite:
-            # The padded column every step, the other two every tenth.
-            entities = ("row", "one", "many") if index % 10 == 0 else ("row",)
+            # The padded column every step, the other every tenth.
+            entities = ("row", "one") if index % 10 == 0 else ("row",)
             readers += [(store.row(e)["metric"], finite) for e in entities]
         for series, plain in readers:
             assert len(series) == len(plain)
@@ -299,7 +297,7 @@ def test_every_read_equals_a_plain_list_of_the_retained_samples(
                     assert series.count_between(start, at) == len(values)
     assert reference.compactions >= 3
     if taken >= STREAM_LENGTH // 2:
-        for entity in ("one", "many", "row"):
+        for entity in ("one", "row"):
             assert store.row(entity)["metric"].compactions >= 3
 
 
@@ -311,10 +309,11 @@ def test_every_read_equals_a_plain_list_of_the_retained_samples(
 FOURTEEN_DAYS_OF_MINUTES = 14 * 24 * 60
 
 
-@pytest.mark.parametrize("path", ["record", "record_many"])
+@pytest.mark.parametrize("path", ["record", "record_row"])
 def test_a_retained_sample_costs_at_most_twenty_bytes(path):
     """A one-metric row is two packed doubles a sample, 16 bytes; a list
-    slot per axis plus a boxed value costs ≈ 40 (batched) to 64 (single).
+    slot per axis plus a boxed value would cost ≈ 40 to 64. Both entry
+    points land the same row.
     The guard leaves room for the arrays' over-allocation and nothing
     else."""
     tracemalloc.start()
@@ -327,7 +326,7 @@ def test_a_retained_sample_costs_at_most_twenty_bytes(path):
             if path == "record":
                 store.record("job", "input_rate_mb", time, value)
             else:
-                store.record_many(time, [("job", "input_rate_mb", value)])
+                store.record_row("job", time, ("input_rate_mb",), (value,))
         grown = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()

@@ -3,8 +3,6 @@
 import math
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.metrics import MetricStore
 from repro.metrics.store import DEFAULT_RETENTION
@@ -59,10 +57,10 @@ def test_drop_entity():
 def test_custom_retention_honored():
     store = MetricStore()
     store.retain("history", 100.0)
-    store.record_many(0.0, [("job-a", "lag", 1.0), ("job-a", "history", 1.0)])
+    store.record_row("job-a", 0.0, ("lag", "history"), (1.0, 1.0))
     assert store.row("job-a")["lag"].retention == DEFAULT_RETENTION
     assert store.row("job-a")["history"].retention == 100.0
-    store.record_many(150.0, [("job-a", "lag", 2.0), ("job-a", "history", 2.0)])
+    store.record_row("job-a", 150.0, ("lag", "history"), (2.0, 2.0))
     assert len(store.row("job-a")["lag"]) == 2
     assert store.row("job-a")["history"].all_points() == [(150.0, 2.0)]
 
@@ -79,9 +77,7 @@ def test_a_non_finite_time_or_value_is_refused_and_lands_nothing(bad):
     with pytest.raises(ValueError):
         store.record("j", "x", bad, 5.0)
     with pytest.raises(ValueError):
-        store.record_many(2.0, [("j", "x", 4.0), ("k", "x", 4.0), ("j", "y", bad)])
-    with pytest.raises(ValueError):
-        store.record_many(bad, [("j", "x", 4.0)])
+        store.record_row("k", 2.0, ("x", "y"), (4.0, bad))
     with pytest.raises(ValueError):
         store.record_row("j", 2.0, ("x", "y"), (4.0, bad))
     with pytest.raises(ValueError):
@@ -111,8 +107,9 @@ def test_an_out_of_order_batch_lands_nothing():
     store = MetricStore()
     store.record("late", "x", 10.0, 1.0)
     with pytest.raises(ValueError):
-        store.record_many(5.0, [("early", "x", 1.0), ("late", "x", 2.0)])
-    assert store.row("early") == {} and len(store.row("late")["x"]) == 1
+        store.record_row("late", 5.0, ("y", "x"), (1.0, 2.0))
+    assert sorted(store.row("late")) == ["x"] and len(store.row("late")["x"]) == 1
+    assert store.samples_ingested == 1 and store.batches_ingested == 1
 
 
 # ----------------------------------------------------------------------
@@ -121,7 +118,8 @@ def test_an_out_of_order_batch_lands_nothing():
 def test_row_is_every_series_of_the_entity_by_metric():
     store = MetricStore()
     store.record("job-a", "lag", 0.0, 1.0)
-    store.record_many(60.0, [("job-a", "rate", 2.0), ("job-b", "lag", 3.0)])
+    store.record("job-a", "rate", 60.0, 2.0)
+    store.record("job-b", "lag", 60.0, 3.0)
     row = store.row("job-a")
     assert sorted(row) == ["lag", "rate"]
     assert row["lag"].all_points() == [(0.0, 1.0)]
@@ -159,60 +157,51 @@ def test_row_sees_exactly_what_writes_landed():
 
 
 # ----------------------------------------------------------------------
-# Batched ingestion
+# One landing body: ``record`` is a one-metric ``record_row``
 # ----------------------------------------------------------------------
-batches = st.lists(
-    st.lists(
-        st.tuples(
-            st.sampled_from(["job-a", "job-b", "task-0", "task-1"]),
-            st.sampled_from(["cpu_used", "rate_mb", "lag"]),
-            st.floats(
-                min_value=-1e9, max_value=1e9,
-                allow_nan=False, allow_subnormal=False,
-            ),
-        ),
-        max_size=12,
-    ),
-    min_size=1, max_size=20,
-)
+class CountingSink:
+    """A duck-typed telemetry sink: counter name -> total."""
+
+    def __init__(self):
+        self.counters = {}
+
+    def inc(self, name, amount=1.0):
+        self.counters[name] = self.counters.get(name, 0.0) + amount
 
 
-@settings(max_examples=50, deadline=None)
-@given(batches=batches)
-def test_record_many_matches_record_loop(batches):
-    batched = MetricStore()
-    looped = MetricStore()
-    now = 0.0
-    for batch in batches:
-        now += 60.0
-        assert batched.record_many(now, batch) == len(batch)
-        for entity, metric, value in batch:
-            looped.record(entity, metric, now, value)
-    assert batched.samples_ingested == looped.samples_ingested
-    for metric in ("cpu_used", "rate_mb", "lag"):
-        assert batched.entities_with(metric) == looped.entities_with(metric)
-        for entity in looped.entities_with(metric):
-            assert batched.row(entity)[metric].all_points() == (
-                looped.row(entity)[metric].all_points()
-            )
-
-
-def test_record_many_drops_whole_batch_while_unavailable():
+@pytest.mark.parametrize("spelling", ["record", "record_row"])
+def test_every_landed_sample_is_counted_the_same_way(spelling):
+    """A sample ``record`` lands moves ``samples_ingested``,
+    ``batches_ingested`` and both ``metrics.ingest.*`` counters exactly as
+    a one-metric ``record_row`` does, and an outage drops it into the same
+    ``dropped_points``."""
     store = MetricStore()
+    sink = CountingSink()
+    store.set_telemetry(sink)
+
+    def write(time, value):
+        if spelling == "record":
+            return store.record("e", "m", time, value)
+        return store.record_row("e", time, ("m",), (value,))
+
+    landed = [write(0.0, 1.0)]
     store.fail()
-    assert store.record_many(0.0, [("e", "m", 1.0), ("e", "m2", 2.0)]) == 0
-    assert store.dropped_points == 2
-    assert store._rows == {}
+    landed.append(write(60.0, 2.0))
     store.recover()
-    assert store.record_many(60.0, [("e", "m", 1.0)]) == 1
-    assert store.latest("e", "m") == 1.0
+    landed.append(write(120.0, 3.0))
+    assert (store.samples_ingested, store.batches_ingested) == (2, 2)
+    assert store.dropped_points == 1
+    assert sink.counters == {
+        "metrics.ingest.batches": 2.0, "metrics.ingest.samples": 2.0,
+    }
+    assert store.row("e")["m"].all_points() == [(0.0, 1.0), (120.0, 3.0)]
+    assert landed == [1, 0, 1]
 
 
 def test_indexes_follow_drop_entity():
     store = MetricStore()
-    store.record_many(
-        0.0, [("a", "cpu", 1.0), ("b", "cpu", 2.0), ("a", "mem", 3.0)]
-    )
+    store.record_row("a", 0.0, ("cpu", "mem"), (1.0, 3.0))
+    store.record("b", "cpu", 0.0, 2.0)
     assert store.entities_with("cpu") == ["a", "b"]
     store.drop_entity("a")
     assert store.entities_with("cpu") == ["b"]

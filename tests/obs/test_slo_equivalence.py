@@ -512,13 +512,12 @@ class TestFootprint:
 
         def one_round():
             engine.run_for(INTERVAL)
-            metrics.record_many(engine.now, [
-                (job_id, metric, value)
-                for job_id in job_ids
-                for metric, value in (("time_lagged", 5.0),
-                                      ("processing_rate_mb", 2.0),
-                                      ("running_tasks", 2.0))
-            ])
+            for job_id in job_ids:
+                metrics.record_row(
+                    job_id, engine.now,
+                    ("time_lagged", "processing_rate_mb", "running_tasks"),
+                    (5.0, 2.0, 2.0),
+                )
             tracker.evaluate_once()
 
         for __ in range(10):  # every ledger, view and fed series exists

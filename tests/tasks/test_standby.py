@@ -20,12 +20,15 @@ platform, and a reconcile forced where a refresh would skip must change
 nothing.
 """
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import JobSpec, PlatformConfig, Turbine
 from repro.jobs import ConfigLevel
+from repro.tasks import standby as standby_module
 from repro.tasks.manager import TaskManager
 from repro.tasks.standby import PROMOTION_LOG
 from repro.testing.reference import (
@@ -46,7 +49,8 @@ def build_platform(
     plane=None,
 ):
     """A small started fleet with ``jobs`` opted in; ``plane`` replaces
-    the production standby plane class (the reference suites)."""
+    the production standby plane class the ``hot_standby`` toggle builds
+    (the reference suites)."""
     platform = Turbine.create(
         num_hosts=num_hosts, seed=5,
         config=PlatformConfig(
@@ -54,11 +58,10 @@ def build_platform(
             hot_standby=True,
         ),
     )
-    if plane is not None:
-        platform._attach("standby", lambda: plane(
-            platform.engine, platform, telemetry=platform.telemetry,
-        ))
-    platform.start()
+    with mock.patch.object(
+        standby_module, "StandbyPlane", plane or standby_module.StandbyPlane
+    ):
+        platform.start()
     for job_id in jobs:
         provision(platform, job_id, task_count)
     platform.run_for(minutes=3)

@@ -157,9 +157,10 @@ def series_lengths(platform, job_id="job"):
 
 
 def test_no_collector_series_grows_while_the_metric_store_is_down():
-    """Every collector sample goes through ``MetricStore.record`` /
-    ``record_many``: during an outage the scaler's input goes dark —
-    ``input_rate_mb`` included — and every dropped sample is counted."""
+    """Every collector sample goes through ``MetricStore.record_row``
+    (``record`` is a one-metric call of it): during an outage the
+    scaler's input goes dark — ``input_rate_mb`` included — and every
+    dropped sample is counted."""
     healthy, failed = outage_platform(), outage_platform()
     ingested_before = healthy.metrics.samples_ingested
     before = series_lengths(failed)
