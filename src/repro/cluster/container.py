@@ -31,12 +31,13 @@ class TurbineContainer:
         self,
         container_id: ContainerId,
         capacity: Optional[ResourceVector] = None,
-        liveness: Optional[Version] = None,
+        fleet_version: Optional[Version] = None,
     ) -> None:
         self.container_id = container_id
-        #: Bumped by :meth:`kill` and :meth:`reboot`, the only writers of
-        #: ``alive``; the cluster shares one among all its containers.
-        self.liveness = liveness if liveness is not None else Version()
+        #: The cluster's one fleet counter, shared by all its containers.
+        #: :meth:`kill` bumps it; :meth:`reboot`'s one caller,
+        #: ``TaskManager.reboot``, bumps it in the same call.
+        self.fleet_version = fleet_version if fleet_version is not None else Version()
         self.capacity = (
             capacity if capacity is not None else DEFAULT_CONTAINER_CAPACITY
         )
@@ -93,7 +94,7 @@ class TurbineContainer:
         """Kill the container (host failure or forced fail-over)."""
         self.alive = False
         self.reservations.clear()
-        self.liveness.bump()
+        self.fleet_version.bump()
 
     def reboot(self) -> None:
         """Reboot after a Shard Manager connection timeout (section IV-C).
@@ -103,7 +104,6 @@ class TurbineContainer:
         """
         self.alive = True
         self.reservations.clear()
-        self.liveness.bump()
 
     def __repr__(self) -> str:
         state = "up" if self.alive else "DOWN"

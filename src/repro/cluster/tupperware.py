@@ -26,9 +26,10 @@ class TupperwareCluster:
         self.hosts: Dict[HostId, Host] = {}
         self.containers: Dict[ContainerId, TurbineContainer] = {}
         self._container_counter = itertools.count()
-        #: Bumped whenever one of this cluster's containers is killed or
-        #: rebooted: while it holds still, no container's ``alive`` moved.
-        self.liveness = Version()
+        #: The one fleet counter, shared by every container: bumped by a
+        #: container kill, by ``TaskManager._changed`` and by a manager
+        #: spawn, where the standby plane's fleet inputs are written.
+        self.fleet_version = Version()
         #: Callbacks invoked with the host id whenever a host dies. The
         #: Shard Manager subscribes to learn about lost containers.
         self.on_host_failure: List[Callable[[HostId], None]] = []
@@ -92,7 +93,9 @@ class TupperwareCluster:
                 f"host {host_id} cannot fit a container of {shape!r}"
             )
         container_id = f"turbine-{next(self._container_counter)}"
-        container = TurbineContainer(container_id, shape, liveness=self.liveness)
+        container = TurbineContainer(
+            container_id, shape, fleet_version=self.fleet_version
+        )
         host.attach(container)
         self.containers[container_id] = container
         return container

@@ -48,7 +48,7 @@ from repro.tasks.service import TaskService
 from repro.tasks.shard import DEFAULT_NUM_SHARDS
 from repro.tasks.shard_manager import REBALANCE_INTERVAL, ShardManager
 from repro.tasks.stats import COLLECT_INTERVAL, JobStatsCollector
-from repro.types import ContainerId, JobId, Seconds, TaskId, TaskState, Version
+from repro.types import ContainerId, JobId, Seconds, TaskId, TaskState
 
 #: Data-plane step period (the ``data-plane-step`` timer). Coarser steps
 #: trade fidelity for speed in long-horizon benchmarks.
@@ -146,10 +146,6 @@ class Turbine:
         #: read by the actuator and the standby plane, so neither walks
         #: the fleet to find one task.
         self.task_hosts: Dict[JobId, Dict[TaskId, Set[ContainerId]]] = {}
-        #: Bumped by every write to what a Task Manager hosts or is
-        #: assigned (``TaskManager._changed``) and to ``task_managers``
-        #: itself: the fleet inputs of the standby plane's guard.
-        self.fleet_version = Version()
         self.actuator = TurbineActuator(
             self.task_service, self.shard_manager, self.scribe,
             self.task_hosts, self._job_holders, tracer=self.tracer,
@@ -379,12 +375,11 @@ class Turbine:
             telemetry=self.telemetry,
             task_hosts=self.task_hosts,
             heartbeat_sweeps=self._heartbeat_sweeps,
-            fleet_version=self.fleet_version,
         )
         manager.standby_plane = self.standby
         manager.checkpoint_plane = self.checkpoint_plane
         self.task_managers[container.container_id] = manager
-        self.fleet_version.bump()
+        self.cluster.fleet_version.bump()
         manager.start()
         return manager
 
@@ -396,6 +391,8 @@ class Turbine:
 
         The Shard Manager discovers the loss through missing heartbeats
         (it is not told directly — that is the point of the protocol).
+        Nothing to bump: the containers' kills bumped the fleet counter,
+        and to the standby plane a dead manager reads as a missing one.
         """
         dead = [
             container_id
@@ -403,9 +400,7 @@ class Turbine:
             if not manager.alive
         ]
         for container_id in dead:
-            manager = self.task_managers.pop(container_id)
-            self.fleet_version.bump()
-            manager.shutdown()
+            self.task_managers.pop(container_id).shutdown()
 
     def add_host(self, host_id: str) -> None:
         """Hot-add a host: allocate containers and managers on it.

@@ -44,7 +44,6 @@ from repro.types import (
     ShardId,
     TaskId,
     TaskState,
-    Version,
 )
 
 #: "Each task manager has a local refresh thread to periodically (every 60
@@ -198,7 +197,6 @@ class TaskManager:
         telemetry: Optional[Telemetry] = None,
         task_hosts: Optional[Dict[JobId, Dict[TaskId, Set[ContainerId]]]] = None,
         heartbeat_sweeps: Optional[List[HeartbeatSweep]] = None,
-        fleet_version: Optional[Version] = None,
     ) -> None:
         self._tracer = tracer or NULL_TRACER
         self._engine = engine
@@ -229,11 +227,6 @@ class TaskManager:
         #: :meth:`reboot` (it keeps its ``tasks`` too): readers check
         #: liveness at lookup.
         self._task_hosts = task_hosts if task_hosts is not None else {}
-        #: Shared like ``task_hosts``: bumped by :meth:`_changed`, so by
-        #: every write to what any manager hosts or is assigned.
-        self._fleet_version = (
-            fleet_version if fleet_version is not None else Version()
-        )
         #: The shard index the last full reconcile ran against; ``None``
         #: once anything it read here changed since (:meth:`_changed`).
         self._reconciled: Optional[Dict[ShardId, Dict[TaskId, TaskSpec]]] = None
@@ -405,9 +398,9 @@ class TaskManager:
     def _changed(self) -> None:
         """Note a write to what this manager hosts or is assigned (or to
         a hosted task's state): the next refresh reconciles in full, and
-        the fleet's version moves for the standby plane."""
+        the container's fleet counter moves for the standby plane."""
         self._reconciled = None
-        self._fleet_version.bump()
+        self.container.fleet_version.bump()
 
     @property
     def _cached_index(self) -> Dict[ShardId, Dict[TaskId, TaskSpec]]:

@@ -96,7 +96,7 @@ class StandbyPlane:
         #: The guard (see :meth:`_tick`): the input versions the last full
         #: tick began at, the tasks it found with a live primary, and the
         #: time of the last tick skipped since.
-        self._seen: Optional[Tuple[int, int, int]] = None
+        self._seen: Optional[Tuple[int, int]] = None
         self._stamped: List[TaskId] = []
         self._skipped_at: Optional[Seconds] = None
         self._timer = None
@@ -117,20 +117,20 @@ class StandbyPlane:
     def _tick(self) -> None:
         """Reconcile in full only when an input changed.
 
-        The tick reads the roster (``TaskService.version``), where tasks
-        and replicas are hosted and the hosted tasks' states, and
-        ``task_managers`` membership (``Turbine.fleet_version``), and
-        container liveness (``cluster.liveness``); each version is bumped
-        where its input is written. When all three equal what the last
-        full tick began at, that tick's writes included, a full tick
-        would promote, place and retire nothing: only the time of this
-        skipped tick is kept, for :meth:`_settle_stamps`.
+        The tick reads two counters: the roster's
+        (``TaskService.version``) and the fleet's
+        (``cluster.fleet_version``: container liveness, where tasks and
+        replicas are hosted, the hosted tasks' states and
+        ``task_managers`` membership). Each is bumped where its input is
+        written. When both equal what the last full tick began at, that
+        tick's writes included, a full tick would promote, place and
+        retire nothing: only the time of this skipped tick is kept, for
+        :meth:`_settle_stamps`.
         """
         platform = self._platform
         seen = (
             platform.task_service.version.value,
-            platform.fleet_version.value,
-            platform.cluster.liveness.value,
+            platform.cluster.fleet_version.value,
         )
         if seen == self._seen:
             self._skipped_at = self._engine.now
@@ -306,11 +306,12 @@ class StandbyPlane:
         exactly-once half of the handoff protocol. A passive replica is
         simply dropped (and re-placed next tick against the new
         primary); a promoted one records the handoff in the timeline.
+        The caller hosts the primary next, which bumps the fleet counter,
+        so the next tick runs in full.
         """
         container_id = self.placements.pop(task_id, None)
         if container_id is None:
             return
-        self._seen = None  # the next tick re-places this replica
         manager = self._platform.task_managers.get(container_id)
         if manager is None:
             return

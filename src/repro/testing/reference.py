@@ -4,27 +4,30 @@ Production code answers "where does this task run", "which managers host
 this job", "which (job, SLO) pairs can be burning", "how much budget has
 this pair burned", "which jobs need a sync plan", "what does the scaler
 know about this job", "what does the scaler decide for this job", "which
-replicas does this standby tick promote or place", "what does this
-container process this tick" and "what does this metric read" from state
-kept where the fact changes, in one flat loop or in one shared row. The
-forms here answer the same questions the slow,
-obviously-right way — scan every manager, re-merge every config, rescan
-every job, a 0/1 series per verdict stream, one store call per number,
-every scaler stage for every job, a full standby reconcile every tick,
-one method call per task and per partition, a time array per metric
-series — and exist only
-so the equivalence suites in ``tests/`` and the hot-path benches have
-something to compare against.
+replicas does this standby tick promote or place", "what must this
+refresh start or stop", "what does this container process this tick" and
+"what does this metric read" from state kept where the fact changes, in
+one flat loop or in one shared row. The forms here answer the same
+questions the slow, obviously-right way — scan every manager, re-merge
+every config, rescan every job, a 0/1 series per verdict stream, one
+store call per number, every scaler stage for every job, a full standby
+reconcile every tick, a full shard reconcile every refresh, one method
+call per task and per partition, a time array per metric series — and
+exist only so the equivalence suites in ``tests/`` and the hot-path
+benches have something to compare against. :func:`reference_forms`
+builds a whole platform from them at once.
 Production classes take no argument that selects one of these; nothing
 under ``repro`` outside this package may import them.
 """
 
 from __future__ import annotations
 
+import importlib
 import math
 from array import array
 from bisect import bisect_left, bisect_right
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
+from contextlib import contextmanager
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.errors import DegradedModeError
 from repro.jobs.model import JobView
@@ -44,6 +47,7 @@ from repro.scaler.snapshot import (
     snapshot_job,
 )
 from repro.scribe.bus import ScribeBus
+from repro.tasks.manager import TaskManager
 from repro.tasks.runtime import (
     DEFAULT_OUTPUT_PARTITIONS,
     STATE_RESTORE_RATE_MB,
@@ -64,6 +68,8 @@ __all__ = [
     "FullScanSyncer",
     "EagerAutoScaler",
     "PollingStandbyPlane",
+    "EagerTaskManager",
+    "reference_forms",
     "snapshot_job_store_read",
     "StepPlan",
     "desired_cores",
@@ -483,12 +489,54 @@ class EagerAutoScaler(AutoScaler):
 
 
 class PollingStandbyPlane(StandbyPlane):
-    """The standby plane reconciling in full every tick — every placement
-    looked up, every primary's liveness read — whatever the versions of
-    its inputs say."""
+    """The standby plane reconciling in full every tick — the opted-in
+    roster rebuilt from the spec table, every placement looked up, every
+    primary's liveness read — whatever the versions of its inputs say."""
 
     def _tick(self) -> None:
+        self._wanted_version = None
         self._reconcile(self._engine.now)
+
+
+class EagerTaskManager(TaskManager):
+    """The Task Manager reconciling every assigned shard at every
+    refresh, whatever index object it last reconciled against and
+    whatever it wrote since."""
+
+    def _refresh(self) -> None:
+        self._reconciled = None
+        super()._refresh()
+
+
+#: Where the platform looks up each class it builds, and the reference
+#: form :func:`reference_forms` puts there.
+REFERENCE_FORMS = (
+    ("repro.platform", "StateSyncer", FullScanSyncer),
+    ("repro.platform", "TaskManager", EagerTaskManager),
+    ("repro.scaler.proactive", "AutoScaler", EagerAutoScaler),
+    ("repro.obs.slo", "SloTracker", FullWalkSloTracker),
+    ("repro.obs.sli", "SliEvaluator", FullReadSliEvaluator),
+    ("repro.tasks.standby", "StandbyPlane", PollingStandbyPlane),
+)
+
+
+@contextmanager
+def reference_forms() -> Iterator[None]:
+    """Build every platform made inside the block from the reference
+    forms: each name in :data:`REFERENCE_FORMS` points at its reference
+    class until the block exits. A run made inside it must export what
+    the same run makes outside it — the whole-platform twin of every
+    change-driven guard."""
+    originals = []
+    try:
+        for module_name, name, form in REFERENCE_FORMS:
+            module = importlib.import_module(module_name)
+            originals.append((module, name, getattr(module, name)))
+            setattr(module, name, form)
+        yield
+    finally:
+        for module, name, original in reversed(originals):
+            setattr(module, name, original)
 
 
 def snapshot_job_store_read(

@@ -16,11 +16,11 @@ The second hypothesis suite is the safety argument for skipping a tick
 (or a Task Manager refresh) whose inputs did not change: the guarded
 plane must decide exactly what
 :class:`repro.testing.reference.PollingStandbyPlane` decides on a twin
-platform, and a reconcile forced where a refresh would skip must change
-nothing.
+platform built by :func:`repro.testing.reference.reference_forms`, and a
+reconcile forced where a refresh would skip must change nothing.
 """
 
-from unittest import mock
+from contextlib import nullcontext
 
 import pytest
 from hypothesis import given, settings
@@ -28,11 +28,11 @@ from hypothesis import strategies as st
 
 from repro import JobSpec, PlatformConfig, Turbine
 from repro.jobs import ConfigLevel
-from repro.tasks import standby as standby_module
 from repro.tasks.manager import TaskManager
 from repro.tasks.standby import PROMOTION_LOG
 from repro.testing.reference import (
     PollingStandbyPlane,
+    reference_forms,
     scan_hosting_managers,
     scan_primary_manager,
 )
@@ -46,11 +46,8 @@ JOBS = ("alpha", "beta")
 
 def build_platform(
     num_hosts=NUM_HOSTS, jobs=JOBS, task_count=2, num_shards=NUM_SHARDS,
-    plane=None,
 ):
-    """A small started fleet with ``jobs`` opted in; ``plane`` replaces
-    the production standby plane class the ``hot_standby`` toggle builds
-    (the reference suites)."""
+    """A small started fleet with ``jobs`` opted in."""
     platform = Turbine.create(
         num_hosts=num_hosts, seed=5,
         config=PlatformConfig(
@@ -58,10 +55,7 @@ def build_platform(
             hot_standby=True,
         ),
     )
-    with mock.patch.object(
-        standby_module, "StandbyPlane", plane or standby_module.StandbyPlane
-    ):
-        platform.start()
+    platform.start()
     for job_id in jobs:
         provision(platform, job_id, task_count)
     platform.run_for(minutes=3)
@@ -701,9 +695,9 @@ def assert_skipped_refreshes_are_no_ops(platform):
         manager = platform.task_managers[container_id]
         if not manager.alive or manager._cached_index is not manager._reconciled:
             continue
-        before = platform.fleet_version.value
+        before = platform.cluster.fleet_version.value
         manager._reconcile_assigned()
-        assert platform.fleet_version.value == before, container_id
+        assert platform.cluster.fleet_version.value == before, container_id
         checked += 1
     return checked
 
@@ -721,19 +715,27 @@ guard_steps = st.lists(
 @settings(max_examples=50, deadline=None)
 @given(sequence=guard_steps)
 def test_guarded_plane_equals_the_polling_plane_after_every_step(sequence):
+    """The polling twin is built, and every step of it is taken, inside
+    :func:`reference_forms` (managers a step spawns are reference ones)."""
     guarded = build_platform()
-    polling = build_platform(plane=PollingStandbyPlane)
-    assert type(guarded.standby) is not type(polling.standby)
-    states = ({"hosts": NUM_HOSTS}, {"hosts": NUM_HOSTS})
+    with reference_forms():
+        polling = build_platform()
+    assert type(polling.standby) is PollingStandbyPlane
+    arms = (
+        (guarded, {"hosts": NUM_HOSTS}, nullcontext),
+        (polling, {"hosts": NUM_HOSTS}, reference_forms),
+    )
     assert assert_skipped_refreshes_are_no_ops(guarded) > 0
     assert standby_record(guarded) == standby_record(polling)
     for step in sequence:
-        for platform, state in zip((guarded, polling), states):
-            apply_guard_step(platform, step, state)
+        for platform, state, forms in arms:
+            with forms():
+                apply_guard_step(platform, step, state)
         assert standby_record(guarded) == standby_record(polling), step
         assert_skipped_refreshes_are_no_ops(guarded)
-    for platform in (guarded, polling):
-        platform.task_service.recover()
-        platform.run_for(minutes=3)
+    for platform, __, forms in arms:
+        with forms():
+            platform.task_service.recover()
+            platform.run_for(minutes=3)
     assert standby_record(guarded) == standby_record(polling)
     assert_skipped_refreshes_are_no_ops(guarded)
