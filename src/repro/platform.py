@@ -40,8 +40,8 @@ from repro.sim.engine import Engine
 from repro.tasks.actuator import TurbineActuator
 from repro.tasks.manager import (
     HEARTBEAT_INTERVAL,
-    HeartbeatSweep,
     TaskManager,
+    heartbeat_managers,
     step_managers,
 )
 from repro.tasks.service import TaskService
@@ -155,9 +155,6 @@ class Turbine:
             tracer=self.tracer, telemetry=self.telemetry,
         )
         self.task_managers: Dict[str, TaskManager] = {}
-        #: The open heartbeat sweeps, shared by every Task Manager so the
-        #: managers spawned together heartbeat as one timer event.
-        self._heartbeat_sweeps: List[HeartbeatSweep] = []
         self.stats = JobStatsCollector(
             engine, self.task_service, self.shard_manager, self.scribe,
             self.metrics, interval=self.config.stats_interval,
@@ -321,6 +318,14 @@ class Turbine:
         )
         for container in containers:
             self._spawn_manager(container)
+        # Armed before every control-plane timer so that at equal
+        # timestamps the heartbeats land before the Shard Manager's
+        # fail-over check reads them.
+        self.engine.every(
+            self.config.heartbeat_interval,
+            self._heartbeat_fleet,
+            name="container-heartbeat",
+        )
         self.shard_manager.initial_placement()
         for name in _START_ORDER:
             subsystem = getattr(self, name)
@@ -358,6 +363,10 @@ class Turbine:
                 self.engine, self, telemetry=self.telemetry,
             ))
 
+    def _heartbeat_fleet(self) -> None:
+        """The one heartbeat path: every manager, in spawn order."""
+        heartbeat_managers(self.shard_manager, self.task_managers)
+
     def _step_data_plane(self) -> None:
         """The one stepping path: every manager, in spawn order."""
         step_managers(self.scribe, self.task_managers.values(), self.engine.now)
@@ -374,7 +383,6 @@ class Turbine:
             tracer=self.tracer,
             telemetry=self.telemetry,
             task_hosts=self.task_hosts,
-            heartbeat_sweeps=self._heartbeat_sweeps,
         )
         manager.standby_plane = self.standby
         manager.checkpoint_plane = self.checkpoint_plane

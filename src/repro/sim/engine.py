@@ -55,11 +55,6 @@ class Timer:
         """True until the timer is cancelled."""
         return not self._cancelled
 
-    @property
-    def pending(self) -> Optional[Event]:
-        """The armed next firing (``None`` once cancelled)."""
-        return self._event
-
     def cancel(self) -> None:
         """Stop the timer permanently."""
         self._cancelled = True

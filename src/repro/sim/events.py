@@ -41,9 +41,6 @@ class EventQueue:
     def __init__(self) -> None:
         self._heap: List[Tuple[Seconds, int, Event]] = []
         self._counter = itertools.count()
-        #: The last event pushed for ``watched.time`` since :meth:`watch`.
-        self.watched: Optional[Event] = None
-        self._watched_time = -1.0
 
     def __len__(self) -> int:
         return sum(1 for entry in self._heap if not entry[2].cancelled)
@@ -57,15 +54,7 @@ class EventQueue:
             raise SimulationError(f"cannot schedule before time zero: {time}")
         event = Event(float(time), next(self._counter), callback)
         heapq.heappush(self._heap, (event.time, event.seq, event))
-        if event.time == self._watched_time:
-            self.watched = event
         return event
-
-    def watch(self, event: Event) -> None:
-        """Make ``event`` :attr:`watched` until a push for its time replaces
-        it: an O(1), conservative :meth:`last_at` (cancelling keeps it)."""
-        self.watched = event
-        self._watched_time = event.time
 
     def peek_time(self) -> Optional[Seconds]:
         """Time of the next live event, or ``None`` if the queue is empty."""
@@ -81,34 +70,6 @@ class EventQueue:
             raise SimulationError("pop from an empty event queue")
         time, _, event = heapq.heappop(self._heap)
         return time, event.callback
-
-    def last_at(self, time: Seconds) -> Optional[Event]:
-        """The live event that fires last at exactly ``time``, or ``None``.
-
-        An event pushed now for ``time`` would fire right after it. The
-        walk is pruned by the heap order — nothing below an entry later
-        than ``time`` can be at ``time`` — so it visits only the entries
-        due by ``time`` and their children.
-        """
-        heap = self._heap
-        size = len(heap)
-        last: Optional[Event] = None
-        stack = [0]
-        while stack:
-            index = stack.pop()
-            if index >= size:
-                continue
-            entry_time, seq, event = heap[index]
-            if entry_time > time:
-                continue
-            if (
-                entry_time == time and not event.cancelled
-                and (last is None or seq > last.seq)
-            ):
-                last = event
-            stack.append(2 * index + 1)
-            stack.append(2 * index + 2)
-        return last
 
     def _drop_cancelled_head(self) -> None:
         while self._heap and self._heap[0][2].cancelled:

@@ -8,11 +8,11 @@ manager:
   the tasks of its assigned shards (start / stop / restart on settings
   change, restart on crash);
 * answers the Shard Manager's ADD_SHARD / DROP_SHARD requests;
-* heartbeats to the Shard Manager (managers started together share one
-  ``container-heartbeat`` timer, :class:`HeartbeatSweep`), and — if its
-  connection is broken for longer than the 40-second connection timeout —
-  reboots itself *before* the Shard Manager's 60-second fail-over can
-  create a duplicate elsewhere (section IV-C);
+* heartbeats to the Shard Manager (the platform's single
+  ``container-heartbeat`` timer runs :func:`heartbeat_managers` over the
+  fleet) and — if its connection is broken for longer than the 40-second
+  connection timeout — reboots itself *before* the Shard Manager's
+  60-second fail-over can create a duplicate elsewhere (section IV-C);
 * has its tasks' data-plane processing stepped (the platform's single
   ``data-plane-step`` timer runs :func:`step_managers` over the fleet) and
   aggregates per-shard loads, reporting them to the Shard Manager every
@@ -97,88 +97,35 @@ def step_managers(
             manager._after_step(now, oom_killed)
 
 
-class HeartbeatSweep:
-    """One ``container-heartbeat`` timer that heartbeats many managers.
+def heartbeat_managers(
+    shard_manager: ShardManager, managers: Dict[ContainerId, "TaskManager"]
+) -> None:
+    """One heartbeat round of the fleet (the platform's single
+    ``container-heartbeat`` timer): every manager in ``managers``
+    (``container id -> manager``), in the order given (spawn order).
 
-    Managers started together would each arm a heartbeat timer for the
-    same instant, and those events would stay next to each other in the
-    engine's ``(time, seq)`` order at every firing: nothing a heartbeat
-    does schedules an event one interval ahead. One timer calling each
-    member in join order therefore fires them in the order they would
-    have fired, with nothing in between. :meth:`join` admits a manager
-    only when its own timer would have been adjacent to the sweep's
-    event; otherwise it opens a new sweep, which is then its own phase.
+    While the Shard Manager is up, one :meth:`ShardManager.heartbeat_many`
+    call delivers the heartbeat of every live, reachable, registered
+    manager. A dead, partitioned or unregistered manager, and every
+    manager during an outage, takes its own path
+    (:meth:`TaskManager._heartbeat_tick`), in order. A delivered
+    heartbeat has no effect an own path can see, so the split keeps the
+    order of everything observable.
     """
-
-    def __init__(
-        self, engine: Engine, interval: Seconds, sweeps: List["HeartbeatSweep"]
-    ) -> None:
-        self.interval = float(interval)
-        #: Members in join order (a dict: O(1) leave, and a heartbeat
-        #: that made a member join or leave mid-sweep fails loudly).
-        self._members: Dict["TaskManager", None] = {}
-        self._sweeps = sweeps
-        self._timer = engine.every(interval, self._fire, name="container-heartbeat")
-        self._queue = engine.queue
-        self._queue.watch(self._timer.pending)
-        sweeps.append(self)
-
-    @classmethod
-    def join(
-        cls,
-        engine: Engine,
-        interval: Seconds,
-        manager: "TaskManager",
-        sweeps: List["HeartbeatSweep"],
-    ) -> "HeartbeatSweep":
-        """Add ``manager`` to the sweep its timer would fire right after,
-        or to a new sweep; ``sweeps`` holds the open ones. A sweep watches
-        each event it arms (:meth:`EventQueue.watch`), so this is O(1)."""
-        interval = float(interval)
-        last = engine.queue.watched
-        for sweep in sweeps:
-            if (
-                sweep._timer.pending is last and sweep.interval == interval
-                and last.time == engine.now + interval
-            ):
-                break
-        else:
-            sweep = cls(engine, interval, sweeps)
-        sweep._members[manager] = None
-        return sweep
-
-    def leave(self, manager: "TaskManager") -> None:
-        """Drop ``manager``; the last one out cancels the timer."""
-        del self._members[manager]
-        if not self._members:
-            self._timer.cancel()
-            self._sweeps.remove(self)
-
-    def _fire(self) -> None:
-        """Deliver every member's heartbeat in one Shard Manager call while
-        it is up; a dead, partitioned or unregistered member, and every
-        member during an outage, takes its own path (:meth:`TaskManager.
-        _heartbeat_tick`), in join order. A delivered heartbeat has no
-        effect a member's own path can see, so the split keeps the order
-        of everything observable."""
-        self._queue.watch(self._timer.pending)  # re-armed just before this call
-        members = self._members
-        first = next(iter(members))
-        shard_manager = first._shard_manager
-        if not shard_manager.available:
-            for manager in members:
-                manager._heartbeat_tick()
-            return
-        own_path = shard_manager.heartbeat_many(members)
-        delivered = len(members) - len(own_path)
-        if delivered:
-            first._sm_dep.count_calls(delivered)
-            skip = set(own_path)
-            for manager in members:
-                if manager not in skip:
-                    manager._outage_started = None
-        for manager in own_path:
+    if not shard_manager.available:
+        for manager in managers.values():
             manager._heartbeat_tick()
+        return
+    own_path = shard_manager.heartbeat_many(managers)
+    delivered = len(managers) - len(own_path)
+    if delivered:
+        next(iter(managers.values()))._sm_dep.count_calls(delivered)
+        skip = set(own_path)
+        for manager in managers.values():
+            if manager not in skip:
+                manager._outage_started = None
+    for manager in own_path:
+        manager._heartbeat_tick()
 
 
 class TaskManager:
@@ -196,7 +143,6 @@ class TaskManager:
         tracer: Optional[Tracer] = None,
         telemetry: Optional[Telemetry] = None,
         task_hosts: Optional[Dict[JobId, Dict[TaskId, Set[ContainerId]]]] = None,
-        heartbeat_sweeps: Optional[List[HeartbeatSweep]] = None,
     ) -> None:
         self._tracer = tracer or NULL_TRACER
         self._engine = engine
@@ -230,12 +176,6 @@ class TaskManager:
         #: The shard index the last full reconcile ran against; ``None``
         #: once anything it read here changed since (:meth:`_changed`).
         self._reconciled: Optional[Dict[ShardId, Dict[TaskId, TaskSpec]]] = None
-        #: The open heartbeat sweeps, shared like ``task_hosts`` by every
-        #: manager of a platform so managers started together share one.
-        self._heartbeat_sweeps = (
-            heartbeat_sweeps if heartbeat_sweeps is not None else []
-        )
-        self._heartbeats: Optional[HeartbeatSweep] = None
         #: Gray-failure model: a slow node degrades every task's
         #: throughput by this factor without failing a single health
         #: check (heartbeats keep flowing). 1.0 = healthy.
@@ -296,8 +236,9 @@ class TaskManager:
     # Lifecycle
     # ------------------------------------------------------------------
     def start(self) -> None:
-        """Register with the Shard Manager, arm the jittered periodic
-        timers and join a heartbeat sweep (:class:`HeartbeatSweep`).
+        """Register with the Shard Manager and arm the jittered periodic
+        timers (the heartbeat is the platform's fleet round,
+        :func:`heartbeat_managers`).
 
         When the Shard Manager is in an availability window the
         registration is deferred to the reconnect loop — the timers still
@@ -315,9 +256,6 @@ class TaskManager:
             REFRESH_INTERVAL, self._refresh, name=f"{self.container_id}-refresh",
             initial_delay=jitter.uniform(0, REFRESH_INTERVAL),
         )
-        self._heartbeats = HeartbeatSweep.join(
-            self._engine, self._heartbeat_interval, self, self._heartbeat_sweeps
-        )
         load_report = self._engine.every(
             LOAD_REPORT_INTERVAL, self._report_loads,
             name=f"{self.container_id}-load-report",
@@ -330,9 +268,6 @@ class TaskManager:
         for timer in self._timers:
             timer.cancel()
         self._timers.clear()
-        if self._heartbeats is not None:
-            self._heartbeats.leave(self)
-            self._heartbeats = None
         self._unhost_all(self._hosted())
 
     # ------------------------------------------------------------------

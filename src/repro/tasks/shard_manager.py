@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from time import perf_counter
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
+from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional
 
 from repro.cluster.resources import ResourceVector
 from repro.errors import (
@@ -180,20 +180,22 @@ class ShardManager:
             )
         self._heartbeats[container_id] = self._engine.now
 
-    def heartbeat_many(self, managers: Iterable["TaskManager"]) -> List["TaskManager"]:
-        """:meth:`heartbeat` for many Task Managers in one call (a heartbeat
-        sweep's): record one for every manager in ``managers`` that is
-        alive, reachable and registered, and return the others in order,
-        each for :meth:`heartbeat`'s own path. Raises
-        :class:`ServiceUnavailableError` when down, before recording any."""
+    def heartbeat_many(
+        self, managers: Mapping[ContainerId, "TaskManager"]
+    ) -> List["TaskManager"]:
+        """:meth:`heartbeat` for many Task Managers in one call (the
+        platform's heartbeat round, ``container id -> manager``): record
+        one for every manager that is alive, reachable and registered,
+        and return the others in order, each for :meth:`heartbeat`'s own
+        path. Raises :class:`ServiceUnavailableError` when down, before
+        recording any."""
         if not self.available:
             raise ServiceUnavailableError("Shard Manager is unavailable")
         now = self._engine.now
         heartbeats = self._heartbeats
         registered = self._managers
         own_path = []
-        for manager in managers:
-            container_id = manager.container_id
+        for container_id, manager in managers.items():
             if (
                 container_id in registered
                 and not manager.partitioned

@@ -7,9 +7,11 @@ evaluator's merged view, the standby plane's two counters and a Task
 Manager's reconcile guard. :func:`repro.testing.reference.reference_forms`
 builds the platform from the forms that never skip, all at once. A run
 built that way must export what the production run exports, byte for
-byte: the five exports of every drill arm at three seeds, and the set-up
+byte: the five exports of every drill arm at three seeds, the set-up
 and export digests and task-steps of the four benchmark workloads at
-5 % scale. A counter bump or a guard reset that some write path misses
+5 % scale, and a scripted arm for the two fleet-counter bumps no drill
+reaches (a manager spawned mid-run, a container killed with its host
+alive). A counter bump or a guard reset that some write path misses
 shows up here as a divergence, whichever plane reads it.
 """
 
@@ -17,8 +19,10 @@ import pytest
 
 from benchmarks.e2e import child
 from benchmarks.e2e.workloads import WORKLOADS
+from repro import JobSpec, PlatformConfig, Turbine
 from repro.chaos import all_scenarios, run_scenario
-from repro.chaos.runner import build_platform
+from repro.chaos.runner import build_platform, platform_fingerprint
+from repro.tasks.standby import PROMOTION_LOG
 from repro.testing.reference import REFERENCE_FORMS, reference_forms
 
 SEEDS = (0, 7, 21)
@@ -92,3 +96,60 @@ def test_every_workload_exports_the_same_with_the_reference_forms(workload):
         twin = outcome(child.run(workload, scale=0.05))
     assert twin == production
     assert production["failed_ops"] == 0
+
+
+def standby_record(platform):
+    """The end state and everything the standby plane decided."""
+    plane = platform.standby
+    log = platform.scribe.logs.get(PROMOTION_LOG)
+    return {
+        "fingerprint": platform_fingerprint(platform),
+        "promotions": list(plane.promotions),
+        "placements": dict(plane.placements),
+        "events": list(plane.events),
+        "log": [payload for __, payload in log.read_from(0)] if log else [],
+    }
+
+
+def growth_then_container_kill():
+    """The two fleet-counter bumps no drill reaches, one stage each.
+
+    A hot-standby job starts on a one-host fleet, where no host is
+    anti-affine to a primary, so no replica is placed. ``add_host`` spawns
+    managers that can take the replicas, and nothing but the spawn tells
+    the standby plane so. Then one primary's container is killed with its
+    host alive, and nothing but the kill tells the plane so before the
+    Shard Manager's fail-over. Returns the record after each stage."""
+    platform = Turbine.create(num_hosts=1, seed=5, config=PlatformConfig(
+        num_shards=8, containers_per_host=2, hot_standby=True,
+    ))
+    platform.start()
+    platform.provision(JobSpec(
+        job_id="job", input_category="cat", task_count=4, hot_standby=True,
+    ))
+    platform.run_for(minutes=3)
+    records = [standby_record(platform)]
+    platform.add_host("host-1")
+    platform.run_for(seconds=5.0)
+    records.append(standby_record(platform))
+    victim = next(
+        manager for manager in platform.task_managers.values() if manager.tasks
+    )
+    victim.container.kill()
+    platform.run_for(seconds=5.0)
+    records.append(standby_record(platform))
+    return records
+
+
+def test_a_hot_added_host_and_a_container_kill_match_the_reference_forms():
+    production = growth_then_container_kill()
+    with reference_forms():
+        twin = growth_then_container_kill()
+    assert [
+        stage for stage, record in enumerate(production)
+        if record != twin[stage]
+    ] == []
+    # Vacuity: each stage did what it is there for.
+    assert production[0]["placements"] == {}
+    assert production[1]["placements"] and not production[1]["promotions"]
+    assert production[2]["promotions"]

@@ -1,8 +1,6 @@
 """Unit tests for the event queue."""
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from repro.errors import SimulationError
 from repro.sim import EventQueue
@@ -120,50 +118,3 @@ def test_len_and_truth_ignore_cancelled_entries():
     assert len(queue) == 0 and not queue
     assert queue.peek_time() is None
     assert queue._heap == []  # peeking dropped the cancelled heads
-
-
-@given(
-    st.lists(
-        st.tuples(st.sampled_from([1.0, 2.0, 3.0]), st.booleans()),
-        max_size=40,
-    ),
-    st.sampled_from([0.5, 1.0, 2.0, 3.0]),
-)
-def test_last_at_is_the_last_live_event_at_that_instant(pushes, time):
-    """``last_at(t)`` is what a full scan in firing order finds: the live
-    event with the highest sequence number at exactly ``t``."""
-    queue = EventQueue()
-    events = []
-    for at, cancelled in pushes:
-        event = queue.push(at, lambda: None)
-        if cancelled:
-            event.cancel()
-        events.append(event)
-    live = [e for e in events if e.time == time and not e.cancelled]
-    assert queue.last_at(time) is (max(live, key=lambda e: e.seq) if live else None)
-
-
-@given(
-    st.lists(
-        st.tuples(st.sampled_from([1.0, 2.0, 3.0]), st.booleans()),
-        min_size=1, max_size=40,
-    ),
-    st.integers(0, 39),
-)
-def test_watched_is_a_conservative_last_at(pushes, watch_at):
-    """``watched`` stays the watched event until a push for its instant
-    (cancelled or not) replaces it, and while it stays it is what
-    ``last_at`` finds."""
-    queue = EventQueue()
-    watch_at = min(watch_at, len(pushes) - 1)
-    for index, (at, cancelled) in enumerate(pushes):
-        event = queue.push(at, lambda: None)
-        if index == watch_at:
-            queue.watch(event)
-            watched = event
-        elif cancelled:
-            event.cancel()
-    replaced = any(at == watched.time for at, _ in pushes[watch_at + 1:])
-    assert (queue.watched is watched) is not replaced
-    if not replaced:
-        assert queue.last_at(watched.time) is watched

@@ -1,23 +1,19 @@
-"""The heartbeat sweep: one ``container-heartbeat`` timer per phase.
+"""The heartbeat round: one platform ``container-heartbeat`` timer.
 
-Managers started at the same instant share one sweep and heartbeat in
-spawn order; a manager whose own timer would not have been adjacent to
-the sweep's event (a different instant, or another event scheduled for
-the same instant in between) gets its own sweep. A join costs the same at
-any fleet size. Also the reconnect loop of a container that stays
-partitioned: one reboot, one loop.
+``Turbine.start()`` arms one timer that heartbeats every Task Manager in
+spawn order (:func:`repro.tasks.manager.heartbeat_managers`), after the
+managers' own timers and before every control-plane timer. A manager
+hot-added mid-run joins the round at the platform's phase; a failed
+host's managers leave it. A spawn costs the same at any fleet size. Also
+the reconnect loop of a container that stays partitioned: one reboot,
+one loop.
 """
 
 import sys
 
 from repro import JobSpec, PlatformConfig, Turbine
-from repro.sim.engine import Engine
-from repro.tasks.manager import (
-    HEARTBEAT_INTERVAL,
-    LOAD_REPORT_INTERVAL,
-    REFRESH_INTERVAL,
-    HeartbeatSweep,
-)
+from repro.sim.engine import Timer
+from repro.tasks.manager import HEARTBEAT_INTERVAL, TaskManager
 
 SM_CALLS = "resilience.task-manager.shard-manager.calls"
 
@@ -31,29 +27,31 @@ def platform(num_hosts=2, seed=5):
     return turbine
 
 
-def record_ticks(turbine, log):
+def armed_timers(turbine):
+    """The timers armed on ``turbine``'s engine, in arming order."""
+    entries = sorted(
+        (seq, event.callback.__self__)
+        for __, seq, event in turbine.engine.queue._heap
+        if not event.cancelled
+        and isinstance(getattr(event.callback, "__self__", None), Timer)
+    )
+    return [timer for __, timer in entries]
+
+
+def record_heartbeats(turbine):
     """Log ``(time, container id)`` for every heartbeat the Shard Manager
-    records, in the order it records them: a sweep delivers its members'
-    in one ``heartbeat_many`` call, and ``heartbeat`` takes the rest."""
+    records from now on, in the order it records them: every entry point
+    writes its clock through the one dict."""
+    log = []
+
+    class Logged(dict):
+        def __setitem__(self, container_id, now):
+            log.append((now, container_id))
+            super().__setitem__(container_id, now)
+
     shard_manager = turbine.shard_manager
-    if "heartbeat_many" in vars(shard_manager):
-        return
-    many, one = shard_manager.heartbeat_many, shard_manager.heartbeat
-
-    def logged_many(managers):
-        own_path = many(managers)
-        log.extend(
-            (turbine.now, manager.container_id)
-            for manager in managers if manager not in own_path
-        )
-        return own_path
-
-    def logged_one(container_id):
-        one(container_id)
-        log.append((turbine.now, container_id))
-
-    shard_manager.heartbeat_many = logged_many
-    shard_manager.heartbeat = logged_one
+    shard_manager._heartbeats = Logged(shard_manager._heartbeats)
+    return log
 
 
 def managers_on(turbine, host_id):
@@ -63,56 +61,85 @@ def managers_on(turbine, host_id):
     ]
 
 
-class TestPhases:
-    def test_managers_started_together_share_one_sweep(self):
-        turbine = platform(num_hosts=3)
-        assert len(turbine._heartbeat_sweeps) == 1
-        log = []
-        record_ticks(turbine, log)
-        turbine.run_for(seconds=2 * HEARTBEAT_INTERVAL)
-        spawned = list(turbine.task_managers)
-        assert log == [(10.0, cid) for cid in spawned] + [
-            (20.0, cid) for cid in spawned
-        ]
+def rounds(turbine, *times):
+    """The log of rounds at ``times`` over today's fleet, in spawn order."""
+    return [(at, cid) for at in times for cid in turbine.task_managers]
 
-    def test_managers_started_at_different_instants_keep_their_phases(self):
-        turbine = platform()
-        first = list(turbine.task_managers)
+
+class TestRound:
+    def test_one_timer_armed_before_the_control_plane(self):
+        turbine = Turbine.create(num_hosts=3, seed=5, config=PlatformConfig(
+            num_shards=8, containers_per_host=2, durable_checkpoints=True,
+            hot_standby=True, slow_node_detection=True,
+        ))
+        turbine.attach_scaler()
+        turbine.attach_slo()
+        turbine.start()
+        names = [timer.name for timer in armed_timers(turbine)]
+        assert names.count("container-heartbeat") == 1
+        at = names.index("container-heartbeat")
+        per_manager = {
+            f"{cid}-{kind}" for cid in turbine.task_managers
+            for kind in ("refresh", "load-report")
+        }
+        assert set(names[:at]) == per_manager
+        after = names[at + 1:]
+        assert not per_manager & set(after)
+        assert {
+            "shard-manager-failover", "state-syncer", "job-stats",
+            "auto-scaler", "slo-tracker", "checkpoint-plane",
+            "standby-plane", "slow-node-detector",
+        } <= set(after)
+        assert after[-1] == "data-plane-step"
+
+    def test_hot_added_managers_heartbeat_at_the_platforms_phase(self):
+        """A manager spawned mid-run heartbeats in the platform's round,
+        after the older managers (a timer of its own would fire at
+        13 / 23 s)."""
+        turbine = platform(num_hosts=3)
         turbine.run_for(seconds=3.0)
         turbine.add_host("late-host")
-        late = managers_on(turbine, "late-host")
-        assert len(turbine._heartbeat_sweeps) == 2
-        log = []
-        record_ticks(turbine, log)
+        turbine.cluster.fail_host("host-1")
+        turbine.recover_host("host-1")
+        assert managers_on(turbine, "late-host") and managers_on(turbine, "host-1")
+        assert list(turbine.task_managers)[-2:] == managers_on(turbine, "host-1")
+        log = record_heartbeats(turbine)
         turbine.run_for(seconds=2 * HEARTBEAT_INTERVAL)
-        times = {}
-        for at, cid in log:
-            times.setdefault(cid, []).append(at)
-        assert all(times[cid] == [10.0, 20.0] for cid in first)
-        assert all(times[cid] == [13.0, 23.0] for cid in late)
+        assert log == rounds(turbine, 10.0, 20.0)
 
-    def test_an_intervening_same_instant_event_opens_a_new_sweep(self):
-        """The adjacency rule: a manager joins a sweep only when its own
-        timer would have fired right after the sweep's event."""
-        turbine = platform()
+    def test_a_failed_hosts_managers_leave_the_round(self):
+        turbine = platform(num_hosts=3)
         turbine.run_for(seconds=3.0)
-        order = []
-        turbine.add_host("host-a")
-        turbine.engine.call_in(
-            HEARTBEAT_INTERVAL, lambda: order.append((turbine.now, "marker"))
-        )
-        turbine.add_host("host-b")
-        assert len(turbine._heartbeat_sweeps) == 3
-        # Nothing scheduled since host-b's sweep: host-c joins it.
-        turbine.add_host("host-c")
-        assert len(turbine._heartbeat_sweeps) == 3
-        record_ticks(turbine, order)
-        turbine.run_for(seconds=HEARTBEAT_INTERVAL)
-        at_13 = [cid for at, cid in order if at == 13.0]
-        assert at_13 == (
-            managers_on(turbine, "host-a") + ["marker"]
-            + managers_on(turbine, "host-b") + managers_on(turbine, "host-c")
-        )
+        gone = managers_on(turbine, "host-1")
+        turbine.cluster.fail_host("host-1")
+        log = record_heartbeats(turbine)
+        turbine.run_for(seconds=2 * HEARTBEAT_INTERVAL)
+        assert log == rounds(turbine, 10.0, 20.0)
+        assert len(turbine.task_managers) == 4
+        assert not set(gone) & set(turbine.task_managers)
+
+    def test_a_quiet_round_reads_no_container_id(self, monkeypatch):
+        """The round hands the Shard Manager the platform's ``container
+        id -> manager`` mapping, so a round that delivers every heartbeat
+        reads no manager's ``container_id``."""
+        turbine = platform(num_hosts=3)
+        turbine.run_for(seconds=5.0)
+        [timer] = [
+            timer for timer in armed_timers(turbine)
+            if timer.name == "container-heartbeat"
+        ]
+        reads = []
+        container_id = TaskManager.container_id.fget
+
+        def counted(manager):
+            reads.append(manager.container.container_id)
+            return container_id(manager)
+
+        monkeypatch.setattr(TaskManager, "container_id", property(counted))
+        log = record_heartbeats(turbine)
+        timer._callback()
+        assert log == rounds(turbine, 5.0)
+        assert reads == []
 
 
 def lines_run(function):
@@ -132,77 +159,27 @@ def lines_run(function):
     return lines
 
 
-class TestJoinCost:
+class TestSpawnCost:
     @staticmethod
-    def lines_per_join(managers):
-        """Arm ``managers`` managers' timers as ``TaskManager.start`` does
-        — a jittered refresh, the heartbeat join, a jittered load report —
-        in one instant, then count the lines one more join runs."""
-        engine = Engine(seed=3)
-        jitter = engine.rng.fork("jitter")
-        sweeps = []
+    def lines_per_spawn(num_hosts):
+        """Start ``4 × num_hosts`` managers, then count the lines one more
+        ``_spawn_manager`` runs."""
+        turbine = Turbine.create(
+            num_hosts=num_hosts, seed=3,
+            config=PlatformConfig(num_shards=8, containers_per_host=4),
+        )
+        turbine.start()
+        turbine.cluster.add_host("extra")
+        container = turbine.cluster.allocate_container(
+            "extra", turbine.config.container_capacity
+        )
+        return lines_run(lambda: turbine._spawn_manager(container))
 
-        def join():
-            HeartbeatSweep.join(engine, HEARTBEAT_INTERVAL, object(), sweeps)
-
-        for _ in range(managers):
-            engine.every(REFRESH_INTERVAL, lambda: None,
-                         initial_delay=jitter.uniform(0, REFRESH_INTERVAL))
-            join()
-            engine.every(LOAD_REPORT_INTERVAL, lambda: None,
-                         initial_delay=jitter.uniform(0, LOAD_REPORT_INTERVAL))
-        assert len(sweeps) == 1
-        return lines_run(join)
-
-    def test_a_join_needs_the_sweeps_instant_and_interval(self):
-        """Nothing queued behind a sweep's event is not enough: a join at a
-        later instant, or for another interval due at the same time, opens
-        its own sweep."""
-        engine = Engine(seed=3)
-        sweeps = []
-        first = HeartbeatSweep.join(engine, HEARTBEAT_INTERVAL, object(), sweeps)
-        engine.run_until(3.0)
-        later = HeartbeatSweep.join(engine, HEARTBEAT_INTERVAL, object(), sweeps)
-        assert later is not first
-        # Armed at 3 for 3 + 10 = 13; a 7 s sweep joined at 6 is due at 13 too.
-        engine.run_until(6.0)
-        other = HeartbeatSweep.join(engine, 7.0, object(), sweeps)
-        assert other is not later and len(sweeps) == 3
-
-    def test_the_work_per_join_does_not_grow_with_the_fleet(self):
-        """Every refresh jittered into the first heartbeat interval used to
-        be walked by every later join: starting N managers was O(N²)."""
-        assert self.lines_per_join(256) == self.lines_per_join(1024)
-
-
-class TestLeaving:
-    def test_shutdown_leaves_the_sweep_and_the_last_cancels_its_timer(self):
-        turbine = platform()
-        turbine.run_for(seconds=3.0)
-        turbine.add_host("late-host")
-        late = [turbine.task_managers[cid] for cid in managers_on(turbine, "late-host")]
-        sweep = late[0]._heartbeats
-        assert all(manager._heartbeats is sweep for manager in late)
-        timer = sweep._timer
-        log = []
-        record_ticks(turbine, log)
-        late[0].shutdown()
-        assert late[0]._heartbeats is None
-        assert sweep in turbine._heartbeat_sweeps and timer.active
-        turbine.run_for(seconds=HEARTBEAT_INTERVAL)
-        assert [cid for at, cid in log if at == 13.0] == [late[1].container_id]
-        late[1].shutdown()
-        assert not timer.active
-        assert sweep not in turbine._heartbeat_sweeps
-        assert len(turbine._heartbeat_sweeps) == 1
-
-    def test_a_failed_host_leaves_through_shutdown(self):
-        turbine = platform()
-        turbine.run_for(seconds=3.0)
-        turbine.add_host("late-host")
-        turbine.cluster.fail_host("late-host")
-        assert not managers_on(turbine, "late-host")
-        assert len(turbine._heartbeat_sweeps) == 1
+    def test_a_spawn_runs_as_many_lines_at_any_fleet_size(self):
+        """A spawn that walks anything fleet-sized (a scan of the queued
+        refreshes for a heartbeat phase once did) makes starting N
+        managers O(N²)."""
+        assert self.lines_per_spawn(64) == self.lines_per_spawn(256)
 
 
 class TestCounters:

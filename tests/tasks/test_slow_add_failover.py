@@ -73,9 +73,19 @@ def test_live_but_unresponsive_container_rebooted_on_failover():
         if manager.running_task_ids()
     )
     # Freeze heartbeats without the proactive 40 s self-timeout (simulates
-    # a wedged heartbeat thread rather than a network partition).
-    # Leaving its heartbeat sweep silences this container and no other.
-    victim._heartbeats.leave(victim)
+    # a wedged heartbeat thread rather than a network partition): the
+    # Shard Manager's heartbeat entry points drop this container's id,
+    # and no other.
+    silenced = victim.container_id
+    shard_manager = platform.shard_manager
+    many, one = shard_manager.heartbeat_many, shard_manager.heartbeat
+    shard_manager.heartbeat_many = lambda managers: many({
+        container_id: manager for container_id, manager in managers.items()
+        if container_id != silenced
+    })
+    shard_manager.heartbeat = (
+        lambda container_id: None if container_id == silenced else one(container_id)
+    )
     platform.run_for(minutes=3)  # 60 s stale → Shard Manager fail-over
     assert victim.reboot_count >= 1, "fail-over must reboot the live victim"
     assert {
