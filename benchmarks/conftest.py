@@ -10,6 +10,7 @@ fleet; EXPERIMENTS.md records paper-vs-measured for each.
 
 from __future__ import annotations
 
+import gc
 import time
 
 import pytest
@@ -43,5 +44,45 @@ def timed_once(benchmark):
         if benchmark.stats is None:
             return result, time.perf_counter() - start
         return result, benchmark.stats.stats.max
+
+    return runner
+
+
+#: Rounds of each regression-gated benchmark; the gate reads the best.
+GATED_ROUNDS = 5
+
+
+@pytest.fixture
+def timed_best(benchmark):
+    """Fixture: ``timed_best(fn, setup)`` times ``fn(*setup())`` as the
+    best of :data:`GATED_ROUNDS` rounds; returns ``(last result, best s)``.
+
+    These are the rows ``check_regression.py`` gates. Each round gets a
+    fresh input from ``setup`` (untimed) and a collected heap, then runs
+    with the collector off, so a round measures the code and not the
+    generation-2 passes its input happens to trigger. Under
+    ``--benchmark-disable`` the call runs once, timed with
+    ``perf_counter``.
+    """
+    def runner(fn, setup):
+        def fresh():
+            args = setup()
+            gc.collect()
+            return args, {}
+
+        def collector_off(*args):
+            gc.disable()
+            try:
+                return fn(*args)
+            finally:
+                gc.enable()
+
+        start = time.perf_counter()
+        result = benchmark.pedantic(
+            collector_off, setup=fresh, rounds=GATED_ROUNDS, iterations=1,
+        )
+        if benchmark.stats is None:
+            return result, time.perf_counter() - start
+        return result, benchmark.stats.stats.min
 
     return runner

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.trace import TraceEvent, chain_from_events
-from repro.types import Seconds
+from repro.types import Seconds, sum_in_order
 
 
 @dataclass(frozen=True)
@@ -46,7 +46,7 @@ class CriticalPath:
     @property
     def total(self) -> Seconds:
         """End-to-end elapsed time along the path."""
-        return sum(step.elapsed for step in self.steps)
+        return sum_in_order(step.elapsed for step in self.steps)
 
     @property
     def edges(self) -> List[Tuple[str, Seconds]]:

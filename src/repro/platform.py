@@ -23,7 +23,7 @@ Typical use::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Tuple
 
 from repro.cluster.failures import FailureInjector
 from repro.cluster.resources import ResourceVector
@@ -42,6 +42,7 @@ from repro.tasks.manager import (
     HEARTBEAT_INTERVAL,
     TaskManager,
     heartbeat_managers,
+    manager_edges,
     step_managers,
 )
 from repro.tasks.service import TaskService
@@ -145,7 +146,7 @@ class Turbine:
         #: Task Managers (where ``tasks`` / ``standbys`` are written);
         #: read by the actuator and the standby plane, so neither walks
         #: the fleet to find one task.
-        self.task_hosts: Dict[JobId, Dict[TaskId, Set[ContainerId]]] = {}
+        self.task_hosts: Dict[JobId, Dict[TaskId, Tuple[ContainerId, ...]]] = {}
         self.actuator = TurbineActuator(
             self.task_service, self.shard_manager, self.scribe,
             self.task_hosts, self._job_holders, tracer=self.tracer,
@@ -155,6 +156,9 @@ class Turbine:
             tracer=self.tracer, telemetry=self.telemetry,
         )
         self.task_managers: Dict[str, TaskManager] = {}
+        #: The two counted edges every Task Manager calls through, one
+        #: pair for the whole fleet.
+        self._manager_edges = manager_edges(self.telemetry)
         self.stats = JobStatsCollector(
             engine, self.task_service, self.shard_manager, self.scribe,
             self.metrics, interval=self.config.stats_interval,
@@ -383,6 +387,7 @@ class Turbine:
             tracer=self.tracer,
             telemetry=self.telemetry,
             task_hosts=self.task_hosts,
+            edges=self._manager_edges,
         )
         manager.standby_plane = self.standby
         manager.checkpoint_plane = self.checkpoint_plane

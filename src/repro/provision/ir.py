@@ -28,6 +28,7 @@ from repro.provision.query import (
     Union,
     Window,
 )
+from repro.types import sum_in_order
 
 
 @dataclass
@@ -113,7 +114,7 @@ def _estimate_rate(node: IRNode) -> float:
     """Propagate rate estimates through the operators."""
     if node.kind == "source":
         return node.op.rate_mb  # type: ignore[union-attr]
-    input_rate = sum(parent.rate_mb for parent in node.inputs)
+    input_rate = sum_in_order(parent.rate_mb for parent in node.inputs)
     if node.kind == "filter":
         return input_rate * node.op.selectivity  # type: ignore[union-attr]
     if node.kind == "project":

@@ -23,6 +23,7 @@ from repro.jobs.model import JobSpec
 from repro.provision.ir import IRNode, StreamGraph, compile_query
 from repro.provision.optimizer import optimize
 from repro.provision.query import Query
+from repro.types import sum_in_order
 
 #: Engine throughput assumed when sizing new stages (MB/s per thread),
 #: refined later at runtime by the scaler's pattern analyzer.
@@ -172,7 +173,7 @@ class ProvisionService:
                 stage.input_category = (
                     f"{graph.query_name}/stage-{stage.stage_id}-input"
                 )
-                stage.input_rate_mb = sum(
+                stage.input_rate_mb = sum_in_order(
                     parent.rate_mb for parent in node.inputs
                 )
                 # Upstream stages write into the new intermediate.

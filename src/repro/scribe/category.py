@@ -21,6 +21,7 @@ from typing import List, Optional, Sequence
 
 from repro.errors import ScribeError
 from repro.scribe.partition import Partition
+from repro.types import sum_in_order
 
 
 class Category:
@@ -76,7 +77,7 @@ class Category:
             )
         if not all(0 <= weight < inf for weight in weights):
             raise ScribeError(f"weights must be finite and non-negative: {weights}")
-        total = sum(weights)
+        total = sum_in_order(weights)
         if not 0 < total < inf:
             raise ScribeError(
                 f"weights must have a positive, finite sum: {weights}"
@@ -107,7 +108,7 @@ class Category:
     # ------------------------------------------------------------------
     def total_head(self) -> float:
         """Total bytes ever written across all partitions."""
-        return sum(self.heads)
+        return sum_in_order(self.heads)
 
     def slice_indices(self, task_index: int, task_count: int) -> range:
         """The partition numbers one task of a job owns.

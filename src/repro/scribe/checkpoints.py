@@ -234,9 +234,10 @@ class CheckpointStore:
     ) -> Tuple[float, float]:
         """``(Σ head, Σ lag)`` of ``category``'s partitions ``indices`` for
         one reading job, in one walk of the columns (:meth:`lag_mb` is the
-        second). Both add in index order from 0, the order ``sum()`` adds
-        in on CPython 3.9–3.11, so the head total over every partition is
-        bit-identical to ``Category.total_head``."""
+        second). Both add in index order from 0, as
+        :func:`~repro.types.sum_in_order` does, so the head total over
+        every partition is bit-identical to ``Category.total_head`` on
+        every interpreter."""
         heads = category.heads
         offsets = self.columns.get(job_id, _NO_COLUMNS).get(category.name)
         if offsets is None:

@@ -30,8 +30,13 @@ class Timer:
     """A periodic timer managed by the engine.
 
     The timer re-schedules itself after each firing. ``cancel()`` stops it
-    permanently.
+    permanently. Slotted: every Task Manager arms two.
     """
+
+    __slots__ = (
+        "_engine", "interval", "_callback", "name", "_event", "_cancelled",
+        "fire_count",
+    )
 
     def __init__(
         self,

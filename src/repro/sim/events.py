@@ -12,23 +12,24 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.types import Seconds
 
 
-@dataclass
 class Event:
-    """A scheduled callback."""
+    """A scheduled callback (slotted: every pending timer holds one)."""
 
-    time: Seconds
-    seq: int
-    callback: Callable[[], Any]
-    #: Cancelled events stay in the heap but are skipped on pop. This is the
-    #: standard "lazy deletion" idiom for heapq-based schedulers.
-    cancelled: bool = False
+    __slots__ = ("time", "seq", "callback", "cancelled")
+
+    def __init__(self, time: Seconds, seq: int, callback: Callable[[], Any]) -> None:
+        self.time = time
+        self.seq = seq
+        self.callback = callback
+        #: Cancelled events stay in the heap but are skipped on pop. This
+        #: is the standard "lazy deletion" idiom for heapq-based schedulers.
+        self.cancelled = False
 
     def cancel(self) -> None:
         """Mark this event so the queue skips it."""

@@ -8,7 +8,7 @@ containers. Every method is idempotent, as the plan contract requires.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Set
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.errors import SyncError
 from repro.jobs.configs import Config
@@ -29,7 +29,7 @@ class TurbineActuator(TaskActuator):
         task_service: TaskService,
         shard_manager: ShardManager,
         scribe: ScribeBus,
-        task_hosts: Dict[JobId, Dict[TaskId, Set[ContainerId]]],
+        task_hosts: Dict[JobId, Dict[TaskId, Tuple[ContainerId, ...]]],
         job_holders: Callable[[], Iterable],
         tracer: Optional[Tracer] = None,
     ) -> None:

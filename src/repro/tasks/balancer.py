@@ -25,7 +25,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.cluster.resources import ResourceVector
 from repro.errors import PlacementError
-from repro.types import ContainerId, ShardId
+from repro.types import ContainerId, ShardId, sum_in_order
 
 #: "within a band (e.g +/-10%) of the average": the allowed relative
 #: deviation of a container's load from the mean container load.
@@ -154,7 +154,7 @@ def _rebalance_within_band(
     num_containers = len(container_load)
     if num_containers < 2:
         return
-    total = sum(container_load.values())
+    total = sum_in_order(container_load.values())
     average = total / num_containers
     if average <= 0:
         return

@@ -21,7 +21,7 @@ manager:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.cluster.container import TurbineContainer
 from repro.cluster.resources import ResourceVector
@@ -61,6 +61,17 @@ HEARTBEAT_INTERVAL: Seconds = 10.0
 #: "This refreshed shard load is reported to the Shard Manager every ten
 #: minutes."
 LOAD_REPORT_INTERVAL: Seconds = 600.0
+
+
+def manager_edges(telemetry: Optional[Telemetry]) -> Tuple[Dependency, Dependency]:
+    """The counted edges from Task Managers to the Shard Manager and to
+    the Task Service. An edge holds no per-manager state (its counters
+    aggregate fleet-wide under one name per target), so a platform builds
+    one pair and hands it to every manager it spawns."""
+    return (
+        Dependency("task-manager.shard-manager", telemetry),
+        Dependency("task-manager.task-service", telemetry),
+    )
 
 
 def step_managers(
@@ -129,7 +140,23 @@ def heartbeat_managers(
 
 
 class TaskManager:
-    """Runs the tasks of the shards assigned to one Turbine container."""
+    """Runs the tasks of the shards assigned to one Turbine container.
+
+    Slotted: a platform keeps one manager per container, and with more
+    than 30 instance attributes CPython gives each instance a private
+    ``__dict__`` (no shared-key table), 1.6 KB a manager on 3.11.
+    """
+
+    __slots__ = (
+        "_tracer", "_engine", "container", "_service", "_shard_manager",
+        "_scribe", "_metrics", "_heartbeat_interval", "assigned_shards",
+        "tasks", "standbys", "_task_hosts", "_reconciled", "slow_factor",
+        "standby_plane", "checkpoint_plane", "_failed_at", "_index",
+        "_index_fetched_at", "_sm_dep", "_ts_dep", "_telemetry",
+        "_reconnect", "partitioned", "slow_drop", "slow_add",
+        "_outage_started", "_last_step_time", "_hosted_threads",
+        "reboot_count", "oom_events", "_timers",
+    )
 
     def __init__(
         self,
@@ -142,7 +169,8 @@ class TaskManager:
         heartbeat_interval: Seconds = HEARTBEAT_INTERVAL,
         tracer: Optional[Tracer] = None,
         telemetry: Optional[Telemetry] = None,
-        task_hosts: Optional[Dict[JobId, Dict[TaskId, Set[ContainerId]]]] = None,
+        task_hosts: Optional[Dict[JobId, Dict[TaskId, Tuple[ContainerId, ...]]]] = None,
+        edges: Optional[Tuple[Dependency, Dependency]] = None,
     ) -> None:
         self._tracer = tracer or NULL_TRACER
         self._engine = engine
@@ -166,7 +194,8 @@ class TaskManager:
         self.standbys: Dict[TaskId, RunningTask] = {}
         #: The fleet's task-location index, shared by every manager of a
         #: platform: ``job -> task id -> containers`` hosting the id in
-        #: ``tasks`` or ``standbys``. Written only where those two dicts
+        #: ``tasks`` or ``standbys``, as a tuple (48 B for the usual one
+        #: host, where a set takes 216 B). Written only where those two dicts
         #: are written (:meth:`_host` / :meth:`_unhost`), so a reader
         #: never has to scan the fleet to find one task. A killed
         #: container keeps its entries until :meth:`shutdown` or
@@ -194,10 +223,9 @@ class TaskManager:
         self._index: Optional[Dict[ShardId, Dict[TaskId, TaskSpec]]] = None
         self._index_fetched_at: Seconds = 0.0
         #: Counted edges toward the two control-plane services this
-        #: manager calls. The edges share one telemetry name per target
-        #: across all containers, so counters aggregate fleet-wide.
-        self._sm_dep = Dependency("task-manager.shard-manager", telemetry)
-        self._ts_dep = Dependency("task-manager.task-service", telemetry)
+        #: manager calls (:func:`manager_edges`; the platform's are shared
+        #: by its whole fleet).
+        self._sm_dep, self._ts_dep = edges or manager_edges(telemetry)
         self._telemetry = telemetry
         #: The pending attempt of this manager's one reconnect loop.
         self._reconnect: Optional[Event] = None
@@ -411,9 +439,10 @@ class TaskManager:
             self.tasks[spec.task_id] = task
             reservation = spec.task_id
         self._hosted_threads += spec.threads
-        self._task_hosts.setdefault(spec.job_id, {}).setdefault(
-            spec.task_id, set()
-        ).add(self.container_id)
+        job_tasks = self._task_hosts.setdefault(spec.job_id, {})
+        hosts = job_tasks.get(spec.task_id, ())
+        if self.container_id not in hosts:
+            job_tasks[spec.task_id] = (*hosts, self.container_id)
         self.container.reserve(reservation, spec.resources)
         self._changed()
 
@@ -442,9 +471,12 @@ class TaskManager:
         if task_id not in self.tasks and task_id not in self.standbys:
             self._failed_at.pop(task_id, None)
             job_tasks = self._task_hosts[task.spec.job_id]
-            hosts = job_tasks[task_id]
-            hosts.discard(self.container_id)
-            if not hosts:
+            hosts = tuple(
+                host for host in job_tasks[task_id] if host != self.container_id
+            )
+            if hosts:
+                job_tasks[task_id] = hosts
+            else:
                 del job_tasks[task_id]
                 if not job_tasks:
                     del self._task_hosts[task.spec.job_id]

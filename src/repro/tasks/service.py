@@ -89,10 +89,7 @@ class TaskService:
             raise SyncError(
                 f"job {job_id} has invalid task_count {view.task_count}"
             )
-        specs = [
-            TaskSpec.from_view(job_id, index, view)
-            for index in range(view.task_count)
-        ]
+        specs = TaskSpec.of_job(job_id, view)
         self._specs[job_id] = specs
         self._invalidate(urgent)
         return specs

@@ -10,7 +10,7 @@ consume.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict
+from typing import Any, Dict, List
 
 from repro.cluster.resources import ResourceVector
 from repro.errors import TurbineError
@@ -77,11 +77,25 @@ class TaskSpec:
         parallelism level and applying other template substitutions"
         of section IV (read through the control plane's :class:`JobView`).
         """
-        return cls.from_view(job_id, task_index, JobView.from_config(config))
+        view = JobView.from_config(config)
+        return cls.from_view(job_id, task_index, view, _resources_of(view))
 
     @classmethod
-    def from_view(cls, job_id: JobId, task_index: int, view: JobView) -> "TaskSpec":
-        """:meth:`from_job_config` of a config already read (one parse per job)."""
+    def of_job(cls, job_id: JobId, view: JobView) -> List["TaskSpec"]:
+        """Every task's spec of one job, from a config already read (one
+        parse per job). The tasks share one :class:`ResourceVector`: it is
+        immutable, and the fleet keeps one spec per task."""
+        resources = _resources_of(view)
+        return [
+            cls.from_view(job_id, index, view, resources)
+            for index in range(view.task_count)
+        ]
+
+    @classmethod
+    def from_view(
+        cls, job_id: JobId, task_index: int, view: JobView, resources: ResourceVector
+    ) -> "TaskSpec":
+        """One task's spec from a read config and its reservation."""
         return cls(
             output_category=view.output_category,
             output_ratio=view.output_ratio,
@@ -92,7 +106,7 @@ class TaskSpec:
             package_name=view.package_name,
             package_version=view.package_version,
             threads=view.threads,
-            resources=ResourceVector.from_dict(dict(view.resources)),
+            resources=resources,
             input_category=view.input_category,
             stateful=view.stateful,
             priority=Priority(view.priority),
@@ -120,6 +134,11 @@ class TaskSpec:
             self.output_category,
             self.rate_per_thread_mb,
         )
+
+
+def _resources_of(view: JobView) -> ResourceVector:
+    """The per-task reservation a job's config asks for."""
+    return ResourceVector.from_dict(dict(view.resources))
 
 
 #: Sentinel container capacity fraction: "the upper limit of vertical

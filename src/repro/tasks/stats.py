@@ -132,8 +132,8 @@ class JobStatsCollector:
         # One pass over the tasks: every task's processed total, and the
         # running ones' rates folded into their standard deviation exactly
         # as ``aggregate.stdev`` folds a list of them (Welford, in task
-        # order). The sum adds in task order from 0, as ``sum()`` does
-        # (DESIGN.md, "Float order").
+        # order). The sum adds in task order from 0, as ``sum_in_order``
+        # does (DESIGN.md, "Float order").
         processed_total = 0
         running = 0
         rate_mean = 0.0

@@ -54,7 +54,7 @@ from repro.tasks.runtime import (
     RunningTask,
 )
 from repro.tasks.standby import StandbyPlane
-from repro.types import JobId, Priority, Seconds, TaskId, TaskState
+from repro.types import JobId, Priority, Seconds, TaskId, TaskState, sum_in_order
 
 __all__ = [
     "TimeSeries",
@@ -503,6 +503,8 @@ class EagerTaskManager(TaskManager):
     refresh, whatever index object it last reconciled against and
     whatever it wrote since."""
 
+    __slots__ = ()
+
     def _refresh(self) -> None:
         self._reconciled = None
         super()._refresh()
@@ -615,7 +617,7 @@ def desired_cores(task: RunningTask, dt: Seconds) -> float:
         return 1.0
     spec = task.spec
     checkpoints = task._scribe.checkpoints
-    lagged = sum(
+    lagged = sum_in_order(
         partition.available(checkpoints.get(spec.job_id, partition.partition_id))
         for partition in task.partitions
     )
@@ -735,9 +737,9 @@ def step_container_per_call(
     primaries, standbys = list(primaries), list(standbys)
     throttle = 1.0
     if cpu_capacity > 0:
-        desired = sum(desired_cores(task, dt) for task in primaries)
+        desired = sum_in_order(desired_cores(task, dt) for task in primaries)
         if standbys:
-            desired += sum(desired_cores(task, dt) for task in standbys)
+            desired += sum_in_order(desired_cores(task, dt) for task in standbys)
         if desired > cpu_capacity:
             throttle = cpu_capacity / desired
     throttle *= slow_factor

@@ -8,6 +8,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
+from typing import Iterable
 
 #: Simulation time, in seconds since the start of the run.
 Seconds = float
@@ -66,6 +69,17 @@ class Priority(enum.IntEnum):
     NORMAL = 1
     HIGH = 2
     CRITICAL = 3
+
+
+def sum_in_order(values: Iterable[float]) -> float:
+    """``sum(values)`` adding left to right into one double from integer
+    ``0``, on every interpreter.
+
+    CPython 3.12 compensates a float ``sum()`` (Neumaier), so it can end
+    a few ulps away from 3.9 – 3.11, which add in order. A sum that
+    decides something or lands in an export goes through here.
+    """
+    return reduce(add, values, 0)
 
 
 class Version:

@@ -5,6 +5,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.errors import TurbineError
+from repro.types import sum_in_order
 
 
 class WarehouseError(TurbineError):
@@ -33,7 +34,7 @@ class WarehouseTable:
             raise WarehouseError(
                 f"bad range: {first_day}..{last_day}"
             )
-        return sum(
+        return sum_in_order(
             size for day, size in self._partitions.items()
             if first_day <= day <= last_day
         )

@@ -27,7 +27,7 @@ from repro.cluster.resources import ResourceVector
 from repro.jobs.model import JobSpec
 from repro.sim.rng import SeededRng
 from repro.tasks.runtime import BASE_MEMORY_GB, BUFFER_SECONDS
-from repro.types import SLO
+from repro.types import SLO, sum_in_order
 
 #: Per-thread max stable processing rate of the tailer binary (MB/s).
 #: One saturated thread ≈ one CPU core.
@@ -160,7 +160,7 @@ class ScubaFleet:
     # ------------------------------------------------------------------
     def total_rate_mb(self) -> float:
         """Fleet-wide input traffic (MB/s)."""
-        return sum(profile.base_rate_mb for profile in self.profiles)
+        return sum_in_order(profile.base_rate_mb for profile in self.profiles)
 
     def total_tasks(self) -> int:
         return sum(profile.task_count for profile in self.profiles)

@@ -19,6 +19,7 @@ and its commit. Offsets and task floats are compared as ``float.hex``,
 so a ``-0.0`` turned into ``0.0`` fails too.
 """
 
+from contextlib import contextmanager
 from math import inf, nextafter
 
 import pytest
@@ -166,7 +167,6 @@ class Fleet:
             for shape in box["tasks"]:
                 self._host(manager, shape, position, shapes)
                 position += 1
-            self._record_ooms(manager)
             assert manager._hosted_threads == sum(
                 task.spec.threads for task in manager._hosted()
             )
@@ -251,15 +251,6 @@ class Fleet:
             if not contended(manager):
                 manager.container.capacity = ResourceVector(cpu=0.0, memory_gb=64.0)
 
-    def _record_ooms(self, manager):
-        handle = manager._handle_oom
-
-        def recording(task):
-            self.killed.append((manager.container_id, task.spec.task_id))
-            handle(task)
-
-        manager._handle_oom = recording
-
     def observe(self):
         checkpoints = self.scribe.checkpoints
         return {
@@ -289,6 +280,25 @@ class Fleet:
             ],
             "oom_killed": list(self.killed),
         }
+
+
+@contextmanager
+def recording_ooms(*fleets):
+    """Inside the block, every OOM restart of a fleet's manager lands in
+    that fleet's ``killed`` as ``(container id, task id)``. The patch is
+    on the class: a manager is slotted and takes no instance attribute."""
+    owner = {id(manager): fleet for fleet in fleets for manager in fleet.managers}
+    handle = TaskManager._handle_oom
+
+    def recording(manager, task):
+        owner[id(manager)].killed.append((manager.container_id, task.spec.task_id))
+        handle(manager, task)
+
+    TaskManager._handle_oom = recording
+    try:
+        yield
+    finally:
+        TaskManager._handle_oom = handle
 
 
 def oracle_step(scribe, managers, now):
@@ -330,16 +340,17 @@ def run_fleet(scenario):
         for manager in fleet.managers
     )
     now = 0.0
-    for dt, appended_mb in scenario["ticks"]:
-        now += dt
-        errors = [
-            tick(fleet, step_managers, now, appended_mb),
-            tick(oracle, oracle_step, now, appended_mb),
-        ]
-        assert errors[0] == errors[1]
-        if errors[0] is not None:
-            return True, any_contended
-        assert fleet.observe() == oracle.observe()
+    with recording_ooms(fleet, oracle):
+        for dt, appended_mb in scenario["ticks"]:
+            now += dt
+            errors = [
+                tick(fleet, step_managers, now, appended_mb),
+                tick(oracle, oracle_step, now, appended_mb),
+            ]
+            assert errors[0] == errors[1]
+            if errors[0] is not None:
+                return True, any_contended
+            assert fleet.observe() == oracle.observe()
     return False, any_contended
 
 

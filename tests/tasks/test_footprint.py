@@ -1,0 +1,83 @@
+"""What each container and each task keeps resident (DESIGN.md, "Resident
+footprint"): no private ``__dict__`` per Task Manager, one edge pair per
+platform, one resource vector per job shape, and no set per placed task."""
+
+import tracemalloc
+
+from repro import JobSpec, PlatformConfig, Turbine
+from repro.cluster.container import TurbineContainer
+from repro.cluster.resources import ResourceVector
+from repro.scribe import ScribeBus
+from repro.sim import Engine
+from repro.tasks import RunningTask
+from repro.tasks.manager import TaskManager
+from repro.tasks.service import TaskService
+from repro.testing.reference import EagerTaskManager
+
+#: Bytes tracemalloc may count for one more task on a warm manager. The
+#: one-element set a placed task once took in the location index was
+#: 216 B by itself (248 B counted on 3.11, 308 B on 3.9); now 32 / 92 B.
+MAX_HOSTING_BYTES = 128
+
+
+def job_specs(task_count):
+    config = JobSpec(
+        job_id="job", input_category="cat", task_count=task_count
+    ).to_provisioner_config()
+    return TaskService(Engine(seed=0)).set_job_specs("job", config)
+
+
+def warm_manager(specs):
+    """A manager hosting every spec but the last, with its location index;
+    eight tasks leave every dict it writes room for a ninth."""
+    scribe = ScribeBus()
+    scribe.create_category("cat", 16)
+    index = {}
+    container = TurbineContainer("c0", ResourceVector(cpu=100.0, memory_gb=100.0))
+    manager = TaskManager(Engine(seed=0), container, None, None, scribe, task_hosts=index)
+    for spec in specs[:-1]:
+        manager._host(RunningTask(spec, scribe), 0)
+    return manager, index, RunningTask(specs[-1], scribe)
+
+
+def test_a_platform_keeps_no_dict_per_manager_and_one_edge_pair():
+    platform = Turbine.create(
+        num_hosts=2, seed=1, config=PlatformConfig(containers_per_host=2),
+    )
+    platform.start()
+    managers = list(platform.task_managers.values())
+    assert len(managers) == 4
+    for manager in managers:
+        assert not hasattr(manager, "__dict__")
+    assert len({(id(m._sm_dep), id(m._ts_dep)) for m in managers}) == 1
+    eager = EagerTaskManager(
+        Engine(seed=0), TurbineContainer("c0"), None, None, ScribeBus()
+    )
+    assert not hasattr(eager, "__dict__")
+
+
+def test_the_tasks_of_one_job_share_one_resource_vector():
+    specs = job_specs(64)
+    assert len({id(spec.resources) for spec in specs}) == 1
+    assert specs[0].resources == ResourceVector(cpu=0.5, memory_gb=0.5)
+
+
+def test_a_one_host_index_entry_is_not_a_set():
+    manager, index, task = warm_manager(job_specs(9))
+    entry = index["job"]["job:0"]
+    assert entry == ("c0",) and not isinstance(entry, set)
+    manager.adopt_standby(RunningTask(task.spec, task._scribe))
+    manager._host(task, 0)  # a primary and a replica of one id: one host
+    assert index["job"]["job:8"] == ("c0",)
+
+
+def test_hosting_one_more_task_on_a_warm_manager_stays_under_the_bound():
+    manager, __, task = warm_manager(job_specs(9))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        manager._host(task, 0)
+        counted = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert counted <= MAX_HOSTING_BYTES, counted

@@ -263,17 +263,19 @@ class TestReconnectLoop:
         assert len(loops) == 1
 
 
-def log_attempts(turbine, manager):
-    """Log the time of every reconnect attempt of ``manager`` (an
-    instance attribute: the loop arms ``manager._try_reconnect``)."""
+def log_attempts(monkeypatch, turbine, manager):
+    """Log the time of every reconnect attempt of ``manager``. The loop
+    arms ``manager._try_reconnect``; a manager is slotted, so the patch
+    is on the class for the test's duration."""
     attempts = []
-    attempt = manager._try_reconnect
+    attempt = TaskManager._try_reconnect
 
-    def logged():
-        attempts.append(turbine.now)
-        attempt()
+    def logged(self):
+        if self is manager:
+            attempts.append(turbine.now)
+        attempt(self)
 
-    manager._try_reconnect = logged
+    monkeypatch.setattr(TaskManager, "_try_reconnect", logged)
     return attempts
 
 
@@ -304,7 +306,7 @@ class TestReconnectCadence:
         gaps = {b - a for a, b in zip(attempts, attempts[1:])}
         assert gaps == {HEARTBEAT_INTERVAL}
 
-    def test_while_partitioned(self):
+    def test_while_partitioned(self, monkeypatch):
         turbine = platform(num_hosts=3)
         turbine.provision(
             JobSpec(job_id="job", input_category="cat", task_count=8)
@@ -314,7 +316,7 @@ class TestReconnectCadence:
             manager for manager in turbine.task_managers.values()
             if manager.running_task_ids()
         )
-        attempts = log_attempts(turbine, victim)
+        attempts = log_attempts(monkeypatch, turbine, victim)
         registered = log_registrations(turbine)
         victim.partitioned = True
         turbine.run_for(minutes=10)
@@ -324,11 +326,11 @@ class TestReconnectCadence:
         victim.partitioned = False
         self.assert_cadence(turbine, victim, attempts, registered, turbine.now)
 
-    def test_while_the_shard_manager_is_down(self):
+    def test_while_the_shard_manager_is_down(self, monkeypatch):
         turbine = platform(num_hosts=3)
         turbine.run_for(minutes=5)
         victim = next(iter(turbine.task_managers.values()))
-        attempts = log_attempts(turbine, victim)
+        attempts = log_attempts(monkeypatch, turbine, victim)
         registered = log_registrations(turbine)
         turbine.shard_manager.fail()
         victim.reboot()
