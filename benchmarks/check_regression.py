@@ -13,7 +13,11 @@ Each row is the *best* of several rounds (``timed_best`` in
 ``benchmarks/conftest.py``: a fresh input and a collected heap per round,
 the collector off while it runs). A single round mostly measured which
 round paid a generation-2 collection: the sync row read 3.0–3.6 against
-its 2.28 baseline, at the commit that recorded that baseline too.
+its 2.28 baseline, at the commit that recorded that baseline too. Rounds
+are short and many (15, and 40 eighth-day rounds for the ingest row),
+because a round on a shared box can run 20–50 % slow for seconds at a
+time, and only a short round finds a quiet second. The baseline is the
+median ratio of five runs at one commit, not one run's.
 
 Usage:
     pytest benchmarks/test_sync_speed.py benchmarks/test_placement_speed.py \\

@@ -49,13 +49,18 @@ def timed_once(benchmark):
 
 
 #: Rounds of each regression-gated benchmark; the gate reads the best.
-GATED_ROUNDS = 5
+#: On a shared 2-vCPU box the same round moves 20–50 % within one process,
+#: in slow phases lasting several seconds: the best of 5 one-second
+#: yardstick rounds still moved 0.57–1.04 s between runs, the best of 12
+#: moved 0.54–0.60 s.
+GATED_ROUNDS = 15
 
 
 @pytest.fixture
 def timed_best(benchmark):
-    """Fixture: ``timed_best(fn, setup)`` times ``fn(*setup())`` as the
-    best of :data:`GATED_ROUNDS` rounds; returns ``(last result, best s)``.
+    """Fixture: ``timed_best(fn, setup, rounds=GATED_ROUNDS)`` times
+    ``fn(*setup())`` as the best of ``rounds`` rounds; returns ``(last
+    result, best s)``.
 
     These are the rows ``check_regression.py`` gates. Each round gets a
     fresh input from ``setup`` (untimed) and a collected heap, then runs
@@ -64,7 +69,7 @@ def timed_best(benchmark):
     ``--benchmark-disable`` the call runs once, timed with
     ``perf_counter``.
     """
-    def runner(fn, setup):
+    def runner(fn, setup, rounds=GATED_ROUNDS):
         def fresh():
             args = setup()
             gc.collect()
@@ -79,7 +84,7 @@ def timed_best(benchmark):
 
         start = time.perf_counter()
         result = benchmark.pedantic(
-            collector_off, setup=fresh, rounds=GATED_ROUNDS, iterations=1,
+            collector_off, setup=fresh, rounds=rounds, iterations=1,
         )
         if benchmark.stats is None:
             return result, time.perf_counter() - start

@@ -17,6 +17,12 @@ to:
   the Task Manager reports to the scaler's symptom detector;
 * progress is checkpointed per partition, so restarts resume exactly where
   the previous incarnation stopped.
+
+What the step reads of a task is shared wherever it can be: the job's
+*lane* (its input category's columns and the spec fields the step needs)
+is resolved once per spec template and kept on it, and a task's
+partition window is one ``(range, slice)`` pair per distinct window. What
+a :class:`RunningTask` keeps of its own is its state and its counters.
 """
 
 from __future__ import annotations
@@ -24,11 +30,10 @@ from __future__ import annotations
 from math import inf
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
-from repro.errors import ScribeError
 from repro.scribe.bus import ScribeBus
 from repro.scribe.category import Category
 from repro.scribe.partition import Partition
-from repro.tasks.spec import TaskSpec
+from repro.tasks.spec import SpecTemplate, TaskSpec
 from repro.types import Seconds, ShardId, TaskState
 
 #: Memory floor per task: "every task consumes at least ~400MB, regardless
@@ -78,10 +83,12 @@ def step_container(
     limit, :func:`~repro.tasks.manager.step_managers`), and a step pass:
     straight loops over local variables with no Python call per task or
     per partition (but the memory sum of a task that could outgrow its
-    cgroup). Each task's slice is a range of partition numbers into its
-    category's head and online columns and its job's offsets column, all
-    read in place by index, with the checks of ``Partition`` /
-    ``CheckpointStore`` kept inline. The offsets column is looked up
+    cgroup). A task reads its job's lane (shared by the job's tasks) and
+    its own partition window: a range of partition numbers into the
+    category's head and online columns and the job's offsets column, all
+    read in place by index, with the range checks of ``Partition`` kept
+    inline. Every commit is a cursor just read plus a positive amount, so
+    none can move a checkpoint backwards. The offsets column is looked up
     again per task and never kept, so a ``drop_job`` between ticks cannot
     leave commits in a dead column.
 
@@ -109,9 +116,10 @@ def step_container(
                 if task.restore_remaining_mb > 1e-9:
                     wanted += 1.0  # restore is I/O+CPU heavy
                     continue
-                name, heads, online, indices, _, category, job_id, rate, task_threads, _ = (
-                    task._slice or task._resolve_slice()
+                name, heads, online, category, job_id, rate, task_threads, _ = (
+                    task._lane or task._resolve_lane()
                 )
+                indices = task._window[0]
                 try:
                     offsets = columns_by_job[job_id][name]
                 except KeyError:
@@ -160,22 +168,23 @@ def step_container(
                     task.last_rate_mb = 0.0
                     task.last_cpu_used = 1.0  # restore is I/O+CPU heavy
                     continue
-            name, heads, online, indices, window, category, job_id, rate, task_threads, output = (
-                task._slice or task._resolve_slice()
+            name, heads, online, category, job_id, rate, task_threads, output = (
+                task._lane or task._resolve_lane()
             )
+            indices, window = task._window
             try:
                 offsets = columns_by_job[job_id][name]
             except KeyError:
                 offsets = checkpoints.column(job_id, name, len(heads))
             budget = rate * task_threads * step_dt * throttle
             per_partition_cap = rate * step_dt * throttle
-            # One pass reads the cursors in slice order, what the
-            # drain-all test needs of the readable bytes, and what a
-            # drain-all would commit: a partition with nothing readable
-            # keeps the very object it holds. An offline partition is
-            # checked like any other and reads 0.
+            # One pass reads the cursors in slice order and what the
+            # drain-all test needs of the readable bytes, and commits what
+            # a drain-all would: a partition with nothing readable keeps
+            # the very object it holds. An offline partition is checked
+            # like any other and reads 0. Nothing else runs between a
+            # read and its commit, so no commit can land below a cursor.
             cursors = []
-            news = []
             total = 0.0
             processed = 0.0
             last = -inf
@@ -184,6 +193,8 @@ def step_container(
                 offset = offsets[index]
                 head = heads[index]
                 if offset < 0 or offset > head + 1e-6:
+                    for done, cursor in zip(indices, cursors):
+                        offsets[done] = cursor
                     raise category.partitions[index].offset_error(offset)
                 readable = head - offset if online[index] else 0.0
                 if readable < last:
@@ -193,31 +204,17 @@ def step_container(
                 cursors.append(offset)
                 if readable > 0:
                     processed += readable
-                    news.append(offset + readable)
-                else:
-                    news.append(offset)
-            if (
+                    offsets[index] = offset + readable
+            if not (
                 ascending and last <= per_partition_cap and budget > 1e-2
                 and total <= budget * (1.0 - 1e-9)
             ):
-                # The water-fill below would visit these in slice order
-                # and neither a share nor the cap would bind (DESIGN.md,
-                # "Data-plane stepping"): every partition drains fully,
-                # in one write. A regressing checkpoint would cause
-                # duplicate processing, so the write waits for the
-                # column to still hold what the read pass saw (a C-level
-                # compare that holds on identity); if it moved, each
-                # entry is committed against what is stored now.
-                if offsets[window] == cursors:
-                    offsets[window] = news
-                else:
-                    for index, offset, new_offset in zip(indices, cursors, news):
-                        if new_offset is not offset:
-                            current = offsets[index]
-                            if current is not offset and new_offset < current - 1e-6:
-                                raise _backwards(job_id, category, index, new_offset, current)
-                            offsets[index] = new_offset
-            else:
+                # A share or the cap would bind, or the water-fill below
+                # would not visit these in slice order (DESIGN.md,
+                # "Data-plane stepping"): the cursors go back in one write
+                # and the water-fill decides. Otherwise every partition
+                # drained fully, as committed above.
+                offsets[window] = cursors
                 # Max-min fair water-filling across the owned partitions:
                 # visiting them in ascending order of availability (ties
                 # in slice order) and giving each ``budget / remaining``
@@ -250,11 +247,7 @@ def step_container(
                     if per_partition_cap < consumed:
                         consumed = per_partition_cap
                     if consumed > 0:
-                        new_offset = offset + consumed
-                        current = offsets[index]
-                        if current is not offset and new_offset < current - 1e-6:
-                            raise _backwards(job_id, category, index, new_offset, current)
-                        offsets[index] = new_offset
+                        offsets[index] = offset + consumed
                         processed += consumed
                         budget -= consumed
                     remaining -= 1
@@ -271,7 +264,7 @@ def step_container(
             task.last_cpu_used = rate_mb / rate if rate > 0 else 0.0
             # Only a task that could outgrow its cgroup pays for the sum.
             if task._may_oom and 0 < task.spec.resources.memory_gb < _memory_needed_gb(
-                task.spec, rate_mb
+                task.spec.template, rate_mb
             ):
                 # cgroup kill: stats are preserved and read back on
                 # restart (paper section V-A).
@@ -281,38 +274,24 @@ def step_container(
     return oom_killed
 
 
-def _backwards(
-    job_id: str, category: Category, index: int, new_offset: float, current: float
-) -> ScribeError:
-    """A regressing checkpoint would cause duplicate processing: what a
-    commit below the stored cursor raises."""
-    return ScribeError(
-        f"checkpoint for {job_id}/{category.partitions[index].partition_id} "
-        f"cannot move backwards: {new_offset} < {current}"
-    )
-
-
-class _Slice(NamedTuple):
-    """What the step reads of a task, resolved once: its partitions as
-    its category's columns see them, and the fields of its (immutable)
-    spec the step needs on every tick."""
+class _Lane(NamedTuple):
+    """What the step reads of a job, resolved once per spec template (and
+    kept on it, :attr:`~repro.tasks.spec.SpecTemplate.lane`): its input
+    partitions as its category's columns see them, and the fields of its
+    (immutable) template the step needs on every tick."""
 
     #: The input category's name: the key of the job's offsets column.
     name: str
     #: The category's :attr:`~Category.heads` and :attr:`~Category.online`.
     heads: List[float]
     online: List[bool]
-    #: The partition numbers the task owns, ascending, and the same as a
-    #: slice of a column.
-    indices: range
-    window: slice
-    #: ``None`` for a task without an input category.
+    #: ``None`` for a job without an input category.
     category: Optional[Category]
     job_id: str
     #: ``P``, ``k`` and where processed bytes are published (if anywhere).
     rate: float
     threads: int
-    output: Optional[str]
+    output: str
 
 
 #: One ``(range, slice)`` pair per distinct partition window, shared by
@@ -331,9 +310,14 @@ def _windows(indices: range) -> Tuple[range, slice]:
     return pair
 
 
-def _memory_needed_gb(spec: TaskSpec, rate_mb: float) -> float:
-    """Memory a task of ``spec`` needs at ``rate_mb``: non-decreasing in
-    ``rate_mb``, term by term and so in floating point too."""
+#: The window of a task without an input category.
+_NO_WINDOW = _windows(range(0))
+
+
+def _memory_needed_gb(spec: SpecTemplate, rate_mb: float) -> float:
+    """Memory a task of template ``spec`` needs at ``rate_mb``:
+    non-decreasing in ``rate_mb``, term by term and so in floating point
+    too."""
     needed = BASE_MEMORY_GB + spec.memory_overhead_gb + rate_mb * BUFFER_SECONDS / 1000.0
     if spec.stateful and spec.task_count > 0:
         keys_here = spec.state_key_cardinality / spec.task_count
@@ -346,8 +330,8 @@ class RunningTask:
 
     __slots__ = (
         "spec", "_scribe", "state", "shard_id", "promoted", "oom_count",
-        "total_processed_mb", "last_rate_mb", "last_cpu_used", "_slice",
-        "restore_remaining_mb", "_may_oom",
+        "total_processed_mb", "last_rate_mb", "last_cpu_used", "_lane",
+        "_window", "restore_remaining_mb", "_may_oom",
     )
 
     def __init__(
@@ -358,7 +342,7 @@ class RunningTask:
         #: False when even a saturated task — rate ``P · k``, with a 1e-9
         #: margin for rounding — fits its reservation: no OOM check then.
         self._may_oom = not rate > 0 or _memory_needed_gb(
-            spec, max(rate * spec.threads, 0.0) * (1.0 + 1e-9)
+            spec.template, max(rate * spec.threads, 0.0) * (1.0 + 1e-9)
         ) > spec.resources.memory_gb
         self._scribe = scribe
         self.state = TaskState.STANDBY if passive else TaskState.RUNNING
@@ -373,8 +357,11 @@ class RunningTask:
         #: Most recent step's processing rate (MB/s) and cpu cores used.
         self.last_rate_mb = 0.0
         self.last_cpu_used = 0.0
-        #: Resolved on the first step (:meth:`_resolve_slice`).
-        self._slice: Optional[_Slice] = None
+        #: The job's lane and this task's ``(range, slice)`` partition
+        #: window, both shared, resolved on the first step
+        #: (:meth:`_resolve_lane`).
+        self._lane: Optional[_Lane] = None
+        self._window = _NO_WINDOW
         #: Stateful tasks must re-load their state before processing.
         #: A passive standby tails the primary's checkpoint stream, so its
         #: state is already warm — promotion skips the restore entirely
@@ -397,31 +384,38 @@ class RunningTask:
     # ------------------------------------------------------------------
     # Partition ownership
     # ------------------------------------------------------------------
-    def _resolve_slice(self) -> _Slice:
-        """Look up the disjoint partition slice this task owns, once."""
+    def _resolve_lane(self) -> _Lane:
+        """Look up the job's lane and the disjoint partition window this
+        task owns, once. The lane is kept on the spec's template for the
+        job's other tasks, unless it was resolved against another bus."""
         spec = self.spec
-        fields = (
-            spec.job_id, spec.rate_per_thread_mb, spec.threads, spec.output_category
-        )
-        if not spec.input_category:
-            self._slice = _Slice("", [], [], *_windows(range(0)), None, *fields)
-        else:
-            category = self._scribe.get_category(spec.input_category)
-            indices = category.slice_indices(spec.task_index, spec.task_count)
-            self._slice = _Slice(
-                category.name, category.heads, category.online,
-                *_windows(indices), category, *fields,
+        template = spec.template
+        name = spec.input_category
+        category = self._scribe.get_category(name) if name else None
+        lane = template.lane
+        if lane is None or lane.category is not category:
+            heads, online = ([], []) if category is None else (
+                category.heads, category.online
             )
-        return self._slice
+            lane = template.lane = _Lane(
+                name, heads, online, category, spec.job_id,
+                template.rate_per_thread_mb, template.threads,
+                template.output_category,
+            )
+        if category is not None:
+            self._window = _windows(
+                category.slice_indices(spec.task_index, spec.task_count)
+            )
+        self._lane = lane
+        return lane
 
     @property
     def partitions(self) -> List[Partition]:
         """Handles on the partitions this task owns, in slice order."""
-        view = self._slice or self._resolve_slice()
-        indices, category = view.indices, view.category
+        category = (self._lane or self._resolve_lane()).category
         if category is None:
             return []
-        return [category.partitions[index] for index in indices]
+        return [category.partitions[index] for index in self._window[0]]
 
     # ------------------------------------------------------------------
     # Footprint
@@ -442,18 +436,19 @@ class RunningTask:
     def memory_needed_gb(self) -> float:
         """Memory this task needs at its current processing rate (the sum
         :func:`step_container`'s OOM check takes)."""
-        return _memory_needed_gb(self.spec, self.last_rate_mb)
+        return _memory_needed_gb(self.spec.template, self.last_rate_mb)
 
     # ------------------------------------------------------------------
     # Lag accounting
     # ------------------------------------------------------------------
     def bytes_lagged_mb(self) -> float:
         """Unprocessed bytes across this task's partitions."""
-        view = self._slice or self._resolve_slice()
-        indices, category = view.indices, view.category
+        category = (self._lane or self._resolve_lane()).category
         if category is None:
             return 0.0
-        return self._scribe.checkpoints.lag_mb(self.spec.job_id, category, indices)
+        return self._scribe.checkpoints.lag_mb(
+            self.spec.job_id, category, self._window[0]
+        )
 
     # ------------------------------------------------------------------
     # Lifecycle

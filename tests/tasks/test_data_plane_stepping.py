@@ -206,35 +206,6 @@ class TestChecksSurviveTheFlattening:
         with pytest.raises(ScribeError, match=message):
             step_once(platform, manager)
 
-    def test_commit_below_the_stored_offset_raises_from_the_managers_step(self):
-        from repro.errors import ScribeError
-
-        class StaleReads(list):
-            """Cursors as a reader holding an old copy would see them:
-            ``cat/3`` reads 30 MB behind what is stored until the step
-            looks again to commit."""
-
-            stale = True
-
-            def __getitem__(self, index):
-                value = super().__getitem__(index)
-                if index == 3 and self.stale:
-                    self.stale = False
-                    return value - 30.0
-                return value
-
-        platform, manager = one_container_platform(task_count=2)
-        # Two threads in a roomier cgroup: the step reads each cursor once.
-        assert manager.capacity.cpu > 2
-        platform.scribe.get_category("cat").append(8 * 100.0)
-        platform.run_for(seconds=4 * STEP)  # 12.5 MB per partition per tick
-        checkpoints = platform.scribe.checkpoints
-        assert checkpoints.get("job", "cat/3") == 50.0
-        columns = checkpoints.columns["job"]
-        columns["cat"] = StaleReads(columns["cat"])
-        with pytest.raises(ScribeError, match="cannot move backwards"):
-            step_once(platform, manager)
-
     def test_commits_after_a_mid_run_drop_land_in_the_live_mapping(self):
         """The chaos ``checkpoint-wipe`` and ``forget_job`` both drop a
         job's cursors while its tasks still run: the step may not hold

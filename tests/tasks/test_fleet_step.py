@@ -5,18 +5,20 @@ and makes three decisions the old per-manager step did not: it passes a
 container's CPU limit to the step only when the threads it hosts exceed
 that limit (otherwise the contention pass could only answer "no
 throttle"), it calls the manager's recovery / OOM work only when there
-is some, and a drain-all task commits its slice in one write once the
-column still holds what the read pass saw. The oracle is the old loop
-spelled out over ``repro.testing.reference.step_container_per_call``:
-every live manager, its limit always passed, its post-step work always
-called, every commit checked on its own.
+is some, and its read pass commits what a drain-all would as it reads,
+putting the cursors back in one write when the water-fill must decide or
+a cursor is out of range. The oracle is the old loop spelled out over
+``repro.testing.reference.step_container_per_call``: every live manager,
+its limit always passed, its post-step work always called, every commit
+checked on its own.
 
 Generated fleets mix running, restoring, crashed, passive and promoted
 tasks of 1–4 threads, CPU limits on both sides of the hosted-thread sum,
 slow factors, offline partitions, cursors up to 1e-6 past their head,
-committed ``-0.0`` and cursor columns that move between a task's read
-and its commit. Offsets and task floats are compared as ``float.hex``,
-so a ``-0.0`` turned into ``0.0`` fails too.
+committed ``-0.0`` and cursors written out of range between two ticks.
+Offsets and task floats are compared as ``float.hex`` after every tick,
+the one that raised included, so a ``-0.0`` turned into ``0.0`` fails
+too, and so does a raising step that leaves a commit behind.
 """
 
 from contextlib import contextmanager
@@ -72,12 +74,11 @@ TICKS = st.lists(
     min_size=2, max_size=4,
 )
 
-#: ``(task position, partition slot, delta)``: that task's job column
-#: moves by ``delta`` right after the first read of that partition in
-#: every tick. ``+30`` lands past the head, so the commit would regress
-#: it; the small deltas move a cursor with nothing left to read.
-MOVES = st.tuples(
-    st.integers(0, 15), SLOT, st.sampled_from([30.0, 5e-7, 1e-3, -1e-3, -30.0])
+#: ``(task position, partition slot, cursor, tick)``: before that tick,
+#: that task's job cursor at that partition is written past its head
+#: (``+30``) or below zero (``-1``), so the tick raises.
+CORRUPTIONS = st.tuples(
+    st.integers(0, 15), SLOT, st.sampled_from([30.0, -1.0]), st.integers(0, 3)
 )
 
 fleets = st.fixed_dictionaries({
@@ -85,10 +86,10 @@ fleets = st.fixed_dictionaries({
         st.fixed_dictionaries(CONTAINER_FIELDS), min_size=1, max_size=4
     ),
     "ticks": TICKS,
-    "move": st.none(),
+    "corrupt": st.none(),
 }) | st.fixed_dictionaries({
-    # Slices a tick can drain in one write, so the moved column meets
-    # the drain-all commit.
+    # Slices a tick can drain in one write, so the corrupt cursor meets
+    # a read pass that has already committed.
     "containers": st.lists(
         st.fixed_dictionaries({
             **CONTAINER_FIELDS,
@@ -108,26 +109,8 @@ fleets = st.fixed_dictionaries({
         st.tuples(st.sampled_from([9.9, 10.0, 61.3]), st.floats(0.0, 2.0)),
         min_size=2, max_size=4,
     ),
-    "move": MOVES,
+    "corrupt": CORRUPTIONS,
 })
-
-
-class MovingColumn(list):
-    """A cursor column another writer commits to between a task's read
-    and its commit: the first read of partition ``index`` while armed
-    returns what is stored, then the stored cursor moves by ``delta``.
-    Slices and iteration see what is stored."""
-
-    def __init__(self, values, index, delta):
-        super().__init__(values)
-        self.index, self.delta, self.armed = index, delta, False
-
-    def __getitem__(self, key):
-        value = super().__getitem__(key)
-        if self.armed and key.__class__ is int and key == self.index:
-            self.armed = False
-            self[key] = value + self.delta
-        return value
 
 
 def cpu_limit(mode, hosted, running):
@@ -157,7 +140,7 @@ class Fleet:
         self.scribe = ScribeBus()
         engine = Engine(seed=0)
         self.managers, self.sources, self.killed = [], [], []
-        self.moving = None
+        self.corrupt = None
         shapes = [shape for box in scenario["containers"] for shape in box["tasks"]]
         position = 0
         for number, box in enumerate(scenario["containers"]):
@@ -181,8 +164,8 @@ class Fleet:
             if not box["alive"]:
                 container.kill()
             self.managers.append(manager)
-        if scenario["move"] is not None:
-            self._move(scenario["move"], shapes)
+        if scenario["corrupt"] is not None:
+            self._corrupt(scenario["corrupt"], shapes)
 
     def _host(self, manager, shape, position, shapes):
         checkpoints = self.scribe.checkpoints
@@ -234,19 +217,16 @@ class Fleet:
         manager._host(extra, -1)
         manager._unhost(extra)
 
-    def _move(self, move, shapes):
-        position, slot, delta = move
+    def _corrupt(self, corrupt, shapes):
+        position, slot, cursor, tick = corrupt
         position %= len(shapes)
-        index = slot % shapes[position]["partitions"]
-        job_id, name = f"job-{position}", f"in-{position}"
-        checkpoints = self.scribe.checkpoints
-        size = shapes[position]["partitions"]
-        column = checkpoints.column(job_id, name, size)
-        self.moving = checkpoints.columns[job_id][name] = MovingColumn(
-            column, index, delta
+        self.corrupt = (
+            f"job-{position}", f"in-{position}", shapes[position]["partitions"],
+            slot % shapes[position]["partitions"], cursor, tick,
         )
-        # The oracle passes every positive limit; the moved cursor is
-        # read as often on both sides only if the fleet loop does too.
+        # The oracle passes every positive limit; the corrupt cursor
+        # raises before the same commits on both sides only if the fleet
+        # loop does too.
         for manager in self.managers:
             if not contended(manager):
                 manager.container.capacity = ResourceVector(cpu=0.0, memory_gb=64.0)
@@ -315,18 +295,18 @@ def oracle_step(scribe, managers, now):
         manager._after_step(now, oom_killed)
 
 
-def tick(fleet, step, now, appended_mb):
+def tick(fleet, step, now, appended_mb, number):
     for category in fleet.sources:
         category.append(appended_mb)
-    if fleet.moving is not None:
-        fleet.moving.armed = True
+    if fleet.corrupt is not None and fleet.corrupt[-1] == number:
+        job_id, name, size, index, cursor, _ = fleet.corrupt
+        category = fleet.scribe.get_category(name)
+        column = fleet.scribe.checkpoints.column(job_id, name, size)
+        column[index] = cursor if cursor < 0 else category.heads[index] + cursor
     try:
         step(fleet.scribe, fleet.managers, now)
     except ScribeError as error:
         return str(error)
-    finally:
-        if fleet.moving is not None:
-            fleet.moving.armed = False
     return None
 
 
@@ -341,21 +321,21 @@ def run_fleet(scenario):
     )
     now = 0.0
     with recording_ooms(fleet, oracle):
-        for dt, appended_mb in scenario["ticks"]:
+        for number, (dt, appended_mb) in enumerate(scenario["ticks"]):
             now += dt
             errors = [
-                tick(fleet, step_managers, now, appended_mb),
-                tick(oracle, oracle_step, now, appended_mb),
+                tick(fleet, step_managers, now, appended_mb, number),
+                tick(oracle, oracle_step, now, appended_mb, number),
             ]
             assert errors[0] == errors[1]
+            assert fleet.observe() == oracle.observe()
             if errors[0] is not None:
                 return True, any_contended
-            assert fleet.observe() == oracle.observe()
     return False, any_contended
 
 
 def test_fleet_loop_equals_the_per_manager_per_call_loop_bit_for_bit():
-    hits = {"examples": 0, "raised": 0, "contended": 0, "moved": 0}
+    hits = {"examples": 0, "raised": 0, "contended": 0, "corrupt": 0}
 
     @settings(max_examples=150, deadline=None, database=None)
     @given(scenario=fleets)
@@ -364,40 +344,25 @@ def test_fleet_loop_equals_the_per_manager_per_call_loop_bit_for_bit():
         hits["examples"] += 1
         hits["raised"] += raised
         hits["contended"] += any_contended
-        hits["moved"] += scenario["move"] is not None
+        hits["corrupt"] += scenario["corrupt"] is not None
 
     equivalent()
-    # Throttled containers, moved columns and regressions all occur.
+    # Throttled containers, corrupt cursors and raising ticks all occur.
     assert hits["contended"] >= 0.1 * hits["examples"], hits
-    assert hits["moved"] >= 0.1 * hits["examples"], hits
+    assert hits["corrupt"] >= 0.1 * hits["examples"], hits
     assert hits["raised"] >= 1, hits
 
 
 # ----------------------------------------------------------------------
-# The drain-all commit when the column moved since the read
+# The read pass's commits, and a column moved between two ticks
 # ----------------------------------------------------------------------
 HEAD = 100.0
-
-
-class MovesAtTheCompare(list):
-    """Cursors another writer commits to between the step's read and its
-    commit: the step's one slice read (the compare before a drain-all
-    write) finds partition ``index`` at ``moved_to``."""
-
-    def __init__(self, values, index, moved_to):
-        super().__init__(values)
-        self.index, self.moved_to = index, moved_to
-
-    def __getitem__(self, key):
-        if key.__class__ is slice and self.moved_to is not None:
-            self[self.index], self.moved_to = self.moved_to, None
-        return super().__getitem__(key)
 
 
 def drained_task(cursors):
     """One running 2-thread task owning the four partitions of ``cat``,
     at head 100 each, committed at ``cursors``: its next step drains all
-    four in one write (readables ascend, and fit the cap and budget)."""
+    four as it reads them (readables ascend, and fit the cap and budget)."""
     scribe = ScribeBus()
     category = scribe.create_category("cat", 4)
     category.append(4 * HEAD)
@@ -408,39 +373,45 @@ def drained_task(cursors):
 
 
 class TestDrainAllCommitAfterAMove:
-    def step(self, cursors, index, moved_to):
-        scribe, task = drained_task(cursors)
-        columns = scribe.checkpoints.columns["job"]
-        columns["cat"] = MovesAtTheCompare(columns["cat"], index, moved_to)
-        step_managers_alone(scribe, task)
-        return list(columns["cat"]), task
+    """The read pass commits as it reads; a column another writer moved
+    between two ticks is read as it stands."""
 
     def test_an_unmoved_column_takes_the_one_write(self):
-        offsets, task = self.step([90.0, 88.0, 85.0, 80.0], 1, None)
-        assert offsets == [HEAD] * 4
+        scribe, task = drained_task([90.0, 88.0, 85.0, 80.0])
+        step_managers_alone(scribe, task)
+        assert scribe.checkpoints.columns["job"]["cat"] == [HEAD] * 4
         assert task.total_processed_mb == 10.0 + 12.0 + 15.0 + 20.0
 
     def test_a_column_moved_ahead_raises(self):
-        """Another reader committed past this task's view of the head:
-        committing the drained offsets would regress it."""
-        with pytest.raises(ScribeError, match="cannot move backwards"):
-            self.step([90.0, 88.0, 85.0, 80.0], 1, HEAD + 30.0)
+        """Another writer committed past the head since the last tick: the
+        read pass raises there, and the partition it had already drained
+        gets its cursor back."""
+        scribe, task = drained_task([90.0, 88.0, 85.0, 80.0])
+        column = scribe.checkpoints.columns["job"]["cat"]
+        column[1] = HEAD + 30.0
+        with pytest.raises(ScribeError, match="beyond head"):
+            step_managers_alone(scribe, task)
+        assert column == [90.0, HEAD + 30.0, 85.0, 80.0]
 
-    def test_a_column_moved_behind_commits_as_each_entry_would(self):
-        """Every entry commits what the read pass computed, the moved one
-        included."""
-        offsets, task = self.step([90.0, 88.0, 85.0, 80.0], 1, 50.0)
-        assert offsets == [HEAD] * 4
-        assert task.total_processed_mb == 10.0 + 12.0 + 15.0 + 20.0
-
-    @pytest.mark.parametrize("moved_to", [HEAD + 5e-7, 50.0])
-    def test_a_moved_entry_with_nothing_to_read_keeps_what_is_stored(self, moved_to):
-        """A caught-up partition commits nothing, so a move there stands
-        either way, where a blind slice write would put back the cursor
-        the read pass saw."""
-        offsets, task = self.step([HEAD, 88.0, 85.0, 80.0], 0, moved_to)
-        assert offsets == [moved_to, HEAD, HEAD, HEAD]
-        assert task.total_processed_mb == 12.0 + 15.0 + 20.0
+    @pytest.mark.parametrize("cursor, message", [
+        (HEAD + 30.0, "beyond head"), (-1.0, "negative offset"),
+    ])
+    @pytest.mark.parametrize("index", range(4))
+    def test_a_cursor_out_of_range_leaves_the_whole_column_as_it_was(
+        self, index, cursor, message
+    ):
+        """Out of range at the k-th partition: the k partitions before it
+        were committed as they were read, and each gets back the very
+        object it held."""
+        cursors = [90.0, 88.0, 85.0, 80.0]
+        scribe, task = drained_task(cursors)
+        column = scribe.checkpoints.columns["job"]["cat"]
+        column[index] = cursor
+        before = list(column)
+        with pytest.raises(ScribeError, match=message):
+            step_managers_alone(scribe, task)
+        assert all(now is then for now, then in zip(column, before))
+        assert task.total_processed_mb == 0.0
 
 
 def step_managers_alone(scribe, task):

@@ -1,6 +1,8 @@
 """What each container and each task keeps resident (DESIGN.md, "Resident
 footprint"): no private ``__dict__`` per Task Manager, one edge pair per
-platform, one resource vector per job shape, and no set per placed task."""
+platform, one resource vector per job shape, no set per placed task, and
+per task only a spec handle on its job's template, with the job's tasks
+sharing one data-plane lane."""
 
 import tracemalloc
 
@@ -9,7 +11,8 @@ from repro.cluster.container import TurbineContainer
 from repro.cluster.resources import ResourceVector
 from repro.scribe import ScribeBus
 from repro.sim import Engine
-from repro.tasks import RunningTask
+from repro.jobs.model import JobView
+from repro.tasks import RunningTask, TaskSpec
 from repro.tasks.manager import TaskManager
 from repro.tasks.service import TaskService
 from repro.testing.reference import EagerTaskManager
@@ -18,6 +21,12 @@ from repro.testing.reference import EagerTaskManager
 #: one-element set a placed task once took in the location index was
 #: 216 B by itself (248 B counted on 3.11, 308 B on 3.9); now 32 / 92 B.
 MAX_HOSTING_BYTES = 128
+
+#: Bytes tracemalloc may count a spec when a 512-task job's specs are
+#: built, task id and list slot included: 305 B for a spec with its own
+#: ``__dict__`` on 3.11 (349 B on 3.9); a handle on a shared template
+#: counts 153 B (151 B on 3.9, 145 B on 3.12).
+MAX_SPEC_BYTES = 176
 
 
 def job_specs(task_count):
@@ -81,3 +90,46 @@ def test_hosting_one_more_task_on_a_warm_manager_stays_under_the_bound():
     finally:
         tracemalloc.stop()
     assert counted <= MAX_HOSTING_BYTES, counted
+
+
+def test_a_spec_keeps_no_dict():
+    spec = job_specs(4)[0]
+    assert not hasattr(spec, "__dict__")
+    assert not hasattr(spec.template, "__dict__")
+
+
+def test_the_specs_of_one_job_share_one_template():
+    specs = job_specs(64)
+    assert len({id(spec.template) for spec in specs}) == 1
+    assert [spec.task_index for spec in specs] == list(range(64))
+
+
+def test_the_running_tasks_of_one_job_share_one_lane():
+    scribe = ScribeBus()
+    scribe.create_category("cat", 16)
+    tasks = [RunningTask(spec, scribe) for spec in job_specs(8)]
+    for task in tasks:
+        assert task.bytes_lagged_mb() == 0.0  # resolves the lane
+    assert len({id(task._lane) for task in tasks}) == 1
+    assert tasks[0]._lane is tasks[0].spec.template.lane
+    # The partition windows are each task's own.
+    assert [task._window[0] for task in tasks] == [
+        range(index, 16, 8) for index in range(8)
+    ]
+
+
+def test_building_a_512_task_jobs_specs_stays_under_the_bound():
+    config = JobSpec(
+        job_id="job", input_category="cat", task_count=512
+    ).to_provisioner_config()
+    view = JobView.from_config(config)
+    TaskSpec.of_job("job", view)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        specs = TaskSpec.of_job("job", view)
+        counted = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(specs) == 512
+    assert counted / 512 <= MAX_SPEC_BYTES, counted / 512

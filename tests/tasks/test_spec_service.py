@@ -59,6 +59,59 @@ class TestTaskSpec:
         assert a.settings_fingerprint() == b.settings_fingerprint()
 
 
+class TestTemplateAndHandle:
+    """A job's specs are handles on one template (DESIGN.md, "Resident
+    footprint")."""
+
+    def specs(self, **overrides):
+        return TaskService(Engine()).set_job_specs("job", job_config(**overrides))
+
+    @pytest.mark.parametrize("index", [-1, 4, 5])
+    def test_a_handle_out_of_its_templates_range_is_rejected(self, index):
+        template = self.specs()[0].template
+        with pytest.raises(TurbineError, match="out of range"):
+            TaskSpec(template, index)
+
+    def test_threads_below_one_are_rejected_once_per_job(self):
+        with pytest.raises(TurbineError, match="at least one thread"):
+            self.specs(threads_per_task=0)
+
+    def test_the_specs_of_a_template_return_one_fingerprint_object(self):
+        """The Task Managers compare fingerprints on every reconcile: no
+        tuple is built per call."""
+        specs = self.specs()
+        fingerprint = specs[0].settings_fingerprint()
+        assert all(spec.settings_fingerprint() is fingerprint for spec in specs)
+        assert specs[0].settings_fingerprint() is fingerprint
+
+    def test_toggling_hot_standby_leaves_the_fingerprint_unchanged(self):
+        off = self.specs()[0]
+        on = self.specs(hot_standby=True)[0]
+        assert (off.hot_standby, on.hot_standby) == (False, True)
+        assert off.settings_fingerprint() == on.settings_fingerprint()
+
+    def test_job_fields_read_through_the_template(self):
+        spec = self.specs(task_count=3)[2]
+        assert (spec.job_id, spec.task_id, spec.task_index) == ("job", "job:2", 2)
+        assert (spec.task_count, spec.threads) == (3, 2)
+        assert spec.input_category == spec.template.input_category == "cat"
+        assert spec.resources is spec.template.resources
+
+    def test_specs_compare_by_identity(self):
+        a = TaskSpec.from_job_config("job", 0, job_config())
+        b = TaskSpec.from_job_config("job", 0, job_config())
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
+
+    @pytest.mark.parametrize("name", ["task_index", "threads", "template"])
+    def test_a_spec_is_immutable(self, name):
+        spec = self.specs()[0]
+        with pytest.raises(AttributeError):
+            setattr(spec, name, 3)
+        with pytest.raises(AttributeError):
+            setattr(spec.template, "threads", 3)
+
+
 class TestTaskService:
     def test_set_job_specs_generates_per_task(self):
         service = TaskService(Engine())
