@@ -9,15 +9,17 @@ and compares these ratios. A ratio is stable across machines of different
 speed, but moves immediately when one code path regresses relative to the
 rest, which is what the gate is for.
 
-Each row is the *best* of several rounds (``timed_best`` in
+Each gated row runs several rounds (``timed_best`` in
 ``benchmarks/conftest.py``: a fresh input and a collected heap per round,
-the collector off while it runs). A single round mostly measured which
-round paid a generation-2 collection: the sync row read 3.0–3.6 against
-its 2.28 baseline, at the commit that recorded that baseline too. Rounds
-are short and many (15, and 40 eighth-day rounds for the ingest row),
-because a round on a shared box can run 20–50 % slow for seconds at a
-time, and only a short round finds a quiet second. The baseline is the
-median ratio of five runs at one commit, not one run's.
+the collector off while it runs), and each of its rounds is paired with a
+yardstick round run just before it. The row's ratio is the *median of
+the per-pair ratios*. A round on a shared box can run 20–50 % slow for
+seconds at a time; a slow phase then stretches both rounds of a pair, so
+it cancels in that pair's ratio, and the median drops the pairs it
+split. The best-of-best ratio this replaces divided two bests taken at
+different moments, and the yardstick's alone moved ±20 % between runs of
+one tree. The baseline is the median ratio of five runs at one commit,
+not one run's.
 
 Usage:
     pytest benchmarks/test_sync_speed.py benchmarks/test_placement_speed.py \\
@@ -47,19 +49,13 @@ BASELINE_PATH = Path(__file__).resolve().parent.parent / "BENCH_baseline.json"
 
 
 def load_ratios(results_path):
-    """Map benchmark name -> best round time normalized by the reference's."""
+    """Map benchmark name -> median of its per-pair ratios to the reference
+    (``extra_info["ratio"]``, kept by ``timed_best``)."""
     data = json.loads(Path(results_path).read_text())
-    best = {
-        bench["name"]: bench["stats"]["min"]
-        for bench in data["benchmarks"]
-    }
-    if REFERENCE not in best:
-        sys.exit(f"reference benchmark {REFERENCE!r} missing from results")
-    reference = best[REFERENCE]
     return {
-        name: seconds / reference
-        for name, seconds in best.items()
-        if name != REFERENCE
+        bench["name"]: bench["extra_info"]["ratio"]
+        for bench in data["benchmarks"]
+        if "ratio" in bench.get("extra_info", {})
     }
 
 

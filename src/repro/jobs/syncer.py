@@ -210,10 +210,10 @@ class StateSyncer:
         previous round) is examined; every :data:`FULL_SCAN_INTERVAL` rounds
         — and always while a crash has left the syncer without a cursor —
         the whole fleet is rescanned as an anti-entropy safety net.
-        Either way, simple synchronizations are batched (collected
-        first, committed together); complex ones run individually. This
-        mirrors the paper's "batches the simple synchronizations and
-        parallelize[s] the complex ones".
+        Either way, simple synchronizations are batched into the round
+        and each is planned, run and committed in turn; complex ones run
+        individually after them. This mirrors the paper's "batches the
+        simple synchronizations and parallelize[s] the complex ones".
         """
         started_wall = perf_counter() if self._telemetry.enabled else 0.0
         try:
@@ -231,8 +231,6 @@ class StateSyncer:
             or self._rounds_since_full >= FULL_SCAN_INTERVAL
         )
         report = SyncReport(time=self.now, full_scan=full_scan)
-        simple_plans: List[ExecutionPlan] = []
-        complex_plans: List[ExecutionPlan] = []
 
         dirty_size = 0
         if full_scan:
@@ -248,36 +246,48 @@ class StateSyncer:
             dirty_size = len(changed)
             candidates = self._collect_feed_deletions(changed, report)
         report.examined = len(candidates)
-        for job_id in candidates:
-            if self._store.state_of(job_id) == JobState.QUARANTINED:
-                continue
-            plan = self._plan_for(job_id)
-            if plan is None:
-                continue
-            if plan.complex:
-                complex_plans.append(plan)
-            else:
-                simple_plans.append(plan)
-
-        # A round trace event only when the round does work: an idle
-        # 30-second tick would otherwise bloat every trace export.
+        # The round streams: a simple plan runs and commits as soon as it
+        # is planned, so the store holds one job's merged config at a
+        # time, not the whole wave's. Complex plans (parallelism changes)
+        # wait for the simple ones, so the run order is that of a round
+        # that planned everything first. Planning a job reads only its
+        # own store entries, and a plan writes only its own job's.
         round_event: Optional[TraceEvent] = None
-        if simple_plans or complex_plans:
-            round_event = self._tracer.record(
-                "state-syncer", "sync-round",
-                simple=len(simple_plans), complex=len(complex_plans),
+        simple_count = 0
+        complex_plans: List[ExecutionPlan] = []
+        try:
+            for job_id in candidates:
+                if self._store.state_of(job_id) == JobState.QUARANTINED:
+                    continue
+                plan = self._plan_for(job_id)
+                if plan is None:
+                    continue
+                if not simple_count and not complex_plans:
+                    # A round trace event only when the round does work:
+                    # an idle 30-second tick would otherwise bloat every
+                    # trace export. Its counts are filled in below.
+                    round_event = self._tracer.record(
+                        "state-syncer", "sync-round"
+                    )
+                if plan.complex:
+                    complex_plans.append(plan)
+                    continue
+                simple_count += 1
+                self._run_plan(plan, report, round_event)
+            for plan in complex_plans:
+                self._run_plan(plan, report, round_event)
+        finally:
+            # A round cut short by a raise counts the plans it found.
+            self._tracer.complete(
+                round_event, simple=simple_count, complex=len(complex_plans),
             )
-        for plan in simple_plans:
-            self._run_plan(plan, report, round_event)
-        for plan in complex_plans:
-            self._run_plan(plan, report, round_event)
 
         self.rounds.append(report)
         if self._telemetry.enabled:
             self._telemetry.inc("syncer.rounds")
-            if simple_plans or complex_plans:
+            if simple_count or complex_plans:
                 self._telemetry.observe(
-                    "syncer.batch.simple", float(len(simple_plans))
+                    "syncer.batch.simple", float(simple_count)
                 )
                 self._telemetry.observe(
                     "syncer.batch.complex", float(len(complex_plans))

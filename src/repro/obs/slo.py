@@ -288,8 +288,9 @@ class SloTracker:
         self.breaches: List[BreachWindow] = BoundedList(maxlen=RECORD_RETENTION)
         #: (job, slo) -> open breach (also present in ``breaches``).
         self._open: Dict[Tuple[JobId, str], BreachWindow] = {}
-        #: (job, slo, rule index) currently above threshold (edge trigger).
-        self._firing: Dict[Tuple[JobId, str, int], bool] = {}
+        #: (job, slo, rule index) currently above threshold (edge trigger);
+        #: a rule leaves the set the round it stops firing.
+        self._firing: Set[Tuple[JobId, str, int]] = set()
         #: (job, index into ``specs``) -> time of the newest bad verdict,
         #: kept while that verdict is inside some rule's short window.
         #: These are the only pairs a burn-rate rule can fire for.
@@ -319,7 +320,7 @@ class SloTracker:
                 breach.end = self._engine.now
             self._last_bad.pop((job_id, index), None)
             for rule in range(len(self.rules)):
-                self._firing.pop((job_id, spec.name, rule), None)
+                self._firing.discard((job_id, spec.name, rule))
 
     def held_jobs(self) -> Set[JobId]:
         return {key[0] for key in (*self._open, *self._firing, *self._last_bad)}
@@ -492,9 +493,11 @@ class SloTracker:
                     self.window_reads += 1
                     long_burn = bad_fraction(spec_index, width, rule.long_window, now) / budget
                     firing = long_burn >= threshold
-                    if firing and not self._firing.get(key):
+                    if firing and key not in self._firing:
                         self._alert(entity, spec, rule, long_burn, now)
-                self._firing[key] = firing
+                        self._firing.add(key)
+                if not firing:
+                    self._firing.discard(key)
             if last_bad < quiet_before:
                 del self._last_bad[pair]
 
@@ -572,7 +575,7 @@ class SloTracker:
                 "status": (
                     "breached" if burned >= 1.0
                     else "burning" if any(
-                        self._firing.get((job_id, spec.name, rule))
+                        (job_id, spec.name, rule) in self._firing
                         for rule in range(len(self.rules))
                     )
                     else "ok"

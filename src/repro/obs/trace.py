@@ -24,7 +24,7 @@ Design constraints, in order:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.obs.bounded import BoundedList
@@ -150,6 +150,28 @@ class Tracer:
         )
         self.events.append(event)
         return event
+
+    def complete(
+        self, event: Optional[TraceEvent], **detail: Any
+    ) -> Optional[TraceEvent]:
+        """Set ``detail`` keys of an event recorded before they were
+        known (a round's counts, say); returns the completed event.
+
+        The event keeps its span, position and every other field: the
+        frozen record is swapped in :attr:`events` by identity, searched
+        from the newest. Children link by span id, so they are unchanged.
+        A ``None`` event (tracing off) or one already evicted is a no-op.
+        """
+        if event is None:
+            return None
+        merged = {**dict(event.detail), **detail}
+        done = replace(event, detail=tuple(sorted(merged.items())))
+        events = self.events
+        for index in range(len(events) - 1, -1, -1):
+            if events[index] is event:
+                events[index] = done
+                break
+        return done
 
     # ------------------------------------------------------------------
     # Cross-layer hand-off slots

@@ -43,33 +43,26 @@ def _immutable(instance: object, name: str) -> FrozenInstanceError:
     )
 
 
+def _fingerprinted(index: int, doc: str) -> property:
+    """A read-only :class:`SpecTemplate` field kept in its fingerprint."""
+    return property(lambda template: template.fingerprint[index], doc=doc)
+
+
 class SpecTemplate:
     """The job-level half of every task spec of one job, shared by the
     job's :class:`TaskSpec` handles."""
 
     __slots__ = (
-        "job_id", "task_count", "package_name", "package_version", "threads",
-        "resources", "input_category", "output_category", "output_ratio",
-        "stateful", "priority", "rate_per_thread_mb", "state_key_cardinality",
-        "memory_overhead_gb", "hot_standby", "fingerprint", "lane",
+        "job_id", "output_ratio", "stateful", "priority",
+        "state_key_cardinality", "memory_overhead_gb", "hot_standby",
+        "fingerprint", "lane",
     )
 
     job_id: JobId
-    task_count: int
-    package_name: str
-    package_version: str
-    threads: int
-    #: The per-task reservation.
-    resources: ResourceVector
-    input_category: str
-    output_category: str
     #: Output bytes per processed input byte.
     output_ratio: float
     stateful: bool
     priority: Priority
-    #: Ground-truth max stable processing rate per thread (MB/s) — used by
-    #: the simulated runtime, opaque to the control plane.
-    rate_per_thread_mb: float
     state_key_cardinality: int
     #: Constant per-task memory extra (message-size buffering), GB.
     memory_overhead_gb: float
@@ -79,11 +72,25 @@ class SpecTemplate:
     #: :attr:`fingerprint` — toggling it must not restart the primary;
     #: only the standby plane reacts.
     hot_standby: bool
-    #: What :meth:`TaskSpec.settings_fingerprint` returns, built once.
+    #: What :meth:`TaskSpec.settings_fingerprint` returns, built once. The
+    #: eight fields it names are kept only here, read through properties.
     fingerprint: tuple
     #: The data plane's resolved view of this job's input, filled on the
     #: first step of one of its tasks; opaque here.
     lane: Optional[Any]
+
+    package_name = _fingerprinted(0, "The job's package.")
+    package_version = _fingerprinted(1, "The package's version.")
+    threads = _fingerprinted(2, "Threads a task runs.")
+    task_count = _fingerprinted(3, "The job's parallelism.")
+    resources = _fingerprinted(4, "The per-task reservation.")
+    input_category = _fingerprinted(5, "The Scribe category read.")
+    output_category = _fingerprinted(6, "The Scribe category written.")
+    rate_per_thread_mb = _fingerprinted(
+        7,
+        "Ground-truth max stable processing rate per thread (MB/s) — used "
+        "by the simulated runtime, opaque to the control plane.",
+    )
 
     def __init__(self, job_id: JobId, view: JobView, resources: ResourceVector) -> None:
         # Every hosted task runs at least one thread: a container's
@@ -94,17 +101,9 @@ class SpecTemplate:
             )
         fields = {
             "job_id": job_id,
-            "task_count": view.task_count,
-            "package_name": view.package_name,
-            "package_version": view.package_version,
-            "threads": view.threads,
-            "resources": resources,
-            "input_category": view.input_category,
-            "output_category": view.output_category,
             "output_ratio": view.output_ratio,
             "stateful": view.stateful,
             "priority": Priority(view.priority),
-            "rate_per_thread_mb": view.rate_per_thread_mb,
             "state_key_cardinality": view.state_key_cardinality,
             "memory_overhead_gb": view.memory_overhead_gb,
             "hot_standby": view.hot_standby,

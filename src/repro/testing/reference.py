@@ -392,9 +392,11 @@ class FullWalkSloTracker(SloTracker):
                         long_burn >= rule.burn_threshold
                         and short_burn >= rule.burn_threshold
                     )
-                    if firing and not self._firing.get(key):
+                    if not firing:
+                        self._firing.discard(key)
+                    elif key not in self._firing:
                         self._alert(entity, spec, rule, long_burn, now)
-                    self._firing[key] = firing
+                        self._firing.add(key)
 
     def _known_entities(self) -> List[str]:
         entities = set()

@@ -279,7 +279,7 @@ class TestForgetJob:
             lag["value"] = value
             engine.run_for(minutes * 60.0)
         deleted_at = engine.now
-        assert tracker._last_bad and not tracker._firing[("job", "lag", 1)]
+        assert tracker._last_bad and ("job", "lag", 1) not in tracker._firing
         assert tracker.burn("job", "lag", 21600.0) >= 6.0  # vacuity guards
         self.delete(service, tracker)
         assert tracker.held_jobs() == set()

@@ -174,7 +174,7 @@ class World:
             tracker.to_json(),
             [(a.time, a.severity, a.what, a.runbook) for a in tracker.alerts],
             [(b.job_id, b.slo, b.start, b.end) for b in tracker.breaches],
-            sorted(key for key, firing in tracker._firing.items() if firing),
+            sorted(tracker._firing),
             tracker.evaluations,
         )
 
@@ -245,7 +245,7 @@ def test_change_driven_tracker_equals_full_walk(sequence, specs):
     assert_same(production, reference)
     if specs is None:
         assert production.tracker._last_bad == {}
-        assert not any(production.tracker._firing.values())
+        assert production.tracker._firing == set()
 
 
 def test_bad_then_quiet_past_the_six_hour_window_then_bad_again():
@@ -409,19 +409,19 @@ def test_each_rule_is_read_only_inside_its_own_short_window():
     good, bad = (5.0, 5.0, 5.0), (900.0, 5.0, 5.0)
     reads(("run", 5, good, 2.0, None))
     assert reads(("run", 20, bad, 2.0, None)) == 20 * 4  # both rules burn
-    assert tracker._firing[("job-0", "lag", 0)] and tracker._firing[("job-0", "lag", 1)]
+    assert tracker._firing == {("job-0", "lag", 0), ("job-0", "lag", 1)}
     # Rounds 1–5 after the burn: the bad sample is still inside the page
     # rule's 5-minute window, so both rules are read.
     assert reads(("run", 5, good, 2.0, None)) >= 5 * 2
     # Rounds 6–30: only the warn rule (short window, then long while it
     # still burns) is read; the page rule is set not-firing unread.
     assert 25 <= reads(("run", 25, good, 2.0, None)) <= 25 * 2
-    assert tracker._firing[("job-0", "lag", 0)] is False
+    assert ("job-0", "lag", 0) not in tracker._firing
     assert ("job-0", 0) in tracker._last_bad
     # Round 31: visited one last time with nothing to read, and forgotten.
     assert reads(("run", 10, good, 2.0, None)) == 0
     assert tracker._last_bad == {}
-    assert not any(tracker._firing.values())
+    assert tracker._firing == set()
     severities = [alert.severity for alert in tracker.alerts]
     assert sorted(severities) == ["page", "warn"]
 
@@ -436,11 +436,16 @@ def test_forget_job_mid_breach_closes_it_and_drops_every_edge():
         reference.apply(step)
     tracker = production.tracker
     assert {key[0] for key in tracker._open} == {"job-0", "job-1", "job-2"}
-    assert any(firing for key, firing in tracker._firing.items() if key[0] == "job-0")
+    # The table holds the rules that fire, and nothing for those that do not.
+    assert tracker._firing == {
+        *(("job-0", slo, rule) for slo in ("availability", "lag", "oom") for rule in (0, 1)),
+        *((job, "availability", rule) for job in ("job-1", "job-2") for rule in (0, 1)),
+    }
     forgotten_at = production.engine.now
     for world in (production, reference):
         world.apply(("deprovision", 0))
     assert "job-0" not in tracker.held_jobs()
+    assert not any(key[0] == "job-0" for key in tracker._firing)
     assert_same(production, reference)
     closed = [b for b in tracker.breaches if b.job_id == "job-0"]
     assert closed and all(b.end == forgotten_at for b in closed)

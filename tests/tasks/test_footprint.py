@@ -15,6 +15,7 @@ from repro.jobs.model import JobView
 from repro.tasks import RunningTask, TaskSpec
 from repro.tasks.manager import TaskManager
 from repro.tasks.service import TaskService
+from repro.tasks.spec import SpecTemplate
 from repro.testing.reference import EagerTaskManager
 
 #: Bytes tracemalloc may count for one more task on a warm manager. The
@@ -27,6 +28,12 @@ MAX_HOSTING_BYTES = 128
 #: ``__dict__`` on 3.11 (349 B on 3.9); a handle on a shared template
 #: counts 153 B (151 B on 3.9, 145 B on 3.12).
 MAX_SPEC_BYTES = 176
+
+#: Bytes tracemalloc may count a template built for a one-task job: the
+#: template and its fingerprint tuple. 271 B when the template also kept
+#: the eight fingerprinted fields in slots of its own; 207 B now (CPython
+#: 3.9 to 3.13).
+MAX_TEMPLATE_BYTES = 224
 
 
 def job_specs(task_count):
@@ -133,3 +140,43 @@ def test_building_a_512_task_jobs_specs_stays_under_the_bound():
         tracemalloc.stop()
     assert len(specs) == 512
     assert counted / 512 <= MAX_SPEC_BYTES, counted / 512
+
+
+#: The fields ``settings_fingerprint()`` names, in its order.
+FINGERPRINTED = (
+    "package_name", "package_version", "threads", "task_count", "resources",
+    "input_category", "output_category", "rate_per_thread_mb",
+)
+
+
+def test_a_template_keeps_its_fingerprinted_fields_only_in_the_fingerprint():
+    specs = job_specs(4)
+    template = specs[0].template
+    assert not set(FINGERPRINTED) & set(SpecTemplate.__slots__)
+    assert [getattr(template, name) for name in FINGERPRINTED] == list(
+        template.fingerprint
+    )
+    assert specs[3].settings_fingerprint() is template.fingerprint
+    assert specs[3].threads == template.fingerprint[2]
+
+
+def test_building_one_task_jobs_templates_stays_under_the_bound():
+    job_ids = [f"job-{index}" for index in range(256)]
+    views = [
+        JobView.from_config(JobSpec(
+            job_id=job_id, input_category="cat", task_count=1,
+        ).to_provisioner_config())
+        for job_id in job_ids
+    ]
+    resources = ResourceVector(cpu=0.5, memory_gb=0.5)
+    SpecTemplate("job-0", views[0], resources)
+    templates = [None] * len(views)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for index, view in enumerate(views):
+            templates[index] = SpecTemplate(job_ids[index], view, resources)
+        counted = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert counted / len(views) <= MAX_TEMPLATE_BYTES, counted / len(views)
