@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import inf
-from typing import Any, Dict, Mapping, Tuple
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.cluster.resources import ResourceVector
 from repro.errors import JobStoreError
@@ -171,6 +171,14 @@ def _frozen(value: Any) -> Any:
     return value
 
 
+def _shared(parts: Dict[Any, Any], value: Any) -> Any:
+    """``value``, or the equal object ``parts`` holds already when that one
+    is the same to the last digit (the same ``repr``: ``1`` is not ``1.0``,
+    nor ``0.0`` ``-0.0``)."""
+    held = parts.setdefault(value, value)
+    return held if held is value or repr(held) == repr(value) else value
+
+
 @dataclass(frozen=True)
 class JobView:
     """The fields of one merged job configuration, typed and immutable all
@@ -216,19 +224,39 @@ class JobView:
     hot_standby: bool
 
     @classmethod
-    def from_config(cls, config: Mapping[str, Any]) -> "JobView":
-        """Read a merged (or plan-target) configuration dict."""
+    def from_config(
+        cls, config: Mapping[str, Any], parts: Optional[Dict[Any, Any]] = None,
+    ) -> "JobView":
+        """Read a merged (or plan-target) configuration dict.
+
+        ``parts`` is a memo of the parts equal configs decode to (the Job
+        Store's): through it, equal ``resources`` tuples, each of their
+        ``(dimension, value)`` pairs and equal package strings come out as
+        one shared object, and the per-task floats are read from the
+        shared pairs.
+        """
         resources = config.get(KEY_RESOURCES, {})
+        frozen = _frozen(resources)
         slo = config.get(KEY_SLO, {})
         output = config.get(KEY_OUTPUT, {})
         package = config.get(KEY_PACKAGE, {})
+        package_name = package.get("name", "stream_engine")
+        package_version = package.get("version", "1.0")
+        if parts is not None:
+            if type(resources) is dict:
+                frozen = _shared(parts, tuple(_shared(parts, pair) for pair in frozen))
+                resources = dict(frozen)
+            if type(package_name) is str:
+                package_name = _shared(parts, package_name)
+            if type(package_version) is str:
+                package_version = _shared(parts, package_version)
         return cls(
             task_count=int(config.get(KEY_TASK_COUNT, 1)),
             task_count_limit=int(config.get(KEY_TASK_COUNT_LIMIT, DEFAULT_TASK_COUNT_LIMIT)),
             threads=int(config.get(KEY_THREADS, 1)),
             cpu_per_task=float(resources.get("cpu", 0.0)),
             memory_per_task_gb=float(resources.get("memory_gb", 0.0)),
-            resources=_frozen(resources),
+            resources=frozen,
             stateful=bool(config.get(KEY_STATEFUL, False)),
             state_key_cardinality=int(config.get(KEY_STATE_KEY_CARDINALITY, 0)),
             priority=int(config.get(KEY_PRIORITY, Priority.NORMAL)),
@@ -238,8 +266,8 @@ class JobView:
             output_category=output.get("category", ""),
             output_ratio=float(output.get("ratio", 1.0)),
             rate_per_thread_mb=float(config.get(KEY_PERF, {}).get("rate_per_thread_mb", 2.0)),
-            package_name=package.get("name", "stream_engine"),
-            package_version=package.get("version", "1.0"),
+            package_name=package_name,
+            package_version=package_version,
             memory_overhead_gb=float(config.get(KEY_MEMORY_OVERHEAD, 0.0)),
             hot_standby=bool(config.get(KEY_HOT_STANDBY, False)),
         )

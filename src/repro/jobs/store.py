@@ -75,6 +75,9 @@ class VersionedConfig:
 #: One stored expected level or running config: its JSON text and version.
 _Stored = NamedTuple("_Stored", [("text", str), ("version", int)])
 
+#: Every level and running config of a new job: one immutable value.
+_EMPTY = _Stored("{}", 0)
+
 #: ``_Merge.synced`` of a merge the State Syncer has read and not yet
 #: committed (running versions start at 0, so no stamp equals it).
 _READ = -1
@@ -151,6 +154,10 @@ class JobStore:
         #: Per-job merges (see :class:`_Merge`), built on first read and
         #: dropped by the job's next notification.
         self._merges: Dict[JobId, _Merge] = {}
+        #: The parts equal configs decode to, one object each, shared by
+        #: every view the merges build (``JobView.from_config``'s memo):
+        #: one entry per distinct value this store has seen.
+        self._parts: Dict[Any, Any] = {}
         #: When False the store is in an availability window: every data
         #: operation raises :class:`ServiceUnavailableError` and clients
         #: run on last-known-good state (the production store is MySQL;
@@ -229,8 +236,8 @@ class JobStore:
         self._check_available()
         if job_id in self._expected:
             raise JobStoreError(f"job {job_id} already exists")
-        self._expected[job_id] = {level: _Stored("{}", 0) for level in ConfigLevel}
-        self._running[job_id] = _Stored("{}", 0)
+        self._expected[job_id] = dict.fromkeys(ConfigLevel, _EMPTY)
+        self._running[job_id] = _EMPTY
         self._states[job_id] = JobState.RUNNING
         self._notify_change(job_id)
         self._emit("create_job", job_id=job_id)
@@ -327,7 +334,9 @@ class JobStore:
 
     def _merge(self, job_id: JobId) -> _Merge:
         config = self._merge_levels(job_id)
-        merge = self._merges[job_id] = _Merge(JobView.from_config(config), config)
+        merge = self._merges[job_id] = _Merge(
+            JobView.from_config(config, self._parts), config
+        )
         return merge
 
     def view(self, job_id: JobId) -> JobView:

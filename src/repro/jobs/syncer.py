@@ -48,7 +48,6 @@ full scan would visit them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Callable, Dict, Iterable, List, Optional
 
@@ -87,28 +86,65 @@ ROUND_RETENTION = 20_160
 FULL_SCAN_INTERVAL = 20
 
 
-@dataclass
-class SyncReport:
-    """What one synchronization round did (for tests and dashboards)."""
+def _outcome(name: str, doc: str) -> property:
+    """A :class:`SyncReport` outcome list: made by :meth:`SyncReport.land`
+    when its first job lands, read as a new empty list until then."""
 
-    time: Seconds
-    simple_synced: List[JobId] = field(default_factory=list)
-    complex_synced: List[JobId] = field(default_factory=list)
-    failed: List[JobId] = field(default_factory=list)
-    quarantined: List[JobId] = field(default_factory=list)
-    #: Whether this round rescanned the whole fleet (False = dirty-set only).
-    full_scan: bool = True
-    #: True when the round did nothing because the Job Store was
-    #: unavailable (the syncer runs on last-known-good running state and
-    #: retries next round).
-    skipped: bool = False
-    #: How many live jobs the round examined (dirty-set size for
-    #: incremental rounds, fleet size for full scans).
-    examined: int = 0
+    def read(report: "SyncReport") -> List[JobId]:
+        landed = report._landed
+        return [] if landed is None else landed.get(name, [])
+
+    return property(read, doc=doc)
+
+
+class SyncReport:
+    """What one synchronization round did (for tests and dashboards).
+
+    Most rounds are idle and a week of them is kept, so a report is slotted
+    and holds an outcome list only once a job lands in it.
+    """
+
+    __slots__ = ("time", "full_scan", "skipped", "examined", "_landed")
+
+    def __init__(
+        self, time: Seconds, full_scan: bool = True, skipped: bool = False,
+    ) -> None:
+        self.time = time
+        #: Whether this round rescanned the whole fleet (False = dirty-set only).
+        self.full_scan = full_scan
+        #: True when the round did nothing because the Job Store was
+        #: unavailable (the syncer runs on last-known-good running state and
+        #: retries next round).
+        self.skipped = skipped
+        #: How many live jobs the round examined (dirty-set size for
+        #: incremental rounds, fleet size for full scans).
+        self.examined = 0
+        #: outcome -> the jobs landed in it; ``None`` while none landed.
+        self._landed: Optional[Dict[str, List[JobId]]] = None
+
+    simple_synced = _outcome("simple_synced", "Jobs a simple plan synced, and orphans collected.")
+    complex_synced = _outcome("complex_synced", "Jobs a complex plan synced.")
+    failed = _outcome("failed", "Jobs whose plan or orphan collection failed.")
+    quarantined = _outcome("quarantined", "Jobs quarantined this round.")
+
+    def land(self, outcome: str, job_id: JobId) -> None:
+        """Record ``job_id`` under ``outcome`` (``"simple_synced"``,
+        ``"complex_synced"``, ``"failed"`` or ``"quarantined"``)."""
+        if self._landed is None:
+            self._landed = {}
+        self._landed.setdefault(outcome, []).append(job_id)
 
     @property
     def total_synced(self) -> int:
         return len(self.simple_synced) + len(self.complex_synced)
+
+    def __repr__(self) -> str:
+        return (
+            f"SyncReport(time={self.time}, simple_synced={self.simple_synced}, "
+            f"complex_synced={self.complex_synced}, failed={self.failed}, "
+            f"quarantined={self.quarantined}, full_scan={self.full_scan}, "
+            f"skipped={self.skipped}, examined={self.examined})"
+        )
 
 
 class StateSyncer:
@@ -244,7 +280,11 @@ class StateSyncer:
             self._rounds_since_full += 1
             changed = self._cursor.poll()
             dirty_size = len(changed)
-            candidates = self._collect_feed_deletions(changed, report)
+            try:
+                candidates = self._collect_feed_deletions(changed, report)
+            except Exception:
+                self._requeue(changed)
+                raise
         report.examined = len(candidates)
         # The round streams: a simple plan runs and commits as soon as it
         # is planned, so the store holds one job's merged config at a
@@ -255,8 +295,12 @@ class StateSyncer:
         round_event: Optional[TraceEvent] = None
         simple_count = 0
         complex_plans: List[ExecutionPlan] = []
+        # How far the round got: candidates before ``position`` are planned
+        # (and their simple plans run); the first ``complex_ran`` complex
+        # plans ran.
+        position = complex_ran = 0
         try:
-            for job_id in candidates:
+            for position, job_id in enumerate(candidates):
                 if self._store.state_of(job_id) == JobState.QUARANTINED:
                     continue
                 plan = self._plan_for(job_id)
@@ -274,8 +318,17 @@ class StateSyncer:
                     continue
                 simple_count += 1
                 self._run_plan(plan, report, round_event)
+            position = len(candidates)
             for plan in complex_plans:
                 self._run_plan(plan, report, round_event)
+                complex_ran += 1
+        except Exception:
+            # A raise (a Job Store outage that began inside a plan) must
+            # not take the drained feed with it: every job the round did
+            # not finish, the raising one included, waits for the next.
+            self._requeue(candidates[position:])
+            self._requeue(plan.job_id for plan in complex_plans[complex_ran:])
+            raise
         finally:
             # A round cut short by a raise counts the plans it found.
             self._tracer.complete(
@@ -316,6 +369,12 @@ class StateSyncer:
                 "cache.syncer.examined", float(report.examined)
             )
         return report
+
+    def _requeue(self, job_ids: Iterable[JobId]) -> None:
+        """Put jobs a raising round drained from the feed back on it."""
+        if self._cursor is not None:
+            for job_id in job_ids:
+                self._cursor.push(job_id)
 
     def _collect_deleted_jobs(self, report: SyncReport) -> None:
         """Garbage-collect cluster state of jobs deleted from the store.
@@ -364,10 +423,10 @@ class StateSyncer:
         """GC the cluster state of one store-deleted job (best effort)."""
         try:
             self._actuator_dep.call(self._actuator.forget_job, job_id)
-            report.simple_synced.append(job_id)
+            report.land("simple_synced", job_id)
             self._orphan_retry.discard(job_id)
         except Exception:  # noqa: BLE001 — retried next round
-            report.failed.append(job_id)
+            report.land("failed", job_id)
             self._orphan_retry.add(job_id)
 
     def forget_job(self, job_id: JobId) -> None:
@@ -436,10 +495,7 @@ class StateSyncer:
         # the job is converged, so the change feed must not re-dirty it.
         self._store.commit_running(job_id, plan.target_config, quiet=True)
         self._failure_counts.pop(job_id, None)
-        if plan.complex:
-            report.complex_synced.append(job_id)
-        else:
-            report.simple_synced.append(job_id)
+        report.land("complex_synced" if plan.complex else "simple_synced", job_id)
 
     def _record_failure(
         self,
@@ -450,10 +506,10 @@ class StateSyncer:
     ) -> None:
         count = self._failure_counts.get(job_id, 0) + 1
         self._failure_counts[job_id] = count
-        report.failed.append(job_id)
+        report.land("failed", job_id)
         if count >= QUARANTINE_AFTER:
             self._store.set_state(job_id, JobState.QUARANTINED)
-            report.quarantined.append(job_id)
+            report.land("quarantined", job_id)
             self.alerts.append((self.now, job_id, reason))
             self._tracer.record(
                 "state-syncer", "job-quarantined", job_id=job_id,

@@ -61,16 +61,15 @@ class Column:
     the oldest retained sample and ``_values[-1]`` the newest, both never a
     pad; every pad sits below index ``_gap_end``, so a read whose window
     starts at or above it filters nothing. Only indices at or above
-    ``_head`` are ever mapped to time slots.
+    ``_head`` are ever mapped to time slots. A column keeps values, not
+    bookkeeping: it counts its trailing-window reads on its row's
+    :class:`RowTimes`.
     """
 
-    __slots__ = (
-        "retention", "_times", "_values", "_base", "_head", "_gap_end",
-        "window_queries", "compactions",
-    )
+    __slots__ = ("retention", "_times", "_values", "_base", "_head", "_gap_end")
 
     def __init__(
-        self, times: array, retention: Seconds, slot: int, value: float
+        self, times: "RowTimes", retention: Seconds, slot: int, value: float
     ) -> None:
         self.retention = retention
         #: The row's time column, shared (the row only edits it in place).
@@ -79,9 +78,6 @@ class Column:
         self._base = slot
         self._head = 0
         self._gap_end = 0
-        #: Introspection counters (see ``MetricStore.read_stats``).
-        self.window_queries = 0
-        self.compactions = 0
 
     def __len__(self) -> int:
         values, head = self._values, self._head
@@ -107,7 +103,6 @@ class Column:
             del values[:]
             values.append(value)
             self._base, self._head, self._gap_end = slot, 0, 0
-            self.compactions += 1
             return True
         values.extend(repeat(_NAN, slot - end))
         values.append(value)
@@ -117,7 +112,8 @@ class Column:
         return False
 
     def _trim(self, horizon: Seconds) -> bool:
-        """Retire the samples older than ``horizon`` (there is at least one)."""
+        """Retire the samples older than ``horizon`` (there is at least
+        one). True when the column dropped its dead prefix."""
         values, base = self._values, self._base
         head = bisect_left(
             self._times, horizon, base + self._head, base + len(values)
@@ -132,7 +128,6 @@ class Column:
             self._base = base + head
             self._gap_end = max(0, self._gap_end - head)
             self._head = 0
-            self.compactions += 1
             return True
         return False
 
@@ -210,7 +205,7 @@ class Column:
         30 minutes" (section V-C): the correctly rounded window sum
         divided by the count (``math.fsum`` reduces the slice in C).
         """
-        self.window_queries += 1
+        self._times.window_queries += 1
         values = self._chunk(now - duration, now)
         return math.fsum(values) / len(values) if values else None
 
@@ -245,6 +240,22 @@ class Column:
         return f"Column(samples={len(self)}, retention={self.retention})"
 
 
+class RowTimes(array):
+    """A row's time column, an ``array('d')`` that also carries the row's
+    introspection counters (see ``MetricStore.read_stats``): trailing-window
+    reads and dead prefixes a column dropped. The row's columns share it
+    for their times, so they count on it and keep no counter of their own;
+    it refers to neither row nor column, so no reference cycle forms."""
+
+    __slots__ = ("window_queries", "compactions")
+
+    def __new__(cls) -> "RowTimes":
+        times = super().__new__(cls, "d")
+        times.window_queries = 0
+        times.compactions = 0
+        return times
+
+
 class MetricRow:
     """Every metric of one entity: one time column, one :class:`Column` per
     metric. Writes are time-ordered per entity (the simulation clock's
@@ -256,7 +267,7 @@ class MetricRow:
     def __init__(
         self, retention: Dict[str, Seconds], default_retention: Seconds
     ) -> None:
-        self.times = array("d")
+        self.times = RowTimes()
         #: metric -> column: what ``MetricStore.row`` hands a reader.
         self.columns: Dict[str, Column] = {}
         #: The store's per-metric retention table (shared, read at column
@@ -294,7 +305,7 @@ class MetricRow:
         if slot == len(times):
             times.append(time)
         landed = 0
-        dropped = False
+        compacted = 0
         for metric, value in zip(metrics, values):
             if value is None:
                 continue
@@ -310,14 +321,15 @@ class MetricRow:
             column_values = column._values
             base = column._base
             if base + len(column_values) < slot:
-                dropped = column._put(slot, time, value) or dropped
+                compacted += column._put(slot, time, value)
                 continue
             # Column._put, inlined for a column that held the previous slot.
             column_values.append(value)
             horizon = time - column.retention
             if times[base + column._head] < horizon:
-                dropped = column._trim(horizon) or dropped
-        if dropped:
+                compacted += column._trim(horizon)
+        if compacted:
+            times.compactions += compacted
             self._drop_uncovered_slots()
         return landed
 

@@ -164,7 +164,7 @@ class MetricStore:
     # Introspection
     # ------------------------------------------------------------------
     def read_stats(self) -> Dict[str, int]:
-        """Aggregate per-column read/maintenance counters (for reports)."""
+        """Aggregate per-row read/maintenance counters (for reports)."""
         stats = {
             "series": 0,
             "samples_ingested": self.samples_ingested,
@@ -173,10 +173,9 @@ class MetricStore:
             "compactions": 0,
         }
         for row in self._rows.values():
-            for column in row.columns.values():
-                stats["series"] += 1
-                stats["window_queries"] += column.window_queries
-                stats["compactions"] += column.compactions
+            stats["series"] += len(row.columns)
+            stats["window_queries"] += row.times.window_queries
+            stats["compactions"] += row.times.compactions
         return stats
 
     def __repr__(self) -> str:

@@ -20,9 +20,10 @@ playbook asks for:
 * **multi-window multi-burn alerts** — a rule fires only when both its
   long and short windows burn above the threshold (the long window for
   significance, the short one to stop alerting once the fire is out);
-  fired alerts reuse the :class:`repro.ops.health.Alert` shape and a
-  :class:`~repro.obs.bounded.BoundedList`, the platform's one alert
-  pipeline;
+  a fired alert is an :class:`SloAlert` record in a
+  :class:`~repro.obs.bounded.BoundedList`, read through the same
+  ``time`` / ``severity`` / ``what`` / ``runbook`` surface as a
+  :class:`repro.ops.health.Alert` (the platform's one alert pipeline);
 * **breach windows** — contiguous bad intervals per (job, SLO), exported
   with the error budget burned so a chaos drill can say "this fault cost
   4.1 minutes of breach and 12% of the lag budget".
@@ -162,14 +163,69 @@ def default_slo_specs() -> Tuple[SloSpec, ...]:
     )
 
 
-@dataclass
-class BreachWindow:
-    """One contiguous bad interval for one (job, SLO)."""
+class SloAlert:
+    """One fired burn-rate alert, kept as what fired: the round's time, the
+    job, the spec, the rule and the long window's burn.
 
-    job_id: JobId
-    slo: str
-    start: Seconds
-    end: Optional[Seconds] = None  # None while the breach is still open
+    ``severity``, ``what`` and ``runbook`` are the reading surface of a
+    :class:`repro.ops.health.Alert`; they are built when read, so a
+    retained alert holds no text of its own.
+    """
+
+    __slots__ = ("time", "job_id", "spec", "rule", "long_burn")
+
+    def __init__(
+        self, time: Seconds, job_id: JobId, spec: SloSpec,
+        rule: BurnRateRule, long_burn: float,
+    ) -> None:
+        self.time = time
+        self.job_id = job_id
+        self.spec = spec
+        self.rule = rule
+        self.long_burn = long_burn
+
+    @property
+    def severity(self) -> str:
+        return self.rule.severity
+
+    @property
+    def what(self) -> str:
+        rule = self.rule
+        return (
+            f"{self.job_id}: {self.spec.name} SLO burning "
+            f"{self.long_burn:.1f}x budget over {rule.long_window / 3600.0:g}h "
+            f"(threshold {rule.burn_threshold:g}x)"
+        )
+
+    @property
+    def runbook(self) -> str:
+        return self.spec.runbook
+
+    def __repr__(self) -> str:
+        return f"SloAlert(time={self.time}, severity={self.severity!r}, what={self.what!r})"
+
+
+class BreachWindow:
+    """One contiguous bad interval for one (job, SLO).
+
+    Slotted by hand (``dataclass(slots=True)`` needs Python 3.10, and a
+    slot cannot take a class-level default): a tracker retains thousands.
+    """
+
+    __slots__ = ("job_id", "slo", "start", "end")
+
+    def __init__(self, job_id: JobId, slo: str, start: Seconds) -> None:
+        self.job_id = job_id
+        self.slo = slo
+        self.start = start
+        #: Set when the breach closes; None while it is open.
+        self.end: Optional[Seconds] = None
+
+    def __repr__(self) -> str:
+        return (
+            f"BreachWindow(job_id={self.job_id!r}, slo={self.slo!r}, "
+            f"start={self.start!r}, end={self.end!r})"
+        )
 
     @property
     def open(self) -> bool:
@@ -244,9 +300,6 @@ class SloTracker:
         specs: Optional[Tuple[SloSpec, ...]] = None,
         telemetry=None,
     ) -> None:
-        from repro.ops.health import Alert  # shared alert shape
-
-        self._alert_cls = Alert
         self._engine = engine
         self._sli = sli
         self.specs: Tuple[SloSpec, ...] = (
@@ -284,7 +337,7 @@ class SloTracker:
         )
         #: Ledger window reads (introspection).
         self.window_reads = 0
-        self.alerts: List = BoundedList(maxlen=RECORD_RETENTION)
+        self.alerts: List[SloAlert] = BoundedList(maxlen=RECORD_RETENTION)
         self.breaches: List[BreachWindow] = BoundedList(maxlen=RECORD_RETENTION)
         #: (job, slo) -> open breach (also present in ``breaches``).
         self._open: Dict[Tuple[JobId, str], BreachWindow] = {}
@@ -505,14 +558,7 @@ class SloTracker:
         self, job_id: JobId, spec: SloSpec, rule: BurnRateRule,
         long_burn: float, now: Seconds,
     ) -> None:
-        hours = rule.long_window / 3600.0
-        what = (
-            f"{job_id}: {spec.name} SLO burning {long_burn:.1f}x budget "
-            f"over {hours:g}h (threshold {rule.burn_threshold:g}x)"
-        )
-        self.alerts.append(
-            self._alert_cls(now, rule.severity, what, spec.runbook)
-        )
+        self.alerts.append(SloAlert(now, job_id, spec, rule, long_burn))
         if self._telemetry is not None:
             self._telemetry.inc(f"slo.alerts.{rule.severity}")
 

@@ -30,11 +30,14 @@ class Timer:
     """A periodic timer managed by the engine.
 
     The timer re-schedules itself after each firing. ``cancel()`` stops it
-    permanently. Slotted: every Task Manager arms two.
+    permanently. A pending timer is its own event-queue entry: it carries
+    the ``callback`` (its bound :meth:`_fire`, made once) and ``cancelled``
+    flag the queue reads, so arming allocates no event. Slotted: every Task
+    Manager arms two.
     """
 
     __slots__ = (
-        "_engine", "interval", "_callback", "name", "_event", "_cancelled",
+        "_engine", "interval", "_callback", "name", "callback", "cancelled",
         "fire_count",
     )
 
@@ -51,34 +54,33 @@ class Timer:
         self.interval = float(interval)
         self._callback = callback
         self.name = name
-        self._event: Optional[Event] = None
-        self._cancelled = False
+        #: What the event queue calls when the timer's entry comes due.
+        self.callback = self._fire
+        #: Set by :meth:`cancel`; the queue then skips the pending entry.
+        self.cancelled = False
         self.fire_count = 0
 
     @property
     def active(self) -> bool:
         """True until the timer is cancelled."""
-        return not self._cancelled
+        return not self.cancelled
 
     def cancel(self) -> None:
-        """Stop the timer permanently."""
-        self._cancelled = True
-        if self._event is not None:
-            self._event.cancel()
-            self._event = None
+        """Stop the timer permanently (its pending entry is skipped)."""
+        self.cancelled = True
 
     def _arm(self, delay: Optional[Seconds] = None) -> None:
         """Schedule the next firing ``delay`` seconds from now (defaults
         to one interval). No-op once cancelled."""
-        if self._cancelled:
+        if self.cancelled:
             return
-        self._event = self._engine.queue.push(
-            self._engine.now + (self.interval if delay is None else delay),
-            self._fire,
+        engine = self._engine
+        engine.queue.push_entry(
+            engine.now + (self.interval if delay is None else delay), self
         )
 
     def _fire(self) -> None:
-        if self._cancelled:
+        if self.cancelled:
             return
         self.fire_count += 1
         # Re-arm before invoking the callback so a callback that raises does
@@ -87,7 +89,7 @@ class Timer:
         self._callback()
 
     def __repr__(self) -> str:
-        state = "cancelled" if self._cancelled else "active"
+        state = "cancelled" if self.cancelled else "active"
         return f"Timer(name={self.name!r}, interval={self.interval}, {state})"
 
 

@@ -3,9 +3,14 @@
 Events are ordered by ``(time, sequence)``. The sequence number breaks ties
 deterministically: two events scheduled for the same instant fire in the
 order they were scheduled, which keeps runs reproducible regardless of heap
-internals. The heap holds ``(time, seq, event)`` tuples, so every heap
+internals. The heap holds ``(time, seq, entry)`` tuples, so every heap
 comparison is a C tuple comparison that the unique ``seq`` always decides
-— the event itself (and its callback) never takes part in ordering.
+— the entry itself (and its callback) never takes part in ordering.
+
+An entry is anything with a ``callback`` and a ``cancelled`` flag: an
+:class:`Event` for a one-shot callback, or a periodic
+:class:`~repro.sim.engine.Timer`, which is its own entry (a pending timer
+costs its heap tuple and nothing more).
 """
 
 from __future__ import annotations
@@ -37,10 +42,11 @@ class Event:
 
 
 class EventQueue:
-    """A priority queue of :class:`Event` objects with lazy cancellation."""
+    """A priority queue of entries (:class:`Event` objects and timers) with
+    lazy cancellation."""
 
     def __init__(self) -> None:
-        self._heap: List[Tuple[Seconds, int, Event]] = []
+        self._heap: List[Tuple[Seconds, int, Any]] = []
         self._counter = itertools.count()
 
     def __len__(self) -> int:
@@ -56,6 +62,13 @@ class EventQueue:
         event = Event(float(time), next(self._counter), callback)
         heapq.heappush(self._heap, (event.time, event.seq, event))
         return event
+
+    def push_entry(self, time: Seconds, entry: Any) -> None:
+        """Schedule an entry of its own (a timer) at absolute time ``time``:
+        its ``callback`` fires then unless its ``cancelled`` is set."""
+        if time < 0:
+            raise SimulationError(f"cannot schedule before time zero: {time}")
+        heapq.heappush(self._heap, (float(time), next(self._counter), entry))
 
     def peek_time(self) -> Optional[Seconds]:
         """Time of the next live event, or ``None`` if the queue is empty."""

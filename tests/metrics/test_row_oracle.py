@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from repro.metrics import MetricStore
 from repro.tasks.stats import INPUT_RATE_RETENTION, ROW_METRICS
 from repro.testing.reference import PerMetricStore
+from tests.metrics.helpers import compactions_per_column
 
 DAY = 86400.0
 SPARSE = ("oom_events", "recovery_lag")
@@ -189,11 +190,15 @@ def test_both_retentions_trim_and_compact_under_the_same_reads():
     ``input_rate_mb`` past 15 days too, and the time column drops the
     slots no column covers any more — except under job-b's one early OOM,
     which keeps its own two slots as its series keeps its two samples."""
-    store = run(steady_plan(40, 2 * 3600.0), 2 * 3600.0, read_every=25)
+    with compactions_per_column() as compactions:
+        store = run(steady_plan(40, 2 * 3600.0), 2 * 3600.0, read_every=25)
     for entity in ENTITIES:
         row = store._rows[entity]
-        assert row.columns["input_rate_mb"].compactions >= 1
-        assert row.columns["bytes_lagged_mb"].compactions >= 3
+        assert compactions[id(row.columns["input_rate_mb"])] >= 1
+        assert compactions[id(row.columns["bytes_lagged_mb"])] >= 3
+        assert row.times.compactions == sum(
+            compactions[id(column)] for column in row.columns.values()
+        )
         assert len(row.times) < 2 * 16 * 12  # about 15 days of rounds
     assert store.row("job-b")["oom_events"].all_points() == [(7.0 * 3600.0, 1.0)] * 2
 

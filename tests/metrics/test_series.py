@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from repro.metrics import MetricStore
 from repro.testing.reference import TimeSeries
+from tests.metrics.helpers import compactions_per_column
 
 
 class Series:
@@ -239,66 +240,67 @@ def test_every_read_equals_a_plain_list_of_the_retained_samples(
     every, finite = [], []
     taken = 0
     now = 0.0
-    for index in range(STREAM_LENGTH):
-        dt, value = motif[index % len(motif)]
-        before, now = now, now + dt
-        reference.record(now, value)
-        every.append((now, float(value)))
-        every = [(t, v) for t, v in every if t >= now - retention]
-        if math.isfinite(value):
-            store.record("one", "metric", now, value)
-            if index % 2:
-                store.record("row", "other", (before + now) / 2, 1.0)
-            store.record_row("row", now, ("metric",), (value,))
-            finite.append((now, float(value)))
-            taken += 1
-            finite = [(t, v) for t, v in finite if t >= now - retention]
-        else:
-            for write in (
-                lambda: store.record("one", "metric", now, value),
-                lambda: store.record_row("row", now, ("metric",), (value,)),
-            ):
-                with pytest.raises(ValueError):
-                    write()
-        readers = [(reference, every)]
-        if finite:
-            # The padded column every step, the other every tenth.
-            entities = ("row", "one") if index % 10 == 0 else ("row",)
-            readers += [(store.row(e)["metric"], finite) for e in entities]
-        for series, plain in readers:
-            assert len(series) == len(plain)
-            assert bits(series.latest()) == bits(plain[-1][1])
-            assert series.latest_time() == plain[-1][0]
-            assert series.earliest_time() == plain[0][0]
-            assert_floats(series.all_points())
-            assert bits(series.all_points()) == bits(plain)
-            for offset in offsets:
-                at = now + offset
-                for duration in durations:
-                    start = at - duration
-                    window = plain_reads(plain, start, at)
-                    values = [v for __, v in window]
-                    assert_floats(series.window(start, at))
-                    assert_floats(series.values_in(start, at))
-                    assert bits(series.window(start, at)) == bits(window)
-                    assert bits(series.values_in(start, at)) == bits(values)
-                    assert series.earliest_time(start) == next(
-                        (t for t, __ in plain if t >= start), None
-                    )
-                    assert outcome(series.average_over, duration, at) == (
-                        outcome(fsum_mean, values)
-                    )
-                    assert outcome(series.aggregate_between, start, at) == (
-                        outcome(fsum_aggregate, values)
-                    )
-                    assert bits(series.max_between(start, at)) == bits(
-                        max(values) if values else None
-                    )
-                    assert series.count_between(start, at) == len(values)
+    with compactions_per_column() as compactions:
+        for index in range(STREAM_LENGTH):
+            dt, value = motif[index % len(motif)]
+            before, now = now, now + dt
+            reference.record(now, value)
+            every.append((now, float(value)))
+            every = [(t, v) for t, v in every if t >= now - retention]
+            if math.isfinite(value):
+                store.record("one", "metric", now, value)
+                if index % 2:
+                    store.record("row", "other", (before + now) / 2, 1.0)
+                store.record_row("row", now, ("metric",), (value,))
+                finite.append((now, float(value)))
+                taken += 1
+                finite = [(t, v) for t, v in finite if t >= now - retention]
+            else:
+                for write in (
+                    lambda: store.record("one", "metric", now, value),
+                    lambda: store.record_row("row", now, ("metric",), (value,)),
+                ):
+                    with pytest.raises(ValueError):
+                        write()
+            readers = [(reference, every)]
+            if finite:
+                # The padded column every step, the other every tenth.
+                entities = ("row", "one") if index % 10 == 0 else ("row",)
+                readers += [(store.row(e)["metric"], finite) for e in entities]
+            for series, plain in readers:
+                assert len(series) == len(plain)
+                assert bits(series.latest()) == bits(plain[-1][1])
+                assert series.latest_time() == plain[-1][0]
+                assert series.earliest_time() == plain[0][0]
+                assert_floats(series.all_points())
+                assert bits(series.all_points()) == bits(plain)
+                for offset in offsets:
+                    at = now + offset
+                    for duration in durations:
+                        start = at - duration
+                        window = plain_reads(plain, start, at)
+                        values = [v for __, v in window]
+                        assert_floats(series.window(start, at))
+                        assert_floats(series.values_in(start, at))
+                        assert bits(series.window(start, at)) == bits(window)
+                        assert bits(series.values_in(start, at)) == bits(values)
+                        assert series.earliest_time(start) == next(
+                            (t for t, __ in plain if t >= start), None
+                        )
+                        assert outcome(series.average_over, duration, at) == (
+                            outcome(fsum_mean, values)
+                        )
+                        assert outcome(series.aggregate_between, start, at) == (
+                            outcome(fsum_aggregate, values)
+                        )
+                        assert bits(series.max_between(start, at)) == bits(
+                            max(values) if values else None
+                        )
+                        assert series.count_between(start, at) == len(values)
     assert reference.compactions >= 3
     if taken >= STREAM_LENGTH // 2:
         for entity in ("one", "row"):
-            assert store.row(entity)["metric"].compactions >= 3
+            assert compactions[id(store.row(entity)["metric"])] >= 3
 
 
 # ----------------------------------------------------------------------

@@ -141,6 +141,49 @@ class TestTimer:
         assert timer.fire_count == 4
 
 
+class TestTimerAsQueueEntry:
+    """A pending timer is its own heap entry: ``(time, seq)`` order and
+    lazy cancellation are those of a one-shot event."""
+
+    def test_a_timer_and_a_one_shot_event_at_one_instant_fire_in_scheduling_order(self):
+        engine = Engine()
+        fired = []
+        engine.call_at(10.0, lambda: fired.append("event-before"))
+        engine.every(10.0, lambda: fired.append(f"timer@{engine.now:g}"))
+        engine.call_at(10.0, lambda: fired.append("event-after"))
+        # Scheduled before the timer re-arms at t=10 for t=20.
+        engine.call_at(20.0, lambda: fired.append("event@20"))
+        engine.run_until(20.0)
+        assert fired == [
+            "event-before", "timer@10", "event-after", "event@20", "timer@20",
+        ]
+
+    def test_a_cancelled_timers_heap_entry_is_skipped(self):
+        engine = Engine()
+        fired = []
+        timer = engine.every(10.0, lambda: fired.append(engine.now))
+        engine.call_at(15.0, lambda: fired.append("event"))
+        engine.run_until(10.0)
+        timer.cancel()
+        assert [entry for __, __, entry in engine.queue._heap].count(timer) == 1
+        assert engine.queue.peek_time() == 15.0
+        engine.run_until(100.0)
+        assert fired == [10.0, "event"]
+        assert engine.queue.peek_time() is None and engine.queue._heap == []
+
+    def test_len_counts_a_timer_until_it_is_cancelled(self):
+        engine = Engine()
+        timer = engine.every(10.0, lambda: None)
+        engine.call_at(5.0, lambda: None)
+        assert len(engine.queue) == 2 and engine.queue
+        engine.run_until(30.0)
+        assert len(engine.queue) == 1
+        assert engine.queue._heap[0][2] is timer  # the re-armed timer itself
+        timer.cancel()
+        assert len(engine.queue) == 0 and not engine.queue
+        assert len(engine.queue._heap) == 1  # lazily deleted: still stored
+
+
 class TestDeterminism:
     def test_same_seed_same_draws(self):
         a, b = Engine(seed=42), Engine(seed=42)

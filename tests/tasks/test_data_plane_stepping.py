@@ -28,15 +28,12 @@ def started_platform(num_hosts=3):
 
 def armed_timer_names(platform):
     """Names of every timer with a live event queued, in arming order."""
-    events = sorted(
-        (
-            event for __, __, event in platform.engine.queue._heap
-            if not event.cancelled
-            and isinstance(getattr(event.callback, "__self__", None), Timer)
-        ),
-        key=lambda event: event.seq,
+    entries = sorted(
+        (seq, event) for __, seq, event in platform.engine.queue._heap
+        if not event.cancelled
+        and isinstance(getattr(event.callback, "__self__", None), Timer)
     )
-    return [event.callback.__self__.name for event in events]
+    return [event.callback.__self__.name for __, event in entries]
 
 
 def step_timer_names(platform):
