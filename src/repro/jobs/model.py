@@ -230,10 +230,11 @@ class JobView:
         """Read a merged (or plan-target) configuration dict.
 
         ``parts`` is a memo of the parts equal configs decode to (the Job
-        Store's): through it, equal ``resources`` tuples, each of their
-        ``(dimension, value)`` pairs and equal package strings come out as
-        one shared object, and the per-task floats are read from the
-        shared pairs.
+        Store's): through it, each equal ``(dimension, value)`` pair of
+        ``resources`` and each equal package string comes out as one
+        shared object, and the per-task floats are read from the shared
+        pairs. A view's ``resources`` tuple is its own, so the memo grows
+        with distinct pairs, not with their combinations.
         """
         resources = config.get(KEY_RESOURCES, {})
         frozen = _frozen(resources)
@@ -244,7 +245,7 @@ class JobView:
         package_version = package.get("version", "1.0")
         if parts is not None:
             if type(resources) is dict:
-                frozen = _shared(parts, tuple(_shared(parts, pair) for pair in frozen))
+                frozen = tuple(_shared(parts, pair) for pair in frozen)
                 resources = dict(frozen)
             if type(package_name) is str:
                 package_name = _shared(parts, package_name)

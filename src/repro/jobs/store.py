@@ -156,7 +156,8 @@ class JobStore:
         self._merges: Dict[JobId, _Merge] = {}
         #: The parts equal configs decode to, one object each, shared by
         #: every view the merges build (``JobView.from_config``'s memo):
-        #: one entry per distinct value this store has seen.
+        #: one entry per distinct resource pair and package string this
+        #: store has seen.
         self._parts: Dict[Any, Any] = {}
         #: When False the store is in an availability window: every data
         #: operation raises :class:`ServiceUnavailableError` and clients

@@ -1,23 +1,26 @@
 """Full-walk reference forms of the indexed / change-driven planes.
 
-Production code answers "where does this task run", "which managers host
-this job", "which (job, SLO) pairs can be burning", "how much budget has
-this pair burned", "which jobs need a sync plan", "what does the scaler
-know about this job", "what does the scaler decide for this job", "which
-replicas does this standby tick promote or place", "what must this
-refresh start or stop", "what does this container process this tick" and
-"what does this metric read" from state kept where the fact changes, in
-one flat loop or in one shared row. The forms here answer the same
-questions the slow, obviously-right way — scan every manager, re-merge
-every config, rescan every job, a 0/1 series per verdict stream, one
-store call per number, every scaler stage for every job, a full standby
-reconcile every tick, a full shard reconcile every refresh, one method
-call per task and per partition, a time array per metric series — and
-exist only so the equivalence suites in ``tests/`` and the hot-path
-benches have something to compare against. :func:`reference_forms`
-builds a whole platform from them at once.
-Production classes take no argument that selects one of these; nothing
-under ``repro`` outside this package may import them.
+Production answers "which jobs need a sync plan", "what does the scaler
+decide", "which (job, SLO) pairs can be burning", "what must this
+refresh or standby tick do" and "what does this metric read" from state
+kept where the fact changes. The forms here answer the same the slow,
+obviously-right way, and exist only so tests have something to compare
+against; nothing under ``repro`` outside this package may import them.
+
+:func:`reference_forms` swaps seven of them into a whole platform at
+once, the one oracle for every guard (``tests/integration/
+test_reference_twin.py``): :class:`FullScanSyncer`, :class:`EagerTaskManager`,
+:class:`EagerAutoScaler`, :class:`FullWalkSloTracker`,
+:class:`FullReadSliEvaluator`, :class:`PollingStandbyPlane` and
+:class:`PerMetricStore`. Kept tests use the forms where the twin cannot
+reach: :class:`TimeSeries` (``tests/metrics/test_series.py``,
+``tests/obs/test_slo.py`` with :func:`bad_fraction` and :func:`burn_rate`),
+:class:`PerMetricStore` past two days (``tests/metrics/test_row_oracle.py``),
+:func:`snapshot_job_store_read` (``tests/scaler/test_snapshot_equivalence.py``),
+:func:`scan_primary_manager` and :func:`scan_hosting_managers`
+(``tests/tasks/test_standby.py``) and :func:`step_container_per_call`
+(``tests/tasks/test_step_equivalence.py``, ``test_fleet_step.py``,
+``tests/scribe/test_column_store.py``).
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import math
 from array import array
 from bisect import bisect_left, bisect_right
 from contextlib import contextmanager
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.errors import DegradedModeError
 from repro.jobs.model import JobView
@@ -97,7 +100,7 @@ class TimeSeries:
     window and reduces the value slice in C."""
 
     __slots__ = (
-        "retention", "_times", "_values", "_head", "window_queries", "compactions",
+        "retention", "_times", "_values", "_head", "compactions",
     )
 
     def __init__(self, retention: Optional[Seconds] = None) -> None:
@@ -107,7 +110,6 @@ class TimeSeries:
         self._times = array("d")
         self._values = array("d")
         self._head = 0
-        self.window_queries = 0
         self.compactions = 0
 
     def __len__(self) -> int:
@@ -164,7 +166,6 @@ class TimeSeries:
         return list(zip(self._times[head:], self._values[head:]))
 
     def average_over(self, duration: Seconds, now: Seconds) -> Optional[float]:
-        self.window_queries += 1
         lo, hi = self._bounds(now - duration, now)
         values = self._values[lo:hi]
         return math.fsum(values) / len(values) if values else None
@@ -189,7 +190,7 @@ class TimeSeries:
 
 class PerMetricStore:
     """``repro.metrics.MetricStore`` with one :class:`TimeSeries` per
-    ``(entity, metric)`` under a tuple key, plus entity and metric indexes.
+    ``(entity, metric)`` under a tuple key, plus an entity index.
     The same writes (``record`` / ``record_row``, ``retain``,
     ``drop_entity``, ``fail`` / ``recover``) and reads (``row``, ``latest``,
     ``entities_with``); :meth:`series` creates what it does not find. It
@@ -198,7 +199,6 @@ class PerMetricStore:
     def __init__(self) -> None:
         self._series: Dict[Tuple[str, str], TimeSeries] = {}
         self._entity_index: Dict[str, Dict[str, TimeSeries]] = {}
-        self._metric_index: Dict[str, Set[str]] = {}
         self._retention: Dict[str, Seconds] = {}
         self.available = True
         self.dropped_points = 0
@@ -224,19 +224,16 @@ class PerMetricStore:
             retention = self._retention.get(metric, DEFAULT_RETENTION)
         created = self._series[key] = TimeSeries(retention)
         self._entity_index.setdefault(entity, {})[metric] = created
-        self._metric_index.setdefault(metric, set()).add(entity)
         return created
 
     def drop_entity(self, entity: str) -> None:
         for metric in self._entity_index.pop(entity, {}):
             del self._series[(entity, metric)]
-            entities = self._metric_index[metric]
-            entities.discard(entity)
-            if not entities:
-                del self._metric_index[metric]
 
     def entities_with(self, metric: str) -> List[str]:
-        return sorted(self._metric_index.get(metric, ()))
+        return sorted(
+            entity for entity, row in self._entity_index.items() if metric in row
+        )
 
     def record(self, entity: str, metric: str, time: Seconds, value: float) -> int:
         return self.record_row(entity, time, (metric,), (value,))
@@ -267,10 +264,12 @@ class PerMetricStore:
         existing = self._series.get((entity, metric))
         return None if existing is None else existing.latest()
 
+    def set_telemetry(self, telemetry) -> None:
+        """Counts no ``metrics.ingest.*`` (no export reads them)."""
+
     def read_stats(self) -> Dict[str, int]:
         return {
             "series": len(self._series),
-            "window_queries": sum(s.window_queries for s in self._series.values()),
             "compactions": sum(s.compactions for s in self._series.values()),
         }
 
@@ -521,6 +520,7 @@ REFERENCE_FORMS = (
     ("repro.obs.slo", "SloTracker", FullWalkSloTracker),
     ("repro.obs.sli", "SliEvaluator", FullReadSliEvaluator),
     ("repro.tasks.standby", "StandbyPlane", PollingStandbyPlane),
+    ("repro.platform", "MetricStore", PerMetricStore),
 )
 
 

@@ -54,12 +54,12 @@ def test_the_twin_is_built_from_every_reference_form():
         platform = build_platform(0, hot_standby=True)
         return {
             type(platform.syncer), type(platform.scaler), type(platform.slo),
-            type(platform.sli), type(platform.standby),
+            type(platform.sli), type(platform.standby), type(platform.metrics),
             *(type(manager) for manager in platform.task_managers.values()),
         }
 
     forms = {form for __, __, form in REFERENCE_FORMS}
-    assert len(forms) == 6
+    assert len(forms) == 7
     with reference_forms():
         assert built_classes() == forms
     assert not built_classes() & forms

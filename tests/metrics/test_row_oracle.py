@@ -1,21 +1,18 @@
-"""The metric row against its oracle, the per-metric store.
+"""The metric row against its oracle, the per-metric store, past what
+the whole-platform twin reaches.
 
 ``repro.metrics.MetricStore`` keeps an entity's metrics as one row: one
 time column, one value column per metric, NaN where a metric is absent
 from a slot, each column trimmed at its own retention.
 ``repro.testing.reference.PerMetricStore`` keeps one ``TimeSeries`` per
-(entity, metric), each with its own time array. Both are driven with the
-same stats-collector-shaped writes — partial first rounds, an intermittent
-``task_rate_stdev``, the inline zero-rate ``processing_rate_mb``, sparse
-``oom_events`` / ``recovery_lag`` between rounds, outages, ``drop_entity``
-and re-creation — at cadences that reach trims and compaction at both the
-2-day and the 15-day retention. Every read must agree bit for bit.
+(entity, metric), each with its own time array. The twin
+(``tests/integration/test_reference_twin.py``) builds every drill and
+workload on the per-metric store; no run there lasts two days. Here both
+are driven with stats-collector-shaped writes for 40 days, so both
+retentions trim and compact, and every read must agree bit for bit.
 """
 
 import tracemalloc
-
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.metrics import MetricStore
 from repro.tasks.stats import INPUT_RATE_RETENTION, ROW_METRICS
@@ -26,35 +23,6 @@ DAY = 86400.0
 SPARSE = ("oom_events", "recovery_lag")
 METRICS = ROW_METRICS + SPARSE
 ENTITIES = ("job-a", "job-b", "job-c")
-
-rate = st.floats(min_value=0.0, max_value=1e4, allow_nan=False, allow_subnormal=False)
-
-#: One entity's part of one round.
-job_round = st.fixed_dictionaries({
-    "specs": st.booleans() | st.just(True),  # False: the job is skipped
-    "rates": st.tuples(rate, rate, rate, rate),
-    "zero_rate": st.booleans(),
-    "stdev": st.one_of(st.none(), rate),
-    "oom": st.one_of(st.none(), st.floats(min_value=0.0, max_value=0.99)),
-    "recovery": st.one_of(st.none(), rate),
-})
-
-#: A run: a motif of rounds repeated to ``length`` rounds — long enough
-#: for both retentions to trim and compact at the coarser cadences — with
-#: a few drops (the entity is re-created by its next round) and a few
-#: three-round outages at drawn rounds.
-runs = st.fixed_dictionaries({
-    "motif": st.lists(
-        st.fixed_dictionaries({e: job_round for e in ENTITIES}),
-        min_size=1, max_size=12,
-    ),
-    "length": st.integers(1, 400),
-    "drops": st.lists(
-        st.tuples(st.sampled_from(ENTITIES), st.integers(0, 400)), max_size=3
-    ),
-    "outages": st.lists(st.integers(0, 400), max_size=3),
-    "interval": st.sampled_from([60.0, 3600.0, 4 * 3600.0, 6 * 3600.0]),
-})
 
 
 def bits(result):
@@ -132,39 +100,20 @@ def assert_same_reads(row_store, oracle, now, interval):
         assert row_store.entities_with(metric) == oracle.entities_with(metric)
 
 
-def run(plans, interval, read_every, drops=(), outages=()):
-    """Drive both stores through ``plans`` (one per round), dropping
-    ``(entity, round)`` after that round and failing the stores for the
-    three rounds from each of ``outages``; compare every read every
-    ``read_every`` rounds and after the last."""
+def run(plans, interval, read_every):
+    """Drive both stores through ``plans`` (one per round) and compare
+    every read every ``read_every`` rounds and after the last."""
     row_store, oracle = MetricStore(), PerMetricStore()
     store_pair = (row_store, oracle)
     both(store_pair, "retain", "input_rate_mb", INPUT_RATE_RETENTION)
     first = set(ENTITIES)
     for index, plan in enumerate(plans):
         now = index * interval
-        outage = any(start <= index < start + 3 for start in outages)
-        if outage:
-            both(store_pair, "fail")
         collector_round(store_pair, now, interval, plan, first)
-        if outage:
-            both(store_pair, "recover")
-        for entity, at in drops:
-            if at == index:
-                both(store_pair, "drop_entity", entity)
-                first.add(entity)
         if index % read_every == 0 or index == len(plans) - 1:
             assert_same_reads(row_store, oracle, now, interval)
     assert row_store.dropped_points == oracle.dropped_points
     return row_store
-
-
-@settings(max_examples=40, deadline=None)
-@given(drawn=runs)
-def test_every_read_of_the_row_equals_the_per_metric_store(drawn):
-    motif = drawn["motif"]
-    plans = [motif[index % len(motif)] for index in range(drawn["length"])]
-    run(plans, drawn["interval"], 7, drawn["drops"], drawn["outages"])
 
 
 def steady_plan(days, interval):

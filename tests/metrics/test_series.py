@@ -182,10 +182,13 @@ def plain_reads(points, start, end):
 
 def bits(result):
     """``result`` with every float as its exact bits (``-0.0`` is not
-    ``0.0``, and one NaN equals another)."""
-    if isinstance(result, float):
-        return "nan" if math.isnan(result) else result.hex()
-    if isinstance(result, (list, tuple)):
+    ``0.0``, and one NaN equals another). Exact types, not ``isinstance``:
+    this runs a few million times a run, and every read returns plain
+    lists, tuples and floats."""
+    kind = type(result)
+    if kind is float:
+        return "nan" if result != result else result.hex()
+    if kind is list or kind is tuple:
         return [bits(item) for item in result]
     return result
 

@@ -12,15 +12,12 @@ actuator's per-job manager list must equal the full walk, and each
 manager's own per-task structures (``tasks`` / ``standbys``, container
 reservations, shard assignment, open recovery windows) must agree.
 
-The second hypothesis suite is the safety argument for skipping a tick
-(or a Task Manager refresh) whose inputs did not change: the guarded
-plane must decide exactly what
-:class:`repro.testing.reference.PollingStandbyPlane` decides on a twin
-platform built by :func:`repro.testing.reference.reference_forms`, and a
-reconcile forced where a refresh would skip must change nothing.
+The skip of a tick (or a Task Manager refresh) whose inputs did not
+change has one oracle, the whole-platform twin
+(``tests/integration/test_reference_twin.py``): every drill and workload
+exports the same with :class:`repro.testing.reference.PollingStandbyPlane`
+and ``EagerTaskManager`` swapped in.
 """
-
-from contextlib import nullcontext
 
 import pytest
 from hypothesis import given, settings
@@ -31,8 +28,6 @@ from repro.jobs import ConfigLevel
 from repro.tasks.manager import TaskManager
 from repro.tasks.standby import PROMOTION_LOG
 from repro.testing.reference import (
-    PollingStandbyPlane,
-    reference_forms,
     scan_hosting_managers,
     scan_primary_manager,
 )
@@ -305,6 +300,26 @@ class TestHandoffAndRetire:
         if primary_of(platform, task_id) is not None:
             assert after is not None and after != before
             assert platform.task_managers[after].alive
+
+    def test_a_restarting_primary_forgets_a_replica_whose_host_is_gone(self):
+        # The host loss dropped the replica's manager; the primary starts
+        # the task before the next tick has noticed.
+        platform = build_platform()
+        task_id = "alpha:0"
+        lost = replica_host(platform, task_id)
+        platform.cluster.fail_host(lost.container.host_id)
+        assert lost.container_id not in platform.task_managers
+        platform.standby.release_for_start(task_id)
+        assert task_id not in platform.standby.placements
+
+    def test_a_container_killed_before_its_reboot_reconnects_stays_down(self):
+        platform = build_platform()
+        manager = primary_of(platform, "alpha:0")
+        manager.reboot()
+        manager.container.kill()
+        platform.run_for(seconds=5.0)
+        assert not manager.alive and manager._reconnect is None
+        assert not manager.tasks and not manager.assigned_shards
 
 
 class TestLastAlivePruning:
@@ -659,92 +674,3 @@ def test_one_task_id_on_two_live_managers_resolves_to_the_lowest_id():
     platform.task_managers[expected].container.kill()
     assert_index_matches_scan(platform)
     assert platform.standby._primary_manager("alpha", task_id) is not None
-
-
-# ----------------------------------------------------------------------
-# Guarded ≡ polling, under generated fault / mutation sequences
-# ----------------------------------------------------------------------
-def apply_guard_step(platform, step, state):
-    """The index suite's steps, plus ``hot_standby`` roster flips and
-    Task Service outages (managers then refresh from their last index)."""
-    kind = step[0]
-    if kind == "roster":
-        job_id = JOBS[step[1] % len(JOBS)]
-        if platform.job_store.exists(job_id):
-            platform.job_service.patch(
-                job_id, ConfigLevel.ONCALL, {"hot_standby": step[2]}
-            )
-    elif kind == "task_service":
-        service = platform.task_service
-        service.fail() if step[1] else service.recover()
-    else:
-        apply_step(platform, step, state)
-
-
-def standby_record(platform):
-    """Everything the standby plane decided, as its exports see it."""
-    plane = platform.standby
-    log = platform.scribe.logs.get(PROMOTION_LOG)
-    plane._settle_stamps()
-    return {
-        "promotions": list(plane.promotions),
-        "placements": dict(plane.placements),
-        "events": list(plane.events),
-        "log": [payload for __, payload in log.read_from(0)] if log else [],
-        "last_alive": dict(plane._last_alive),
-    }
-
-
-def assert_skipped_refreshes_are_no_ops(platform):
-    """Wherever a refresh would skip its reconcile now, a forced one
-    hosts, unhosts and restarts nothing (each would bump the version).
-    Returns how many managers were checked."""
-    checked = 0
-    for container_id in sorted(platform.task_managers):
-        manager = platform.task_managers[container_id]
-        if not manager.alive or manager._cached_index is not manager._reconciled:
-            continue
-        before = platform.cluster.fleet_version.value
-        manager._reconcile_assigned()
-        assert platform.cluster.fleet_version.value == before, container_id
-        checked += 1
-    return checked
-
-
-guard_steps = st.lists(
-    st.one_of(
-        step,
-        st.tuples(st.just("roster"), small, st.booleans()),
-        st.tuples(st.just("task_service"), st.booleans()),
-    ),
-    min_size=1, max_size=20,
-)
-
-
-@settings(max_examples=50, deadline=None)
-@given(sequence=guard_steps)
-def test_guarded_plane_equals_the_polling_plane_after_every_step(sequence):
-    """The polling twin is built, and every step of it is taken, inside
-    :func:`reference_forms` (managers a step spawns are reference ones)."""
-    guarded = build_platform()
-    with reference_forms():
-        polling = build_platform()
-    assert type(polling.standby) is PollingStandbyPlane
-    arms = (
-        (guarded, {"hosts": NUM_HOSTS}, nullcontext),
-        (polling, {"hosts": NUM_HOSTS}, reference_forms),
-    )
-    assert assert_skipped_refreshes_are_no_ops(guarded) > 0
-    assert standby_record(guarded) == standby_record(polling)
-    for step in sequence:
-        for platform, state, forms in arms:
-            with forms():
-                apply_guard_step(platform, step, state)
-        assert standby_record(guarded) == standby_record(polling), step
-        assert_skipped_refreshes_are_no_ops(guarded)
-    for platform, __, forms in arms:
-        with forms():
-            platform.task_service.recover()
-            platform.run_for(minutes=3)
-    assert standby_record(guarded) == standby_record(polling)
-    assert_skipped_refreshes_are_no_ops(guarded)

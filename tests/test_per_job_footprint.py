@@ -81,7 +81,8 @@ def test_equal_configs_share_their_resources_and_package_strings():
         ),
     )
     a, b, c = (store.view(job_id) for job_id in "abc")
-    assert a.resources == b.resources and a.resources is b.resources
+    assert a.resources == b.resources
+    assert all(pair is other for pair, other in zip(a.resources, b.resources))
     assert a.package_version is b.package_version is c.package_version
     assert a.package_name is c.package_name
     assert a.cpu_per_task is b.cpu_per_task
@@ -92,6 +93,27 @@ def test_equal_configs_share_their_resources_and_package_strings():
     assert shared and all(
         any(pair is other for other in a.resources) for pair in shared
     )
+
+
+def test_the_view_memo_grows_with_distinct_pairs_not_their_combinations():
+    """Every (cpu, memory) combination of five cpu and six memory sizes
+    decodes through one store: the memo holds the eleven pairs and the
+    package strings, not thirty resource tuples."""
+    cpus, memories = (0.25, 0.5, 1.0, 2.0, 4.0), (0.5, 1.0, 1.5, 2.0, 3.0, 4.0)
+    store = JobStore()
+    strings = set()
+    for cpu in cpus:
+        for memory in memories:
+            job_id = f"job-{cpu}-{memory}"
+            store.create_job(job_id)
+            store.write_expected(
+                job_id, ConfigLevel.PROVISIONER,
+                {"resources": {"cpu": cpu, "memory_gb": memory}}, 0,
+            )
+            view = store.view(job_id)
+            assert view.resources == (("cpu", cpu), ("memory_gb", memory))
+            strings.update((view.package_name, view.package_version))
+    assert len(store._parts) <= len(cpus) + len(memories) + len(strings)
 
 
 def test_sharing_never_swaps_a_value_for_one_that_only_compares_equal():
