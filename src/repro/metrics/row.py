@@ -16,12 +16,14 @@ exactly as a series holding only the samples written to it.
 
 Retention is per column. A sample written at ``t`` retires the column's
 samples older than ``t - retention`` (the column's own, as a per-metric
-series would), by advancing a head index; a column's dead prefix is
-compacted only once it is both long and at least as large as its live
-data — O(1) amortized per append. The time column keeps every slot a
-column's live range covers: after a column compacts, the row drops the
-slots no live range covers, so a column that stops being written pins
-only its own slots, not the time between them and the rest of the row.
+series would), by advancing a head index (by one, with no bisect, when
+exactly one sample leaves: a short column written every round); a
+column's dead prefix is compacted only once it is both long and at least
+as large as its live data — O(1) amortized per append. The time column
+keeps every slot a column's live range covers: after a column compacts,
+the row drops the slots no live range covers, so a column that stops
+being written pins only its own slots, not the time between them and the
+rest of the row.
 
 Every windowed read has one path: bisect the window's bounds on the time
 column inside the column's live range, then reduce the value slice in C
@@ -323,11 +325,22 @@ class MetricRow:
             if base + len(column_values) < slot:
                 compacted += column._put(slot, time, value)
                 continue
-            # Column._put, inlined for a column that held the previous slot.
+            # Column._put, inlined for a column that held the previous slot,
+            # and Column._trim's steady state: exactly one sample leaves, no
+            # pad follows it (every pad sits below ``_gap_end``) and no
+            # compaction is due.
             column_values.append(value)
             horizon = time - column.retention
-            if times[base + column._head] < horizon:
-                compacted += column._trim(horizon)
+            head = column._head
+            if times[base + head] < horizon:
+                head += 1
+                if (
+                    times[base + head] >= horizon and head >= column._gap_end
+                    and (head < COMPACT_MIN or head * 2 < len(column_values))
+                ):
+                    column._head = head
+                else:
+                    compacted += column._trim(horizon)
         if compacted:
             times.compactions += compacted
             self._drop_uncovered_slots()
@@ -338,6 +351,13 @@ class MetricRow:
         many and at least half the time column; each column's dead prefix
         goes with them."""
         times = self.times
+        slots = len(times)
+        for column in self.columns.values():
+            # One live range alone leaves too few slots uncovered (the
+            # collector's 15-day column covers its whole row).
+            uncovered = slots - len(column._values) + column._head
+            if uncovered < COMPACT_MIN or uncovered * 2 < slots:
+                return
         spans = sorted(
             (column._base + column._head, column._base + len(column._values))
             for column in self.columns.values()

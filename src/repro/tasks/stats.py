@@ -3,22 +3,27 @@
 Computes, per job, the metrics the Auto Scaler's symptom detectors consume
 (paper section V-A). These six metrics are exactly what the collector
 writes, as one row a minute per job with specs (one time slot, one value
-per metric column):
+per metric column). Each keeps the longest window any reader opens on it
+(:data:`RETENTION`):
 
-* ``input_rate_mb`` — MB/s arriving in the job's input category (15-day
-  retention: the pattern analyzer's 14 days, section V-C);
-* ``processing_rate_mb`` — MB/s the job's tasks actually processed;
+* ``input_rate_mb`` — MB/s arriving in the job's input category; 15 days,
+  the pattern analyzer's 14 days (section V-C) and a day to spare;
+* ``processing_rate_mb`` — MB/s the job's tasks actually processed; 900 s,
+  this collector's own zero-rate fallback window;
 * ``time_lagged`` — equation (1): ``total_bytes_lagged / processing_rate``;
+  the store's 2-day default, over the scaler's 1-day quiet window;
 * ``bytes_lagged_mb`` — bytes available but not yet ingested;
 * ``running_tasks`` — live task count (the availability SLI);
 * ``task_rate_stdev`` — imbalance measure, "the standard deviation of
   processing rate across all the tasks belonging to the same job"
   (only while a task runs).
 
-The first three are rates over the interval since the collector's
-previous round, so its first round's row holds only the last three. No
-per-job memory or CPU aggregate is written: nothing reads one (the OOM
-check reads each task's own memory in ``step_container``).
+The last three keep one collection interval: ``snapshot_job`` and the
+availability SLI read only their newest sample. The first three are rates
+over the interval since the collector's previous round, so its first
+round's row holds only the last three. No per-job memory or CPU aggregate
+is written: nothing reads one (the OOM check reads each task's own memory
+in ``step_container``).
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from __future__ import annotations
 import math
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.metrics.store import MetricStore
+from repro.metrics.store import DEFAULT_RETENTION, MetricStore
 from repro.scribe.bus import ScribeBus
 from repro.sim.engine import Engine, Timer
 from repro.tasks.runtime import RunningTask
@@ -42,16 +47,28 @@ COLLECT_INTERVAL: Seconds = 60.0
 INFINITE_LAG: float = 1e9
 
 #: ``input_rate_mb`` retention: the pattern analyzer's 14 days of
-#: per-minute input rates (paper section V-C) and a day to spare. Every
-#: other column keeps the store's 2-day default.
+#: per-minute input rates (paper section V-C) and a day to spare.
 INPUT_RATE_RETENTION: Seconds = 15 * 86400.0
+
+#: When a job processed nothing since the previous round, equation (1)'s
+#: denominator is its mean processing rate over this trailing window.
+FALLBACK_RATE_WINDOW: Seconds = 900.0
+
+#: Each collected metric's retention, in row order: the longest window
+#: any reader opens on it. A metric read only as its newest sample keeps
+#: one collection interval.
+RETENTION: Dict[str, Seconds] = {
+    "input_rate_mb": INPUT_RATE_RETENTION,  # the pattern analyzer
+    "processing_rate_mb": FALLBACK_RATE_WINDOW,  # this collector
+    "time_lagged": DEFAULT_RETENTION,  # the scalers' 1-day quiet window
+    "bytes_lagged_mb": COLLECT_INTERVAL,  # snapshot_job
+    "running_tasks": COLLECT_INTERVAL,  # snapshot_job, availability SLI
+    "task_rate_stdev": COLLECT_INTERVAL,  # snapshot_job
+}
 
 #: The metrics of every row the collector writes, in row order; a row
 #: holds ``None`` for a metric absent from its round.
-ROW_METRICS = (
-    "input_rate_mb", "processing_rate_mb", "time_lagged", "bytes_lagged_mb",
-    "running_tasks", "task_rate_stdev",
-)
+ROW_METRICS = tuple(RETENTION)
 
 
 class JobStatsCollector:
@@ -71,7 +88,8 @@ class JobStatsCollector:
         self._shard_manager = shard_manager
         self._scribe = scribe
         self._metrics = metrics
-        metrics.retain("input_rate_mb", INPUT_RATE_RETENTION)
+        for metric, retention in RETENTION.items():
+            metrics.retain(metric, retention)
         self._interval = interval
         #: ``job -> (category head, MB processed)`` at the last round.
         self._last: Dict[JobId, Tuple[float, float]] = {}
@@ -164,7 +182,7 @@ class JobStatsCollector:
                 self._metrics.record(job_id, "processing_rate_mb", now, rate_basis)
                 recent = self._metrics.row(job_id).get("processing_rate_mb")
                 if recent is not None:  # None: never landed (store down)
-                    rate_basis = recent.average_over(900.0, now) or 0.0
+                    rate_basis = recent.average_over(FALLBACK_RATE_WINDOW, now) or 0.0
             if lagged <= 1e-9:
                 time_lagged = 0.0
             elif rate_basis > 1e-9:

@@ -5,12 +5,13 @@ import operator
 import tracemalloc
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.metrics import MetricStore
+from repro.tasks.stats import COLLECT_INTERVAL, FALLBACK_RATE_WINDOW
 from repro.testing.reference import TimeSeries
-from tests.metrics.helpers import compactions_per_column
+from tests.metrics.helpers import compactions_per_column, trim_paths
 
 
 class Series:
@@ -216,45 +217,82 @@ def fsum_aggregate(values):
     return (math.fsum(values), len(values), max(values)) if values else (0.0, 0, None)
 
 
+def stream(motif):
+    """The motif repeated to ``STREAM_LENGTH`` samples, its steps in
+    collection intervals: ``(index, previous time, time, value)``."""
+    now = 0.0
+    for index in range(STREAM_LENGTH):
+        dt, value = motif[index % len(motif)]
+        before, now = now, now + dt * STEP
+        yield index, before, now, value
+
+
+def land(store, index, before, now, value):
+    """One finite sample as ``metric`` of two entities: ``one`` through
+    ``record``, ``row`` through ``record_row`` with another metric written
+    between every other pair of its samples (so it reads across NaN
+    pads)."""
+    store.record("one", "metric", now, value)
+    if index % 2:
+        store.record("row", "other", (before + now) / 2, 1.0)
+    store.record_row("row", now, ("metric",), (value,))
+
+
+#: A step is one collection interval (the stats collector's round).
+STEP = COLLECT_INTERVAL
+#: Streams under the shortest retention, one step, that reach each way
+#: ``MetricRow.append`` retires samples: inline (one sample leaves a
+#: round) and each fallback to ``Column._trim`` — the dead prefix due
+#: (every 64 rounds), a pad right after the leaving sample (36 s steps,
+#: the pad half-way between two samples) and a gap longer than the
+#: retention.
+SHORT_STREAMS = (
+    [(1.0, 3.0)],
+    [(0.6, 3.0), (0.6, 5.0)],
+    [(1.0, 3.0)] * 3 + [(3.0, 1.0)],
+)
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     motif=st.lists(samples, min_size=1, max_size=30),
-    retention=st.sampled_from([4.0, 15.0, 30.0]),
-    durations=st.lists(st.floats(min_value=0.0, max_value=60.0), min_size=1, max_size=3),
-    offsets=st.lists(st.floats(min_value=-20.0, max_value=20.0), min_size=1, max_size=3),
+    retention=st.sampled_from([STEP, 4 * STEP, FALLBACK_RATE_WINDOW, 30 * STEP]),
+    durations=st.lists(
+        st.floats(min_value=0.0, max_value=60.0 * STEP), min_size=1, max_size=3
+    ),
+    offsets=st.lists(
+        st.floats(min_value=-20.0 * STEP, max_value=20.0 * STEP),
+        min_size=1, max_size=3,
+    ),
 )
+@example(motif=SHORT_STREAMS[0], retention=STEP, durations=[STEP], offsets=[0.0])
+@example(motif=SHORT_STREAMS[1], retention=STEP, durations=[STEP], offsets=[0.0])
+@example(motif=SHORT_STREAMS[2], retention=STEP, durations=[STEP], offsets=[0.0])
 def test_every_read_equals_a_plain_list_of_the_retained_samples(
     motif, retention, durations, offsets
 ):
     """The motif is repeated to ``STREAM_LENGTH`` samples, enough for
     retention to retire most of them and the columns to compact at least
     three times under the reads (when at least half the samples are
-    finite). The reference series takes every sample;
-    two columns of one store take the finite ones — one through
-    ``record``, one through ``record_row`` with another metric written
-    between every other pair of its samples (so it reads across NaN
-    pads) — and refuse the rest. Each must read as the plain list of what
-    it took, bit for bit, raising where the list's read raises, and hand
-    out lists of floats."""
+    finite); the retentions are one step (the stats collector's
+    latest-only metrics), 4 and 30 steps, and the 900 s zero-rate
+    fallback window. The reference series takes every sample; two columns
+    of one store take the finite ones (:func:`land`) and refuse the rest.
+    Each must read as the plain list of what it took, bit for bit,
+    raising where the list's read raises, and hand out lists of floats."""
     assume(sum(dt for dt, __ in motif) >= 0.5 * len(motif))
     reference = TimeSeries(retention=retention)
     store = MetricStore()
     store.retain("metric", retention)
     every, finite = [], []
     taken = 0
-    now = 0.0
     with compactions_per_column() as compactions:
-        for index in range(STREAM_LENGTH):
-            dt, value = motif[index % len(motif)]
-            before, now = now, now + dt
+        for index, before, now, value in stream(motif):
             reference.record(now, value)
             every.append((now, float(value)))
             every = [(t, v) for t, v in every if t >= now - retention]
             if math.isfinite(value):
-                store.record("one", "metric", now, value)
-                if index % 2:
-                    store.record("row", "other", (before + now) / 2, 1.0)
-                store.record_row("row", now, ("metric",), (value,))
+                land(store, index, before, now, value)
                 finite.append((now, float(value)))
                 taken += 1
                 finite = [(t, v) for t, v in finite if t >= now - retention]
@@ -304,6 +342,17 @@ def test_every_read_equals_a_plain_list_of_the_retained_samples(
     if taken >= STREAM_LENGTH // 2:
         for entity in ("one", "row"):
             assert compactions[id(store.row(entity)["metric"])] >= 3
+
+
+def test_the_short_streams_reach_every_way_a_row_retires_samples():
+    """Vacuity guard for the oracle's explicit examples."""
+    with trim_paths() as paths:
+        for motif in SHORT_STREAMS:
+            store = MetricStore()
+            store.retain("metric", STEP)
+            for sample in stream(motif):
+                land(store, *sample)
+    assert all(paths[path] for path in ("inline", "compaction", "pad", "gap")), paths
 
 
 # ----------------------------------------------------------------------

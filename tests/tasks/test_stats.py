@@ -5,7 +5,7 @@ import pytest
 from repro import JobSpec, PlatformConfig, Turbine
 from repro.metrics import MetricStore
 from repro.metrics.aggregate import stdev
-from repro.tasks.stats import INFINITE_LAG, JobStatsCollector
+from repro.tasks.stats import INFINITE_LAG, RETENTION, JobStatsCollector
 from repro.types import TaskState
 
 
@@ -210,17 +210,21 @@ def test_input_rate_keeps_fifteen_days_whoever_touches_it_first(scaler_first):
 def test_a_jobs_stats_row_holds_exactly_the_six_collected_series():
     """The collector writes what a reader reads and nothing more: the
     scaler's detectors, the SLIs and the pattern analyzer read these six,
-    and no reader exists for a per-job memory or CPU aggregate."""
+    and no reader exists for a per-job memory or CPU aggregate. Each
+    column keeps what its longest reader's window needs: after 23 rounds
+    (t = 60 … 1 380 s; the three rates start in the second), all 22
+    samples of the two long columns, 16 of ``processing_rate_mb`` (its
+    900 s) and 2 of each metric read only as its newest sample."""
     from repro.workloads import TrafficDriver
 
     platform = collector_platform()
     driver = TrafficDriver(platform.engine, platform.scribe, tick=10.0)
     driver.add_source("cat", lambda t: 3.0)
     driver.start()
-    platform.run_for(minutes=4)
+    platform.run_for(minutes=20)
     row = platform.metrics.row("job")
-    assert set(row) == {
-        "input_rate_mb", "processing_rate_mb", "time_lagged",
-        "bytes_lagged_mb", "running_tasks", "task_rate_stdev",
+    assert {metric: len(series) for metric, series in row.items()} == {
+        "input_rate_mb": 22, "processing_rate_mb": 16, "time_lagged": 22,
+        "bytes_lagged_mb": 2, "running_tasks": 2, "task_rate_stdev": 2,
     }
-    assert all(len(series) >= 4 for series in row.values())
+    assert {metric: series.retention for metric, series in row.items()} == RETENTION

@@ -1,19 +1,22 @@
 """What each job keeps resident (DESIGN.md, "Resident footprint"): SLO
 alerts and breach windows that keep only what they say, views that share
 what equal configs decode to, one empty config level, metric columns
-without per-column counters, and a pending timer that is its own
-event-queue entry."""
+without per-column counters and with no more history than a reader reads,
+and a pending timer that is its own event-queue entry."""
 
 import sys
 import tracemalloc
 
+from repro import PlatformConfig, Turbine
 from repro.jobs import JobService, JobSpec, JobStore
 from repro.jobs.configs import ConfigLevel
+from repro.metrics.row import COMPACT_MIN
 from repro.metrics.store import MetricStore
 from repro.obs.slo import DEFAULT_BURN_RULES, BreachWindow, default_slo_specs
 from repro.sim import events as events_module
 from repro.sim.engine import Engine
 from repro.cluster.resources import ResourceVector
+from repro.tasks.stats import COLLECT_INTERVAL
 
 from tests.obs.test_slo import build_tracker
 
@@ -167,6 +170,29 @@ def test_a_read_column_weighs_at_most_96_bytes():
     weight = (grown - arrays) / len(entities)
     assert store.read_stats()["window_queries"] == 2 * 300 * len(entities)
     assert weight <= MAX_COLUMN_BYTES, weight
+
+
+def test_a_jobs_latest_only_metrics_keep_no_history():
+    """Three simulated hours of one job: ``processing_rate_mb`` and the
+    three metrics read only as their newest sample hold fewer than
+    2 × ``COMPACT_MIN`` values, dead prefix included (two days' retention
+    held one a round, 180), while the two long columns still hold every
+    round they were written in (the rates start in the second)."""
+    platform = Turbine.create(num_hosts=1, seed=3, config=PlatformConfig(
+        num_shards=4, containers_per_host=2,
+    ))
+    platform.start()
+    platform.provision(JobSpec(job_id="job", input_category="cat", task_count=2))
+    platform.run_for(hours=3)
+    rounds = int(platform.now // COLLECT_INTERVAL)
+    assert rounds == 180
+    row = platform.metrics.row("job")
+    resident = {metric: len(column._values) for metric, column in row.items()}
+    for metric in (
+        "processing_rate_mb", "bytes_lagged_mb", "running_tasks", "task_rate_stdev",
+    ):
+        assert resident[metric] < 2 * COMPACT_MIN, (metric, resident)
+    assert len(row["input_rate_mb"]) == len(row["time_lagged"]) == rounds - 1
 
 
 def test_arming_a_timer_allocates_no_event_and_no_bound_method(monkeypatch):
