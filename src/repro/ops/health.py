@@ -148,7 +148,7 @@ class HealthReporter:
         report.jobs_quarantined = counts.jobs_quarantined
         report.jobs_with_oom = counts.jobs_with_oom
 
-        report.tasks_expected = len(self._task_service_snapshot())
+        report.tasks_expected = self._tasks_expected()
         managers = self._shard_manager.live_managers()
         report.containers_live = len(managers)
         # A promoted standby is the running incarnation of its task.
@@ -162,11 +162,12 @@ class HealthReporter:
         )
         return report
 
-    def _task_service_snapshot(self):
+    def _tasks_expected(self) -> int:
         try:
-            return self._task_service.snapshot()
+            index = self._task_service.shard_index()
         except DegradedModeError:
-            return {}
+            return 0
+        return sum(len(tasks) for tasks in index.values())
 
     def check_once(self) -> HealthReport:
         """Build a report, record it, and raise any threshold alerts.

@@ -133,7 +133,7 @@ class Turbine:
         self.job_service = JobService(self.job_store, tracer=self.tracer)
 
         # --- Task Management ------------------------------------------
-        self.task_service = TaskService(engine)
+        self.task_service = TaskService(engine, self.config.num_shards)
         self.shard_manager = ShardManager(
             engine,
             num_shards=self.config.num_shards,

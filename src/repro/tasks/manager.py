@@ -4,9 +4,9 @@
 stream processing tasks within that container." (paper section IV). The
 manager:
 
-* refreshes the full task-spec snapshot every 60 seconds and reconciles
-  the tasks of its assigned shards (start / stop / restart on settings
-  change, restart on crash);
+* refreshes the task-spec snapshot (the Task Service's shard index) every
+  60 seconds and reconciles the tasks of its assigned shards whose specs
+  changed (start / stop / restart on settings change, restart on crash);
 * answers the Shard Manager's ADD_SHARD / DROP_SHARD requests;
 * heartbeats to the Shard Manager (the platform's single
   ``container-heartbeat`` timer runs :func:`heartbeat_managers` over the
@@ -150,7 +150,7 @@ class TaskManager:
     __slots__ = (
         "_tracer", "_engine", "container", "_service", "_shard_manager",
         "_scribe", "_metrics", "_heartbeat_interval", "assigned_shards",
-        "tasks", "standbys", "_task_hosts", "_reconciled", "slow_factor",
+        "tasks", "standbys", "_task_hosts", "_walked", "slow_factor",
         "standby_plane", "checkpoint_plane", "_failed_at", "_index",
         "_index_fetched_at", "_sm_dep", "_ts_dep", "_telemetry",
         "_reconnect", "partitioned", "slow_drop", "slow_add",
@@ -202,9 +202,10 @@ class TaskManager:
         #: :meth:`reboot` (it keeps its ``tasks`` too): readers check
         #: liveness at lookup.
         self._task_hosts = task_hosts if task_hosts is not None else {}
-        #: The shard index the last full reconcile ran against; ``None``
-        #: once anything it read here changed since (:meth:`_changed`).
-        self._reconciled: Optional[Dict[ShardId, Dict[TaskId, TaskSpec]]] = None
+        #: The shard index the last walk of the assigned shards ran
+        #: against: each of them matches its entry there. ``None`` once
+        #: anything a reconcile reads here changed since (:meth:`_changed`).
+        self._walked: Optional[Dict[ShardId, Dict[TaskId, TaskSpec]]] = None
         #: Gray-failure model: a slow node degrades every task's
         #: throughput by this factor without failing a single health
         #: check (heartbeats keep flowing). 1.0 = healthy.
@@ -324,21 +325,16 @@ class TaskManager:
         self._changed()
 
     # ------------------------------------------------------------------
-    # Periodic: snapshot refresh and reconciliation
+    # Periodic: index refresh and reconciliation
     # ------------------------------------------------------------------
     def _refresh(self) -> None:
-        """Fetch the shard index, then reconcile every assigned shard —
-        unless this manager already reconciled against this very index
-        object and nothing it hosts or is assigned changed since: a
-        reconcile is idempotent, so that one would start and stop
-        nothing. The Task Service keeps one build per spec-table
-        version, so a quiet refresh costs the probe and one compare."""
+        """Fetch the shard index, then reconcile the assigned shards it
+        changed. The Task Service keeps one build per spec-table version,
+        so a quiet refresh costs the probe and one compare."""
         if not self.alive:
             return
         now = self._engine.now
-        index = self._ts_dep.probe(
-            self._service.shard_index, self._shard_manager.num_shards
-        )
+        index = self._ts_dep.probe(self._service.shard_index)
         if index is not None:
             self._index = index
             self._index_fetched_at = now
@@ -349,31 +345,31 @@ class TaskManager:
                 "resilience.task-manager.task-service.staleness_s",
                 now - self._index_fetched_at,
             )
-        if self._cached_index is not self._reconciled:
+        if self._index is not self._walked:
             self._reconcile_assigned()
 
     def _reconcile_assigned(self) -> None:
-        """Reconcile every assigned shard against the cached index."""
+        """Reconcile, in order, every assigned shard whose entry in the
+        cached index is not its entry in the last walked index (every
+        one after :meth:`_changed`). A reconcile is idempotent and a
+        served shard dict is never written, so a shard whose entry is
+        that very object would start and stop nothing."""
+        index, last = self._index, self._walked
         for shard_id in sorted(self.assigned_shards):
-            self._reconcile_shard(shard_id)
-        self._reconciled = self._cached_index
+            if last is None or index.get(shard_id) is not last.get(shard_id):
+                self._reconcile_shard(shard_id)
+        self._walked = index
 
     def _changed(self) -> None:
         """Note a write to what this manager hosts or is assigned (or to
         a hosted task's state): the next refresh reconciles in full, and
         the container's fleet counter moves for the standby plane."""
-        self._reconciled = None
+        self._walked = None
         self.container.fleet_version.bump()
 
-    @property
-    def _cached_index(self) -> Dict[ShardId, Dict[TaskId, TaskSpec]]:
-        """The last successfully fetched shard index (a fresh empty dict
-        when never, so the reconcile guard never matches before a fetch)."""
-        return self._index if self._index is not None else {}
-
     def _reconcile_shard(self, shard_id: ShardId) -> None:
-        """Drive this shard's tasks to match the (cached) spec snapshot."""
-        desired = self._cached_index.get(shard_id, {})
+        """Drive this shard's tasks to match the (cached) shard index."""
+        desired = (self._index or {}).get(shard_id, {})
         # Stop tasks that should no longer run here.
         self._unhost_all([
             task for task_id, task in self.tasks.items()

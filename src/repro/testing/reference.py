@@ -507,7 +507,7 @@ class EagerTaskManager(TaskManager):
     __slots__ = ()
 
     def _refresh(self) -> None:
-        self._reconciled = None
+        self._walked = None
         super()._refresh()
 
 

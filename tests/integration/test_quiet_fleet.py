@@ -8,7 +8,7 @@ can change an outcome.
   single Scribe walk, never through ``Category.total_head`` /
   ``ScribeBus.backlog_mb``.
 * Over a quiet stretch no Task Manager refresh reconciles a shard, the
-  Task Service regroups no snapshot by shard when its TTL lapses, and the
+  Task Service rebuilds no shard index when its TTL lapses, and the
   standby plane looks up no primary: nothing they read has changed.
 
 Counts, not timings: they hold on any machine.

@@ -78,15 +78,15 @@ class TestReport:
 
     def test_task_service_bug_propagates(self, monkeypatch):
         """Only an outage reads as "no tasks expected": a programming
-        error in ``snapshot`` must surface, not report 0 % missing and
+        error in ``shard_index`` must surface, not report 0 % missing and
         silence the mass-task-loss page."""
         platform, reporter = healthy_platform()
 
         def broken():
-            raise RuntimeError("bug in snapshot")
+            raise RuntimeError("bug in shard_index")
 
-        monkeypatch.setattr(platform.task_service, "snapshot", broken)
-        with pytest.raises(RuntimeError, match="bug in snapshot"):
+        monkeypatch.setattr(platform.task_service, "shard_index", broken)
+        with pytest.raises(RuntimeError, match="bug in shard_index"):
             reporter.check_once()
 
 

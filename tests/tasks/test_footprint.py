@@ -40,7 +40,7 @@ def job_specs(task_count):
     config = JobSpec(
         job_id="job", input_category="cat", task_count=task_count
     ).to_provisioner_config()
-    return TaskService(Engine(seed=0)).set_job_specs("job", config)
+    return TaskService(Engine(seed=0), 8).set_job_specs("job", config)
 
 
 def warm_manager(specs):

@@ -1,11 +1,12 @@
-"""Tests for TaskSpec generation and the Task Service snapshot cache."""
+"""Tests for TaskSpec generation and the Task Service's cached shard index."""
 
 import pytest
 
-from repro.errors import DegradedModeError, TurbineError
+from repro.errors import DegradedModeError, PlacementError, TurbineError
 from repro.jobs import JobSpec
 from repro.sim import Engine
 from repro.tasks import TaskService, TaskSpec
+from repro.tasks.shard import shard_id_for_task
 from repro.tasks.spec import task_id_for
 from repro.types import Priority
 
@@ -64,7 +65,7 @@ class TestTemplateAndHandle:
     footprint")."""
 
     def specs(self, **overrides):
-        return TaskService(Engine()).set_job_specs("job", job_config(**overrides))
+        return TaskService(Engine(), 8).set_job_specs("job", job_config(**overrides))
 
     @pytest.mark.parametrize("index", [-1, 4, 5])
     def test_a_handle_out_of_its_templates_range_is_rejected(self, index):
@@ -112,127 +113,155 @@ class TestTemplateAndHandle:
             setattr(spec.template, "threads", 3)
 
 
+def served(service):
+    """Every task id the served index lists."""
+    return {task_id for tasks in service.shard_index().values() for task_id in tasks}
+
+
 class TestTaskService:
     def test_set_job_specs_generates_per_task(self):
-        service = TaskService(Engine())
+        service = TaskService(Engine(), 8)
         specs = service.set_job_specs("job", job_config(task_count=3))
         assert [spec.task_id for spec in specs] == ["job:0", "job:1", "job:2"]
 
-    def test_snapshot_contains_all_jobs(self):
-        service = TaskService(Engine())
+    def test_index_groups_every_job_by_md5_shard(self):
+        service = TaskService(Engine(), 8)
         service.set_job_specs("a", job_config("a", task_count=2))
         service.set_job_specs("b", job_config("b", task_count=1))
-        snapshot = service.snapshot()
-        assert set(snapshot) == {"a:0", "a:1", "b:0"}
+        index = service.shard_index()
+        assert served(service) == {"a:0", "a:1", "b:0"}
+        for shard, tasks in index.items():
+            for task_id, spec in tasks.items():
+                assert shard_id_for_task(task_id, 8) == shard
+                assert spec.task_id == task_id
 
-    def test_snapshot_cached_within_ttl(self):
+    @pytest.mark.parametrize("num_shards", [0, -1])
+    def test_num_shards_must_be_positive(self, num_shards):
+        with pytest.raises(PlacementError, match="must be positive"):
+            TaskService(Engine(), num_shards)
+
+    def test_index_cached_within_ttl(self):
         engine = Engine()
-        service = TaskService(engine)
+        service = TaskService(engine, 8)
         service.set_job_specs("a", job_config("a"))
-        first = service.snapshot()
+        first = service.shard_index()
         engine.run_until(30.0)
-        assert service.snapshot() is first
+        assert service.shard_index() is first
 
     def test_update_hidden_until_ttl_expires(self):
         """The paper's propagation math (section IV-D) counts the full
         cache TTL: a committed change becomes visible to managers only
-        when the cached snapshot expires."""
+        when the cached index expires."""
         engine = Engine()
-        service = TaskService(engine)
+        service = TaskService(engine, 8)
         service.set_job_specs("a", job_config("a", task_count=1))
-        before = service.snapshot()
+        before = service.shard_index()
         service.set_job_specs("a", job_config("a", task_count=2))
         engine.run_until(30.0)
-        assert service.snapshot() is before, "stale within the TTL"
+        assert service.shard_index() is before, "stale within the TTL"
         engine.run_until(100.0)
-        after = service.snapshot()
-        assert after is not before
-        assert len(after) == 2
+        assert service.shard_index() is not before
+        assert served(service) == {"a:0", "a:1"}
 
     def test_expiry_keeps_unchanged_build_shows_lazy_change(self):
         engine = Engine()
-        service = TaskService(engine)
+        service = TaskService(engine, 8)
         service.set_job_specs("a", job_config("a"))
-        first = service.snapshot()
-        grouping = service.shard_index(8)
-        # Expired over an unchanged table: the same build and grouping,
-        # with a fresh TTL.
+        first = service.shard_index()
+        # Expired over an unchanged table: the same build, with a fresh TTL.
         engine.run_until(100.0)
-        assert service.snapshot() is first
-        assert service.shard_index(8) is grouping
+        assert service.shard_index() is first
         # A lazy change stays hidden for the restarted TTL, then shows.
         service.set_job_specs("a", job_config("a", task_count=2))
         engine.run_until(180.0)
-        assert service.snapshot() is first
+        assert service.shard_index() is first
         engine.run_until(200.0)
-        rebuilt = service.snapshot()
-        assert rebuilt is not first and set(rebuilt) == {"a:0", "a:1"}
-        assert service.shard_index(8) is not grouping
+        assert service.shard_index() is not first
+        assert served(service) == {"a:0", "a:1"}
+
+    def test_a_rebuild_keeps_every_unchanged_shard_dict(self):
+        """A changed shard gets a new dict, an emptied one leaves the
+        index and every other shard keeps its dict object, so a Task
+        Manager finds the changed shards by identity."""
+        service = TaskService(Engine(), 64)
+        jobs = {}
+        for index in range(64):
+            shard = shard_id_for_task(f"job-{index}:0", 64)
+            if shard not in jobs.values():
+                jobs[f"job-{index}"] = shard
+            if len(jobs) == 3:
+                break
+        (changed, changed_shard), (kept, kept_shard), (removed, removed_shard) = (
+            jobs.items()
+        )
+        for job_id in jobs:
+            service.set_job_specs(job_id, job_config(job_id, task_count=1))
+        first = service.shard_index()
+        service.set_job_specs(changed, job_config(changed, task_count=1), urgent=True)
+        service.remove_job(removed)
+        rebuilt = service.shard_index()
+        assert rebuilt is not first
+        assert rebuilt[kept_shard] is first[kept_shard]
+        assert rebuilt[changed_shard] is not first[changed_shard]
+        assert rebuilt[changed_shard] == {
+            f"{changed}:0": service.specs_of(changed)[0]
+        }
+        assert removed_shard not in rebuilt
 
     def test_remove_job(self):
-        service = TaskService(Engine())
+        service = TaskService(Engine(), 8)
         service.set_job_specs("a", job_config("a"))
         service.remove_job("a")
-        assert service.snapshot() == {}
+        assert service.shard_index() == {}
         assert service.specs_of("a") == []
         service.remove_job("a")  # idempotent
 
     def test_degraded_mode_raises(self):
-        service = TaskService(Engine())
+        service = TaskService(Engine(), 8)
         service.set_job_specs("a", job_config("a"))
         service.available = False
         with pytest.raises(DegradedModeError):
-            service.snapshot()
+            service.shard_index()
 
     def test_version_bumps_on_change(self):
-        service = TaskService(Engine())
+        service = TaskService(Engine(), 8)
         v0 = service.version.value
         service.set_job_specs("a", job_config("a"))
         assert service.version.value > v0
 
-    def test_shard_index_covers_snapshot(self):
-        service = TaskService(Engine())
-        service.set_job_specs("a", job_config("a", task_count=10))
-        index = service.shard_index(8)
-        indexed_tasks = {
-            task_id for bucket in index.values() for task_id in bucket
-        }
-        assert indexed_tasks == set(service.snapshot())
-
-    def test_shard_index_memoized_per_snapshot_build(self):
+    def test_a_lazy_write_keeps_the_build_an_urgent_one_replaces_it(self):
         engine = Engine()
-        service = TaskService(engine)
+        service = TaskService(engine, 8)
         service.set_job_specs("a", job_config("a"))
-        first = service.shard_index(8)
-        assert service.shard_index(8) is first
+        first = service.shard_index()
         # A lazy write does not rebuild the index within the TTL…
         service.set_job_specs("b", job_config("b"))
-        assert service.shard_index(8) is first
+        assert service.shard_index() is first
         # …but an urgent one does.
         service.set_job_specs("c", job_config("c"), urgent=True)
-        rebuilt = service.shard_index(8)
-        assert rebuilt is not first
-        indexed = {tid for bucket in rebuilt.values() for tid in bucket}
-        assert indexed == set(service.snapshot())
+        assert service.shard_index() is not first
+        assert served(service) == {
+            f"{job}:{index}" for job in "abc" for index in range(4)
+        }
 
     def test_urgent_write_visible_immediately(self):
         engine = Engine()
-        service = TaskService(engine)
+        service = TaskService(engine, 8)
         service.set_job_specs("a", job_config("a", task_count=1))
-        service.snapshot()
+        service.shard_index()
         service.set_job_specs("a", job_config("a", task_count=2), urgent=True)
-        assert len(service.snapshot()) == 2
+        assert served(service) == {"a:0", "a:1"}
 
     def test_remove_job_visible_immediately(self):
         engine = Engine()
-        service = TaskService(engine)
+        service = TaskService(engine, 8)
         service.set_job_specs("a", job_config("a"))
-        service.snapshot()
+        service.shard_index()
         service.remove_job("a")
-        assert service.snapshot() == {}
+        assert service.shard_index() == {}
 
     def test_job_ids_sorted(self):
-        service = TaskService(Engine())
+        service = TaskService(Engine(), 8)
         service.set_job_specs("z", job_config("z"))
         service.set_job_specs("a", job_config("a"))
         assert service.job_ids() == ["a", "z"]
